@@ -195,16 +195,6 @@ bool FluidNetwork::link_up(LinkId link) const {
   return link.value() >= link_down_.size() || !link_down_[link.value()];
 }
 
-std::vector<LinkId> FluidNetwork::down_links() const {
-  std::vector<LinkId> down;
-  for (std::size_t i = 0; i < link_down_.size(); ++i) {
-    if (link_down_[i]) {
-      down.push_back(LinkId{static_cast<LinkId::underlying_type>(i)});
-    }
-  }
-  return down;
-}
-
 Mbps FluidNetwork::background(LinkId link) const {
   require_found(topology_.has_link(link),
       "FluidNetwork::background: unknown link");

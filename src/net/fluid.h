@@ -80,9 +80,6 @@ class FluidNetwork {
   void set_link_up(LinkId link, bool up);
   [[nodiscard]] bool link_up(LinkId link) const;
 
-  /// All currently-down links, ascending by id (fault tooling/report).
-  [[nodiscard]] std::vector<LinkId> down_links() const;
-
   /// Starts a flow across `path` (links in order; may be empty for a purely
   /// local transfer, which then runs at `rate_cap`).  Every link must exist.
   /// `rate_cap` must be positive.  `weight` (>= 1) is the flow's share of
@@ -145,9 +142,13 @@ class FluidNetwork {
   /// many flows at one simulated instant (failover storms, completion
   /// sweeps) pay for one progressive filling instead of one per mutation.
   ///
-  /// Epochs are meant to stay within one simulated instant: mid-epoch rate
-  /// reads are stale, so nothing that integrates rates over time may span
-  /// an open epoch across a clock movement with active transfers.
+  /// An epoch may span a clock step (TransferManager folds each instant's
+  /// step into the mutation that follows it) under three rules: progress
+  /// is settled at the old rates before the clock moves (the pre-change
+  /// hook, or the manager's own settle); nothing reads rates until the
+  /// epoch closes, since mid-epoch rates are stale; and the code that
+  /// closes the epoch re-plans the completion wake-up (the post-change
+  /// hook, or the manager after closing its own epoch).
   class [[nodiscard]] BatchGuard {
    public:
     BatchGuard() = default;
@@ -187,6 +188,9 @@ class FluidNetwork {
     ++batch_depth_;
     return BatchGuard{this};
   }
+
+  /// True while any BatchGuard is alive (rates may be stale).
+  [[nodiscard]] bool epoch_open() const { return batch_depth_ > 0; }
 
   // ---- reference implementation & introspection ----
 

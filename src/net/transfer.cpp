@@ -48,13 +48,19 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
   require(on_complete, "TransferManager::start_transfer: empty callback");
   const SimTime now = sim_.now();
   const BusyScope guard{busy_depth_};
-  advance_progress(now);
-  const FlowId id = network_.start_flow(std::move(path), rate_cap, weight);
-  transfers_.insert(id, Transfer{size, std::move(on_complete)});
-  // A transfer born at or below the done epsilon never crosses it during a
-  // settle, so it becomes a completion candidate outright.
-  if (size.value() <= kDoneEpsilonMb) drained_.push_back(id);
-  reschedule(now);
+  FlowId id;
+  {
+    // The clock step and the new flow share one allocation epoch: one
+    // fair-share solve for the instant, not one per mutation.
+    const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
+    advance_progress(now);
+    id = network_.start_flow(std::move(path), rate_cap, weight);
+    transfers_.insert(id, Transfer{size, std::move(on_complete)});
+    // A transfer born at or below the done epsilon never crosses it during
+    // a settle, so it becomes a completion candidate outright.
+    if (size.value() <= kDoneEpsilonMb) drained_.push_back(id);
+  }
+  replan(now);
   return id;
 }
 
@@ -63,10 +69,14 @@ void TransferManager::cancel(FlowId id) {
       "TransferManager::cancel: unknown transfer");
   const SimTime now = sim_.now();
   const BusyScope guard{busy_depth_};
-  advance_progress(now);
-  transfers_.erase(id);
-  network_.stop_flow(id);
-  reschedule(now);
+  {
+    // One allocation epoch for the clock step and the stop.
+    const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
+    advance_progress(now);
+    transfers_.erase(id);
+    network_.stop_flow(id);
+  }
+  replan(now);
 }
 
 MegaBytes TransferManager::remaining(FlowId id) const {
@@ -174,6 +184,14 @@ void TransferManager::complete_finished(SimTime now) {
   }
 }
 
+void TransferManager::replan(SimTime now) {
+  // Inside an enclosing epoch the rates are stale (new flows read 0), and
+  // whoever closes it re-plans anyway: the post-change hook when an outside
+  // caller (failover, preemption) holds it, refresh or the hook itself when
+  // a completion callback started or cancelled this transfer.
+  if (!network_.epoch_open()) reschedule(now);
+}
+
 void TransferManager::reschedule(SimTime now) {
   if (pending_.valid()) {
     sim_.queue().cancel(pending_);
@@ -211,8 +229,13 @@ void TransferManager::reschedule(SimTime now) {
 void TransferManager::refresh(SimTime now) {
   pending_ = sim::EventHandle{};
   const BusyScope guard{busy_depth_};
-  advance_progress(now);
-  complete_finished(now);
+  {
+    // One allocation epoch for the clock step, the completion sweep and
+    // whatever transfers its callbacks start: one solve for the instant.
+    const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
+    advance_progress(now);
+    complete_finished(now);
+  }
   reschedule(now);
 }
 

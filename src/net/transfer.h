@@ -73,6 +73,8 @@ class TransferManager {
   void complete_finished(SimTime now);
   /// Schedules the next wake-up (earliest completion or traffic change).
   void reschedule(SimTime now);
+  /// reschedule, unless an allocation epoch is still open.
+  void replan(SimTime now);
   void refresh(SimTime now);
 
   /// Network change hooks: when something *else* mutates the FluidNetwork

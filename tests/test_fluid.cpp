@@ -271,8 +271,10 @@ TEST(FluidNetwork, NestedBatchGuardsCloseOnce) {
       network.start_flow({line.ab}, Mbps{5.0});
     }
     EXPECT_EQ(network.reallocation_count(), before);  // outer still open
+    EXPECT_TRUE(network.epoch_open());
     network.start_flow({line.bc}, Mbps{5.0});
   }
+  EXPECT_FALSE(network.epoch_open());
   EXPECT_EQ(network.reallocation_count(), before + 1);
 }
 

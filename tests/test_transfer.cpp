@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace vod::net {
 namespace {
@@ -235,12 +241,178 @@ TEST(TransferManager, SimultaneousCompletionsShareOneReallocation) {
   const std::size_t before = network.reallocation_count();
   sim.run();
   EXPECT_EQ(completed, 4);
-  // One reallocation for the time advance that lands on the completion
-  // instant, one for the whole four-flow teardown sweep (which empties the
-  // network, so the epoch's close itself skips the solve) — not one per
-  // stop_flow.
-  EXPECT_LE(network.reallocation_count() - before, 2u);
+  // The clock step onto the completion instant and the four-flow teardown
+  // share one allocation epoch.  The sweep empties the network, so the
+  // epoch's close skips the solve outright: no filling at all, not one for
+  // the clock step plus one per stop_flow.
+  EXPECT_EQ(network.reallocation_count() - before, 0u);
   EXPECT_EQ(network.active_flow_count(), 0u);
+}
+
+TEST(TransferManager, StartAfterClockAdvanceCostsOneSolve) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+
+  manager.start_transfer({fx.ab}, MegaBytes{8.0}, Mbps{100.0}, [](SimTime) {});
+  std::optional<std::size_t> solves;
+  sim.schedule_at(SimTime{2.0}, [&](SimTime now) {
+    // Nothing has moved the network clock since t=0, so the start steps it.
+    ASSERT_LT(network.time(), now);
+    const std::size_t before = network.reallocation_count();
+    manager.start_transfer({fx.ab, fx.bc}, MegaBytes{8.0}, Mbps{100.0},
+                           [](SimTime) {});
+    solves = network.reallocation_count() - before;
+  });
+  sim.run();
+  ASSERT_TRUE(solves.has_value());
+  EXPECT_EQ(*solves, 1u);
+}
+
+TEST(TransferManager, CancelAfterClockAdvanceCostsOneSolve) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+
+  const FlowId doomed = manager.start_transfer({fx.ab}, MegaBytes{8.0},
+                                               Mbps{100.0}, [](SimTime) {});
+  // A survivor keeps the network non-empty, so the stop must be solved.
+  manager.start_transfer({fx.ab}, MegaBytes{8.0}, Mbps{100.0}, [](SimTime) {});
+  std::optional<std::size_t> solves;
+  sim.schedule_at(SimTime{2.0}, [&](SimTime now) {
+    ASSERT_LT(network.time(), now);
+    const std::size_t before = network.reallocation_count();
+    manager.cancel(doomed);
+    solves = network.reallocation_count() - before;
+  });
+  sim.run();
+  ASSERT_TRUE(solves.has_value());
+  EXPECT_EQ(*solves, 1u);
+}
+
+TEST(TransferManager, ChainedCompletionCostsOneSolve) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+
+  // 4 MB alone on ab finishes at t=4; its callback starts the next fetch.
+  std::optional<FlowId> next;
+  std::optional<double> next_done;
+  manager.start_transfer({fx.ab}, MegaBytes{4.0}, Mbps{100.0}, [&](SimTime) {
+    next = manager.start_transfer({fx.ab, fx.bc}, MegaBytes{4.0}, Mbps{100.0},
+                                  [&](SimTime t) { next_done = t.seconds(); });
+  });
+  const std::size_t before = network.reallocation_count();
+  sim.run_until(SimTime{4.0});
+  ASSERT_TRUE(next.has_value());
+  // Clock step, stop and chained start: one solve, after which the new
+  // flow holds its full share.
+  EXPECT_EQ(network.reallocation_count() - before, 1u);
+  EXPECT_EQ(manager.current_rate(*next), Mbps{8.0});
+  sim.run();
+  ASSERT_TRUE(next_done.has_value());
+  EXPECT_NEAR(*next_done, 8.0, 1e-9);
+}
+
+// A seeded start/cancel/chain/failover script over diurnal background
+// traffic, which moves every link's residual at every clock step, so a
+// skipped or misplaced solve would move a completion time.  Every solve is
+// checked against the reference filler, and the digest of all completion
+// times was captured with the clock step solved on its own (one filling
+// per network mutation).
+TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
+  Topology topo;
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 5; ++i) {
+    nodes.push_back(topo.add_node("n" + std::to_string(i)));
+  }
+  DiurnalTraffic traffic{2.0};
+  std::vector<LinkId> links;
+  for (int i = 0; i < 4; ++i) {
+    const Mbps capacity{20.0 + 10.0 * i};
+    links.push_back(topo.add_link(nodes[i], nodes[i + 1], capacity));
+    traffic.set_shape(links.back(), {capacity, 0.2, 0.9});
+  }
+  FluidNetwork network{topo, traffic};
+  network.set_check_against_reference(true);
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+  Rng rng{20000};
+
+  std::vector<FlowId> live;
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  const auto mix = [&](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest = (digest ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ull;
+    }
+  };
+  int completions = 0, chains = 0, cancels = 0, failovers = 0;
+  std::uint64_t next_tag = 0;
+
+  const auto random_path = [&] {
+    const auto first = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    const auto last = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(first), 3));
+    return std::vector<LinkId>(links.begin() + first,
+                               links.begin() + last + 1);
+  };
+  const auto pick_live = [&]() -> std::optional<FlowId> {
+    std::erase_if(live, [&](FlowId id) { return !manager.active(id); });
+    if (live.empty()) return std::nullopt;
+    return live[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+  };
+  std::function<void()> start_one = [&] {
+    const std::uint64_t tag = next_tag++;
+    live.push_back(manager.start_transfer(
+        random_path(), MegaBytes{rng.uniform(1.0, 20.0)},
+        Mbps{rng.uniform(2.0, 40.0)},
+        [&, tag](SimTime t) {
+          ++completions;
+          mix(tag);
+          mix(std::bit_cast<std::uint64_t>(t.seconds()));
+          // Chain the next cluster fetch from inside the completion sweep.
+          if (rng.bernoulli(0.4)) {
+            ++chains;
+            start_one();
+          }
+        },
+        static_cast<std::uint32_t>(rng.uniform_int(1, 4))));
+  };
+
+  double at = 0.0;
+  for (int step = 0; step < 150; ++step) {
+    at += rng.uniform(0.5, 40.0);
+    sim.schedule_at(SimTime{at}, [&](SimTime) {
+      const std::int64_t op = rng.uniform_int(0, 3);
+      if (op <= 1) {
+        start_one();
+      } else if (op == 2) {
+        if (const auto victim = pick_live()) {
+          ++cancels;
+          manager.cancel(*victim);
+        }
+      } else if (const auto victim = pick_live()) {
+        // Failover: cancel plus restart inside one outer epoch, the way
+        // Session::fail_over and Session::on_stall_timeout batch them.
+        ++failovers;
+        const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+        manager.cancel(*victim);
+        start_one();
+      }
+    });
+  }
+  EXPECT_NO_THROW(sim.run());  // a diverging solve throws std::logic_error
+
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_GT(completions, 60);
+  EXPECT_GT(chains, 20);
+  EXPECT_GT(cancels, 10);
+  EXPECT_GT(failovers, 10);
+  EXPECT_EQ(digest, 0x136998efd84af6e6u) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
