@@ -17,7 +17,7 @@
 // float reduction in this library relies on; see DESIGN.md §12) is a linear
 // walk of the window, not a tree traversal.  Ids are never reused by the
 // callers, which keeps the id->slot window unambiguous; the generation
-// counter guards the slot-addressed fast path (incidence indexes, handles).
+// counter guards slot-addressed handles.
 #pragma once
 
 #include <cstddef>
@@ -146,40 +146,12 @@ class SlotMap {
     }
   }
 
-  /// Position-indexed window access for chunked parallel sweeps: offsets
-  /// [0, window_span()) cover the live ids in ascending order, holes
-  /// (retired ids) returning nullptr.  Splitting the offset range into
-  /// contiguous chunks therefore preserves ascending-id order within and
-  /// across chunks — the order for_each_ordered walks.  The map must not be
-  /// mutated while offsets are outstanding.
-  [[nodiscard]] T* at_offset(std::size_t offset, Id& id_out) {
-    const std::uint32_t slot = window_[head_ + offset];
-    if (slot == kNpos) return nullptr;
-    id_out = slots_[slot].id;
-    return &*slots_[slot].value;
-  }
-  [[nodiscard]] const T* at_offset(std::size_t offset, Id& id_out) const {
-    const std::uint32_t slot = window_[head_ + offset];
-    if (slot == kNpos) return nullptr;
-    id_out = slots_[slot].id;
-    return &*slots_[slot].value;
-  }
-
-  /// Dense slot index of a present id — stable for the entry's lifetime,
-  /// so side indexes (the fluid incidence lists) can store it instead of a
-  /// pointer.  Throws std::out_of_range if absent.
+  /// Dense slot index of a present id — stable for the entry's lifetime.
+  /// Throws std::out_of_range if absent.
   [[nodiscard]] std::uint32_t slot_of(Id id) const {
     const std::uint32_t slot = slot_index(id);
     require_found(slot != kNpos, "SlotMap::slot_of: unknown id");
     return slot;
-  }
-
-  /// Direct slot access (no id lookup); the slot must hold a live entry.
-  [[nodiscard]] T& slot_value(std::uint32_t slot) {
-    return *slots_[slot].value;
-  }
-  [[nodiscard]] const T& slot_value(std::uint32_t slot) const {
-    return *slots_[slot].value;
   }
 
   /// Generation-checked handle for a present id.

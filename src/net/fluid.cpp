@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/contract.h"
-#include "common/parallel.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 
@@ -38,29 +37,16 @@ bool FluidNetwork::pre_mutation() {
 void FluidNetwork::commit_mutation() {
   // Empty-network fast path: with no flows there are no shares to solve,
   // so a clock move / link flap / final stop_flow skips the residual walk.
-  if (flows_.empty()) {
-    pending_local_.clear();
-    post_change();
-    return;
-  }
   // All-local fast path: a pathless flow's max-min share is exactly
   // max(cap, kMinFlowRate) — independent of links, background traffic and
-  // every other flow, and bit-identical to what reallocate() assigns it
-  // (pathless flows are frozen at cap before any filling round).  With no
-  // linked flow active, only the flows touched since the last solve need
-  // their rate stamped.  Disabled under the reference self-check, which
-  // wants every solve to run the full filler.
-  if (linked_flow_count_ == 0 && !check_reference_) {
-    for (const FlowId id : pending_local_) {
-      Flow* flow = flows_.find(id);  // stopped mid-epoch -> skip
-      if (flow != nullptr) flow->rate = std::max(flow->cap, kMinFlowRate);
-    }
-    pending_local_.clear();
-    post_change();
-    return;
+  // every other flow, and bit-identical to what reallocate() assigns it —
+  // and its bundle holds that rate from creation on, so with no linked
+  // flow active there is nothing to solve.  Disabled under the reference
+  // self-check, which wants every solve to run the full filler.
+  if (!flows_.empty() && (linked_flow_count_ > 0 || check_reference_)) {
+    reallocate();
   }
-  reallocate();
-  pending_local_.clear();
+  solved_below_ = next_flow_;
   post_change();
 }
 
@@ -82,31 +68,59 @@ void FluidNetwork::set_time(SimTime t) {
 }
 
 void FluidNetwork::ensure_index_size() {
-  if (link_flows_.size() < topology_.link_count()) {
-    link_flows_.resize(topology_.link_count());
+  const std::size_t link_count = topology_.link_count();
+  if (link_flows_.size() < link_count) {
+    link_flows_.resize(link_count);
+    link_bundles_.resize(link_count);
+    link_weight_.resize(link_count, 0);
   }
 }
 
-void FluidNetwork::index_insert(FlowId id, std::uint32_t slot,
-                                const Flow& flow) {
-  ensure_index_size();
-  for (const LinkId link : flow.links) {
-    // Flow ids are handed out monotonically, so appending keeps each
-    // per-link list sorted ascending by id.
-    link_flows_[link.value()].push_back(IndexEntry{id, slot});
+std::uint32_t FluidNetwork::join_bundle(std::vector<LinkId> links, Mbps cap,
+                                        std::uint32_t weight) {
+  // A matching bundle crosses the flow's first link (or is local).
+  const std::vector<std::uint32_t>& candidates =
+      links.empty() ? local_bundles_ : link_bundles_[links.front().value()];
+  for (const std::uint32_t index : candidates) {
+    Bundle& bundle = bundles_[index];
+    if (bundle.weight == weight && bundle.cap == cap && bundle.links == links) {
+      ++bundle.members;
+      return index;
+    }
   }
+  std::uint32_t index;
+  if (free_bundles_.empty()) {
+    index = static_cast<std::uint32_t>(bundles_.size());
+    bundles_.emplace_back();
+  } else {
+    index = free_bundles_.back();
+    free_bundles_.pop_back();
+  }
+  Bundle& bundle = bundles_[index];
+  bundle.links = std::move(links);
+  bundle.cap = cap;
+  bundle.weight = weight;
+  bundle.members = 1;
+  bundle.rate = bundle.links.empty() ? std::max(cap, kMinFlowRate) : Mbps{0.0};
+  if (bundle.links.empty()) local_bundles_.push_back(index);
+  for (const LinkId link : bundle.links) {
+    link_bundles_[link.value()].push_back(index);
+  }
+  return index;
 }
 
-void FluidNetwork::index_remove(FlowId id, const Flow& flow) {
-  for (const LinkId link : flow.links) {
-    auto& list = link_flows_[link.value()];
-    const auto it = std::lower_bound(
-        list.begin(), list.end(), id,
-        [](const IndexEntry& e, FlowId needle) { return e.id < needle; });
-    ensure(it != list.end() && it->id == id,
-        "FluidNetwork: incidence index out of sync");
-    list.erase(it);
-  }
+void FluidNetwork::leave_bundle(std::uint32_t index) {
+  Bundle& bundle = bundles_[index];
+  if (--bundle.members > 0) return;
+  const auto unlist = [index](std::vector<std::uint32_t>& list) {
+    const auto it = std::find(list.begin(), list.end(), index);
+    ensure(it != list.end(), "FluidNetwork: bundle index out of sync");
+    *it = list.back();
+    list.pop_back();
+  };
+  if (bundle.links.empty()) unlist(local_bundles_);
+  for (const LinkId link : bundle.links) unlist(link_bundles_[link.value()]);
+  free_bundles_.push_back(index);
 }
 
 FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
@@ -119,19 +133,20 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
         "FluidNetwork::start_flow: unknown link in path");
   }
   const bool deferred = pre_mutation();
+  ensure_index_size();
+  std::vector<LinkId> links = path;
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
   const FlowId id{next_flow_++};
-  Flow& flow = flows_.insert(id, Flow{std::move(path), {}, rate_cap,
-                                      Mbps{0.0}, weight});
-  flow.links = flow.path;
-  std::sort(flow.links.begin(), flow.links.end());
-  flow.links.erase(std::unique(flow.links.begin(), flow.links.end()),
-                   flow.links.end());
-  index_insert(id, flows_.slot_of(id), flow);
-  if (flow.links.empty()) {
-    pending_local_.push_back(id);
-  } else {
-    ++linked_flow_count_;
+  const std::uint32_t bundle = join_bundle(std::move(links), rate_cap, weight);
+  flows_.insert(id, Flow{std::move(path), bundle});
+  for (const LinkId link : bundles_[bundle].links) {
+    // Flow ids are handed out monotonically, so appending keeps each
+    // per-link list sorted ascending by id.
+    link_flows_[link.value()].push_back(IndexEntry{id, bundle});
+    link_weight_[link.value()] += weight;
   }
+  if (!bundles_[bundle].links.empty()) ++linked_flow_count_;
   if (!deferred) commit_mutation();
   return id;
 }
@@ -140,35 +155,42 @@ void FluidNetwork::stop_flow(FlowId flow) {
   const Flow* entry = flows_.find(flow);
   require_found(entry != nullptr, "FluidNetwork::stop_flow: unknown flow");
   const bool deferred = pre_mutation();
-  index_remove(flow, *entry);
-  if (!entry->links.empty()) --linked_flow_count_;
+  const std::uint32_t bundle = entry->bundle;
+  const Bundle& shared = bundles_[bundle];
+  for (const LinkId link : shared.links) {
+    auto& list = link_flows_[link.value()];
+    const auto it = std::lower_bound(
+        list.begin(), list.end(), flow,
+        [](const IndexEntry& e, FlowId needle) { return e.id < needle; });
+    ensure(it != list.end() && it->id == flow,
+        "FluidNetwork: incidence index out of sync");
+    list.erase(it);
+    link_weight_[link.value()] -= shared.weight;
+  }
+  if (!shared.links.empty()) --linked_flow_count_;
   flows_.erase(flow);
-  if (!deferred) commit_mutation();
-}
-
-void FluidNetwork::set_flow_cap(FlowId flow, Mbps rate_cap) {
-  require(!(rate_cap.value() <= 0.0),
-      "FluidNetwork::set_flow_cap: cap must be positive");
-  Flow* entry = flows_.find(flow);
-  require_found(entry != nullptr,
-      "FluidNetwork::set_flow_cap: unknown flow");
-  if (entry->cap == rate_cap) return;  // no state change
-  const bool deferred = pre_mutation();
-  entry->cap = rate_cap;
-  if (entry->links.empty()) pending_local_.push_back(flow);
+  leave_bundle(bundle);
   if (!deferred) commit_mutation();
 }
 
 Mbps FluidNetwork::flow_rate(FlowId flow) const {
   const Flow* entry = flows_.find(flow);
   require_found(entry != nullptr, "FluidNetwork::flow_rate: unknown flow");
-  return entry->rate;
+  // Started inside the open epoch: not solved yet.
+  if (flow.value() >= solved_below_) return Mbps{0.0};
+  return bundles_[entry->bundle].rate;
+}
+
+std::uint32_t FluidNetwork::flow_bundle(FlowId flow) const {
+  const Flow* entry = flows_.find(flow);
+  require_found(entry != nullptr, "FluidNetwork::flow_bundle: unknown flow");
+  return entry->bundle;
 }
 
 std::uint32_t FluidNetwork::flow_weight(FlowId flow) const {
   const Flow* entry = flows_.find(flow);
   require_found(entry != nullptr, "FluidNetwork::flow_weight: unknown flow");
-  return entry->weight;
+  return bundles_[entry->bundle].weight;
 }
 
 const std::vector<LinkId>& FluidNetwork::flow_path(FlowId flow) const {
@@ -217,11 +239,14 @@ Mbps FluidNetwork::background(LinkId link) const {
 
 Mbps FluidNetwork::used_bandwidth(LinkId link) const {
   Mbps used = background(link);
-  // Sum in ascending flow-id order — the exact reduction order the naive
-  // all-flows scan used, so the result stays bit-identical to it.
+  // Sum per flow in ascending flow-id order — the exact reduction order the
+  // naive all-flows scan used, so the result stays bit-identical to it.
+  // Flows started since the last solve read 0 and, ids ascending, form the
+  // list's tail.
   if (link.value() < link_flows_.size()) {
     for (const IndexEntry& entry : link_flows_[link.value()]) {
-      used += flows_.slot_value(entry.slot).rate;
+      if (entry.id.value() >= solved_below_) break;
+      used += bundles_[entry.bundle].rate;
     }
   }
   return std::min(used, topology_.link(link).capacity);
@@ -234,13 +259,13 @@ double FluidNetwork::utilization(LinkId link) const {
 }
 
 void FluidNetwork::reallocate() {
-  // Progressive filling, driven by the incidence index: grow every
-  // unfrozen flow's rate by delta x weight until a flow hits its cap or a
-  // link exhausts its residual capacity; freeze and repeat.  Produces the
-  // weighted max–min fair allocation subject to rate caps — bit-identical
-  // to reallocate_reference(), which rediscovers per-link weight sums by
-  // scanning all flows each round where this maintains them as integer
-  // counters and resolves freeze sets through the per-link flow lists.
+  // Progressive filling over bundles: grow every unfrozen bundle's rate by
+  // delta x weight until a bundle hits its cap or a link exhausts its
+  // residual capacity; freeze and repeat.  Produces the weighted max–min
+  // fair allocation subject to rate caps — bit-identical to
+  // reallocate_reference(), which fills every flow on its own: the members
+  // of a bundle see the same arithmetic in every round, and the per-link
+  // weight sums (members x weight per bundle) are exact integers.
   ++reallocation_count_;
   VOD_PROFILE_SCOPE("fluid.reallocate");
   ensure_index_size();
@@ -257,178 +282,102 @@ void FluidNetwork::reallocate() {
             : 0.0;
   }
 
-  // Per-link sums of unfrozen-flow weights: every indexed flow starts
-  // unfrozen (local/empty-path flows appear in no list).  Integer sums are
-  // exact, and with all-ones weights they equal the plain unfrozen counts,
-  // so the weighted arithmetic below reduces bit-for-bit to the old
-  // unweighted filler.
+  // Every linked flow starts unfrozen (local flows cross no link and keep
+  // their bundle's floored cap).
   std::vector<std::uint64_t>& weight_on = scratch_weight_on_;
-  weight_on.resize(link_count);
-  // Each chunk owns a contiguous link range and writes only weight_on[l]
-  // for its own links; flow weights are read-only here.
-  // vodlint: parallel-region
-  parallel_for(link_count, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t l = begin; l < end; ++l) {
-      std::uint64_t sum = 0;
-      for (const IndexEntry& entry : link_flows_[l]) {
-        sum += flows_.slot_value(entry.slot).weight;
-      }
-      weight_on[l] = sum;
-    }
-  });
-
-  // Flow-parallel arrays in flows_ (ascending id) order, so fills and cap
-  // minima visit flows exactly as the reference does.
-  std::vector<FlowId>& ids = scratch_ids_;
-  std::vector<Flow*>& flow_of = scratch_flows_;
-  std::vector<double>& rate = scratch_rates_;
-  std::vector<char>& frozen = scratch_frozen_;
-  ids.clear();
-  flow_of.clear();
-  rate.clear();
-  frozen.clear();
-  flows_.for_each_ordered([&](FlowId id, Flow& flow) {
-    ids.push_back(id);
-    flow_of.push_back(&flow);
-    rate.push_back(0.0);
-    frozen.push_back(0);
-  });
-  const std::size_t flow_count = ids.size();
-  std::size_t unfrozen_total = flow_count;
-
-  // Flows with empty paths are purely local: they get their cap outright.
-  for (std::size_t i = 0; i < flow_count; ++i) {
-    if (flow_of[i]->links.empty()) {
-      rate[i] = flow_of[i]->cap.value();
-      frozen[i] = 1;
-      --unfrozen_total;
-    }
-  }
-
-  std::vector<std::size_t>& unfrozen = scratch_unfrozen_;
+  weight_on.assign(link_weight_.begin(), link_weight_.end());
+  std::vector<std::uint32_t>& unfrozen = scratch_unfrozen_;
   unfrozen.clear();
-  for (std::size_t i = 0; i < flow_count; ++i) {
-    if (!frozen[i]) unfrozen.push_back(i);
+  for (std::uint32_t b = 0; b < bundles_.size(); ++b) {
+    Bundle& bundle = bundles_[b];
+    if (bundle.members == 0 || bundle.links.empty()) continue;
+    bundle.fill = 0.0;
+    bundle.frozen = false;
+    unfrozen.push_back(b);
   }
 
-  const auto freeze = [&](std::size_t i) {
-    frozen[i] = 1;
-    --unfrozen_total;
-    for (const LinkId link : flow_of[i]->links) {
-      weight_on[link.value()] -= flow_of[i]->weight;
-    }
-  };
-  // Index of flow `id` in the parallel arrays (ids is sorted ascending).
-  const auto slot_of = [&](FlowId id) {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-    ensure(it != ids.end() && *it == id,
-        "FluidNetwork::reallocate: index entry for unknown flow");
-    return static_cast<std::size_t>(it - ids.begin());
+  const auto freeze = [&](Bundle& bundle) {
+    bundle.frozen = true;
+    const std::uint64_t weight =
+        std::uint64_t{bundle.members} * bundle.weight;
+    for (const LinkId link : bundle.links) weight_on[link.value()] -= weight;
   };
 
   constexpr double kEps = 1e-12;
   std::uint64_t rounds = 0;
-  while (unfrozen_total > 0) {
+  while (!unfrozen.empty()) {
     ++rounds;
     // Largest per-weight-unit increment no constraint can absorb less of:
     // each unfrozen flow grows by delta x its weight, so a link drains at
     // delta x (sum of unfrozen weights crossing it).  min over doubles is
-    // exact, so the chunked reductions below are bit-identical to the
-    // serial fold at every worker count.
-    // vodlint: parallel-region
-    double delta = parallel_min(
-        link_count, std::numeric_limits<double>::infinity(),
-        [&](std::size_t begin, std::size_t end, double acc) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const std::uint64_t w = weight_on[l];
-            if (w > 0) {
-              acc = std::min(acc, residual[l] / static_cast<double>(w));
-            }
-          }
-          return acc;
-        });
-    // vodlint: parallel-region
-    delta = parallel_min(
-        unfrozen.size(), delta,
-        [&](std::size_t begin, std::size_t end, double acc) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t i = unfrozen[k];
-            acc = std::min(acc, (flow_of[i]->cap.value() - rate[i]) /
-                                    static_cast<double>(flow_of[i]->weight));
-          }
-          return acc;
-        });
+    // exact, so the visiting order does not matter.
+    double delta = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < link_count; ++l) {
+      const std::uint64_t w = weight_on[l];
+      if (w > 0) delta = std::min(delta, residual[l] / static_cast<double>(w));
+    }
+    for (const std::uint32_t b : unfrozen) {
+      const Bundle& bundle = bundles_[b];
+      delta = std::min(delta, (bundle.cap.value() - bundle.fill) /
+                                  static_cast<double>(bundle.weight));
+    }
 
     if (delta > 0.0) {
-      // Chunk-owned element writes only: rate[i] per unfrozen flow,
-      // residual[l] per link.
-      // vodlint: parallel-region
-      parallel_for(unfrozen.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::size_t i = unfrozen[k];
-          rate[i] += delta * static_cast<double>(flow_of[i]->weight);
-        }
-      });
+      for (const std::uint32_t b : unfrozen) {
+        bundles_[b].fill += delta * static_cast<double>(bundles_[b].weight);
+      }
       // Links with no unfrozen flows keep their residual bit-for-bit
       // (subtracting delta * 0 and re-clamping is the identity on the
       // non-negative values stored here), so they are skipped.
-      // vodlint: parallel-region
-      parallel_for(link_count, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t l = begin; l < end; ++l) {
-          const std::uint64_t w = weight_on[l];
-          if (w > 0) {
-            residual[l] -= delta * static_cast<double>(w);
-            residual[l] = std::max(residual[l], 0.0);
-          }
+      for (std::size_t l = 0; l < link_count; ++l) {
+        const std::uint64_t w = weight_on[l];
+        if (w > 0) {
+          residual[l] -= delta * static_cast<double>(w);
+          residual[l] = std::max(residual[l], 0.0);
         }
-      });
+      }
     }
 
-    // Freeze flows at their cap, then everyone on exhausted links.  Rates
+    // Freeze bundles at their cap, then everyone on exhausted links.  Rates
     // and residuals are fixed during this pass, so resolving the freeze
     // set link-by-link through the index matches the reference's
     // flow-by-flow path scan exactly.
     bool froze = false;
-    for (const std::size_t i : unfrozen) {
-      if (rate[i] >= flow_of[i]->cap.value() - kEps) {
-        freeze(i);
+    for (const std::uint32_t b : unfrozen) {
+      Bundle& bundle = bundles_[b];
+      if (bundle.fill >= bundle.cap.value() - kEps) {
+        freeze(bundle);
         froze = true;
       }
     }
     for (std::size_t l = 0; l < link_count; ++l) {
       if (weight_on[l] == 0 || residual[l] > kEps) continue;
-      for (const IndexEntry& entry : link_flows_[l]) {
-        const std::size_t i = slot_of(entry.id);
-        if (!frozen[i]) {
-          freeze(i);
+      for (const std::uint32_t b : link_bundles_[l]) {
+        if (!bundles_[b].frozen) {
+          freeze(bundles_[b]);
           froze = true;
         }
       }
     }
     if (!froze) break;  // nothing limits the remaining flows (shouldn't occur)
 
-    unfrozen.erase(
-        std::remove_if(unfrozen.begin(), unfrozen.end(),
-                       [&](std::size_t i) { return frozen[i] != 0; }),
-        unfrozen.end());
+    std::erase_if(unfrozen,
+                  [&](std::uint32_t b) { return bundles_[b].frozen; });
   }
 
-  // Final stamp: each chunk writes only its own flows' rates; link_up reads
-  // the immutable-during-solve link_down_ vector.
-  // vodlint: parallel-region
-  parallel_for(flow_count, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // Flows crossing a down link are truly stuck (rate 0); everyone else
-      // gets at least the trickle floor.
-      bool severed = false;
-      for (const LinkId link : flow_of[i]->links) {
-        if (!link_up(link)) severed = true;
-      }
-      flow_of[i]->rate = severed ? Mbps{0.0}
-                                 : std::max(Mbps{rate[i]}, kMinFlowRate);
+  for (Bundle& bundle : bundles_) {
+    if (bundle.members == 0 || bundle.links.empty()) continue;
+    // Flows crossing a down link are truly stuck (rate 0); everyone else
+    // gets at least the trickle floor.
+    bool severed = false;
+    for (const LinkId link : bundle.links) {
+      if (!link_up(link)) severed = true;
     }
-  });
+    bundle.rate =
+        severed ? Mbps{0.0} : std::max(Mbps{bundle.fill}, kMinFlowRate);
+  }
 
+  const std::size_t flow_count = flows_.size();
   if (obs::TraceRecorder* tr = obs::trace_sink()) {
     tr->instant(obs::Subsystem::kFluid, "fluid.realloc",
                 {{"rounds", obs::num(rounds)},
@@ -442,12 +391,15 @@ void FluidNetwork::reallocate() {
         reallocate_reference();
     ensure(reference.size() == flow_count,
         "FluidNetwork: reference allocation lost a flow");
-    for (std::size_t i = 0; i < flow_count; ++i) {
-      ensure(reference[i].first == ids[i] &&
-                 reference[i].second.value() == flow_of[i]->rate.value(),
-          "FluidNetwork: indexed allocation diverged from "
+    std::size_t i = 0;
+    flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
+      ensure(reference[i].first == id &&
+                 reference[i].second.value() ==
+                     bundles_[flow.bundle].rate.value(),
+          "FluidNetwork: bundled allocation diverged from "
           "reallocate_reference()");
-    }
+      ++i;
+    });
   }
 }
 
@@ -470,6 +422,8 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
   struct Active {
     const Flow* flow;
     FlowId id;
+    Mbps cap;
+    std::uint32_t weight;
     double rate = 0.0;
     bool frozen = false;
   };
@@ -478,13 +432,14 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
   // The ordered walk ascends by id, so `active` is deterministically
   // ordered too.
   flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
-    active.push_back(Active{&flow, id});
+    const Bundle& bundle = bundles_[flow.bundle];
+    active.push_back(Active{&flow, id, bundle.cap, bundle.weight});
   });
 
   // Flows with empty paths are purely local: they get their cap outright.
   for (Active& a : active) {
     if (a.flow->path.empty()) {
-      a.rate = a.flow->cap.value();
+      a.rate = a.cap.value();
       a.frozen = true;
     }
   }
@@ -495,7 +450,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
       if (a.frozen) continue;
       for (const LinkId link : a.flow->path) {
         if (link.value() == l) {
-          sum += a.flow->weight;
+          sum += a.weight;
           break;
         }
       }
@@ -518,14 +473,14 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
     }
     for (const Active& a : active) {
       if (!a.frozen) {
-        delta = std::min(delta, (a.flow->cap.value() - a.rate) /
-                                    static_cast<double>(a.flow->weight));
+        delta = std::min(delta, (a.cap.value() - a.rate) /
+                                    static_cast<double>(a.weight));
       }
     }
 
     if (delta > 0.0) {
       for (Active& a : active) {
-        if (!a.frozen) a.rate += delta * static_cast<double>(a.flow->weight);
+        if (!a.frozen) a.rate += delta * static_cast<double>(a.weight);
       }
       for (std::size_t l = 0; l < residual.size(); ++l) {
         const std::uint64_t w = weight_on(l);
@@ -539,7 +494,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
     bool froze = false;
     for (Active& a : active) {
       if (a.frozen) continue;
-      if (a.rate >= a.flow->cap.value() - kEps) {
+      if (a.rate >= a.cap.value() - kEps) {
         a.frozen = true;
         froze = true;
         continue;

@@ -19,13 +19,19 @@
 // weight at 1 each expression reduces bit-for-bit to the unweighted filler
 // the paper benches were frozen against.
 //
-// Scaling note: the allocator keeps a per-link *flow incidence index*
-// (link -> flows crossing it, ascending by id), so one progressive-filling
-// pass costs O(rounds x (links + active flows) + total incidence) instead of
-// the naive O(rounds x links x flows x path), and per-link queries
-// (used_bandwidth, utilization) walk only the flows on that link.  The
-// naive filler survives as reallocate_reference() — a bit-identical oracle
-// for tests, benches and the optional self-check.
+// Scaling note: flows with equal (sorted unique links, rate cap, weight)
+// are symmetric under progressive filling — every round grows them by the
+// same increment, they freeze in the same round and end at the same rate —
+// so the allocator keeps them as one *bundle* (a member count plus the
+// shared rate).  A per-link bundle index and per-link weight sums, both
+// maintained at flow start/stop, drive each solve, which then costs
+// O(rounds x (links + live bundles)) however many flows a bundle holds: on
+// a backbone the flows of all sessions run over a few edge-core paths and
+// at most three class weights.  used_bandwidth still walks a per-link
+// *flow* list ascending by id and adds each member's rate on its own, so
+// SNMP readings keep the exact float reduction order of the per-flow code.
+// The naive per-flow filler survives as reallocate_reference() — a
+// bit-identical oracle for tests, benches and the optional self-check.
 #pragma once
 
 #include <cstddef>
@@ -94,11 +100,6 @@ class FluidNetwork {
   /// Removes a flow; throws std::out_of_range if unknown.
   void stop_flow(FlowId flow);
 
-  /// Changes a flow's rate cap (encoding-bitrate switch, client line
-  /// upgrade); shares are re-solved.  `rate_cap` must be positive; throws
-  /// std::out_of_range if the flow is unknown.
-  void set_flow_cap(FlowId flow, Mbps rate_cap);
-
   /// Current fair-share rate of a flow (at least kMinFlowRate unless its
   /// path crosses a down link).  Inside an open allocation epoch (see
   /// BatchGuard) rates are stale: they reflect the last reallocation, and
@@ -106,6 +107,24 @@ class FluidNetwork {
   [[nodiscard]] Mbps flow_rate(FlowId flow) const;
 
   [[nodiscard]] const std::vector<LinkId>& flow_path(FlowId flow) const;
+
+  /// The bundle a flow belongs to: an index shared by every live flow with
+  /// the same (sorted unique links, cap, weight), fixed for the flow's
+  /// life, and reused by an unrelated bundle only once all its members
+  /// have stopped.
+  [[nodiscard]] std::uint32_t flow_bundle(FlowId flow) const;
+
+  /// The rate of every member of a live bundle as of the last solve.  Unlike
+  /// flow_rate it does not zero members started inside an open epoch, so
+  /// read it only while no epoch is open (or no member is that new).
+  [[nodiscard]] Mbps bundle_rate(std::uint32_t bundle) const {
+    return bundles_[bundle].rate;
+  }
+
+  /// Live bundles (each holds at least one flow).
+  [[nodiscard]] std::size_t bundle_count() const {
+    return bundles_.size() - free_bundles_.size();
+  }
 
   /// Background-only load on a link at the current time.  Cached per
   /// (link, instant): the TrafficModel is consulted at most once per link
@@ -135,7 +154,7 @@ class FluidNetwork {
   // ---- coalesced allocation epochs ----
 
   /// RAII handle for one allocation epoch: while any guard is alive,
-  /// mutations (start/stop/cap-edit/link-flap/clock moves) update state but
+  /// mutations (start/stop/link-flap/clock moves) update state but
   /// defer the reallocation; the single pre-change hook fires before the
   /// epoch's first mutation, and one reallocation plus the post-change hook
   /// run when the last guard releases.  Callers tearing down or starting
@@ -224,35 +243,48 @@ class FluidNetwork {
 
  private:
   struct Flow {
-    std::vector<LinkId> path;   // as given by the caller (may repeat links)
-    std::vector<LinkId> links;  // sorted unique links — the index keys
+    std::vector<LinkId> path;  // as given by the caller (may repeat links)
+    std::uint32_t bundle;
+  };
+
+  /// Symmetric flows, solved as one.
+  struct Bundle {
+    std::vector<LinkId> links;  // sorted unique links (empty = local)
     Mbps cap;
-    Mbps rate;
     /// Share weight of the progressive filling (>= 1).  Integer so per-link
     /// weight sums are exact and the all-ones case stays bit-identical to
     /// the unweighted filler.
     std::uint32_t weight = 1;
+    std::uint32_t members = 0;  // 0 = free slot
+    /// Each member's rate as of the last solve.  A local bundle's is its
+    /// floored cap from creation on: nothing else bounds a pathless flow.
+    Mbps rate{0.0};
+    // Progressive-filling state, meaningful inside reallocate() only.
+    double fill = 0.0;
+    bool frozen = false;
   };
 
-  /// One incidence-index entry: the slot index is stable for the flow's
-  /// lifetime (SlotMap slots never move), unlike a pointer into a growing
-  /// dense vector would be.
+  /// One per-link flow list entry, for the ascending-id used_bandwidth sum.
   struct IndexEntry {
     FlowId id;
-    std::uint32_t slot;
+    std::uint32_t bundle;
   };
 
   void reallocate();
   /// Fires the pre-change hook (once per epoch when batched); returns true
   /// when the mutation is deferred into an open epoch.
   bool pre_mutation();
-  /// Re-solves shares (skipped when no flows are active) and fires the
+  /// Re-solves shares (skipped when no linked flow is active) and fires the
   /// post-change hook.
   void commit_mutation();
   void end_batch();
   void ensure_index_size();
-  void index_insert(FlowId id, std::uint32_t slot, const Flow& flow);
-  void index_remove(FlowId id, const Flow& flow);
+  /// Adds a member to the bundle matching (links, cap, weight), creating
+  /// it if none is live; returns its index.
+  std::uint32_t join_bundle(std::vector<LinkId> links, Mbps cap,
+                            std::uint32_t weight);
+  /// Drops a member; an emptied bundle leaves the indexes and frees its slot.
+  void leave_bundle(std::uint32_t bundle);
 
   void pre_change() const {
     if (pre_change_hook_) pre_change_hook_();
@@ -266,25 +298,33 @@ class FluidNetwork {
   const Topology& topology_;
   const TrafficModel& traffic_;
   SimTime now_{0.0};
-  // Dense slot-map store; every iteration (fair-share filling, per-link
-  // sums) uses its ascending-id ordered walk, so float reductions stay
-  // bit-identical across runs and to the old std::map-based code.
+  // Dense slot-map store; the reference filler and the self-check use its
+  // ascending-id ordered walk.
   SlotMap<FlowId, Flow> flows_;
   /// link id -> flows crossing it, ascending by flow id (ids are handed out
   /// monotonically, so insertion is an append and the per-link sums reduce
   /// in exactly the order the naive full scan used).
   std::vector<std::vector<IndexEntry>> link_flows_;
+  /// link id -> live bundles crossing it (unordered).
+  std::vector<std::vector<std::uint32_t>> link_bundles_;
+  /// link id -> sum of the weights of the flows crossing it (exact: integer
+  /// arithmetic).  All-ones weights make this the per-link flow *count*, so
+  /// the weighted filling reproduces the unweighted one bit-for-bit.
+  std::vector<std::uint64_t> link_weight_;
+  std::vector<Bundle> bundles_;
+  std::vector<std::uint32_t> free_bundles_;
+  std::vector<std::uint32_t> local_bundles_;  // live bundles with no links
   std::vector<bool> link_down_;  // indexed by link id; default all up
   FlowId::underlying_type next_flow_ = 0;
-  /// Flows whose `links` list is non-empty.  When zero, every active flow
-  /// is purely local and its max-min share is exactly its (floored) cap, so
-  /// commit_mutation stamps the flows touched since the last solve instead
-  /// of running a progressive filling — the all-local fast path that keeps
-  /// large single-site session populations O(1) per mutation.
+  /// Flows with ids from here on were started since the last solve (inside
+  /// the open epoch) and read 0 until it closes.
+  FlowId::underlying_type solved_below_ = 0;
+  /// Flows whose path is non-empty.  When zero, every active flow is purely
+  /// local and already holds its share (its bundle's floored cap), so
+  /// commit_mutation skips the progressive filling — the all-local fast
+  /// path that keeps large single-site session populations O(1) per
+  /// mutation.
   std::size_t linked_flow_count_ = 0;
-  /// Pathless flows started or cap-edited since the last full solve — the
-  /// set the all-local fast path must stamp (stopped ones are skipped).
-  std::vector<FlowId> pending_local_;
 
   int batch_depth_ = 0;
   bool batch_dirty_ = false;
@@ -299,18 +339,12 @@ class FluidNetwork {
   mutable std::uint64_t bg_gen_ = 1;
   mutable std::size_t traffic_query_count_ = 0;
 
-  // Scratch buffers reused across reallocations (sized to flows/links) so
-  // steady-state epochs allocate nothing.
+  // Scratch buffers reused across reallocations (sized to links/bundles)
+  // so steady-state epochs allocate nothing.
   std::vector<double> scratch_residual_;
-  /// Per-link sum of unfrozen-flow weights (exact: integer arithmetic).
-  /// All-ones weights make this the old per-link unfrozen *count*, so the
-  /// weighted filling reproduces the unweighted one bit-for-bit.
+  /// Per-link sum of unfrozen-flow weights during a solve.
   std::vector<std::uint64_t> scratch_weight_on_;
-  std::vector<FlowId> scratch_ids_;
-  std::vector<Flow*> scratch_flows_;
-  std::vector<double> scratch_rates_;
-  std::vector<char> scratch_frozen_;
-  std::vector<std::size_t> scratch_unfrozen_;
+  std::vector<std::uint32_t> scratch_unfrozen_;
 };
 
 }  // namespace vod::net

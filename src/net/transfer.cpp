@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/contract.h"
-#include "common/parallel.h"
 
 namespace vod::net {
 
@@ -55,7 +54,14 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
     const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
     advance_progress(now);
     id = network_.start_flow(std::move(path), rate_cap, weight);
-    transfers_.insert(id, Transfer{size, std::move(on_complete)});
+    const std::uint32_t lane = network_.flow_bundle(id);
+    if (lanes_.size() <= lane) lanes_.resize(lane + 1);
+    Lane& members = lanes_[lane];
+    transfers_.insert(id, Transfer{std::move(on_complete), lane,
+                                   static_cast<std::uint32_t>(
+                                       members.ids.size())});
+    members.remaining.push_back(size.value());
+    members.ids.push_back(id);
     // A transfer born at or below the done epsilon never crosses it during
     // a settle, so it becomes a completion candidate outright.
     if (size.value() <= kDoneEpsilonMb) drained_.push_back(id);
@@ -73,10 +79,26 @@ void TransferManager::cancel(FlowId id) {
     // One allocation epoch for the clock step and the stop.
     const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
     advance_progress(now);
-    transfers_.erase(id);
+    erase_transfer(id);
     network_.stop_flow(id);
   }
   replan(now);
+}
+
+void TransferManager::erase_transfer(FlowId id) {
+  const Transfer& transfer =
+      transfers_.at(id, "TransferManager: unknown transfer");
+  Lane& lane = lanes_[transfer.lane];
+  const std::uint32_t pos = transfer.pos;
+  if (pos + 1 != lane.ids.size()) {
+    lane.remaining[pos] = lane.remaining.back();
+    lane.ids[pos] = lane.ids.back();
+    transfers_.at(lane.ids[pos], "TransferManager: lane out of sync").pos =
+        pos;
+  }
+  lane.remaining.pop_back();
+  lane.ids.pop_back();
+  transfers_.erase(id);
 }
 
 MegaBytes TransferManager::remaining(FlowId id) const {
@@ -86,7 +108,8 @@ MegaBytes TransferManager::remaining(FlowId id) const {
   const double elapsed = sim_.now() - last_progress_;
   const double moved_mb =
       network_.flow_rate(id).value() * elapsed / 8.0;
-  return MegaBytes{std::max(0.0, transfer.remaining.value() - moved_mb)};
+  return MegaBytes{std::max(
+      0.0, lanes_[transfer.lane].remaining[transfer.pos] - moved_mb)};
 }
 
 Mbps TransferManager::current_rate(FlowId id) const {
@@ -96,39 +119,26 @@ Mbps TransferManager::current_rate(FlowId id) const {
 }
 
 void TransferManager::settle_bytes(SimTime now) {
+  // Progress is settled to `now` before every network mutation (here, or
+  // through the pre-change hook), and a flow started since the last solve
+  // exists only after such a mutation at this same instant.  So a settle
+  // that moves bytes sees no such flow: every lane member moves at its
+  // bundle's rate.
   const double elapsed = now - last_progress_;
-  if (elapsed > 0.0 && !transfers_.empty()) {
-    // Parallel settle over the slot map's id window: each chunk owns a
-    // contiguous range of window positions, so it writes only its own
-    // transfers and crossing flags; flow rates are const lookups.  The
-    // per-transfer arithmetic is exactly the serial expression, and the
-    // crossing merge below runs in window (= ascending id) order, so
-    // drained_ fills identically at any worker count.
-    const std::size_t span = transfers_.window_span();
-    settle_crossed_.assign(span, 0);
-    // vodlint: parallel-region
-    parallel_for(span, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t pos = begin; pos < end; ++pos) {
-        FlowId id;
-        Transfer* transfer = transfers_.at_offset(pos, id);
-        if (transfer == nullptr) continue;
-        const double moved_mb =
-            network_.flow_rate(id).value() * elapsed / 8.0;
-        const double before = transfer->remaining.value();
-        transfer->remaining = MegaBytes{std::max(0.0, before - moved_mb)};
+  if (elapsed > 0.0) {
+    for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
+      Lane& lane = lanes_[b];
+      if (lane.ids.empty()) continue;
+      const double moved_mb = network_.bundle_rate(b).value() * elapsed / 8.0;
+      for (std::size_t i = 0; i < lane.remaining.size(); ++i) {
+        const double before = lane.remaining[i];
+        lane.remaining[i] = std::max(0.0, before - moved_mb);
         // Record the crossing once: remaining only ever decreases, so a
         // transfer enters the candidate list exactly one time.
-        if (before > kDoneEpsilonMb &&
-            transfer->remaining.value() <= kDoneEpsilonMb) {
-          settle_crossed_[pos] = 1;
+        if (before > kDoneEpsilonMb && lane.remaining[i] <= kDoneEpsilonMb) {
+          drained_.push_back(lane.ids[i]);
         }
       }
-    });
-    for (std::size_t pos = 0; pos < span; ++pos) {
-      if (settle_crossed_[pos] == 0) continue;
-      FlowId id;
-      (void)transfers_.at_offset(pos, id);
-      drained_.push_back(id);
     }
   }
   last_progress_ = now;
@@ -161,7 +171,7 @@ void TransferManager::complete_finished(SimTime now) {
       const FlowId id = drained_[i];
       const Transfer* transfer = transfers_.find(id);
       if (transfer == nullptr ||
-          transfer->remaining.value() > kDoneEpsilonMb) {
+          lanes_[transfer->lane].remaining[transfer->pos] > kDoneEpsilonMb) {
         continue;
       }
       if (!done.valid() || id < done) {
@@ -177,7 +187,7 @@ void TransferManager::complete_finished(SimTime now) {
     CompletionCallback callback =
         std::move(transfers_.at(done,
             "TransferManager: drained transfer vanished").on_complete);
-    transfers_.erase(done);
+    erase_transfer(done);
     network_.stop_flow(done);
     // The callback may start/cancel transfers; state is consistent here.
     callback(now);
@@ -199,25 +209,17 @@ void TransferManager::reschedule(SimTime now) {
   }
   if (transfers_.empty()) return;
 
-  // Earliest-completion scan as a chunked min-reduction: min is exact on
-  // doubles, and the chunk-order merge reproduces the serial ordered walk
-  // bit-for-bit.  Reads only (rates, remaining); nothing is written.
-  // vodlint: parallel-region
-  double next = parallel_min(
-      transfers_.window_span(), std::numeric_limits<double>::infinity(),
-      [&](std::size_t begin, std::size_t end, double init) {
-        double m = init;
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          FlowId id;
-          const Transfer* transfer =
-              std::as_const(transfers_).at_offset(pos, id);
-          if (transfer == nullptr) continue;
-          const double rate = network_.flow_rate(id).value();
-          m = std::min(m,
-                       now.seconds() + transfer->remaining.megabits() / rate);
-        }
-        return m;
-      });
+  // Earliest completion: per lane, at its smallest remaining (monotone
+  // rounding; see lanes_).  Rates are fresh here: no epoch is open.
+  double next = std::numeric_limits<double>::infinity();
+  for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
+    const Lane& lane = lanes_[b];
+    if (lane.ids.empty()) continue;
+    const double least =
+        *std::min_element(lane.remaining.begin(), lane.remaining.end());
+    next = std::min(next, now.seconds() + MegaBytes{least}.megabits() /
+                                              network_.bundle_rate(b).value());
+  }
   // Wake at background-traffic changes too, so rates stay faithful.
   next = std::min(next, network_.next_traffic_change(now).seconds());
 

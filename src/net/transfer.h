@@ -5,6 +5,10 @@
 // shifting) and fires a completion callback at the simulated instant the
 // last byte lands.  The streaming layer builds cluster fetches on top of
 // this.
+//
+// Transfers are grouped by fluid bundle into lanes (see lanes_), so
+// settling progress and finding the next completion cost one rate lookup
+// per bundle plus a contiguous loop over the lane's remaining sizes.
 #pragma once
 
 #include <functional>
@@ -60,9 +64,21 @@ class TransferManager {
 
  private:
   struct Transfer {
-    MegaBytes remaining;
     CompletionCallback on_complete;
+    std::uint32_t lane;  // the flow's bundle
+    std::uint32_t pos;   // index into the lane's arrays
   };
+
+  /// The transfers of one fluid bundle, whose members all move at the
+  /// bundle's rate.  Unordered: a removal moves the lane's last transfer
+  /// into the hole and updates its Transfer::pos.
+  struct Lane {
+    std::vector<double> remaining;  // MB still to move, per transfer
+    std::vector<FlowId> ids;
+  };
+
+  /// Drops a transfer from its lane and the store (not from the network).
+  void erase_transfer(FlowId id);
 
   /// Applies linear progress at current rates up to `now`, without touching
   /// the network clock.
@@ -98,21 +114,25 @@ class TransferManager {
 
   sim::Simulation& sim_;
   FluidNetwork& network_;
-  // Dense store; settle/complete/reschedule sweeps use the slot map's
-  // ordered walk so transfers are visited ascending by FlowId (completion
-  // callbacks run in id order at a tie; float progress sums stay
-  // reproducible — the order the old std::map iteration had).
   SlotMap<FlowId, Transfer> transfers_;
+  /// Indexed by bundle: lanes_[b] holds exactly the live transfers whose
+  /// flow belongs to bundle b.  Membership is fixed for a flow's life, and
+  /// a bundle index is reused only once its members are all gone, so an
+  /// index's lane is empty whenever its bundle is replaced.
+  ///
+  /// Settling computes one rate x elapsed / 8 per lane and subtracts it in
+  /// a contiguous loop.  The next completion is the lane minimum of
+  /// now + r x 8 / rate, reached at the lane's smallest r: correctly
+  /// rounded multiplication, division by a positive rate and addition are
+  /// all monotone, so the earliest completion is bit-for-bit what a walk
+  /// over every transfer finds (a severed lane, rate 0, yields inf or NaN
+  /// either way, which the min ignores).
+  std::vector<Lane> lanes_;
   /// Completion candidates: transfers whose remaining crossed the done
   /// epsilon during a settle (or were born at/below it).  complete_finished
   /// drains this instead of rescanning every transfer per completion;
   /// entries cancelled in the meantime are skipped by a liveness check.
   std::vector<FlowId> drained_;
-  /// Per-window-position epsilon-crossing flags from the parallel settle
-  /// phase; the serial merge scans them in window (= ascending id) order so
-  /// drained_ fills exactly as the one-pass serial sweep did.  A member so
-  /// steady-state settles reuse the allocation.
-  std::vector<char> settle_crossed_;
   SimTime last_progress_{0.0};
   sim::EventHandle pending_;
   int busy_depth_ = 0;

@@ -211,21 +211,6 @@ TEST(FluidNetwork, FlowPathAccessor) {
   EXPECT_THROW(network.flow_path(FlowId{99}), std::out_of_range);
 }
 
-TEST(FluidNetwork, SetFlowCapResolvesShares) {
-  Line line;
-  NoTraffic traffic;
-  FluidNetwork network{line.topo, traffic};
-  const FlowId small = network.start_flow({line.ab}, Mbps{2.0});
-  const FlowId big = network.start_flow({line.ab}, Mbps{50.0});
-  EXPECT_NEAR(network.flow_rate(big).value(), 8.0, 1e-9);
-  network.set_flow_cap(small, Mbps{50.0});
-  EXPECT_NEAR(network.flow_rate(small).value(), 5.0, 1e-9);
-  EXPECT_NEAR(network.flow_rate(big).value(), 5.0, 1e-9);
-  EXPECT_THROW(network.set_flow_cap(small, Mbps{0.0}), std::invalid_argument);
-  EXPECT_THROW(network.set_flow_cap(FlowId{99}, Mbps{1.0}),
-               std::out_of_range);
-}
-
 TEST(FluidNetwork, RepeatedLinkInPathCountedOnce) {
   // A path that loops over the same link twice still consumes one share of
   // it, exactly as the naive filler counted (one `break` per flow per link).
@@ -257,6 +242,56 @@ TEST(FluidNetwork, BatchGuardCoalescesReallocations) {
   EXPECT_EQ(network.reallocation_count(), before + 1);
   EXPECT_NEAR(network.flow_rate(f2).value(), 5.0, 1e-9);
   EXPECT_NEAR(network.flow_rate(f3).value(), 5.0, 1e-9);
+}
+
+TEST(FluidNetwork, SymmetricFlowsShareOneBundle) {
+  Line line;
+  NoTraffic traffic;
+  FluidNetwork network{line.topo, traffic};
+  // Same unique links (order and repeats do not matter), cap and weight.
+  const FlowId f1 = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const FlowId f2 = network.start_flow({line.bc, line.ab, line.bc}, Mbps{50.0});
+  EXPECT_EQ(network.bundle_count(), 1u);
+  EXPECT_EQ(network.flow_bundle(f1), network.flow_bundle(f2));
+  // A different cap or weight is a different bundle.
+  const FlowId capped = network.start_flow({line.ab, line.bc}, Mbps{2.0});
+  const FlowId heavy = network.start_flow({line.ab, line.bc}, Mbps{50.0}, 2);
+  EXPECT_EQ(network.bundle_count(), 3u);
+  EXPECT_NE(network.flow_bundle(capped), network.flow_bundle(f1));
+  EXPECT_NE(network.flow_bundle(heavy), network.flow_bundle(f1));
+  // 10 Mbps: the capped flow takes 2, the rest split 8 as 1:1:2.
+  EXPECT_NEAR(network.flow_rate(f1).value(), 2.0, 1e-9);
+  EXPECT_EQ(network.flow_rate(f2), network.flow_rate(f1));
+  EXPECT_NEAR(network.flow_rate(heavy).value(), 4.0, 1e-9);
+  network.stop_flow(capped);
+  network.stop_flow(heavy);
+  EXPECT_EQ(network.bundle_count(), 1u);
+}
+
+TEST(FluidNetwork, FlowJoiningABundleMidEpochReadsZeroUntilItCloses) {
+  Line line;
+  NoTraffic traffic;
+  FluidNetwork network{line.topo, traffic};
+  const FlowId f1 = network.start_flow({line.ab}, Mbps{50.0});
+  const FlowId f2 = network.start_flow({line.ab}, Mbps{50.0});
+  ASSERT_EQ(network.bundle_count(), 1u);
+  FlowId joiner;
+  {
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    joiner = network.start_flow({line.ab}, Mbps{50.0});
+    EXPECT_EQ(network.flow_bundle(joiner), network.flow_bundle(f1));
+    EXPECT_EQ(network.bundle_count(), 1u);
+    // The joiner has not been solved; its bundle-mates keep their last
+    // solved rate, and the link reads only what was solved.
+    EXPECT_EQ(network.flow_rate(joiner), Mbps{0.0});
+    EXPECT_EQ(network.flow_rate(f1), Mbps{5.0});
+    EXPECT_EQ(network.flow_rate(f2), Mbps{5.0});
+    EXPECT_EQ(network.used_bandwidth(line.ab), Mbps{10.0});
+  }
+  const double third = network.flow_rate(f1).value();
+  EXPECT_NEAR(third, 10.0 / 3.0, 1e-9);
+  EXPECT_EQ(network.flow_rate(f2).value(), third);
+  EXPECT_EQ(network.flow_rate(joiner).value(), third);
 }
 
 TEST(FluidNetwork, NestedBatchGuardsCloseOnce) {

@@ -1,18 +1,25 @@
-// Seeded randomized differential test: the incidence-indexed allocator must
-// be *bit-identical* to reallocate_reference() — the preserved naive filler —
-// on every observable (flow rates, used_bandwidth, utilization) after every
-// mutation of a random start/stop/cap-edit/link-flap/time-advance script,
-// including the severed-path and kMinFlowRate floor edge cases.  Flows are
-// started with random class weights (1..8), so the weighted fill (integer
-// weight sums, delta x weight increments) is exercised against the oracle's
-// per-round recomputation on every seed.  Exact double equality throughout:
-// the determinism gates depend on it.
+// Seeded randomized differential test: the bundled allocator must be
+// *bit-identical* to reallocate_reference() — the preserved naive per-flow
+// filler — on every observable (flow rates, used_bandwidth, utilization)
+// after every mutation of a random start/stop/restart/link-flap/
+// time-advance script, including the severed-path and kMinFlowRate floor
+// edge cases.  Flows are started with random class weights, so the weighted
+// fill (integer weight sums, delta x weight increments) is exercised against
+// the oracle's per-round recomputation on every seed.  One suite draws
+// continuous caps (nearly every flow its own bundle), the other a few
+// discrete caps and weights (dense, churning bundles).  Exact double
+// equality throughout: the determinism gates depend on it.
 #include "net/fluid.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -92,20 +99,44 @@ void expect_matches_reference(const FluidNetwork& network,
   }
 }
 
-class FluidDifferential : public ::testing::TestWithParam<int> {};
+/// How a script draws each started flow's rate cap and share weight, and
+/// how many mutations it makes.
+struct FlowDraws {
+  std::function<Mbps(Rng&)> cap;
+  std::function<std::uint32_t(Rng&)> weight;
+  int steps = 60;
+};
 
-TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
-  Rng rng{static_cast<std::uint64_t>(GetParam()) * 7919 + 17};
+/// What a script visited.
+struct ScriptStats {
+  int severed_seen = 0;
+  int floor_seen = 0;
+  std::size_t max_members = 0;  // largest bundle reached
+  int bundles_recreated = 0;    // bundles that emptied and came back
+};
+
+/// A flow's bundle key: sorted unique links, cap bits, weight.
+using BundleKey = std::tuple<std::vector<LinkId>, std::uint64_t, std::uint32_t>;
+
+/// Runs a seeded start/stop/restart/link-flap/time-advance/burst script and
+/// checks every observable against the reference after every mutation,
+/// along with the bundle bookkeeping: flows with equal keys share one
+/// bundle, unequal keys never do, and bundle_count() is the number of keys
+/// with a live flow.
+ScriptStats run_script(int seed, const FlowDraws& draws) {
+  Rng rng{static_cast<std::uint64_t>(seed) * 7919 + 17};
   Fixture fx{rng};
   FluidNetwork network{fx.topo, fx.traffic};
   // A third of the seeds also run the built-in self-check, so the
   // check_reference_ debug path itself stays honest.
-  if (GetParam() % 3 == 0) network.set_check_against_reference(true);
+  if (seed % 3 == 0) network.set_check_against_reference(true);
 
   std::vector<FlowId> live;  // ascending by id (ids are monotonic)
+  std::map<FlowId, BundleKey> key_of;
+  std::map<BundleKey, std::size_t> members;
+  std::set<BundleKey> emptied;
   double now = 0.0;
-  int severed_seen = 0;
-  int floor_seen = 0;
+  ScriptStats stats;
 
   const auto random_path = [&] {
     const auto first = static_cast<std::size_t>(rng.uniform_int(0, 4));
@@ -114,13 +145,38 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
     return std::vector<LinkId>(fx.links.begin() + first,
                                fx.links.begin() + last + 1);
   };
+  const auto start_with = [&](std::vector<LinkId> path, Mbps cap,
+                              std::uint32_t weight) {
+    std::vector<LinkId> links = path;
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
+    BundleKey key{std::move(links), std::bit_cast<std::uint64_t>(cap.value()),
+                  weight};
+    const std::size_t count = ++members[key];
+    stats.max_members = std::max(stats.max_members, count);
+    if (count == 1 && emptied.erase(key) > 0) ++stats.bundles_recreated;
+    const FlowId id = network.start_flow(std::move(path), cap, weight);
+    key_of.emplace(id, std::move(key));
+    live.push_back(id);
+  };
   const auto start_one = [&] {
-    // Mixed weights: weight 1 (the classless default) stays common so the
-    // unweighted reduction keeps coverage alongside the weighted one.
-    const auto weight = static_cast<std::uint32_t>(
-        rng.bernoulli(0.4) ? 1 : rng.uniform_int(2, 8));
-    live.push_back(network.start_flow(random_path(),
-                                      Mbps{rng.uniform(0.5, 30.0)}, weight));
+    const std::uint32_t weight = draws.weight(rng);
+    start_with(random_path(), draws.cap(rng), weight);
+  };
+  const auto stop_at = [&](std::size_t index) {
+    const FlowId id = live[index];
+    network.stop_flow(id);
+    const auto it = key_of.find(id);
+    if (--members[it->second] == 0) {
+      members.erase(it->second);
+      emptied.insert(it->second);
+    }
+    key_of.erase(it);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+  };
+  const auto random_live = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
   };
   const auto mutate_once = [&] {
     const std::int64_t op = rng.uniform_int(0, 5);
@@ -129,18 +185,19 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
         start_one();
         break;
       case 1:
-        if (!live.empty()) {
-          const auto victim = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-          network.stop_flow(live[victim]);
-          live.erase(live.begin() + victim);
-        }
+        if (!live.empty()) stop_at(random_live());
         break;
       case 2:
         if (!live.empty()) {
-          const auto victim = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-          network.set_flow_cap(live[victim], Mbps{rng.uniform(0.5, 30.0)});
+          // Cap change as a same-epoch stop and restart of the victim's
+          // path: one flow leaves a bundle and another joins one before
+          // the epoch's single solve.
+          const std::size_t victim = random_live();
+          std::vector<LinkId> path = network.flow_path(live[victim]);
+          const std::uint32_t weight = network.flow_weight(live[victim]);
+          const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+          stop_at(victim);
+          start_with(std::move(path), draws.cap(rng), weight);
         }
         break;
       case 3: {
@@ -160,8 +217,7 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
           if (live.empty() || rng.bernoulli(0.6)) {
             start_one();
           } else {
-            network.stop_flow(live.back());
-            live.pop_back();
+            stop_at(live.size() - 1);
           }
         }
         break;
@@ -169,23 +225,65 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
     }
   };
 
-  for (int step = 0; step < 60; ++step) {
+  for (int step = 0; step < draws.steps; ++step) {
     mutate_once();
     expect_matches_reference(network, fx, live);
+    EXPECT_EQ(network.bundle_count(), members.size());
+    std::map<std::uint32_t, const BundleKey*> key_in;
     for (const FlowId flow : live) {
+      const BundleKey* key = &key_of.at(flow);
+      const auto [it, fresh] = key_in.emplace(network.flow_bundle(flow), key);
+      EXPECT_TRUE(fresh || *it->second == *key)
+          << "flows with different keys share bundle " << it->first;
       const double rate = network.flow_rate(flow).value();
-      if (rate == 0.0) ++severed_seen;
-      if (rate == kMinFlowRate.value()) ++floor_seen;
+      if (rate == 0.0) ++stats.severed_seen;
+      if (rate == kMinFlowRate.value()) ++stats.floor_seen;
     }
+    EXPECT_EQ(key_in.size(), members.size())
+        << "flows with one key split across bundles";
   }
+  return stats;
+}
 
+class FluidDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
+  // Continuous caps: nearly every flow is its own bundle.  Weight 1 (the
+  // classless default) stays common so the unweighted reduction keeps
+  // coverage alongside the weighted one.
+  const ScriptStats stats = run_script(
+      GetParam(),
+      {.cap = [](Rng& rng) { return Mbps{rng.uniform(0.5, 30.0)}; },
+       .weight = [](Rng& rng) {
+         return static_cast<std::uint32_t>(
+             rng.bernoulli(0.4) ? 1 : rng.uniform_int(2, 8));
+       }});
   // The script must actually have visited the edge cases the issue names;
   // the fixture (flappable links, saturating traces) makes both common.
-  EXPECT_GT(severed_seen + floor_seen, 0)
+  EXPECT_GT(stats.severed_seen + stats.floor_seen, 0)
       << "script never hit a severed or floor-rate flow; fixture too tame";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidDifferential, ::testing::Range(0, 24));
+
+class FluidBundleDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(FluidBundleDifferential, BundledAllocatorMatchesReferenceExactly) {
+  // Three caps and three class weights over the 15 path ranges: most
+  // flows share a bundle, which empties and re-forms as flows come and go.
+  constexpr double kCaps[] = {2.0, 8.0, 80.0};
+  constexpr std::uint32_t kWeights[] = {1, 2, 4};
+  const ScriptStats stats = run_script(
+      GetParam(),
+      {.cap = [&](Rng& rng) { return Mbps{kCaps[rng.uniform_int(0, 2)]}; },
+       .weight = [&](Rng& rng) { return kWeights[rng.uniform_int(0, 2)]; },
+       .steps = 200});
+  EXPECT_GE(stats.max_members, 2u) << "no bundle ever held two flows";
+  EXPECT_GT(stats.bundles_recreated, 0) << "no bundle emptied and re-formed";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FluidBundleDifferential,
+                         ::testing::Range(0, 24));
 
 }  // namespace
 }  // namespace vod::net

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -320,10 +321,27 @@ TEST(TransferManager, ChainedCompletionCostsOneSolve) {
 // A seeded start/cancel/chain/failover script over diurnal background
 // traffic, which moves every link's residual at every clock step, so a
 // skipped or misplaced solve would move a completion time.  Every solve is
-// checked against the reference filler, and the digest of all completion
-// times was captured with the clock step solved on its own (one filling
-// per network mutation).
-TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
+// checked against the reference filler.  `cap` and `weight` draw each
+// transfer's rate cap and share weight: continuous caps give every flow its
+// own (path, cap, weight) bundle, a few discrete values pack many transfers
+// into each one.
+struct DiurnalScript {
+  std::uint64_t seed = 0;
+  int steps = 150;
+  double max_gap_s = 40.0;
+  std::function<Mbps(Rng&)> cap;
+  std::function<std::uint32_t(Rng&)> weight;
+};
+
+struct DiurnalScriptResult {
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  int completions = 0, chains = 0, cancels = 0, failovers = 0;
+  std::size_t active_after = 0;
+  /// Most flows ever live beyond one per bundle (0: every bundle a singleton).
+  std::size_t max_shared = 0;
+};
+
+DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
   Topology topo;
   std::vector<NodeId> nodes;
   for (int i = 0; i < 5; ++i) {
@@ -340,16 +358,20 @@ TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
   network.set_check_against_reference(true);
   sim::Simulation sim;
   TransferManager manager{sim, network};
-  Rng rng{20000};
+  Rng rng{script.seed};
 
+  DiurnalScriptResult out;
   std::vector<FlowId> live;
-  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
   const auto mix = [&](std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
-      digest = (digest ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ull;
+      out.digest =
+          (out.digest ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ull;
     }
   };
-  int completions = 0, chains = 0, cancels = 0, failovers = 0;
+  const auto note_sharing = [&] {
+    out.max_shared = std::max(
+        out.max_shared, network.active_flow_count() - network.bundle_count());
+  };
   std::uint64_t next_tag = 0;
 
   const auto random_path = [&] {
@@ -368,37 +390,37 @@ TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
   std::function<void()> start_one = [&] {
     const std::uint64_t tag = next_tag++;
     live.push_back(manager.start_transfer(
-        random_path(), MegaBytes{rng.uniform(1.0, 20.0)},
-        Mbps{rng.uniform(2.0, 40.0)},
+        random_path(), MegaBytes{rng.uniform(1.0, 20.0)}, script.cap(rng),
         [&, tag](SimTime t) {
-          ++completions;
+          ++out.completions;
           mix(tag);
           mix(std::bit_cast<std::uint64_t>(t.seconds()));
           // Chain the next cluster fetch from inside the completion sweep.
           if (rng.bernoulli(0.4)) {
-            ++chains;
+            ++out.chains;
             start_one();
           }
         },
-        static_cast<std::uint32_t>(rng.uniform_int(1, 4))));
+        script.weight(rng)));
+    note_sharing();
   };
 
   double at = 0.0;
-  for (int step = 0; step < 150; ++step) {
-    at += rng.uniform(0.5, 40.0);
+  for (int step = 0; step < script.steps; ++step) {
+    at += rng.uniform(0.5, script.max_gap_s);
     sim.schedule_at(SimTime{at}, [&](SimTime) {
       const std::int64_t op = rng.uniform_int(0, 3);
       if (op <= 1) {
         start_one();
       } else if (op == 2) {
         if (const auto victim = pick_live()) {
-          ++cancels;
+          ++out.cancels;
           manager.cancel(*victim);
         }
       } else if (const auto victim = pick_live()) {
         // Failover: cancel plus restart inside one outer epoch, the way
         // Session::fail_over and Session::on_stall_timeout batch them.
-        ++failovers;
+        ++out.failovers;
         const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
         manager.cancel(*victim);
         start_one();
@@ -406,13 +428,52 @@ TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
     });
   }
   EXPECT_NO_THROW(sim.run());  // a diverging solve throws std::logic_error
+  out.active_after = manager.active_count();
+  return out;
+}
 
-  EXPECT_EQ(manager.active_count(), 0u);
-  EXPECT_GT(completions, 60);
-  EXPECT_GT(chains, 20);
-  EXPECT_GT(cancels, 10);
-  EXPECT_GT(failovers, 10);
-  EXPECT_EQ(digest, 0x136998efd84af6e6u) << std::hex << "digest 0x" << digest;
+// Continuous caps: one transfer per bundle.  The digest was captured with
+// the clock step solved on its own (one filling per network mutation).
+TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
+  const DiurnalScriptResult r = run_diurnal_script(
+      {.seed = 20000,
+       .cap = [](Rng& rng) { return Mbps{rng.uniform(2.0, 40.0)}; },
+       .weight = [](Rng& rng) {
+         return static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+       }});
+  EXPECT_EQ(r.active_after, 0u);
+  EXPECT_GT(r.completions, 60);
+  EXPECT_GT(r.chains, 20);
+  EXPECT_GT(r.cancels, 10);
+  EXPECT_GT(r.failovers, 10);
+  EXPECT_EQ(r.digest, 0x136998efd84af6e6u)
+      << std::hex << "digest 0x" << r.digest;
+}
+
+// Three caps and three weights over ten path ranges, with arrivals dense
+// enough that lanes hold many transfers across starts, cancels, chains and
+// same-epoch failovers.  The digest was captured with one progress update
+// and one completion time per transfer, before transfers were grouped into
+// per-bundle lanes.
+TEST(TransferManager, BundleDenseCompletionTimesMatchCapturedDigest) {
+  constexpr double kCaps[] = {4.0, 8.0, 16.0};
+  constexpr std::uint32_t kWeights[] = {1, 2, 4};
+  const DiurnalScriptResult r = run_diurnal_script(
+      {.seed = 20001,
+       .steps = 400,
+       .max_gap_s = 4.0,
+       .cap = [&](Rng& rng) {
+         return Mbps{kCaps[rng.uniform_int(0, 2)]};
+       },
+       .weight = [&](Rng& rng) { return kWeights[rng.uniform_int(0, 2)]; }});
+  EXPECT_EQ(r.active_after, 0u);
+  EXPECT_GT(r.completions, 150);
+  EXPECT_GT(r.chains, 50);
+  EXPECT_GT(r.cancels, 40);
+  EXPECT_GT(r.failovers, 40);
+  EXPECT_GE(r.max_shared, 10u) << "bundles never held several transfers";
+  EXPECT_EQ(r.digest, 0x72ac3e4bec90d895u)
+      << std::hex << "digest 0x" << r.digest;
 }
 
 }  // namespace
