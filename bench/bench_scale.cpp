@@ -6,8 +6,7 @@
 // day of diurnally-arriving requests — comparing the VRA against the
 // baselines at a size the authors' testbed could not reach.
 //
-// --scale-gate [--full] [--threads N] [--out PATH]: the million-session
-// store gate.
+// --scale-gate [--full] [--out PATH]: the million-session store gate.
 //   1. Store-op replay: the session-store hot loop (insert / lookup /
 //      ordered sweep / retire) at 100k concurrent sessions (1M total
 //      churned with --full), run against the pre-PR store model — a
@@ -17,19 +16,11 @@
 //   2. Service churn waves: the real VodService under kCountersOnly
 //      retention streaming local titles in waves; VmRSS is sampled at
 //      each wave boundary and must stay flat (O(active), not O(total)).
-//   3. Epoch-barrier stepping: 100k concurrent sessions advanced one wave
-//      per instant, expressed the pre-epoch way (one EventQueue event per
-//      session step) and as same-instant sharded events (DESIGN.md §15)
-//      with the epoch-barrier core at --threads N.  Gates on checksum
-//      equality and >=1.3x session-steps/sec over the serial path.
-//   Emits BENCH_scale.json (including the thread dimension) and exits
-//   non-zero when a gate fails, so scripts/ci.sh runs it as part of the
-//   perf tier — at the serial default and again at --threads 2.
-#include <algorithm>
+//   Emits BENCH_scale.json and exits non-zero when a gate fails, so
+//   scripts/ci.sh runs it as part of the perf tier.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -379,9 +370,9 @@ ChurnResult run_service_churn(std::size_t total_sessions,
   service::VodService service{sim, g.topology, network, options,
                               bench::kAdmin};
   // Telemetry v2 watches the churn phase: --series-out turns the
-  // service.active_sessions gauge (and the epoch/parallel counters under
-  // --threads) into a trajectory that shows the O(active) plateau the RSS
-  // gate asserts numerically.  No-op without a v2 flag.
+  // service.active_sessions gauge into a trajectory that shows the
+  // O(active) plateau the RSS gate asserts numerically.  No-op without a
+  // v2 flag.
   obs.bind_registry(service.metrics());
   const VideoId movie =
       service.add_video("movie", MegaBytes{10.0}, Mbps{2.0});
@@ -425,122 +416,11 @@ ChurnResult run_service_churn(std::size_t total_sessions,
   return result;
 }
 
-// ---------------------------------------------------------------------
-// Epoch-barrier stepping: sharded same-instant events vs. the serial
-// per-event path (DESIGN.md §15).
-// ---------------------------------------------------------------------
-
-/// 100k concurrent sessions advanced in lock-step waves.  Each session
-/// step is two xorshift64 rounds over its lane plus a commutative integer
-/// digest, so the checksum is order-independent across serial, sharded and
-/// any-width epoch execution while still covering every lane bit.
-struct EpochConfig {
-  std::size_t sessions = 100'000;
-  std::size_t blocks = 256;  // sharded-event affinity keys (server blocks)
-  std::size_t waves = 20;
-};
-
-struct EpochRunResult {
-  double seconds = 0.0;
-  double steps_per_sec = 0.0;
-  std::uint64_t checksum = 0;
-  std::size_t sim_events = 0;  // events through the EventQueue heap
-};
-
-std::uint64_t lane_seed(std::size_t i) {
-  return 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
-}
-
-std::uint64_t lane_step(std::uint64_t x) {
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  return x;
-}
-
-/// The pre-epoch expression of the workload: one EventQueue event per
-/// session per wave, each rescheduling its successor — 100k heap pops and
-/// handler dispatches per instant.
-EpochRunResult run_epoch_serial_path(const EpochConfig& cfg) {
-  sim::set_simulation_config({});
-  sim::Simulation sim;
-  std::vector<std::uint64_t> lane(cfg.sessions);
-  for (std::size_t i = 0; i < lane.size(); ++i) lane[i] = lane_seed(i);
-  EpochRunResult r;
-  std::function<void(std::size_t, std::size_t)> step =
-      [&](std::size_t i, std::size_t wave) {
-        sim.schedule_at(SimTime{1.0 + static_cast<double>(wave)},
-                        [&, i, wave](SimTime) {
-                          const std::uint64_t x = lane_step(lane[i]);
-                          lane[i] = x;
-                          r.checksum += x;
-                          ++r.sim_events;
-                          if (wave + 1 < cfg.waves) step(i, wave + 1);
-                        });
-      };
-  for (std::size_t i = 0; i < cfg.sessions; ++i) step(i, 0);
-  const auto start = Clock::now();
-  sim.run();
-  r.seconds = seconds_since(start);
-  r.steps_per_sec =
-      static_cast<double>(cfg.sessions * cfg.waves) / r.seconds;
-  return r;
-}
-
-/// The epoch-barrier expression: one sharded event per session block per
-/// wave (affinity = block index, the "per-server" key), lane writes
-/// confined to the block's disjoint slice, digest and the next wave's
-/// scheduling deferred to the barrier's effect merge.
-EpochRunResult run_epoch_sharded(const EpochConfig& cfg, unsigned threads) {
-  sim::set_simulation_config(bench::threads_config(threads, true));
-  sim::Simulation sim;
-  std::vector<std::uint64_t> lane(cfg.sessions);
-  for (std::size_t i = 0; i < lane.size(); ++i) lane[i] = lane_seed(i);
-  EpochRunResult r;
-  const std::size_t per = (cfg.sessions + cfg.blocks - 1) / cfg.blocks;
-  std::function<void(std::size_t, std::size_t)> step = [&](std::size_t b,
-                                                           std::size_t wave) {
-    sim.schedule_sharded_at(
-        SimTime{1.0 + static_cast<double>(wave)}, b,
-        [&, b, wave](SimTime, sim::EffectBuffer& effects) {
-          const std::size_t begin = b * per;
-          const std::size_t end = std::min(begin + per, cfg.sessions);
-          std::uint64_t acc = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint64_t x = lane_step(lane[i]);
-            lane[i] = x;
-            acc += x;
-          }
-          effects.defer([&, b, wave, acc](SimTime) {
-            r.checksum += acc;
-            ++r.sim_events;
-            if (wave + 1 < cfg.waves) step(b, wave + 1);
-          });
-        });
-  };
-  for (std::size_t b = 0; b < cfg.blocks; ++b) step(b, 0);
-  const auto start = Clock::now();
-  sim.run();
-  r.seconds = seconds_since(start);
-  r.steps_per_sec =
-      static_cast<double>(cfg.sessions * cfg.waves) / r.seconds;
-  sim::set_simulation_config(bench::threads_config(threads));
-  return r;
-}
-
-void write_gate_json(const std::string& path, unsigned threads,
-                     const ReplayConfig& cfg, const ReplayResult& map_r,
-                     const ReplayResult& slot_r, const ChurnResult& churn,
-                     const EpochConfig& ecfg,
-                     const EpochRunResult& serial_r,
-                     const EpochRunResult& epoch_r, double epoch_speedup,
-                     double speedup, bool pass) {
+void write_gate_json(const std::string& path, const ReplayConfig& cfg,
+                     const ReplayResult& map_r, const ReplayResult& slot_r,
+                     const ChurnResult& churn, double speedup, bool pass) {
   std::ofstream out{path};
-  out << "{\n  \"threads\": " << threads << ",\n";
-  out << "  \"store_replay\": {\"concurrent\": " << cfg.concurrent
+  out << "{\n  \"store_replay\": {\"concurrent\": " << cfg.concurrent
       << ", \"total\": " << cfg.total
       << ", \"map_ns_per_event\": " << map_r.ns_per_event
       << ", \"slot_ns_per_event\": " << slot_r.ns_per_event
@@ -555,21 +435,11 @@ void write_gate_json(const std::string& path, unsigned threads,
   out << "], \"growth_kb\": " << churn.growth_kb
       << ", \"peak_rss_kb\": " << churn.peak_rss_kb
       << ", \"flat\": " << (churn.flat ? "true" : "false") << "},\n";
-  out << "  \"epoch_core\": {\"sessions\": " << ecfg.sessions
-      << ", \"blocks\": " << ecfg.blocks << ", \"waves\": " << ecfg.waves
-      << ", \"serial_steps_per_sec\": " << serial_r.steps_per_sec
-      << ", \"epoch_steps_per_sec\": " << epoch_r.steps_per_sec
-      << ", \"serial_sim_events\": " << serial_r.sim_events
-      << ", \"epoch_sim_events\": " << epoch_r.sim_events
-      << ", \"speedup\": " << epoch_speedup << ", \"checksum_match\": "
-      << (serial_r.checksum == epoch_r.checksum ? "true" : "false")
-      << "},\n";
-  out << "  \"gates\": {\"speedup_floor\": 5.0, \"epoch_speedup_floor\": "
-         "1.3, \"pass\": "
+  out << "  \"gates\": {\"speedup_floor\": 5.0, \"pass\": "
       << (pass ? "true" : "false") << "}\n}\n";
 }
 
-int run_scale_gate(bool full, unsigned threads, const std::string& out_path,
+int run_scale_gate(bool full, const std::string& out_path,
                    bench::ObsScope& obs) {
   ReplayConfig cfg;
   if (full) {
@@ -607,29 +477,6 @@ int run_scale_gate(bool full, unsigned threads, const std::string& out_path,
   std::cout << "\n  growth after warm-up: " << churn.growth_kb
             << " kB; peak RSS " << churn.peak_rss_kb << " kB\n";
 
-  const EpochConfig ecfg;
-  std::cout << "\nEpoch-barrier stepping (" << ecfg.sessions
-            << " concurrent sessions, " << ecfg.waves << " waves, "
-            << ecfg.blocks << " sharded blocks, threads=" << threads
-            << "):\n";
-  const EpochRunResult serial_r = run_epoch_serial_path(ecfg);
-  const EpochRunResult epoch_r = run_epoch_sharded(ecfg, threads);
-  const double epoch_speedup =
-      epoch_r.steps_per_sec / serial_r.steps_per_sec;
-  TextTable epoch_table{
-      {"stepping", "session-steps/s", "sim events", "checksum"}};
-  epoch_table.add_row({"serial path (event per step)",
-                       TextTable::num(serial_r.steps_per_sec, 0),
-                       std::to_string(serial_r.sim_events),
-                       std::to_string(serial_r.checksum)});
-  epoch_table.add_row({"epoch-barrier sharded",
-                       TextTable::num(epoch_r.steps_per_sec, 0),
-                       std::to_string(epoch_r.sim_events),
-                       std::to_string(epoch_r.checksum)});
-  std::cout << epoch_table.render();
-  std::cout << "epoch speedup: " << TextTable::num(epoch_speedup, 1)
-            << "x (floor: 1.3x)\n";
-
   bool ok = true;
   if (slot_r.checksum != map_r.checksum) {
     std::cerr << "FAIL: store replays diverged (checksum " << slot_r.checksum
@@ -646,19 +493,7 @@ int run_scale_gate(bool full, unsigned threads, const std::string& out_path,
               << " kB across post-warm-up churn waves (not O(active))\n";
     ok = false;
   }
-  if (epoch_r.checksum != serial_r.checksum) {
-    std::cerr << "FAIL: epoch-barrier stepping diverged (checksum "
-              << epoch_r.checksum << " vs " << serial_r.checksum << ")\n";
-    ok = false;
-  }
-  if (epoch_speedup < 1.3) {
-    std::cerr << "FAIL: epoch steps/sec speedup "
-              << TextTable::num(epoch_speedup, 2)
-              << "x below the 1.3x floor\n";
-    ok = false;
-  }
-  write_gate_json(out_path, threads, cfg, map_r, slot_r, churn, ecfg,
-                  serial_r, epoch_r, epoch_speedup, speedup, ok);
+  write_gate_json(out_path, cfg, map_r, slot_r, churn, speedup, ok);
   std::cout << (ok ? "\nPASS" : "\nFAIL") << " — wrote " << out_path << "\n";
   return ok ? 0 : 1;
 }
@@ -669,22 +504,14 @@ int main(int argc, char** argv) {
   bench::ObsScope obs{argc, argv};
   bool scale_gate = false;
   bool full = false;
-  unsigned threads = 1;
   std::string out_path = "BENCH_scale.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg{argv[i]};
     if (arg == "--scale-gate") scale_gate = true;
     if (arg == "--full") full = true;
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    }
     if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
   }
-  // Like bench_fluid_alloc/bench_vra_incremental, --threads installs the
-  // shared bench knob (bench::threads_config); the epoch-stepping section
-  // additionally flips epoch_barrier on for its sharded run.
-  sim::set_simulation_config(bench::threads_config(threads));
-  if (scale_gate) return run_scale_gate(full, threads, out_path, obs);
+  if (scale_gate) return run_scale_gate(full, out_path, obs);
 
   bench::heading("Scale study: 12-node two-tier backbone, one day");
   std::cout << "30 titles x 120 MB @1.5 Mbps, 2 replicas; ~80 "

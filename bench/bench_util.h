@@ -25,21 +25,6 @@ namespace vod::bench {
 
 inline const db::AdminCredential kAdmin{"bench-admin"};
 
-/// The one parallelism knob (DESIGN.md §15): `--threads N` maps to this
-/// stepping config instead of every bench hard-coding its own
-/// min_fork_items.  N > 1 drops the fork grain to 1 so even paper-sized
-/// inner loops actually fork (production keeps ParallelConfig's 4096
-/// serial-guard default); install with sim::set_simulation_config and
-/// restore the serial default with sim::set_simulation_config({}).
-inline sim::SimulationConfig threads_config(unsigned threads,
-                                            bool epoch_barrier = false) {
-  sim::SimulationConfig config;
-  config.parallel.workers = threads == 0 ? 1 : threads;
-  if (config.parallel.workers > 1) config.parallel.min_fork_items = 1;
-  config.epoch_barrier = epoch_barrier;
-  return config;
-}
-
 /// The case-study database: all six servers, all seven links, one movie,
 /// Table 2 statistics for the chosen instant.
 struct CaseDb {
@@ -203,7 +188,6 @@ class ObsScope {
     }
     if (flight_) {
       flight_->bind_registry(&registry);
-      refresh_flight_config();
       obs::set_flight_recorder(flight_.get());
     }
   }
@@ -228,20 +212,6 @@ class ObsScope {
   void add_slo(obs::SloSpec spec) {
     if (!v2_active()) return;
     pending_slos_.push_back(std::move(spec));
-  }
-
-  /// Mirrors the active stepping config (the one sim knob) into the flight
-  /// dump's config block; benches may add their own entries on top.
-  void refresh_flight_config() {
-    if (!flight_) return;
-    const sim::SimulationConfig& config = sim::simulation_config();
-    flight_->set_config("parallel.workers",
-                        std::to_string(config.parallel.workers));
-    flight_->set_config("parallel.min_fork_items",
-                        std::to_string(config.parallel.min_fork_items));
-    flight_->set_config("epoch_barrier",
-                        config.epoch_barrier ? "true" : "false");
-    flight_->set_config("epoch_shards", std::to_string(config.epoch_shards));
   }
 
   /// Writes the snapshot CSV to --metrics-out (no-op when the flag was not

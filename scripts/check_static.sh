@@ -17,8 +17,8 @@ fi
 
 echo "== vodlint =="
 python3 tools/vodlint/vodlint.py --self-test
-# The race-surface rules (v2) scan the bench/example/tool sources too:
-# anything the parallel migration could touch.  The report lands in build/
+# The scan covers the bench/example/tool sources too, so a raw thread or
+# a new mutable global fails wherever it lands.  The report lands in build/
 # for EXPERIMENTS.md-style baseline counts; fixture files are excluded from
 # the walk and exercised by their own --expect ctest entries.
 mkdir -p build

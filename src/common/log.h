@@ -33,8 +33,7 @@ class Logger {
  public:
   static Logger& instance() {
     // vodlint:allow(shared-mutable-global: configured once at startup; the
-    // level read is a single enum load and log emission is test/CLI-side,
-    // never inside a parallel region)
+    // level read is a single enum load and log emission is test/CLI-side)
     static Logger logger;
     return logger;
   }

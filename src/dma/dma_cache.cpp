@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/contract.h"
-#include "common/parallel.h"
 #include "obs/trace.h"
 
 namespace vod::dma {
@@ -32,31 +31,21 @@ std::uint64_t DmaCache::points(VideoId video) const {
   return it == points_.end() ? 0 : it->second;
 }
 
-void DmaCache::points_bulk(const std::vector<VideoId>& videos,
-                           std::vector<std::uint64_t>& out) const {
-  out.resize(videos.size());
-  // Each chunk writes only its own positions; points() is a const tree
-  // lookup, safe to run concurrently.
-  // vodlint: parallel-region
-  parallel_for(videos.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = points(videos[i]);
-  });
-}
-
 std::optional<VideoId> DmaCache::least_popular_cached() const {
   const std::vector<VideoId> stored = disks_.stored_videos();
   if (stored.empty()) return std::nullopt;
-  // Parallel phase: gather every title's points positionally.  Serial
-  // merge: the integer min scan with the first-seen tie-break — stored is
-  // ascending by video id, so ties resolve toward the lowest id exactly as
-  // the one-pass scan did.
-  std::vector<std::uint64_t> gathered;
-  points_bulk(stored, gathered);
-  std::size_t best = 0;
+  // stored is ascending by video id and only a strictly smaller count
+  // replaces the best, so ties resolve toward the lowest id.
+  VideoId best = stored.front();
+  std::uint64_t best_points = points(best);
   for (std::size_t i = 1; i < stored.size(); ++i) {
-    if (gathered[i] < gathered[best]) best = i;
+    const std::uint64_t p = points(stored[i]);
+    if (p < best_points) {
+      best = stored[i];
+      best_points = p;
+    }
   }
-  return stored[best];
+  return best;
 }
 
 bool DmaCache::try_store(VideoId video, MegaBytes size) {

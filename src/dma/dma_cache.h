@@ -64,13 +64,6 @@ class DmaCache {
   DmaOutcome on_request(VideoId video, MegaBytes size);
 
   [[nodiscard]] std::uint64_t points(VideoId video) const;
-
-  /// Bulk points lookup: out[i] = points(videos[i]).  The lookups are
-  /// independent const map reads, so they run as a parallel sweep (the
-  /// per-server DMA update path the service's top_titles ranking drives);
-  /// out is positional, so the result is order-independent by construction.
-  void points_bulk(const std::vector<VideoId>& videos,
-                   std::vector<std::uint64_t>& out) const;
   [[nodiscard]] bool cached(VideoId video) const {
     return disks_.holds(video);
   }

@@ -5,8 +5,8 @@
 // every run — and, when an anomaly trigger fires (SLO breach, fault
 // injection, preemption commit, or an explicit trigger() call), dumps a
 // deterministic postmortem file: the last-N events, a full metrics
-// snapshot, the active configuration (threads / epoch / QoS knobs,
-// injected by whoever installs the recorder) and the sim clock.
+// snapshot, the active configuration (QoS knobs, seed — whatever the
+// installer injects) and the sim clock.
 //
 // Installation (set_flight_recorder) wires the recorder's ring into the
 // trace layer's effective-sink slot: with no user TraceRecorder the ring
@@ -60,7 +60,7 @@ class FlightRecorder {
   /// Sim clock for the ring's event timestamps and the dump's `sim_time_s`.
   void set_clock(std::function<SimTime()> clock);
 
-  /// Config shown in the dump (threads, epoch shards, QoS knobs, seed...).
+  /// Config shown in the dump (QoS knobs, seed...).
   /// Later sets with the same key overwrite; rendered key-sorted.
   void set_config(const std::string& key, const std::string& value);
 

@@ -6,8 +6,8 @@ namespace vod::obs {
 
 Profiler& Profiler::instance() {
   // vodlint:allow(shared-mutable-global: observe-only wall-clock profiler
-  // (DESIGN.md §11); disabled by default and never enabled around parallel
-  // regions — timings cannot feed back into simulation state)
+  // (DESIGN.md §11); disabled by default — timings cannot feed back into
+  // simulation state)
   static Profiler profiler;
   return profiler;
 }

@@ -12,8 +12,7 @@ namespace {
 
 // vodlint:allow(shared-mutable-global: series sink pointer follows the
 // same installer-owned lifecycle as the trace sink (DESIGN.md §16); the
-// simulation core only reads it between epochs, never inside a parallel
-// region)
+// simulation core only reads it between instants)
 TimeSeriesRecorder* g_series_sink = nullptr;
 
 }  // namespace

@@ -15,9 +15,7 @@
 // on_instant(next_event_time) BEFORE executing each instant, so a sample at
 // cadence tick T reflects exactly the events strictly before T; the event
 // stream itself is never perturbed (no sampling events are scheduled).
-// Identical runs therefore produce byte-identical exports at any worker
-// width — the registry is only read between epochs, never inside a parallel
-// region.
+// Identical runs therefore produce byte-identical exports.
 #pragma once
 
 #include <cstddef>

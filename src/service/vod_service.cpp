@@ -7,7 +7,6 @@
 
 #include "common/contract.h"
 #include "common/log.h"
-#include "common/parallel.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 
@@ -75,30 +74,6 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
     snap.set_counter("dma.stores", stores);
     snap.set_counter("dma.evictions", evictions);
     snap.set_counter("dma.requests", requests);
-    // Fork/serial decisions of the parallel runtime, so speedup tables can
-    // confirm the grain threshold is actually forking (observe-only; the
-    // counters never feed back into simulation state).
-    const ParallelStats ps = parallel_stats();
-    snap.set_counter("parallel.forks", ps.forks - parallel_baseline_.forks);
-    snap.set_counter("parallel.serial_fallback",
-                     ps.serial_fallback - parallel_baseline_.serial_fallback);
-    snap.set_gauge("parallel.workers",
-                   static_cast<double>(parallel_config().workers));
-    // Epoch-barrier core shape (zeros under per-event stepping), so the
-    // series sampler can plot sharded-vs-serial mix and shard skew.
-    const sim::EpochExecutor& ex = sim_.epoch_executor();
-    snap.set_counter("epoch.epochs", ex.epochs_run());
-    snap.set_counter("epoch.sharded_events", ex.sharded_events_run());
-    snap.set_counter("epoch.serial_events", ex.serial_events_run());
-    const auto mirror_hist = [&snap](const char* name,
-                                     const obs::Histogram& hist) {
-      // In-place overload: the series sampler snapshots every tick, so a
-      // warm entry's bucket vectors are reused instead of reallocated.
-      snap.set_histogram(name, hist.upper_bounds(), hist.bucket_counts(),
-                         hist.count(), hist.sum());
-    };
-    mirror_hist("epoch.shard_occupancy", ex.shard_occupancy());
-    mirror_hist("epoch.shard_imbalance", ex.shard_imbalance());
     // Truncated traces are detectable from the snapshot alone; 0 (also
     // when no sink is installed) keeps the column present in every CSV.
     obs::TraceRecorder* tr = obs::trace_sink();
@@ -193,24 +168,15 @@ std::optional<db::VideoInfo> VodService::find_title(
 std::vector<std::pair<db::VideoInfo, std::uint64_t>> VodService::top_titles(
     std::size_t count) const {
   const std::vector<db::VideoInfo> infos = db_.full_view().list_videos();
-  std::vector<VideoId> ids;
-  ids.reserve(infos.size());
-  for (const db::VideoInfo& info : infos) ids.push_back(info.id);
-  // Per-server DMA points come back as one positional bulk sweep per
-  // server (the parallel region lives in DmaCache::points_bulk); the sums
-  // are integers, so accumulation order cannot change the ranking.
-  std::vector<std::uint64_t> demand(infos.size(), 0);
-  std::vector<std::uint64_t> server_points;
-  for (const auto& [node, state] : servers_) {
-    state.cache->points_bulk(ids, server_points);
-    for (std::size_t i = 0; i < demand.size(); ++i) {
-      demand[i] += server_points[i];
-    }
-  }
   std::vector<std::pair<db::VideoInfo, std::uint64_t>> ranked;
   ranked.reserve(infos.size());
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    ranked.emplace_back(infos[i], demand[i]);
+  for (const db::VideoInfo& info : infos) {
+    // Integer sums, so accumulation order cannot change the ranking.
+    std::uint64_t demand = 0;
+    for (const auto& [node, state] : servers_) {
+      demand += state.cache->points(info.id);
+    }
+    ranked.emplace_back(info, demand);
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) {

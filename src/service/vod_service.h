@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/slot_map.h"
 #include "common/units.h"
 #include "common/user_class.h"
@@ -506,10 +505,6 @@ class VodService {
   std::map<std::pair<NodeId, VideoId>, std::pair<SessionId, SimTime>>
       batches_;
   SessionId::underlying_type next_session_ = 0;
-  /// Fork/serial totals at construction: the runtime's counters are
-  /// process-global, so the collector reports lifetime deltas — two
-  /// identical runs in one process snapshot identical numbers.
-  ParallelStats parallel_baseline_ = parallel_stats();
   /// Registry first: the Counter/Histogram references below point into it.
   obs::MetricsRegistry metrics_;
   obs::Counter& admitted_ = metrics_.counter("service.admitted");

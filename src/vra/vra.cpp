@@ -7,7 +7,6 @@
 
 #include "common/contract.h"
 #include "common/log.h"
-#include "common/parallel.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "routing/min_hop.h"
@@ -113,21 +112,9 @@ std::optional<Decision> Vra::select_degraded(
 
   Decision decision;
   decision.degraded = true;
-  // Per-candidate BFS evaluations are independent const reads of `graph`;
-  // each chunk writes only its own holders' slots, and the merge below
-  // appends in holder order, so the candidate list is identical at every
-  // worker count.
-  std::vector<std::optional<routing::Path>> holder_paths(holders.size());
-  // vodlint: parallel-region
-  parallel_for(holders.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      holder_paths[i] = routing::min_hop_path(graph, home, holders[i]);
-    }
-  });
-  for (std::size_t i = 0; i < holders.size(); ++i) {
-    if (holder_paths[i]) {
-      decision.candidates.push_back(
-          Candidate{holders[i], std::move(*holder_paths[i])});
+  for (const NodeId holder : holders) {
+    if (auto path = routing::min_hop_path(graph, home, holder)) {
+      decision.candidates.push_back(Candidate{holder, std::move(*path)});
     }
   }
   if (decision.candidates.empty()) return std::nullopt;
@@ -316,21 +303,10 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   }
 
   // "Select those least expensive paths that end at the servers that can
-  //  provide the video."  Per-candidate path extraction reads only the
-  //  solved tree (const predecessor walks); each chunk writes its own
-  //  holders' slots and the ordered merge below keeps the candidate list
-  //  identical at every worker count.
-  std::vector<std::optional<routing::Path>> holder_paths(holders.size());
-  // vodlint: parallel-region
-  parallel_for(holders.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      holder_paths[i] = paths->path_to(holders[i]);
-    }
-  });
-  for (std::size_t i = 0; i < holders.size(); ++i) {
-    if (holder_paths[i]) {
-      decision.candidates.push_back(
-          Candidate{holders[i], std::move(*holder_paths[i])});
+  //  provide the video."
+  for (const NodeId holder : holders) {
+    if (auto path = paths->path_to(holder)) {
+      decision.candidates.push_back(Candidate{holder, std::move(*path)});
     }
   }
   if (decision.candidates.empty()) {  // all disconnected

@@ -11,8 +11,10 @@
 // pipeline fails loudly here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -119,6 +121,24 @@ RunDigest run_scenario(std::uint64_t seed, bool with_storm,
   };
 }
 
+/// 64-bit FNV-1a over the three artefacts, each followed by its length so
+/// bytes cannot migrate between fields unnoticed.
+std::uint64_t digest_hash(const RunDigest& digest) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::string_view bytes) {
+    for (const char c : bytes) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const std::string* field :
+       {&digest.sessions_csv, &digest.resilience, &digest.fault_trace}) {
+    mix(*field);
+    mix(std::to_string(field->size()));
+  }
+  return hash;
+}
+
 TEST(Determinism, PlainWorkloadDoubleRunIsByteIdentical) {
   const RunDigest first = run_scenario(7, /*with_storm=*/false);
   const RunDigest second = run_scenario(7, /*with_storm=*/false);
@@ -152,6 +172,17 @@ TEST(Determinism, TracingLeavesArtefactsByteIdentical) {
   EXPECT_FALSE(first.events().empty());
   EXPECT_EQ(first.to_text(), second.to_text());
   EXPECT_EQ(first.to_chrome_json(), second.to_chrome_json());
+}
+
+TEST(Determinism, SeededStormDigestIsPinned) {
+  // A double run proves a run repeats itself; this pin proves it still
+  // reproduces the recorded output of the serial event loop, byte for byte.
+  // Only an intended behaviour change may move the constant.
+  const RunDigest storm = run_scenario(11, /*with_storm=*/true);
+  EXPECT_EQ(digest_hash(storm), 10887282470530593357ULL)
+      << "storm digest moved: sessions " << storm.sessions_csv.size()
+      << " B, resilience " << storm.resilience.size() << " B, fault trace "
+      << storm.fault_trace.size() << " B";
 }
 
 TEST(Determinism, DifferentSeedsProduceDifferentRuns) {

@@ -7,7 +7,7 @@ namespace fixture {
 
 void spawn_all() {
   std::thread worker([] {});        // expected: raw std::thread
-  worker.detach();                  // expected: detach outside the doorway
+  worker.detach();                  // expected: raw .detach()
   auto future = std::async([] {});  // expected: raw std::async
   // vodlint:allow(raw-thread: fixture demonstrates suppression)
   std::thread waived([] {});  // suppressed: reported but not counted

@@ -60,43 +60,23 @@ keeps module APIs honest:
                     pruned, or compound-keyed maps can be waived with
                     // vodlint:dense-ok(<reason>).
 
-Race-surface rules (vodlint v2, DESIGN.md §14).  Parallelizing the
-simulation core without losing bit-identical replay requires every piece of
-shared mutable state to be inventoried and either isolated, synchronized,
-or proven read-only during parallel regions.  vodlint builds a lightweight
-cross-translation-unit *symbol index* over the scanned tree — namespace-
-scope mutable objects, `static`-lifetime locals and data members (the
-singleton pattern), and `mutable` class members (state that moves behind
-`const` interfaces) — and enforces:
+Shared-state rules.  The simulator is one serial event loop, and its
+replay guarantee holds only while every piece of process-wide mutable state
+is inventoried.  vodlint builds a lightweight *symbol index* over the
+scanned tree — namespace-scope mutable objects and `static`-lifetime locals
+and data members (the singleton pattern) — and enforces:
 
   [shared-mutable-global]  Any non-const object with static storage
                     duration: a namespace-scope definition, a function-
                     local `static`, or a `static` data member.  Each one is
-                    cross-thread shared state the parallel migration must
-                    account for.  Suppress a deliberately-kept global with
-                    // vodlint:allow(shared-mutable-global: <reason>);
-                    src/common/parallel.* (the synchronized fork-join
-                    runtime itself) is exempt.
+                    state that outlives a run and leaks between runs in one
+                    process.  Suppress a deliberately-kept global with
+                    // vodlint:allow(shared-mutable-global: <reason>).
 
-  [raw-thread]      Direct std::thread / std::jthread / std::async /
-                    .detach() outside src/common/parallel.* — all
-                    parallelism flows through the deterministic ParallelFor
-                    doorway so worker counts, chunking and merges stay
-                    configuration-driven and replayable.  Suppress with
-                    // vodlint:allow(raw-thread: <reason>).
-
-  [parallel-region-write]  Writes to indexed shared state (shared-mutable
-                    globals or `mutable` members) inside a region annotated
-                    // vodlint: parallel-region — the annotation marks code
-                    handed to parallel_for/parallel_min, where such writes
-                    are cross-thread races.  Suppress with
-                    // vodlint:allow(parallel-region-write: <reason>).
-
-  [lock-order]      Mutex acquisitions (lock_guard/unique_lock/scoped_lock/
-                    .lock()) observed in inconsistent order across the
-                    scanned tree: if one site holds A while taking B and
-                    another holds B while taking A, the pair can deadlock.
-                    Suppress with // vodlint:allow(lock-order: <reason>).
+  [raw-thread]      Any std::thread / std::jthread / std::async /
+                    .detach().  The simulator is serial by design; a thread
+                    makes event order depend on the scheduler.  Suppress
+                    with // vodlint:allow(raw-thread: <reason>).
 
 Usage:
     vodlint.py [--root DIR] [PATH...]      # default PATH: src
@@ -169,13 +149,8 @@ ALL_RULES = (
     "dense-store",
     "shared-mutable-global",
     "raw-thread",
-    "parallel-region-write",
-    "lock-order",
 )
 
-# The deterministic fork-join runtime: the one place allowed to own raw
-# threads and the (synchronized) global pool they live in.
-PARALLEL_DOORWAY = ("src/common/parallel.h", "src/common/parallel.cpp")
 # Intentional-violation fixtures for the ctest --expect entries; directory
 # walks skip them so whole-tree runs stay clean.
 FIXTURE_DIR_FRAGMENT = "tools/vodlint/fixtures"
@@ -302,7 +277,7 @@ def has_allow(raw_lines: list[str], index: int, rule: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Scope classification & the race-surface symbol index
+# Scope classification & the shared-state symbol index
 # --------------------------------------------------------------------------
 
 _SCOPE_NAMESPACE = "namespace"
@@ -349,7 +324,7 @@ class SharedSymbol:
     name: str
     path: str
     line: int  # 1-based
-    kind: str  # "global" | "static" | "mutable-member"
+    kind: str  # "global" | "static"
     suppressed: bool = False
 
 
@@ -364,7 +339,6 @@ _DECL_SKIP = re.compile(
 )
 _CONST_MARK = re.compile(r"\b(?:const|constexpr|consteval)\b")
 _STATIC_DECL = re.compile(r"\bstatic\s")
-_MUTABLE_DECL = re.compile(r"^\s*mutable\s")
 
 
 def _decl_name(line: str) -> str | None:
@@ -395,10 +369,8 @@ def build_symbol_index(
     sources: dict[str, str], stripped_texts: dict[str, str]
 ) -> list[SharedSymbol]:
     """Indexes shared mutable state across every scanned translation unit:
-    namespace-scope mutable objects, static-lifetime locals/members (the
-    singleton pattern), and `mutable` class members (state that moves
-    behind const interfaces — what pointer aliasing hands to parallel
-    readers)."""
+    namespace-scope mutable objects and static-lifetime locals/members (the
+    singleton pattern)."""
     symbols: list[SharedSymbol] = []
     for path in sorted(sources):
         raw_lines = sources[path].splitlines()
@@ -419,13 +391,6 @@ def build_symbol_index(
             stack = stacks[i] if i < len(stacks) else []
             suppressed = has_allow(raw_lines, min(i, len(raw_lines) - 1),
                                    "shared-mutable-global")
-            if _MUTABLE_DECL.search(line):
-                name = _decl_name(re.sub(r"^\s*mutable\s+", "", line))
-                if name is not None:
-                    symbols.append(
-                        SharedSymbol(name, path, i + 1, "mutable-member",
-                                     True))
-                continue
             if _STATIC_DECL.search(line) and not _CONST_MARK.search(line):
                 # `static` object declarations at any scope: namespace-
                 # scope internal linkage, function-local singletons, and
@@ -681,11 +646,6 @@ def check_shared_mutable_global(
 ) -> list[Violation]:
     out = []
     for sym in symbols:
-        if sym.kind == "mutable-member":
-            continue  # indexed for [parallel-region-write], not flagged here
-        norm = sym.path.replace(os.sep, "/")
-        if any(norm.endswith(suffix) for suffix in PARALLEL_DOORWAY):
-            continue
         what = ("namespace-scope mutable object"
                 if sym.kind == "global" else "static-lifetime object")
         out.append(
@@ -693,10 +653,9 @@ def check_shared_mutable_global(
                 sym.path,
                 sym.line,
                 "shared-mutable-global",
-                f"{what} '{sym.name}' is cross-thread shared state the "
-                "parallel migration must isolate, synchronize, or prove "
-                "read-only; make it const, move it into an owning object, "
-                "or suppress with "
+                f"{what} '{sym.name}' is process-wide state that leaks "
+                "between runs; make it const, move it into an owning "
+                "object, or suppress with "
                 "// vodlint:allow(shared-mutable-global: <reason>)",
                 suppressed=sym.suppressed,
             )
@@ -715,9 +674,6 @@ RAW_THREAD_PATTERNS = [
 def check_raw_thread(
     path: str, raw: list[str], stripped: list[str]
 ) -> list[Violation]:
-    norm = path.replace(os.sep, "/")
-    if any(norm.endswith(suffix) for suffix in PARALLEL_DOORWAY):
-        return []
     out = []
     for i, line in enumerate(stripped):
         for pattern, what in RAW_THREAD_PATTERNS:
@@ -727,196 +683,13 @@ def check_raw_thread(
                         path,
                         i + 1,
                         "raw-thread",
-                        f"{what} outside src/common/parallel.h bypasses the "
-                        "deterministic ParallelFor doorway (fixed workers, "
-                        "static chunking, ordered merges); route through "
-                        "vod::parallel_for or suppress with "
+                        f"{what} in a serial simulator makes event order "
+                        "depend on the OS scheduler; run independent seeds "
+                        "as separate processes instead, or suppress with "
                         "// vodlint:allow(raw-thread: <reason>)",
                         suppressed=has_allow(raw, i, "raw-thread"),
                     )
                 )
-    return out
-
-
-PARALLEL_REGION_MARK = re.compile(r"vodlint:\s*parallel-region\b")
-_MUTATING_CALLS = (
-    "push_back|pop_back|emplace_back|emplace|insert|erase|clear|resize|"
-    "reserve|assign|store|reset|swap"
-)
-
-
-def _write_pattern(name: str) -> re.Pattern[str]:
-    escaped = re.escape(name)
-    return re.compile(
-        r"(?:\+\+|--)\s*" + escaped + r"\b"
-        r"|\b" + escaped + r"\s*(?:\[[^\]]*\])?\s*"
-        r"(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
-        r"|\b" + escaped + r"\s*\.\s*(?:" + _MUTATING_CALLS + r")\s*\("
-    )
-
-
-def parallel_regions(stripped: list[str], raw: list[str]) -> list[range]:
-    """Line ranges (0-based, inclusive of the braces' lines) covered by a
-    // vodlint: parallel-region annotation: the next braced block at or
-    after the annotation line."""
-    regions: list[range] = []
-    for i, line in enumerate(raw):
-        if not PARALLEL_REGION_MARK.search(line):
-            continue
-        depth = 0
-        opened = False
-        for j in range(i, len(stripped)):
-            for ch in stripped[j]:
-                if ch == "{":
-                    depth += 1
-                    opened = True
-                elif ch == "}":
-                    depth -= 1
-            if opened and depth <= 0:
-                regions.append(range(i, j + 1))
-                break
-        else:
-            if opened:
-                regions.append(range(i, len(stripped)))
-    return regions
-
-
-def check_parallel_region_writes(
-    path: str,
-    raw: list[str],
-    stripped: list[str],
-    shared_names: dict[str, SharedSymbol],
-) -> list[Violation]:
-    if not shared_names:
-        return []
-    regions = parallel_regions(stripped, raw)
-    if not regions:
-        return []
-    out = []
-    patterns = {
-        name: _write_pattern(name) for name in sorted(shared_names)
-    }
-    seen: set[tuple[int, str]] = set()
-    for region in regions:
-        for i in region:
-            if i >= len(stripped):
-                break
-            for name, pattern in patterns.items():
-                if (i, name) in seen:
-                    continue
-                if pattern.search(stripped[i]):
-                    seen.add((i, name))
-                    sym = shared_names[name]
-                    out.append(
-                        Violation(
-                            path,
-                            i + 1,
-                            "parallel-region-write",
-                            f"write to shared state '{name}' ({sym.kind}, "
-                            f"declared {sym.path}:{sym.line}) inside a "
-                            "// vodlint: parallel-region — a cross-thread "
-                            "race under ParallelFor; give each chunk its "
-                            "own slot and merge in index order, or "
-                            "suppress with "
-                            "// vodlint:allow(parallel-region-write: "
-                            "<reason>)",
-                            suppressed=has_allow(raw, i,
-                                                 "parallel-region-write"),
-                        )
-                    )
-    out.sort(key=lambda v: v.line)
-    return out
-
-
-LOCK_ACQUIRE = re.compile(
-    r"\bstd\s*::\s*(?:lock_guard|unique_lock|scoped_lock)\s*"
-    r"(?:<[^>]*>)?\s+\w+\s*[({]\s*([^;]*?)\s*[)}]"
-)
-LOCK_CALL = re.compile(r"\b([\w.>\-]+?)\s*\.\s*lock\s*\(\s*\)")
-
-
-def _normalize_mutex(name: str) -> str:
-    return re.sub(r"\s+", "", name.replace("this->", ""))
-
-
-@dataclass
-class LockSite:
-    path: str
-    line: int  # 1-based
-    held: str
-    taken: str
-
-
-def collect_lock_edges(
-    path: str, stripped: list[str]
-) -> list[LockSite]:
-    """Acquisition-order edges: (held, taken) pairs with the taken-site
-    location.  Held locks are tracked by brace depth — a guard releases
-    when its scope closes."""
-    edges: list[LockSite] = []
-    held: list[tuple[str, int]] = []  # (mutex, depth at acquisition)
-    depth = 0
-    for i, line in enumerate(stripped):
-        # Close scopes first so a guard does not appear held on the line of
-        # its closing brace.
-        closes = line.count("}")
-        opens = line.count("{")
-        if closes > opens:
-            depth = max(0, depth - (closes - opens))
-            held = [(m, d) for (m, d) in held if d <= depth]
-        taken_here: list[str] = []
-        m = LOCK_ACQUIRE.search(line)
-        if m is not None:
-            taken_here = [
-                _normalize_mutex(part)
-                for part in m.group(1).split(",")
-                if _normalize_mutex(part)
-            ]
-        else:
-            call = LOCK_CALL.search(line)
-            if call is not None:
-                taken_here = [_normalize_mutex(call.group(1))]
-        for taken in taken_here:
-            for held_mutex, _ in held:
-                if held_mutex != taken:
-                    edges.append(LockSite(path, i + 1, held_mutex, taken))
-        # std::scoped_lock's multi-mutex acquisition is deadlock-free by
-        # contract, so members of one acquisition carry no mutual order.
-        for taken in taken_here:
-            held.append((taken, depth + (1 if opens > closes else 0)))
-        if opens > closes:
-            depth += opens - closes
-        elif opens == closes and opens > 0:
-            pass  # balanced braces on one line: same depth
-    return edges
-
-
-def check_lock_order(
-    all_edges: list[LockSite], sources: dict[str, str]
-) -> list[Violation]:
-    first_seen: dict[tuple[str, str], LockSite] = {}
-    out = []
-    for edge in all_edges:
-        key = (edge.held, edge.taken)
-        reverse = (edge.taken, edge.held)
-        if reverse in first_seen and key not in first_seen:
-            prior = first_seen[reverse]
-            raw_lines = sources[edge.path].splitlines()
-            out.append(
-                Violation(
-                    edge.path,
-                    edge.line,
-                    "lock-order",
-                    f"acquires '{edge.taken}' while holding '{edge.held}', "
-                    f"but {prior.path}:{prior.line} acquires them in the "
-                    "opposite order — a deadlock window; pick one order "
-                    "(or std::scoped_lock both), or suppress with "
-                    "// vodlint:allow(lock-order: <reason>)",
-                    suppressed=has_allow(raw_lines, edge.line - 1,
-                                         "lock-order"),
-                )
-            )
-        first_seen.setdefault(key, edge)
     return out
 
 
@@ -954,10 +727,6 @@ def lint_sources(sources: dict[str, str]) -> list[Violation]:
     stripped_texts = {p: strip_comments_and_strings(t) for p, t in sources.items()}
     unordered = collect_unordered_names(stripped_texts)
     symbols = build_symbol_index(sources, stripped_texts)
-    shared_names: dict[str, SharedSymbol] = {}
-    for sym in symbols:
-        shared_names.setdefault(sym.name, sym)
-    all_edges: list[LockSite] = []
     violations: list[Violation] = []
     for path in sorted(sources):
         raw_lines = sources[path].splitlines()
@@ -974,11 +743,6 @@ def lint_sources(sources: dict[str, str]) -> list[Violation]:
             [s for s in symbols if s.path == path]
         )
         violations += check_raw_thread(path, raw_lines, stripped_lines)
-        violations += check_parallel_region_writes(
-            path, raw_lines, stripped_lines, shared_names
-        )
-        all_edges += collect_lock_edges(path, stripped_lines)
-    violations += check_lock_order(all_edges, sources)
     return violations
 
 
@@ -1278,8 +1042,8 @@ FIXTURES: list[tuple[str, dict[str, str], list[tuple[str, int]]]] = [
         [("shared-mutable-global", 2), ("shared-mutable-global", 7)],
     ),
     (
-        "raw-thread: std::thread/.detach()/std::async flagged outside the "
-        "parallel doorway; doorway exempt; allow() suppresses",
+        "raw-thread: std::thread/.detach()/std::async flagged in every "
+        "directory, src/common included; allow() suppresses",
         {
             "src/runner.cpp": (
                 "void launch() {\n"
@@ -1290,80 +1054,18 @@ FIXTURES: list[tuple[str, dict[str, str], list[tuple[str, int]]]] = [
                 "  std::thread waived(cleanup);\n"
                 "}\n"
             ),
-            "src/common/parallel.cpp": (
+            "src/common/pool.cpp": (
                 "void pool() {\n"
                 "  std::thread worker([] {});\n"
                 "}\n"
             ),
         },
-        [("raw-thread", 2), ("raw-thread", 3), ("raw-thread", 4)],
-    ),
-    (
-        "parallel-region-write: writes to indexed shared state inside an "
-        "annotated region flagged (cross-TU: the mutable member lives in "
-        "the header); chunk-local writes pass; allow() suppresses",
-        {
-            "src/net/fill.h": (
-                "struct Fill {\n"
-                "  mutable long cache_hits_ = 0;\n"
-                "};\n"
-            ),
-            "src/net/fill.cpp": (
-                "namespace vod {\n"
-                "long total_work = 0;\n"
-                "void sweep(std::vector<double>& out) {\n"
-                "  // vodlint: parallel-region\n"
-                "  parallel_for(out.size(), [&](std::size_t b, std::size_t e) {\n"
-                "    for (std::size_t i = b; i < e; ++i) {\n"
-                "      out[i] = 2.0;\n"
-                "      cache_hits_ += 1;\n"
-                "      total_work += 1;\n"
-                "      // vodlint:allow(parallel-region-write: index-merged)\n"
-                "      total_work += 1;\n"
-                "    }\n"
-                "  });\n"
-                "  cache_hits_ += 1;\n"
-                "}\n"
-                "}\n"
-            ),
-        },
         [
-            ("shared-mutable-global", 2),
-            ("parallel-region-write", 8),
-            ("parallel-region-write", 9),
+            ("raw-thread", 2),  # src/common/pool.cpp
+            ("raw-thread", 2),
+            ("raw-thread", 3),
+            ("raw-thread", 4),
         ],
-    ),
-    (
-        "lock-order: opposite acquisition orders flagged at the second "
-        "site; scoped_lock multi-acquisition carries no order; allow() "
-        "suppresses",
-        {
-            "src/locks.cpp": (
-                "void a() {\n"
-                "  std::lock_guard<std::mutex> g1(mu_a);\n"
-                "  std::lock_guard<std::mutex> g2(mu_b);\n"
-                "}\n"
-                "void b() {\n"
-                "  std::lock_guard<std::mutex> g1(mu_b);\n"
-                "  std::lock_guard<std::mutex> g2(mu_a);\n"
-                "}\n"
-                "void c() {\n"
-                "  std::scoped_lock both(mu_a, mu_b);\n"
-                "}\n"
-            ),
-            "src/locks2.cpp": (
-                "void d() {\n"
-                "  std::unique_lock<std::mutex> g1(mu_c);\n"
-                "  std::unique_lock<std::mutex> g2(mu_d);\n"
-                "}\n"
-                "void e() {\n"
-                "  std::unique_lock<std::mutex> g1(mu_d);\n"
-                "  // vodlint:allow(lock-order: never concurrent with d())\n"
-                "  std::unique_lock<std::mutex> g2(mu_c);\n"
-                "}\n"
-            ),
-        },
-        [("lock-order", 7)],
     ),
 ]
 
