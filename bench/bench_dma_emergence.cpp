@@ -65,7 +65,6 @@ int main() {
   sim.run_until(from_hours(30.0));
 
   TextTable table{{"Rank", "title", "requests", "replicas", "servers"}};
-  auto view = service.admin_view();
   int replicated = 0;
   for (std::size_t rank = 0; rank < videos.size(); ++rank) {
     const VideoId video = videos[rank];

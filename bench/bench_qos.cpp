@@ -287,8 +287,6 @@ int main(int argc, char** argv) {
       tiered.report.by_class[class_index(UserClass::kPremium)];
   const auto& standard =
       tiered.report.by_class[class_index(UserClass::kStandard)];
-  const auto& background =
-      tiered.report.by_class[class_index(UserClass::kBackground)];
   // Shed = failed user-visible requests plus preemption sacrifices (a
   // preempted-then-retried session that recovers still paid once).
   std::size_t shed = 0;

@@ -200,10 +200,6 @@ RunResult run(Policy which, bench::ObsScope& obs) {
 // are reported, never fed back into simulation state)
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 /// Stand-in for a live stream::Session in the store-op replay: heap/pool
 /// allocated behind a pointer exactly like the real store, big enough that
 /// allocation behaviour matters, small enough that the replay measures the

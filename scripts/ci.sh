@@ -19,7 +19,8 @@ echo "==== static analysis ===="
 scripts/check_static.sh
 
 echo "==== tier-1 tests (default preset) ===="
-cmake --preset default
+# Warnings are errors here, so a new one fails CI.
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 

@@ -1,6 +1,5 @@
 #include "baselines/selection_baselines.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "routing/min_hop.h"
@@ -17,7 +16,6 @@ std::vector<NodeId> online_holders(const db::FullAccessView& catalog,
   std::erase_if(holders, [&](NodeId server) {
     return !state.server(server).online;
   });
-  std::sort(holders.begin(), holders.end());
   return holders;
 }
 

@@ -1,5 +1,6 @@
 #include "db/database.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +20,7 @@ VideoId Database::register_video(std::string title, MegaBytes size,
       "register_video: bitrate must be positive");
   const VideoId id{next_video_++};
   videos_.emplace(id, VideoInfo{id, std::move(title), size, bitrate});
+  holders_.emplace_back();
   return id;
 }
 
@@ -76,12 +78,9 @@ std::optional<VideoInfo> FullAccessView::find_by_title(
   return std::nullopt;
 }
 
-std::vector<NodeId> FullAccessView::servers_with_title(VideoId video) const {
-  std::vector<NodeId> out;
-  for (const auto& [node, record] : db_->servers_) {
-    if (record.titles.contains(video)) out.push_back(node);
-  }
-  return out;
+const std::vector<NodeId>& FullAccessView::servers_with_title(
+    VideoId video) const {
+  return has_video(video) ? db_->holders_[video.value()] : db_->no_holders_;
 }
 
 std::vector<VideoInfo> FullAccessView::search(
@@ -167,10 +166,13 @@ void LimitedAccessView::set_server_online(NodeId node, bool online) {
 }
 
 void LimitedAccessView::add_title(NodeId node, VideoId video) {
-  require(!(!db_->videos_.contains(video)), "add_title: unknown video");
+  require(db_->full_view().has_video(video), "add_title: unknown video");
   if (find_or_throw(db_->servers_, node, "add_title: unknown server")
           .titles.insert(video)
           .second) {
+    std::vector<NodeId>& holders = db_->holders_[video.value()];
+    holders.insert(std::lower_bound(holders.begin(), holders.end(), node),
+                   node);
     db_->bump_epoch();
   }
 }
@@ -178,6 +180,8 @@ void LimitedAccessView::add_title(NodeId node, VideoId video) {
 void LimitedAccessView::remove_title(NodeId node, VideoId video) {
   if (find_or_throw(db_->servers_, node, "remove_title: unknown server")
           .titles.erase(video) > 0) {
+    std::vector<NodeId>& holders = db_->holders_[video.value()];
+    holders.erase(std::lower_bound(holders.begin(), holders.end(), node));
     db_->bump_epoch();
   }
 }

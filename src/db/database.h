@@ -91,6 +91,13 @@ class Database {
 
   AdminCredential admin_;
   std::map<VideoId, VideoInfo> videos_;
+  /// Inverse of ServerRecord::titles: slot v lists the holders of video v
+  /// in ascending node order.  Dense (ids are issued 0, 1, 2, ...); slot v
+  /// is created by register_video and written only by add_title and
+  /// remove_title, in the branch that bumps the epoch.
+  std::vector<std::vector<NodeId>> holders_;
+  /// What servers_with_title returns for an id the catalog never issued.
+  std::vector<NodeId> no_holders_;
   std::map<NodeId, ServerRecord> servers_;
   std::map<LinkId, LinkRecord> links_;
   VideoId::underlying_type next_video_ = 0;
@@ -103,11 +110,18 @@ class FullAccessView {
  public:
   [[nodiscard]] std::vector<VideoInfo> list_videos() const;
   [[nodiscard]] std::optional<VideoInfo> video(VideoId id) const;
+  /// True when `id` is in the catalog (no VideoInfo copy).
+  [[nodiscard]] bool has_video(VideoId id) const {
+    return id.value() < db_->holders_.size();
+  }
   [[nodiscard]] std::optional<VideoInfo> find_by_title(
       const std::string& title) const;
 
-  /// Servers whose full-access entry lists `video` (candidate sources).
-  [[nodiscard]] std::vector<NodeId> servers_with_title(VideoId video) const;
+  /// Servers whose full-access entry lists `video` (candidate sources),
+  /// in ascending node order; empty for an unknown video.  The reference
+  /// is valid until the next add_title / remove_title / register_video.
+  [[nodiscard]] const std::vector<NodeId>& servers_with_title(
+      VideoId video) const;
 
   /// Case-sensitive substring search over titles.
   [[nodiscard]] std::vector<VideoInfo> search(

@@ -1,6 +1,7 @@
 #include "dma/dma_cache.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/contract.h"
 #include "obs/trace.h"
@@ -24,33 +25,37 @@ void trace_dma(const char* name, std::uint32_t node, VideoId video,
 
 DmaCache::DmaCache(storage::DiskArray& disks, DmaOptions options,
                    DmaCallbacks callbacks)
-    : disks_(disks), options_(options), callbacks_(std::move(callbacks)) {}
-
-std::uint64_t DmaCache::points(VideoId video) const {
-  const auto it = points_.find(video);
-  return it == points_.end() ? 0 : it->second;
+    : disks_(disks), options_(options), callbacks_(std::move(callbacks)) {
+  for (const VideoId video : disks_.stored_videos()) {
+    ranked_.emplace(0, video);
+  }
 }
 
-std::optional<VideoId> DmaCache::least_popular_cached() const {
-  const std::vector<VideoId> stored = disks_.stored_videos();
-  if (stored.empty()) return std::nullopt;
-  // stored is ascending by video id and only a strictly smaller count
-  // replaces the best, so ties resolve toward the lowest id.
-  VideoId best = stored.front();
-  std::uint64_t best_points = points(best);
-  for (std::size_t i = 1; i < stored.size(); ++i) {
-    const std::uint64_t p = points(stored[i]);
-    if (p < best_points) {
-      best = stored[i];
-      best_points = p;
-    }
+std::uint64_t DmaCache::points(VideoId video) const {
+  return video.value() < points_.size() ? points_[video.value()] : 0;
+}
+
+std::uint64_t DmaCache::add_point(VideoId video) {
+  if (video.value() >= points_.size()) points_.resize(video.value() + 1, 0);
+  std::uint64_t& count = points_[video.value()];
+  // A cached title's node is re-keyed in place: no allocation.
+  auto node = ranked_.extract({count, video});
+  ++count;
+  if (node) {
+    node.value().first = count;
+    ranked_.insert(std::move(node));
   }
-  return best;
+  return count;
+}
+
+bool DmaCache::place(VideoId video, MegaBytes size) {
+  if (!disks_.store(video, size)) return false;
+  ranked_.emplace(points(video), video);
+  return true;
 }
 
 bool DmaCache::try_store(VideoId video, MegaBytes size) {
-  const auto placement = disks_.store(video, size);
-  if (!placement) return false;
+  if (!place(video, size)) return false;
   ++stores_;
   trace_dma("dma.admit", trace_node_, video, points(video));
   if (callbacks_.on_admit) callbacks_.on_admit(video);
@@ -59,6 +64,7 @@ bool DmaCache::try_store(VideoId video, MegaBytes size) {
 
 void DmaCache::evict(VideoId victim) {
   disks_.remove(victim);
+  ranked_.erase({points(victim), victim});
   ++evictions_;
   trace_dma("dma.evict", trace_node_, victim, points(victim));
   if (callbacks_.on_evict) callbacks_.on_evict(victim);
@@ -67,6 +73,7 @@ void DmaCache::evict(VideoId victim) {
 std::vector<VideoId> DmaCache::handle_disk_failure(std::size_t slot) {
   std::vector<VideoId> lost = disks_.fail_disk(slot);
   for (const VideoId video : lost) {
+    ranked_.erase({points(video), video});
     ++evictions_;
     trace_dma("dma.lost", trace_node_, video, points(video));
     if (callbacks_.on_evict) callbacks_.on_evict(video);
@@ -81,18 +88,18 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
 
   // "IF (Video is already on disk) THEN give a point"
   if (cached(video)) {
-    ++points_[video];
+    const std::uint64_t count = add_point(video);
     ++hits_;
-    trace_dma("dma.hit", trace_node_, video, points_[video]);
+    trace_dma("dma.hit", trace_node_, video, count);
     return DmaOutcome::kHit;
   }
 
   // Admission gate (text variant); with threshold 0 this is Figure 2: an
   // uncached title may be written on its very first request.
   if (options_.admission_threshold > 0) {
-    ++points_[video];
-    if (points_[video] <= options_.admission_threshold) {
-      trace_dma("dma.point", trace_node_, video, points_[video]);
+    const std::uint64_t count = add_point(video);
+    if (count <= options_.admission_threshold) {
+      trace_dma("dma.point", trace_node_, video, count);
       return DmaOutcome::kPointedOnly;
     }
     if (disks_.can_tolerate(size) && try_store(video, size)) {
@@ -104,7 +111,7 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
       return DmaOutcome::kStored;
     }
     // "ELSE give a point to video"
-    ++points_[video];
+    add_point(video);
   }
 
   // "IF (Video's points > Least popular on disk Video's points) THEN

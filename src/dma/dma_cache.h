@@ -23,8 +23,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -56,12 +57,19 @@ struct DmaCallbacks {
 /// The per-server popularity cache over a striped disk array.
 class DmaCache {
  public:
-  /// `disks` must outlive the cache.
+  /// `disks` must outlive the cache, and from here on only the cache may
+  /// store or remove titles on it (titles already there enter with 0
+  /// points).
   DmaCache(storage::DiskArray& disks, DmaOptions options = {},
            DmaCallbacks callbacks = {});
 
   /// Runs Figure 2 for one request of `video` (`size` from the catalog).
   DmaOutcome on_request(VideoId video, MegaBytes size);
+
+  /// Writes `video` to the disks outside Figure 2 (an administrator's
+  /// initial placement): no point, no store count, no callbacks.  Returns
+  /// false when the disks cannot tolerate it; throws if already cached.
+  [[nodiscard]] bool place(VideoId video, MegaBytes size);
 
   [[nodiscard]] std::uint64_t points(VideoId video) const;
   [[nodiscard]] bool cached(VideoId video) const {
@@ -73,7 +81,17 @@ class DmaCache {
 
   /// The cached title with the fewest points (ties broken toward the
   /// lowest video id, deterministically); nullopt when nothing is cached.
-  [[nodiscard]] std::optional<VideoId> least_popular_cached() const;
+  [[nodiscard]] std::optional<VideoId> least_popular_cached() const {
+    if (ranked_.empty()) return std::nullopt;
+    return ranked_.begin()->second;
+  }
+
+  /// The cached titles as (points, id), in eviction order: the first entry
+  /// is least_popular_cached().
+  [[nodiscard]] const std::set<std::pair<std::uint64_t, VideoId>>& ranked()
+      const {
+    return ranked_;
+  }
 
   /// Propagates a disk failure: titles lost from the array are reported
   /// through on_evict (so the database stops advertising them) and
@@ -82,7 +100,7 @@ class DmaCache {
   std::vector<VideoId> handle_disk_failure(std::size_t slot);
 
   [[nodiscard]] const DmaOptions& options() const { return options_; }
-  [[nodiscard]] storage::DiskArray& disks() { return disks_; }
+  [[nodiscard]] const storage::DiskArray& disks() const { return disks_; }
 
   /// Names this cache's server in trace events (caches have no inherent
   /// node identity; the service labels each one when wiring the topology).
@@ -97,12 +115,20 @@ class DmaCache {
  private:
   bool try_store(VideoId video, MegaBytes size);
   void evict(VideoId victim);
+  /// Grants `video` one point and returns its new count.
+  std::uint64_t add_point(VideoId video);
 
   storage::DiskArray& disks_;
   DmaOptions options_;
   DmaCallbacks callbacks_;
   std::uint32_t trace_node_ = 0;
-  std::map<VideoId, std::uint64_t> points_;
+  /// Popularity points, indexed by video id (grown on the first point).
+  std::vector<std::uint64_t> points_;
+  /// (points, id) of every title on the disks.  Set order is the old
+  /// ascending-id scan's answer: fewest points first, ties to the lowest
+  /// id.  Kept in step by add_point, try_store, place, evict and
+  /// handle_disk_failure, the only paths that change points or contents.
+  std::set<std::pair<std::uint64_t, VideoId>> ranked_;
   std::uint64_t hits_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t evictions_ = 0;

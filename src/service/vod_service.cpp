@@ -139,10 +139,10 @@ VideoId VodService::add_video(std::string title, MegaBytes size,
 void VodService::place_initial_copy(NodeId server, VideoId video) {
   const auto info = db_.full_view().video(video);
   require(info, "place_initial_copy: unknown video");
-  ServerState& state = servers_.at(server);
-  if (state.disks->holds(video)) return;  // already there
-  require(!(!state.disks->store(video,
-      info->size)), "place_initial_copy: disks cannot tolerate the video");
+  dma::DmaCache& cache = *servers_.at(server).cache;
+  if (cache.cached(video)) return;  // already there
+  require(cache.place(video, info->size),
+      "place_initial_copy: disks cannot tolerate the video");
   db_.limited_view(admin_).add_title(server, video);
 }
 

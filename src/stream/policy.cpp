@@ -15,7 +15,9 @@ VraPolicy::VraPolicy(const vra::Vra& vra, double switch_hysteresis)
 std::optional<Selection> VraPolicy::select(NodeId home, VideoId video) {
   const auto decision = vra_.select_server(home, video);
   if (!decision) return std::nullopt;
-  if (decision->served_locally || hysteresis_ == 0.0) {
+  // With no hysteresis the sticky map is never read, so skip writing it.
+  if (hysteresis_ == 0.0) return Selection{decision->server, decision->path};
+  if (decision->served_locally) {
     last_choice_[{home, video}] = decision->server;
     return Selection{decision->server, decision->path};
   }

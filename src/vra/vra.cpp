@@ -67,8 +67,9 @@ Vra::Vra(const net::Topology& topology, db::FullAccessView catalog,
       cache_enabled_(enable_cache) {}
 
 bool Vra::can_provide(NodeId server, VideoId video) const {
-  const db::ServerRecord& record = network_state_.server(server);
-  return record.online && record.titles.contains(video);
+  const std::vector<NodeId>& holders = catalog_.servers_with_title(video);
+  return online(server) &&
+         std::binary_search(holders.begin(), holders.end(), server);
 }
 
 void Vra::configure_degraded_mode(Duration max_stats_age,
@@ -113,6 +114,7 @@ std::optional<Decision> Vra::select_degraded(
   Decision decision;
   decision.degraded = true;
   for (const NodeId holder : holders) {
+    if (!online(holder)) continue;
     if (auto path = routing::min_hop_path(graph, home, holder)) {
       decision.candidates.push_back(Candidate{holder, std::move(*path)});
     }
@@ -241,7 +243,7 @@ const routing::Graph& Vra::weighted_graph() const {
 std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
                                            bool want_trace) const {
   require(topology_.has_node(home), "Vra::select_server: unknown home node");
-  require(catalog_.video(video), "Vra::select_server: unknown video");
+  require(catalog_.has_video(video), "Vra::select_server: unknown video");
   VOD_PROFILE_SCOPE("vra.select_server");
 
   // "IF the adjacent to the client video server can provide the requested
@@ -259,10 +261,9 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
 
   // "Make a list of all the servers on the network that have the requested
   //  video title; poll all of those servers."
-  std::vector<NodeId> holders = catalog_.servers_with_title(video);
-  std::erase_if(holders,
-                [&](NodeId server) { return !can_provide(server, video); });
-  if (holders.empty()) {
+  const std::vector<NodeId>& holders = catalog_.servers_with_title(video);
+  if (std::none_of(holders.begin(), holders.end(),
+                   [&](NodeId server) { return online(server); })) {
     trace_no_source(topology_, home, video);
     return std::nullopt;
   }
@@ -305,6 +306,7 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   // "Select those least expensive paths that end at the servers that can
   //  provide the video."
   for (const NodeId holder : holders) {
+    if (!online(holder)) continue;
     if (auto path = paths->path_to(holder)) {
       decision.candidates.push_back(Candidate{holder, std::move(*path)});
     }

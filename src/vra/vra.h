@@ -147,14 +147,20 @@ class Vra {
  private:
   /// "Poll all of those servers to find out which ones can provide the
   /// video": here, an online check against the limited-access view.
+  [[nodiscard]] bool online(NodeId server) const {
+    return network_state_.server(server).online;
+  }
+
+  /// The server is online and the catalog lists it as a holder.
   [[nodiscard]] bool can_provide(NodeId server, VideoId video) const;
 
   /// Returns the cached weighted graph, refreshed to the database's current
   /// links epoch (full rebuild / dirty-links rewrite / as-is).
   [[nodiscard]] const routing::Graph& weighted_graph() const;
 
-  /// The degraded fallback: min-hop paths over the links whose records
-  /// still say online, ignoring the (stale) LVN weights.
+  /// The degraded fallback: min-hop paths from `home` to the online
+  /// servers among `holders` over the links whose records still say
+  /// online, ignoring the (stale) LVN weights.
   [[nodiscard]] std::optional<Decision> select_degraded(
       NodeId home, const std::vector<NodeId>& holders) const;
 

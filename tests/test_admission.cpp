@@ -167,7 +167,8 @@ TEST(AdmissionController, RejectsBadBitrate) {
   const AdmissionController admission{fx.db.limited_view(kAdmin)};
   vra::Decision decision;
   decision.served_locally = true;
-  EXPECT_THROW(admission.admit(decision, Mbps{0.0}), std::invalid_argument);
+  EXPECT_THROW((void)admission.admit(decision, Mbps{0.0}),
+               std::invalid_argument);
 }
 
 // --- Service-level admission ---

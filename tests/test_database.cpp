@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace vod::db {
 namespace {
@@ -183,9 +187,9 @@ TEST(LimitedAccess, ListsAllRecords) {
 TEST(LimitedAccess, UnknownLookupsThrow) {
   Database db = make_db();
   auto limited = db.limited_view(kAdmin);
-  EXPECT_THROW(limited.server(NodeId{0}), std::out_of_range);
-  EXPECT_THROW(limited.link(LinkId{0}), std::out_of_range);
-  EXPECT_THROW(limited.stats_age(LinkId{0}, SimTime{0.0}),
+  EXPECT_THROW((void)limited.server(NodeId{0}), std::out_of_range);
+  EXPECT_THROW((void)limited.link(LinkId{0}), std::out_of_range);
+  EXPECT_THROW((void)limited.stats_age(LinkId{0}, SimTime{0.0}),
                std::out_of_range);
 }
 
@@ -243,6 +247,70 @@ TEST(ChangeEpoch, CatalogWritesBumpGlobalButNotLinkEpoch) {
   EXPECT_EQ(view.change_epoch(), 3u);
   EXPECT_EQ(view.links_changed_epoch(), 0u);
 }
+
+// --- Differential: the holder index against the per-server scan ---
+
+/// The scan servers_with_title replaced: every server, ascending node id,
+/// probing its own title set.
+std::vector<NodeId> scan_holders(Database& db, VideoId video) {
+  std::vector<NodeId> out;
+  for (const ServerRecord& record : db.limited_view(kAdmin).servers()) {
+    if (record.titles.contains(video)) out.push_back(record.id);
+  }
+  return out;
+}
+
+class HolderIndexDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(HolderIndexDifferential, ServersWithTitleMatchesScan) {
+  Rng rng{static_cast<std::uint64_t>(GetParam())};
+  Database db = make_db();
+  // Servers registered out of id order: the index must still be ascending.
+  for (const std::uint32_t node : {4u, 0u, 7u, 2u, 5u, 1u}) {
+    db.register_server(NodeId{node}, "s" + std::to_string(node), {});
+  }
+  const std::vector<NodeId> nodes{NodeId{0}, NodeId{1}, NodeId{2},
+                                  NodeId{4}, NodeId{5}, NodeId{7}};
+  std::vector<VideoId> videos;
+  for (int v = 0; v < 8; ++v) {
+    videos.push_back(
+        db.register_video("v" + std::to_string(v), MegaBytes{1.0}, Mbps{1.0}));
+  }
+  auto limited = db.limited_view(kAdmin);
+  const FullAccessView view = db.full_view();
+  int double_adds = 0;
+  int absent_removes = 0;
+  for (int step = 0; step < 400; ++step) {
+    const NodeId node = nodes[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+    const VideoId video = videos[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(videos.size()) - 1))];
+    const bool held = limited.server(node).titles.contains(video);
+    const std::uint64_t epoch = db.change_epoch();
+    if (rng.uniform() < 0.55) {
+      double_adds += held ? 1 : 0;
+      limited.add_title(node, video);
+      EXPECT_EQ(db.change_epoch(), held ? epoch : epoch + 1);
+    } else {
+      absent_removes += held ? 0 : 1;
+      limited.remove_title(node, video);
+      EXPECT_EQ(db.change_epoch(), held ? epoch + 1 : epoch);
+    }
+    for (const VideoId v : videos) {
+      ASSERT_EQ(view.servers_with_title(v), scan_holders(db, v))
+          << "seed " << GetParam() << " step " << step << " video " << v;
+    }
+  }
+  EXPECT_GT(double_adds, 0);
+  EXPECT_GT(absent_removes, 0);
+  EXPECT_TRUE(view.servers_with_title(VideoId{99}).empty());
+  EXPECT_TRUE(view.servers_with_title(VideoId{}).empty());
+  EXPECT_FALSE(view.has_video(VideoId{8}));
+  EXPECT_TRUE(view.has_video(videos.back()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HolderIndexDifferential,
+                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace vod::db

@@ -95,7 +95,7 @@ TEST(DiskArray, PlacementLookup) {
   array.store(VideoId{1}, MegaBytes{25.0});
   const StripePlacement& placement = array.placement(VideoId{1});
   EXPECT_EQ(placement.part_count(), 3u);
-  EXPECT_THROW(array.placement(VideoId{9}), std::out_of_range);
+  EXPECT_THROW((void)array.placement(VideoId{9}), std::out_of_range);
 }
 
 TEST(DiskArray, ClusterReadSeconds) {
@@ -105,14 +105,14 @@ TEST(DiskArray, ClusterReadSeconds) {
   EXPECT_NEAR(array.cluster_read_seconds(VideoId{1}, 0), 1.01, 1e-12);
   // Final short cluster: 5 MB -> 0.5 s + seek.
   EXPECT_NEAR(array.cluster_read_seconds(VideoId{1}, 2), 0.51, 1e-12);
-  EXPECT_THROW(array.cluster_read_seconds(VideoId{1}, 3),
+  EXPECT_THROW((void)array.cluster_read_seconds(VideoId{1}, 3),
                std::out_of_range);
 }
 
 TEST(DiskArray, DiskAccessorBoundsChecked) {
   const DiskArray array{2, profile(50.0), MegaBytes{10.0}};
-  EXPECT_NO_THROW(array.disk(1));
-  EXPECT_THROW(array.disk(2), std::out_of_range);
+  EXPECT_NO_THROW((void)array.disk(1));
+  EXPECT_THROW((void)array.disk(2), std::out_of_range);
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ TEST(DiskFailure, BadSlotThrows) {
   storage::DiskArray array{2, profile(50.0), MegaBytes{10.0}};
   EXPECT_THROW(array.fail_disk(2), std::out_of_range);
   EXPECT_THROW(array.repair_disk(2), std::out_of_range);
-  EXPECT_THROW(array.disk_failed(2), std::out_of_range);
+  EXPECT_THROW((void)array.disk_failed(2), std::out_of_range);
 }
 
 TEST(DmaDiskFailure, EvictionCallbacksFireForLostTitles) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -263,6 +265,124 @@ TEST_P(DmaRandomProperty, CapacityNeverExceededAndPointsMonotonic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DmaRandomProperty, ::testing::Range(0, 20));
+
+// --- Differential: the ranked index against the old linear scan ---
+
+/// The scan least_popular_cached() replaced: stored titles in ascending id
+/// order, and only a strictly smaller count replaces the best.
+std::optional<VideoId> scan_least_popular(const DmaCache& cache) {
+  const std::vector<VideoId> stored = cache.disks().stored_videos();
+  if (stored.empty()) return std::nullopt;
+  VideoId best = stored.front();
+  for (const VideoId video : stored) {
+    if (cache.points(video) < cache.points(best)) best = video;
+  }
+  return best;
+}
+
+/// The index answers like the scan, holds exactly the cached titles, and
+/// keys each with its current points.
+void expect_index_matches_scan(const DmaCache& cache) {
+  EXPECT_EQ(cache.least_popular_cached(), scan_least_popular(cache));
+  std::vector<VideoId> indexed;
+  for (const auto& [points, video] : cache.ranked()) {
+    EXPECT_EQ(points, cache.points(video)) << "video " << video;
+    indexed.push_back(video);
+  }
+  std::sort(indexed.begin(), indexed.end());
+  EXPECT_EQ(cache.cached_videos(), indexed);
+}
+
+class DmaIndexDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(DmaIndexDifferential, LeastPopularMatchesScanAfterEveryStep) {
+  const int seed = GetParam();
+  Rng rng{static_cast<std::uint64_t>(seed) + 1000};
+  // Seeds cross admission_threshold {0,1,2} x multi_evict x striping mode.
+  const auto mode = (seed / 6) % 2 == 1 ? storage::StripingMode::kParity
+                                        : storage::StripingMode::kPlain;
+  storage::DiskArray disks{4, profile(100.0), MegaBytes{10.0}, mode};
+  DmaCache cache{disks,
+                 DmaOptions{.admission_threshold =
+                                static_cast<std::uint64_t>(seed % 3),
+                            .multi_evict = (seed / 3) % 2 == 1}};
+  std::vector<MegaBytes> sizes;
+  for (int v = 0; v < 24; ++v) {
+    sizes.push_back(MegaBytes{rng.uniform(10.0, 90.0)});
+  }
+  const auto pick_video = [&] {
+    return static_cast<std::size_t>(
+        std::min<double>(23.0, rng.exponential(0.15)));
+  };
+  const auto pick_slot = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, 3));
+  };
+  std::size_t placed = 0;
+  std::size_t failures = 0;
+  for (int step = 0; step < 600; ++step) {
+    // The first steps seed the disks the way initial placement does.
+    const double action = step < 3 ? 0.0 : rng.uniform();
+    if (action < 0.05) {
+      const auto v = static_cast<std::size_t>(rng.uniform_int(0, 23));
+      const VideoId video{static_cast<VideoId::underlying_type>(v)};
+      if (!cache.cached(video) && cache.place(video, sizes[v])) ++placed;
+    } else if (action < 0.07) {
+      failures += cache.handle_disk_failure(pick_slot()).size();
+    } else if (action < 0.10) {
+      // Repair changes which disks take new stripes, never the contents.
+      disks.repair_disk(pick_slot());
+    } else {
+      const std::size_t v = pick_video();
+      cache.on_request(VideoId{static_cast<VideoId::underlying_type>(v)},
+                       sizes[v]);
+    }
+    expect_index_matches_scan(cache);
+    if (HasFailure()) {
+      FAIL() << "seed " << seed << " diverged at step " << step;
+    }
+  }
+  EXPECT_GT(cache.eviction_count(), 0u);
+  EXPECT_GT(cache.hit_count(), 0u);
+  EXPECT_GT(placed, 0u);
+  EXPECT_GT(failures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DmaIndexDifferential,
+                         ::testing::Range(0, 24));
+
+TEST(DmaCache, TitlesAlreadyOnTheDisksEnterTheIndexWithZeroPoints) {
+  storage::DiskArray disks = small_array();
+  ASSERT_TRUE(disks.store(VideoId{6}, MegaBytes{50.0}));
+  DmaCache cache{disks};
+  EXPECT_EQ(cache.least_popular_cached(), VideoId{6});
+  cache.on_request(VideoId{2}, MegaBytes{50.0});  // stored, 0 points
+  cache.on_request(VideoId{2}, MegaBytes{50.0});  // hit -> 1 point
+  expect_index_matches_scan(cache);
+  EXPECT_EQ(cache.least_popular_cached(), VideoId{6});
+}
+
+TEST(DmaCache, PlaceStoresWithoutPointsCountsOrCallbacks) {
+  storage::DiskArray disks = small_array();
+  std::vector<VideoId> admitted;
+  DmaCallbacks callbacks;
+  callbacks.on_admit = [&](VideoId v) { admitted.push_back(v); };
+  DmaCache cache{disks, {}, callbacks};
+  cache.on_request(VideoId{1}, MegaBytes{50.0});
+  cache.on_request(VideoId{1}, MegaBytes{50.0});  // hit -> 1 point
+  EXPECT_TRUE(cache.place(VideoId{7}, MegaBytes{50.0}));
+  EXPECT_TRUE(cache.cached(VideoId{7}));
+  EXPECT_EQ(cache.points(VideoId{7}), 0u);
+  EXPECT_EQ(cache.store_count(), 1u);
+  EXPECT_EQ(admitted, std::vector<VideoId>{VideoId{1}});
+  // The placed title is the first victim, despite its higher id.
+  EXPECT_EQ(cache.least_popular_cached(), VideoId{7});
+  EXPECT_FALSE(cache.place(VideoId{8}, MegaBytes{50.0}));  // disks full
+  EXPECT_THROW((void)cache.place(VideoId{7}, MegaBytes{50.0}),
+               std::invalid_argument);
+  EXPECT_EQ(cache.on_request(VideoId{8}, MegaBytes{50.0}),
+            DmaOutcome::kStored);  // 1 point > 0: the placed title goes
+  EXPECT_FALSE(cache.cached(VideoId{7}));
+}
 
 }  // namespace
 }  // namespace vod::dma

@@ -67,7 +67,7 @@ TEST(LinkFailure, UnknownLinkThrows) {
   net::NoTraffic traffic;
   net::FluidNetwork network{topo, traffic};
   EXPECT_THROW(network.set_link_up(LinkId{3}, false), std::out_of_range);
-  EXPECT_THROW(network.link_up(LinkId{3}), std::out_of_range);
+  EXPECT_THROW((void)network.link_up(LinkId{3}), std::out_of_range);
 }
 
 TEST(LinkFailure, TransferAcrossDownLinkWaitsForRecovery) {

@@ -134,7 +134,7 @@ TEST(Graph, HasNode) {
 
 TEST(Graph, NeighborsOfUnknownNodeThrows) {
   Graph graph;
-  EXPECT_THROW(graph.neighbors(NodeId{0}), std::invalid_argument);
+  EXPECT_THROW((void)graph.neighbors(NodeId{0}), std::invalid_argument);
 }
 
 TEST(Graph, ParallelEdgesAllowedWithDistinctLinks) {

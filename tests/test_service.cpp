@@ -73,6 +73,27 @@ TEST(VodService, PlaceInitialCopyValidates) {
                std::invalid_argument);
 }
 
+TEST(VodService, PlacedCopyIsTheFirstEvictionVictim) {
+  // The placement goes through the home DMA's eviction index: a placed
+  // title has 0 points, so it ranks below a title that earned a hit.
+  ServiceFixture fx{/*routing_only=*/false};
+  const VideoId popular =
+      fx.service->add_video("popular", MegaBytes{40.0}, Mbps{2.0});
+  fx.service->start();
+  (void)fx.service->request_at(fx.g.patra, popular);  // stored at Patra
+  (void)fx.service->request_at(fx.g.patra, popular);  // hit: 1 point
+  const dma::DmaCache& cache = fx.service->dma_cache(fx.g.patra);
+  ASSERT_EQ(cache.points(popular), 1u);
+  ASSERT_EQ(cache.least_popular_cached(), popular);
+  const std::uint64_t stores = cache.store_count();
+  fx.service->place_initial_copy(fx.g.patra, fx.movie);
+  EXPECT_EQ(cache.least_popular_cached(), fx.movie);
+  EXPECT_EQ(cache.points(fx.movie), 0u);
+  EXPECT_EQ(cache.store_count(), stores);  // a placement is not a DMA store
+  EXPECT_EQ(fx.service->database().full_view().servers_with_title(fx.movie),
+            std::vector<NodeId>{fx.g.patra});
+}
+
 TEST(VodService, StartTakesImmediateSnmpSample) {
   ServiceFixture fx;
   fx.service->start();
@@ -182,7 +203,7 @@ TEST(VodService, SessionIdsEnumerated) {
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.service->request_at(fx.g.patra, fx.movie);
   EXPECT_EQ(fx.service->session_ids().size(), 2u);
-  EXPECT_THROW(fx.service->session(SessionId{99}), std::out_of_range);
+  EXPECT_THROW((void)fx.service->session(SessionId{99}), std::out_of_range);
 }
 
 TEST(VodService, MidStreamServerSwitchOnCongestion) {

@@ -57,7 +57,7 @@ TEST(SessionRetirement, LeakRegressionManyLifecycles) {
     EXPECT_EQ(fx.service->session_home(id), fx.g.patra);
     EXPECT_EQ(fx.service->session_video(id).id, fx.movie);
     // The live-object accessor is active-only by contract.
-    EXPECT_THROW(fx.service->session(id), std::out_of_range);
+    EXPECT_THROW((void)fx.service->session(id), std::out_of_range);
   }
 }
 
@@ -82,9 +82,9 @@ TEST(SessionRetirement, CountersOnlyDropsRecords) {
   // No record retained: the id is gone from every per-session surface...
   EXPECT_EQ(fx.service->resident_session_count(), 0u);
   EXPECT_TRUE(fx.service->session_ids().empty());
-  EXPECT_THROW(fx.service->session_metrics(id), std::out_of_range);
-  EXPECT_THROW(fx.service->session_home(id), std::out_of_range);
-  EXPECT_THROW(fx.service->session_video(id), std::out_of_range);
+  EXPECT_THROW((void)fx.service->session_metrics(id), std::out_of_range);
+  EXPECT_THROW((void)fx.service->session_home(id), std::out_of_range);
+  EXPECT_THROW((void)fx.service->session_video(id), std::out_of_range);
   // ...but the aggregate counters kept the outcome.
   EXPECT_EQ(
       fx.service->metrics().counter("service.sessions_finished").value(),

@@ -89,10 +89,10 @@ TEST(SampleSet, MeanAndCount) {
 
 TEST(SampleSet, Validation) {
   SampleSet samples;
-  EXPECT_THROW(samples.quantile(0.5), std::logic_error);
+  EXPECT_THROW((void)samples.quantile(0.5), std::logic_error);
   samples.add(1.0);
-  EXPECT_THROW(samples.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(samples.quantile(1.1), std::invalid_argument);
+  EXPECT_THROW((void)samples.quantile(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)samples.quantile(1.1), std::invalid_argument);
 }
 
 }  // namespace

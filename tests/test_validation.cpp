@@ -66,7 +66,8 @@ TEST(LvnCalculator, LinkValueIsBandwidthOverNormalization) {
 TEST(LvnCalculator, NormalizationConstantConfigurable) {
   TwoNode fx;
   LvnCalculator calc{fx.topo, fx.stats,
-                     ValidationOptions{.normalization_constant = 4.0}};
+                     ValidationOptions{.normalization_constant = 4.0,
+                                       .server_load = {}}};
   EXPECT_DOUBLE_EQ(calc.link_value(fx.ab), 0.5);  // 2 / 4
 }
 
@@ -114,7 +115,8 @@ TEST(LvnCalculator, ValidatesOptions) {
   TwoNode fx;
   EXPECT_THROW(
       LvnCalculator(fx.topo, fx.stats,
-                    ValidationOptions{.normalization_constant = 0.0}),
+                    ValidationOptions{.normalization_constant = 0.0,
+                                      .server_load = {}}),
       std::invalid_argument);
   ValidationOptions missing_callback;
   missing_callback.server_load_weight = 1.0;
@@ -134,7 +136,7 @@ TEST(LvnCalculator, BuildWeightedGraphMirrorsTopology) {
 
 TEST(MapLinkStatsProvider, UnknownLinkThrows) {
   MapLinkStatsProvider provider;
-  EXPECT_THROW(provider.stats(LinkId{0}), std::out_of_range);
+  EXPECT_THROW((void)provider.stats(LinkId{0}), std::out_of_range);
 }
 
 TEST(MapLinkStatsProvider, RejectsNonPositiveTotal) {
