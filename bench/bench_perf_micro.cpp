@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot algorithmic paths:
 // Dijkstra scaling, LVN graph construction, DMA request processing, the
-// event queue, and fluid re-allocation.
+// event queue (schedule/run and in-place re-keying), and fluid
+// re-allocation.
 #include <benchmark/benchmark.h>
+
+#include <functional>
 
 #include "common/rng.h"
 #include "dma/dma_cache.h"
@@ -95,6 +98,32 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+// The transfer wake-up: ~200 pending events (session timers, pollers) that
+// renew themselves when they fire, and one wake-up handle re-keyed in place
+// before every event, the way TransferManager::reschedule moves it after
+// each rate change.  One iteration = one re-key + one event.
+void BM_EventQueueRekey(benchmark::State& state) {
+  constexpr int kPending = 200;
+  sim::EventQueue queue;
+  Rng rng{7};
+  std::function<void(SimTime)> renew = [&](SimTime t) {
+    queue.schedule(t + rng.uniform(1.0, 50.0), renew);
+  };
+  for (int i = 0; i < kPending; ++i) {
+    queue.schedule(SimTime{rng.uniform(0.0, 50.0)}, renew);
+  }
+  sim::EventHandle wake;
+  for (auto _ : state) {
+    const SimTime at = queue.now() + rng.uniform(0.0, 2.0);
+    if (!queue.reschedule(wake, at)) {
+      wake = queue.schedule(at, [](SimTime) {});
+    }
+    benchmark::DoNotOptimize(queue.run_next());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueRekey);
 
 void BM_FluidReallocate(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));

@@ -4,8 +4,8 @@
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast   static checks + tier-1 tests only (the edit-compile loop tier);
-#            the full run adds the ASan/UBSan suite, the resilience gate
-#            and the perf and QoS gates.
+#            the full run adds the ASan/UBSan suite, the resilience gate,
+#            the perf and QoS gates and the perfbench digest smoke.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -100,5 +100,26 @@ echo "==== qos gate (tiered classes under storm) ===="
 # background class absorbs its floor share of the shed; emits
 # BENCH_qos.json.
 build/bench/bench_qos --qos-gate --out build/BENCH_qos.json
+
+echo "==== perfbench digest smoke ===="
+# The end-to-end VodService bench must keep its seed-1 outcome digests on
+# every workload: a change to the event order, transfer progress or any
+# policy decision moves them.  A deliberate model change re-pins them here.
+declare -A expected_digest=(
+  [backbone]=8418876c891d4f9e
+  [home_local]=1c87e481d7089017
+  [storm_qos]=8c71600c7bdc6a2a
+)
+for workload in backbone home_local storm_qos; do
+  out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 2 --trace 0)
+  seen=$(grep -o 'digest=[0-9a-f]*' <<<"$out" | sort -u)
+  if [[ "$seen" != "digest=${expected_digest[$workload]}" ]]; then
+    echo "perfbench $workload: got '${seen}'," \
+      "expected digest=${expected_digest[$workload]}" >&2
+    exit 1
+  fi
+done
+echo "perfbench digest smoke passed"
 
 echo "ci passed"

@@ -23,7 +23,7 @@ TransferManager::TransferManager(sim::Simulation& sim, FluidNetwork& network)
 
 TransferManager::~TransferManager() {
   network_.set_change_hooks({}, {});
-  if (pending_.valid()) sim_.queue().cancel(pending_);
+  sim_.queue().cancel(wake_);
 }
 
 void TransferManager::on_network_pre_change() {
@@ -57,11 +57,11 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
     const std::uint32_t lane = network_.flow_bundle(id);
     if (lanes_.size() <= lane) lanes_.resize(lane + 1);
     Lane& members = lanes_[lane];
-    transfers_.insert(id, Transfer{std::move(on_complete), lane,
-                                   static_cast<std::uint32_t>(
-                                       members.ids.size())});
+    const auto pos = static_cast<std::uint32_t>(members.ids.size());
+    transfers_.insert(id, Transfer{std::move(on_complete), lane, pos});
     members.remaining.push_back(size.value());
     members.ids.push_back(id);
+    sift_up(members, pos);
     // A transfer born at or below the done epsilon never crosses it during
     // a settle, so it becomes a completion candidate outright.
     if (size.value() <= kDoneEpsilonMb) drained_.push_back(id);
@@ -90,15 +90,56 @@ void TransferManager::erase_transfer(FlowId id) {
       transfers_.at(id, "TransferManager: unknown transfer");
   Lane& lane = lanes_[transfer.lane];
   const std::uint32_t pos = transfer.pos;
-  if (pos + 1 != lane.ids.size()) {
-    lane.remaining[pos] = lane.remaining.back();
-    lane.ids[pos] = lane.ids.back();
-    transfers_.at(lane.ids[pos], "TransferManager: lane out of sync").pos =
-        pos;
-  }
+  transfers_.erase(id);
+  // Move the lane's last member into the hole, then sift it whichever way
+  // its value needs.
+  const double last_remaining = lane.remaining.back();
+  const FlowId last_id = lane.ids.back();
   lane.remaining.pop_back();
   lane.ids.pop_back();
-  transfers_.erase(id);
+  if (pos == lane.ids.size()) return;
+  place(lane, pos, last_remaining, last_id);
+  if (pos > 0 && last_remaining < lane.remaining[(pos - 1) / 2]) {
+    sift_up(lane, pos);
+  } else {
+    sift_down(lane, pos);
+  }
+}
+
+void TransferManager::place(Lane& lane, std::uint32_t pos, double remaining,
+                            FlowId id) {
+  lane.remaining[pos] = remaining;
+  lane.ids[pos] = id;
+  transfers_.at(id, "TransferManager: lane out of sync").pos = pos;
+}
+
+void TransferManager::sift_up(Lane& lane, std::uint32_t pos) {
+  const double remaining = lane.remaining[pos];
+  const FlowId id = lane.ids[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!(remaining < lane.remaining[parent])) break;
+    place(lane, pos, lane.remaining[parent], lane.ids[parent]);
+    pos = parent;
+  }
+  place(lane, pos, remaining, id);
+}
+
+void TransferManager::sift_down(Lane& lane, std::uint32_t pos) {
+  const double remaining = lane.remaining[pos];
+  const FlowId id = lane.ids[pos];
+  const auto size = static_cast<std::uint32_t>(lane.ids.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && lane.remaining[child + 1] < lane.remaining[child]) {
+      ++child;
+    }
+    if (!(lane.remaining[child] < remaining)) break;
+    place(lane, pos, lane.remaining[child], lane.ids[child]);
+    pos = child;
+  }
+  place(lane, pos, remaining, id);
 }
 
 MegaBytes TransferManager::remaining(FlowId id) const {
@@ -203,33 +244,33 @@ void TransferManager::replan(SimTime now) {
 }
 
 void TransferManager::reschedule(SimTime now) {
-  if (pending_.valid()) {
-    sim_.queue().cancel(pending_);
-    pending_ = sim::EventHandle{};
-  }
-  if (transfers_.empty()) return;
-
-  // Earliest completion: per lane, at its smallest remaining (monotone
-  // rounding; see lanes_).  Rates are fresh here: no epoch is open.
   double next = std::numeric_limits<double>::infinity();
-  for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
-    const Lane& lane = lanes_[b];
-    if (lane.ids.empty()) continue;
-    const double least =
-        *std::min_element(lane.remaining.begin(), lane.remaining.end());
-    next = std::min(next, now.seconds() + MegaBytes{least}.megabits() /
-                                              network_.bundle_rate(b).value());
+  if (!transfers_.empty()) {
+    // Earliest completion: per lane, at its smallest remaining, the heap
+    // root (monotone rounding; see lanes_).  Rates are fresh here: no
+    // epoch is open.
+    for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
+      const Lane& lane = lanes_[b];
+      if (lane.ids.empty()) continue;
+      next = std::min(next, now.seconds() +
+                                MegaBytes{lane.remaining.front()}.megabits() /
+                                    network_.bundle_rate(b).value());
+    }
+    // Wake at background-traffic changes too, so rates stay faithful.
+    next = std::min(next, network_.next_traffic_change(now).seconds());
   }
-  // Wake at background-traffic changes too, so rates stay faithful.
-  next = std::min(next, network_.next_traffic_change(now).seconds());
 
-  if (next == std::numeric_limits<double>::infinity()) return;
-  pending_ =
-      sim_.schedule_at(SimTime{next}, [this](SimTime t) { refresh(t); });
+  // Re-keying the pending wake-up in place gives it a fresh sequence
+  // number, so it lands exactly where a cancel plus a new schedule would.
+  sim::EventQueue& queue = sim_.queue();
+  if (next == std::numeric_limits<double>::infinity()) {
+    queue.cancel(wake_);
+  } else if (!queue.reschedule(wake_, SimTime{next})) {
+    wake_ = sim_.schedule_at(SimTime{next}, [this](SimTime t) { refresh(t); });
+  }
 }
 
 void TransferManager::refresh(SimTime now) {
-  pending_ = sim::EventHandle{};
   const BusyScope guard{busy_depth_};
   {
     // One allocation epoch for the clock step, the completion sweep and

@@ -7,8 +7,9 @@
 // this.
 //
 // Transfers are grouped by fluid bundle into lanes (see lanes_), so
-// settling progress and finding the next completion cost one rate lookup
-// per bundle plus a contiguous loop over the lane's remaining sizes.
+// settling progress costs one rate lookup per bundle plus a contiguous loop
+// over the lane's remaining sizes, and finding the next completion costs one
+// read of each lane's heap root.
 #pragma once
 
 #include <functional>
@@ -66,12 +67,12 @@ class TransferManager {
   struct Transfer {
     CompletionCallback on_complete;
     std::uint32_t lane;  // the flow's bundle
-    std::uint32_t pos;   // index into the lane's arrays
+    std::uint32_t pos;   // index into the lane's arrays (heap back-pointer)
   };
 
   /// The transfers of one fluid bundle, whose members all move at the
-  /// bundle's rate.  Unordered: a removal moves the lane's last transfer
-  /// into the hole and updates its Transfer::pos.
+  /// bundle's rate: a binary min-heap on remaining, the two arrays moving
+  /// in step.  Every move of a member updates its Transfer::pos.
   struct Lane {
     std::vector<double> remaining;  // MB still to move, per transfer
     std::vector<FlowId> ids;
@@ -79,6 +80,11 @@ class TransferManager {
 
   /// Drops a transfer from its lane and the store (not from the network).
   void erase_transfer(FlowId id);
+  /// Writes a member at `pos` of `lane` and points its Transfer there.
+  void place(Lane& lane, std::uint32_t pos, double remaining, FlowId id);
+  /// Restore the lane's heap order for the member at `pos`.
+  void sift_up(Lane& lane, std::uint32_t pos);
+  void sift_down(Lane& lane, std::uint32_t pos);
 
   /// Applies linear progress at current rates up to `now`, without touching
   /// the network clock.
@@ -127,6 +133,14 @@ class TransferManager {
   /// all monotone, so the earliest completion is bit-for-bit what a walk
   /// over every transfer finds (a severed lane, rate 0, yields inf or NaN
   /// either way, which the min ignores).
+  ///
+  /// Each lane is a min-heap on remaining, so its smallest r is the root.
+  /// A settle never breaks the heap: it maps every member of a lane through
+  /// the same x -> max(0, fl(x - m)), which is monotone non-decreasing, so
+  /// a parent no larger than its child stays no larger.  The root is thus
+  /// bit-equal to the lane minimum a scan finds.  The heap layout also
+  /// orders the members a settle appends to drained_, but complete_finished
+  /// always picks the lowest flow id, so completions do not depend on it.
   std::vector<Lane> lanes_;
   /// Completion candidates: transfers whose remaining crossed the done
   /// epsilon during a settle (or were born at/below it).  complete_finished
@@ -134,7 +148,9 @@ class TransferManager {
   /// entries cancelled in the meantime are skipped by a liveness check.
   std::vector<FlowId> drained_;
   SimTime last_progress_{0.0};
-  sim::EventHandle pending_;
+  /// The next wake-up (refresh).  Re-keyed in place while pending; once it
+  /// fires or is cancelled the queue rejects it as stale.
+  sim::EventHandle wake_;
   int busy_depth_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -12,62 +11,122 @@ namespace vod::sim {
 EventHandle EventQueue::schedule(SimTime when, Callback callback) {
   require(!(when < now_), "EventQueue::schedule: time is in the past");
   require(callback, "EventQueue::schedule: empty callback");
-  const std::uint64_t sequence = next_sequence_++;
-  heap_.push_back(Entry{when, sequence, std::move(callback)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  pending_.insert(sequence);
-  return EventHandle{sequence};
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].callback = std::move(callback);
+  heap_.push_back(Entry{when, next_sequence_++, slot});
+  sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+  return EventHandle{slot, slots_[slot].generation};
 }
 
 bool EventQueue::cancel(EventHandle handle) {
   // Only events still waiting may be cancelled; a handle whose event
-  // already fired (or was cancelled before) is not pending and is
+  // already fired (or was cancelled before) has a stale generation and is
   // rejected, leaving the counters untouched.
-  if (!handle.valid() || pending_.erase(handle.sequence_) == 0) return false;
-  cancelled_.insert(handle.sequence_);
-  if (cancelled_.size() * 2 > heap_.size()) compact();
+  Slot* slot = live_slot(handle);
+  if (slot == nullptr) return false;
+  remove_at(slot->heap_pos);
+  slot->callback = nullptr;
+  release(handle.slot_);
   return true;
 }
 
-void EventQueue::compact() {
-  std::erase_if(heap_, [&](const Entry& e) {
-    return cancelled_.contains(e.sequence);
-  });
-  cancelled_.clear();
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-void EventQueue::drop_cancelled_head() const {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().sequence);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+bool EventQueue::reschedule(EventHandle handle, SimTime when) {
+  require(!(when < now_), "EventQueue::reschedule: time is in the past");
+  Slot* slot = live_slot(handle);
+  if (slot == nullptr) return false;
+  const std::uint32_t pos = slot->heap_pos;
+  heap_[pos].when = when;
+  heap_[pos].sequence = next_sequence_++;
+  sift(pos);
+  return true;
 }
 
 std::optional<SimTime> EventQueue::next_time() const {
-  drop_cancelled_head();
   if (heap_.empty()) return std::nullopt;
   return heap_.front().when;
 }
 
 bool EventQueue::run_next() {
   VOD_PROFILE_SCOPE("sim.run_next");
-  drop_cancelled_head();
   if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
-  heap_.pop_back();
-  pending_.erase(entry.sequence);
-  now_ = entry.when;
-  entry.callback(now_);
+  const Entry top = heap_.front();
+  remove_at(0);
+  // Move the callback out and free the slot first: the callback may
+  // schedule (reallocating slots_), and its own handle is already stale.
+  Callback callback = std::move(slots_[top.slot].callback);
+  release(top.slot);
+  now_ = top.when;
+  callback(now_);
   return true;
 }
 
-bool EventQueue::empty() const { return pending_.empty(); }
+EventQueue::Slot* EventQueue::live_slot(EventHandle handle) {
+  if (!handle.valid() || handle.slot_ >= slots_.size()) return nullptr;
+  Slot& slot = slots_[handle.slot_];
+  return slot.generation == handle.generation_ ? &slot : nullptr;
+}
 
-std::size_t EventQueue::pending_count() const { return pending_.size(); }
+void EventQueue::release(std::uint32_t slot) {
+  // Generation 0 marks the default (invalid) handle; skip it on wrap.
+  if (++slots_[slot].generation == 0) slots_[slot].generation = 1;
+  free_slots_.push_back(slot);
+}
+
+void EventQueue::place(std::uint32_t pos, const Entry& entry) {
+  heap_[pos] = entry;
+  slots_[entry.slot].heap_pos = pos;
+}
+
+void EventQueue::sift_up(std::uint32_t pos) {
+  const Entry entry = heap_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 4;
+    if (!earlier(entry, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, entry);
+}
+
+void EventQueue::sift_down(std::uint32_t pos) {
+  const Entry entry = heap_[pos];
+  const auto size = static_cast<std::uint32_t>(heap_.size());
+  for (;;) {
+    const std::uint32_t first = 4 * pos + 1;
+    if (first >= size) break;
+    const std::uint32_t last = first + 4 < size ? first + 4 : size;
+    std::uint32_t least = first;
+    for (std::uint32_t child = first + 1; child < last; ++child) {
+      if (earlier(heap_[child], heap_[least])) least = child;
+    }
+    if (!earlier(heap_[least], entry)) break;
+    place(pos, heap_[least]);
+    pos = least;
+  }
+  place(pos, entry);
+}
+
+void EventQueue::sift(std::uint32_t pos) {
+  if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 4])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+}
+
+void EventQueue::remove_at(std::uint32_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  place(pos, last);
+  sift(pos);
+}
 
 }  // namespace vod::sim

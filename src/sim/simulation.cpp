@@ -61,14 +61,14 @@ PeriodicTask::PeriodicTask(Simulation& sim, Duration period,
 void PeriodicTask::start() {
   if (running_) return;
   running_ = true;
-  pending_ = sim_.schedule_in(period_, [this](SimTime t) { fire(t); });
+  next_fire_ = sim_.schedule_in(period_, [this](SimTime t) { fire(t); });
 }
 
 void PeriodicTask::stop() {
   if (!running_) return;
   running_ = false;
-  sim_.queue().cancel(pending_);
-  pending_ = EventHandle{};
+  sim_.queue().cancel(next_fire_);
+  next_fire_ = EventHandle{};
 }
 
 void PeriodicTask::fire(SimTime now) {
@@ -76,7 +76,7 @@ void PeriodicTask::fire(SimTime now) {
   body_(now);
   // The body may have stopped the task.
   if (running_) {
-    pending_ = sim_.schedule_in(period_, [this](SimTime t) { fire(t); });
+    next_fire_ = sim_.schedule_in(period_, [this](SimTime t) { fire(t); });
   }
 }
 

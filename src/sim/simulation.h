@@ -69,7 +69,7 @@ class PeriodicTask {
   Simulation& sim_;
   Duration period_;
   std::function<void(SimTime)> body_;
-  EventHandle pending_;
+  EventHandle next_fire_;
   bool running_ = false;
 };
 

@@ -318,6 +318,107 @@ TEST(TransferManager, ChainedCompletionCostsOneSolve) {
   EXPECT_NEAR(*next_done, 8.0, 1e-9);
 }
 
+// One lane under churn: every transfer shares path, cap and weight, so all
+// of them form one fluid bundle and move at one common rate.  Progress is
+// then a single level P(t), the megabytes each member has moved since t=0,
+// and a member started at level s with size z finishes at level s + z.  The
+// test reads P off a long-lived anchor member, cancels the lane's root
+// (smallest remaining), a middle member and its tail (a fresh member larger
+// than all others) while they run, starts members mid-flight, and checks
+// that each completion fires at its finish level and in ascending order of
+// finish level, i.e. of remaining.
+TEST(TransferManager, OneLaneUnderChurnCompletesInRemainingOrder) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+  Rng rng{4242};
+
+  constexpr double kAnchorMb = 1000.0;
+  std::vector<double> finish;  // by tag
+  std::vector<FlowId> flows;   // by tag
+  std::vector<bool> done, cancelled;
+  std::optional<FlowId> anchor;
+  const auto level = [&] {
+    return kAnchorMb - manager.remaining(*anchor).value();
+  };
+  double last_finish = 0.0;
+  int completions = 0;
+
+  const auto start = [&](double size_mb) {
+    const std::size_t tag = flows.size();
+    finish.push_back(level() + size_mb);
+    done.push_back(false);
+    cancelled.push_back(false);
+    flows.push_back(manager.start_transfer(
+        {fx.ab}, MegaBytes{size_mb}, Mbps{100.0}, [&, tag](SimTime) {
+          ++completions;
+          done[tag] = true;
+          const double now_level = level();
+          // Fired with its remaining within the done epsilon...
+          EXPECT_NEAR(finish[tag], now_level, 1e-6) << "tag " << tag;
+          // ...and no other member of the lane was closer to done.
+          EXPECT_LE(last_finish, finish[tag] + 1e-9) << "tag " << tag;
+          last_finish = finish[tag];
+          for (std::size_t other = 0; other < flows.size(); ++other) {
+            if (!manager.active(flows[other])) continue;
+            EXPECT_GT(manager.remaining(flows[other]).value(), 0.0);
+            EXPECT_LE(finish[tag], finish[other] + 1e-9);
+          }
+        }));
+    return tag;
+  };
+  const auto live_by_finish = [&] {
+    std::vector<std::size_t> live;
+    for (std::size_t tag = 0; tag < flows.size(); ++tag) {
+      if (manager.active(flows[tag])) live.push_back(tag);
+    }
+    std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
+      return finish[a] < finish[b];
+    });
+    return live;
+  };
+  const auto cancel = [&](std::size_t tag) {
+    manager.cancel(flows[tag]);
+    cancelled[tag] = true;
+  };
+
+  anchor = manager.start_transfer({fx.ab}, MegaBytes{kAnchorMb}, Mbps{100.0},
+                                  [](SimTime) {});
+  for (int i = 0; i < 60; ++i) start(rng.uniform(1.0, 30.0));
+  ASSERT_EQ(network.bundle_count(), 1u);
+
+  for (int round = 1; round <= 12; ++round) {
+    sim.schedule_at(SimTime{10.0 * round}, [&](SimTime) {
+      for (int i = 0; i < 4; ++i) start(rng.uniform(0.5, 30.0));
+      std::vector<std::size_t> live = live_by_finish();
+      ASSERT_GE(live.size(), 6u);  // enough left for every cancel below
+      cancel(live.front());            // the lane's root
+      cancel(live[live.size() / 2]);   // a middle member
+      // Members deep in the heap, whose hole the lane's tail may have to
+      // climb out of.
+      for (int i = 0; i < 2; ++i) {
+        live = live_by_finish();
+        cancel(live[static_cast<std::size_t>(rng.uniform_int(
+            1, static_cast<std::int64_t>(live.size()) - 2))]);
+      }
+      // Larger than every member, so it stays at the lane's tail.
+      cancel(start(2.0 * kAnchorMb));
+    });
+  }
+  sim.run_until(SimTime{1e6});
+
+  EXPECT_FALSE(manager.active(*anchor));
+  EXPECT_EQ(manager.active_count(), 0u);
+  int expected = 0;
+  for (std::size_t tag = 0; tag < flows.size(); ++tag) {
+    EXPECT_NE(done[tag], cancelled[tag]) << "tag " << tag;
+    if (done[tag]) ++expected;
+  }
+  EXPECT_EQ(completions, expected);
+  EXPECT_GT(completions, 50);
+}
+
 // A seeded start/cancel/chain/failover script over diurnal background
 // traffic, which moves every link's residual at every clock step, so a
 // skipped or misplaced solve would move a completion time.  Every solve is
