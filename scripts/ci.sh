@@ -106,9 +106,9 @@ echo "==== perfbench digest smoke ===="
 # every workload: a change to the event order, transfer progress or any
 # policy decision moves them.  A deliberate model change re-pins them here.
 declare -A expected_digest=(
-  [backbone]=8418876c891d4f9e
+  [backbone]=6c46469c68f2e21e
   [home_local]=1c87e481d7089017
-  [storm_qos]=8c71600c7bdc6a2a
+  [storm_qos]=9dd0b194aa227472
 )
 for workload in backbone home_local storm_qos; do
   out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \

@@ -63,7 +63,6 @@ void FluidNetwork::set_time(SimTime t) {
   if (t == now_) return;
   const bool deferred = pre_mutation();
   now_ = t;
-  ++bg_gen_;  // the background cache is keyed on (link, now)
   if (!deferred) commit_mutation();
 }
 
@@ -74,6 +73,7 @@ void FluidNetwork::ensure_index_size() {
     link_bundles_.resize(link_count);
     link_weight_.resize(link_count, 0);
   }
+  if (link_down_.size() < link_count) link_down_.resize(link_count, false);
 }
 
 std::uint32_t FluidNetwork::join_bundle(std::vector<LinkId> links, Mbps cap,
@@ -208,6 +208,8 @@ void FluidNetwork::set_link_up(LinkId link, bool up) {
   if (link_down_[link.value()] == !up) return;  // no state change
   const bool deferred = pre_mutation();
   link_down_[link.value()] = !up;
+  up ? --down_link_count_ : ++down_link_count_;
+  if (link.value() < base_residual_.size()) write_base_residual(link.value());
   if (!deferred) commit_mutation();
 }
 
@@ -217,24 +219,38 @@ bool FluidNetwork::link_up(LinkId link) const {
   return link.value() >= link_down_.size() || !link_down_[link.value()];
 }
 
+void FluidNetwork::ensure_background() const {
+  const std::size_t link_count = topology_.link_count();
+  if (now_ < traffic_until_ && background_.size() == link_count) return;
+  background_.resize(link_count);
+  base_residual_.resize(link_count);
+  for (std::size_t l = 0; l < link_count; ++l) {
+    const LinkId link{static_cast<LinkId::underlying_type>(l)};
+    // Background never exceeds the link's capacity: the trace may carry the
+    // paper's raw counters, but physics caps usage at the line rate.
+    background_[l] = std::min(traffic_.background_load(link, now_),
+                              topology_.link(link).capacity);
+    write_base_residual(l);
+  }
+  traffic_query_count_ += link_count;
+  traffic_until_ = traffic_.next_change_after(now_);
+}
+
+void FluidNetwork::write_base_residual(std::size_t l) const {
+  const LinkId link{static_cast<LinkId::underlying_type>(l)};
+  const bool down = l < link_down_.size() && link_down_[l];
+  base_residual_[l] =
+      down ? 0.0
+           : std::max(0.0,
+                      (topology_.link(link).capacity - background_[l]).value());
+}
+
 Mbps FluidNetwork::background(LinkId link) const {
   require_found(topology_.has_link(link),
       "FluidNetwork::background: unknown link");
   if (!link_up(link)) return Mbps{0.0};
-  const std::size_t l = link.value();
-  if (bg_cache_.size() <= l) {
-    bg_cache_.resize(topology_.link_count());
-    bg_cache_gen_.resize(topology_.link_count(), 0);
-  }
-  if (bg_cache_gen_[l] == bg_gen_) return bg_cache_[l];
-  // Background never exceeds the link's capacity: the trace may carry the
-  // paper's raw counters, but physics caps usage at the line rate.
-  ++traffic_query_count_;
-  const Mbps raw = traffic_.background_load(link, now_);
-  const Mbps clamped = std::min(raw, topology_.link(link).capacity);
-  bg_cache_[l] = clamped;
-  bg_cache_gen_[l] = bg_gen_;
-  return clamped;
+  ensure_background();
+  return background_[link.value()];
 }
 
 Mbps FluidNetwork::used_bandwidth(LinkId link) const {
@@ -269,18 +285,11 @@ void FluidNetwork::reallocate() {
   ++reallocation_count_;
   VOD_PROFILE_SCOPE("fluid.reallocate");
   ensure_index_size();
+  ensure_background();
   const std::size_t link_count = topology_.link_count();
 
   std::vector<double>& residual = scratch_residual_;
-  residual.resize(link_count);
-  for (std::size_t l = 0; l < link_count; ++l) {
-    const LinkId link{static_cast<LinkId::underlying_type>(l)};
-    residual[l] =
-        link_up(link)
-            ? std::max(0.0, (topology_.link(link).capacity -
-                             background(link)).value())
-            : 0.0;
-  }
+  residual.assign(base_residual_.begin(), base_residual_.end());
 
   // Every linked flow starts unfrozen (local flows cross no link and keep
   // their bundle's floored cap).
@@ -368,11 +377,12 @@ void FluidNetwork::reallocate() {
   for (Bundle& bundle : bundles_) {
     if (bundle.members == 0 || bundle.links.empty()) continue;
     // Flows crossing a down link are truly stuck (rate 0); everyone else
-    // gets at least the trickle floor.
-    bool severed = false;
-    for (const LinkId link : bundle.links) {
-      if (!link_up(link)) severed = true;
-    }
+    // gets at least the trickle floor.  With every link up, the common
+    // case, no bundle can be severed and the walk is skipped.
+    const bool severed =
+        down_link_count_ > 0 &&
+        std::any_of(bundle.links.begin(), bundle.links.end(),
+                    [&](LinkId link) { return link_down_[link.value()]; });
     bundle.rate =
         severed ? Mbps{0.0} : std::max(Mbps{bundle.fill}, kMinFlowRate);
   }

@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -76,7 +77,8 @@ class FluidNetwork {
   /// the transfer manager — is sufficient for this library.
   void set_change_hooks(std::function<void()> pre, std::function<void()> post);
 
-  /// Moves the background traffic clock; flow shares are re-solved.
+  /// Moves the background traffic clock; flow shares are re-solved.  The
+  /// TrafficModel is re-read only once the clock leaves the cached step.
   void set_time(SimTime t);
   [[nodiscard]] SimTime time() const { return now_; }
 
@@ -126,10 +128,10 @@ class FluidNetwork {
     return bundles_.size() - free_bundles_.size();
   }
 
-  /// Background-only load on a link at the current time.  Cached per
-  /// (link, instant): the TrafficModel is consulted at most once per link
-  /// between clock movements, however many times the residual builder, the
-  /// SNMP sweep and ad-hoc queries ask.
+  /// Background-only load on a link at the current time (zero while the
+  /// link is down).  An array read from the step cache: the TrafficModel is
+  /// consulted once per link per traffic step (see traffic_until_), however
+  /// many clock moves, solves, SNMP sweeps and ad-hoc queries fall inside it.
   [[nodiscard]] Mbps background(LinkId link) const;
 
   /// Background plus all flow shares crossing the link.  An incidence-index
@@ -146,8 +148,11 @@ class FluidNetwork {
   [[nodiscard]] const Topology& topology() const { return topology_; }
 
   /// Next instant after `t` when background traffic shifts (see
-  /// TrafficModel::next_change_after).
+  /// TrafficModel::next_change_after).  Within the cached step
+  /// (now <= t < the step's end) this is the step's end, exactly: the model
+  /// promised no change before it.
   [[nodiscard]] SimTime next_traffic_change(SimTime t) const {
+    if (!(t < now_) && t < traffic_until_) return traffic_until_;
     return traffic_.next_change_after(t);
   }
 
@@ -234,9 +239,8 @@ class FluidNetwork {
     return reallocation_count_;
   }
 
-  /// TrafficModel::background_load calls actually issued (cache misses);
-  /// with the per-instant cache this is at most one per link per clock
-  /// movement.
+  /// TrafficModel::background_load calls actually issued: one per link per
+  /// traffic step the network's clock enters and reads.
   [[nodiscard]] std::size_t traffic_query_count() const {
     return traffic_query_count_;
   }
@@ -271,6 +275,13 @@ class FluidNetwork {
   };
 
   void reallocate();
+  /// Brings the step cache up to date.  On the first read, once the clock
+  /// has reached traffic_until_, or after the topology gained links, it
+  /// reads every link's load at now_ (one TrafficModel query per link) and
+  /// rebuilds background_ and base_residual_.
+  void ensure_background() const;
+  /// Recomputes base_residual_[link] from background_ and the link's state.
+  void write_base_residual(std::size_t link) const;
   /// Fires the pre-change hook (once per epoch when batched); returns true
   /// when the mutation is deferred into an open epoch.
   bool pre_mutation();
@@ -315,6 +326,9 @@ class FluidNetwork {
   std::vector<std::uint32_t> free_bundles_;
   std::vector<std::uint32_t> local_bundles_;  // live bundles with no links
   std::vector<bool> link_down_;  // indexed by link id; default all up
+  /// Links currently down.  While zero, a solve skips the severed-bundle
+  /// walk entirely: link state costs once per flap, not once per solve.
+  std::size_t down_link_count_ = 0;
   FlowId::underlying_type next_flow_ = 0;
   /// Flows with ids from here on were started since the last solve (inside
   /// the open epoch) and read 0 until it closes.
@@ -331,12 +345,15 @@ class FluidNetwork {
   bool check_reference_ = false;
   std::size_t reallocation_count_ = 0;
 
-  /// Per-instant background cache: value is min(raw trace load, capacity)
-  /// for the *up* link — independent of link state, so flaps need no
-  /// invalidation; clock movements bump the generation instead of clearing.
-  mutable std::vector<Mbps> bg_cache_;
-  mutable std::vector<std::uint64_t> bg_cache_gen_;
-  mutable std::uint64_t bg_gen_ = 1;
+  /// Step-keyed background cache, good while now_ < traffic_until_ (the
+  /// model's next_change_after at the last refresh; -inf until the first,
+  /// lazy, refresh, so a model configured after construction is still read).
+  mutable SimTime traffic_until_{-std::numeric_limits<double>::infinity()};
+  /// link id -> min(model load, capacity) for the *up* link.
+  mutable std::vector<Mbps> background_;
+  /// link id -> max(0, capacity - background), or 0 while the link is down:
+  /// the residual every solve starts from.  set_link_up rewrites its entry.
+  mutable std::vector<double> base_residual_;
   mutable std::size_t traffic_query_count_ = 0;
 
   // Scratch buffers reused across reallocations (sized to links/bundles)

@@ -84,14 +84,9 @@ SimTime PeriodicTraffic::next_change_after(SimTime t) const {
   if (inner_next.seconds() < period) {
     return SimTime{cycle_start + inner_next.seconds()};
   }
-  // Nothing more this cycle: the next change is the wrap itself (the
-  // inner model's earliest change, next period).
-  const SimTime first = inner_.next_change_after(SimTime{-1.0});
-  const double offset =
-      first.seconds() < period && first.seconds() >= 0.0
-          ? first.seconds()
-          : 0.0;
-  return SimTime{cycle_start + period + offset};
+  // Nothing more this cycle: the next change is the wrap itself, where the
+  // load snaps back to the inner model's value at 0.
+  return SimTime{cycle_start + period};
 }
 
 DiurnalTraffic::DiurnalTraffic(double peak_hour) : peak_hour_(peak_hour) {
@@ -109,11 +104,16 @@ void DiurnalTraffic::set_shape(LinkId link, LinkShape shape) {
   shapes_[link] = shape;
 }
 
+double DiurnalTraffic::step_start(SimTime t) {
+  return std::floor(t.seconds() / kStepSeconds) * kStepSeconds;
+}
+
 Mbps DiurnalTraffic::background_load(LinkId link, SimTime t) const {
   const auto it = shapes_.find(link);
   if (it == shapes_.end()) return Mbps{0.0};
   const LinkShape& shape = it->second;
-  const double hour = std::fmod(t.seconds() / 3600.0, 24.0);
+  // The curve is sampled at the start of t's step and held to its end.
+  const double hour = std::fmod(step_start(t) / 3600.0, 24.0);
   // Raised cosine, maximal at peak_hour_.
   const double phase =
       std::cos((hour - peak_hour_) / 24.0 * 2.0 * std::numbers::pi);
@@ -126,10 +126,7 @@ Mbps DiurnalTraffic::background_load(LinkId link, SimTime t) const {
 
 SimTime DiurnalTraffic::next_change_after(SimTime t) const {
   if (shapes_.empty()) return SimTime{kInfinity};
-  // The curve changes continuously; report a 60 s quantization so consumers
-  // refresh about once a simulated minute (the SNMP cadence).
-  const double next = (std::floor(t.seconds() / 60.0) + 1.0) * 60.0;
-  return SimTime{next};
+  return SimTime{step_start(t) + kStepSeconds};
 }
 
 }  // namespace vod::net

@@ -18,6 +18,12 @@ namespace vod::net {
 
 /// Time-varying background load per link (traffic that is not ours, e.g.
 /// the rest of the university network's flows).
+///
+/// The contract every model keeps: background load is a step function of
+/// time.  For every link and every `t`, the load is constant on
+/// [t, next_change_after(t)) — bit for bit, not approximately.  Consumers
+/// rely on it: FluidNetwork reads each link once per step, and
+/// TransferManager solves completion times in closed form between steps.
 class TrafficModel {
  public:
   virtual ~TrafficModel() = default;
@@ -26,7 +32,7 @@ class TrafficModel {
   [[nodiscard]] virtual Mbps background_load(LinkId link, SimTime t) const = 0;
 
   /// The next instant strictly after `t` at which some link's background
-  /// load changes (so transfer schedules can be refreshed exactly then).
+  /// load may change (so transfer schedules can be refreshed exactly then).
   /// Returns SimTime{infinity} if the model is constant from `t` on.
   [[nodiscard]] virtual SimTime next_change_after(SimTime t) const;
 };
@@ -66,9 +72,10 @@ class TraceTraffic final : public TrafficModel {
 };
 
 /// Repeats another model with a fixed period: time t is mapped to
-/// t mod period before delegating.  Wrapping the Table 2 trace with a
-/// 24 h period turns the paper's one-day measurement into an arbitrarily
-/// long simulated campaign.
+/// t mod period before delegating, so each wrap is a change point where the
+/// load snaps back to the inner model's value at 0.  Wrapping the Table 2
+/// trace with a 24 h period turns the paper's one-day measurement into an
+/// arbitrarily long simulated campaign.
 class PeriodicTraffic final : public TrafficModel {
  public:
   /// `inner` must outlive this wrapper; `period` > 0.
@@ -82,9 +89,12 @@ class PeriodicTraffic final : public TrafficModel {
   Duration period_;
 };
 
-/// Synthetic diurnal load: a smooth day curve peaking at `peak_hour`, scaled
-/// per link to a fraction of capacity.  Deterministic — no noise — so runs
-/// are reproducible; callers wanting jitter add it through TraceTraffic.
+/// Synthetic diurnal load: a raised-cosine day curve peaking at `peak_hour`,
+/// scaled per link to a fraction of capacity.  The curve is sampled once per
+/// simulated minute (the SNMP cadence) at the step's start and held until
+/// the next step, the same interval-average semantics as TraceTraffic.
+/// Deterministic — no noise — so runs are reproducible; callers wanting
+/// jitter add it through TraceTraffic.
 class DiurnalTraffic final : public TrafficModel {
  public:
   struct LinkShape {
@@ -101,6 +111,11 @@ class DiurnalTraffic final : public TrafficModel {
   [[nodiscard]] SimTime next_change_after(SimTime t) const override;
 
  private:
+  static constexpr double kStepSeconds = 60.0;
+  /// Start of the step holding `t`; the one clock both the load and the
+  /// change points are read from.
+  [[nodiscard]] static double step_start(SimTime t);
+
   double peak_hour_;
   std::map<LinkId, LinkShape> shapes_;
 };

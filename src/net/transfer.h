@@ -25,8 +25,10 @@
 namespace vod::net {
 
 /// Drives transfers to completion inside a Simulation.  Progress is exact:
-/// between refresh points rates are constant, so remaining bytes decrease
-/// linearly and completion times are solved in closed form.
+/// between refresh points rates are constant — every TrafficModel holds its
+/// load until next_change_after, and the manager wakes at each such change
+/// — so remaining bytes decrease linearly and completion times are solved
+/// in closed form.
 class TransferManager {
  public:
   using CompletionCallback = std::function<void(SimTime)>;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -339,23 +341,125 @@ TEST(FluidNetwork, EmptyNetworkSkipsReallocation) {
   EXPECT_EQ(network.reallocation_count(), before + 1);
 }
 
-TEST(FluidNetwork, BackgroundCachedPerInstant) {
+/// Diurnal background on both links of the line: 60 s traffic steps.
+DiurnalTraffic line_diurnal(const Line& line) {
+  DiurnalTraffic traffic{14.0};
+  traffic.set_shape(line.ab, {.capacity = Mbps{10.0},
+                              .base_fraction = 0.1,
+                              .peak_fraction = 0.6});
+  traffic.set_shape(line.bc, {.capacity = Mbps{10.0},
+                              .base_fraction = 0.2,
+                              .peak_fraction = 0.7});
+  return traffic;
+}
+
+TEST(FluidNetwork, BackgroundCachedPerTrafficStep) {
   Line line;
-  ConstantTraffic traffic;
-  traffic.set_load(line.ab, Mbps{2.0});
-  traffic.set_load(line.bc, Mbps{3.0});
+  const DiurnalTraffic traffic = line_diurnal(line);
   FluidNetwork network{line.topo, traffic};
-  network.start_flow({line.ab, line.bc}, Mbps{5.0});
+  const FlowId flow = network.start_flow({line.ab, line.bc}, Mbps{50.0});
   const std::size_t after_start = network.traffic_query_count();
-  // Re-querying at the same instant — used_bandwidth, utilization, another
-  // reallocation — hits the cache; the model is not consulted again.
+  EXPECT_EQ(after_start, 2u);  // the lazy first refresh: one per link
+  // Re-querying inside the step — used_bandwidth, utilization, another
+  // solve — reads the cache; the model is not consulted again.
   (void)network.used_bandwidth(line.ab);
   (void)network.utilization(line.bc);
   network.start_flow({line.ab}, Mbps{5.0});
   EXPECT_EQ(network.traffic_query_count(), after_start);
-  // Moving the clock invalidates the cache: one fresh query per link.
-  network.set_time(SimTime{50.0});
+  // Clock moves inside the step stay mutations (one solve each) but read
+  // no traffic.
+  const Mbps rate = network.flow_rate(flow);
+  for (const double t : {10.0, 30.5, 59.999}) {
+    const std::size_t solves = network.reallocation_count();
+    network.set_time(SimTime{t});
+    EXPECT_EQ(network.reallocation_count(), solves + 1);
+    EXPECT_EQ(network.traffic_query_count(), after_start);
+    EXPECT_EQ(network.flow_rate(flow), rate);
+  }
+  // Crossing into the next step costs exactly one query per link.
+  network.set_time(SimTime{60.0});
   EXPECT_EQ(network.traffic_query_count(), after_start + 2);
+  EXPECT_EQ(network.background(line.ab),
+            traffic.background_load(line.ab, SimTime{60.0}));
+  network.set_time(SimTime{119.0});
+  EXPECT_EQ(network.traffic_query_count(), after_start + 2);
+  network.set_time(SimTime{300.0});  // skipping steps still reads once
+  EXPECT_EQ(network.traffic_query_count(), after_start + 4);
+  EXPECT_EQ(network.background(line.bc),
+            traffic.background_load(line.bc, SimTime{300.0}));
+}
+
+TEST(FluidNetwork, MidStepFlapMatchesReference) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  network.set_check_against_reference(true);  // every solve is checked
+  // Peak hour: the background leaves ab and bc different residuals.
+  network.set_time(from_hours(14.0) + Duration{5.0});
+  const FlowId through = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const FlowId left = network.start_flow({line.ab}, Mbps{50.0}, 2);
+  const FlowId right = network.start_flow({line.bc}, Mbps{50.0});
+  network.set_time(from_hours(14.0) + Duration{20.0});  // same step
+  const std::size_t queries = network.traffic_query_count();
+  const std::vector<std::pair<FlowId, Mbps>> before =
+      network.reallocate_reference();
+
+  const auto expect_reference = [&network] {
+    for (const auto& [flow, rate] : network.reallocate_reference()) {
+      EXPECT_EQ(network.flow_rate(flow).value(), rate.value());
+    }
+  };
+  network.set_link_up(line.bc, false);
+  EXPECT_EQ(network.flow_rate(through), Mbps{0.0});
+  EXPECT_EQ(network.flow_rate(right), Mbps{0.0});
+  EXPECT_EQ(network.background(line.bc), Mbps{0.0});
+  // ab's residual is no longer shared with the severed flow.
+  EXPECT_GT(network.flow_rate(left).value(),
+            before[1].second.value());
+  expect_reference();
+
+  network.set_time(from_hours(14.0) + Duration{40.0});  // still the step
+  expect_reference();
+  network.set_link_up(line.bc, true);
+  expect_reference();
+  EXPECT_EQ(network.reallocate_reference(), before);
+  for (const auto& [flow, rate] : before) {
+    EXPECT_EQ(network.flow_rate(flow).value(), rate.value());
+  }
+  EXPECT_EQ(network.traffic_query_count(), queries);  // flaps read no traffic
+}
+
+TEST(FluidNetwork, CachedNextTrafficChangeMatchesModel) {
+  Line line;
+  const DiurnalTraffic diurnal = line_diurnal(line);
+  TraceTraffic day;
+  day.add_sample(line.ab, SimTime{30.0}, Mbps{1.0});
+  day.add_sample(line.ab, SimTime{400.0}, Mbps{2.0});
+  day.add_sample(line.bc, SimTime{250.0}, Mbps{3.0});
+  const PeriodicTraffic periodic{day, Duration{900.0}};
+  Rng rng{17};
+  const std::vector<const TrafficModel*> models{&diurnal, &periodic};
+  for (const TrafficModel* model : models) {
+    FluidNetwork network{line.topo, *model};
+    double now = 0.0;
+    for (int step = 0; step < 50; ++step) {
+      now += rng.uniform(1.0, 400.0);
+      network.set_time(SimTime{now});
+      (void)network.background(line.ab);  // fills the step cache
+      const double until = model->next_change_after(SimTime{now}).seconds();
+      for (int k = 0; k < 20; ++k) {
+        const SimTime t{rng.uniform(now, until)};
+        EXPECT_EQ(network.next_traffic_change(t),
+                  model->next_change_after(t))
+            << "t=" << t.seconds();
+      }
+      // Before the clock the cache does not apply; the model answers.
+      const SimTime earlier{rng.uniform(0.0, now)};
+      EXPECT_EQ(network.next_traffic_change(earlier),
+                model->next_change_after(earlier))
+          << "t=" << earlier.seconds();
+    }
+  }
 }
 
 TEST(FluidNetwork, ReferenceCheckAcceptsIndexedAllocator) {

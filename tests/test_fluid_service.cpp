@@ -152,7 +152,7 @@ TEST(FluidUnderService, QosStormSolvesMatchReference) {
   EXPECT_GT(run.faults, 5u);
   EXPECT_GT(run.solves, 10000u);
   EXPECT_GE(run.max_shared, 10u) << "sessions never shared a bundle";
-  EXPECT_EQ(run.digest, 0x444d84a88b8d8b84u)
+  EXPECT_EQ(run.digest, 0xf67da5250a83eaf8u)
       << std::hex << "digest 0x" << run.digest;
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace vod::net {
 namespace {
@@ -119,6 +123,19 @@ TEST(PeriodicTraffic, NextChangeCrossesTheWrap) {
                    200.0);
 }
 
+TEST(PeriodicTraffic, WrapIsAChangeWhenFirstSampleIsLate) {
+  TraceTraffic day;
+  day.add_sample(LinkId{0}, SimTime{30.0}, Mbps{1.0});
+  day.add_sample(LinkId{0}, SimTime{60.0}, Mbps{2.0});
+  const PeriodicTraffic repeating{day, Duration{100.0}};
+  // At the wrap the load snaps back to the inner value at 0 (the first
+  // sample's, held from the cycle start) — a change at 100, not at 130.
+  EXPECT_DOUBLE_EQ(repeating.next_change_after(SimTime{70.0}).seconds(),
+                   100.0);
+  EXPECT_NE(repeating.background_load(LinkId{0}, SimTime{99.0}),
+            repeating.background_load(LinkId{0}, SimTime{100.0}));
+}
+
 TEST(PeriodicTraffic, RejectsNonPositivePeriod) {
   NoTraffic none;
   EXPECT_THROW(PeriodicTraffic(none, Duration{0.0}), std::invalid_argument);
@@ -193,6 +210,83 @@ TEST(DiurnalTraffic, NextChangeQuantizedToMinute) {
 TEST(DiurnalTraffic, NoShapesMeansNoChanges) {
   DiurnalTraffic model{14.0};
   EXPECT_EQ(model.next_change_after(SimTime{0.0}).seconds(), kInf);
+}
+
+// The contract every model keeps: a link's load is bit-for-bit constant on
+// [t, next_change_after(t)).  Probes seeded random t, several instants
+// inside each window (including the last representable one), every link.
+void expect_step_contract(const TrafficModel& model,
+                          const std::vector<LinkId>& links, double horizon,
+                          std::uint64_t seed) {
+  Rng rng{seed};
+  for (int i = 0; i < 1500; ++i) {
+    const SimTime t{rng.uniform(0.0, horizon)};
+    const double next = model.next_change_after(t).seconds();
+    ASSERT_GT(next, t.seconds()) << "next change not after t=" << t.seconds();
+    // An unbounded window is probed up to a day past t.
+    const double end = std::isinf(next) ? t.seconds() + 86400.0 : next;
+    std::vector<double> probes{std::nextafter(end, t.seconds())};
+    for (int k = 0; k < 4; ++k) {
+      probes.push_back(t.seconds() + rng.uniform() * (end - t.seconds()));
+    }
+    for (const LinkId link : links) {
+      const Mbps at_t = model.background_load(link, t);
+      for (const double probe : probes) {
+        ASSERT_EQ(model.background_load(link, SimTime{probe}).value(),
+                  at_t.value())
+            << "link " << link.value() << " changed between t="
+            << t.seconds() << " and " << probe << " before next change "
+            << next;
+      }
+    }
+  }
+}
+
+TEST(TrafficContract, NoTrafficIsConstant) {
+  expect_step_contract(NoTraffic{}, {LinkId{0}, LinkId{1}}, 1e6, 1);
+}
+
+TEST(TrafficContract, ConstantTrafficIsConstant) {
+  ConstantTraffic model;
+  model.set_load(LinkId{0}, Mbps{1.5});
+  model.set_load(LinkId{2}, Mbps{7.25});
+  expect_step_contract(model, {LinkId{0}, LinkId{1}, LinkId{2}}, 1e6, 2);
+}
+
+TEST(TrafficContract, TraceTrafficHoldsBetweenSamples) {
+  TraceTraffic model;
+  Rng rng{33};
+  for (std::uint32_t l = 0; l < 3; ++l) {
+    double t = rng.uniform(0.0, 50.0);
+    for (int k = 0; k < 40; ++k) {
+      model.add_sample(LinkId{l}, SimTime{t}, Mbps{rng.uniform(0.0, 10.0)});
+      t += rng.uniform(1.0, 200.0);
+    }
+  }
+  expect_step_contract(model, {LinkId{0}, LinkId{1}, LinkId{2}}, 9000.0, 3);
+}
+
+TEST(TrafficContract, PeriodicTrafficHoldsAcrossTheWrap) {
+  // The inner trace's first sample is after 0, so the wrap is a change of
+  // its own.
+  TraceTraffic day;
+  day.add_sample(LinkId{0}, SimTime{30.0}, Mbps{1.0});
+  day.add_sample(LinkId{0}, SimTime{60.0}, Mbps{2.0});
+  day.add_sample(LinkId{1}, SimTime{45.0}, Mbps{4.0});
+  day.add_sample(LinkId{1}, SimTime{80.0}, Mbps{3.0});
+  const PeriodicTraffic model{day, Duration{100.0}};
+  expect_step_contract(model, {LinkId{0}, LinkId{1}}, 1000.0, 4);
+}
+
+TEST(TrafficContract, DiurnalTrafficHoldsEachMinute) {
+  DiurnalTraffic model{14.0};
+  model.set_shape(LinkId{0}, {.capacity = Mbps{10.0},
+                              .base_fraction = 0.1,
+                              .peak_fraction = 0.9});
+  model.set_shape(LinkId{1}, {.capacity = Mbps{155.0},
+                              .base_fraction = 0.3,
+                              .peak_fraction = 0.6});
+  expect_step_contract(model, {LinkId{0}, LinkId{1}}, 3.0 * 86400.0, 5);
 }
 
 }  // namespace

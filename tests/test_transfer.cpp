@@ -534,7 +534,8 @@ DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
 }
 
 // Continuous caps: one transfer per bundle.  The digest was captured with
-// the clock step solved on its own (one filling per network mutation).
+// the clock step solved on its own (one filling per network mutation), and
+// re-captured when DiurnalTraffic began holding each minute's load.
 TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
   const DiurnalScriptResult r = run_diurnal_script(
       {.seed = 20000,
@@ -547,7 +548,7 @@ TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
   EXPECT_GT(r.chains, 20);
   EXPECT_GT(r.cancels, 10);
   EXPECT_GT(r.failovers, 10);
-  EXPECT_EQ(r.digest, 0x136998efd84af6e6u)
+  EXPECT_EQ(r.digest, 0x68736239300bf8a1u)
       << std::hex << "digest 0x" << r.digest;
 }
 
@@ -555,7 +556,8 @@ TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
 // enough that lanes hold many transfers across starts, cancels, chains and
 // same-epoch failovers.  The digest was captured with one progress update
 // and one completion time per transfer, before transfers were grouped into
-// per-bundle lanes.
+// per-bundle lanes, and re-captured when DiurnalTraffic began holding each
+// minute's load.
 TEST(TransferManager, BundleDenseCompletionTimesMatchCapturedDigest) {
   constexpr double kCaps[] = {4.0, 8.0, 16.0};
   constexpr std::uint32_t kWeights[] = {1, 2, 4};
@@ -573,7 +575,7 @@ TEST(TransferManager, BundleDenseCompletionTimesMatchCapturedDigest) {
   EXPECT_GT(r.cancels, 40);
   EXPECT_GT(r.failovers, 40);
   EXPECT_GE(r.max_shared, 10u) << "bundles never held several transfers";
-  EXPECT_EQ(r.digest, 0x72ac3e4bec90d895u)
+  EXPECT_EQ(r.digest, 0x59b0b9f7ffc9f9abu)
       << std::hex << "digest 0x" << r.digest;
 }
 
