@@ -44,7 +44,6 @@ RunResult run_case(const Intensity& intensity, bool failover,
   grnet::CaseStudy g = grnet::build_case_study();
   net::NoTraffic traffic;
   sim::Simulation sim;
-  obs.bind_clock([&sim] { return sim.now(); });
   net::FluidNetwork network{g.topology, traffic};
 
   service::ServiceOptions options;
@@ -64,11 +63,11 @@ RunResult run_case(const Intensity& intensity, bool failover,
   }
   service::VodService service{sim, g.topology, network, options,
                               bench::kAdmin};
-  // Telemetry v2 re-binds per run (series restart + registry swap): the
-  // exported series cover the sweep's final cell — the worst storm with
-  // failover on — while flight dumps accumulate across the whole sweep.
-  // Without a v2 flag this is a no-op.
-  obs.bind_registry(service.metrics());
+  // Telemetry v2 re-attaches per run (series restart + registry swap):
+  // the exported series cover the sweep's final cell — the worst storm
+  // with failover on — while flight dumps accumulate across the whole
+  // sweep.  Without a v2 flag only the trace attaches.
+  obs.attach(sim, &service.metrics());
 
   const NodeId replicas[3][2] = {{g.thessaloniki, g.xanthi},
                                  {g.thessaloniki, g.heraklio},
@@ -112,8 +111,6 @@ RunResult run_case(const Intensity& intensity, bool failover,
     const stream::SessionMetrics& m = service.session_metrics(id);
     if (m.failed && m.failure_reason.empty()) result.reasons_ok = false;
   }
-  obs.unbind_registry();
-  obs.bind_clock(nullptr);  // the simulation dies with this scope
   return result;
 }
 

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
     storage::DiskArray disks{8, disk_profile(total_mb / 8.0),
                              MegaBytes{50.0}};
     dma::DmaCache dma_cache{disks};
+    dma_cache.set_obs(&obs.context(), 0);
     baselines::DmaTitleCache dma{dma_cache};
     baselines::LruTitleCache lru{MegaBytes{total_mb}};
     baselines::LfuTitleCache lfu{MegaBytes{total_mb}};
@@ -79,6 +80,7 @@ int main(int argc, char** argv) {
     storage::DiskArray disks{8, disk_profile(20.0 * kTitleSizeMb / 8.0),
                              MegaBytes{50.0}};
     dma::DmaCache dma_cache{disks};
+    dma_cache.set_obs(&obs.context(), 0);
     baselines::DmaTitleCache dma{dma_cache};
     const double rate = run_stream(dma, skew, 2);
     byskew.add_row({TextTable::num(skew, 1), TextTable::num(rate, 3),
@@ -96,6 +98,7 @@ int main(int argc, char** argv) {
                              MegaBytes{50.0}};
     dma::DmaCache dma_cache{
         disks, dma::DmaOptions{.admission_threshold = threshold}};
+    dma_cache.set_obs(&obs.context(), 0);
     baselines::DmaTitleCache dma{dma_cache};
     const double rate = run_stream(dma, 1.0, 3);
     bythreshold.add_row({std::to_string(threshold),

@@ -96,7 +96,7 @@ struct ScaleResult {
   }
 };
 
-ScaleResult run_scale(int flow_count) {
+ScaleResult run_scale(int flow_count, const obs::Context& obs) {
   const Backbone n = build_backbone();
   net::DiurnalTraffic traffic;
   Rng shapes{42};
@@ -107,6 +107,7 @@ ScaleResult run_scale(int flow_count) {
                           shapes.uniform(0.4, 0.8)});
   }
   net::FluidNetwork network{n.topo, traffic};
+  network.set_obs(&obs);
 
   Rng rng{static_cast<std::uint64_t>(flow_count) * 1009 + 1};
   std::vector<std::pair<FlowId, std::vector<LinkId>>> specs;
@@ -232,16 +233,15 @@ void write_json(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // With --trace-out the timed sections run with the recorder installed,
+  // With --trace-out the timed sections run with the recorder attached,
   // so diffing the timing table against an untraced run measures the
   // tracing overhead at 1k/10k flows (EXPERIMENTS.md quotes it).
+  // --flight-out attaches the always-on flight ring instead: the same
+  // instrumentation events land in the bounded ring (overwrite-oldest),
+  // measuring the black-box recorder's steady-state cost at 1k/10k flows.
+  // No sim clock or registry here — the ring only appends; nothing
+  // triggers a dump.
   bench::ObsScope obs{argc, argv};
-  // --flight-out installs the always-on flight ring as the effective sink
-  // instead: the same instrumentation events land in the bounded ring
-  // (overwrite-oldest), measuring the black-box recorder's steady-state
-  // cost at 1k/10k flows.  No sim clock or registry here — the ring only
-  // appends; nothing triggers a dump.  The ObsScope destructor uninstalls.
-  if (obs.flight() != nullptr) obs::set_flight_recorder(obs.flight());
   std::string out_path = "BENCH_fluid.json";
   for (int i = 1; i < argc; ++i) {
     if (std::string{argv[i]} == "--out" && i + 1 < argc) out_path = argv[++i];
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
 
   std::vector<ScaleResult> results;
   for (const int flows : {100, 1000, 10000}) {
-    results.push_back(run_scale(flows));
+    results.push_back(run_scale(flows, obs.context()));
   }
 
   TextTable table{{"flows", "realloc idx (us)", "realloc ref (us)", "speedup",

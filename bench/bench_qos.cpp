@@ -60,7 +60,6 @@ RunResult run_case(bool tiered, int request_count, double horizon,
   grnet::CaseStudy g = grnet::build_case_study();
   net::NoTraffic traffic;
   sim::Simulation sim;
-  obs.bind_clock([&sim] { return sim.now(); });
   net::FluidNetwork network{g.topology, traffic};
 
   service::ServiceOptions options;
@@ -80,10 +79,10 @@ RunResult run_case(bool tiered, int request_count, double horizon,
   }
   service::VodService service{sim, g.topology, network, options,
                               bench::kAdmin};
-  // Telemetry v2 watches the tiered run (its qos.* metrics are what the
-  // SLO specs read); with no v2 flag this is a no-op and both runs stay
-  // byte-identical to the pre-v2 bench.
-  if (tiered) obs.bind_registry(service.metrics());
+  // The trace follows both runs; telemetry v2 watches only the tiered
+  // run (its qos.* metrics are what the SLO specs read).  With no v2 flag
+  // both runs stay byte-identical to the pre-v2 bench.
+  obs.attach(sim, tiered ? &service.metrics() : nullptr);
 
   const NodeId replicas[3][2] = {{g.thessaloniki, g.xanthi},
                                  {g.thessaloniki, g.heraklio},
@@ -158,8 +157,6 @@ RunResult run_case(bool tiered, int request_count, double horizon,
   result.faults_applied = injector.trace().size();
   result.peak_link_utilization_mean =
       probe_count > 0 ? probe_sum / static_cast<double>(probe_count) : 0.0;
-  if (tiered) obs.unbind_registry();
-  obs.bind_clock(nullptr);
   return result;
 }
 

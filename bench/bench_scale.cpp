@@ -105,7 +105,7 @@ RunResult run(Policy which, bench::ObsScope& obs) {
                           .base_fraction = 0.55,
                           .peak_fraction = 0.97});
   sim::Simulation sim;
-  obs.bind_clock([&sim] { return sim.now(); });
+  obs.attach(sim);
   net::FluidNetwork network{n.topo, traffic};
   net::TransferManager transfers{sim, network};
 
@@ -138,6 +138,7 @@ RunResult run(Policy which, bench::ObsScope& obs) {
   }
 
   vra::Vra vra{n.topo, db.full_view(), db.limited_view(bench::kAdmin), {}};
+  vra.set_obs(&sim.obs());
   stream::VraPolicy vra_policy{vra, 0.5};
   baselines::NearestByHopsPolicy nearest{n.topo, db.full_view(),
                                          db.limited_view(bench::kAdmin)};
@@ -175,7 +176,6 @@ RunResult run(Policy which, bench::ObsScope& obs) {
   }
   sim.run_until(from_hours(48.0));
   snmp.stop();
-  obs.bind_clock(nullptr);
 
   RunResult result;
   for (const auto& session : sessions) {
@@ -357,7 +357,6 @@ ChurnResult run_service_churn(std::size_t total_sessions,
   grnet::CaseStudy g = grnet::build_case_study();
   net::NoTraffic traffic;
   sim::Simulation sim;
-  obs.bind_clock([&sim] { return sim.now(); });
   net::FluidNetwork network{g.topology, traffic};
   service::ServiceOptions options;
   options.cluster_size = MegaBytes{10.0};
@@ -367,9 +366,9 @@ ChurnResult run_service_churn(std::size_t total_sessions,
                               bench::kAdmin};
   // Telemetry v2 watches the churn phase: --series-out turns the
   // service.active_sessions gauge into a trajectory that shows the
-  // O(active) plateau the RSS gate asserts numerically.  No-op without a
-  // v2 flag.
-  obs.bind_registry(service.metrics());
+  // O(active) plateau the RSS gate asserts numerically.  Without a v2
+  // flag only the trace attaches.
+  obs.attach(sim, &service.metrics());
   const VideoId movie =
       service.add_video("movie", MegaBytes{10.0}, Mbps{2.0});
   service.place_initial_copy(g.patra, movie);
@@ -397,8 +396,6 @@ ChurnResult run_service_churn(std::size_t total_sessions,
     });
   }
   sim.run_until(SimTime{t + 100.0});
-  obs.unbind_registry();
-  obs.bind_clock(nullptr);
 
   result.peak_rss_kb = proc_status_kb("VmHWM:");
   // Wave 1 still pays one-time warm-up (pools, allocator arenas, metric

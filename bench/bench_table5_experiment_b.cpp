@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   bench::CaseDb fx{grnet::TimeOfDay::k10am};
   fx.place(fx.g.thessaloniki);
   fx.place(fx.g.xanthi);
-  const vra::Vra vra{fx.g.topology, fx.db.full_view(),
-                     fx.db.limited_view(bench::kAdmin), {}};
+  vra::Vra vra{fx.g.topology, fx.db.full_view(),
+               fx.db.limited_view(bench::kAdmin), {}};
+  vra.set_obs(&obs.context());
 
   const auto decision = vra.select_server(fx.g.patra, fx.movie, true);
   if (!decision) {

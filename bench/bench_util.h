@@ -1,9 +1,9 @@
 // Shared scaffolding for the table-regeneration benches.
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -13,6 +13,7 @@
 #include "db/database.h"
 #include "grnet/grnet.h"
 #include "net/topology.h"
+#include "obs/context.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -69,47 +70,56 @@ inline void heading(const std::string& title) {
 ///
 /// Telemetry v2 (DESIGN.md §16) — all observe-only, all sim-time:
 ///
-///   --series-out FILE     sample the bound registry on the series cadence
-///                         and write the series on exit (.json = JSON,
-///                         anything else = CSV)
-///   --series-cadence S    sim-seconds between samples (default 30)
-///   --flight-out PREFIX   install the always-on flight recorder; anomaly
+///   --series-out FILE     sample the attached registry on the series
+///                         cadence and write the series on exit (.json =
+///                         JSON, anything else = CSV)
+///   --series-cadence S    sim-seconds between samples (default 30; must
+///                         be a positive number)
+///   --flight-out PREFIX   keep the always-on flight recorder; anomaly
 ///                         dumps go to PREFIX<seq>.json
 ///
-/// Construct at the top of main(); the destructor flushes everything and
-/// clears every global sink.  Benches that drive a Simulation should call
-/// bind_clock() so events carry simulated timestamps, and — for v2 —
-/// bind_registry() on the observed run's service registry.  SLO specs
-/// added with add_slo() are evaluated on the series cadence but only when
-/// v2 is active (a flag was given), so default runs stay byte-identical.
+/// A value flag without its value, or a malformed cadence, prints an error
+/// and exits 2.  Construct at the top of main(); the destructor writes
+/// every artefact.  Benches that drive a Simulation call attach() once per
+/// run; sim-less benches hand context() to their bare components.  SLO
+/// specs added with add_slo() are evaluated on the series cadence but only
+/// when v2 is active (a flag was given), so default runs stay
+/// byte-identical.
 class ObsScope {
  public:
   ObsScope(int argc, char** argv) {
     double cadence_s = 30.0;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--trace-out" && i + 1 < argc) {
-        trace_path_ = argv[++i];
-      } else if (arg == "--metrics-out" && i + 1 < argc) {
-        metrics_path_ = argv[++i];
-      } else if (arg == "--series-out" && i + 1 < argc) {
-        series_path_ = argv[++i];
-      } else if (arg == "--series-cadence" && i + 1 < argc) {
-        cadence_s = std::atof(argv[++i]);
-      } else if (arg == "--flight-out" && i + 1 < argc) {
-        flight_prefix_ = argv[++i];
-      } else if (arg == "--profile") {
+      if (arg == "--profile") {
         obs::Profiler::instance().set_enabled(true);
         profile_ = true;
+        continue;
+      }
+      std::string* path = arg == "--trace-out"     ? &trace_path_
+                          : arg == "--metrics-out" ? &metrics_path_
+                          : arg == "--series-out"  ? &series_path_
+                          : arg == "--flight-out"  ? &flight_prefix_
+                                                   : nullptr;
+      const bool cadence = arg == "--series-cadence";
+      if (path == nullptr && !cadence) continue;  // the bench's own flag
+      if (i + 1 == argc) fail(arg + " needs a value");
+      const std::string value = argv[++i];
+      if (path != nullptr) {
+        *path = value;
+        continue;
+      }
+      char* end = nullptr;
+      cadence_s = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !std::isfinite(cadence_s) ||
+          cadence_s <= 0.0) {
+        fail("--series-cadence needs a positive number of seconds, got '" +
+             value + "'");
       }
     }
-    if (!trace_path_.empty()) obs::set_trace_sink(&recorder_);
-    // The v2 recorders exist from here but install as global sinks only at
-    // bind_registry(): multi-run benches (bench_qos baseline vs tiered)
-    // observe exactly the bound run, not the warm-up sibling.
     if (v2_active()) {
       obs::SeriesOptions series_options;
-      if (cadence_s > 0.0) series_options.cadence = Duration{cadence_s};
+      series_options.cadence = Duration{cadence_s};
       series_ = std::make_unique<obs::TimeSeriesRecorder>(series_options);
     }
     if (!flight_prefix_.empty()) {
@@ -117,30 +127,27 @@ class ObsScope {
       flight_options.dump_path_prefix = flight_prefix_;
       flight_ = std::make_unique<obs::FlightRecorder>(flight_options);
     }
+    if (tracing()) context_.set_trace(&recorder_);
+    context_.set_flight(flight_.get());
   }
 
   ~ObsScope() {
-    if (series_) {
-      obs::set_series_sink(nullptr);
-      if (!series_path_.empty()) {
-        const bool json = series_path_.size() >= 5 &&
-                          series_path_.compare(series_path_.size() - 5, 5,
-                                               ".json") == 0;
-        std::ofstream out{series_path_};
-        out << (json ? series_->to_json() : series_->to_csv());
-        std::cerr << "series: " << series_->series().size()
-                  << " series, " << series_->sample_count()
-                  << " sample tick(s) -> " << series_path_ << "\n";
-      }
+    if (series_ && !series_path_.empty()) {
+      const bool json = series_path_.size() >= 5 &&
+                        series_path_.compare(series_path_.size() - 5, 5,
+                                             ".json") == 0;
+      std::ofstream out{series_path_};
+      out << (json ? series_->to_json() : series_->to_csv());
+      std::cerr << "series: " << series_->series().size() << " series, "
+                << series_->sample_count() << " sample tick(s) -> "
+                << series_path_ << "\n";
     }
     if (flight_) {
-      obs::set_flight_recorder(nullptr);
       std::cerr << "flight: " << flight_->dump_count() << " dump(s), "
                 << flight_->suppressed_count() << " suppressed -> "
                 << flight_prefix_ << "<seq>.json\n";
     }
-    if (!trace_path_.empty()) {
-      obs::set_trace_sink(nullptr);
+    if (tracing()) {
       std::ofstream out{trace_path_};
       out << recorder_.to_chrome_json();
       std::cerr << "trace: " << recorder_.events().size() << " event(s) from "
@@ -157,61 +164,39 @@ class ObsScope {
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
 
-  /// Wire event timestamps to a simulation clock (or any SimTime source).
-  /// Also feeds the flight recorder's ring and dump clock.
-  void bind_clock(std::function<SimTime()> clock) {
-    if (flight_) flight_->set_clock(clock);
-    recorder_.set_clock(std::move(clock));
-  }
-
-  /// Activate the v2 subsystems on the observed run's registry: the
-  /// series sampler restarts its grid and snapshots it each tick, SLO
-  /// specs evaluate against it (breach counters registered into it),
-  /// flight dumps embed it — and the global sinks install so the sim loop
-  /// and the anomaly triggers see them.  Also stamps the active stepping
-  /// config into the flight black box.  No-op when v2 is off; call
-  /// unbind_registry() before the run's service is destroyed.
-  void bind_registry(obs::MetricsRegistry& registry) {
+  /// Observes one run.  The trace follows every attached run.  With a
+  /// registry, v2 observes this run too: the series sampler restarts its
+  /// grid and snapshots the registry each tick, fresh SLO monitors built
+  /// from the add_slo() specs evaluate it (breach counters register into
+  /// it), and flight dumps embed it.  The run's simulation must die
+  /// before this scope, and its registry before the next attach.
+  void attach(sim::Simulation& sim, obs::MetricsRegistry* registry = nullptr) {
+    obs::Context& context = sim.obs();
+    if (tracing()) context.set_trace(&recorder_);
+    if (registry == nullptr) return;
     if (series_) {
       series_->restart();
-      series_->bind_registry(&registry);
-      if (!pending_slos_.empty()) {
-        slo_ = std::make_unique<obs::SloMonitor>(&registry);
-        for (obs::SloSpec& spec : pending_slos_) slo_->add(std::move(spec));
-        pending_slos_.clear();
+      series_->bind_registry(registry);
+      if (!slos_.empty()) {
+        slo_ = std::make_unique<obs::SloMonitor>(registry, &context);
+        for (const obs::SloSpec& spec : slos_) slo_->add(spec);
         series_->set_on_sample(
             [this](SimTime at, const obs::MetricsSnapshot& snap) {
               slo_->evaluate(at, snap);
             });
       }
-      obs::set_series_sink(series_.get());
+      context.set_series(series_.get());
     }
     if (flight_) {
-      flight_->bind_registry(&registry);
-      obs::set_flight_recorder(flight_.get());
+      flight_->bind_registry(registry);
+      context.set_flight(flight_.get());
     }
   }
 
-  /// Detach the v2 subsystems from a registry about to be destroyed and
-  /// uninstall the global sinks.
-  void unbind_registry() {
-    if (series_) {
-      obs::set_series_sink(nullptr);
-      series_->bind_registry(nullptr);
-      series_->set_on_sample({});
-    }
-    slo_.reset();
-    if (flight_) {
-      obs::set_flight_recorder(nullptr);
-      flight_->bind_registry(nullptr);
-    }
-  }
-
-  /// Queue an SLO spec; it becomes live at the next bind_registry().
+  /// Adds an SLO spec, evaluated on every run attached with a registry.
   /// Inert when v2 is off, so gate runs stay byte-identical by default.
   void add_slo(obs::SloSpec spec) {
-    if (!v2_active()) return;
-    pending_slos_.push_back(std::move(spec));
+    if (v2_active()) slos_.push_back(std::move(spec));
   }
 
   /// Writes the snapshot CSV to --metrics-out (no-op when the flag was not
@@ -224,23 +209,28 @@ class ObsScope {
               << metrics_path_ << "\n";
   }
 
+  /// The standalone context (no clock: events stamp t=0) for sim-less
+  /// benches: the trace and the flight ring, wired as on a run.
+  [[nodiscard]] const obs::Context& context() const { return context_; }
+
+ private:
   /// Telemetry v2 is on when any of its flags was given.
   [[nodiscard]] bool v2_active() const {
     return !series_path_.empty() || !flight_prefix_.empty();
   }
-
   [[nodiscard]] bool tracing() const { return !trace_path_.empty(); }
-  [[nodiscard]] obs::TraceRecorder& recorder() { return recorder_; }
-  [[nodiscard]] obs::TimeSeriesRecorder* series() { return series_.get(); }
-  [[nodiscard]] obs::SloMonitor* slo() { return slo_.get(); }
-  [[nodiscard]] obs::FlightRecorder* flight() { return flight_.get(); }
+  [[noreturn]] static void fail(const std::string& message) {
+    std::cerr << "error: " << message << "\n";
+    std::exit(2);
+  }
 
- private:
   obs::TraceRecorder recorder_;
   std::unique_ptr<obs::TimeSeriesRecorder> series_;
   std::unique_ptr<obs::SloMonitor> slo_;
   std::unique_ptr<obs::FlightRecorder> flight_;
-  std::vector<obs::SloSpec> pending_slos_;
+  /// Declared after the recorders it wires, so it is released first.
+  obs::Context context_;
+  std::vector<obs::SloSpec> slos_;
   std::string trace_path_;
   std::string metrics_path_;
   std::string series_path_;

@@ -57,17 +57,16 @@ int main() {
   flight_options.min_gap = Duration{0.0};
   obs::FlightRecorder flight{flight_options};
   flight.bind_registry(&service.metrics());
-  flight.set_clock([&sim] { return sim.now(); });
-  obs::set_flight_recorder(&flight);
+  sim.obs().set_flight(&flight);
 
   // Series sampler: snapshots the service registry every 30 sim-seconds.
   obs::TimeSeriesRecorder series;
   series.bind_registry(&service.metrics());
-  obs::set_series_sink(&series);
+  sim.obs().set_series(&series);
 
   // SLO: background availability >= 90% over 5-minute and 1-minute
   // burn-rate windows.  The sacrifice ahead will torch that budget.
-  obs::SloMonitor slo{&service.metrics()};
+  obs::SloMonitor slo{&service.metrics(), &sim.obs()};
   {
     obs::SloSpec spec;
     spec.name = "background-availability";
@@ -162,8 +161,9 @@ int main() {
                "snapshot, and the sim clock — open one and read the story "
                "backwards.\n";
 
-  obs::set_series_sink(nullptr);
-  obs::set_flight_recorder(nullptr);
+  // The recorders die before the simulation: detach them first.
+  sim.obs().set_series(nullptr);
+  sim.obs().set_flight(nullptr);
   const bool slo_caught_shed = !slo.states().empty() &&
                                slo.states().front().breaches >= 1;
   return premium_sla.finished == premium_sla.requests &&

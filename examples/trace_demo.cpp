@@ -1,5 +1,5 @@
 // Observability tour: runs a scripted GRNET scenario with the trace
-// recorder installed and writes a Chrome trace-event JSON you can drop
+// recorder attached and writes a Chrome trace-event JSON you can drop
 // into chrome://tracing or https://ui.perfetto.dev.
 //
 // The scenario is built to light up every instrumented subsystem:
@@ -57,12 +57,11 @@ int main(int argc, char** argv) {
   if (profile) obs::Profiler::instance().set_enabled(true);
 
   obs::TraceRecorder recorder;
-  obs::set_trace_sink(&recorder);
 
   const grnet::CaseStudy g = grnet::build_case_study();
   net::NoTraffic traffic;
   sim::Simulation sim;
-  recorder.set_clock([&sim] { return sim.now(); });
+  sim.obs().set_trace(&recorder);
   net::FluidNetwork network{g.topology, traffic};
 
   service::ServiceOptions options;
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
   injector.restore_server_at(SimTime{2100.0}, g.heraklio);
 
   sim.run_until(from_hours(6.0));
-  obs::set_trace_sink(nullptr);
 
   {
     std::ofstream out{trace_path};

@@ -24,6 +24,20 @@ python3 tools/vodlint/vodlint.py --self-test
 mkdir -p build
 python3 tools/vodlint/vodlint.py --root . \
   --report build/vodlint_report.json src bench examples tools
+# The mutable-global inventory is pinned (DESIGN.md §9): nothing active and
+# exactly four waived process-wide objects — the logger, the profiler, the
+# trace formatting scratch and bench_repro_summary's failure counter.  A
+# new global, waived or not, fails here until the pin moves with a reason.
+python3 - <<'PY'
+import json
+import sys
+
+with open("build/vodlint_report.json", encoding="utf-8") as f:
+    counts = json.load(f)["rules"]["shared-mutable-global"]
+if counts != {"active": 0, "suppressed": 4}:
+    sys.exit(f"shared-mutable-global inventory moved: {counts}, "
+             "expected 0 active / 4 suppressed")
+PY
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy =="

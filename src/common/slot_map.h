@@ -7,8 +7,7 @@
 // key sequence already provides.  SlotMap replaces it with two flat arrays:
 //
 //   * a slot vector holding the values contiguously (free slots recycled
-//     through a free list, each reuse bumping a generation counter so stale
-//     handles are rejected rather than aliased), and
+//     through a free list), and
 //   * a sliding id->slot window: ids below the window base are known
 //     retired, so the index occupies O(active + churn window) no matter how
 //     many ids a long run burns through.
@@ -16,8 +15,7 @@
 // Ordered iteration (ascending id — the order every determinism-sensitive
 // float reduction in this library relies on; see DESIGN.md §12) is a linear
 // walk of the window, not a tree traversal.  Ids are never reused by the
-// callers, which keeps the id->slot window unambiguous; the generation
-// counter guards slot-addressed handles.
+// callers, which keeps the id->slot window unambiguous.
 #pragma once
 
 #include <cstddef>
@@ -40,14 +38,6 @@ class SlotMap {
  public:
   using underlying = typename Id::underlying_type;
   static constexpr std::uint32_t kNpos = 0xffffffffu;
-
-  /// A slot-addressed reference that outlives the id lookup: stays valid
-  /// while the entry lives, goes stale (get() == nullptr) once the entry is
-  /// erased and the slot recycled.
-  struct Handle {
-    std::uint32_t slot = kNpos;
-    std::uint32_t generation = 0;
-  };
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -110,8 +100,8 @@ class SlotMap {
   }
 
   /// Erases an entry (throws std::out_of_range if absent): the slot joins
-  /// the free list with its generation bumped, and the id window advances
-  /// past any fully-retired prefix.
+  /// the free list, and the id window advances past any fully-retired
+  /// prefix.
   void erase(Id id) {
     const std::uint32_t slot = slot_index(id);
     require_found(slot != kNpos, "SlotMap::erase: unknown id");
@@ -120,7 +110,6 @@ class SlotMap {
     Slot& s = slots_[slot];
     s.value.reset();
     s.id = Id{};
-    ++s.generation;
     free_.push_back(slot);
     window_[pos] = kNpos;
     --size_;
@@ -146,30 +135,6 @@ class SlotMap {
     }
   }
 
-  /// Dense slot index of a present id — stable for the entry's lifetime.
-  /// Throws std::out_of_range if absent.
-  [[nodiscard]] std::uint32_t slot_of(Id id) const {
-    const std::uint32_t slot = slot_index(id);
-    require_found(slot != kNpos, "SlotMap::slot_of: unknown id");
-    return slot;
-  }
-
-  /// Generation-checked handle for a present id.
-  [[nodiscard]] Handle handle_of(Id id) const {
-    const std::uint32_t slot = slot_index(id);
-    require_found(slot != kNpos, "SlotMap::handle_of: unknown id");
-    return Handle{slot, slots_[slot].generation};
-  }
-
-  /// Resolves a handle; nullptr when the entry was erased (the slot's
-  /// generation moved on) — never a pointer to an unrelated reused entry.
-  [[nodiscard]] T* get(Handle handle) {
-    if (handle.slot >= slots_.size()) return nullptr;
-    Slot& s = slots_[handle.slot];
-    if (s.generation != handle.generation || !s.value) return nullptr;
-    return &*s.value;
-  }
-
   // ---- introspection (tests / memory accounting) ----
 
   /// Width of the live id window (active entries + not-yet-compacted
@@ -185,7 +150,6 @@ class SlotMap {
  private:
   struct Slot {
     Id id{};
-    std::uint32_t generation = 0;
     std::optional<T> value;
   };
 

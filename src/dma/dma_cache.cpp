@@ -8,27 +8,22 @@
 
 namespace vod::dma {
 
-namespace {
-
-/// One DMA cache-churn instant; `node` labels whose cache this is.
-void trace_dma(const char* name, std::uint32_t node, VideoId video,
-               std::uint64_t points) {
-  obs::TraceRecorder* tr = obs::trace_sink();
-  if (tr == nullptr) return;
-  tr->instant(obs::Subsystem::kDma, name,
-              {{"node", obs::num(static_cast<std::uint64_t>(node))},
-               {"video", obs::num(static_cast<std::uint64_t>(video.value()))},
-               {"points", obs::num(points)}});
-}
-
-}  // namespace
-
 DmaCache::DmaCache(storage::DiskArray& disks, DmaOptions options,
                    DmaCallbacks callbacks)
     : disks_(disks), options_(options), callbacks_(std::move(callbacks)) {
   for (const VideoId video : disks_.stored_videos()) {
     ranked_.emplace(0, video);
   }
+}
+
+void DmaCache::trace(const char* name, VideoId video,
+                     std::uint64_t points) const {
+  obs::TraceRecorder* tr = obs_ != nullptr ? obs_->trace() : nullptr;
+  if (tr == nullptr) return;
+  tr->instant(obs::Subsystem::kDma, name,
+              {{"node", obs::num(static_cast<std::uint64_t>(trace_node_))},
+               {"video", obs::num(static_cast<std::uint64_t>(video.value()))},
+               {"points", obs::num(points)}});
 }
 
 std::uint64_t DmaCache::points(VideoId video) const {
@@ -57,7 +52,7 @@ bool DmaCache::place(VideoId video, MegaBytes size) {
 bool DmaCache::try_store(VideoId video, MegaBytes size) {
   if (!place(video, size)) return false;
   ++stores_;
-  trace_dma("dma.admit", trace_node_, video, points(video));
+  trace("dma.admit", video, points(video));
   if (callbacks_.on_admit) callbacks_.on_admit(video);
   return true;
 }
@@ -66,7 +61,7 @@ void DmaCache::evict(VideoId victim) {
   disks_.remove(victim);
   ranked_.erase({points(victim), victim});
   ++evictions_;
-  trace_dma("dma.evict", trace_node_, victim, points(victim));
+  trace("dma.evict", victim, points(victim));
   if (callbacks_.on_evict) callbacks_.on_evict(victim);
 }
 
@@ -75,7 +70,7 @@ std::vector<VideoId> DmaCache::handle_disk_failure(std::size_t slot) {
   for (const VideoId video : lost) {
     ranked_.erase({points(video), video});
     ++evictions_;
-    trace_dma("dma.lost", trace_node_, video, points(video));
+    trace("dma.lost", video, points(video));
     if (callbacks_.on_evict) callbacks_.on_evict(video);
   }
   return lost;
@@ -90,7 +85,7 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
   if (cached(video)) {
     const std::uint64_t count = add_point(video);
     ++hits_;
-    trace_dma("dma.hit", trace_node_, video, count);
+    trace("dma.hit", video, count);
     return DmaOutcome::kHit;
   }
 
@@ -99,7 +94,7 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
   if (options_.admission_threshold > 0) {
     const std::uint64_t count = add_point(video);
     if (count <= options_.admission_threshold) {
-      trace_dma("dma.point", trace_node_, video, count);
+      trace("dma.point", video, count);
       return DmaOutcome::kPointedOnly;
     }
     if (disks_.can_tolerate(size) && try_store(video, size)) {
@@ -125,7 +120,7 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
     }
     if (!options_.multi_evict) break;  // Figure 2: one victim per request
   }
-  trace_dma("dma.point", trace_node_, video, points(video));
+  trace("dma.point", video, points(video));
   return DmaOutcome::kPointedOnly;
 }
 

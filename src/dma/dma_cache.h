@@ -30,6 +30,7 @@
 
 #include "common/ids.h"
 #include "common/units.h"
+#include "obs/context.h"
 #include "storage/disk_array.h"
 
 namespace vod::dma {
@@ -102,9 +103,13 @@ class DmaCache {
   [[nodiscard]] const DmaOptions& options() const { return options_; }
   [[nodiscard]] const storage::DiskArray& disks() const { return disks_; }
 
-  /// Names this cache's server in trace events (caches have no inherent
-  /// node identity; the service labels each one when wiring the topology).
-  void set_trace_node(std::uint32_t node) { trace_node_ = node; }
+  /// The run whose trace receives this cache's `dma.*` churn events,
+  /// labelled with `node` (caches have no inherent node identity; the
+  /// service wires each one with its server).  nullptr traces nothing.
+  void set_obs(const obs::Context* context, std::uint32_t node) {
+    obs_ = context;
+    trace_node_ = node;
+  }
 
   // Counters for the benches.
   [[nodiscard]] std::uint64_t hit_count() const { return hits_; }
@@ -113,6 +118,8 @@ class DmaCache {
   [[nodiscard]] std::uint64_t request_count() const { return requests_; }
 
  private:
+  /// One cache-churn instant on the attached run's trace, if any.
+  void trace(const char* name, VideoId video, std::uint64_t points) const;
   bool try_store(VideoId video, MegaBytes size);
   void evict(VideoId victim);
   /// Grants `video` one point and returns its new count.
@@ -121,6 +128,7 @@ class DmaCache {
   storage::DiskArray& disks_;
   DmaOptions options_;
   DmaCallbacks callbacks_;
+  const obs::Context* obs_ = nullptr;
   std::uint32_t trace_node_ = 0;
   /// Popularity points, indexed by video id (grown on the first point).
   std::vector<std::uint64_t> points_;

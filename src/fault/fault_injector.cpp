@@ -140,7 +140,7 @@ void FaultInjector::schedule(SimTime at, FaultRecord record) {
 void FaultInjector::apply(const FaultRecord& record, SimTime now) {
   VOD_LOG_INFO("fault: " << to_string(record.kind) << " target "
                          << record.target << " at " << now.seconds());
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->instant(
         obs::Subsystem::kFault,
         std::string{"fault."} + to_string(record.kind),
@@ -154,7 +154,7 @@ void FaultInjector::apply(const FaultRecord& record, SimTime now) {
     case FaultKind::kServerCrash:
     case FaultKind::kDiskFailure:
     case FaultKind::kSnmpOutage:
-      if (obs::FlightRecorder* fr = obs::flight_recorder()) {
+      if (obs::FlightRecorder* fr = sim_.obs().flight()) {
         fr->trigger(std::string{"fault."} + to_string(record.kind));
       }
       break;

@@ -388,7 +388,7 @@ void FluidNetwork::reallocate() {
   }
 
   const std::size_t flow_count = flows_.size();
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+  if (obs::TraceRecorder* tr = obs_ != nullptr ? obs_->trace() : nullptr) {
     tr->instant(obs::Subsystem::kFluid, "fluid.realloc",
                 {{"rounds", obs::num(rounds)},
                  {"flows", obs::num(static_cast<std::uint64_t>(flow_count))}});

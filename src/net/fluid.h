@@ -47,6 +47,7 @@
 #include "common/units.h"
 #include "net/topology.h"
 #include "net/traffic.h"
+#include "obs/context.h"
 
 namespace vod::net {
 
@@ -76,6 +77,11 @@ class FluidNetwork {
   /// force); `post` runs after it (new rates in force).  One subscriber —
   /// the transfer manager — is sufficient for this library.
   void set_change_hooks(std::function<void()> pre, std::function<void()> post);
+
+  /// The run whose trace receives `fluid.realloc` events; nullptr (the
+  /// default) traces nothing.  The transfer manager wires its simulation's
+  /// context next to the change hooks.
+  void set_obs(const obs::Context* context) { obs_ = context; }
 
   /// Moves the background traffic clock; flow shares are re-solved.  The
   /// TrafficModel is re-read only once the clock leaves the cached step.
@@ -306,6 +312,7 @@ class FluidNetwork {
 
   std::function<void()> pre_change_hook_;
   std::function<void()> post_change_hook_;
+  const obs::Context* obs_ = nullptr;
   const Topology& topology_;
   const TrafficModel& traffic_;
   SimTime now_{0.0};

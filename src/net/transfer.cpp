@@ -19,10 +19,12 @@ TransferManager::TransferManager(sim::Simulation& sim, FluidNetwork& network)
     : sim_(sim), network_(network) {
   network_.set_change_hooks([this] { on_network_pre_change(); },
                             [this] { on_network_post_change(); });
+  network_.set_obs(&sim_.obs());
 }
 
 TransferManager::~TransferManager() {
   network_.set_change_hooks({}, {});
+  network_.set_obs(nullptr);
   sim_.queue().cancel(wake_);
 }
 

@@ -9,66 +9,11 @@
 
 namespace vod::obs {
 
-namespace {
-
-// vodlint:allow(shared-mutable-global: flight recorder pointer follows the
-// same installer-owned lifecycle as the trace sink (DESIGN.md §16);
-// trigger sites only read it)
-FlightRecorder* g_flight = nullptr;
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream hex;
-          hex << "\\u00" << std::hex << (c < 16 ? "0" : "")
-              << static_cast<int>(c);
-          out += hex.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-FlightRecorder* flight_recorder() { return g_flight; }
-
-void set_flight_recorder(FlightRecorder* recorder) {
-  g_flight = recorder;
-  set_flight_ring(recorder != nullptr ? &recorder->ring() : nullptr);
-}
-
 FlightRecorder::FlightRecorder(FlightOptions options)
     : options_(options),
       ring_(options.ring_capacity, OverflowPolicy::kRing) {
   require(options.ring_capacity > 0,
       "FlightRecorder: ring capacity must be positive");
-}
-
-void FlightRecorder::set_clock(std::function<SimTime()> clock) {
-  ring_.set_clock(clock);
-  clock_ = std::move(clock);
 }
 
 void FlightRecorder::set_config(const std::string& key,
@@ -139,7 +84,7 @@ std::string FlightRecorder::build_dump(const std::string& reason,
 }
 
 bool FlightRecorder::trigger(const std::string& reason) {
-  const SimTime now = clock_ ? clock_() : SimTime{0.0};
+  const SimTime now = ring_.now();
   if (options_.max_dumps != 0 && dumps_.size() >= options_.max_dumps) {
     ++suppressed_;
     return false;

@@ -6,24 +6,24 @@
 // injection, preemption commit, or an explicit trigger() call), dumps a
 // deterministic postmortem file: the last-N events, a full metrics
 // snapshot, the active configuration (QoS knobs, seed — whatever the
-// installer injects) and the sim clock.
+// caller injects) and the sim clock.
 //
-// Installation (set_flight_recorder) wires the recorder's ring into the
-// trace layer's effective-sink slot: with no user TraceRecorder the ring
-// records directly; with one, the user recorder mirrors into the ring —
-// either way instrumentation sites still pay one load+branch when
+// Attaching it to a run (obs::Context::set_flight) wires the recorder's
+// ring into that run's effective trace sink: with no user TraceRecorder
+// the ring records directly; with one, the user recorder mirrors into the
+// ring — either way instrumentation sites still pay one load+branch when
 // everything is off, and the ring sees every event even past a user
 // recorder's capacity cap.
 //
 // Determinism contract (DESIGN.md §16): every byte of a dump derives from
-// simulated state — events carry sim timestamps, the clock is the sim
-// clock, config entries are caller-supplied strings, and dump files are
-// sequence-numbered (<prefix><seq>.json), never wall-clock-named.
+// simulated state — events carry sim timestamps, the clock is the run's
+// context clock, config entries are caller-supplied strings, and dump
+// files are sequence-numbered (<prefix><seq>.json), never
+// wall-clock-named.
 // Double-runs produce byte-identical dumps.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,9 +57,6 @@ class FlightRecorder {
   void bind_registry(const MetricsRegistry* registry) {
     registry_ = registry;
   }
-  /// Sim clock for the ring's event timestamps and the dump's `sim_time_s`.
-  void set_clock(std::function<SimTime()> clock);
-
   /// Config shown in the dump (QoS knobs, seed...).
   /// Later sets with the same key overwrite; rendered key-sorted.
   void set_config(const std::string& key, const std::string& value);
@@ -77,8 +74,8 @@ class FlightRecorder {
     return dumps_;
   }
 
-  /// The ring itself (exposed for tests; the trace layer feeds it once the
-  /// recorder is installed).
+  /// The ring itself (exposed for tests; the attached context feeds it and
+  /// its clock stamps the dump's `sim_time_s`).
   [[nodiscard]] TraceRecorder& ring() { return ring_; }
   [[nodiscard]] const TraceRecorder& ring() const { return ring_; }
 
@@ -88,7 +85,6 @@ class FlightRecorder {
 
   FlightOptions options_;
   TraceRecorder ring_;
-  std::function<SimTime()> clock_;
   const MetricsRegistry* registry_ = nullptr;
   std::vector<std::pair<std::string, std::string>> config_;  // key-sorted
   std::vector<std::pair<std::string, std::string>> dumps_;
@@ -96,13 +92,5 @@ class FlightRecorder {
   bool dumped_before_ = false;
   SimTime last_dump_{0.0};
 };
-
-/// The process-global flight recorder consulted by anomaly triggers
-/// (SloMonitor breaches, FaultInjector::apply, preemption commits);
-/// nullptr (the default) disables at one load+branch.  Installing also
-/// wires the ring into the trace layer (set_flight_ring); the installer
-/// owns the recorder and must clear the global before destroying it.
-[[nodiscard]] FlightRecorder* flight_recorder();
-void set_flight_recorder(FlightRecorder* recorder);
 
 }  // namespace vod::obs

@@ -8,21 +8,6 @@
 
 namespace vod::obs {
 
-namespace {
-
-// vodlint:allow(shared-mutable-global: series sink pointer follows the
-// same installer-owned lifecycle as the trace sink (DESIGN.md §16); the
-// simulation core only reads it between instants)
-TimeSeriesRecorder* g_series_sink = nullptr;
-
-}  // namespace
-
-TimeSeriesRecorder* series_sink() { return g_series_sink; }
-
-void set_series_sink(TimeSeriesRecorder* recorder) {
-  g_series_sink = recorder;
-}
-
 void Series::append(SeriesPoint point) {
   if (capacity_ != 0 && points_.size() >= capacity_) {
     points_[head_] = point;

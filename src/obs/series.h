@@ -10,11 +10,12 @@
 // concern).
 //
 // Determinism contract (DESIGN.md §16): sampling is observe-only and driven
-// entirely by simulated time.  The simulation loops consult series_sink()
-// (a global pointer, null when recording is off — one load+branch) and pump
-// on_instant(next_event_time) BEFORE executing each instant, so a sample at
-// cadence tick T reflects exactly the events strictly before T; the event
-// stream itself is never perturbed (no sampling events are scheduled).
+// entirely by simulated time.  The simulation loops consult their
+// context's series() (null when recording is off — one load+branch) and
+// pump on_instant(next_event_time) BEFORE executing each instant, so a
+// sample at cadence tick T reflects exactly the events strictly before T;
+// the event stream itself is never perturbed (no sampling events are
+// scheduled).
 // Identical runs therefore produce byte-identical exports.
 #pragma once
 
@@ -82,9 +83,10 @@ class Series {
   std::vector<SeriesPoint> points_;
 };
 
-/// Registry-driven sampler.  Bind a registry, install as the global
-/// series_sink(), and the simulation loops pump on_instant(); sample() can
-/// also be called directly (tests, explicit flushes).
+/// Registry-driven sampler.  Bind a registry, attach to a run's context
+/// (obs::Context::set_series), and that simulation's loops pump
+/// on_instant(); sample() can also be called directly (tests, explicit
+/// flushes).
 class TimeSeriesRecorder {
  public:
   explicit TimeSeriesRecorder(SeriesOptions options = {});
@@ -104,8 +106,8 @@ class TimeSeriesRecorder {
   void on_instant(SimTime upcoming);
 
   /// Drops every recorded point and rewinds the tick grid to
-  /// first_sample — multi-run benches call this (via ObsScope's
-  /// bind_registry) so the series cover exactly the observed run.
+  /// first_sample — multi-run benches call this (via ObsScope's attach)
+  /// so the series cover exactly the observed run.
   void restart();
 
   /// Samples the bound registry once at `at` (normally driven by
@@ -155,12 +157,5 @@ class TimeSeriesRecorder {
   std::vector<Series*> scalar_plan_;
   std::vector<std::pair<Series*, Series*>> hist_plan_;
 };
-
-/// The process-global series sink pumped by the simulation loops; nullptr
-/// (the default) disables sampling at one load+branch, mirroring
-/// trace_sink().  Installer owns the recorder and must clear the sink
-/// before destroying it.
-[[nodiscard]] TimeSeriesRecorder* series_sink();
-void set_series_sink(TimeSeriesRecorder* recorder);
 
 }  // namespace vod::obs

@@ -26,7 +26,8 @@ std::string render(double value) {
 
 }  // namespace
 
-SloMonitor::SloMonitor(MetricsRegistry* registry) : registry_(registry) {
+SloMonitor::SloMonitor(MetricsRegistry* registry, const Context* context)
+    : registry_(registry), context_(context) {
   require(registry != nullptr, "SloMonitor: registry required");
 }
 
@@ -176,17 +177,17 @@ void SloMonitor::evaluate(SimTime at, const MetricsSnapshot& snap) {
       breach_counters_[i]->inc();
       const double min_burn =
           *std::min_element(state.last_burn.begin(), state.last_burn.end());
-      if (TraceRecorder* tr = trace_sink()) {
+      if (TraceRecorder* tr = context_ ? context_->trace() : nullptr) {
         tr->instant(Subsystem::kSlo, "slo.breach",
                     {{"slo", spec.name}, {"burn", render(min_burn)}});
       }
-      if (FlightRecorder* fr = flight_recorder()) {
+      if (FlightRecorder* fr = context_ ? context_->flight() : nullptr) {
         fr->trigger("slo.breach:" + spec.name);
       }
     } else if (!all_burning && state.breached) {
       state.breached = false;
       ++state.recoveries;
-      if (TraceRecorder* tr = trace_sink()) {
+      if (TraceRecorder* tr = context_ ? context_->trace() : nullptr) {
         tr->instant(Subsystem::kSlo, "slo.recover", {{"slo", spec.name}});
       }
     }

@@ -12,8 +12,9 @@
 // noise.
 //
 // Crossings are edge-triggered: entering breach emits one `slo.breach`
-// instant on the kSlo trace track, increments `slo.<name>.breaches`, and
-// pokes the flight recorder; leaving emits `slo.recover`.  Evaluation is
+// instant on the kSlo trace track of the monitor's run context, increments
+// `slo.<name>.breaches`, and pokes that run's flight recorder; leaving
+// emits `slo.recover`.  Evaluation is
 // driven by the same deterministic cadence as the series sampler (the
 // monitor piggybacks on TimeSeriesRecorder ticks via evaluate()), so
 // identical runs breach at identical instants.
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
+#include "obs/context.h"
 #include "obs/metrics.h"
 
 namespace vod::obs {
@@ -80,8 +82,11 @@ class SloMonitor {
  public:
   /// `registry` receives the `slo.<name>.breaches` counters (registered
   /// eagerly so CSV columns exist from the first snapshot) and is the
-  /// source of evaluated metrics.  Must outlive the monitor.
-  explicit SloMonitor(MetricsRegistry* registry);
+  /// source of evaluated metrics.  `context` is the run whose trace and
+  /// flight recorder breaches report into (nullptr: counters only).  Both
+  /// must outlive the monitor.
+  explicit SloMonitor(MetricsRegistry* registry,
+                      const Context* context = nullptr);
 
   void add(SloSpec spec);
 
@@ -126,6 +131,7 @@ class SloMonitor {
                                         const MetricsSnapshot& snap) const;
 
   MetricsRegistry* registry_ = nullptr;
+  const Context* context_ = nullptr;
   std::vector<SloState> states_;
   std::vector<Counter*> breach_counters_;
   /// Per-spec sample history, trimmed to the longest window.

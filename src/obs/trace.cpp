@@ -6,37 +6,39 @@
 #include <utility>
 
 #include "common/contract.h"
+#include "obs/context.h"
 
 namespace vod::obs {
 
 namespace {
 
-// vodlint:allow(shared-mutable-global: trace sink pointers are installed
-// before a run and cleared after; the simulation core only reads them
-// (DESIGN.md §11))
-TraceRecorder* g_sink = nullptr;  // effective sink read by call sites
-
-// vodlint:allow(shared-mutable-global: same installer-owned lifecycle as
-// g_sink — these two feed the effective-sink rewiring below)
-TraceRecorder* g_user_sink = nullptr;
-
-// vodlint:allow(shared-mutable-global: same installer-owned lifecycle as
-// g_sink; owned by the FlightRecorder (obs/flight.h))
-TraceRecorder* g_flight_ring = nullptr;
-
-/// Recomputes the effective sink: the user recorder wins and mirrors into
-/// the flight ring; with no user recorder the ring records directly.
-void rewire_sink() {
-  if (g_user_sink != nullptr) {
-    g_user_sink->set_mirror(g_flight_ring);
-    g_sink = g_user_sink;
-  } else {
-    g_sink = g_flight_ring;
-  }
+/// A reused formatting stream: constructing an ostringstream per value
+/// (locale setup each time) dominates rendering cost at trace/flight event
+/// volume.
+std::ostringstream& scratch_stream() {
+  // vodlint:allow(shared-mutable-global: formatting scratch — its contents
+  // never outlive one call; reuse only skips the per-value locale setup of
+  // a fresh ostringstream)
+  static std::ostringstream os;
+  os.str(std::string());
+  return os;
 }
 
-/// JSON string escaping for names/arg values (control chars, quote,
-/// backslash).
+/// Simulated seconds -> trace microseconds, rendered without a fractional
+/// part when whole (the common case) so the JSON stays tidy and stable.
+std::string to_ts(SimTime at) {
+  const double us = at.seconds() * 1e6;
+  std::ostringstream& os = scratch_stream();
+  if (us == std::floor(us) && std::abs(us) < 9e15) {
+    os << static_cast<long long>(us);
+  } else {
+    os << us;
+  }
+  return os.str();
+}
+
+}  // namespace
+
 std::string json_escape(const std::string& in) {
   std::string out;
   out.reserve(in.size() + 2);
@@ -71,33 +73,6 @@ std::string json_escape(const std::string& in) {
   return out;
 }
 
-/// A reused formatting stream: constructing an ostringstream per value
-/// (locale setup each time) dominates rendering cost at trace/flight event
-/// volume.
-std::ostringstream& scratch_stream() {
-  // vodlint:allow(shared-mutable-global: formatting scratch — its contents
-  // never outlive one call; reuse only skips the per-value locale setup of
-  // a fresh ostringstream)
-  static std::ostringstream os;
-  os.str(std::string());
-  return os;
-}
-
-/// Simulated seconds -> trace microseconds, rendered without a fractional
-/// part when whole (the common case) so the JSON stays tidy and stable.
-std::string to_ts(SimTime at) {
-  const double us = at.seconds() * 1e6;
-  std::ostringstream& os = scratch_stream();
-  if (us == std::floor(us) && std::abs(us) < 9e15) {
-    os << static_cast<long long>(us);
-  } else {
-    os << us;
-  }
-  return os.str();
-}
-
-}  // namespace
-
 const char* to_string(Subsystem subsystem) {
   switch (subsystem) {
     case Subsystem::kSession:
@@ -130,29 +105,14 @@ std::string num(double value) {
 
 std::string num(std::uint64_t value) { return std::to_string(value); }
 
-TraceRecorder* trace_sink() { return g_sink; }
-
-void set_trace_sink(TraceRecorder* recorder) {
-  if (g_user_sink != nullptr && g_user_sink != recorder) {
-    g_user_sink->set_mirror(nullptr);
-  }
-  g_user_sink = recorder;
-  rewire_sink();
-}
-
-void set_flight_ring(TraceRecorder* ring) {
-  g_flight_ring = ring;
-  rewire_sink();
-}
-
 TraceRecorder::TraceRecorder(std::size_t max_events, OverflowPolicy policy)
     : max_events_(max_events), policy_(policy) {
   require(policy == OverflowPolicy::kDrop || max_events != 0,
       "TraceRecorder: kRing requires a finite capacity");
 }
 
-void TraceRecorder::set_clock(std::function<SimTime()> clock) {
-  clock_ = std::move(clock);
+SimTime TraceRecorder::now() const {
+  return context_ != nullptr ? context_->now() : SimTime{0.0};
 }
 
 void TraceRecorder::push(TraceEvent event) {

@@ -8,23 +8,24 @@
 // dump for golden tests and the double-run determinism harness.
 //
 // Determinism contract (DESIGN.md §11): tracing is observe-only.  Call
-// sites first check trace_sink() (a global pointer, null when tracing is
-// off) and only then build event arguments, so a disabled recorder costs
-// one load+branch and an enabled one never feeds anything back into the
-// simulation.  Timestamps come from the recorder's clock callback — always
-// simulated time, never the wall clock (wall-clock profiling lives in
-// obs/profile.h, separately gated).
+// sites first check their run's obs::Context::trace() (null when tracing
+// is off) and only then build event arguments, so a disabled recorder
+// costs one load+branch and an enabled one never feeds anything back into
+// the simulation.  Timestamps come from the context the recorder is
+// attached to — always simulated time, never the wall clock (wall-clock
+// profiling lives in obs/profile.h, separately gated).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/sim_time.h"
 
 namespace vod::obs {
+
+class Context;
 
 /// The subsystem an event belongs to; each renders as its own thread track
 /// in the Chrome trace (tid = enum value + 1).
@@ -83,10 +84,6 @@ class TraceRecorder {
   explicit TraceRecorder(std::size_t max_events = 0,
                          OverflowPolicy policy = OverflowPolicy::kDrop);
 
-  /// Supplies "now" for every recorded event; defaults to SimTime{0}.
-  /// Typically wired to sim.now() by whoever installs the recorder.
-  void set_clock(std::function<SimTime()> clock);
-
   void instant(Subsystem subsystem, std::string name,
                std::vector<TraceArg> args = {});
   void counter(Subsystem subsystem, std::string name, double value);
@@ -114,12 +111,9 @@ class TraceRecorder {
   [[nodiscard]] std::size_t overwritten_count() const { return overwritten_; }
   void clear();
 
-  /// Mirrors every event pushed here into `other` as well (before any
-  /// capacity handling, so the mirror sees events this recorder drops).
-  /// The flight recorder uses this to shadow a user-installed sink; mirror
-  /// chains are not followed.  nullptr detaches.
-  void set_mirror(TraceRecorder* other) { mirror_ = other; }
-  [[nodiscard]] TraceRecorder* mirror() const { return mirror_; }
+  /// The sim time of the context this recorder is attached to (t=0 when
+  /// detached or when the context has no clock); stamps every event.
+  [[nodiscard]] SimTime now() const;
 
   /// Chrome trace-event JSON ("traceEvents" array plus thread-name
   /// metadata); loads in Perfetto and chrome://tracing.  Timestamps are
@@ -135,42 +129,29 @@ class TraceRecorder {
   [[nodiscard]] std::size_t subsystem_count() const;
 
  private:
-  void push(TraceEvent event);
-  [[nodiscard]] SimTime now() const {
-    return clock_ ? clock_() : SimTime{0.0};
-  }
+  friend class Context;  // attaches the clock and the flight mirror
 
-  std::function<SimTime()> clock_;
+  void push(TraceEvent event);
+
+  const Context* context_ = nullptr;
   std::vector<TraceEvent> events_;
   std::size_t max_events_ = 0;
   OverflowPolicy policy_ = OverflowPolicy::kDrop;
   std::size_t head_ = 0;  // oldest element / next overwrite slot (kRing)
   std::size_t dropped_ = 0;
   std::size_t overwritten_ = 0;
+  /// Receives a copy of every event pushed here, before any capacity
+  /// handling, so the flight ring sees events this recorder drops.
   TraceRecorder* mirror_ = nullptr;
 };
-
-/// The process-global trace sink consulted by every instrumentation site;
-/// nullptr (the default) disables tracing.  The simulator is
-/// single-threaded, so plain pointers suffice — the installer owns the
-/// recorder and must clear the sink before destroying it.
-///
-/// Two producers can feed the sink slot: the user-installed recorder
-/// (set_trace_sink) and the flight recorder's always-on ring
-/// (set_flight_ring, installed by obs::FlightRecorder).  When both are
-/// present the user recorder is the sink and mirrors into the ring; when
-/// only the ring is present it is the sink directly — either way call
-/// sites still pay exactly one load+branch when everything is off.
-[[nodiscard]] TraceRecorder* trace_sink();
-void set_trace_sink(TraceRecorder* recorder);
-
-/// Installs/clears the flight recorder's ring buffer (obs/flight.h owns
-/// the ring; nullptr detaches).  Not for general use.
-void set_flight_ring(TraceRecorder* ring);
 
 /// Renders a number the way the text/JSON exporters expect (ostringstream
 /// default formatting — deterministic across runs on one platform).
 std::string num(double value);
 std::string num(std::uint64_t value);
+
+/// JSON string escaping for names and arg values (control characters,
+/// quote, backslash); shared by the trace and flight exporters.
+std::string json_escape(const std::string& in);
 
 }  // namespace vod::obs

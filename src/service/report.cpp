@@ -32,7 +32,6 @@ ServiceReport build_report(const VodService& service, Mbps qos_floor) {
   report.vra_cache.edges_rewritten = snap.value_u64("vra.edges_rewritten");
   report.vra_cache.spt_hits = snap.value_u64("vra.spt_hits");
   report.vra_cache.spt_misses = snap.value_u64("vra.spt_misses");
-  report.vra_cache_enabled = service.vra().cache_enabled();
   for (const SessionId id : service.session_ids()) {
     const stream::SessionMetrics& m = service.session_metrics(id);
     ++report.sessions;
@@ -90,8 +89,6 @@ std::string format_report(const ServiceReport& report) {
                  std::to_string(report.qos_ok) + " (" +
                      TextTable::num(100.0 * report.qos_ok_share(), 0) +
                      "%)"});
-  table.add_row({"VRA cache",
-                 report.vra_cache_enabled ? "enabled" : "disabled"});
   table.add_row({"VRA graph hits",
                  std::to_string(report.vra_cache.graph_hits)});
   table.add_row({"VRA graph incremental",

@@ -34,7 +34,6 @@ struct ServiceReport {
 
   /// Incremental LVN engine counters (graph/SPT cache effectiveness).
   vra::VraCacheStats vra_cache;
-  bool vra_cache_enabled = false;
 
   [[nodiscard]] double qos_ok_share() const {
     return finished > 0

@@ -30,8 +30,8 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
       Duration{options_.snmp_interval_seconds});
   vra_ = std::make_unique<vra::Vra>(topology_, db_.full_view(),
                                     db_.limited_view(admin_),
-                                    options_.validation,
-                                    options_.vra_cache_enabled);
+                                    options_.validation);
+  vra_->set_obs(&sim_.obs());
   vra_->configure_degraded_mode(Duration{options_.degraded_stats_age_seconds},
                                 [this] { return sim_.now(); });
   vra_policy_ = std::make_unique<stream::VraPolicy>(
@@ -76,7 +76,7 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
     snap.set_counter("dma.requests", requests);
     // Truncated traces are detectable from the snapshot alone; 0 (also
     // when no sink is installed) keeps the column present in every CSV.
-    obs::TraceRecorder* tr = obs::trace_sink();
+    obs::TraceRecorder* tr = sim_.obs().trace();
     snap.set_counter("trace.dropped_events",
                      tr != nullptr ? tr->dropped_count() : 0);
   });
@@ -123,7 +123,7 @@ void VodService::register_topology() {
     };
     state.cache = std::make_unique<dma::DmaCache>(
         *state.disks, options_.dma, std::move(callbacks));
-    state.cache->set_trace_node(node.value());
+    state.cache->set_obs(&sim_.obs(), node.value());
     servers_.emplace(node, std::move(state));
   }
   for (const net::LinkInfo& info : topology_.links()) {
@@ -208,7 +208,7 @@ SessionId VodService::request_at(NodeId home, VideoId video,
 SessionId VodService::request_at_impl(NodeId home, const db::VideoInfo& info,
                                       UserClass cls,
                                       stream::Session::DoneCallback on_done) {
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->instant(
         obs::Subsystem::kService, "service.request",
         {{"home", topology_.node_name(home)},
@@ -244,7 +244,7 @@ SessionId VodService::request_at_impl(NodeId home, const db::VideoInfo& info,
         leader_session.add_done_callback(std::move(on_done));
         VOD_LOG_DEBUG("service: coalesced request onto session "
                       << leader.value());
-        if (obs::TraceRecorder* tr = obs::trace_sink()) {
+        if (obs::TraceRecorder* tr = sim_.obs().trace()) {
           tr->instant(obs::Subsystem::kService, "service.coalesce",
                       {{"leader", obs::num(static_cast<std::uint64_t>(
                            leader.value()))}});
@@ -305,7 +305,7 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
             .observe(latency);
       }
     }
-    if (obs::TraceRecorder* tr = obs::trace_sink()) {
+    if (obs::TraceRecorder* tr = sim_.obs().trace()) {
       tr->counter(obs::Subsystem::kService, "service.active_sessions",
                   static_cast<double>(active_sessions_));
     }
@@ -324,7 +324,7 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
     schedule_batch_expiry();
   }
   ++active_sessions_;
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->counter(obs::Subsystem::kService, "service.active_sessions",
                 static_cast<double>(active_sessions_));
   }
@@ -356,7 +356,7 @@ stream::Session::DoneCallback VodService::wrap_with_retry(
     VOD_LOG_INFO("service: session " << id.value() << " failed ("
                                      << session.metrics().failure_reason
                                      << "); retrying in " << backoff);
-    if (obs::TraceRecorder* tr = obs::trace_sink()) {
+    if (obs::TraceRecorder* tr = sim_.obs().trace()) {
       tr->instant(
           obs::Subsystem::kService, "service.retry",
           {{"sid", obs::num(static_cast<std::uint64_t>(id.value()))},
@@ -399,7 +399,7 @@ VodService::AdmissionOutcome VodService::request_with_admission(
     ++rejected_;
     VOD_LOG_INFO("service: rejected request for " << info->title
                                                   << " (no QoS headroom)");
-    if (obs::TraceRecorder* tr = obs::trace_sink()) {
+    if (obs::TraceRecorder* tr = sim_.obs().trace()) {
       tr->instant(
           obs::Subsystem::kService, "service.reject",
           {{"home", topology_.node_name(home)},
@@ -466,7 +466,7 @@ VodService::AdmissionOutcome VodService::request_classed(
           ++preemption_victims_;
           ++qos_counter((*slot)->user_class(), "preempted");
           VOD_LOG_INFO("service: preempting session " << victim.value());
-          if (obs::TraceRecorder* tr = obs::trace_sink()) {
+          if (obs::TraceRecorder* tr = sim_.obs().trace()) {
             tr->instant(obs::Subsystem::kService, "service.preempt",
                         {{"victim", obs::num(static_cast<std::uint64_t>(
                              victim.value()))}});
@@ -480,7 +480,7 @@ VodService::AdmissionOutcome VodService::request_classed(
       ++qos_counter(cls, "preempted_admits");
       // A committed sacrifice is an anomaly worth a black box: victims are
       // aborted, the admission went through over their dead flows.
-      if (obs::FlightRecorder* fr = obs::flight_recorder()) {
+      if (obs::FlightRecorder* fr = sim_.obs().flight()) {
         fr->trigger("preemption");
       }
       const SessionId id =
@@ -495,7 +495,7 @@ VodService::AdmissionOutcome VodService::request_classed(
   if (qos) ++qos_counter(cls, "rejected");
   VOD_LOG_INFO("service: rejected " << to_string(cls) << " request for "
                                     << info->title << " (no QoS headroom)");
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->instant(
         obs::Subsystem::kService, "service.reject",
         {{"home", topology_.node_name(home)},

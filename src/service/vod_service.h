@@ -157,10 +157,6 @@ struct ServiceOptions {
   double coalesce_window_seconds = 0.0;
   /// Ring-buffer size of the routing decision audit (0 = auditing off).
   std::size_t audit_capacity = 0;
-  /// Incremental LVN engine: cache the weighted graph and shortest-path
-  /// trees between database changes (selections are identical either way;
-  /// false recomputes per request, the seed behaviour).
-  bool vra_cache_enabled = true;
   vra::ValidationOptions validation{};
   dma::DmaOptions dma{};
   stream::SessionOptions session{};

@@ -12,10 +12,10 @@ namespace {
 
 /// Series pump (DESIGN.md §16): takes every cadence tick up to the next
 /// instant BEFORE that instant executes, so a sample at tick T reflects
-/// exactly the events strictly before T.  With no recorder installed this
+/// exactly the events strictly before T.  With no sampler attached this
 /// is the one load+branch the determinism contract allows.
-inline void pump_series(const EventQueue& queue) {
-  if (obs::TimeSeriesRecorder* series = obs::series_sink()) {
+inline void pump_series(const obs::Context& context, const EventQueue& queue) {
+  if (obs::TimeSeriesRecorder* series = context.series()) {
     if (const auto next = queue.next_time()) series->on_instant(*next);
   }
 }
@@ -25,7 +25,7 @@ inline void pump_series(const EventQueue& queue) {
 std::size_t Simulation::run(std::size_t max_events) {
   std::size_t executed = 0;
   while (executed < max_events) {
-    pump_series(queue_);
+    pump_series(obs_, queue_);
     if (!queue_.run_next()) break;
     ++executed;
   }
@@ -36,7 +36,7 @@ std::size_t Simulation::run_until(SimTime until) {
   std::size_t executed = 0;
   while (auto next = queue_.next_time()) {
     if (*next > until) break;
-    pump_series(queue_);
+    pump_series(obs_, queue_);
     queue_.run_next();
     ++executed;
   }
@@ -45,7 +45,7 @@ std::size_t Simulation::run_until(SimTime until) {
   // first so series ticks <= `until` are flushed against the final state.
   if (queue_.now() < until) {
     queue_.schedule(until, [](SimTime) {});
-    pump_series(queue_);
+    pump_series(obs_, queue_);
     queue_.run_next();
   }
   return executed;

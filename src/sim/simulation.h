@@ -1,9 +1,10 @@
 // Simulation driver.
 //
-// Owns the event queue and the simulated clock, and provides the run-loop
-// variants the benches and tests need (run to exhaustion, run until a time,
-// run a bounded number of events).  Also provides PeriodicTask, the building
-// block for the SNMP poller and the VRA's continuous re-evaluation.
+// Owns the event queue, the simulated clock and the run's observability
+// context, and provides the run-loop variants the benches and tests need
+// (run to exhaustion, run until a time, run a bounded number of events).
+// Also provides PeriodicTask, the building block for the SNMP poller and
+// the VRA's continuous re-evaluation.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +12,7 @@
 #include <limits>
 
 #include "common/sim_time.h"
+#include "obs/context.h"
 #include "sim/event_queue.h"
 
 namespace vod::sim {
@@ -19,8 +21,17 @@ namespace vod::sim {
 /// schedule their own events.
 class Simulation {
  public:
+  Simulation() = default;
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+
   [[nodiscard]] SimTime now() const { return queue_.now(); }
   EventQueue& queue() { return queue_; }
+
+  /// This run's observability sinks, stamped with now(); the loops below
+  /// pump its series sampler (DESIGN.md §16).
+  [[nodiscard]] obs::Context& obs() { return obs_; }
+  [[nodiscard]] const obs::Context& obs() const { return obs_; }
 
   /// Schedules `callback` after `delay` from now.
   EventHandle schedule_in(Duration delay, EventQueue::Callback callback) {
@@ -44,6 +55,7 @@ class Simulation {
 
  private:
   EventQueue queue_;
+  obs::Context obs_{[this] { return now(); }};
 };
 
 /// A task that re-fires at a fixed period until stopped.  The callback runs

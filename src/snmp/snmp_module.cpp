@@ -32,7 +32,7 @@ void SnmpModule::poll_now(SimTime now) { sample(now); }
 void SnmpModule::sample(SimTime now) {
   if (network_.time() < now) network_.set_time(now);
   const net::Topology& topology = network_.topology();
-  obs::TraceRecorder* tr = obs::trace_sink();
+  obs::TraceRecorder* tr = sim_.obs().trace();
   if (tr != nullptr) {
     tr->begin(obs::Subsystem::kSnmp, "snmp.sweep",
               {{"links", obs::num(static_cast<std::uint64_t>(

@@ -14,9 +14,9 @@ namespace vod::stream {
 namespace {
 
 /// One per-session instant, tagged with the session's trace id.
-void trace_session(const char* name, std::uint64_t sid,
-                   std::vector<obs::TraceArg> args = {}) {
-  obs::TraceRecorder* tr = obs::trace_sink();
+void trace_session(const obs::Context& context, const char* name,
+                   std::uint64_t sid, std::vector<obs::TraceArg> args = {}) {
+  obs::TraceRecorder* tr = context.trace();
   if (tr == nullptr) return;
   args.insert(args.begin(), {"sid", obs::num(sid)});
   tr->instant(obs::Subsystem::kSession, name, std::move(args));
@@ -78,7 +78,7 @@ void Session::start() {
   ensure(!started_, "Session::start: already started");
   started_ = true;
   metrics_.requested_at = sim_.now();
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->async_begin(
         obs::Subsystem::kSession, "session", trace_id_,
         {{"video", obs::num(static_cast<std::uint64_t>(video_.id.value()))},
@@ -147,7 +147,7 @@ void Session::fetch_next_cluster(SimTime now) {
     ++metrics_.server_switches;
     VOD_LOG_DEBUG("session: switched source for cluster " << index);
     trace_session(
-        "session.switch", trace_id_,
+        sim_.obs(), "session.switch", trace_id_,
         {{"cluster", obs::num(static_cast<std::uint64_t>(index))},
          {"from", obs::num(static_cast<std::uint64_t>(
               metrics_.cluster_sources.back().value()))},
@@ -216,7 +216,7 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
     return;
   }
   VOD_LOG_INFO("session: cluster " << index << " stalled; retrying");
-  trace_session("session.stall", trace_id_,
+  trace_session(sim_.obs(), "session.stall", trace_id_,
                 {{"cluster", obs::num(static_cast<std::uint64_t>(index))},
                  {"retries", obs::num(static_cast<std::uint64_t>(
                       metrics_.stall_retries))}});
@@ -257,7 +257,8 @@ void Session::fail_over(const std::string& cause) {
   metrics_.cluster_sources.pop_back();
   ++metrics_.proactive_failovers;
   VOD_LOG_INFO("session: failing over (" << cause << ")");
-  trace_session("session.failover", trace_id_, {{"cause", cause}});
+  trace_session(sim_.obs(), "session.failover", trace_id_,
+                {{"cause", cause}});
   fetch_next_cluster(sim_.now());
 }
 
@@ -326,8 +327,8 @@ void Session::finish(SimTime now) {
     metrics_.mean_delivered_rate = Mbps{video_.size.megabits() / span};
   }
   finalize_playback();
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
-    trace_session("session.finish", trace_id_,
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
+    trace_session(sim_.obs(), "session.finish", trace_id_,
                   {{"switches", obs::num(static_cast<std::uint64_t>(
                        metrics_.server_switches))}});
     tr->async_end(obs::Subsystem::kSession, "session", trace_id_);
@@ -348,8 +349,9 @@ void Session::fail(SimTime now, const std::string& reason) {
   inflight_.reset();
   inflight_path_.clear();
   finalize_playback();
-  if (obs::TraceRecorder* tr = obs::trace_sink()) {
-    trace_session("session.fail", trace_id_, {{"reason", reason}});
+  if (obs::TraceRecorder* tr = sim_.obs().trace()) {
+    trace_session(sim_.obs(), "session.fail", trace_id_,
+                  {{"reason", reason}});
     tr->async_end(obs::Subsystem::kSession, "session", trace_id_);
   }
   if (on_done_) on_done_(*this);

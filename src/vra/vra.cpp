@@ -23,9 +23,10 @@ constexpr double kCostEpsilon = 1e-9;
 
 /// Emits the route-decision trace event: the winner plus up to three
 /// runner-up candidates with their LVN path costs.
-void trace_decision(const net::Topology& topology, NodeId home, VideoId video,
+void trace_decision(const obs::Context* context,
+                    const net::Topology& topology, NodeId home, VideoId video,
                     const Decision& decision) {
-  obs::TraceRecorder* tr = obs::trace_sink();
+  obs::TraceRecorder* tr = context != nullptr ? context->trace() : nullptr;
   if (tr == nullptr) return;
   std::vector<obs::TraceArg> args;
   args.push_back({"home", topology.node_name(home)});
@@ -46,9 +47,10 @@ void trace_decision(const net::Topology& topology, NodeId home, VideoId video,
   tr->instant(obs::Subsystem::kVra, "vra.select", std::move(args));
 }
 
-void trace_no_source(const net::Topology& topology, NodeId home,
+void trace_no_source(const obs::Context* context,
+                     const net::Topology& topology, NodeId home,
                      VideoId video) {
-  obs::TraceRecorder* tr = obs::trace_sink();
+  obs::TraceRecorder* tr = context != nullptr ? context->trace() : nullptr;
   if (tr == nullptr) return;
   tr->instant(obs::Subsystem::kVra, "vra.no_source",
               {{"home", topology.node_name(home)},
@@ -139,17 +141,6 @@ routing::Graph Vra::current_weighted_graph() const {
   const DbLinkStatsProvider stats{network_state_};
   const LvnCalculator calculator{topology_, stats, options_};
   return calculator.build_weighted_graph();
-}
-
-void Vra::set_cache_enabled(bool enabled) {
-  cache_enabled_ = enabled;
-  if (!enabled) invalidate_cache();
-}
-
-void Vra::invalidate_cache() const {
-  cached_graph_.reset();
-  cached_links_epoch_ = 0;
-  spt_cache_.clear();
 }
 
 void Vra::full_rebuild(std::uint64_t epoch) const {
@@ -255,7 +246,7 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
     decision.path.nodes = {home};
     decision.path.cost = 0.0;
     VOD_LOG_DEBUG("VRA: served locally at " << topology_.node_name(home));
-    trace_decision(topology_, home, video, decision);
+    trace_decision(obs_, topology_, home, video, decision);
     return decision;
   }
 
@@ -264,7 +255,7 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   const std::vector<NodeId>& holders = catalog_.servers_with_title(video);
   if (std::none_of(holders.begin(), holders.end(),
                    [&](NodeId server) { return online(server); })) {
-    trace_no_source(topology_, home, video);
+    trace_no_source(obs_, topology_, home, video);
     return std::nullopt;
   }
 
@@ -273,9 +264,9 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   if (degraded_active()) {
     std::optional<Decision> decision = select_degraded(home, holders);
     if (decision) {
-      trace_decision(topology_, home, video, *decision);
+      trace_decision(obs_, topology_, home, video, *decision);
     } else {
-      trace_no_source(topology_, home, video);
+      trace_no_source(obs_, topology_, home, video);
     }
     return decision;
   }
@@ -312,7 +303,7 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
     }
   }
   if (decision.candidates.empty()) {  // all disconnected
-    trace_no_source(topology_, home, video);
+    trace_no_source(obs_, topology_, home, video);
     return std::nullopt;
   }
 
@@ -348,7 +339,7 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   decision.path = decision.candidates.front().path;
   VOD_LOG_DEBUG("VRA: chose " << topology_.node_name(decision.server)
                               << " cost " << decision.path.cost);
-  trace_decision(topology_, home, video, decision);
+  trace_decision(obs_, topology_, home, video, decision);
   return decision;
 }
 

@@ -33,6 +33,7 @@
 #include "common/sim_time.h"
 #include "db/database.h"
 #include "net/topology.h"
+#include "obs/context.h"
 #include "routing/dijkstra.h"
 #include "routing/path.h"
 #include "vra/validation.h"
@@ -124,13 +125,11 @@ class Vra {
     return degraded_selections_;
   }
 
-  // --- incremental engine controls ---
+  /// The run whose trace receives `vra.select` / `vra.no_source`; nullptr
+  /// (the default) traces nothing.  Must outlive the Vra or be reset.
+  void set_obs(const obs::Context* context) { obs_ = context; }
 
-  [[nodiscard]] bool cache_enabled() const { return cache_enabled_; }
-  void set_cache_enabled(bool enabled);
-
-  /// Drops the cached graph and shortest-path trees (counters persist).
-  void invalidate_cache() const;
+  // --- incremental engine ---
 
   /// The graph the engine routes on, refreshed to the database's current
   /// links epoch (counts a hit/incremental/rebuild like a request would).
@@ -142,7 +141,6 @@ class Vra {
   [[nodiscard]] const VraCacheStats& cache_stats() const {
     return cache_stats_;
   }
-  void reset_cache_stats() const { cache_stats_ = {}; }
 
  private:
   /// "Poll all of those servers to find out which ones can provide the
@@ -180,6 +178,7 @@ class Vra {
   db::LimitedAccessView network_state_;
   ValidationOptions options_;
   bool cache_enabled_ = true;
+  const obs::Context* obs_ = nullptr;
   double degraded_max_age_ = std::numeric_limits<double>::infinity();
   std::function<SimTime()> clock_;
   mutable std::uint64_t degraded_selections_ = 0;

@@ -15,6 +15,7 @@
 #include "common/stats.h"
 #include "fault/fault_injector.h"
 #include "grnet/grnet.h"
+#include "obs/context.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -32,7 +33,8 @@ namespace {
 TEST(TraceRecorder, TextDumpIsGolden) {
   TraceRecorder recorder;
   double now = 0.0;
-  recorder.set_clock([&now] { return SimTime{now}; });
+  Context context{[&now] { return SimTime{now}; }};
+  context.set_trace(&recorder);
 
   recorder.instant(Subsystem::kService, "service.request",
                    {{"home", "patra"}, {"video", "0"}});
@@ -56,8 +58,9 @@ TEST(TraceRecorder, TextDumpIsGolden) {
 
 TEST(TraceRecorder, ChromeJsonCarriesPhaseSpecificFields) {
   TraceRecorder recorder;
-  recorder.set_clock([] { return SimTime{2.5}; });
-  recorder.instant(Subsystem::kVra, "vra.decision", {{"server", "U4"}});
+  Context context{[] { return SimTime{2.5}; }};
+  context.set_trace(&recorder);
+  recorder.instant(Subsystem::kVra, "vra.select", {{"server", "U4"}});
   recorder.counter(Subsystem::kFluid, "fluid.active_flows", 2.0);
   recorder.async_begin(Subsystem::kSession, "session", 42);
 
@@ -100,12 +103,42 @@ TEST(TraceRecorder, CapacityCapCountsDrops) {
 }
 
 TEST(TraceSink, DefaultsToNullAndRoundTrips) {
-  EXPECT_EQ(trace_sink(), nullptr);
   TraceRecorder recorder;
-  set_trace_sink(&recorder);
-  EXPECT_EQ(trace_sink(), &recorder);
-  set_trace_sink(nullptr);
-  EXPECT_EQ(trace_sink(), nullptr);
+  Context context;
+  EXPECT_EQ(context.trace(), nullptr);
+  context.set_trace(&recorder);
+  EXPECT_EQ(context.trace(), &recorder);
+  context.set_trace(nullptr);
+  EXPECT_EQ(context.trace(), nullptr);
+}
+
+TEST(Context, SimulationStampsAttachedRecordersWithItsClock) {
+  TraceRecorder recorder;
+  sim::Simulation sim;
+  sim.obs().set_trace(&recorder);
+  sim.schedule_at(SimTime{7.5}, [&sim](SimTime) {
+    sim.obs().trace()->instant(Subsystem::kSim, "tick");
+  });
+  sim.run();
+  EXPECT_EQ(recorder.to_text(), "t=7.5 sim i tick\n");
+  EXPECT_EQ(recorder.now().seconds(), 7.5);
+}
+
+TEST(Context, DyingContextReleasesClockAndMirror) {
+  TraceRecorder recorder;
+  FlightRecorder flight;
+  {
+    Context context{[] { return SimTime{3.0}; }};
+    context.set_trace(&recorder);
+    context.set_flight(&flight);
+    recorder.instant(Subsystem::kSim, "inside");
+    EXPECT_EQ(flight.ring().events().size(), 1u);
+  }
+  // The context that wired the clock and the mirror is gone: the recorder
+  // stamps t=0 and no longer feeds the flight ring.
+  recorder.instant(Subsystem::kSim, "after");
+  EXPECT_EQ(recorder.to_text(), "t=3 sim i inside\nt=0 sim i after\n");
+  EXPECT_EQ(flight.ring().events().size(), 1u);
 }
 
 // ---- MetricsRegistry ----
@@ -329,17 +362,16 @@ TEST(Series, PumpFiresEveryTickUpToTheInstant) {
 }
 
 TEST(Series, SimulationPumpSamplesStateStrictlyBeforeEachTick) {
-  sim::Simulation sim;
   MetricsRegistry registry;
   Counter& c = registry.counter("c");
   TimeSeriesRecorder recorder;
   recorder.bind_registry(&registry);
-  set_series_sink(&recorder);
+  sim::Simulation sim;
+  sim.obs().set_series(&recorder);
 
   sim.schedule_at(SimTime{10.0}, [&c](SimTime) { c.inc(); });
   sim.schedule_at(SimTime{40.0}, [&c](SimTime) { c.inc(); });
   sim.run_until(SimTime{60.0});
-  set_series_sink(nullptr);
 
   // Tick 0 precedes both events, tick 30 sits between them, and the
   // run_until boundary flushes tick 60 after the t=40 event.
@@ -350,12 +382,13 @@ TEST(Series, SimulationPumpSamplesStateStrictlyBeforeEachTick) {
 }
 
 TEST(SeriesSink, DefaultsToNullAndRoundTrips) {
-  EXPECT_EQ(series_sink(), nullptr);
   TimeSeriesRecorder recorder;
-  set_series_sink(&recorder);
-  EXPECT_EQ(series_sink(), &recorder);
-  set_series_sink(nullptr);
-  EXPECT_EQ(series_sink(), nullptr);
+  Context context;
+  EXPECT_EQ(context.series(), nullptr);
+  context.set_series(&recorder);
+  EXPECT_EQ(context.series(), &recorder);
+  context.set_series(nullptr);
+  EXPECT_EQ(context.series(), nullptr);
 }
 
 // ---- SloMonitor ----
@@ -364,7 +397,11 @@ TEST(Slo, AvailabilityBreachAndRecoverAreEdgeTriggered) {
   MetricsRegistry registry;
   Counter& good = registry.counter("good");
   Counter& bad = registry.counter("bad");
-  SloMonitor slo{&registry};
+  TraceRecorder trace;
+  double now = 0.0;
+  Context context{[&now] { return SimTime{now}; }};
+  context.set_trace(&trace);
+  SloMonitor slo{&registry, &context};
   SloSpec spec;
   spec.name = "avail";
   spec.kind = SloSpec::Kind::kAvailabilityFloor;
@@ -375,11 +412,6 @@ TEST(Slo, AvailabilityBreachAndRecoverAreEdgeTriggered) {
   slo.add(std::move(spec));
   // The breach counter exists from registration, not first breach.
   EXPECT_EQ(registry.snapshot().value_u64("slo.avail.breaches"), 0u);
-
-  TraceRecorder trace;
-  double now = 0.0;
-  trace.set_clock([&now] { return SimTime{now}; });
-  set_trace_sink(&trace);
 
   good.inc(10);
   now = 10.0;
@@ -405,7 +437,6 @@ TEST(Slo, AvailabilityBreachAndRecoverAreEdgeTriggered) {
   EXPECT_FALSE(slo.states()[0].breached);
   EXPECT_EQ(slo.states()[0].recoveries, 1u);
 
-  set_trace_sink(nullptr);
   const std::string text = trace.to_text();
   EXPECT_NE(text.find("t=20 slo i slo.breach slo=avail"),
             std::string::npos);
@@ -544,30 +575,33 @@ TEST(FlightSink, InstallWiresRingAsEffectiveTraceSink) {
   FlightOptions options;
   options.ring_capacity = 4;
   FlightRecorder flight{options};
-  set_flight_recorder(&flight);
+  TraceRecorder capped{1};
+  Context context;
+  context.set_flight(&flight);
   // With no user recorder the ring IS the sink...
-  ASSERT_EQ(trace_sink(), &flight.ring());
-  trace_sink()->instant(Subsystem::kService, "one");
+  ASSERT_EQ(context.trace(), &flight.ring());
+  context.trace()->instant(Subsystem::kService, "one");
   EXPECT_EQ(flight.ring().events().size(), 1u);
 
   // ...and a user recorder takes over the slot but mirrors into the ring,
   // even past its own capacity cap.
-  TraceRecorder capped{1};
-  set_trace_sink(&capped);
-  ASSERT_EQ(trace_sink(), &capped);
-  trace_sink()->instant(Subsystem::kService, "two");
-  trace_sink()->instant(Subsystem::kService, "three");
+  context.set_trace(&capped);
+  ASSERT_EQ(context.trace(), &capped);
+  context.trace()->instant(Subsystem::kService, "two");
+  context.trace()->instant(Subsystem::kService, "three");
   EXPECT_EQ(capped.events().size(), 1u);
   EXPECT_EQ(capped.dropped_count(), 1u);
   EXPECT_EQ(flight.ring().events().size(), 3u);
 
-  // Uninstalling the user recorder hands the slot back to the ring;
-  // clearing the flight recorder empties it.
-  set_trace_sink(nullptr);
-  EXPECT_EQ(trace_sink(), &flight.ring());
-  set_flight_recorder(nullptr);
-  EXPECT_EQ(trace_sink(), nullptr);
-  EXPECT_EQ(flight_recorder(), nullptr);
+  // Detaching the user recorder cuts its mirror and hands the slot back
+  // to the ring; detaching the flight recorder empties it.
+  context.set_trace(nullptr);
+  capped.instant(Subsystem::kService, "four");
+  EXPECT_EQ(flight.ring().events().size(), 3u);
+  EXPECT_EQ(context.trace(), &flight.ring());
+  context.set_flight(nullptr);
+  EXPECT_EQ(context.trace(), nullptr);
+  EXPECT_EQ(context.flight(), nullptr);
 }
 
 TEST(Flight, TriggerDumpsDeterministicBlackBoxes) {
@@ -580,12 +614,12 @@ TEST(Flight, TriggerDumpsDeterministicBlackBoxes) {
   registry.counter("x").inc(3);
   flight.bind_registry(&registry);
   double now = 0.0;
-  flight.set_clock([&now] { return SimTime{now}; });
+  Context context{[&now] { return SimTime{now}; }};
   flight.set_config("threads", "2");
   flight.set_config("seed", "4242");
-  set_flight_recorder(&flight);
+  context.set_flight(&flight);
 
-  trace_sink()->instant(Subsystem::kService, "service.request");
+  context.trace()->instant(Subsystem::kService, "service.request");
   now = 10.0;
   EXPECT_TRUE(flight.trigger("fault.link-cut"));
   now = 30.0;
@@ -594,7 +628,6 @@ TEST(Flight, TriggerDumpsDeterministicBlackBoxes) {
   EXPECT_TRUE(flight.trigger("preemption"));
   now = 200.0;
   EXPECT_FALSE(flight.trigger("over-budget"));  // max_dumps reached
-  set_flight_recorder(nullptr);
 
   EXPECT_EQ(flight.dump_count(), 2u);
   EXPECT_EQ(flight.suppressed_count(), 2u);
@@ -650,47 +683,64 @@ struct RunOutput {
   std::string metrics_csv;
 };
 
-RunOutput run_grnet_scenario(TraceRecorder* recorder) {
-  const grnet::CaseStudy g = grnet::build_case_study();
+/// The GRNET storyline the end-to-end tests share: one title at
+/// Thessaloniki, four requests from the replica-less west a minute apart,
+/// and a Patra-Ioannina fiber cut from 300 s to 700 s.  The constructor
+/// only wires the service, so observers attach before start() places the
+/// title and schedules the story; `offset` shifts the story so two runs
+/// write distinguishable traces.
+struct GrnetRun {
+  GrnetRun()
+      : service{sim, g.topology, network, options(),
+                db::AdminCredential{"obs-admin"}} {}
+
+  void start(double offset = 0.0) {
+    const VideoId movie =
+        service.add_video("movie", MegaBytes{40.0}, Mbps{1.5});
+    service.place_initial_copy(g.thessaloniki, movie);
+    service.start();
+    for (int i = 0; i < 4; ++i) {
+      const NodeId home = i % 2 == 0 ? g.patra : g.athens;
+      sim.schedule_at(SimTime{offset + 60.0 * (i + 1)},
+                      [this, home, movie](SimTime) {
+                        (void)service.request_at(home, movie);
+                      });
+    }
+    injector.cut_link_at(SimTime{offset + 300.0}, g.patra_ioannina);
+    injector.restore_link_at(SimTime{offset + 700.0}, g.patra_ioannina);
+  }
+
+  [[nodiscard]] RunOutput output() const {
+    return RunOutput{
+        .sessions_csv = service::report_sessions_csv(service),
+        .report = service::format_report(
+            service::build_report(service, Mbps{0.0})),
+        .metrics_csv = service.metrics_snapshot().to_csv(),
+    };
+  }
+
+  static service::ServiceOptions options() {
+    service::ServiceOptions o;
+    o.cluster_size = MegaBytes{10.0};
+    o.snmp_interval_seconds = 120.0;
+    o.dma.admission_threshold = 1;
+    return o;
+  }
+
+  grnet::CaseStudy g = grnet::build_case_study();
   net::NoTraffic traffic;
   sim::Simulation sim;
-  if (recorder != nullptr) {
-    recorder->set_clock([&sim] { return sim.now(); });
-    set_trace_sink(recorder);
-  }
   net::FluidNetwork network{g.topology, traffic};
-
-  service::ServiceOptions options;
-  options.cluster_size = MegaBytes{10.0};
-  options.snmp_interval_seconds = 120.0;
-  options.dma.admission_threshold = 1;
-  service::VodService service{sim, g.topology, network, options,
-                              db::AdminCredential{"obs-admin"}};
-  const VideoId movie =
-      service.add_video("movie", MegaBytes{40.0}, Mbps{1.5});
-  service.place_initial_copy(g.thessaloniki, movie);
-  service.start();
-
-  for (int i = 0; i < 4; ++i) {
-    const NodeId home = i % 2 == 0 ? g.patra : g.athens;
-    sim.schedule_at(SimTime{60.0 * (i + 1)},
-                    [&service, home, movie](SimTime) {
-                      (void)service.request_at(home, movie);
-                    });
-  }
+  service::VodService service;
   fault::FaultInjector injector{sim, service};
-  injector.cut_link_at(SimTime{300.0}, g.patra_ioannina);
-  injector.restore_link_at(SimTime{700.0}, g.patra_ioannina);
+};
 
-  sim.run_until(from_hours(3.0));
-  if (recorder != nullptr) set_trace_sink(nullptr);
-
-  return RunOutput{
-      .sessions_csv = service::report_sessions_csv(service),
-      .report = service::format_report(
-          service::build_report(service, Mbps{0.0})),
-      .metrics_csv = service.metrics_snapshot().to_csv(),
-  };
+RunOutput run_grnet_scenario(TraceRecorder* recorder) {
+  GrnetRun run;
+  run.sim.obs().set_trace(recorder);
+  run.start();
+  run.sim.run_until(from_hours(3.0));
+  return run.output();
 }
 
 TEST(ObsIntegration, TracedRunCoversSubsystemsAndChangesNothing) {
@@ -749,10 +799,9 @@ TEST(ObsIntegration, ServiceMetricsSnapshotMirrorsComponents) {
 TEST(ObsIntegration, TraceDropCounterSurfacesInRegistry) {
   const grnet::CaseStudy g = grnet::build_case_study();
   net::NoTraffic traffic;
-  sim::Simulation sim;
   TraceRecorder capped{2};  // tiny cap: a service run overflows instantly
-  capped.set_clock([&sim] { return sim.now(); });
-  set_trace_sink(&capped);
+  sim::Simulation sim;
+  sim.obs().set_trace(&capped);
   net::FluidNetwork network{g.topology, traffic};
   service::ServiceOptions options;
   options.cluster_size = MegaBytes{10.0};
@@ -769,8 +818,8 @@ TEST(ObsIntegration, TraceDropCounterSurfacesInRegistry) {
   const MetricsSnapshot snap = service.metrics_snapshot();
   EXPECT_GT(capped.dropped_count(), 0u);
   EXPECT_EQ(snap.value_u64("trace.dropped_events"), capped.dropped_count());
-  set_trace_sink(nullptr);
-  // With no sink installed the metric still exists and reads zero.
+  sim.obs().set_trace(nullptr);
+  // With no sink attached the metric still exists and reads zero.
   EXPECT_EQ(service.metrics_snapshot().value_u64("trace.dropped_events"),
             0u);
 }
@@ -785,31 +834,22 @@ struct V2Output {
   std::vector<std::pair<std::string, std::string>> flight_dumps;
 };
 
-/// The run_grnet_scenario storyline (requests + a link cut) with the full
-/// v2 stack installed when `observe` is set: series sampler on the service
-/// registry, an availability SLO riding the sampling ticks, and a
-/// memory-only flight recorder (the link cut triggers a black box).
+/// The GrnetRun storyline with the full v2 stack attached when `observe`
+/// is set: series sampler on the service registry, an availability SLO
+/// riding the sampling ticks, and a memory-only flight recorder (the link
+/// cut triggers a black box).
 V2Output run_grnet_v2(bool observe) {
-  const grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-
-  service::ServiceOptions options;
-  options.cluster_size = MegaBytes{10.0};
-  options.snmp_interval_seconds = 120.0;
-  options.dma.admission_threshold = 1;
-  service::VodService service{sim, g.topology, network, options,
-                              db::AdminCredential{"obs-admin"}};
-
   TimeSeriesRecorder series;
-  std::unique_ptr<SloMonitor> slo;
   FlightOptions flight_options;
   flight_options.min_gap = Duration{0.0};
   FlightRecorder flight{flight_options};
+  GrnetRun run;
+
+  std::unique_ptr<SloMonitor> slo;
   if (observe) {
-    series.bind_registry(&service.metrics());
-    slo = std::make_unique<SloMonitor>(&service.metrics());
+    MetricsRegistry& registry = run.service.metrics();
+    series.bind_registry(&registry);
+    slo = std::make_unique<SloMonitor>(&registry, &run.sim.obs());
     SloSpec spec;
     spec.name = "finish";
     spec.kind = SloSpec::Kind::kAvailabilityFloor;
@@ -822,43 +862,21 @@ V2Output run_grnet_v2(bool observe) {
     series.set_on_sample([&slo](SimTime at, const MetricsSnapshot& snap) {
       slo->evaluate(at, snap);
     });
-    set_series_sink(&series);
-    flight.bind_registry(&service.metrics());
-    flight.set_clock([&sim] { return sim.now(); });
+    run.sim.obs().set_series(&series);
+    flight.bind_registry(&registry);
     flight.set_config("scenario", "grnet-v2");
-    set_flight_recorder(&flight);
+    run.sim.obs().set_flight(&flight);
   }
-
-  const VideoId movie =
-      service.add_video("movie", MegaBytes{40.0}, Mbps{1.5});
-  service.place_initial_copy(g.thessaloniki, movie);
-  service.start();
-  for (int i = 0; i < 4; ++i) {
-    const NodeId home = i % 2 == 0 ? g.patra : g.athens;
-    sim.schedule_at(SimTime{60.0 * (i + 1)},
-                    [&service, home, movie](SimTime) {
-                      (void)service.request_at(home, movie);
-                    });
-  }
-  fault::FaultInjector injector{sim, service};
-  injector.cut_link_at(SimTime{300.0}, g.patra_ioannina);
-  injector.restore_link_at(SimTime{700.0}, g.patra_ioannina);
-  sim.run_until(from_hours(3.0));
+  run.start();
+  run.sim.run_until(from_hours(3.0));
 
   V2Output out;
-  out.base = RunOutput{
-      .sessions_csv = service::report_sessions_csv(service),
-      .report = service::format_report(
-          service::build_report(service, Mbps{0.0})),
-      .metrics_csv = service.metrics_snapshot().to_csv(),
-  };
+  out.base = run.output();
   if (observe) {
     out.series_csv = series.to_csv();
     out.series_json = series.to_json();
     out.slo_json = slo->status_json();
     out.flight_dumps = flight.dumps();
-    set_series_sink(nullptr);
-    set_flight_recorder(nullptr);
   }
   return out;
 }
@@ -892,6 +910,99 @@ TEST(ObsIntegration, TelemetryV2ObservesWithoutPerturbing) {
     EXPECT_EQ(observed.flight_dumps[i].first, again.flight_dumps[i].first);
     EXPECT_EQ(observed.flight_dumps[i].second,
               again.flight_dumps[i].second);
+  }
+}
+
+// ---- Run isolation: two services in one process ----
+
+/// Everything A's run is observed with.  Declared before the runs it
+/// watches, so it outlives their contexts.
+struct Observers {
+  TraceRecorder trace;
+  TimeSeriesRecorder series;
+  FlightRecorder flight{
+      FlightOptions{.min_gap = Duration{0.0}, .dump_path_prefix = {}}};
+
+  void attach(GrnetRun& run) {
+    series.bind_registry(&run.service.metrics());
+    flight.bind_registry(&run.service.metrics());
+    run.sim.obs().set_trace(&trace);
+    run.sim.obs().set_series(&series);
+    run.sim.obs().set_flight(&flight);
+  }
+  [[nodiscard]] std::string dumps() const {
+    std::string all;
+    for (const auto& [reason, json] : flight.dumps()) all += reason + json;
+    return all;
+  }
+};
+
+constexpr double kIsolationStep = 90.0;
+constexpr double kIsolationHorizon = 3.0 * 3600.0;
+
+/// Steps `run` alone to the horizon on the interleaved test's grid.
+void step_alone(GrnetRun& run) {
+  for (double t = kIsolationStep; t <= kIsolationHorizon;
+       t += kIsolationStep) {
+    run.sim.run_until(SimTime{t});
+  }
+}
+
+TEST(ObsIsolation, InterleavedRunsNeverSeeEachOther) {
+  // References: A alone with the full stack, B alone with a trace.
+  Observers alone_a;
+  TraceRecorder alone_b;
+  {
+    GrnetRun a;
+    alone_a.attach(a);
+    a.start();
+    step_alone(a);
+  }
+  {
+    GrnetRun b;
+    b.sim.obs().set_trace(&alone_b);
+    b.start(45.0);
+    step_alone(b);
+  }
+  ASSERT_GE(alone_a.flight.dump_count(), 1u);  // the link cut fired it
+  ASSERT_NE(alone_a.trace.to_text(), alone_b.to_text());
+
+  // Interleaved, either run stepping first: A observed by the full stack,
+  // B by its own recorder.
+  for (const bool b_first : {false, true}) {
+    SCOPED_TRACE(b_first ? "B steps first" : "A steps first");
+    Observers observed_a;
+    TraceRecorder b_trace;
+    GrnetRun a;
+    GrnetRun b;
+    observed_a.attach(a);
+    b.sim.obs().set_trace(&b_trace);
+    a.start();
+    b.start(45.0);
+    for (double t = kIsolationStep; t <= kIsolationHorizon;
+         t += kIsolationStep) {
+      if (!b_first) a.sim.run_until(SimTime{t});
+      const std::size_t events = observed_a.trace.events().size();
+      const std::size_t samples = observed_a.series.sample_count();
+      const std::size_t ring = observed_a.flight.ring().events().size() +
+                               observed_a.flight.ring().overwritten_count();
+      const std::size_t dumps = observed_a.flight.dump_count();
+      b.sim.run_until(SimTime{t});
+      // B's events, clock and instants leave every A sink untouched.
+      EXPECT_EQ(observed_a.trace.events().size(), events) << "t=" << t;
+      EXPECT_EQ(observed_a.series.sample_count(), samples) << "t=" << t;
+      EXPECT_EQ(observed_a.flight.ring().events().size() +
+                    observed_a.flight.ring().overwritten_count(),
+                ring)
+          << "t=" << t;
+      EXPECT_EQ(observed_a.flight.dump_count(), dumps) << "t=" << t;
+      if (b_first) a.sim.run_until(SimTime{t});
+    }
+
+    EXPECT_EQ(observed_a.trace.to_text(), alone_a.trace.to_text());
+    EXPECT_EQ(observed_a.series.to_csv(), alone_a.series.to_csv());
+    EXPECT_EQ(observed_a.dumps(), alone_a.dumps());
+    EXPECT_EQ(b_trace.to_text(), alone_b.to_text());
   }
 }
 
