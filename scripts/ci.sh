@@ -120,6 +120,24 @@ for workload in backbone home_local storm_qos; do
     exit 1
   fi
 done
+# The fluid fill runs only when its inputs changed (DESIGN.md §10): a lost
+# skip shows up as more progressive fillings on the traced seed-1 runs.
+declare -A expected_fills=(
+  [backbone]=17530
+  [home_local]=0
+  [storm_qos]=17479
+)
+for workload in backbone home_local storm_qos; do
+  fills=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1 | python3 -c \
+    'import json, sys
+print(int(json.load(sys.stdin)["metrics"]["fluid.reallocations"]["value"]))')
+  if [[ "$fills" != "${expected_fills[$workload]}" ]]; then
+    echo "perfbench $workload: fluid.reallocations ${fills}," \
+      "expected ${expected_fills[$workload]}" >&2
+    exit 1
+  fi
+done
 echo "perfbench digest smoke passed"
 
 echo "ci passed"

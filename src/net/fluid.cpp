@@ -35,17 +35,35 @@ bool FluidNetwork::pre_mutation() {
 }
 
 void FluidNetwork::commit_mutation() {
-  // Empty-network fast path: with no flows there are no shares to solve,
-  // so a clock move / link flap / final stop_flow skips the residual walk.
-  // All-local fast path: a pathless flow's max-min share is exactly
-  // max(cap, kMinFlowRate) — independent of links, background traffic and
-  // every other flow, and bit-identical to what reallocate() assigns it —
-  // and its bundle holds that rate from creation on, so with no linked
-  // flow active there is nothing to solve.  Disabled under the reference
-  // self-check, which wants every solve to run the full filler.
-  if (!flows_.empty() && (linked_flow_count_ > 0 || check_reference_)) {
-    reallocate();
+  // The one rule: the fill runs only when something it reads changed since
+  // the last fill (see inputs_dirty_).  It is a pure function of those
+  // inputs, so rates kept from an unchanged state are bit-identical to a
+  // re-solve.  With no linked flow there is nothing to fill: a pathless
+  // flow's share is its bundle's floored cap from creation on.
+  for (const std::uint32_t index : touched_bundles_) {
+    const Bundle& bundle = bundles_[index];
+    if (bundle.members != bundle.solved_members) inputs_dirty_ = true;
   }
+  touched_bundles_.clear();
+  if (linked_flow_count_ > 0) {
+    ensure_background();  // entering a new traffic step marks inputs dirty
+    const std::size_t flow_count = flows_.size();
+    obs::TraceRecorder* tr = obs_ != nullptr ? obs_->trace() : nullptr;
+    if (inputs_dirty_) {
+      const std::uint64_t rounds = reallocate();
+      if (tr != nullptr) {
+        tr->instant(
+            obs::Subsystem::kFluid, "fluid.realloc",
+            {{"rounds", obs::num(rounds)},
+             {"flows", obs::num(static_cast<std::uint64_t>(flow_count))}});
+      }
+    }
+    if (tr != nullptr) {
+      tr->counter(obs::Subsystem::kFluid, "fluid.active_flows",
+                  static_cast<double>(flow_count));
+    }
+  }
+  if (check_reference_ && !flows_.empty()) check_against_reference();
   solved_below_ = next_flow_;
   post_change();
 }
@@ -85,6 +103,7 @@ std::uint32_t FluidNetwork::join_bundle(std::vector<LinkId> links, Mbps cap,
     Bundle& bundle = bundles_[index];
     if (bundle.weight == weight && bundle.cap == cap && bundle.links == links) {
       ++bundle.members;
+      if (!links.empty()) touched_bundles_.push_back(index);
       return index;
     }
   }
@@ -106,12 +125,16 @@ std::uint32_t FluidNetwork::join_bundle(std::vector<LinkId> links, Mbps cap,
   for (const LinkId link : bundle.links) {
     link_bundles_[link.value()].push_back(index);
   }
+  if (!bundle.links.empty()) inputs_dirty_ = true;
   return index;
 }
 
 void FluidNetwork::leave_bundle(std::uint32_t index) {
   Bundle& bundle = bundles_[index];
-  if (--bundle.members > 0) return;
+  if (--bundle.members > 0) {
+    if (!bundle.links.empty()) touched_bundles_.push_back(index);
+    return;
+  }
   const auto unlist = [index](std::vector<std::uint32_t>& list) {
     const auto it = std::find(list.begin(), list.end(), index);
     ensure(it != list.end(), "FluidNetwork: bundle index out of sync");
@@ -120,6 +143,7 @@ void FluidNetwork::leave_bundle(std::uint32_t index) {
   };
   if (bundle.links.empty()) unlist(local_bundles_);
   for (const LinkId link : bundle.links) unlist(link_bundles_[link.value()]);
+  if (!bundle.links.empty()) inputs_dirty_ = true;
   free_bundles_.push_back(index);
 }
 
@@ -209,6 +233,7 @@ void FluidNetwork::set_link_up(LinkId link, bool up) {
   const bool deferred = pre_mutation();
   link_down_[link.value()] = !up;
   up ? --down_link_count_ : ++down_link_count_;
+  inputs_dirty_ = true;
   if (link.value() < base_residual_.size()) write_base_residual(link.value());
   if (!deferred) commit_mutation();
 }
@@ -234,6 +259,7 @@ void FluidNetwork::ensure_background() const {
   }
   traffic_query_count_ += link_count;
   traffic_until_ = traffic_.next_change_after(now_);
+  inputs_dirty_ = true;
 }
 
 void FluidNetwork::write_base_residual(std::size_t l) const {
@@ -274,7 +300,7 @@ double FluidNetwork::utilization(LinkId link) const {
   return std::clamp(u, 0.0, 1.0);
 }
 
-void FluidNetwork::reallocate() {
+std::uint64_t FluidNetwork::reallocate() {
   // Progressive filling over bundles: grow every unfrozen bundle's rate by
   // delta x weight until a bundle hits its cap or a link exhausts its
   // residual capacity; freeze and repeat.  Produces the weighted max–min
@@ -285,7 +311,6 @@ void FluidNetwork::reallocate() {
   ++reallocation_count_;
   VOD_PROFILE_SCOPE("fluid.reallocate");
   ensure_index_size();
-  ensure_background();
   const std::size_t link_count = topology_.link_count();
 
   std::vector<double>& residual = scratch_residual_;
@@ -385,32 +410,27 @@ void FluidNetwork::reallocate() {
                     [&](LinkId link) { return link_down_[link.value()]; });
     bundle.rate =
         severed ? Mbps{0.0} : std::max(Mbps{bundle.fill}, kMinFlowRate);
+    bundle.solved_members = bundle.members;
   }
+  inputs_dirty_ = false;
+  return rounds;
+}
 
-  const std::size_t flow_count = flows_.size();
-  if (obs::TraceRecorder* tr = obs_ != nullptr ? obs_->trace() : nullptr) {
-    tr->instant(obs::Subsystem::kFluid, "fluid.realloc",
-                {{"rounds", obs::num(rounds)},
-                 {"flows", obs::num(static_cast<std::uint64_t>(flow_count))}});
-    tr->counter(obs::Subsystem::kFluid, "fluid.active_flows",
-                static_cast<double>(flow_count));
-  }
-
-  if (check_reference_) {
-    const std::vector<std::pair<FlowId, Mbps>> reference =
-        reallocate_reference();
-    ensure(reference.size() == flow_count,
-        "FluidNetwork: reference allocation lost a flow");
-    std::size_t i = 0;
-    flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
-      ensure(reference[i].first == id &&
-                 reference[i].second.value() ==
-                     bundles_[flow.bundle].rate.value(),
-          "FluidNetwork: bundled allocation diverged from "
-          "reallocate_reference()");
-      ++i;
-    });
-  }
+void FluidNetwork::check_against_reference() {
+  ++reference_check_count_;
+  const std::vector<std::pair<FlowId, Mbps>> reference =
+      reallocate_reference();
+  ensure(reference.size() == flows_.size(),
+      "FluidNetwork: reference allocation lost a flow");
+  std::size_t i = 0;
+  flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
+    ensure(reference[i].first == id &&
+               reference[i].second.value() ==
+                   bundles_[flow.bundle].rate.value(),
+        "FluidNetwork: bundled allocation diverged from "
+        "reallocate_reference()");
+    ++i;
+  });
 }
 
 std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()

@@ -83,8 +83,9 @@ class FluidNetwork {
   /// context next to the change hooks.
   void set_obs(const obs::Context* context) { obs_ = context; }
 
-  /// Moves the background traffic clock; flow shares are re-solved.  The
-  /// TrafficModel is re-read only once the clock leaves the cached step.
+  /// Moves the background traffic clock (a mutation: the change hooks
+  /// fire).  The TrafficModel is re-read, and shares re-solved, only once
+  /// the clock leaves the cached step.
   void set_time(SimTime t);
   [[nodiscard]] SimTime time() const { return now_; }
 
@@ -167,10 +168,11 @@ class FluidNetwork {
   /// RAII handle for one allocation epoch: while any guard is alive,
   /// mutations (start/stop/link-flap/clock moves) update state but
   /// defer the reallocation; the single pre-change hook fires before the
-  /// epoch's first mutation, and one reallocation plus the post-change hook
-  /// run when the last guard releases.  Callers tearing down or starting
-  /// many flows at one simulated instant (failover storms, completion
-  /// sweeps) pay for one progressive filling instead of one per mutation.
+  /// epoch's first mutation, and one commit (at most one reallocation)
+  /// plus the post-change hook run when the last guard releases.  Callers
+  /// tearing down or starting many flows at one simulated instant (failover
+  /// storms, completion sweeps) pay for at most one progressive filling
+  /// instead of one per mutation.
   ///
   /// An epoch may span a clock step (TransferManager folds each instant's
   /// step into the mutation that follows it) under three rules: progress
@@ -232,17 +234,24 @@ class FluidNetwork {
   [[nodiscard]] std::vector<std::pair<FlowId, Mbps>> reallocate_reference()
       const;
 
-  /// Debug flag: when on, every reallocation re-solves with
-  /// reallocate_reference() and requires bitwise-equal rates (throws
-  /// std::logic_error on divergence).  Off by default — it restores the
-  /// naive cost.
+  /// Debug flag: when on, every committed mutation with flows re-solves
+  /// with reallocate_reference() and requires bitwise-equal rates (throws
+  /// std::logic_error on divergence), whether the fill ran or kept the last
+  /// solve's rates.  Off by default — it restores the naive cost.
   void set_check_against_reference(bool on) { check_reference_ = on; }
 
-  /// Progressive fillings performed so far (epoch coalescing, the
-  /// empty-network fast path and the all-local fast path all show up as
-  /// this not advancing).
+  /// Progressive fillings performed so far.  A commit fills only when a
+  /// linked flow is live and the fill's inputs changed since the last one
+  /// (see commit_mutation), so epoch coalescing, clock moves inside a
+  /// traffic step, local flows and member churn that nets to zero on every
+  /// bundle all show up as this not advancing.
   [[nodiscard]] std::size_t reallocation_count() const {
     return reallocation_count_;
+  }
+
+  /// Commits the reference self-check compared, solved or not.
+  [[nodiscard]] std::size_t reference_check_count() const {
+    return reference_check_count_;
   }
 
   /// TrafficModel::background_load calls actually issued: one per link per
@@ -266,6 +275,9 @@ class FluidNetwork {
     /// the unweighted filler.
     std::uint32_t weight = 1;
     std::uint32_t members = 0;  // 0 = free slot
+    /// members as of the last fill; a linked bundle whose count differs at
+    /// commit makes the commit solve.
+    std::uint32_t solved_members = 0;
     /// Each member's rate as of the last solve.  A local bundle's is its
     /// floored cap from creation on: nothing else bounds a pathless flow.
     Mbps rate{0.0};
@@ -280,19 +292,27 @@ class FluidNetwork {
     std::uint32_t bundle;
   };
 
-  void reallocate();
+  /// The progressive fill over the live linked bundles; returns its round
+  /// count.  Reads a fresh step cache (commit_mutation refreshes it first).
+  std::uint64_t reallocate();
+  /// Compares every flow's rate with reallocate_reference(); throws
+  /// std::logic_error on divergence.
+  void check_against_reference();
   /// Brings the step cache up to date.  On the first read, once the clock
   /// has reached traffic_until_, or after the topology gained links, it
-  /// reads every link's load at now_ (one TrafficModel query per link) and
-  /// rebuilds background_ and base_residual_.
+  /// reads every link's load at now_ (one TrafficModel query per link),
+  /// rebuilds background_ and base_residual_, and marks the fill's inputs
+  /// dirty.
   void ensure_background() const;
   /// Recomputes base_residual_[link] from background_ and the link's state.
   void write_base_residual(std::size_t link) const;
   /// Fires the pre-change hook (once per epoch when batched); returns true
   /// when the mutation is deferred into an open epoch.
   bool pre_mutation();
-  /// Re-solves shares (skipped when no linked flow is active) and fires the
-  /// post-change hook.
+  /// Re-solves shares when a linked flow is active and the fill's inputs
+  /// changed since the last fill (inputs_dirty_, or a touched bundle whose
+  /// member count moved), runs the reference self-check when on, and fires
+  /// the post-change hook.
   void commit_mutation();
   void end_batch();
   void ensure_index_size();
@@ -351,6 +371,19 @@ class FluidNetwork {
   bool batch_dirty_ = false;
   bool check_reference_ = false;
   std::size_t reallocation_count_ = 0;
+  std::size_t reference_check_count_ = 0;
+
+  /// Set when a fill input changed beyond what solved_members tracks: a
+  /// linked bundle created or freed (a reused slot may hold a different key
+  /// with the same count), a link flap, or a step-cache refresh (a new
+  /// traffic step or topology growth; keyed on the refresh itself, so a
+  /// mid-epoch background() read that refreshed still solves at close).
+  /// Cleared by the fill.
+  mutable bool inputs_dirty_ = true;
+  /// Linked bundles whose member count changed since the last commit (a
+  /// bundle may repeat; joins and leaves of local bundles, which are no
+  /// fill input, are not listed).
+  std::vector<std::uint32_t> touched_bundles_;
 
   /// Step-keyed background cache, good while now_ < traffic_until_ (the
   /// model's next_change_after at the last refresh; -inf until the first,

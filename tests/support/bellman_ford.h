@@ -1,8 +1,9 @@
-// Bellman–Ford single-source shortest paths.
+// Bellman–Ford single-source shortest paths, a test-only oracle.
 //
-// Serves two purposes: a property-test oracle for Dijkstra (they must agree
-// on every non-negative-weight graph), and a reference implementation for
-// readers comparing textbook algorithms (the paper cites [5], [6]).
+// The property tests hold Dijkstra to it (they must agree on every
+// non-negative-weight graph); it doubles as a reference implementation for
+// readers comparing textbook algorithms (the paper cites [5], [6]).  The
+// service never runs it, so it lives with the tests, not in src/.
 #pragma once
 
 #include <optional>

@@ -1,4 +1,4 @@
-#include "routing/bellman_ford.h"
+#include "support/bellman_ford.h"
 
 #include <gtest/gtest.h>
 

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
-#include "routing/bellman_ford.h"
+#include "support/bellman_ford.h"
 
 namespace vod::routing {
 namespace {

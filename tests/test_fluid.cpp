@@ -366,13 +366,21 @@ TEST(FluidNetwork, BackgroundCachedPerTrafficStep) {
   (void)network.utilization(line.bc);
   network.start_flow({line.ab}, Mbps{5.0});
   EXPECT_EQ(network.traffic_query_count(), after_start);
-  // Clock moves inside the step stay mutations (one solve each) but read
-  // no traffic.
+  // Clock moves inside the step stay mutations (one hook pair each) but
+  // read no traffic and leave the fill's inputs as the last solve saw
+  // them, so nothing is re-solved.
+  int pre = 0;
+  int post = 0;
+  network.set_change_hooks([&pre] { ++pre; }, [&post] { ++post; });
   const Mbps rate = network.flow_rate(flow);
   for (const double t : {10.0, 30.5, 59.999}) {
     const std::size_t solves = network.reallocation_count();
+    const int pre_before = pre;
+    const int post_before = post;
     network.set_time(SimTime{t});
-    EXPECT_EQ(network.reallocation_count(), solves + 1);
+    EXPECT_EQ(network.reallocation_count(), solves);
+    EXPECT_EQ(pre, pre_before + 1);
+    EXPECT_EQ(post, post_before + 1);
     EXPECT_EQ(network.traffic_query_count(), after_start);
     EXPECT_EQ(network.flow_rate(flow), rate);
   }
@@ -460,6 +468,230 @@ TEST(FluidNetwork, CachedNextTrafficChangeMatchesModel) {
           << "t=" << earlier.seconds();
     }
   }
+}
+
+// --- Skipped solves: a commit whose fill inputs are unchanged keeps its
+// rates.  Each case runs with the reference self-check on (every commit is
+// compared, solved or not) and pins the exact solve count.
+
+/// Every live flow's rate equals reallocate_reference()'s, bit for bit.
+void expect_reference_rates(const FluidNetwork& network) {
+  for (const auto& [flow, rate] : network.reallocate_reference()) {
+    EXPECT_EQ(network.flow_rate(flow).value(), rate.value())
+        << "flow " << flow.value();
+  }
+}
+
+/// Turns the reference self-check on and counts the change hooks, the
+/// solves and the self-checked commits since the last mark().
+struct SkipProbe {
+  FluidNetwork& network;
+  int pre = 0;
+  int post = 0;
+  std::size_t solves = 0;
+  std::size_t checks = 0;
+
+  explicit SkipProbe(FluidNetwork& net) : network(net) {
+    network.set_check_against_reference(true);
+    network.set_change_hooks([this] { ++pre; }, [this] { ++post; });
+  }
+  /// Starts a new count window.
+  void mark() {
+    pre = post = 0;
+    solves = network.reallocation_count();
+    checks = network.reference_check_count();
+  }
+  [[nodiscard]] std::size_t solved() const {
+    return network.reallocation_count() - solves;
+  }
+  [[nodiscard]] std::size_t checked() const {
+    return network.reference_check_count() - checks;
+  }
+};
+
+TEST(FluidSkip, StopAndStartOnOneBundleInOneEpochKeepsRates) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  SkipProbe probe{network};
+  const FlowId f1 = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const FlowId f2 = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const FlowId left = network.start_flow({line.ab}, Mbps{50.0}, 2);
+  const Mbps shared = network.flow_rate(f2);
+  const Mbps left_rate = network.flow_rate(left);
+  probe.mark();
+  FlowId next;
+  {
+    // A session's next cluster on the same path: the finished fetch stops
+    // and the next one starts before the epoch's commit.
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    network.stop_flow(f1);
+    next = network.start_flow({line.bc, line.ab}, Mbps{50.0});
+  }
+  EXPECT_EQ(network.flow_bundle(next), network.flow_bundle(f2));
+  EXPECT_EQ(probe.solved(), 0u);
+  EXPECT_EQ(probe.checked(), 1u);
+  EXPECT_EQ(probe.pre, 1);
+  EXPECT_EQ(probe.post, 1);
+  EXPECT_EQ(network.flow_rate(next), shared);
+  EXPECT_EQ(network.flow_rate(f2), shared);
+  EXPECT_EQ(network.flow_rate(left), left_rate);
+  expect_reference_rates(network);
+  {
+    // The other order too: the start joins before the stop leaves.
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    network.start_flow({line.ab, line.bc}, Mbps{50.0});
+    network.stop_flow(f2);
+  }
+  EXPECT_EQ(probe.solved(), 0u);
+  expect_reference_rates(network);
+  // A real count change on the bundle does solve.
+  network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  EXPECT_EQ(probe.solved(), 1u);
+  EXPECT_EQ(probe.checked(), 3u);
+  expect_reference_rates(network);
+}
+
+TEST(FluidSkip, LocalFlowsBesideLinkedFlowsNeverSolve) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  SkipProbe probe{network};
+  const FlowId linked = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const Mbps rate = network.flow_rate(linked);
+  probe.mark();
+  // A DMA hit: a pathless flow, its local bundle created and then freed.
+  const FlowId hit = network.start_flow({}, Mbps{2.0});
+  EXPECT_EQ(network.flow_rate(hit), Mbps{2.0});
+  const FlowId second = network.start_flow({}, Mbps{2.0});
+  network.stop_flow(hit);
+  network.stop_flow(second);
+  EXPECT_EQ(probe.solved(), 0u);
+  EXPECT_EQ(probe.checked(), 4u);
+  EXPECT_EQ(probe.pre, 4);
+  EXPECT_EQ(probe.post, 4);
+  EXPECT_EQ(network.flow_rate(linked), rate);
+  expect_reference_rates(network);
+}
+
+TEST(FluidSkip, ClockMoveInsideAStepKeepsRatesAndFiresHooks) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  SkipProbe probe{network};
+  network.set_time(from_hours(14.0) + Duration{1.0});
+  network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  network.start_flow({line.ab}, Mbps{50.0}, 4);
+  for (const double offset : {2.0, 30.0, 59.5}) {
+    probe.mark();
+    network.set_time(from_hours(14.0) + Duration{offset});
+    EXPECT_EQ(probe.solved(), 0u) << "offset " << offset;
+    EXPECT_EQ(probe.checked(), 1u);
+    EXPECT_EQ(probe.pre, 1);
+    EXPECT_EQ(probe.post, 1);
+    expect_reference_rates(network);
+  }
+}
+
+TEST(FluidSkip, CrossingAStepBoundarySolvesOnce) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  SkipProbe probe{network};
+  network.set_time(from_hours(14.0) + Duration{1.0});
+  const FlowId flow = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const SimTime boundary = network.next_traffic_change(network.time());
+  probe.mark();
+  network.set_time(boundary);
+  EXPECT_EQ(probe.solved(), 1u);
+  EXPECT_EQ(probe.pre, 1);
+  EXPECT_EQ(probe.post, 1);
+  expect_reference_rates(network);
+  // Batched with flow churn, the step still costs one solve.
+  probe.mark();
+  {
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    network.set_time(network.next_traffic_change(network.time()));
+    network.stop_flow(flow);
+    network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  }
+  EXPECT_EQ(probe.solved(), 1u);
+  expect_reference_rates(network);
+}
+
+TEST(FluidSkip, MidEpochReadThatRefreshedTheStepStillSolves) {
+  // The epoch's clock move crosses the step, and a read inside the epoch
+  // refreshes the cache before the commit looks: the refresh itself marks
+  // the inputs dirty.
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  for (const auto read :
+       {&FluidNetwork::background, &FluidNetwork::used_bandwidth}) {
+    FluidNetwork network{line.topo, traffic};
+    SkipProbe probe{network};
+    network.set_time(from_hours(14.0) + Duration{1.0});
+    network.start_flow({line.ab, line.bc}, Mbps{50.0});
+    network.start_flow({line.bc}, Mbps{50.0});
+    probe.mark();
+    {
+      const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+      network.set_time(from_hours(14.0) + Duration{61.0});
+      (void)(network.*read)(line.ab);
+    }
+    EXPECT_EQ(probe.solved(), 1u);
+    EXPECT_EQ(probe.checked(), 1u);
+    expect_reference_rates(network);
+  }
+}
+
+TEST(FluidSkip, ReusedBundleSlotWithANewKeySolves) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  SkipProbe probe{network};
+  const FlowId through = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  const FlowId left = network.start_flow({line.ab}, Mbps{50.0});
+  const std::uint32_t slot = network.flow_bundle(left);
+  probe.mark();
+  FlowId right;
+  {
+    // The emptied slot is reused at once by a different (links, cap) with
+    // the same member count: counts alone cannot see the change.
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    network.stop_flow(left);
+    right = network.start_flow({line.bc}, Mbps{3.0});
+  }
+  EXPECT_EQ(network.flow_bundle(right), slot);
+  EXPECT_EQ(probe.solved(), 1u);
+  EXPECT_EQ(network.flow_rate(right), Mbps{3.0});
+  EXPECT_NE(network.flow_rate(through), Mbps{0.0});
+  expect_reference_rates(network);
+}
+
+TEST(FluidSkip, LinkFlapInsideOneEpochSolvesAndRestoresRates) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  SkipProbe probe{network};
+  network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  network.start_flow({line.ab}, Mbps{50.0}, 2);
+  const std::vector<std::pair<FlowId, Mbps>> before =
+      network.reallocate_reference();
+  probe.mark();
+  {
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    network.set_link_up(line.bc, false);
+    network.set_link_up(line.bc, true);
+  }
+  // Link state is an input: a flap is never skipped, even one that ends
+  // where it began.
+  EXPECT_EQ(probe.solved(), 1u);
+  EXPECT_EQ(probe.pre, 1);
+  EXPECT_EQ(probe.post, 1);
+  for (const auto& [flow, rate] : before) {
+    EXPECT_EQ(network.flow_rate(flow).value(), rate.value());
+  }
+  expect_reference_rates(network);
 }
 
 TEST(FluidNetwork, ReferenceCheckAcceptsIndexedAllocator) {

@@ -7,8 +7,10 @@
 // fill (integer weight sums, delta x weight increments) is exercised against
 // the oracle's per-round recomputation on every seed.  One suite draws
 // continuous caps (nearly every flow its own bundle), the other a few
-// discrete caps and weights (dense, churning bundles).  Exact double
-// equality throughout: the determinism gates depend on it.
+// discrete caps and weights (dense, churning bundles).  The built-in
+// self-check also runs on every commit with flows, including the commits
+// that keep the last solve's rates because no fill input changed.  Exact
+// double equality throughout: the determinism gates depend on it.
 #include "net/fluid.h"
 
 #include <gtest/gtest.h>
@@ -113,6 +115,7 @@ struct ScriptStats {
   int floor_seen = 0;
   std::size_t max_members = 0;  // largest bundle reached
   int bundles_recreated = 0;    // bundles that emptied and came back
+  int skips_checked = 0;        // commits with flows that did not re-solve
 };
 
 /// A flow's bundle key: sorted unique links, cap bits, weight.
@@ -127,9 +130,9 @@ ScriptStats run_script(int seed, const FlowDraws& draws) {
   Rng rng{static_cast<std::uint64_t>(seed) * 7919 + 17};
   Fixture fx{rng};
   FluidNetwork network{fx.topo, fx.traffic};
-  // A third of the seeds also run the built-in self-check, so the
-  // check_reference_ debug path itself stays honest.
-  if (seed % 3 == 0) network.set_check_against_reference(true);
+  network.set_check_against_reference(true);
+  int commits = 0;
+  network.set_change_hooks([] {}, [&commits] { ++commits; });
 
   std::vector<FlowId> live;  // ascending by id (ids are monotonic)
   std::map<FlowId, BundleKey> key_of;
@@ -226,7 +229,18 @@ ScriptStats run_script(int seed, const FlowDraws& draws) {
   };
 
   for (int step = 0; step < draws.steps; ++step) {
+    const int commits_before = commits;
+    const std::size_t solves_before = network.reallocation_count();
+    const std::size_t checks_before = network.reference_check_count();
     mutate_once();
+    // Every commit that left flows live went through the oracle, whether
+    // the fill ran or not.
+    const std::size_t step_commits =
+        live.empty() ? 0 : static_cast<std::size_t>(commits - commits_before);
+    EXPECT_EQ(network.reference_check_count() - checks_before, step_commits);
+    if (step_commits > 0 && network.reallocation_count() == solves_before) {
+      ++stats.skips_checked;
+    }
     expect_matches_reference(network, fx, live);
     EXPECT_EQ(network.bundle_count(), members.size());
     std::map<std::uint32_t, const BundleKey*> key_in;
@@ -280,6 +294,9 @@ TEST_P(FluidBundleDifferential, BundledAllocatorMatchesReferenceExactly) {
        .steps = 200});
   EXPECT_GE(stats.max_members, 2u) << "no bundle ever held two flows";
   EXPECT_GT(stats.bundles_recreated, 0) << "no bundle emptied and re-formed";
+  // Churn that nets to zero on every bundle, and clock moves inside a
+  // trace step, keep their rates; the oracle checked each such commit.
+  EXPECT_GT(stats.skips_checked, 0) << "no commit ever kept its rates";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidBundleDifferential,

@@ -5,8 +5,10 @@
 // link/server fault storm: every cluster of every session is a flow from a
 // core server to an edge home, so many flows share one (path, cap, weight)
 // and the three class weights (4/2/1) split them further.  The network runs
-// with set_check_against_reference(true), so every fair-share solve of the
-// run must equal reallocate_reference() bit for bit (a divergence throws).
+// with set_check_against_reference(true), so after every committed mutation
+// — whether the fair-share fill ran or kept the last solve's rates — every
+// flow's rate must equal reallocate_reference() bit for bit (a divergence
+// throws).
 // The outcome digest pins what the sessions saw.
 #include <gtest/gtest.h>
 
@@ -45,6 +47,8 @@ struct StormRun {
   std::size_t refused = 0;
   std::size_t faults = 0;
   std::size_t solves = 0;
+  /// Commits the self-check compared with the oracle, solved or skipped.
+  std::size_t checks = 0;
   /// Most flows ever live beyond one per bundle, sampled at arrivals.
   std::size_t max_shared = 0;
 };
@@ -140,17 +144,22 @@ StormRun run_qos_storm(std::uint64_t seed) {
   run.digest = digest.hash;
   run.faults = injector.trace().size();
   run.solves = network.reallocation_count();
+  run.checks = network.reference_check_count();
   return run;
 }
 
 TEST(FluidUnderService, QosStormSolvesMatchReference) {
   StormRun run;
-  // Every solve is re-run through the oracle; a divergence throws.
+  // Every commit is re-run through the oracle; a divergence throws.
   ASSERT_NO_THROW(run = run_qos_storm(41));
   EXPECT_GT(run.sessions_done, 1800u);
   EXPECT_GT(run.failed + run.refused, 0u);
   EXPECT_GT(run.faults, 5u);
-  EXPECT_GT(run.solves, 10000u);
+  EXPECT_GT(run.checks, 10000u);
+  // Most commits leave the fill's inputs as the last solve saw them; the
+  // oracle checked those skips as well as the solves.
+  EXPECT_EQ(run.solves, 131u);
+  EXPECT_EQ(run.checks - run.solves, 13446u);
   EXPECT_GE(run.max_shared, 10u) << "sessions never shared a bundle";
   EXPECT_EQ(run.digest, 0xf67da5250a83eaf8u)
       << std::hex << "digest 0x" << run.digest;
