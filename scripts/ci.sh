@@ -106,9 +106,9 @@ echo "==== perfbench digest smoke ===="
 # every workload: a change to the event order, transfer progress or any
 # policy decision moves them.  A deliberate model change re-pins them here.
 declare -A expected_digest=(
-  [backbone]=6c46469c68f2e21e
-  [home_local]=1c87e481d7089017
-  [storm_qos]=9dd0b194aa227472
+  [backbone]=31c7a5ea5c1601e6
+  [home_local]=13487cafa23084f1
+  [storm_qos]=3288fceb843685ce
 )
 for workload in backbone home_local storm_qos; do
   out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
@@ -122,19 +122,34 @@ for workload in backbone home_local storm_qos; do
 done
 # The fluid fill runs only when its inputs changed (DESIGN.md §10): a lost
 # skip shows up as more progressive fillings on the traced seed-1 runs.
+# Every transfer completes at its first wake-up (integer lane progress,
+# DESIGN.md §10): a missed one shows up as more simulation events.
 declare -A expected_fills=(
   [backbone]=17530
   [home_local]=0
   [storm_qos]=17479
 )
+declare -A expected_events=(
+  [backbone]=96168
+  [home_local]=144008
+  [storm_qos]=87950
+)
 for workload in backbone home_local storm_qos; do
-  fills=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+  counts=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
     --seconds 2 --trace 1 | tail -n 1 | python3 -c \
     'import json, sys
-print(int(json.load(sys.stdin)["metrics"]["fluid.reallocations"]["value"]))')
+metrics = json.load(sys.stdin)["metrics"]
+print(int(metrics["fluid.reallocations"]["value"]),
+      int(metrics["sim.events"]["value"]))')
+  read -r fills events <<<"$counts"
   if [[ "$fills" != "${expected_fills[$workload]}" ]]; then
     echo "perfbench $workload: fluid.reallocations ${fills}," \
       "expected ${expected_fills[$workload]}" >&2
+    exit 1
+  fi
+  if [[ "$events" != "${expected_events[$workload]}" ]]; then
+    echo "perfbench $workload: sim.events ${events}," \
+      "expected ${expected_events[$workload]}" >&2
     exit 1
   fi
 done

@@ -149,7 +149,7 @@ void FluidNetwork::leave_bundle(std::uint32_t index) {
 
 FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
                                 std::uint32_t weight) {
-  require(!(rate_cap.value() <= 0.0),
+  require(rate_cap.value() > 0.0,  // false for NaN too
       "FluidNetwork::start_flow: cap must be positive");
   require(weight >= 1, "FluidNetwork::start_flow: weight must be >= 1");
   for (const LinkId link : path) {

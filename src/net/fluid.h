@@ -97,9 +97,9 @@ class FluidNetwork {
 
   /// Starts a flow across `path` (links in order; may be empty for a purely
   /// local transfer, which then runs at `rate_cap`).  Every link must exist.
-  /// `rate_cap` must be positive.  `weight` (>= 1) is the flow's share of
-  /// each filling increment — the class-weighted max-min knob; 1 is the
-  /// classless paper behaviour.
+  /// `rate_cap` must be positive (not NaN).  `weight` (>= 1) is the flow's
+  /// share of each filling increment — the class-weighted max-min knob; 1 is
+  /// the classless paper behaviour.
   FlowId start_flow(std::vector<LinkId> path, Mbps rate_cap,
                     std::uint32_t weight = 1);
 

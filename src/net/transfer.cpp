@@ -1,6 +1,7 @@
 #include "net/transfer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -11,8 +12,24 @@
 namespace vod::net {
 
 namespace {
-// Remaining sizes at or below this are "done" (guards float drift).
-constexpr double kDoneEpsilonMb = 1e-9;
+// Progress is counted in integer units of 2^-30 MB.
+constexpr double kUnitsPerMb = 0x1p30;
+constexpr double kUnitsPerMegabit = kUnitsPerMb / 8.0;
+// A member within one unit (about 1e-9 MB) of its finish is done: the
+// closed-form completion instant lands within a rounding of it.
+constexpr std::int64_t kDoneUnits = 1;
+// The ceiling of every finish and served count (2^32 MB): half the int64
+// range, so the sum of two never overflows.
+constexpr std::int64_t kMaxUnits = std::int64_t{1} << 62;
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
+
+// std::llround for 0 <= x < 2^62 (half away from zero), without the
+// library call: x minus its truncation is exact in that range.
+std::int64_t round_units(double x) {
+  const auto whole = static_cast<std::int64_t>(x);
+  return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+}
 }  // namespace
 
 TransferManager::TransferManager(sim::Simulation& sim, FluidNetwork& network)
@@ -44,12 +61,20 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
                                        MegaBytes size, Mbps rate_cap,
                                        CompletionCallback on_complete,
                                        std::uint32_t weight) {
-  require(!(size.value() <= 0.0),
-      "TransferManager::start_transfer: size must be positive");
+  require(std::isfinite(size.value()) && size.value() > 0.0,
+      "TransferManager::start_transfer: size must be finite and positive");
+  require(size.value() * kUnitsPerMb <= static_cast<double>(kMaxUnits),
+      "TransferManager::start_transfer: size exceeds 2^32 MB");
+  // start_flow checks the cap too, but only after the clock step: reject a
+  // bad one before any state moves.
+  require(rate_cap.value() > 0.0,
+      "TransferManager::start_transfer: cap must be positive");
   require(on_complete, "TransferManager::start_transfer: empty callback");
+  const std::int64_t units = round_units(size.value() * kUnitsPerMb);
   const SimTime now = sim_.now();
   const BusyScope guard{busy_depth_};
   FlowId id;
+  bool overflow = false;
   {
     // The clock step and the new flow share one allocation epoch: one
     // fair-share solve for the instant, not one per mutation.
@@ -59,16 +84,25 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
     const std::uint32_t lane = network_.flow_bundle(id);
     if (lanes_.size() <= lane) lanes_.resize(lane + 1);
     Lane& members = lanes_[lane];
-    const auto pos = static_cast<std::uint32_t>(members.ids.size());
-    transfers_.insert(id, Transfer{std::move(on_complete), lane, pos});
-    members.remaining.push_back(size.value());
-    members.ids.push_back(id);
-    sift_up(members, pos);
-    // A transfer born at or below the done epsilon never crosses it during
-    // a settle, so it becomes a completion candidate outright.
-    if (size.value() <= kDoneEpsilonMb) drained_.push_back(id);
+    // Only a lane that never empties can climb this far; undo the flow
+    // inside the epoch and reject once the manager is consistent again.
+    overflow = members.served > kMaxUnits - units;
+    if (overflow) {
+      network_.stop_flow(id);
+    } else {
+      const auto pos = static_cast<std::uint32_t>(members.ids.size());
+      transfers_.insert(id, Transfer{std::move(on_complete), lane, pos});
+      members.finish.push_back(members.served + units);
+      members.ids.push_back(id);
+      sift_up(members, pos);
+      // A transfer born within the done line never crosses it during a
+      // settle, so it becomes a completion candidate outright.
+      if (units <= kDoneUnits) drained_.push_back(id);
+    }
   }
   replan(now);
+  require(!overflow,
+      "TransferManager::start_transfer: lane counter would overflow");
   return id;
 }
 
@@ -95,64 +129,71 @@ void TransferManager::erase_transfer(FlowId id) {
   transfers_.erase(id);
   // Move the lane's last member into the hole, then sift it whichever way
   // its value needs.
-  const double last_remaining = lane.remaining.back();
+  const std::int64_t last_finish = lane.finish.back();
   const FlowId last_id = lane.ids.back();
-  lane.remaining.pop_back();
+  lane.finish.pop_back();
   lane.ids.pop_back();
+  if (lane.ids.empty()) {
+    // The next bundle to take this index starts from zero.
+    lane.base_served = lane.served = 0;
+    lane.base_time = lane.rate = 0.0;
+    return;
+  }
   if (pos == lane.ids.size()) return;
-  place(lane, pos, last_remaining, last_id);
-  if (pos > 0 && last_remaining < lane.remaining[(pos - 1) / 2]) {
+  place(lane, pos, last_finish, last_id);
+  if (pos > 0 && last_finish < lane.finish[(pos - 1) / 2]) {
     sift_up(lane, pos);
   } else {
     sift_down(lane, pos);
   }
 }
 
-void TransferManager::place(Lane& lane, std::uint32_t pos, double remaining,
-                            FlowId id) {
-  lane.remaining[pos] = remaining;
+void TransferManager::place(Lane& lane, std::uint32_t pos,
+                            std::int64_t finish, FlowId id) {
+  lane.finish[pos] = finish;
   lane.ids[pos] = id;
+  if (pos == 0) lane.due = kStale;
   transfers_.at(id, "TransferManager: lane out of sync").pos = pos;
 }
 
 void TransferManager::sift_up(Lane& lane, std::uint32_t pos) {
-  const double remaining = lane.remaining[pos];
+  const std::int64_t finish = lane.finish[pos];
   const FlowId id = lane.ids[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 2;
-    if (!(remaining < lane.remaining[parent])) break;
-    place(lane, pos, lane.remaining[parent], lane.ids[parent]);
+    if (!(finish < lane.finish[parent])) break;
+    place(lane, pos, lane.finish[parent], lane.ids[parent]);
     pos = parent;
   }
-  place(lane, pos, remaining, id);
+  place(lane, pos, finish, id);
 }
 
 void TransferManager::sift_down(Lane& lane, std::uint32_t pos) {
-  const double remaining = lane.remaining[pos];
+  const std::int64_t finish = lane.finish[pos];
   const FlowId id = lane.ids[pos];
   const auto size = static_cast<std::uint32_t>(lane.ids.size());
   for (;;) {
     std::uint32_t child = 2 * pos + 1;
     if (child >= size) break;
-    if (child + 1 < size && lane.remaining[child + 1] < lane.remaining[child]) {
+    if (child + 1 < size && lane.finish[child + 1] < lane.finish[child]) {
       ++child;
     }
-    if (!(lane.remaining[child] < remaining)) break;
-    place(lane, pos, lane.remaining[child], lane.ids[child]);
+    if (!(lane.finish[child] < finish)) break;
+    place(lane, pos, lane.finish[child], lane.ids[child]);
     pos = child;
   }
-  place(lane, pos, remaining, id);
+  place(lane, pos, finish, id);
 }
 
 MegaBytes TransferManager::remaining(FlowId id) const {
   const Transfer& transfer =
       transfers_.at(id, "TransferManager::remaining: unknown transfer");
   // Report progress as of "now" without mutating state.
-  const double elapsed = sim_.now() - last_progress_;
-  const double moved_mb =
-      network_.flow_rate(id).value() * elapsed / 8.0;
-  return MegaBytes{std::max(
-      0.0, lanes_[transfer.lane].remaining[transfer.pos] - moved_mb)};
+  const Lane& lane = lanes_[transfer.lane];
+  const std::int64_t left =
+      lane.finish[transfer.pos] - served_at(lane, sim_.now().seconds());
+  return MegaBytes{static_cast<double>(std::max<std::int64_t>(left, 0)) /
+                   kUnitsPerMb};
 }
 
 Mbps TransferManager::current_rate(FlowId id) const {
@@ -161,27 +202,52 @@ Mbps TransferManager::current_rate(FlowId id) const {
   return network_.flow_rate(id);
 }
 
+std::int64_t TransferManager::served_at(const Lane& lane, double t) {
+  const double moved = lane.rate * (t - lane.base_time) * kUnitsPerMegabit;
+  // Also catches NaN (an infinite rate at t = base_time).
+  if (!(moved < static_cast<double>(kMaxUnits))) return kMaxUnits;
+  return std::min(lane.base_served + round_units(moved), kMaxUnits);
+}
+
+double TransferManager::due_time(const Lane& lane) {
+  const std::int64_t left = lane.finish.front() - lane.base_served;
+  if (left <= kDoneUnits) return lane.base_time;
+  double due = lane.base_time +
+               static_cast<double>(left) / (lane.rate * kUnitsPerMegabit);
+  // The closed form lands within a rounding of the finish.  Step past an
+  // instant at which the root is still short of the done line, so the
+  // wake-up always completes it instead of re-arming at the same time.
+  while (lane.finish.front() - served_at(lane, due) > kDoneUnits) {
+    due = std::nextafter(due, kInfinity);
+  }
+  return due;
+}
+
+void TransferManager::collect_drained(const Lane& lane, std::uint32_t pos,
+                                      std::int64_t was, std::int64_t now) {
+  if (pos >= lane.finish.size()) return;
+  const std::int64_t finish = lane.finish[pos];
+  // A heap: nothing below a member still short of the line is done.
+  if (finish - now > kDoneUnits) return;
+  // served only rises, so a member enters the candidate list exactly once.
+  if (finish - was > kDoneUnits) drained_.push_back(lane.ids[pos]);
+  collect_drained(lane, 2 * pos + 1, was, now);
+  collect_drained(lane, 2 * pos + 2, was, now);
+}
+
 void TransferManager::settle_bytes(SimTime now) {
-  // Progress is settled to `now` before every network mutation (here, or
-  // through the pre-change hook), and a flow started since the last solve
-  // exists only after such a mutation at this same instant.  So a settle
-  // that moves bytes sees no such flow: every lane member moves at its
-  // bundle's rate.
-  const double elapsed = now - last_progress_;
-  if (elapsed > 0.0) {
-    for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
-      Lane& lane = lanes_[b];
-      if (lane.ids.empty()) continue;
-      const double moved_mb = network_.bundle_rate(b).value() * elapsed / 8.0;
-      for (std::size_t i = 0; i < lane.remaining.size(); ++i) {
-        const double before = lane.remaining[i];
-        lane.remaining[i] = std::max(0.0, before - moved_mb);
-        // Record the crossing once: remaining only ever decreases, so a
-        // transfer enters the candidate list exactly one time.
-        if (before > kDoneEpsilonMb && lane.remaining[i] <= kDoneEpsilonMb) {
-          drained_.push_back(lane.ids[i]);
-        }
+  // One counter per lane: served is a closed form of time since the lane's
+  // last rate change (reschedule rebases it), so settling reads it and
+  // queues only the members that newly crossed the done line.
+  if (now > last_progress_) {
+    for (Lane& lane : lanes_) {
+      if (lane.ids.empty() || lane.rate == 0.0) continue;
+      const std::int64_t served = served_at(lane, now.seconds());
+      // The root holds the lane's smallest finish: most settles stop here.
+      if (lane.finish.front() - served <= kDoneUnits) {
+        collect_drained(lane, 0, lane.served, served);
       }
+      lane.served = served;
     }
   }
   last_progress_ = now;
@@ -194,11 +260,9 @@ void TransferManager::advance_progress(SimTime now) {
 
 void TransferManager::complete_finished(SimTime now) {
   // Only transfers in the drained candidate list can be done: a transfer
-  // enters it when its settled remaining crosses the epsilon (or at birth,
-  // for degenerate sizes), so the sweep costs O(drained), not O(active)
-  // per completion.  Completion is judged on settled `remaining`, never on
-  // mid-epoch rates, so the sweep finishes the same transfers the
-  // per-mutation solve did.
+  // enters it when its lane's settled served count crosses the done line
+  // (or at birth, for degenerate sizes), and stays done since served only
+  // rises, so the sweep costs O(drained), not O(active) per completion.
   if (drained_.empty()) return;
   // One allocation epoch for the whole sweep: a burst of simultaneous
   // completions (and whatever transfers the callbacks start) re-solves the
@@ -212,11 +276,7 @@ void TransferManager::complete_finished(SimTime now) {
     std::size_t done_at = 0;
     for (std::size_t i = 0; i < drained_.size(); ++i) {
       const FlowId id = drained_[i];
-      const Transfer* transfer = transfers_.find(id);
-      if (transfer == nullptr ||
-          lanes_[transfer->lane].remaining[transfer->pos] > kDoneEpsilonMb) {
-        continue;
-      }
+      if (!transfers_.contains(id)) continue;
       if (!done.valid() || id < done) {
         done = id;
         done_at = i;
@@ -246,26 +306,37 @@ void TransferManager::replan(SimTime now) {
 }
 
 void TransferManager::reschedule(SimTime now) {
-  double next = std::numeric_limits<double>::infinity();
+  ensure(last_progress_ == now,
+      "TransferManager::reschedule: progress not settled to now");
+  double next = kInfinity;
   if (!transfers_.empty()) {
-    // Earliest completion: per lane, at its smallest remaining, the heap
-    // root (monotone rounding; see lanes_).  Rates are fresh here: no
-    // epoch is open.
+    // Rates are fresh here (no epoch is open) and progress is settled to
+    // now, so a lane whose rate changed is rebased onto it.  Earliest
+    // completion: per lane, its root's due instant (see lanes_).
     for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
-      const Lane& lane = lanes_[b];
+      Lane& lane = lanes_[b];
       if (lane.ids.empty()) continue;
-      next = std::min(next, now.seconds() +
-                                MegaBytes{lane.remaining.front()}.megabits() /
-                                    network_.bundle_rate(b).value());
+      const double rate = network_.bundle_rate(b).value();
+      if (rate != lane.rate) {
+        lane.base_served = lane.served;
+        lane.base_time = now.seconds();
+        lane.rate = rate;
+        lane.due = kStale;
+      }
+      if (!(lane.rate > 0.0)) continue;  // severed: nothing moves
+      if (std::isnan(lane.due)) lane.due = due_time(lane);
+      next = std::min(next, lane.due);
     }
     // Wake at background-traffic changes too, so rates stay faithful.
     next = std::min(next, network_.next_traffic_change(now).seconds());
+    // A root already done when its lane was rebased is due now.
+    next = std::max(next, now.seconds());
   }
 
   // Re-keying the pending wake-up in place gives it a fresh sequence
   // number, so it lands exactly where a cancel plus a new schedule would.
   sim::EventQueue& queue = sim_.queue();
-  if (next == std::numeric_limits<double>::infinity()) {
+  if (next == kInfinity) {
     queue.cancel(wake_);
   } else if (!queue.reschedule(wake_, SimTime{next})) {
     wake_ = sim_.schedule_at(SimTime{next}, [this](SimTime t) { refresh(t); });

@@ -6,13 +6,15 @@
 // last byte lands.  The streaming layer builds cluster fetches on top of
 // this.
 //
-// Transfers are grouped by fluid bundle into lanes (see lanes_), so
-// settling progress costs one rate lookup per bundle plus a contiguous loop
-// over the lane's remaining sizes, and finding the next completion costs one
-// read of each lane's heap root.
+// Transfers are grouped by fluid bundle into lanes (see lanes_).  Progress
+// is an integer count of 2^-30 MB units per lane, so settling costs one
+// counter update per bundle, and finding the next completion costs one
+// cached instant per lane.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/ids.h"
@@ -27,8 +29,10 @@ namespace vod::net {
 /// Drives transfers to completion inside a Simulation.  Progress is exact:
 /// between refresh points rates are constant — every TrafficModel holds its
 /// load until next_change_after, and the manager wakes at each such change
-/// — so remaining bytes decrease linearly and completion times are solved
-/// in closed form.
+/// — so each lane's served count grows linearly from its last rate change
+/// and completion times are solved in closed form.  A size must be finite,
+/// positive and at most 2^32 MB; a start that would push its lane's
+/// counter past 2^62 units is rejected.
 class TransferManager {
  public:
   using CompletionCallback = std::function<void(SimTime)>;
@@ -73,23 +77,42 @@ class TransferManager {
   };
 
   /// The transfers of one fluid bundle, whose members all move at the
-  /// bundle's rate: a binary min-heap on remaining, the two arrays moving
-  /// in step.  Every move of a member updates its Transfer::pos.
+  /// bundle's rate: a binary min-heap on finish, the two arrays moving in
+  /// step.  Every move of a member updates its Transfer::pos.
   struct Lane {
-    std::vector<double> remaining;  // MB still to move, per transfer
+    std::vector<std::int64_t> finish;  // served level at which each is done
     std::vector<FlowId> ids;
+    /// Progress in units: served(t) = base_served +
+    /// llround(rate x (t - base_time) x units per megabit).
+    std::int64_t base_served = 0;
+    double base_time = 0.0;
+    double rate = 0.0;  // Mbps, the bundle's rate as of the last rebase
+    std::int64_t served = 0;  // served(last_progress_)
+    /// The root's completion instant; NaN once the root or rate moved.
+    double due = std::numeric_limits<double>::quiet_NaN();
   };
 
   /// Drops a transfer from its lane and the store (not from the network).
   void erase_transfer(FlowId id);
   /// Writes a member at `pos` of `lane` and points its Transfer there.
-  void place(Lane& lane, std::uint32_t pos, double remaining, FlowId id);
+  void place(Lane& lane, std::uint32_t pos, std::int64_t finish, FlowId id);
   /// Restore the lane's heap order for the member at `pos`.
   void sift_up(Lane& lane, std::uint32_t pos);
   void sift_down(Lane& lane, std::uint32_t pos);
 
-  /// Applies linear progress at current rates up to `now`, without touching
-  /// the network clock.
+  /// A lane's served count at time `t` (>= its base_time); saturates at
+  /// the counter ceiling, past which every member is done.
+  static std::int64_t served_at(const Lane& lane, double t);
+  /// The first instant at which the root of a non-empty lane moving at a
+  /// positive rate is done (before its base_time if already done there).
+  static double due_time(const Lane& lane);
+  /// Queues the members of `lane` at or below `pos` in the heap whose
+  /// finish crossed the done line as served rose from `was` to `now`.
+  void collect_drained(const Lane& lane, std::uint32_t pos, std::int64_t was,
+                       std::int64_t now);
+
+  /// Moves every lane's served count to `now`, without touching the
+  /// network clock.
   void settle_bytes(SimTime now);
   /// settle_bytes + advance the network clock.
   void advance_progress(SimTime now);
@@ -125,27 +148,30 @@ class TransferManager {
   SlotMap<FlowId, Transfer> transfers_;
   /// Indexed by bundle: lanes_[b] holds exactly the live transfers whose
   /// flow belongs to bundle b.  Membership is fixed for a flow's life, and
-  /// a bundle index is reused only once its members are all gone, so an
-  /// index's lane is empty whenever its bundle is replaced.
+  /// a bundle index is reused only once its members are all gone; a lane
+  /// that empties resets its counters, so an index's lane starts from zero
+  /// whenever its bundle is replaced.
   ///
-  /// Settling computes one rate x elapsed / 8 per lane and subtracts it in
-  /// a contiguous loop.  The next completion is the lane minimum of
-  /// now + r x 8 / rate, reached at the lane's smallest r: correctly
-  /// rounded multiplication, division by a positive rate and addition are
-  /// all monotone, so the earliest completion is bit-for-bit what a walk
-  /// over every transfer finds (a severed lane, rate 0, yields inf or NaN
-  /// either way, which the min ignores).
+  /// Progress is integer: every member of a lane moves at one rate, so one
+  /// served count measures them all, and a member joining at level s with
+  /// z units is done at finish = s + z, fixed for its life.  served is a
+  /// closed form of time from the lane's base, which reschedule moves only
+  /// when the bundle's rate really changed (rates are fresh there and
+  /// progress is settled to now).  So served, and every completion instant,
+  /// depend only on the rate history, not on how often a settle reads them.
   ///
-  /// Each lane is a min-heap on remaining, so its smallest r is the root.
-  /// A settle never breaks the heap: it maps every member of a lane through
-  /// the same x -> max(0, fl(x - m)), which is monotone non-decreasing, so
-  /// a parent no larger than its child stays no larger.  The root is thus
-  /// bit-equal to the lane minimum a scan finds.  The heap layout also
-  /// orders the members a settle appends to drained_, but complete_finished
-  /// always picks the lowest flow id, so completions do not depend on it.
+  /// Each lane is a min-heap on finish, which never changes, so a settle
+  /// leaves the heap alone: it updates the counter and walks from the root
+  /// to the members that newly crossed the done line (finish - served at
+  /// most one unit), O(drained).  Members share served, so the lane's next
+  /// completion is its root, due at the instant served reaches the root's
+  /// finish; that instant is cached until the root or the rate moves.  The
+  /// heap layout orders the members a settle appends to drained_, but
+  /// complete_finished always picks the lowest flow id, so completions do
+  /// not depend on it.
   std::vector<Lane> lanes_;
   /// Completion candidates: transfers whose remaining crossed the done
-  /// epsilon during a settle (or were born at/below it).  complete_finished
+  /// line during a settle (or were born at/below it).  complete_finished
   /// drains this instead of rescanning every transfer per completion;
   /// entries cancelled in the meantime are skipped by a liveness check.
   std::vector<FlowId> drained_;

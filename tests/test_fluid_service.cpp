@@ -161,7 +161,7 @@ TEST(FluidUnderService, QosStormSolvesMatchReference) {
   EXPECT_EQ(run.solves, 131u);
   EXPECT_EQ(run.checks - run.solves, 13446u);
   EXPECT_GE(run.max_shared, 10u) << "sessions never shared a bundle";
-  EXPECT_EQ(run.digest, 0xf67da5250a83eaf8u)
+  EXPECT_EQ(run.digest, 0x765db029672fffdbu)
       << std::hex << "digest 0x" << run.digest;
 }
 

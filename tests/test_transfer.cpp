@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -204,6 +205,42 @@ TEST(TransferManager, RejectsBadArguments) {
   EXPECT_THROW(manager.start_transfer({fx.ab}, MegaBytes{1.0}, Mbps{1.0},
                                       TransferManager::CompletionCallback{}),
                std::invalid_argument);
+
+  // Non-finite sizes, and sizes whose 2^-30 MB units pass the 2^62 ceiling.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double size : {-1.0, kNaN, kInf, -kInf, 0x1p32 + 1.0}) {
+    EXPECT_THROW(manager.start_transfer({fx.ab}, MegaBytes{size}, Mbps{1.0},
+                                        [](SimTime) {}),
+                 std::invalid_argument)
+        << "size " << size;
+  }
+  EXPECT_THROW(manager.start_transfer({fx.ab}, MegaBytes{1.0}, Mbps{kNaN},
+                                      [](SimTime) {}),
+               std::invalid_argument);
+  EXPECT_THROW(network.start_flow({fx.ab}, Mbps{kNaN}), std::invalid_argument);
+  EXPECT_EQ(network.active_flow_count(), 0u);
+
+  // A lane counter that would pass the ceiling: 2^31 MB at 10 MB/s has
+  // served 10 MB after 1 s, so a 2^32 - 5 MB start on its lane overflows.
+  // The rejected start leaves the manager as it was.
+  constexpr double kLargest = 0x1p32 - 5.0;
+  const FlowId big = manager.start_transfer({}, MegaBytes{0x1p31}, Mbps{80.0},
+                                            [](SimTime) {});
+  sim.schedule_at(SimTime{1.0}, [&](SimTime) {
+    EXPECT_THROW(manager.start_transfer({}, MegaBytes{kLargest}, Mbps{80.0},
+                                        [](SimTime) {}),
+                 std::invalid_argument);
+    EXPECT_EQ(manager.active_count(), 1u);
+    EXPECT_EQ(network.active_flow_count(), 1u);
+    EXPECT_EQ(manager.remaining(big).value(), 0x1p31 - 10.0);
+    // An emptied lane resets its counters: the same start then fits.
+    manager.cancel(big);
+    EXPECT_NO_THROW(manager.start_transfer({}, MegaBytes{kLargest},
+                                           Mbps{80.0}, [](SimTime) {}));
+  });
+  sim.run_until(SimTime{1.0});
+  EXPECT_EQ(manager.active_count(), 1u);
 }
 
 TEST(TransferManager, ManySequentialTransfersStayExact) {
@@ -223,6 +260,50 @@ TEST(TransferManager, ManySequentialTransfersStayExact) {
   EXPECT_EQ(completed, 10);
   // Each 1 MB at 8 Mbps takes exactly 1 s.
   EXPECT_NEAR(sim.now().seconds(), 10.0, 1e-9);
+}
+
+// A long transfer alone on bc, while chains of short transfers on ab and
+// local lanes complete thousands of times and settle every lane at each
+// completion.  Its lane's rate never changes, so its progress is one closed
+// form from its start: the first wake-up lands on it, to the nanosecond.
+TEST(TransferManager, LongTransferUnderChurnCompletesAtFirstWakeUp) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+  Rng rng{77};
+
+  std::optional<double> done_at;
+  const FlowId id = manager.start_transfer(
+      {fx.bc}, MegaBytes{500.0}, Mbps{100.0},
+      [&](SimTime t) { done_at = t.seconds(); });
+  const double closed_form = 500.0 * 8.0 / manager.current_rate(id).value();
+  ASSERT_GT(closed_form, 450.0);
+
+  constexpr double kChurnUntil = 400.0;
+  int churned = 0;
+  std::function<void(std::vector<LinkId>, Mbps)> chain =
+      [&](std::vector<LinkId> path, Mbps cap) {
+        manager.start_transfer(path, MegaBytes{rng.uniform(0.01, 0.1)}, cap,
+                               [&, path, cap](SimTime t) {
+                                 ++churned;
+                                 if (t.seconds() < kChurnUntil) {
+                                   chain(path, cap);
+                                 }
+                               });
+      };
+  for (const double cap : {2.0, 4.0, 6.0}) {
+    chain({fx.ab}, Mbps{cap});
+    chain({}, Mbps{cap});
+  }
+  sim.run_until(SimTime{closed_form - 1.0});
+  EXPECT_GT(churned, 2000);
+  EXPECT_FALSE(done_at.has_value());
+  ASSERT_EQ(manager.active_count(), 1u);
+  // Only the long transfer is left: one wake-up, which completes it.
+  EXPECT_EQ(sim.run(), 1u);
+  ASSERT_TRUE(done_at.has_value());
+  EXPECT_NEAR(*done_at, closed_form, 1e-9);
 }
 
 TEST(TransferManager, SimultaneousCompletionsShareOneReallocation) {
@@ -316,6 +397,31 @@ TEST(TransferManager, ChainedCompletionCostsOneSolve) {
   sim.run();
   ASSERT_TRUE(next_done.has_value());
   EXPECT_NEAR(*next_done, 8.0, 1e-9);
+}
+
+// A week into a run, one ulp of the clock is about 1e-10 s, over a hundred
+// units of progress at 1 Gbps, so the closed-form instant can land short
+// of the done line.  Each wake-up must still complete the transfer it was
+// scheduled for rather than re-arm at the same instant.
+TEST(TransferManager, LateFastTransfersCompleteAtFirstWakeUp) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+  Rng rng{604800};
+
+  constexpr int kTransfers = 40;
+  int completed = 0;
+  sim.schedule_at(SimTime{604800.123}, [&](SimTime) {
+    for (int i = 0; i < kTransfers; ++i) {
+      manager.start_transfer({}, MegaBytes{rng.uniform(1.0, 100.0)},
+                             Mbps{1000.0}, [&](SimTime) { ++completed; });
+    }
+  });
+  // The start event plus one wake-up per completion, with a cap in case
+  // a wake-up re-arms forever.
+  EXPECT_EQ(sim.run(10 * kTransfers), 1u + kTransfers);
+  EXPECT_EQ(completed, kTransfers);
 }
 
 // One lane under churn: every transfer shares path, cap and weight, so all
@@ -432,6 +538,9 @@ struct DiurnalScript {
   double max_gap_s = 40.0;
   std::function<Mbps(Rng&)> cap;
   std::function<std::uint32_t(Rng&)> weight;
+  /// When positive, an extra event steps the network clock every this many
+  /// seconds, settling progress in between the script's own mutations.
+  double clock_step_s = 0.0;
 };
 
 struct DiurnalScriptResult {
@@ -528,6 +637,15 @@ DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
       }
     });
   }
+  std::function<void(SimTime)> clock_step = [&](SimTime now) {
+    network.set_time(now);
+    if (now.seconds() < at || manager.active_count() > 0) {
+      sim.schedule_at(now + script.clock_step_s, clock_step);
+    }
+  };
+  if (script.clock_step_s > 0.0) {
+    sim.schedule_at(SimTime{script.clock_step_s}, clock_step);
+  }
   EXPECT_NO_THROW(sim.run());  // a diverging solve throws std::logic_error
   out.active_after = manager.active_count();
   return out;
@@ -548,7 +666,7 @@ TEST(TransferManager, CompletionTimesOnDiurnalTrafficMatchCapturedDigest) {
   EXPECT_GT(r.chains, 20);
   EXPECT_GT(r.cancels, 10);
   EXPECT_GT(r.failovers, 10);
-  EXPECT_EQ(r.digest, 0x68736239300bf8a1u)
+  EXPECT_EQ(r.digest, 0x73ab8c5e60b2177bu)
       << std::hex << "digest 0x" << r.digest;
 }
 
@@ -575,8 +693,28 @@ TEST(TransferManager, BundleDenseCompletionTimesMatchCapturedDigest) {
   EXPECT_GT(r.cancels, 40);
   EXPECT_GT(r.failovers, 40);
   EXPECT_GE(r.max_shared, 10u) << "bundles never held several transfers";
-  EXPECT_EQ(r.digest, 0x59b0b9f7ffc9f9abu)
+  EXPECT_EQ(r.digest, 0x7f3f85863ea5e535u)
       << std::hex << "digest 0x" << r.digest;
+}
+
+// The bundle-dense script again, plus a clock step every 0.37 s that settles
+// every lane between the script's own mutations.  Progress is a closed form
+// of each lane's rate history, so extra settles move no completion by a bit.
+TEST(TransferManager, SettleFrequencyDoesNotMoveCompletions) {
+  constexpr double kCaps[] = {4.0, 8.0, 16.0};
+  constexpr std::uint32_t kWeights[] = {1, 2, 4};
+  DiurnalScript script{
+      .seed = 20001,
+      .steps = 400,
+      .max_gap_s = 4.0,
+      .cap = [&](Rng& rng) { return Mbps{kCaps[rng.uniform_int(0, 2)]}; },
+      .weight = [&](Rng& rng) { return kWeights[rng.uniform_int(0, 2)]; }};
+  const DiurnalScriptResult plain = run_diurnal_script(script);
+  script.clock_step_s = 0.37;
+  const DiurnalScriptResult stepped = run_diurnal_script(script);
+  EXPECT_EQ(stepped.completions, plain.completions);
+  EXPECT_EQ(stepped.digest, plain.digest)
+      << std::hex << "digest 0x" << stepped.digest << " vs 0x" << plain.digest;
 }
 
 }  // namespace
