@@ -22,14 +22,15 @@ using namespace vod;
 
 namespace {
 
-// vodlint:allow(shared-mutable-global: single-threaded bench harness exit
-// code accumulator; no simulation code runs concurrently with it)
-int failures = 0;
+/// Prints one PASS/FAIL line per claim and counts the failures.
+struct Checks {
+  int failures = 0;
 
-void check(bool ok, const std::string& what) {
-  std::cout << (ok ? "  PASS  " : "  FAIL  ") << what << "\n";
-  if (!ok) ++failures;
-}
+  void check(bool ok, const std::string& what) {
+    std::cout << (ok ? "  PASS  " : "  FAIL  ") << what << "\n";
+    if (!ok) ++failures;
+  }
+};
 
 struct ExperimentSpec {
   const char* name;
@@ -41,7 +42,7 @@ struct ExperimentSpec {
   double tolerance;
 };
 
-void run_experiment(const ExperimentSpec& spec) {
+void run_experiment(Checks& checks, const ExperimentSpec& spec) {
   bench::CaseDb fx{spec.at};
   if (spec.include_ioannina) fx.place(fx.g.ioannina);
   fx.place(fx.g.thessaloniki);
@@ -51,25 +52,27 @@ void run_experiment(const ExperimentSpec& spec) {
   const NodeId client = spec.client_is_athens ? fx.g.athens : fx.g.patra;
   const auto decision = vra.select_server(client, fx.movie);
   if (!decision) {
-    check(false, std::string("experiment ") + spec.name + ": no decision");
+    checks.check(false,
+                 std::string("experiment ") + spec.name + ": no decision");
     return;
   }
   const bool winner_ok =
       fx.g.city(decision->server) == spec.expected_city;
   const bool cost_ok =
       std::abs(decision->path.cost - spec.expected_cost) < spec.tolerance;
-  check(winner_ok && cost_ok,
-        std::string("experiment ") + spec.name + ": " +
-            spec.expected_city + " @ " +
-            TextTable::num(spec.expected_cost, 4) + " (got " +
-            fx.g.city(decision->server) + " @ " +
-            TextTable::num(decision->path.cost, 4) + ")");
+  checks.check(winner_ok && cost_ok,
+               std::string("experiment ") + spec.name + ": " +
+                   spec.expected_city + " @ " +
+                   TextTable::num(spec.expected_cost, 4) + " (got " +
+                   fx.g.city(decision->server) + " @ " +
+                   TextTable::num(decision->path.cost, 4) + ")");
 }
 
 }  // namespace
 
 int main() {
   bench::heading("Reproduction summary (self-check)");
+  Checks checks;
 
   // --- Table 3: all 28 cells ---
   {
@@ -87,8 +90,9 @@ int main() {
         if (err < 0.01) ++within;
       }
     }
-    check(within == 28, "Table 3: 28/28 LVN cells within 0.01 (worst " +
-                            TextTable::num(worst, 5) + ")");
+    checks.check(within == 28,
+                 "Table 3: 28/28 LVN cells within 0.01 (worst " +
+                     TextTable::num(worst, 5) + ")");
   }
 
   // --- Table 2 data path ---
@@ -115,9 +119,9 @@ int main() {
                             grnet::table2_sample(g, link, t).used.value()));
       }
     }
-    check(worst < 1e-9,
-          "Table 2: trace -> network -> SNMP -> DB exact (worst " +
-              TextTable::num(worst, 9) + " Mbps)");
+    checks.check(worst < 1e-9,
+                 "Table 2: trace -> network -> SNMP -> DB exact (worst " +
+                     TextTable::num(worst, 9) + " Mbps)");
   }
 
   // --- Experiments ---
@@ -136,20 +140,22 @@ int main() {
         xanthi_cost_ok = std::abs(candidate.path.cost - 0.315) < 0.005;
       }
     }
-    check(xanthi_cost_ok,
-          "experiment A: paper's Xanthi candidate cost 0.315 reproduced");
-    check(decision->server == fx.g.thessaloniki &&
-              std::abs(decision->path.cost - 0.218) < 0.005,
-          "experiment A: corrected Dijkstra picks Thessaloniki @ ~0.218 "
-          "(documented paper defect)");
+    checks.check(
+        xanthi_cost_ok,
+        "experiment A: paper's Xanthi candidate cost 0.315 reproduced");
+    checks.check(decision->server == fx.g.thessaloniki &&
+                     std::abs(decision->path.cost - 0.218) < 0.005,
+                 "experiment A: corrected Dijkstra picks Thessaloniki @ "
+                 "~0.218 (documented paper defect)");
   }
-  run_experiment({"B", grnet::TimeOfDay::k10am, false, false,
-                  "Thessaloniki", 1.007, 0.02});
-  run_experiment(
-      {"C", grnet::TimeOfDay::k4pm, true, true, "Ioannina", 1.222, 0.02});
-  run_experiment(
-      {"D", grnet::TimeOfDay::k6pm, true, true, "Ioannina", 1.236, 0.02});
+  run_experiment(checks, {"B", grnet::TimeOfDay::k10am, false, false,
+                          "Thessaloniki", 1.007, 0.02});
+  run_experiment(checks, {"C", grnet::TimeOfDay::k4pm, true, true,
+                          "Ioannina", 1.222, 0.02});
+  run_experiment(checks, {"D", grnet::TimeOfDay::k6pm, true, true,
+                          "Ioannina", 1.236, 0.02});
 
+  const int failures = checks.failures;
   std::cout << "\n"
             << (failures == 0 ? "ALL CHECKS PASSED"
                               : std::to_string(failures) + " CHECK(S) FAILED")

@@ -63,7 +63,6 @@ inline void heading(const std::string& title) {
 ///
 ///   --trace-out FILE      record a Chrome trace (Perfetto-loadable) and
 ///                         write it to FILE on exit
-///   --metrics-out FILE    write a metrics-snapshot CSV via write_metrics()
 ///   --profile             enable the wall-clock profiler; its CSV goes to
 ///                         stderr on exit (timings are observe-only, so the
 ///                         bench's stdout stays byte-identical either way)
@@ -96,11 +95,10 @@ class ObsScope {
         profile_ = true;
         continue;
       }
-      std::string* path = arg == "--trace-out"     ? &trace_path_
-                          : arg == "--metrics-out" ? &metrics_path_
-                          : arg == "--series-out"  ? &series_path_
-                          : arg == "--flight-out"  ? &flight_prefix_
-                                                   : nullptr;
+      std::string* path = arg == "--trace-out"    ? &trace_path_
+                          : arg == "--series-out" ? &series_path_
+                          : arg == "--flight-out" ? &flight_prefix_
+                                                  : nullptr;
       const bool cadence = arg == "--series-cadence";
       if (path == nullptr && !cadence) continue;  // the bench's own flag
       if (i + 1 == argc) fail(arg + " needs a value");
@@ -199,16 +197,6 @@ class ObsScope {
     if (v2_active()) slos_.push_back(std::move(spec));
   }
 
-  /// Writes the snapshot CSV to --metrics-out (no-op when the flag was not
-  /// given).  Call once, after the run.
-  void write_metrics(const obs::MetricsSnapshot& snapshot) {
-    if (metrics_path_.empty()) return;
-    std::ofstream out{metrics_path_};
-    out << snapshot.to_csv();
-    std::cerr << "metrics: " << snapshot.scalars().size() << " scalar(s) -> "
-              << metrics_path_ << "\n";
-  }
-
   /// The standalone context (no clock: events stamp t=0) for sim-less
   /// benches: the trace and the flight ring, wired as on a run.
   [[nodiscard]] const obs::Context& context() const { return context_; }
@@ -232,7 +220,6 @@ class ObsScope {
   obs::Context context_;
   std::vector<obs::SloSpec> slos_;
   std::string trace_path_;
-  std::string metrics_path_;
   std::string series_path_;
   std::string flight_prefix_;
   bool profile_ = false;

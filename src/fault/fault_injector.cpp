@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/log.h"
 #include "common/rng.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
@@ -134,12 +133,10 @@ std::size_t FaultInjector::count(FaultKind kind) const {
 }
 
 void FaultInjector::schedule(SimTime at, FaultRecord record) {
-  sim_.schedule_at(at, [this, record](SimTime now) { apply(record, now); });
+  sim_.schedule_at(at, [this, record](SimTime) { apply(record); });
 }
 
-void FaultInjector::apply(const FaultRecord& record, SimTime now) {
-  VOD_LOG_INFO("fault: " << to_string(record.kind) << " target "
-                         << record.target << " at " << now.seconds());
+void FaultInjector::apply(const FaultRecord& record) {
   if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->instant(
         obs::Subsystem::kFault,

@@ -98,7 +98,7 @@ class FaultInjector {
 
  private:
   void schedule(SimTime at, FaultRecord record);
-  void apply(const FaultRecord& record, SimTime now);
+  void apply(const FaultRecord& record);
   [[nodiscard]] std::size_t disk_count_of(NodeId server) const;
 
   sim::Simulation& sim_;

@@ -11,11 +11,11 @@ namespace vod::service {
 AdmissionController::AdmissionController(db::LimitedAccessView view,
                                          AdmissionOptions options)
     : view_(view), options_(options) {
-  require(!(options.required_headroom <= 0.0),
-      "AdmissionController: headroom must be positive");
+  require(valid_headroom(options.required_headroom),
+      "AdmissionController: headroom must be finite and positive");
   for (const double h : options.class_headroom) {
-    require(!(h <= 0.0),
-        "AdmissionController: class headroom must be positive");
+    require(valid_headroom(h),
+        "AdmissionController: class headroom must be finite and positive");
   }
 }
 
@@ -33,14 +33,6 @@ Mbps AdmissionController::path_residual(const routing::Path& path,
     residual = std::min(residual, free);
   }
   return residual;
-}
-
-bool AdmissionController::admit(const vra::Decision& decision,
-                                Mbps bitrate) const {
-  require(!(bitrate.value() <= 0.0), "AdmissionController: bad bitrate");
-  if (decision.served_locally) return true;
-  const Mbps residual = path_residual(decision.path, decision.path.source());
-  return residual.value() >= options_.required_headroom * bitrate.value();
 }
 
 bool AdmissionController::admit(const vra::Decision& decision, Mbps bitrate,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 
 #include "common/units.h"
 #include "common/user_class.h"
@@ -22,7 +23,13 @@
 
 namespace vod::service {
 
-/// Admission policy knobs.
+/// A headroom multiplier must be finite and positive: NaN would reject
+/// every request and +inf would make every deficit uncoverable.
+[[nodiscard]] inline bool valid_headroom(double headroom) {
+  return std::isfinite(headroom) && headroom > 0.0;
+}
+
+/// Admission policy knobs (each must satisfy valid_headroom).
 struct AdmissionOptions {
   /// Admit iff path residual >= headroom * title bitrate.  1.0 = exactly
   /// sustainable; >1 keeps slack for SNMP staleness and jitter.
@@ -48,14 +55,10 @@ class AdmissionController {
   [[nodiscard]] Mbps path_residual(const routing::Path& path,
                                    NodeId home) const;
 
-  /// Should this VRA decision be admitted for a title of `bitrate`?
-  /// Locally served sessions are always admitted (no network involved).
-  [[nodiscard]] bool admit(const vra::Decision& decision,
-                           Mbps bitrate) const;
-
-  /// Class-aware variant: the path must clear this class's headroom
-  /// (required_rate below).  kStandard with all-ones class_headroom is
-  /// exactly the classless check.
+  /// Should this VRA decision be admitted for a `cls` title of `bitrate`?
+  /// The path must clear this class's headroom (required_rate below); with
+  /// all-ones class_headroom every class is admitted alike.  Locally served
+  /// sessions are always admitted (no network involved).
   [[nodiscard]] bool admit(const vra::Decision& decision, Mbps bitrate,
                            UserClass cls) const;
 

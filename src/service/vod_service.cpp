@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/contract.h"
-#include "common/log.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 
@@ -24,6 +23,10 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
       transfers_(sim, network) {
   require(options_.server.disk_count != 0,
       "VodService: servers need at least one disk");
+  for (const ClassPolicy& policy : options_.qos.policies) {
+    require(valid_headroom(policy.admission_headroom),
+        "VodService: class admission headroom must be finite and positive");
+  }
   register_topology();
   snmp_ = std::make_unique<snmp::SnmpModule>(
       sim_, network_, db_.limited_view(admin_),
@@ -242,8 +245,6 @@ SessionId VodService::request_at_impl(NodeId home, const db::VideoInfo& info,
         ++coalesced_;
         // The joiner's completion coincides with the leader's.
         leader_session.add_done_callback(std::move(on_done));
-        VOD_LOG_DEBUG("service: coalesced request onto session "
-                      << leader.value());
         if (obs::TraceRecorder* tr = sim_.obs().trace()) {
           tr->instant(obs::Subsystem::kService, "service.coalesce",
                       {{"leader", obs::num(static_cast<std::uint64_t>(
@@ -257,15 +258,10 @@ SessionId VodService::request_at_impl(NodeId home, const db::VideoInfo& info,
     }
   }
 
-  const SessionId id =
-      spawn_session(home, info, cls, std::move(on_done),
-                    retry_limit_for(cls),
-                    Duration{options_.failover.retry_backoff_seconds},
-                    /*register_batch=*/true);
-  VOD_LOG_INFO("service: session " << id.value() << " for video "
-                                   << info.title << " at "
-                                   << topology_.node_name(home));
-  return id;
+  return spawn_session(home, info, cls, std::move(on_done),
+                       retry_limit_for(cls),
+                       Duration{options_.failover.retry_backoff_seconds},
+                       /*register_batch=*/true);
 }
 
 SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
@@ -352,10 +348,7 @@ stream::Session::DoneCallback VodService::wrap_with_retry(
     ++service_retries_;
     const Duration next_backoff{
         std::min(backoff.seconds() * options_.failover.retry_backoff_factor,
-                 options_.failover.retry_backoff_max_seconds)};
-    VOD_LOG_INFO("service: session " << id.value() << " failed ("
-                                     << session.metrics().failure_reason
-                                     << "); retrying in " << backoff);
+                 kRetryBackoffMaxSeconds)};
     if (obs::TraceRecorder* tr = sim_.obs().trace()) {
       tr->instant(
           obs::Subsystem::kService, "service.retry",
@@ -379,45 +372,14 @@ stream::Session::DoneCallback VodService::wrap_with_retry(
   };
 }
 
-VodService::AdmissionOutcome VodService::request_with_admission(
-    NodeId home, VideoId video, double headroom,
-    stream::Session::DoneCallback on_done) {
-  const auto info = db_.full_view().video(video);
-  require(info, "request_with_admission: unknown video");
-  require(topology_.has_node(home), "request_with_admission: unknown home");
-  const auto decision = vra_->select_server(home, video);
-  if (!decision) {
-    // The DMA still counts the demand even when nothing can serve it.
-    servers_.at(home).cache->on_request(video, info->size);
-    return AdmissionOutcome{Admission::kNoServer, std::nullopt, {}};
-  }
-  const AdmissionController admission{
-      db_.limited_view(admin_),
-      AdmissionOptions{.required_headroom = headroom}};
-  if (!admission.admit(*decision, info->bitrate)) {
-    servers_.at(home).cache->on_request(video, info->size);
-    ++rejected_;
-    VOD_LOG_INFO("service: rejected request for " << info->title
-                                                  << " (no QoS headroom)");
-    if (obs::TraceRecorder* tr = sim_.obs().trace()) {
-      tr->instant(
-          obs::Subsystem::kService, "service.reject",
-          {{"home", topology_.node_name(home)},
-           {"video", obs::num(static_cast<std::uint64_t>(video.value()))}});
-    }
-    return AdmissionOutcome{Admission::kRejected, std::nullopt, {}};
-  }
-  ++admitted_;
-  const SessionId id = request_at(home, video, std::move(on_done));
-  return AdmissionOutcome{Admission::kAdmitted, id, {}};
-}
-
 VodService::AdmissionOutcome VodService::request_classed(
     NodeId home, VideoId video, UserClass cls, double headroom,
     stream::Session::DoneCallback on_done) {
   const auto info = db_.full_view().video(video);
   require(info, "request_classed: unknown video");
   require(topology_.has_node(home), "request_classed: unknown home node");
+  require(valid_headroom(headroom),
+      "request_classed: headroom must be finite and positive");
   const bool qos = options_.qos.enabled;
   if (qos) ++qos_counter(cls, "requests");
 
@@ -450,7 +412,7 @@ VodService::AdmissionOutcome VodService::request_classed(
   // only by sacrificing strictly lower classes, and only when the whole
   // deficit is coverable (nobody is aborted for a plan that cannot fit
   // the request anyway).
-  if (qos && options_.qos.allow_preemption && !decision->served_locally) {
+  if (qos && !decision->served_locally) {
     const auto victims =
         plan_preemption(decision->path.links,
                         admission.required_rate(info->bitrate, cls), cls);
@@ -465,7 +427,6 @@ VodService::AdmissionOutcome VodService::request_classed(
           if (slot == nullptr || !(*slot)->active()) continue;
           ++preemption_victims_;
           ++qos_counter((*slot)->user_class(), "preempted");
-          VOD_LOG_INFO("service: preempting session " << victim.value());
           if (obs::TraceRecorder* tr = sim_.obs().trace()) {
             tr->instant(obs::Subsystem::kService, "service.preempt",
                         {{"victim", obs::num(static_cast<std::uint64_t>(
@@ -493,8 +454,6 @@ VodService::AdmissionOutcome VodService::request_classed(
   servers_.at(home).cache->on_request(video, info->size);
   ++rejected_;
   if (qos) ++qos_counter(cls, "rejected");
-  VOD_LOG_INFO("service: rejected " << to_string(cls) << " request for "
-                                    << info->title << " (no QoS headroom)");
   if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->instant(
         obs::Subsystem::kService, "service.reject",

@@ -66,9 +66,13 @@ struct FailoverOptions {
   /// backoff, up to this many times.
   int retry_limit = 0;
   double retry_backoff_seconds = 30.0;
+  /// Each further retry waits this factor longer, up to
+  /// kRetryBackoffMaxSeconds.
   double retry_backoff_factor = 2.0;
-  double retry_backoff_max_seconds = 480.0;
 };
+
+/// Ceiling of the exponential service-retry backoff (FailoverOptions).
+inline constexpr double kRetryBackoffMaxSeconds = 480.0;
 
 /// Per-class service policy (see QosOptions::policies, indexed by
 /// class_index()).  The defaults are identity knobs: weight 1, headroom
@@ -96,10 +100,10 @@ struct ClassPolicy {
 /// byte-identical to the classless paper behaviour: every class-aware
 /// branch collapses to the identity and no per-class metric is created.
 struct QosOptions {
+  /// Enabled includes preemption: a request that fails plain admission may
+  /// abort enough lower-class sessions (ranked class-descending, then
+  /// youngest-first) to fit (VodService::request_classed).
   bool enabled = false;
-  /// May a request that fails plain admission preempt enough lower-class
-  /// sessions (ranked class-descending, then youngest-first) to fit?
-  bool allow_preemption = true;
   /// Indexed by class_index(): premium, standard, background.
   std::array<ClassPolicy, kUserClassCount> policies{
       ClassPolicy{/*flow_weight=*/4, /*admission_headroom=*/1.0,
@@ -236,31 +240,29 @@ class VodService {
     std::vector<SessionId> preempted;
   };
 
-  /// Like request_at, but the session starts only if the VRA's chosen path
-  /// has at least `headroom` x the title's bitrate of residual bandwidth
-  /// (per the limited-access statistics).  Rejected requests still count
-  /// toward the home server's DMA popularity — a denied user asked for the
-  /// title all the same.
-  AdmissionOutcome request_with_admission(
-      NodeId home, VideoId video, double headroom = 1.0,
-      stream::Session::DoneCallback on_done = {});
-
   /// Fixed failure reason of sessions aborted by the preemption planner —
   /// reports and tests identify victims by it.
   static constexpr const char* kPreemptedReason =
       "preempted by higher-class admission";
 
-  /// The tiered front door (ServiceOptions::qos): class-aware admission
-  /// (per-class headroom via `headroom` x the class's multiplier), then —
-  /// when plain admission fails, preemption is allowed, and the path is
-  /// merely saturated rather than severed — the planner ranks strictly
-  /// lower-class victims (class-descending, youngest-first, deterministic)
-  /// and aborts just enough of them, by their current delivered rates, to
-  /// cover every short link's deficit.  Victims re-enter through the
-  /// service-retry chain at their own class (their remaining budget
-  /// permitting).  With qos.enabled == false this is exactly
-  /// request_with_admission for any class argument.
-  AdmissionOutcome request_classed(NodeId home, VideoId video, UserClass cls,
+  /// The admission-controlled front door: like request_at, but the session
+  /// starts only if the VRA's chosen path has at least `headroom` x the
+  /// title's bitrate of residual bandwidth (per the limited-access
+  /// statistics).  Rejected requests still count toward the home server's
+  /// DMA popularity — a denied user asked for the title all the same.
+  /// `headroom` must be finite and positive (std::invalid_argument, thrown
+  /// before any state moves).  The default class is the classless request.
+  ///
+  /// Under ServiceOptions::qos the headroom is scaled by the class's
+  /// multiplier, and when plain admission fails on a path that is merely
+  /// saturated rather than severed, the planner ranks strictly lower-class
+  /// victims (class-descending, youngest-first, deterministic) and aborts
+  /// just enough of them, by their current delivered rates, to cover every
+  /// short link's deficit.  Victims re-enter through the service-retry
+  /// chain at their own class (their remaining budget permitting).  With
+  /// qos.enabled == false the class argument changes nothing.
+  AdmissionOutcome request_classed(NodeId home, VideoId video,
+                                   UserClass cls = UserClass::kStandard,
                                    double headroom = 1.0,
                                    stream::Session::DoneCallback on_done = {});
 

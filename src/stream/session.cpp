@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/contract.h"
-#include "common/log.h"
 #include "obs/trace.h"
 #include "storage/striping.h"
 
@@ -145,7 +144,6 @@ void Session::fetch_next_cluster(SimTime now) {
   if (!metrics_.cluster_sources.empty() &&
       metrics_.cluster_sources.back() != selection->server) {
     ++metrics_.server_switches;
-    VOD_LOG_DEBUG("session: switched source for cluster " << index);
     trace_session(
         sim_.obs(), "session.switch", trace_id_,
         {{"cluster", obs::num(static_cast<std::uint64_t>(index))},
@@ -189,7 +187,7 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
   // A transfer still delivering is congested, not dead: let it run and
   // check again one timeout from now.
   if (transfers_.active(*inflight_) &&
-      transfers_.current_rate(*inflight_) >= options_.stall_rate_floor) {
+      transfers_.current_rate(*inflight_) >= kStallRateFloor) {
     watchdog_ = sim_.schedule_in(
         Duration{stall_timeout_},
         [this, index](SimTime t) { on_stall_timeout(index, t); });
@@ -215,7 +213,6 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
     fail(now, "session stalled beyond total retry budget");
     return;
   }
-  VOD_LOG_INFO("session: cluster " << index << " stalled; retrying");
   trace_session(sim_.obs(), "session.stall", trace_id_,
                 {{"cluster", obs::num(static_cast<std::uint64_t>(index))},
                  {"retries", obs::num(static_cast<std::uint64_t>(
@@ -256,7 +253,6 @@ void Session::fail_over(const std::string& cause) {
   inflight_path_.clear();
   metrics_.cluster_sources.pop_back();
   ++metrics_.proactive_failovers;
-  VOD_LOG_INFO("session: failing over (" << cause << ")");
   trace_session(sim_.obs(), "session.failover", trace_id_,
                 {{"cause", cause}});
   fetch_next_cluster(sim_.now());

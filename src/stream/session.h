@@ -32,6 +32,11 @@ namespace vod::stream {
 /// on a dead source.
 inline constexpr double kAutoStallTimeout = -1.0;
 
+/// A transfer still delivering at least this rate when the stall watchdog
+/// fires is slow-but-alive (congestion, not failure): the watchdog re-arms
+/// instead of aborting it.  A flow across a dead link reads exactly 0.
+inline constexpr Mbps kStallRateFloor{0.01};
+
 /// Session tuning.
 struct SessionOptions {
   /// Clusters that must be fully downloaded before playback starts.
@@ -46,10 +51,6 @@ struct SessionOptions {
   /// cluster size and flow cap; infinity disables the watchdog (the
   /// paper-exact configuration).
   double stall_timeout_seconds = kAutoStallTimeout;
-  /// A transfer still delivering at least this rate when the watchdog fires
-  /// is slow-but-alive (congestion, not failure): the watchdog re-arms
-  /// instead of aborting it.  A flow across a dead link reads exactly 0.
-  Mbps stall_rate_floor{0.01};
   /// Stall retries tolerated per cluster before the session fails — a long
   /// title with several independent transient stalls must not exhaust one
   /// shared budget when every cluster recovered.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/contract.h"
-#include "common/log.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "routing/min_hop.h"
@@ -131,9 +130,6 @@ std::optional<Decision> Vra::select_degraded(
   decision.server = decision.candidates.front().server;
   decision.path = decision.candidates.front().path;
   ++degraded_selections_;
-  VOD_LOG_INFO("VRA: degraded mode chose "
-               << topology_.node_name(decision.server) << " at "
-               << decision.path.cost << " hops");
   return decision;
 }
 
@@ -245,7 +241,6 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
     decision.server = home;
     decision.path.nodes = {home};
     decision.path.cost = 0.0;
-    VOD_LOG_DEBUG("VRA: served locally at " << topology_.node_name(home));
     trace_decision(obs_, topology_, home, video, decision);
     return decision;
   }
@@ -337,8 +332,6 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   decision.served_locally = false;
   decision.server = decision.candidates.front().server;
   decision.path = decision.candidates.front().path;
-  VOD_LOG_DEBUG("VRA: chose " << topology_.node_name(decision.server)
-                              << " cost " << decision.path.cost);
   trace_decision(obs_, topology_, home, video, decision);
   return decision;
 }

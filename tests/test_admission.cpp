@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "grnet/grnet.h"
@@ -42,6 +43,18 @@ TEST(AdmissionController, ValidatesHeadroom) {
   EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin),
                                    {.required_headroom = 0.0}),
                std::invalid_argument);
+  // NaN would silently reject every request; +inf and negatives are just
+  // as meaningless.  Both the base and the per-class field are checked.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin),
+                                     {.required_headroom = bad}),
+                 std::invalid_argument);
+    AdmissionOptions options;
+    options.class_headroom[class_index(UserClass::kBackground)] = bad;
+    EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin), options),
+                 std::invalid_argument);
+  }
 }
 
 TEST(AdmissionController, LocalPathReportsAccessBandwidth) {
@@ -82,18 +95,18 @@ TEST(AdmissionController, AdmitComparesAgainstBitrateTimesHeadroom) {
   decision.path = routing::Path{{fx.g.patra, fx.g.athens},
                                 {fx.g.patra_athens}, 0.1};
   // Residual 1.8: a 1.5 Mbps title fits, a 2.5 Mbps one does not.
-  EXPECT_TRUE(strict.admit(decision, Mbps{1.5}));
-  EXPECT_FALSE(strict.admit(decision, Mbps{2.5}));
+  EXPECT_TRUE(strict.admit(decision, Mbps{1.5}, UserClass::kStandard));
+  EXPECT_FALSE(strict.admit(decision, Mbps{2.5}, UserClass::kStandard));
   // With 1.5x headroom even 1.5 Mbps is rejected (needs 2.25).
   const AdmissionController cautious{fx.db.limited_view(kAdmin),
                                      {.required_headroom = 1.5}};
-  EXPECT_FALSE(cautious.admit(decision, Mbps{1.5}));
+  EXPECT_FALSE(cautious.admit(decision, Mbps{1.5}, UserClass::kStandard));
 }
 
 TEST(AdmissionController, ClassedAdmitMatchesPlainAtUnitHeadroom) {
   Fixture fx;
-  // Default class_headroom is all-ones: the classed overload must agree
-  // with the classless one for every class (the single-class guarantee).
+  // Default class_headroom is all-ones: every class must get the classless
+  // (kStandard) verdict (the single-class guarantee).
   const AdmissionController admission{fx.db.limited_view(kAdmin),
                                       {.required_headroom = 1.0}};
   vra::Decision decision;
@@ -102,7 +115,7 @@ TEST(AdmissionController, ClassedAdmitMatchesPlainAtUnitHeadroom) {
   decision.path = routing::Path{{fx.g.patra, fx.g.athens},
                                 {fx.g.patra_athens}, 0.1};
   for (const Mbps bitrate : {Mbps{1.5}, Mbps{2.5}}) {
-    const bool plain = admission.admit(decision, bitrate);
+    const bool plain = admission.admit(decision, bitrate, UserClass::kStandard);
     EXPECT_EQ(plain, admission.admit(decision, bitrate, UserClass::kPremium));
     EXPECT_EQ(plain, admission.admit(decision, bitrate, UserClass::kStandard));
     EXPECT_EQ(plain,
@@ -159,7 +172,7 @@ TEST(AdmissionController, LocalServingAlwaysAdmitted) {
   decision.served_locally = true;
   decision.server = fx.g.patra;
   decision.path = routing::Path{{fx.g.patra}, {}, 0.0};
-  EXPECT_TRUE(admission.admit(decision, Mbps{50.0}));
+  EXPECT_TRUE(admission.admit(decision, Mbps{50.0}, UserClass::kStandard));
 }
 
 TEST(AdmissionController, RejectsBadBitrate) {
@@ -167,7 +180,7 @@ TEST(AdmissionController, RejectsBadBitrate) {
   const AdmissionController admission{fx.db.limited_view(kAdmin)};
   vra::Decision decision;
   decision.served_locally = true;
-  EXPECT_THROW((void)admission.admit(decision, Mbps{0.0}),
+  EXPECT_THROW((void)admission.admit(decision, Mbps{0.0}, UserClass::kStandard),
                std::invalid_argument);
 }
 
@@ -195,8 +208,7 @@ struct ServiceFixture {
 TEST(ServiceAdmission, AdmitsWhenPathHasHeadroom) {
   ServiceFixture fx;
   fx.service->place_initial_copy(fx.g.ioannina, fx.movie);
-  const auto outcome =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
   ASSERT_TRUE(outcome.session.has_value());
   fx.sim.run_until(from_hours(1.0));
@@ -214,8 +226,7 @@ TEST(ServiceAdmission, RejectsWhenAllRoutesSaturated) {
   fx.service->place_initial_copy(fx.g.athens, fx.movie);
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
-  const auto outcome =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kRejected);
   EXPECT_FALSE(outcome.session.has_value());
   EXPECT_EQ(fx.service->rejected_count(), 1u);
@@ -223,8 +234,7 @@ TEST(ServiceAdmission, RejectsWhenAllRoutesSaturated) {
 
 TEST(ServiceAdmission, NoServerReported) {
   ServiceFixture fx;
-  const auto outcome =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kNoServer);
 }
 
@@ -234,7 +244,7 @@ TEST(ServiceAdmission, RejectedRequestsStillEarnDmaPoints) {
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
   const auto before = fx.service->dma_cache(fx.g.patra).points(fx.movie);
-  (void)fx.service->request_with_admission(fx.g.patra, fx.movie);
+  (void)fx.service->request_classed(fx.g.patra, fx.movie);
   EXPECT_GT(fx.service->dma_cache(fx.g.patra).points(fx.movie) + 1,
             before);  // on_request ran (points or store attempt)
   EXPECT_EQ(fx.service->dma_cache(fx.g.patra).request_count(), 1u);
@@ -245,16 +255,42 @@ TEST(ServiceAdmission, LocalCopyAdmittedRegardlessOfNetwork) {
   fx.service->place_initial_copy(fx.g.patra, fx.movie);
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
-  const auto outcome = fx.service->request_with_admission(
-      fx.g.patra, fx.movie, /*headroom=*/10.0);
+  const auto outcome = fx.service->request_classed(
+      fx.g.patra, fx.movie, UserClass::kStandard, /*headroom=*/10.0);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
 }
 
 TEST(ServiceAdmission, ValidatesArguments) {
   ServiceFixture fx;
-  EXPECT_THROW(fx.service->request_with_admission(fx.g.patra, VideoId{99}),
+  EXPECT_THROW(fx.service->request_classed(fx.g.patra, VideoId{99}),
                std::invalid_argument);
-  EXPECT_THROW(fx.service->request_with_admission(NodeId{99}, fx.movie),
+  EXPECT_THROW(fx.service->request_classed(NodeId{99}, fx.movie),
+               std::invalid_argument);
+}
+
+TEST(ServiceAdmission, NonFiniteHeadroomThrowsBeforeStateMoves) {
+  ServiceFixture fx;
+  fx.service->place_initial_copy(fx.g.athens, fx.movie);
+  const std::string before = fx.service->metrics_snapshot().to_csv();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)fx.service->request_classed(
+                     fx.g.patra, fx.movie, UserClass::kStandard, bad),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(fx.service->metrics_snapshot().to_csv(), before);
+  EXPECT_EQ(fx.service->dma_cache(fx.g.patra).request_count(), 0u);
+}
+
+TEST(ServiceAdmission, ClassPolicyHeadroomCheckedAtConstruction) {
+  grnet::CaseStudy g = grnet::build_case_study();
+  net::TraceTraffic trace = grnet::table2_trace(g);
+  sim::Simulation sim;
+  net::FluidNetwork network{g.topology, trace};
+  ServiceOptions options;
+  options.qos.policies[class_index(UserClass::kPremium)].admission_headroom =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(VodService(sim, g.topology, network, options, kAdmin),
                std::invalid_argument);
 }
 

@@ -35,12 +35,10 @@ TEST(Interactions, AdmissionPlusCoalescingSharesTheAdmittedStream) {
   ServiceOptions options;
   options.coalesce_window_seconds = 120.0;
   Fixture fx{options};
-  const auto first =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto first = fx.service->request_classed(fx.g.patra, fx.movie);
   ASSERT_EQ(first.verdict, VodService::Admission::kAdmitted);
   fx.sim.run_until(SimTime{10.0});
-  const auto second =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto second = fx.service->request_classed(fx.g.patra, fx.movie);
   // Admitted and then coalesced onto the same session.
   EXPECT_EQ(second.verdict, VodService::Admission::kAdmitted);
   ASSERT_TRUE(second.session.has_value());

@@ -7,6 +7,7 @@
 // byte-identical across double runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -822,6 +823,137 @@ TEST(ObsIntegration, TraceDropCounterSurfacesInRegistry) {
   // With no sink attached the metric still exists and reads zero.
   EXPECT_EQ(service.metrics_snapshot().value_u64("trace.dropped_events"),
             0u);
+}
+
+// ---- End to end: the trace narrates every service decision ----
+
+/// First instant named `name` whose args include every `key=value` pair
+/// of `want` (an empty value matches any value of that key), or nullptr.
+const TraceEvent* find_instant(const TraceRecorder& recorder,
+                               const std::string& name,
+                               const std::vector<TraceArg>& want) {
+  for (const TraceEvent& event : recorder.events()) {
+    if (event.phase != 'i' || event.name != name) continue;
+    const bool all = std::all_of(
+        want.begin(), want.end(), [&event](const TraceArg& arg) {
+          return std::any_of(
+              event.args.begin(), event.args.end(),
+              [&arg](const TraceArg& have) {
+                return have.key == arg.key &&
+                       (arg.value.empty() || have.value == arg.value);
+              });
+        });
+    if (all) return &event;
+  }
+  return nullptr;
+}
+
+TEST(ObsIntegration, TraceRecordsEveryServiceDecision) {
+  // One GRNET storyline that walks each decision the service makes — the
+  // run's trace is its only narrator, so each must leave its instant.
+  const grnet::CaseStudy g = grnet::build_case_study();
+  const net::TraceTraffic trace = grnet::table2_trace(g);
+  TraceRecorder recorder;
+  sim::Simulation sim;
+  sim.obs().set_trace(&recorder);
+  net::FluidNetwork network{g.topology, trace};
+  service::ServiceOptions options;
+  options.cluster_size = MegaBytes{10.0};
+  options.dma.admission_threshold = 1'000'000;  // no proxy copies
+  options.qos.enabled = true;
+  options.coalesce_window_seconds = 60.0;
+  options.failover.retry_limit = 1;
+  options.session.stall_timeout_seconds = 60.0;
+  options.degraded_stats_age_seconds = 300.0;
+  service::VodService service{sim, g.topology, network, options,
+                              db::AdminCredential{"obs-admin"}};
+  fault::FaultInjector injector{sim, service};
+  // The movie lives at Athens only: Patra's requests cross the 2 Mbps
+  // Patra-Athens link, which two sessions saturate.  The film has two
+  // holders, so a crash of one moves its stream to the other.
+  const VideoId movie =
+      service.add_video("movie", MegaBytes{30.0}, Mbps{0.5});
+  const VideoId film = service.add_video("film", MegaBytes{100.0}, Mbps{1.0});
+  service.place_initial_copy(g.athens, movie);
+  service.place_initial_copy(g.thessaloniki, film);
+  service.place_initial_copy(g.xanthi, film);
+  service.start();
+  using Admission = service::VodService::Admission;
+
+  // Saturate Patra-Athens with a background and a standard session; a
+  // second standard request joins the standard stream.
+  const auto background =
+      service.request_classed(g.patra, movie, UserClass::kBackground);
+  const auto standard =
+      service.request_classed(g.patra, movie, UserClass::kStandard);
+  const auto joiner =
+      service.request_classed(g.patra, movie, UserClass::kStandard);
+  ASSERT_EQ(background.verdict, Admission::kAdmitted);
+  ASSERT_EQ(standard.verdict, Admission::kAdmitted);
+  ASSERT_EQ(joiner.session, standard.session);
+  const SessionId film_session = service.request_at(g.ioannina, film);
+  sim.run_until(SimTime{30.0});
+  service.snmp().poll_now(sim.now());
+  // Background cannot preempt anyone and is rejected; premium preempts the
+  // background session, which re-enters through the retry chain.
+  EXPECT_EQ(service.request_classed(g.patra, movie, UserClass::kBackground)
+                .verdict,
+            Admission::kRejected);
+  const auto premium =
+      service.request_classed(g.patra, movie, UserClass::kPremium);
+  ASSERT_EQ(premium.verdict, Admission::kPreempted);
+  ASSERT_EQ(premium.preempted,
+            std::vector<SessionId>{*background.session});
+
+  // The film's source crashes mid-stream (a proactive failover to the
+  // other holder); later a link on its new route dies unannounced (only
+  // the stall watchdog notices); then the SNMP monitor goes dark long
+  // enough for the VRA to fall back to degraded min-hop routing.
+  injector.crash_server_at(SimTime{200.0}, g.thessaloniki);
+  sim.schedule_at(SimTime{400.0}, [&](SimTime) {
+    network.set_link_up(g.thess_xanthi, false);
+  });
+  injector.snmp_outage_at(SimTime{600.0});
+  sim.schedule_at(SimTime{1000.0}, [&](SimTime) {
+    (void)service.request_at(g.heraklio, film);
+  });
+  sim.run_until(from_hours(3.0));
+
+  const auto sid = [](SessionId id) {
+    return num(static_cast<std::uint64_t>(id.value()));
+  };
+  const auto node = [](NodeId id) {
+    return num(static_cast<std::uint64_t>(id.value()));
+  };
+  EXPECT_NE(find_instant(recorder, "service.coalesce",
+                         {{"leader", sid(*standard.session)}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "service.reject", {{"home", "U2"}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "service.preempt",
+                         {{"victim", sid(*background.session)}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "service.retry",
+                         {{"sid", sid(*background.session)},
+                          {"backoff_s", num(30.0)}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "session.failover",
+                         {{"sid", sid(film_session)},
+                          {"cause", "source server crashed"}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "session.switch",
+                         {{"sid", sid(film_session)},
+                          {"from", node(g.thessaloniki)},
+                          {"to", node(g.xanthi)}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "session.stall",
+                         {{"sid", sid(film_session)}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "vra.select", {{"degraded", "1"}}),
+            nullptr);
+  EXPECT_NE(find_instant(recorder, "fault.server-crash",
+                         {{"target", node(g.thessaloniki)}}),
+            nullptr);
 }
 
 // ---- End to end: telemetry v2 observes without perturbing ----
