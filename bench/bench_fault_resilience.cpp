@@ -124,7 +124,7 @@ std::string latency_cell(const service::ResilienceReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsScope obs{argc, argv};
+  bench::ObsScope obs{argc, argv, {"--smoke"}};
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const int request_count = smoke ? 12 : 60;
   const double horizon = smoke ? 900.0 : 3600.0;

@@ -3,8 +3,8 @@
 // concurrent flows on a 132-link backbone under diurnal background traffic.
 //
 // Reports the median ns per full reallocation and per SNMP sweep at each
-// scale, asserts the indexed allocator's rates are *bit-identical* to
-// reallocate_reference(), and gates on >=5x reallocation speedup and >=10x
+// scale, asserts the indexed allocator's rates are *bit-identical* to the
+// naive reference filler (tests/support/fluid_reference.h), and gates on >=5x reallocation speedup and >=10x
 // sweep speedup at 10k flows.  Exits non-zero when equality or a floor
 // fails, so scripts/ci.sh can use it as the perf tier.
 //
@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "net/fluid.h"
+#include "support/fluid_reference.h"
 
 using namespace vod;
 
@@ -145,7 +146,7 @@ ScaleResult run_scale(int flow_count, const obs::Context& obs) {
   std::vector<std::pair<FlowId, Mbps>> reference;
   for (int rep = 0; rep < reference_reps; ++rep) {
     const auto start = Clock::now();
-    reference = network.reallocate_reference();
+    reference = net::FluidReference::allocate(network);
     samples.push_back(
         std::chrono::duration<double, std::nano>(Clock::now() - start)
             .count());
@@ -241,7 +242,7 @@ int main(int argc, char** argv) {
   // measuring the black-box recorder's steady-state cost at 1k/10k flows.
   // No sim clock or registry here — the ring only appends; nothing
   // triggers a dump.
-  bench::ObsScope obs{argc, argv};
+  bench::ObsScope obs{argc, argv, {"--out"}};
   std::string out_path = "BENCH_fluid.json";
   for (int i = 1; i < argc; ++i) {
     if (std::string{argv[i]} == "--out" && i + 1 < argc) out_path = argv[++i];
@@ -276,7 +277,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const ScaleResult& r : results) {
     if (!r.identical) {
-      std::cerr << "FAIL: allocations diverged from reallocate_reference() "
+      std::cerr << "FAIL: allocations diverged from the reference filler "
                    "at "
                 << r.flows << " flows\n";
       ok = false;

@@ -198,7 +198,7 @@ void write_json(const std::string& path, const RunResult& baseline,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsScope obs{argc, argv};
+  bench::ObsScope obs{argc, argv, {"--smoke", "--qos-gate", "--out"}};
   bool smoke = false;
   bool gate = false;
   std::string out_path = "BENCH_qos.json";

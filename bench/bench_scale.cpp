@@ -494,7 +494,7 @@ int run_scale_gate(bool full, const std::string& out_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsScope obs{argc, argv};
+  bench::ObsScope obs{argc, argv, {"--scale-gate", "--full", "--out"}};
   bool scale_gate = false;
   bool full = false;
   std::string out_path = "BENCH_scale.json";

@@ -1,12 +1,15 @@
 // Shared scaffolding for the table-regeneration benches.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,8 +80,12 @@ inline void heading(const std::string& title) {
 ///   --flight-out PREFIX   keep the always-on flight recorder; anomaly
 ///                         dumps go to PREFIX<seq>.json
 ///
-/// A value flag without its value, or a malformed cadence, prints an error
-/// and exits 2.  Construct at the top of main(); the destructor writes
+/// A value flag without its value, a malformed cadence, or any other
+/// `--` argument that is neither one of these nor one of the bench's own
+/// flags (`own_flags`) prints an error and exits 2, so a misspelt flag
+/// cannot pass unnoticed.  Arguments without a leading `--` (the values of
+/// the bench's own flags) are left to the bench.  Construct at the top of
+/// main(); the destructor writes
 /// every artefact.  Benches that drive a Simulation call attach() once per
 /// run; sim-less benches hand context() to their bare components.  SLO
 /// specs added with add_slo() are evaluated on the series cadence but only
@@ -86,7 +93,8 @@ inline void heading(const std::string& title) {
 /// byte-identical.
 class ObsScope {
  public:
-  ObsScope(int argc, char** argv) {
+  ObsScope(int argc, char** argv,
+           std::initializer_list<std::string_view> own_flags = {}) {
     double cadence_s = 30.0;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -100,7 +108,14 @@ class ObsScope {
                           : arg == "--flight-out" ? &flight_prefix_
                                                   : nullptr;
       const bool cadence = arg == "--series-cadence";
-      if (path == nullptr && !cadence) continue;  // the bench's own flag
+      if (path == nullptr && !cadence) {
+        if (arg.starts_with("--") &&
+            std::find(own_flags.begin(), own_flags.end(), arg) ==
+                own_flags.end()) {
+          fail("unknown flag '" + arg + "'");
+        }
+        continue;  // the bench's own flag or its value
+      }
       if (i + 1 == argc) fail(arg + " needs a value");
       const std::string value = argv[++i];
       if (path != nullptr) {

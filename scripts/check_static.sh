@@ -17,13 +17,15 @@ fi
 
 echo "== vodlint =="
 python3 tools/vodlint/vodlint.py --self-test
-# The scan covers the bench/example/tool sources too, so a raw thread or
-# a new mutable global fails wherever it lands.  The report lands in build/
+# The scan covers the bench/example/tool sources and the test oracles in
+# tests/support too, so a raw thread or a new mutable global fails
+# wherever it lands.  The report lands in build/
 # for EXPERIMENTS.md-style baseline counts; fixture files are excluded from
 # the walk and exercised by their own --expect ctest entries.
 mkdir -p build
 python3 tools/vodlint/vodlint.py --root . \
-  --report build/vodlint_report.json src bench examples tools
+  --report build/vodlint_report.json src bench examples tools \
+  tests/support
 # The mutable-global inventory is pinned (DESIGN.md §9): nothing active and
 # exactly two waived process-wide objects — the profiler and the trace
 # formatting scratch.  A new global, waived or not, fails here until the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "common/contract.h"
 #include "obs/profile.h"
@@ -63,7 +62,6 @@ void FluidNetwork::commit_mutation() {
                   static_cast<double>(flow_count));
     }
   }
-  if (check_reference_ && !flows_.empty()) check_against_reference();
   solved_below_ = next_flow_;
   post_change();
 }
@@ -304,10 +302,10 @@ std::uint64_t FluidNetwork::reallocate() {
   // Progressive filling over bundles: grow every unfrozen bundle's rate by
   // delta x weight until a bundle hits its cap or a link exhausts its
   // residual capacity; freeze and repeat.  Produces the weighted max–min
-  // fair allocation subject to rate caps — bit-identical to
-  // reallocate_reference(), which fills every flow on its own: the members
-  // of a bundle see the same arithmetic in every round, and the per-link
-  // weight sums (members x weight per bundle) are exact integers.
+  // fair allocation subject to rate caps — bit-identical to the naive
+  // reference filler (tests/support), which fills every flow on its own:
+  // the members of a bundle see the same arithmetic in every round, and the
+  // per-link weight sums (members x weight per bundle) are exact integers.
   ++reallocation_count_;
   VOD_PROFILE_SCOPE("fluid.reallocate");
   ensure_index_size();
@@ -414,145 +412,6 @@ std::uint64_t FluidNetwork::reallocate() {
   }
   inputs_dirty_ = false;
   return rounds;
-}
-
-void FluidNetwork::check_against_reference() {
-  ++reference_check_count_;
-  const std::vector<std::pair<FlowId, Mbps>> reference =
-      reallocate_reference();
-  ensure(reference.size() == flows_.size(),
-      "FluidNetwork: reference allocation lost a flow");
-  std::size_t i = 0;
-  flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
-    ensure(reference[i].first == id &&
-               reference[i].second.value() ==
-                   bundles_[flow.bundle].rate.value(),
-        "FluidNetwork: bundled allocation diverged from "
-        "reallocate_reference()");
-    ++i;
-  });
-}
-
-std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
-    const {
-  // The original from-scratch progressive filler, preserved as the oracle
-  // the indexed allocator is checked against: per-link unfrozen weight
-  // sums are recomputed by scanning every flow's path each round (with
-  // all-ones weights they are the old per-link unfrozen counts).
-  std::vector<double> residual(topology_.link_count());
-  for (std::size_t l = 0; l < residual.size(); ++l) {
-    const LinkId link{static_cast<LinkId::underlying_type>(l)};
-    residual[l] =
-        link_up(link)
-            ? std::max(0.0, (topology_.link(link).capacity -
-                             background(link)).value())
-            : 0.0;
-  }
-
-  struct Active {
-    const Flow* flow;
-    FlowId id;
-    Mbps cap;
-    std::uint32_t weight;
-    double rate = 0.0;
-    bool frozen = false;
-  };
-  std::vector<Active> active;
-  active.reserve(flows_.size());
-  // The ordered walk ascends by id, so `active` is deterministically
-  // ordered too.
-  flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
-    const Bundle& bundle = bundles_[flow.bundle];
-    active.push_back(Active{&flow, id, bundle.cap, bundle.weight});
-  });
-
-  // Flows with empty paths are purely local: they get their cap outright.
-  for (Active& a : active) {
-    if (a.flow->path.empty()) {
-      a.rate = a.cap.value();
-      a.frozen = true;
-    }
-  }
-
-  const auto weight_on = [&](std::size_t l) {
-    std::uint64_t sum = 0;
-    for (const Active& a : active) {
-      if (a.frozen) continue;
-      for (const LinkId link : a.flow->path) {
-        if (link.value() == l) {
-          sum += a.weight;
-          break;
-        }
-      }
-    }
-    return sum;
-  };
-
-  for (;;) {
-    bool any_unfrozen = false;
-    for (const Active& a : active) any_unfrozen |= !a.frozen;
-    if (!any_unfrozen) break;
-
-    // Largest per-weight-unit increment no constraint can absorb less of.
-    double delta = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < residual.size(); ++l) {
-      const std::uint64_t w = weight_on(l);
-      if (w > 0) {
-        delta = std::min(delta, residual[l] / static_cast<double>(w));
-      }
-    }
-    for (const Active& a : active) {
-      if (!a.frozen) {
-        delta = std::min(delta, (a.cap.value() - a.rate) /
-                                    static_cast<double>(a.weight));
-      }
-    }
-
-    if (delta > 0.0) {
-      for (Active& a : active) {
-        if (!a.frozen) a.rate += delta * static_cast<double>(a.weight);
-      }
-      for (std::size_t l = 0; l < residual.size(); ++l) {
-        const std::uint64_t w = weight_on(l);
-        residual[l] -= delta * static_cast<double>(w);
-        residual[l] = std::max(residual[l], 0.0);
-      }
-    }
-
-    // Freeze flows at their cap or on exhausted links.
-    constexpr double kEps = 1e-12;
-    bool froze = false;
-    for (Active& a : active) {
-      if (a.frozen) continue;
-      if (a.rate >= a.cap.value() - kEps) {
-        a.frozen = true;
-        froze = true;
-        continue;
-      }
-      for (const LinkId link : a.flow->path) {
-        if (residual[link.value()] <= kEps) {
-          a.frozen = true;
-          froze = true;
-          break;
-        }
-      }
-    }
-    if (!froze) break;  // nothing limits the remaining flows (shouldn't occur)
-  }
-
-  std::vector<std::pair<FlowId, Mbps>> out;
-  out.reserve(active.size());
-  for (const Active& a : active) {
-    // Flows crossing a down link are truly stuck (rate 0); everyone else
-    // gets at least the trickle floor.
-    bool severed = false;
-    for (const LinkId link : a.flow->path) {
-      if (!link_up(link)) severed = true;
-    }
-    out.emplace_back(a.id, severed ? Mbps{0.0}
-                                   : std::max(Mbps{a.rate}, kMinFlowRate));
-  }
-  return out;
 }
 
 }  // namespace vod::net

@@ -30,15 +30,14 @@
 // at most three class weights.  used_bandwidth still walks a per-link
 // *flow* list ascending by id and adds each member's rate on its own, so
 // SNMP readings keep the exact float reduction order of the per-flow code.
-// The naive per-flow filler survives as reallocate_reference() — a
-// bit-identical oracle for tests, benches and the optional self-check.
+// The naive per-flow filler is a test-only oracle (tests/support/
+// fluid_reference.h): the allocator must match it bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -224,21 +223,7 @@ class FluidNetwork {
   /// True while any BatchGuard is alive (rates may be stale).
   [[nodiscard]] bool epoch_open() const { return batch_depth_ > 0; }
 
-  // ---- reference implementation & introspection ----
-
-  /// The original naive progressive filler, kept verbatim as an oracle: a
-  /// from-scratch O(rounds x links x flows x path) solve of the current
-  /// state, returning (flow, rate) ascending by id.  The indexed allocator
-  /// is bit-identical to it by construction; the differential tests and
-  /// bench_fluid_alloc hold it to that.
-  [[nodiscard]] std::vector<std::pair<FlowId, Mbps>> reallocate_reference()
-      const;
-
-  /// Debug flag: when on, every committed mutation with flows re-solves
-  /// with reallocate_reference() and requires bitwise-equal rates (throws
-  /// std::logic_error on divergence), whether the fill ran or kept the last
-  /// solve's rates.  Off by default — it restores the naive cost.
-  void set_check_against_reference(bool on) { check_reference_ = on; }
+  // ---- introspection ----
 
   /// Progressive fillings performed so far.  A commit fills only when a
   /// linked flow is live and the fill's inputs changed since the last one
@@ -249,11 +234,6 @@ class FluidNetwork {
     return reallocation_count_;
   }
 
-  /// Commits the reference self-check compared, solved or not.
-  [[nodiscard]] std::size_t reference_check_count() const {
-    return reference_check_count_;
-  }
-
   /// TrafficModel::background_load calls actually issued: one per link per
   /// traffic step the network's clock enters and reads.
   [[nodiscard]] std::size_t traffic_query_count() const {
@@ -261,6 +241,8 @@ class FluidNetwork {
   }
 
  private:
+  friend class FluidReference;  // the test-only oracle (tests/support)
+
   struct Flow {
     std::vector<LinkId> path;  // as given by the caller (may repeat links)
     std::uint32_t bundle;
@@ -295,9 +277,6 @@ class FluidNetwork {
   /// The progressive fill over the live linked bundles; returns its round
   /// count.  Reads a fresh step cache (commit_mutation refreshes it first).
   std::uint64_t reallocate();
-  /// Compares every flow's rate with reallocate_reference(); throws
-  /// std::logic_error on divergence.
-  void check_against_reference();
   /// Brings the step cache up to date.  On the first read, once the clock
   /// has reached traffic_until_, or after the topology gained links, it
   /// reads every link's load at now_ (one TrafficModel query per link),
@@ -311,8 +290,7 @@ class FluidNetwork {
   bool pre_mutation();
   /// Re-solves shares when a linked flow is active and the fill's inputs
   /// changed since the last fill (inputs_dirty_, or a touched bundle whose
-  /// member count moved), runs the reference self-check when on, and fires
-  /// the post-change hook.
+  /// member count moved), and fires the post-change hook.
   void commit_mutation();
   void end_batch();
   void ensure_index_size();
@@ -336,7 +314,7 @@ class FluidNetwork {
   const Topology& topology_;
   const TrafficModel& traffic_;
   SimTime now_{0.0};
-  // Dense slot-map store; the reference filler and the self-check use its
+  // Dense slot-map store; the test-only reference filler uses its
   // ascending-id ordered walk.
   SlotMap<FlowId, Flow> flows_;
   /// link id -> flows crossing it, ascending by flow id (ids are handed out
@@ -369,9 +347,7 @@ class FluidNetwork {
 
   int batch_depth_ = 0;
   bool batch_dirty_ = false;
-  bool check_reference_ = false;
   std::size_t reallocation_count_ = 0;
-  std::size_t reference_check_count_ = 0;
 
   /// Set when a fill input changed beyond what solved_members tracks: a
   /// linked bundle created or freed (a reused slot may hold a different key

@@ -25,7 +25,7 @@ const SeriesPoint& Series::back() const {
 }
 
 TimeSeriesRecorder::TimeSeriesRecorder(SeriesOptions options)
-    : options_(std::move(options)), next_tick_(options_.first_sample) {
+    : options_(std::move(options)) {
   require(options_.cadence > Duration{0.0},
       "TimeSeriesRecorder: cadence must be positive");
 }
@@ -130,7 +130,7 @@ void TimeSeriesRecorder::restart() {
   scalar_plan_.clear();
   hist_plan_.clear();
   samples_taken_ = 0;
-  next_tick_ = options_.first_sample;
+  next_tick_ = SimTime{0.0};
 }
 
 std::string TimeSeriesRecorder::to_csv() const {

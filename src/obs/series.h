@@ -34,11 +34,9 @@ namespace vod::obs {
 
 struct SeriesOptions {
   /// Sim-time spacing between samples; ticks land on multiples of the
-  /// cadence starting at first_sample (so runs of different lengths share
-  /// a grid and double-runs align trivially).
+  /// cadence from t=0 (so runs of different lengths share a grid and
+  /// double-runs align trivially).
   Duration cadence = Duration{30.0};
-  /// Sim time of the first tick.
-  SimTime first_sample{0.0};
   /// Per-series point cap; once full the oldest points are overwritten
   /// (ring), keeping the most recent window and counting evictions.
   /// 0 = unlimited.
@@ -105,9 +103,9 @@ class TimeSeriesRecorder {
   /// executing it, so each sample sees the state strictly before its tick.
   void on_instant(SimTime upcoming);
 
-  /// Drops every recorded point and rewinds the tick grid to
-  /// first_sample — multi-run benches call this (via ObsScope's attach)
-  /// so the series cover exactly the observed run.
+  /// Drops every recorded point and rewinds the tick grid to t=0 —
+  /// multi-run benches call this (via ObsScope's attach) so the series
+  /// cover exactly the observed run.
   void restart();
 
   /// Samples the bound registry once at `at` (normally driven by

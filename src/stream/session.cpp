@@ -43,10 +43,7 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
   require(options_.stall_timeout_scale > 0.0,
       "Session: stall timeout scale must be positive");
   if (options_.stall_timeout_seconds == kAutoStallTimeout) {
-    require(!(options_.flow_cap.value() <= 0.0),
-        "Session: flow cap must be positive");
-    stall_timeout_ =
-        3.0 * cluster_size.megabits() / options_.flow_cap.value();
+    stall_timeout_ = 3.0 * cluster_size.megabits() / kFlowCap.value();
   } else if (options_.stall_timeout_seconds > 0.0) {
     stall_timeout_ = options_.stall_timeout_seconds;  // infinity disables
   } else {
@@ -160,7 +157,7 @@ void Session::fetch_next_cluster(SimTime now) {
   }
 
   const bool local = selection->path.links.empty();
-  const Mbps cap = local ? options_.local_rate : options_.flow_cap;
+  const Mbps cap = local ? kLocalRate : kFlowCap;
   inflight_path_ = selection->path.links;
   inflight_ = transfers_.start_transfer(
       selection->path.links, part_sizes_[index], cap,

@@ -26,8 +26,15 @@
 
 namespace vod::stream {
 
+/// Per-flow rate cap of a network cluster transfer (client access line /
+/// player limit).
+inline constexpr Mbps kFlowCap{8.0};
+
+/// Rate of a cluster served from the home server's own disks.
+inline constexpr Mbps kLocalRate{80.0};
+
 /// Sentinel for SessionOptions::stall_timeout_seconds: derive the timeout
-/// from the cluster size and the flow cap (3x the expected transfer time of
+/// from the cluster size and kFlowCap (3x the expected transfer time of
 /// one cluster at full cap), so out-of-the-box sessions cannot hang forever
 /// on a dead source.
 inline constexpr double kAutoStallTimeout = -1.0;
@@ -41,14 +48,10 @@ inline constexpr Mbps kStallRateFloor{0.01};
 struct SessionOptions {
   /// Clusters that must be fully downloaded before playback starts.
   std::size_t prebuffer_clusters = 1;
-  /// Per-flow rate cap (client access line / player limit).
-  Mbps flow_cap{8.0};
-  /// Rate for clusters served from the home server's own disks.
-  Mbps local_rate{80.0};
   /// If a cluster download exceeds this, abort it and ask the policy for a
   /// (possibly different) source — the recovery path for link/server
   /// failures mid-stream.  kAutoStallTimeout derives a finite default from
-  /// cluster size and flow cap; infinity disables the watchdog (the
+  /// cluster size and kFlowCap; infinity disables the watchdog (the
   /// paper-exact configuration).
   double stall_timeout_seconds = kAutoStallTimeout;
   /// Stall retries tolerated per cluster before the session fails — a long

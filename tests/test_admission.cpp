@@ -7,6 +7,7 @@
 
 #include "grnet/grnet.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
@@ -186,27 +187,16 @@ TEST(AdmissionController, RejectsBadBitrate) {
 
 // --- Service-level admission ---
 
-struct ServiceFixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::TraceTraffic trace = grnet::table2_trace(g);
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, trace};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  ServiceFixture() {
-    ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{1.5});
-    service->start();
-  }
-};
+/// The shared fixture over the Table 2 day with a 1.5 Mbps movie that
+/// each test places itself.
+test::GrnetSetup table2_unplaced() {
+  return {.background = test::Background::kTable2,
+          .movie_bitrate = Mbps{1.5},
+          .holders = {}};
+}
 
 TEST(ServiceAdmission, AdmitsWhenPathHasHeadroom) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   fx.service->place_initial_copy(fx.g.ioannina, fx.movie);
   const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
@@ -218,7 +208,7 @@ TEST(ServiceAdmission, AdmitsWhenPathHasHeadroom) {
 }
 
 TEST(ServiceAdmission, RejectsWhenAllRoutesSaturated) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   // Title only at Athens; by 10am Patra-Athens has 0.18 Mbps free, less
   // than the 1.5 Mbps bitrate.  The alternative route via Ioannina and
   // Thessaloniki is longer but its bottleneck at 10am is Thessaloniki-
@@ -233,13 +223,13 @@ TEST(ServiceAdmission, RejectsWhenAllRoutesSaturated) {
 }
 
 TEST(ServiceAdmission, NoServerReported) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kNoServer);
 }
 
 TEST(ServiceAdmission, RejectedRequestsStillEarnDmaPoints) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   fx.service->place_initial_copy(fx.g.athens, fx.movie);
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
@@ -251,7 +241,7 @@ TEST(ServiceAdmission, RejectedRequestsStillEarnDmaPoints) {
 }
 
 TEST(ServiceAdmission, LocalCopyAdmittedRegardlessOfNetwork) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   fx.service->place_initial_copy(fx.g.patra, fx.movie);
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
@@ -261,7 +251,7 @@ TEST(ServiceAdmission, LocalCopyAdmittedRegardlessOfNetwork) {
 }
 
 TEST(ServiceAdmission, ValidatesArguments) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   EXPECT_THROW(fx.service->request_classed(fx.g.patra, VideoId{99}),
                std::invalid_argument);
   EXPECT_THROW(fx.service->request_classed(NodeId{99}, fx.movie),
@@ -269,7 +259,7 @@ TEST(ServiceAdmission, ValidatesArguments) {
 }
 
 TEST(ServiceAdmission, NonFiniteHeadroomThrowsBeforeStateMoves) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_unplaced()};
   fx.service->place_initial_copy(fx.g.athens, fx.movie);
   const std::string before = fx.service->metrics_snapshot().to_csv();
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),

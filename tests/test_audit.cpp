@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "grnet/grnet.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
-
-const db::AdminCredential kAdmin{"secret"};
 
 TEST(DecisionAudit, RejectsZeroCapacity) {
   EXPECT_THROW(DecisionAudit{0}, std::invalid_argument);
@@ -56,29 +54,15 @@ TEST(DecisionAudit, UnsatisfiedEntriesMarked) {
   EXPECT_NE(out.find("(none)"), std::string::npos);
 }
 
-struct ServiceFixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  explicit ServiceFixture(std::size_t audit_capacity) {
-    ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;
-    options.audit_capacity = audit_capacity;
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{2.0});
-    service->place_initial_copy(g.thessaloniki, movie);
-    service->start();
-  }
-};
+/// The shared fixture with an audit ring of `capacity` entries.
+test::GrnetSetup audited(std::size_t capacity) {
+  test::GrnetSetup setup;
+  setup.options.audit_capacity = capacity;
+  return setup;
+}
 
 TEST(ServiceAudit, RecordsOneEntryPerCluster) {
-  ServiceFixture fx{64};
+  test::GrnetService fx{audited(64)};
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));
   // 40 MB / 10 MB clusters = 4 selections.
@@ -96,7 +80,7 @@ TEST(ServiceAudit, RecordsOneEntryPerCluster) {
 }
 
 TEST(ServiceAudit, RecordsUnsatisfiedSelections) {
-  ServiceFixture fx{64};
+  test::GrnetService fx{audited(64)};
   const VideoId ghost =
       fx.service->add_video("ghost", MegaBytes{10.0}, Mbps{2.0});
   fx.service->request_at(fx.g.patra, ghost);
@@ -106,7 +90,7 @@ TEST(ServiceAudit, RecordsUnsatisfiedSelections) {
 }
 
 TEST(ServiceAudit, DisabledByDefault) {
-  ServiceFixture fx{0};
+  test::GrnetService fx{audited(0)};
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));
   EXPECT_THROW((void)fx.service->audit(), std::logic_error);
@@ -117,7 +101,7 @@ TEST(ServiceAudit, DisabledByDefault) {
 }
 
 TEST(ServiceAudit, TimestampsFollowSimulation) {
-  ServiceFixture fx{64};
+  test::GrnetService fx{audited(64)};
   fx.sim.run_until(SimTime{100.0});
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));

@@ -2,37 +2,21 @@
 // same home server join one stream.
 #include <gtest/gtest.h>
 
-#include "grnet/grnet.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
 
-const db::AdminCredential kAdmin{"secret"};
-
-struct Fixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  explicit Fixture(double window) {
-    ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;
-    options.coalesce_window_seconds = window;
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{2.0});
-    service->place_initial_copy(g.thessaloniki, movie);
-    service->start();
-  }
-};
+/// The shared fixture with a coalescing window of `seconds`.
+test::GrnetSetup window(double seconds) {
+  test::GrnetSetup setup;
+  setup.options.coalesce_window_seconds = seconds;
+  return setup;
+}
 
 TEST(Coalescing, SecondRequestInWindowJoinsLeader) {
-  Fixture fx{60.0};
+  test::GrnetService fx{window(60.0)};
   const SessionId first = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{10.0});
   const SessionId second = fx.service->request_at(fx.g.patra, fx.movie);
@@ -42,7 +26,7 @@ TEST(Coalescing, SecondRequestInWindowJoinsLeader) {
 }
 
 TEST(Coalescing, JoinerCallbackFiresWithLeader) {
-  Fixture fx{60.0};
+  test::GrnetService fx{window(60.0)};
   bool leader_done = false;
   bool joiner_done = false;
   fx.service->request_at(fx.g.patra, fx.movie,
@@ -56,7 +40,7 @@ TEST(Coalescing, JoinerCallbackFiresWithLeader) {
 }
 
 TEST(Coalescing, OutsideWindowOpensNewStream) {
-  Fixture fx{30.0};
+  test::GrnetService fx{window(30.0)};
   const SessionId first = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{31.0});
   const SessionId second = fx.service->request_at(fx.g.patra, fx.movie);
@@ -65,7 +49,7 @@ TEST(Coalescing, OutsideWindowOpensNewStream) {
 }
 
 TEST(Coalescing, DifferentHomesDoNotCoalesce) {
-  Fixture fx{60.0};
+  test::GrnetService fx{window(60.0)};
   const SessionId patra = fx.service->request_at(fx.g.patra, fx.movie);
   const SessionId heraklio =
       fx.service->request_at(fx.g.heraklio, fx.movie);
@@ -74,7 +58,7 @@ TEST(Coalescing, DifferentHomesDoNotCoalesce) {
 }
 
 TEST(Coalescing, DifferentTitlesDoNotCoalesce) {
-  Fixture fx{60.0};
+  test::GrnetService fx{window(60.0)};
   const VideoId other =
       fx.service->add_video("other", MegaBytes{40.0}, Mbps{2.0});
   fx.service->place_initial_copy(fx.g.thessaloniki, other);
@@ -84,7 +68,8 @@ TEST(Coalescing, DifferentTitlesDoNotCoalesce) {
 }
 
 TEST(Coalescing, FinishedLeaderDoesNotAbsorbLateRequests) {
-  Fixture fx{3600.0};  // huge window, but the leader finishes first
+  // Huge window, but the leader finishes first.
+  test::GrnetService fx{window(3600.0)};
   const SessionId first = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(0.5));
   ASSERT_TRUE(fx.service->session_metrics(first).finished);
@@ -94,7 +79,7 @@ TEST(Coalescing, FinishedLeaderDoesNotAbsorbLateRequests) {
 }
 
 TEST(Coalescing, DisabledByDefault) {
-  Fixture fx{0.0};
+  test::GrnetService fx{window(0.0)};
   const SessionId first = fx.service->request_at(fx.g.patra, fx.movie);
   const SessionId second = fx.service->request_at(fx.g.patra, fx.movie);
   EXPECT_NE(second, first);
@@ -102,7 +87,7 @@ TEST(Coalescing, DisabledByDefault) {
 }
 
 TEST(Coalescing, JoinersStillCountTowardDmaPopularity) {
-  Fixture fx{60.0};
+  test::GrnetService fx{window(60.0)};
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.service->request_at(fx.g.patra, fx.movie);  // coalesced
   EXPECT_EQ(fx.service->dma_cache(fx.g.patra).request_count(), 2u);
@@ -110,7 +95,7 @@ TEST(Coalescing, JoinersStillCountTowardDmaPopularity) {
 
 TEST(Coalescing, SavesNetworkWork) {
   // Five viewers in one minute: coalescing moves the title once.
-  Fixture coalesced{120.0};
+  test::GrnetService coalesced{window(120.0)};
   for (int i = 0; i < 5; ++i) {
     coalesced.service->request_at(coalesced.g.patra, coalesced.movie);
     coalesced.sim.run_until(coalesced.sim.now() + 10.0);
@@ -119,7 +104,7 @@ TEST(Coalescing, SavesNetworkWork) {
   EXPECT_EQ(coalesced.service->session_ids().size(), 1u);
   EXPECT_EQ(coalesced.service->coalesced_count(), 4u);
 
-  Fixture independent{0.0};
+  test::GrnetService independent{window(0.0)};
   for (int i = 0; i < 5; ++i) {
     independent.service->request_at(independent.g.patra,
                                     independent.movie);

@@ -10,46 +10,28 @@
 #include "grnet/grnet.h"
 #include "service/report.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod {
 namespace {
 
 const db::AdminCredential kAdmin{"secret"};
 
-/// GRNET service with one 100 MB title replicated at Thessaloniki and
-/// Xanthi.  On an idle network Patra pulls from Thessaloniki via Ioannina
-/// (both 2 Mbps hops), so one cluster takes 40 s.
-struct Fixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-  std::unique_ptr<service::VodService> service;
-  VideoId movie;
-
-  explicit Fixture(service::ServiceOptions options = make_options()) {
-    service = std::make_unique<service::VodService>(sim, g.topology,
-                                                    network, options,
-                                                    kAdmin);
-    movie = service->add_video("movie", MegaBytes{100.0}, Mbps{2.0});
-    service->place_initial_copy(g.thessaloniki, movie);
-    service->place_initial_copy(g.xanthi, movie);
-    service->start();
-  }
-
-  static service::ServiceOptions make_options() {
-    service::ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.snmp_interval_seconds = 30.0;
-    options.dma.admission_threshold = 1'000'000;  // routing only
-    return options;
-  }
-};
+/// The shared fixture with one 100 MB title replicated at Thessaloniki and
+/// Xanthi and SNMP every 30 s.  On an idle network Patra pulls from
+/// Thessaloniki via Ioannina (both 2 Mbps hops), so one cluster takes 40 s.
+test::GrnetSetup replicated() {
+  test::GrnetSetup setup{.movie_size = MegaBytes{100.0},
+                         .holders = {&grnet::CaseStudy::thessaloniki,
+                                     &grnet::CaseStudy::xanthi}};
+  setup.options.snmp_interval_seconds = 30.0;
+  return setup;
+}
 
 TEST(FaultInjector, ScriptedFaultsApplyInOrderAndTrace) {
-  service::ServiceOptions options = Fixture::make_options();
-  options.degraded_stats_age_seconds = 90.0;
-  Fixture fx{options};
+  test::GrnetSetup setup = replicated();
+  setup.options.degraded_stats_age_seconds = 90.0;
+  test::GrnetService fx{setup};
   fault::FaultInjector injector{fx.sim, *fx.service};
 
   injector.cut_link_at(SimTime{10.0}, fx.g.patra_ioannina);
@@ -115,7 +97,7 @@ TEST(FaultInjector, ScriptedFaultsApplyInOrderAndTrace) {
 // luck, decides.  A cut+restore pair at one instant nets out to "restored"
 // and the trace shows both records in scheduling order.
 TEST(FaultInjector, SameInstantFaultsApplyInSchedulingOrder) {
-  Fixture fx;
+  test::GrnetService fx{replicated()};
   fault::FaultInjector injector{fx.sim, *fx.service};
 
   injector.cut_link_at(SimTime{50.0}, fx.g.patra_ioannina);
@@ -148,7 +130,7 @@ TEST(FaultInjector, SeededScheduleIsDeterministic) {
   storm.snmp_mttr_seconds = 250.0;
 
   auto run = [&](std::uint64_t seed) {
-    Fixture fx;
+    test::GrnetService fx{replicated()};
     fault::FaultInjector injector{fx.sim, *fx.service};
     injector.schedule_random(storm, seed);
     fx.sim.run_until(from_hours(1.5));
@@ -164,7 +146,7 @@ TEST(FaultInjector, SeededScheduleIsDeterministic) {
 }
 
 TEST(ProactiveFailover, ServerCrashMidStreamSwitchesImmediately) {
-  Fixture fx;
+  test::GrnetService fx{replicated()};
   fault::FaultInjector injector{fx.sim, *fx.service};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   injector.crash_server_at(SimTime{15.0}, fx.g.thessaloniki);
@@ -182,7 +164,7 @@ TEST(ProactiveFailover, ServerCrashMidStreamSwitchesImmediately) {
 }
 
 TEST(ProactiveFailover, LinkCutMidStreamSwitchesImmediately) {
-  Fixture fx;
+  test::GrnetService fx{replicated()};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{15.0});
   // Cut a link of the in-flight route; the re-selection must route around
@@ -207,10 +189,10 @@ TEST(ProactiveFailover, LinkCutMidStreamSwitchesImmediately) {
 }
 
 TEST(WatchdogFailover, BlackHoledCrashIsRescuedByWatchdog) {
-  service::ServiceOptions options = Fixture::make_options();
-  options.failover.proactive = false;  // watchdog-only baseline
-  options.session.stall_timeout_seconds = 60.0;
-  Fixture fx{options};
+  test::GrnetSetup setup = replicated();
+  setup.options.failover.proactive = false;  // watchdog-only baseline
+  setup.options.session.stall_timeout_seconds = 60.0;
+  test::GrnetService fx{setup};
   fault::FaultInjector injector{fx.sim, *fx.service};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   // The crash black-holes the transfer (links stay up, bytes stop): only
@@ -230,11 +212,11 @@ TEST(WatchdogFailover, BlackHoledCrashIsRescuedByWatchdog) {
 }
 
 TEST(ServiceRetry, FailedSessionIsResubmittedWithBackoff) {
-  service::ServiceOptions options = Fixture::make_options();
-  options.failover.retry_limit = 3;
-  options.failover.retry_backoff_seconds = 30.0;
-  options.failover.retry_backoff_factor = 2.0;
-  Fixture fx{options};
+  test::GrnetSetup setup = replicated();
+  setup.options.failover.retry_limit = 3;
+  setup.options.failover.retry_backoff_seconds = 30.0;
+  setup.options.failover.retry_backoff_factor = 2.0;
+  test::GrnetService fx{setup};
   // Single replica: while Thessaloniki is down the title is unservable.
   fx.service->fail_disk(fx.g.xanthi, 0);
   fault::FaultInjector injector{fx.sim, *fx.service};
@@ -329,10 +311,10 @@ TEST(DegradedMode, StaleStatsFallBackToMinHop) {
 }
 
 TEST(ZeroHang, SeededFaultStormLeavesNoSessionInFlight) {
-  service::ServiceOptions options = Fixture::make_options();
-  options.failover.retry_limit = 2;
-  options.degraded_stats_age_seconds = 90.0;
-  Fixture fx{options};
+  test::GrnetSetup setup = replicated();
+  setup.options.failover.retry_limit = 2;
+  setup.options.degraded_stats_age_seconds = 90.0;
+  test::GrnetService fx{setup};
   fault::FaultInjector injector{fx.sim, *fx.service};
 
   const NodeId homes[] = {fx.g.patra, fx.g.athens, fx.g.ioannina,

@@ -3,38 +3,19 @@
 // suites exercise only in isolation.
 #include <gtest/gtest.h>
 
-#include "grnet/grnet.h"
 #include "service/spec.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
 
 const db::AdminCredential kAdmin{"secret"};
 
-struct Fixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  explicit Fixture(ServiceOptions options) {
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{2.0});
-    service->place_initial_copy(g.thessaloniki, movie);
-    service->start();
-  }
-};
-
 TEST(Interactions, AdmissionPlusCoalescingSharesTheAdmittedStream) {
-  ServiceOptions options;
-  options.coalesce_window_seconds = 120.0;
-  Fixture fx{options};
+  test::GrnetSetup setup;
+  setup.options.coalesce_window_seconds = 120.0;
+  test::GrnetService fx{setup};
   const auto first = fx.service->request_classed(fx.g.patra, fx.movie);
   ASSERT_EQ(first.verdict, VodService::Admission::kAdmitted);
   fx.sim.run_until(SimTime{10.0});
@@ -48,10 +29,10 @@ TEST(Interactions, AdmissionPlusCoalescingSharesTheAdmittedStream) {
 }
 
 TEST(Interactions, AuditSeesCoalescedRequestsOnlyOnce) {
-  ServiceOptions options;
-  options.coalesce_window_seconds = 120.0;
-  options.audit_capacity = 64;
-  Fixture fx{options};
+  test::GrnetSetup setup;
+  setup.options.coalesce_window_seconds = 120.0;
+  setup.options.audit_capacity = 64;
+  test::GrnetService fx{setup};
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{5.0});
   fx.service->request_at(fx.g.patra, fx.movie);  // coalesced: no new stream
@@ -62,9 +43,9 @@ TEST(Interactions, AuditSeesCoalescedRequestsOnlyOnce) {
 
 TEST(Interactions, HysteresisPolicyStillFailsOverOnServerLoss) {
   // Sticky policies must not stick to a dead server.
-  ServiceOptions options;
-  options.vra_switch_hysteresis = 0.9;
-  Fixture fx{options};
+  test::GrnetSetup setup;
+  setup.options.vra_switch_hysteresis = 0.9;
+  test::GrnetService fx{setup};
   fx.service->place_initial_copy(fx.g.xanthi, fx.movie);
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.schedule_at(SimTime{15.0}, [&](SimTime) {
@@ -77,9 +58,9 @@ TEST(Interactions, HysteresisPolicyStillFailsOverOnServerLoss) {
 }
 
 TEST(Interactions, ParityServersSurviveDiskLossWithoutCatalogChange) {
-  ServiceOptions options;
-  options.server.striping = storage::StripingMode::kParity;
-  Fixture fx{options};
+  test::GrnetSetup setup;
+  setup.options.server.striping = storage::StripingMode::kParity;
+  test::GrnetService fx{setup};
   // Parity: failing one disk at the holder loses nothing; the catalog
   // entry stays and the session streams normally.
   const auto lost = fx.service->fail_disk(fx.g.thessaloniki, 0);
@@ -134,11 +115,11 @@ TEST(Interactions, SpecDrivenParityAndOverridesEndToEnd) {
 }
 
 TEST(Interactions, CoalescedJoinersShareFailureOutcomes) {
-  ServiceOptions options;
-  options.coalesce_window_seconds = 600.0;
-  options.session.stall_timeout_seconds = 60.0;
-  options.session.max_retries = 1;
-  Fixture fx{options};
+  test::GrnetSetup setup;
+  setup.options.coalesce_window_seconds = 600.0;
+  setup.options.session.stall_timeout_seconds = 60.0;
+  setup.options.session.max_retries = 1;
+  test::GrnetService fx{setup};
   int done_calls = 0;
   bool joiner_saw_failure = false;
   const SessionId leader = fx.service->request_at(

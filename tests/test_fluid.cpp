@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "support/fluid_reference.h"
 
 namespace vod::net {
 namespace {
@@ -401,7 +403,7 @@ TEST(FluidNetwork, MidStepFlapMatchesReference) {
   Line line;
   const DiurnalTraffic traffic = line_diurnal(line);
   FluidNetwork network{line.topo, traffic};
-  network.set_check_against_reference(true);  // every solve is checked
+  const FluidReference oracle{network};  // every commit is checked
   // Peak hour: the background leaves ab and bc different residuals.
   network.set_time(from_hours(14.0) + Duration{5.0});
   const FlowId through = network.start_flow({line.ab, line.bc}, Mbps{50.0});
@@ -410,10 +412,10 @@ TEST(FluidNetwork, MidStepFlapMatchesReference) {
   network.set_time(from_hours(14.0) + Duration{20.0});  // same step
   const std::size_t queries = network.traffic_query_count();
   const std::vector<std::pair<FlowId, Mbps>> before =
-      network.reallocate_reference();
+      FluidReference::allocate(network);
 
   const auto expect_reference = [&network] {
-    for (const auto& [flow, rate] : network.reallocate_reference()) {
+    for (const auto& [flow, rate] : FluidReference::allocate(network)) {
       EXPECT_EQ(network.flow_rate(flow).value(), rate.value());
     }
   };
@@ -430,11 +432,12 @@ TEST(FluidNetwork, MidStepFlapMatchesReference) {
   expect_reference();
   network.set_link_up(line.bc, true);
   expect_reference();
-  EXPECT_EQ(network.reallocate_reference(), before);
+  EXPECT_EQ(FluidReference::allocate(network), before);
   for (const auto& [flow, rate] : before) {
     EXPECT_EQ(network.flow_rate(flow).value(), rate.value());
   }
   EXPECT_EQ(network.traffic_query_count(), queries);  // flaps read no traffic
+  EXPECT_GT(oracle.check_count(), 0u);
 }
 
 TEST(FluidNetwork, CachedNextTrafficChangeMatchesModel) {
@@ -471,41 +474,43 @@ TEST(FluidNetwork, CachedNextTrafficChangeMatchesModel) {
 }
 
 // --- Skipped solves: a commit whose fill inputs are unchanged keeps its
-// rates.  Each case runs with the reference self-check on (every commit is
-// compared, solved or not) and pins the exact solve count.
+// rates.  In each case the reference filler checks every commit, solved or
+// not, and the case pins the exact solve count.
 
-/// Every live flow's rate equals reallocate_reference()'s, bit for bit.
+/// Every live flow's rate equals the reference filler's, bit for bit.
 void expect_reference_rates(const FluidNetwork& network) {
-  for (const auto& [flow, rate] : network.reallocate_reference()) {
+  for (const auto& [flow, rate] : FluidReference::allocate(network)) {
     EXPECT_EQ(network.flow_rate(flow).value(), rate.value())
         << "flow " << flow.value();
   }
 }
 
-/// Turns the reference self-check on and counts the change hooks, the
-/// solves and the self-checked commits since the last mark().
+/// Counts the change hooks, the solves and the commits the reference
+/// filler checked since the last mark().
 struct SkipProbe {
   FluidNetwork& network;
   int pre = 0;
   int post = 0;
   std::size_t solves = 0;
   std::size_t checks = 0;
+  /// Chained onto the counting hooks, so it is installed after them.
+  std::optional<FluidReference> oracle;
 
   explicit SkipProbe(FluidNetwork& net) : network(net) {
-    network.set_check_against_reference(true);
     network.set_change_hooks([this] { ++pre; }, [this] { ++post; });
+    oracle.emplace(network);
   }
   /// Starts a new count window.
   void mark() {
     pre = post = 0;
     solves = network.reallocation_count();
-    checks = network.reference_check_count();
+    checks = oracle->check_count();
   }
   [[nodiscard]] std::size_t solved() const {
     return network.reallocation_count() - solves;
   }
   [[nodiscard]] std::size_t checked() const {
-    return network.reference_check_count() - checks;
+    return oracle->check_count() - checks;
   }
 };
 
@@ -676,7 +681,7 @@ TEST(FluidSkip, LinkFlapInsideOneEpochSolvesAndRestoresRates) {
   network.start_flow({line.ab, line.bc}, Mbps{50.0});
   network.start_flow({line.ab}, Mbps{50.0}, 2);
   const std::vector<std::pair<FlowId, Mbps>> before =
-      network.reallocate_reference();
+      FluidReference::allocate(network);
   probe.mark();
   {
     const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
@@ -699,13 +704,42 @@ TEST(FluidNetwork, ReferenceCheckAcceptsIndexedAllocator) {
   ConstantTraffic traffic;
   traffic.set_load(line.ab, Mbps{4.0});
   FluidNetwork network{line.topo, traffic};
-  network.set_check_against_reference(true);
+  const FluidReference oracle{network};
   const FlowId f1 = network.start_flow({line.ab, line.bc}, Mbps{50.0});
   network.start_flow({line.ab}, Mbps{2.0});
   network.set_link_up(line.bc, false);
   EXPECT_EQ(network.flow_rate(f1), Mbps{0.0});  // severed
   network.set_link_up(line.bc, true);
   network.stop_flow(f1);
+  EXPECT_EQ(oracle.check_count(), 5u);  // every commit left a flow live
+}
+
+TEST(FluidReference, CheckThrowsOnDivergence) {
+  // The per-commit check can fail: a bundle left at a wrong rate is caught
+  // by the next commit that keeps the last solve's rates.
+  Line line;
+  ConstantTraffic traffic;
+  traffic.set_load(line.ab, Mbps{4.0});
+  FluidNetwork network{line.topo, traffic};
+  const FluidReference oracle{network};
+  const FlowId through = network.start_flow({line.ab, line.bc}, Mbps{50.0});
+  network.start_flow({line.ab}, Mbps{2.0});
+  EXPECT_NO_THROW(FluidReference::check(network));
+  FluidReference::set_bundle_rate(
+      network, network.flow_bundle(through),
+      Mbps{network.flow_rate(through).value() + 1.0});
+  EXPECT_THROW(FluidReference::check(network), std::logic_error);
+
+  const std::size_t solves = network.reallocation_count();
+  const std::size_t checks = oracle.check_count();
+  // Constant traffic is one step, so the clock move skips the fill.
+  EXPECT_THROW(network.set_time(SimTime{10.0}), std::logic_error);
+  EXPECT_EQ(network.reallocation_count(), solves);
+  EXPECT_EQ(oracle.check_count(), checks + 1);
+  // A flap is a fill input: the solve overwrites the wrong rate.
+  EXPECT_NO_THROW(network.set_link_up(line.bc, false));
+  EXPECT_EQ(network.reallocation_count(), solves + 1);
+  EXPECT_EQ(oracle.check_count(), checks + 2);
 }
 
 // --- Max–min fairness properties on random configurations ---

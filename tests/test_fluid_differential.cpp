@@ -1,15 +1,15 @@
 // Seeded randomized differential test: the bundled allocator must be
-// *bit-identical* to reallocate_reference() — the preserved naive per-flow
-// filler — on every observable (flow rates, used_bandwidth, utilization)
-// after every mutation of a random start/stop/restart/link-flap/
-// time-advance script, including the severed-path and kMinFlowRate floor
+// *bit-identical* to the naive per-flow reference filler
+// (support/fluid_reference.h) on every observable (flow rates,
+// used_bandwidth, utilization) after every mutation of a random
+// start/stop/restart/link-flap/time-advance script, including the severed-path and kMinFlowRate floor
 // edge cases.  Flows are started with random class weights, so the weighted
 // fill (integer weight sums, delta x weight increments) is exercised against
 // the oracle's per-round recomputation on every seed.  One suite draws
 // continuous caps (nearly every flow its own bundle), the other a few
-// discrete caps and weights (dense, churning bundles).  The built-in
-// self-check also runs on every commit with flows, including the commits
-// that keep the last solve's rates because no fill input changed.  Exact
+// discrete caps and weights (dense, churning bundles).  The reference
+// filler also checks every commit with flows, including the commits that
+// keep the last solve's rates because no fill input changed.  Exact
 // double equality throughout: the determinism gates depend on it.
 #include "net/fluid.h"
 
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "support/fluid_reference.h"
 
 namespace vod::net {
 namespace {
@@ -79,7 +80,7 @@ void expect_matches_reference(const FluidNetwork& network,
                               const Fixture& fx,
                               const std::vector<FlowId>& live) {
   const std::vector<std::pair<FlowId, Mbps>> reference =
-      network.reallocate_reference();
+      FluidReference::allocate(network);
   ASSERT_EQ(reference.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
     EXPECT_EQ(reference[i].first, live[i]);
@@ -130,9 +131,9 @@ ScriptStats run_script(int seed, const FlowDraws& draws) {
   Rng rng{static_cast<std::uint64_t>(seed) * 7919 + 17};
   Fixture fx{rng};
   FluidNetwork network{fx.topo, fx.traffic};
-  network.set_check_against_reference(true);
   int commits = 0;
   network.set_change_hooks([] {}, [&commits] { ++commits; });
+  const FluidReference oracle{network};  // chained onto the counting hook
 
   std::vector<FlowId> live;  // ascending by id (ids are monotonic)
   std::map<FlowId, BundleKey> key_of;
@@ -231,13 +232,13 @@ ScriptStats run_script(int seed, const FlowDraws& draws) {
   for (int step = 0; step < draws.steps; ++step) {
     const int commits_before = commits;
     const std::size_t solves_before = network.reallocation_count();
-    const std::size_t checks_before = network.reference_check_count();
+    const std::size_t checks_before = oracle.check_count();
     mutate_once();
     // Every commit that left flows live went through the oracle, whether
     // the fill ran or not.
     const std::size_t step_commits =
         live.empty() ? 0 : static_cast<std::size_t>(commits - commits_before);
-    EXPECT_EQ(network.reference_check_count() - checks_before, step_commits);
+    EXPECT_EQ(oracle.check_count() - checks_before, step_commits);
     if (step_commits > 0 && network.reallocation_count() == solves_before) {
       ++stats.skips_checked;
     }

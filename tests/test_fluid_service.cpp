@@ -4,10 +4,10 @@
 // A short seeded run of the two-tier backbone with QoS classes on and a
 // link/server fault storm: every cluster of every session is a flow from a
 // core server to an edge home, so many flows share one (path, cap, weight)
-// and the three class weights (4/2/1) split them further.  The network runs
-// with set_check_against_reference(true), so after every committed mutation
+// and the three class weights (4/2/1) split them further.  The reference
+// filler (support/fluid_reference.h) checks every committed mutation, so
 // — whether the fair-share fill ran or kept the last solve's rates — every
-// flow's rate must equal reallocate_reference() bit for bit (a divergence
+// flow's rate must equal the naive filler's bit for bit (a divergence
 // throws).
 // The outcome digest pins what the sessions saw.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "fault/fault_injector.h"
 #include "service/vod_service.h"
+#include "support/fluid_reference.h"
 #include "workload/zipf.h"
 
 namespace vod {
@@ -75,7 +76,6 @@ StormRun run_qos_storm(std::uint64_t seed) {
   }
   sim::Simulation sim;
   net::FluidNetwork network{topo, traffic};
-  network.set_check_against_reference(true);
 
   service::ServiceOptions options;
   options.cluster_size = MegaBytes{10.0};
@@ -83,6 +83,8 @@ StormRun run_qos_storm(std::uint64_t seed) {
   options.failover.retry_limit = 2;
   options.failover.retry_backoff_seconds = 30.0;
   service::VodService service{sim, topo, network, options, kAdmin};
+  // Chained after the service's transfer manager set the network's hooks.
+  const net::FluidReference oracle{network};
 
   Rng rng{seed};
   std::vector<VideoId> videos;
@@ -144,7 +146,7 @@ StormRun run_qos_storm(std::uint64_t seed) {
   run.digest = digest.hash;
   run.faults = injector.trace().size();
   run.solves = network.reallocation_count();
-  run.checks = network.reference_check_count();
+  run.checks = oracle.check_count();
   return run;
 }
 

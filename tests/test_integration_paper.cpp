@@ -10,92 +10,80 @@
 #include "grnet/grnet.h"
 #include "service/distributed_striping.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 #include "vra/explain.h"
 
 namespace vod {
 namespace {
 
-const db::AdminCredential kAdmin{"secret"};
+/// The shared fixture over the Table 2 day, SNMP every 90 s, a 64-entry
+/// audit and a 1.5 Mbps movie each walkthrough places itself.
+test::GrnetSetup walkthrough() {
+  test::GrnetSetup setup{.background = test::Background::kTable2,
+                         .movie_bitrate = Mbps{1.5},
+                         .holders = {}};
+  setup.options.snmp_interval_seconds = 90.0;
+  setup.options.audit_capacity = 64;
+  return setup;
+}
 
-struct Walkthrough {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::TraceTraffic trace = grnet::table2_trace(g);
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, trace};
-  std::unique_ptr<service::VodService> service;
-  VideoId movie;
+/// Runs the day to `t` (SNMP keeps polling) and takes a fresh sample.
+void advance_to(test::GrnetService& w, grnet::TimeOfDay t) {
+  w.sim.run_until(grnet::time_of(t));
+  w.service->snmp().poll_now(w.sim.now());
+}
 
-  Walkthrough() {
-    service::ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.snmp_interval_seconds = 90.0;
-    options.dma.admission_threshold = 1'000'000;  // keep placement fixed
-    options.audit_capacity = 64;
-    service = std::make_unique<service::VodService>(
-        sim, g.topology, network, options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{1.5});
-    service->start();
-  }
-
-  /// Runs the day to `t` (SNMP keeps polling) and takes a fresh sample.
-  void advance_to(grnet::TimeOfDay t) {
-    sim.run_until(grnet::time_of(t));
-    service->snmp().poll_now(sim.now());
-  }
-
-  NodeId first_source(SessionId id) {
-    sim.run_until(sim.now() + 1.0);  // let the first selection happen
-    const auto& sources =
-        service->session_metrics(id).cluster_sources;
-    EXPECT_FALSE(sources.empty());
-    return sources.empty() ? NodeId{} : sources.front();
-  }
-};
+NodeId first_source(test::GrnetService& w, SessionId id) {
+  w.sim.run_until(w.sim.now() + 1.0);  // let the first selection happen
+  const auto& sources = w.service->session_metrics(id).cluster_sources;
+  EXPECT_FALSE(sources.empty());
+  return sources.empty() ? NodeId{} : sources.front();
+}
 
 TEST(PaperWalkthrough, ExperimentA_ThroughTheServiceStack) {
-  Walkthrough w;
+  test::GrnetService w{walkthrough()};
   w.service->place_initial_copy(w.g.thessaloniki, w.movie);
   w.service->place_initial_copy(w.g.xanthi, w.movie);
-  w.advance_to(grnet::TimeOfDay::k8am);
+  advance_to(w, grnet::TimeOfDay::k8am);
   const SessionId id = w.service->request_at(w.g.patra, w.movie);
   // Corrected Experiment A: Thessaloniki via U2,U3,U4 (see DESIGN.md).
-  EXPECT_EQ(w.first_source(id), w.g.thessaloniki);
+  EXPECT_EQ(first_source(w, id), w.g.thessaloniki);
   const auto& entry = w.service->audit().entries().front();
   EXPECT_NEAR(entry.path_cost, 0.218, 0.01);
   EXPECT_EQ(entry.hop_count, 2u);
 }
 
 TEST(PaperWalkthrough, ExperimentB_ThroughTheServiceStack) {
-  Walkthrough w;
+  test::GrnetService w{walkthrough()};
   w.service->place_initial_copy(w.g.thessaloniki, w.movie);
   w.service->place_initial_copy(w.g.xanthi, w.movie);
-  w.advance_to(grnet::TimeOfDay::k10am);
+  advance_to(w, grnet::TimeOfDay::k10am);
   const SessionId id = w.service->request_at(w.g.patra, w.movie);
-  EXPECT_EQ(w.first_source(id), w.g.thessaloniki);
+  EXPECT_EQ(first_source(w, id), w.g.thessaloniki);
   EXPECT_NEAR(w.service->audit().entries().front().path_cost, 1.007,
               0.02);
 }
 
 TEST(PaperWalkthrough, ExperimentC_ThroughTheServiceStack) {
-  Walkthrough w;
+  test::GrnetService w{walkthrough()};
   w.service->place_initial_copy(w.g.ioannina, w.movie);
   w.service->place_initial_copy(w.g.thessaloniki, w.movie);
   w.service->place_initial_copy(w.g.xanthi, w.movie);
-  w.advance_to(grnet::TimeOfDay::k4pm);
+  advance_to(w, grnet::TimeOfDay::k4pm);
   const SessionId id = w.service->request_at(w.g.athens, w.movie);
-  EXPECT_EQ(w.first_source(id), w.g.ioannina);
+  EXPECT_EQ(first_source(w, id), w.g.ioannina);
   EXPECT_NEAR(w.service->audit().entries().front().path_cost, 1.222,
               0.02);
 }
 
 TEST(PaperWalkthrough, ExperimentD_ThroughTheServiceStack) {
-  Walkthrough w;
+  test::GrnetService w{walkthrough()};
   w.service->place_initial_copy(w.g.ioannina, w.movie);
   w.service->place_initial_copy(w.g.thessaloniki, w.movie);
   w.service->place_initial_copy(w.g.xanthi, w.movie);
-  w.advance_to(grnet::TimeOfDay::k6pm);
+  advance_to(w, grnet::TimeOfDay::k6pm);
   const SessionId id = w.service->request_at(w.g.athens, w.movie);
-  EXPECT_EQ(w.first_source(id), w.g.ioannina);
+  EXPECT_EQ(first_source(w, id), w.g.ioannina);
   EXPECT_NEAR(w.service->audit().entries().front().path_cost, 1.236,
               0.02);
 }
@@ -105,10 +93,10 @@ TEST(PaperWalkthrough, SnmpStalenessDelaysTheDecisionFlip) {
   // steps at 10am but a request placed just after still routes on the
   // stale pre-step statistics until the next poll — the paper's stated
   // 1-2 minute compromise, observable.
-  Walkthrough w;
+  test::GrnetService w{walkthrough()};
   w.service->place_initial_copy(w.g.thessaloniki, w.movie);
   w.service->place_initial_copy(w.g.xanthi, w.movie);
-  w.advance_to(grnet::TimeOfDay::k8am);
+  advance_to(w, grnet::TimeOfDay::k8am);
 
   // Run to 5 s past 10am WITHOUT letting the poller fire after the step:
   // polls land on multiples of 90 s; 10am = 36000 s is one, so stop the
@@ -140,11 +128,11 @@ TEST(PaperWalkthrough, SnmpStalenessDelaysTheDecisionFlip) {
 
 TEST(PaperWalkthrough, StripedSessionAlternatesSources) {
   // The future-work policy driving a real streaming session end to end.
-  Walkthrough w;
+  test::GrnetService w{walkthrough()};
   auto view = w.service->admin_view();
   view.add_title(w.g.thessaloniki, w.movie);
   view.add_title(w.g.xanthi, w.movie);
-  w.advance_to(grnet::TimeOfDay::k8am);
+  advance_to(w, grnet::TimeOfDay::k8am);
 
   service::DistributedStripePlacer placer{
       {w.g.thessaloniki, w.g.xanthi}, 2};

@@ -9,63 +9,52 @@
 #include <string>
 #include <vector>
 
-#include "grnet/grnet.h"
 #include "service/report.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
 
-const db::AdminCredential kAdmin{"secret"};
+/// Routing-only options with QoS classes on.
+ServiceOptions qos_options() {
+  ServiceOptions options = test::routing_only_options();
+  options.qos.enabled = true;
+  return options;
+}
 
-/// GRNET case study with the movie placed at Athens only, so Patra
-/// requests must cross the 2 Mbps Patra-Athens link (0.2 Mbps background
-/// at 8am -> 1.8 Mbps residual).  A couple of sessions saturate it.
-struct QosFixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::TraceTraffic trace = grnet::table2_trace(g);
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, trace};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-  VideoId clip;
+/// The shared fixture over the Table 2 day with a 30 MB, 0.5 Mbps movie
+/// that saturate() places at Athens only, so Patra requests must cross the
+/// 2 Mbps Patra-Athens link (0.2 Mbps background at 8am -> 1.8 Mbps
+/// residual).  A couple of sessions saturate it.
+test::GrnetSetup qos_setup(const ServiceOptions& options = qos_options()) {
+  return {.options = options,
+          .background = test::Background::kTable2,
+          .movie_size = MegaBytes{30.0},
+          .movie_bitrate = Mbps{0.5},
+          .holders = {}};
+}
 
-  explicit QosFixture(ServiceOptions options = make_options()) {
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{30.0}, Mbps{0.5});
-    clip = service->add_video("clip", MegaBytes{10.0}, Mbps{0.25});
-    service->start();
+/// Places the movie at Athens, starts one Patra session per entry of
+/// `classes` (in order), lets them stream for 30 s, then refreshes the
+/// limited-access statistics — the link now reads fully used.
+std::vector<SessionId> saturate(test::GrnetService& fx,
+                                const std::vector<UserClass>& classes) {
+  fx.service->place_initial_copy(fx.g.athens, fx.movie);
+  std::vector<SessionId> ids;
+  for (const UserClass cls : classes) {
+    const auto outcome =
+        fx.service->request_classed(fx.g.patra, fx.movie, cls);
+    EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
+    ids.push_back(*outcome.session);
   }
-
-  static ServiceOptions make_options() {
-    ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;  // no proxy copies
-    options.qos.enabled = true;
-    return options;
-  }
-
-  /// Starts `sessions` of the given classes (in order) for the movie at
-  /// Patra, lets them stream for 30 s, then refreshes the limited-access
-  /// statistics — the link now reads fully used.
-  std::vector<SessionId> saturate(const std::vector<UserClass>& classes) {
-    service->place_initial_copy(g.athens, movie);
-    service->place_initial_copy(g.athens, clip);
-    std::vector<SessionId> ids;
-    for (const UserClass cls : classes) {
-      const auto outcome = service->request_classed(g.patra, movie, cls);
-      EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
-      ids.push_back(*outcome.session);
-    }
-    sim.run_until(SimTime{30.0});
-    service->snmp().poll_now(sim.now());
-    return ids;
-  }
-};
+  fx.sim.run_until(SimTime{30.0});
+  fx.service->snmp().poll_now(fx.sim.now());
+  return ids;
+}
 
 TEST(Qos, NoServerWhenTitleUnplaced) {
-  QosFixture fx;
+  test::GrnetService fx{qos_setup()};
   const auto outcome =
       fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kPremium);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kNoServer);
@@ -77,11 +66,11 @@ TEST(Qos, NoServerWhenTitleUnplaced) {
 }
 
 TEST(Qos, RejectedWhenNoLowerClassVictimExists) {
-  QosFixture fx;
+  test::GrnetService fx{qos_setup()};
   // The saturating sessions are premium themselves: nothing outranks them,
   // so the planner has no candidates and the request is plainly rejected —
   // preemption never sacrifices equals or betters.
-  fx.saturate({UserClass::kPremium, UserClass::kPremium});
+  saturate(fx, {UserClass::kPremium, UserClass::kPremium});
   const auto outcome =
       fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kPremium);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kRejected);
@@ -92,8 +81,8 @@ TEST(Qos, RejectedWhenNoLowerClassVictimExists) {
 }
 
 TEST(Qos, BackgroundCannotPreemptAnyone) {
-  QosFixture fx;
-  fx.saturate({UserClass::kStandard, UserClass::kStandard});
+  test::GrnetService fx{qos_setup()};
+  saturate(fx, {UserClass::kStandard, UserClass::kStandard});
   const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie,
                                                    UserClass::kBackground);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kRejected);
@@ -101,12 +90,12 @@ TEST(Qos, BackgroundCannotPreemptAnyone) {
 }
 
 TEST(Qos, PremiumPreemptsLowestClassYoungestFirst) {
-  QosFixture fx;
+  test::GrnetService fx{qos_setup()};
   // Background is *older* than standard here: class rank must dominate the
   // youngest-first tiebreak, so the background session dies even though
   // the standard one is the more recent arrival.
   const auto ids =
-      fx.saturate({UserClass::kBackground, UserClass::kStandard});
+      saturate(fx, {UserClass::kBackground, UserClass::kStandard});
   const auto outcome =
       fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kPremium);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kPreempted);
@@ -136,10 +125,10 @@ TEST(Qos, PreemptionIsDeterministicAcrossRuns) {
   // identical per-session outcomes — the plan is a pure function of the
   // (deterministic) service state.
   const auto run = [] {
-    QosFixture fx;
-    const auto ids = fx.saturate({UserClass::kBackground,
-                                  UserClass::kStandard,
-                                  UserClass::kBackground});
+    test::GrnetService fx{qos_setup()};
+    const auto ids = saturate(fx, {UserClass::kBackground,
+                                   UserClass::kStandard,
+                                   UserClass::kBackground});
     const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie,
                                                      UserClass::kPremium);
     std::vector<std::string> trail;
@@ -160,10 +149,13 @@ TEST(Qos, PreemptionIsDeterministicAcrossRuns) {
 }
 
 TEST(Qos, PreemptedBackgroundRetriesAtItsOwnClassThenExhausts) {
-  ServiceOptions options = QosFixture::make_options();
+  ServiceOptions options = qos_options();
   options.qos.policies[class_index(UserClass::kBackground)].retry_limit = 1;
-  QosFixture fx{options};
-  const auto ids = fx.saturate({UserClass::kBackground});
+  test::GrnetService fx{qos_setup(options)};
+  const VideoId clip =
+      fx.service->add_video("clip", MegaBytes{10.0}, Mbps{0.25});
+  fx.service->place_initial_copy(fx.g.athens, clip);
+  const auto ids = saturate(fx, {UserClass::kBackground});
 
   // First premium admission preempts the lone background session...
   const auto first =
@@ -184,7 +176,7 @@ TEST(Qos, PreemptedBackgroundRetriesAtItsOwnClassThenExhausts) {
   // this time the session is absorbed shed — no further retry.
   fx.service->snmp().poll_now(fx.sim.now());
   const auto second =
-      fx.service->request_classed(fx.g.patra, fx.clip, UserClass::kPremium);
+      fx.service->request_classed(fx.g.patra, clip, UserClass::kPremium);
   ASSERT_EQ(second.verdict, VodService::Admission::kPreempted);
   ASSERT_EQ(second.preempted.size(), 1u);
   EXPECT_EQ(second.preempted[0], *retry);
@@ -198,9 +190,9 @@ TEST(Qos, PreemptedBackgroundRetriesAtItsOwnClassThenExhausts) {
 }
 
 TEST(Qos, ResilienceReportCarriesPerClassSla) {
-  QosFixture fx;
+  test::GrnetService fx{qos_setup()};
   const auto ids =
-      fx.saturate({UserClass::kBackground, UserClass::kStandard});
+      saturate(fx, {UserClass::kBackground, UserClass::kStandard});
   const auto outcome =
       fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kPremium);
   ASSERT_EQ(outcome.verdict, VodService::Admission::kPreempted);
@@ -263,11 +255,9 @@ TEST(Qos, DisabledQosMatchesClasslessServiceExactly) {
   // the class argument of request_classed changes nothing — a premium
   // request gets the classless (kStandard) request's verdicts and counters,
   // no preemption and no qos.* metrics.
-  ServiceOptions plain;
-  plain.cluster_size = MegaBytes{10.0};
-  plain.dma.admission_threshold = 1'000'000;
-  QosFixture classless{plain};
-  QosFixture classed{plain};
+  const ServiceOptions plain = test::routing_only_options();
+  test::GrnetService classless{qos_setup(plain)};
+  test::GrnetService classed{qos_setup(plain)};
   classless.service->place_initial_copy(classless.g.athens,
                                         classless.movie);
   classed.service->place_initial_copy(classed.g.athens, classed.movie);

@@ -2,35 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "grnet/grnet.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
 
-const db::AdminCredential kAdmin{"secret"};
-
-struct Fixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  Fixture() {
-    ServiceOptions options;
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{2.0});
-    service->place_initial_copy(g.thessaloniki, movie);
-    service->start();
-  }
-};
-
 TEST(ServiceReport, EmptyServiceIsAllZero) {
-  Fixture fx;
+  test::GrnetService fx;
   const ServiceReport report = build_report(*fx.service, Mbps{0.0});
   EXPECT_EQ(report.sessions, 0u);
   EXPECT_EQ(report.finished, 0u);
@@ -38,7 +16,7 @@ TEST(ServiceReport, EmptyServiceIsAllZero) {
 }
 
 TEST(ServiceReport, CountsOutcomes) {
-  Fixture fx;
+  test::GrnetService fx;
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.service->request_at(fx.g.heraklio, fx.movie);
   // An unsatisfiable request (no holder) fails immediately.
@@ -58,7 +36,7 @@ TEST(ServiceReport, CountsOutcomes) {
 }
 
 TEST(ServiceReport, InFlightSessionsSeparated) {
-  Fixture fx;
+  test::GrnetService fx;
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{1.0});  // far from finished
   const ServiceReport report = build_report(*fx.service, Mbps{0.0});
@@ -67,7 +45,7 @@ TEST(ServiceReport, InFlightSessionsSeparated) {
 }
 
 TEST(ServiceReport, ExplicitFloorApplied) {
-  Fixture fx;
+  test::GrnetService fx;
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));
   // Transfer runs at the 2 Mbps bottleneck: floor 1 passes, floor 50
@@ -77,7 +55,7 @@ TEST(ServiceReport, ExplicitFloorApplied) {
 }
 
 TEST(ServiceReport, FormatContainsKeyRows) {
-  Fixture fx;
+  test::GrnetService fx;
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));
   const std::string text =
@@ -89,7 +67,7 @@ TEST(ServiceReport, FormatContainsKeyRows) {
 }
 
 TEST(ServiceReport, CsvHasHeaderAndOneRowPerSession) {
-  Fixture fx;
+  test::GrnetService fx;
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.service->request_at(fx.g.xanthi, fx.movie);
   fx.sim.run_until(from_hours(1.0));
@@ -105,7 +83,7 @@ TEST(ServiceReport, ZeroFinishedSessionsOmitPercentileRows) {
   // All requests fail instantly (no holder anywhere): finished == 0, so
   // the table must skip the startup/download percentile rows instead of
   // rendering statistics over an empty sample.
-  Fixture fx;
+  test::GrnetService fx;
   const VideoId ghost =
       fx.service->add_video("ghost", MegaBytes{10.0}, Mbps{2.0});
   fx.service->request_at(fx.g.patra, ghost);
@@ -126,7 +104,7 @@ TEST(ServiceReport, ZeroFinishedSessionsOmitPercentileRows) {
 }
 
 TEST(ServiceReport, InFlightOnlyCsvLeavesDownloadBlank) {
-  Fixture fx;
+  test::GrnetService fx;
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{1.0});  // mid-download
 

@@ -5,40 +5,27 @@
 #include <stdexcept>
 
 #include "grnet/grnet.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
 
 const db::AdminCredential kAdmin{"secret"};
 
-/// Full service stack over the GRNET case study with Table 2 background
-/// traffic.  `routing_only` pushes the DMA admission threshold high so
-/// requests exercise the VRA instead of caching locally at once.
-struct ServiceFixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::TraceTraffic trace = grnet::table2_trace(g);
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, trace};
-  ServiceOptions options;
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  explicit ServiceFixture(bool routing_only = true) {
-    options.cluster_size = MegaBytes{10.0};
-    options.snmp_interval_seconds = 90.0;
-    if (routing_only) {
-      options.dma.admission_threshold = 1'000'000;
-    }
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", MegaBytes{40.0}, Mbps{2.0});
-    service->ip_directory().add_subnet("150.140.0.0/16", g.patra);
-    service->ip_directory().add_subnet("147.52.0.0/16", g.heraklio);
-  }
-};
+/// The shared fixture over the Table 2 day with SNMP every 90 s, the movie
+/// unplaced and the service not started: each test places and starts what
+/// it needs.  Without `routing_only` the DMA keeps its Figure 2 defaults.
+test::GrnetSetup table2_setup(bool routing_only = true) {
+  test::GrnetSetup setup{.background = test::Background::kTable2,
+                         .holders = {},
+                         .start = false};
+  setup.options.snmp_interval_seconds = 90.0;
+  if (!routing_only) setup.options.dma = dma::DmaOptions{};
+  return setup;
+}
 
 TEST(VodService, RegistersTopologyInDatabase) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   auto view = fx.service->admin_view();
   EXPECT_EQ(view.servers().size(), 6u);
   EXPECT_EQ(view.links().size(), 7u);
@@ -49,7 +36,7 @@ TEST(VodService, RegistersTopologyInDatabase) {
 }
 
 TEST(VodService, WebModuleListsAndSearches) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->add_video("another movie", MegaBytes{50.0}, Mbps{2.0});
   EXPECT_EQ(fx.service->list_titles().size(), 2u);
   EXPECT_EQ(fx.service->search_titles("another").size(), 1u);
@@ -58,7 +45,7 @@ TEST(VodService, WebModuleListsAndSearches) {
 }
 
 TEST(VodService, PlaceInitialCopyMakesTitleAvailable) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.thessaloniki, fx.movie);
   EXPECT_EQ(fx.service->database().full_view().servers_with_title(fx.movie),
             std::vector<NodeId>{fx.g.thessaloniki});
@@ -68,7 +55,7 @@ TEST(VodService, PlaceInitialCopyMakesTitleAvailable) {
 }
 
 TEST(VodService, PlaceInitialCopyValidates) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   EXPECT_THROW(fx.service->place_initial_copy(fx.g.patra, VideoId{99}),
                std::invalid_argument);
 }
@@ -76,7 +63,7 @@ TEST(VodService, PlaceInitialCopyValidates) {
 TEST(VodService, PlacedCopyIsTheFirstEvictionVictim) {
   // The placement goes through the home DMA's eviction index: a placed
   // title has 0 points, so it ranks below a title that earned a hit.
-  ServiceFixture fx{/*routing_only=*/false};
+  test::GrnetService fx{table2_setup(/*routing_only=*/false)};
   const VideoId popular =
       fx.service->add_video("popular", MegaBytes{40.0}, Mbps{2.0});
   fx.service->start();
@@ -95,7 +82,7 @@ TEST(VodService, PlacedCopyIsTheFirstEvictionVictim) {
 }
 
 TEST(VodService, StartTakesImmediateSnmpSample) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->start();
   auto view = fx.service->admin_view();
   // 8am values are in force at t=0 (trace holds first sample backward).
@@ -105,7 +92,7 @@ TEST(VodService, StartTakesImmediateSnmpSample) {
 }
 
 TEST(VodService, EndToEndRequestStreamsAndCompletes) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.thessaloniki, fx.movie);
   fx.service->place_initial_copy(fx.g.xanthi, fx.movie);
   fx.service->start();
@@ -129,14 +116,14 @@ TEST(VodService, EndToEndRequestStreamsAndCompletes) {
 }
 
 TEST(VodService, UnknownIpThrows) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.patra, fx.movie);
   EXPECT_THROW(fx.service->request_by_ip("8.8.8.8", fx.movie),
                std::invalid_argument);
 }
 
 TEST(VodService, UnknownVideoOrHomeThrows) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   EXPECT_THROW(fx.service->request_at(fx.g.patra, VideoId{99}),
                std::invalid_argument);
   EXPECT_THROW(fx.service->request_at(NodeId{99}, fx.movie),
@@ -144,7 +131,7 @@ TEST(VodService, UnknownVideoOrHomeThrows) {
 }
 
 TEST(VodService, LocalTitleServedFromHomeServer) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.patra, fx.movie);
   fx.service->start();
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
@@ -159,7 +146,8 @@ TEST(VodService, LocalTitleServedFromHomeServer) {
 }
 
 TEST(VodService, DmaAdmitsPopularTitleAtHomeServer) {
-  ServiceFixture fx{/*routing_only=*/false};  // Figure 2 defaults
+  // Figure 2 defaults.
+  test::GrnetService fx{table2_setup(/*routing_only=*/false)};
   fx.service->place_initial_copy(fx.g.thessaloniki, fx.movie);
   fx.service->start();
   // First request: the DMA at Patra admits the title (space is free),
@@ -173,7 +161,7 @@ TEST(VodService, DmaAdmitsPopularTitleAtHomeServer) {
 }
 
 TEST(VodService, OfflineServerTriggersFailover) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.thessaloniki, fx.movie);
   fx.service->place_initial_copy(fx.g.xanthi, fx.movie);
   fx.service->set_server_online(fx.g.thessaloniki, false);
@@ -188,7 +176,7 @@ TEST(VodService, OfflineServerTriggersFailover) {
 }
 
 TEST(VodService, NoHolderFailsSession) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->start();
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));
@@ -196,7 +184,7 @@ TEST(VodService, NoHolderFailsSession) {
 }
 
 TEST(VodService, SessionIdsEnumerated) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.patra, fx.movie);
   fx.service->start();
   EXPECT_TRUE(fx.service->session_ids().empty());
@@ -210,7 +198,7 @@ TEST(VodService, MidStreamServerSwitchOnCongestion) {
   // Title at Thessaloniki and Xanthi; client at Patra.  The day's traffic
   // shifts (Table 2) while a long video streams; the per-cluster VRA may
   // move between sources but the session must finish regardless.
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   fx.service->place_initial_copy(fx.g.thessaloniki, fx.movie);
   fx.service->place_initial_copy(fx.g.xanthi, fx.movie);
   fx.service->start();
@@ -230,7 +218,7 @@ TEST(VodService, MidStreamServerSwitchOnCongestion) {
 }
 
 TEST(VodService, TopTitlesRankByNetworkWideDemand) {
-  ServiceFixture fx;
+  test::GrnetService fx{table2_setup()};
   const VideoId quiet =
       fx.service->add_video("quiet", MegaBytes{40.0}, Mbps{2.0});
   const VideoId busy =

@@ -223,13 +223,11 @@ TEST(Session, LocalServingUsesLocalRate) {
   Fixture fx;
   ScriptedPolicy policy{
       Selection{fx.client, routing::Path{{fx.client}, {}, 0.0}}};
-  SessionOptions options;
-  options.local_rate = Mbps{80.0};
   Session session{fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
-                  fx.client, MegaBytes{10.0}, options};
+                  fx.client, MegaBytes{10.0}};
   session.start();
   fx.sim.run();
-  // 40 MB at 80 Mbps = 4 s total.
+  // 40 MB at kLocalRate (80 Mbps) = 4 s total.
   EXPECT_NEAR(session.metrics().download_completed_at->seconds(), 4.0,
               1e-9);
 }

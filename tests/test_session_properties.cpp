@@ -73,7 +73,7 @@ TEST_P(SessionPlaybackProperty, TimelineIdentitiesHold) {
   // Identity 1: the download moved all bytes; completion matches rate.
   const double download_span = *m.download_completed_at - m.requested_at;
   const double effective_rate =
-      std::min(link_mbps, options.flow_cap.value());
+      std::min(link_mbps, kFlowCap.value());
   EXPECT_NEAR(download_span, size_mb * 8.0 / effective_rate, 1e-6);
 
   // Identity 2: cluster completions are non-decreasing and the last one is

@@ -7,39 +7,21 @@
 #include <optional>
 #include <stdexcept>
 
-#include "grnet/grnet.h"
 #include "service/vod_service.h"
+#include "support/grnet_service.h"
 
 namespace vod::service {
 namespace {
 
-const db::AdminCredential kAdmin{"secret"};
-
-struct Fixture {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::NoTraffic traffic;
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, traffic};
-  std::unique_ptr<VodService> service;
-  VideoId movie;
-
-  explicit Fixture(ServiceOptions options = {},
-                   MegaBytes movie_size = MegaBytes{10.0}) {
-    options.cluster_size = MegaBytes{10.0};
-    options.dma.admission_threshold = 1'000'000;  // no spontaneous copies
-    service = std::make_unique<VodService>(sim, g.topology, network,
-                                           options, kAdmin);
-    movie = service->add_video("movie", movie_size, Mbps{2.0});
-    service->place_initial_copy(g.thessaloniki, movie);
-    service->start();
-  }
-};
+/// Most tests stream a one-cluster movie; a test whose playback must
+/// outlast a window keeps the shared fixture's 40 MB.
+constexpr MegaBytes kOneCluster{10.0};
 
 TEST(SessionRetirement, LeakRegressionManyLifecycles) {
   // The historical leak: sessions_ never shrank, so a long run held every
   // Session object ever created.  After N sequential lifecycles the live
   // store must be empty while the summaries keep the history.
-  Fixture fx;
+  test::GrnetService fx{{.movie_size = kOneCluster}};
   constexpr int kSessions = 30;
   for (int i = 0; i < kSessions; ++i) {
     fx.sim.schedule_at(SimTime{100.0 * i}, [&fx](SimTime) {
@@ -62,7 +44,7 @@ TEST(SessionRetirement, LeakRegressionManyLifecycles) {
 }
 
 TEST(SessionRetirement, SessionStaysResidentWhileActive) {
-  Fixture fx;
+  test::GrnetService fx{{.movie_size = kOneCluster}};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{5.0});  // mid-stream (40 s playback)
   EXPECT_EQ(fx.service->resident_session_count(), 1u);
@@ -73,9 +55,9 @@ TEST(SessionRetirement, SessionStaysResidentWhileActive) {
 }
 
 TEST(SessionRetirement, CountersOnlyDropsRecords) {
-  ServiceOptions options;
-  options.retention = SessionRetention::kCountersOnly;
-  Fixture fx{options};
+  test::GrnetSetup setup{.movie_size = kOneCluster};
+  setup.options.retention = SessionRetention::kCountersOnly;
+  test::GrnetService fx{setup};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(from_hours(1.0));
 
@@ -95,11 +77,11 @@ TEST(SessionRetirement, RetryChainPrunedUnderCountersOnly) {
   // The retry-chain bookkeeping lives on the retired records; with records
   // pruned the chain queries answer "unknown" while the retry machinery
   // itself still works.
-  ServiceOptions options;
-  options.retention = SessionRetention::kCountersOnly;
-  options.failover.retry_limit = 2;
-  options.failover.retry_backoff_seconds = 30.0;
-  Fixture fx{options, MegaBytes{40.0}};
+  test::GrnetSetup setup;
+  setup.options.retention = SessionRetention::kCountersOnly;
+  setup.options.failover.retry_limit = 2;
+  setup.options.failover.retry_backoff_seconds = 30.0;
+  test::GrnetService fx{setup};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.schedule_at(SimTime{5.0}, [&fx](SimTime) {
     fx.service->crash_server(fx.g.thessaloniki);
@@ -122,9 +104,9 @@ TEST(SessionRetirement, DeadLeaderNotCoalescedAfterFailover) {
   // Regression: the batch entry used to outlive its leader, and a request
   // inside the window after a failover crash tried to join the dead
   // stream.  Retirement must drop the entry so the request opens fresh.
-  ServiceOptions options;
-  options.coalesce_window_seconds = 120.0;
-  Fixture fx{options, MegaBytes{40.0}};
+  test::GrnetSetup setup;
+  setup.options.coalesce_window_seconds = 120.0;
+  test::GrnetService fx{setup};
   const SessionId leader = fx.service->request_at(fx.g.patra, fx.movie);
   EXPECT_EQ(fx.service->open_batch_count(), 1u);
   fx.sim.schedule_at(SimTime{5.0}, [&fx](SimTime) {
@@ -149,9 +131,9 @@ TEST(SessionRetirement, StaleBatchExpiresWhileLeaderStillStreams) {
   // The expiry sweep prunes entries one window after registration even
   // when no later request ever looks them up and the leader is still
   // active (long movie, short window).
-  ServiceOptions options;
-  options.coalesce_window_seconds = 30.0;
-  Fixture fx{options, MegaBytes{40.0}};  // 160 s playback >> 30 s window
+  test::GrnetSetup setup;
+  setup.options.coalesce_window_seconds = 30.0;
+  test::GrnetService fx{setup};  // 160 s playback >> 30 s window
   fx.service->request_at(fx.g.patra, fx.movie);
   fx.sim.run_until(SimTime{10.0});
   EXPECT_EQ(fx.service->open_batch_count(), 1u);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "support/fluid_reference.h"
 
 namespace vod::net {
 namespace {
@@ -527,7 +528,7 @@ TEST(TransferManager, OneLaneUnderChurnCompletesInRemainingOrder) {
 
 // A seeded start/cancel/chain/failover script over diurnal background
 // traffic, which moves every link's residual at every clock step, so a
-// skipped or misplaced solve would move a completion time.  Every solve is
+// skipped or misplaced solve would move a completion time.  Every commit is
 // checked against the reference filler.  `cap` and `weight` draw each
 // transfer's rate cap and share weight: continuous caps give every flow its
 // own (path, cap, weight) bundle, a few discrete values pack many transfers
@@ -565,9 +566,9 @@ DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
     traffic.set_shape(links.back(), {capacity, 0.2, 0.9});
   }
   FluidNetwork network{topo, traffic};
-  network.set_check_against_reference(true);
   sim::Simulation sim;
   TransferManager manager{sim, network};
+  const FluidReference oracle{network};  // after the manager's hooks
   Rng rng{script.seed};
 
   DiurnalScriptResult out;
@@ -647,6 +648,7 @@ DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
     sim.schedule_at(SimTime{script.clock_step_s}, clock_step);
   }
   EXPECT_NO_THROW(sim.run());  // a diverging solve throws std::logic_error
+  EXPECT_GT(oracle.check_count(), 0u);
   out.active_after = manager.active_count();
   return out;
 }
