@@ -141,8 +141,19 @@ void FluidNetwork::leave_bundle(std::uint32_t index) {
   };
   if (bundle.links.empty()) unlist(local_bundles_);
   for (const LinkId link : bundle.links) unlist(link_bundles_[link.value()]);
+  if (bundle.rate_listed) {
+    bundle.rate_listed = false;
+    unlist(rate_changes_);
+  }
   if (!bundle.links.empty()) inputs_dirty_ = true;
   free_bundles_.push_back(index);
+}
+
+void FluidNetwork::clear_rate_changes() {
+  for (const std::uint32_t index : rate_changes_) {
+    bundles_[index].rate_listed = false;
+  }
+  rate_changes_.clear();
 }
 
 FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
@@ -397,7 +408,8 @@ std::uint64_t FluidNetwork::reallocate() {
                   [&](std::uint32_t b) { return bundles_[b].frozen; });
   }
 
-  for (Bundle& bundle : bundles_) {
+  for (std::uint32_t b = 0; b < bundles_.size(); ++b) {
+    Bundle& bundle = bundles_[b];
     if (bundle.members == 0 || bundle.links.empty()) continue;
     // Flows crossing a down link are truly stuck (rate 0); everyone else
     // gets at least the trickle floor.  With every link up, the common
@@ -406,8 +418,13 @@ std::uint64_t FluidNetwork::reallocate() {
         down_link_count_ > 0 &&
         std::any_of(bundle.links.begin(), bundle.links.end(),
                     [&](LinkId link) { return link_down_[link.value()]; });
-    bundle.rate =
+    const Mbps rate =
         severed ? Mbps{0.0} : std::max(Mbps{bundle.fill}, kMinFlowRate);
+    if (rate != bundle.rate && !bundle.rate_listed) {
+      bundle.rate_listed = true;
+      rate_changes_.push_back(b);
+    }
+    bundle.rate = rate;
     bundle.solved_members = bundle.members;
   }
   inputs_dirty_ = false;

@@ -134,6 +134,16 @@ class FluidNetwork {
     return bundles_.size() - free_bundles_.size();
   }
 
+  /// The live bundles whose rate a fill changed since the last
+  /// clear_rate_changes(), each listed once.  A commit that skips the fill
+  /// adds none, and a bundle leaves the list when it is freed, so it holds
+  /// at most bundle_count() entries even when nobody clears it.  The
+  /// transfer manager re-plans these bundles' lanes and clears it.
+  [[nodiscard]] const std::vector<std::uint32_t>& rate_changes() const {
+    return rate_changes_;
+  }
+  void clear_rate_changes();
+
   /// Background-only load on a link at the current time (zero while the
   /// link is down).  An array read from the step cache: the TrafficModel is
   /// consulted once per link per traffic step (see traffic_until_), however
@@ -263,6 +273,7 @@ class FluidNetwork {
     /// Each member's rate as of the last solve.  A local bundle's is its
     /// floored cap from creation on: nothing else bounds a pathless flow.
     Mbps rate{0.0};
+    bool rate_listed = false;  // on rate_changes_
     // Progressive-filling state, meaningful inside reallocate() only.
     double fill = 0.0;
     bool frozen = false;
@@ -360,6 +371,8 @@ class FluidNetwork {
   /// bundle may repeat; joins and leaves of local bundles, which are no
   /// fill input, are not listed).
   std::vector<std::uint32_t> touched_bundles_;
+  /// See rate_changes().
+  std::vector<std::uint32_t> rate_changes_;
 
   /// Step-keyed background cache, good while now_ < traffic_until_ (the
   /// model's next_change_after at the last refresh; -inf until the first,

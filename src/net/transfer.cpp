@@ -15,14 +15,17 @@ namespace {
 // Progress is counted in integer units of 2^-30 MB.
 constexpr double kUnitsPerMb = 0x1p30;
 constexpr double kUnitsPerMegabit = kUnitsPerMb / 8.0;
-// A member within one unit (about 1e-9 MB) of its finish is done: the
-// closed-form completion instant lands within a rounding of it.
-constexpr std::int64_t kDoneUnits = 1;
 // The ceiling of every finish and served count (2^32 MB): half the int64
 // range, so the sum of two never overflows.
 constexpr std::int64_t kMaxUnits = std::int64_t{1} << 62;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
+// How far past now a settle reads the due-heap.  A root crosses the done
+// line when served is within a unit and a half of its finish, so up to that
+// much progress before its closed-form due instant; four units at the
+// slowest moving rate covers every lane.
+constexpr double kSettleSlack =
+    4.0 / (kMinFlowRate.value() * kUnitsPerMegabit);
 
 // std::llround for 0 <= x < 2^62 (half away from zero), without the
 // library call: x minus its truncation is exact in that range.
@@ -84,6 +87,9 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
     const std::uint32_t lane = network_.flow_bundle(id);
     if (lanes_.size() <= lane) lanes_.resize(lane + 1);
     Lane& members = lanes_[lane];
+    // The newcomer's finish counts from the lane's level now; settling the
+    // lane first also queues any member that crossed the line meanwhile.
+    if (!members.ids.empty()) settle_lane(members, now.seconds());
     // Only a lane that never empties can climb this far; undo the flow
     // inside the epoch and reject once the manager is consistent again.
     overflow = members.served > kMaxUnits - units;
@@ -124,7 +130,8 @@ void TransferManager::cancel(FlowId id) {
 void TransferManager::erase_transfer(FlowId id) {
   const Transfer& transfer =
       transfers_.at(id, "TransferManager: unknown transfer");
-  Lane& lane = lanes_[transfer.lane];
+  const std::uint32_t index = transfer.lane;
+  Lane& lane = lanes_[index];
   const std::uint32_t pos = transfer.pos;
   transfers_.erase(id);
   // Move the lane's last member into the hole, then sift it whichever way
@@ -134,7 +141,9 @@ void TransferManager::erase_transfer(FlowId id) {
   lane.finish.pop_back();
   lane.ids.pop_back();
   if (lane.ids.empty()) {
-    // The next bundle to take this index starts from zero.
+    // The next bundle to take this index starts from zero, and the re-plan
+    // takes the lane off the due-heap.
+    mark_dirty(index);
     lane.base_served = lane.served = 0;
     lane.base_time = lane.rate = 0.0;
     return;
@@ -152,8 +161,14 @@ void TransferManager::place(Lane& lane, std::uint32_t pos,
                             std::int64_t finish, FlowId id) {
   lane.finish[pos] = finish;
   lane.ids[pos] = id;
-  if (pos == 0) lane.due = kStale;
-  transfers_.at(id, "TransferManager: lane out of sync").pos = pos;
+  Transfer& transfer = transfers_.at(id, "TransferManager: lane out of sync");
+  transfer.pos = pos;
+  // A new root moves the lane's due instant: re-plan it.  Members below
+  // the root leave it alone.
+  if (pos == 0) {
+    lane.due = kStale;
+    mark_dirty(transfer.lane);
+  }
 }
 
 void TransferManager::sift_up(Lane& lane, std::uint32_t pos) {
@@ -235,22 +250,104 @@ void TransferManager::collect_drained(const Lane& lane, std::uint32_t pos,
   collect_drained(lane, 2 * pos + 2, was, now);
 }
 
+void TransferManager::settle_lane(Lane& lane, double now) {
+  const std::int64_t served = served_at(lane, now);
+  // The root holds the lane's smallest finish: most settles stop here.
+  if (lane.finish.front() - served <= kDoneUnits) {
+    collect_drained(lane, 0, lane.served, served);
+  }
+  lane.served = served;
+}
+
+void TransferManager::settle_due(std::uint32_t pos, double limit,
+                                 double now) {
+  if (pos >= due_heap_.size() || due_heap_[pos].at > limit) return;
+  ++lane_visits_;
+  settle_lane(lanes_[due_heap_[pos].lane], now);
+  settle_due(2 * pos + 1, limit, now);
+  settle_due(2 * pos + 2, limit, now);
+}
+
 void TransferManager::settle_bytes(SimTime now) {
-  // One counter per lane: served is a closed form of time since the lane's
-  // last rate change (reschedule rebases it), so settling reads it and
-  // queues only the members that newly crossed the done line.
+  // served is a closed form of time since the lane's last rate change, so
+  // a lane need not be settled to stay exact: only a lane whose root may
+  // have crossed the done line must be, to queue it for completion now.
+  // Those are keyed within the slack of now in the due-heap.  A dirty lane
+  // may be keyed at a stale instant until the next re-plan, which an epoch
+  // held across a clock step defers, so it is settled too.
   if (now > last_progress_) {
-    for (Lane& lane : lanes_) {
+    settle_due(0, now.seconds() + kSettleSlack, now.seconds());
+    for (const std::uint32_t b : dirty_lanes_) {
+      Lane& lane = lanes_[b];
       if (lane.ids.empty() || lane.rate == 0.0) continue;
-      const std::int64_t served = served_at(lane, now.seconds());
-      // The root holds the lane's smallest finish: most settles stop here.
-      if (lane.finish.front() - served <= kDoneUnits) {
-        collect_drained(lane, 0, lane.served, served);
-      }
-      lane.served = served;
+      ++lane_visits_;
+      settle_lane(lane, now.seconds());
     }
   }
   last_progress_ = now;
+}
+
+void TransferManager::mark_dirty(std::uint32_t lane) {
+  if (lanes_[lane].dirty) return;
+  lanes_[lane].dirty = true;
+  dirty_lanes_.push_back(lane);
+}
+
+void TransferManager::set_due(std::uint32_t lane, double at) {
+  std::uint32_t pos = lanes_[lane].due_pos;
+  if (pos == kUnqueued) {
+    pos = static_cast<std::uint32_t>(due_heap_.size());
+    due_heap_.push_back(DueEntry{at, lane});
+  } else if (due_heap_[pos].at == at) {
+    return;
+  }
+  place_due(pos, DueEntry{at, lane});
+  sift_due_up(pos);
+  sift_due_down(lanes_[lane].due_pos);
+}
+
+void TransferManager::clear_due(std::uint32_t lane) {
+  const std::uint32_t pos = lanes_[lane].due_pos;
+  if (pos == kUnqueued) return;
+  lanes_[lane].due_pos = kUnqueued;
+  const DueEntry last = due_heap_.back();
+  due_heap_.pop_back();
+  if (pos == due_heap_.size()) return;
+  place_due(pos, last);
+  sift_due_up(pos);
+  sift_due_down(lanes_[last.lane].due_pos);
+}
+
+void TransferManager::place_due(std::uint32_t pos, DueEntry entry) {
+  due_heap_[pos] = entry;
+  lanes_[entry.lane].due_pos = pos;
+}
+
+void TransferManager::sift_due_up(std::uint32_t pos) {
+  const DueEntry entry = due_heap_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!(entry.at < due_heap_[parent].at)) break;
+    place_due(pos, due_heap_[parent]);
+    pos = parent;
+  }
+  place_due(pos, entry);
+}
+
+void TransferManager::sift_due_down(std::uint32_t pos) {
+  const DueEntry entry = due_heap_[pos];
+  const auto size = static_cast<std::uint32_t>(due_heap_.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && due_heap_[child + 1].at < due_heap_[child].at) {
+      ++child;
+    }
+    if (!(due_heap_[child].at < entry.at)) break;
+    place_due(pos, due_heap_[child]);
+    pos = child;
+  }
+  place_due(pos, entry);
 }
 
 void TransferManager::advance_progress(SimTime now) {
@@ -308,25 +405,44 @@ void TransferManager::replan(SimTime now) {
 void TransferManager::reschedule(SimTime now) {
   ensure(last_progress_ == now,
       "TransferManager::reschedule: progress not settled to now");
+  // Rates are fresh here (no epoch is open) and progress is settled to
+  // now.  Only a lane with a new root, or whose bundle the fill re-rated,
+  // can have a new due instant; every other lane keeps its key.
+  for (const std::uint32_t b : network_.rate_changes()) {
+    if (b < lanes_.size()) mark_dirty(b);
+  }
+  network_.clear_rate_changes();
+  for (const std::uint32_t b : dirty_lanes_) {
+    Lane& lane = lanes_[b];
+    lane.dirty = false;
+    ++lane_visits_;
+    if (lane.ids.empty()) {
+      clear_due(b);
+      continue;
+    }
+    const double rate = network_.bundle_rate(b).value();
+    if (rate != lane.rate) {
+      // Rebase onto the new rate: bring served to now at the old one
+      // (queueing any member that crossed), then restart the closed form.
+      settle_lane(lane, now.seconds());
+      lane.base_served = lane.served;
+      lane.base_time = now.seconds();
+      lane.rate = rate;
+      lane.due = kStale;
+    }
+    if (!(lane.rate > 0.0)) {  // severed: nothing moves
+      clear_due(b);
+      continue;
+    }
+    if (std::isnan(lane.due)) lane.due = due_time(lane);
+    set_due(b, lane.due);
+  }
+  dirty_lanes_.clear();
+
   double next = kInfinity;
   if (!transfers_.empty()) {
-    // Rates are fresh here (no epoch is open) and progress is settled to
-    // now, so a lane whose rate changed is rebased onto it.  Earliest
-    // completion: per lane, its root's due instant (see lanes_).
-    for (std::uint32_t b = 0; b < lanes_.size(); ++b) {
-      Lane& lane = lanes_[b];
-      if (lane.ids.empty()) continue;
-      const double rate = network_.bundle_rate(b).value();
-      if (rate != lane.rate) {
-        lane.base_served = lane.served;
-        lane.base_time = now.seconds();
-        lane.rate = rate;
-        lane.due = kStale;
-      }
-      if (!(lane.rate > 0.0)) continue;  // severed: nothing moves
-      if (std::isnan(lane.due)) lane.due = due_time(lane);
-      next = std::min(next, lane.due);
-    }
+    // Earliest completion: the due-heap's root (see lanes_).
+    if (!due_heap_.empty()) next = due_heap_.front().at;
     // Wake at background-traffic changes too, so rates stay faithful.
     next = std::min(next, network_.next_traffic_change(now).seconds());
     // A root already done when its lane was rebased is due now.

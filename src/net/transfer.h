@@ -7,9 +7,12 @@
 // this.
 //
 // Transfers are grouped by fluid bundle into lanes (see lanes_).  Progress
-// is an integer count of 2^-30 MB units per lane, so settling costs one
-// counter update per bundle, and finding the next completion costs one
-// cached instant per lane.
+// is an integer count of 2^-30 MB units per lane, a closed form of time
+// since the lane's last rate change.  A network mutation costs work per
+// lane that changed, not per lane: the fill lists the bundles whose rate
+// moved, a start or stop that moves a lane's root marks the lane, and an
+// indexed min-heap of lane due instants gives the next completion and the
+// few lanes a settle must read.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +72,15 @@ class TransferManager {
   /// FluidNetwork::defer_reallocate().
   [[nodiscard]] FluidNetwork& network() { return network_; }
 
+  /// Lanes read so far by settles and re-plans: the per-mutation work,
+  /// which scales with the lanes that changed or are about to complete.
+  [[nodiscard]] std::uint64_t lane_visit_count() const {
+    return lane_visits_;
+  }
+
  private:
+  friend class TransferAudit;  // the test-only lane auditor (tests/support)
+
   struct Transfer {
     CompletionCallback on_complete;
     std::uint32_t lane;  // the flow's bundle
@@ -87,14 +98,31 @@ class TransferManager {
     std::int64_t base_served = 0;
     double base_time = 0.0;
     double rate = 0.0;  // Mbps, the bundle's rate as of the last rebase
-    std::int64_t served = 0;  // served(last_progress_)
+    std::int64_t served = 0;  // served as of the lane's last settle
     /// The root's completion instant; NaN once the root or rate moved.
     double due = std::numeric_limits<double>::quiet_NaN();
+    /// Index into due_heap_, or kUnqueued while the lane is empty or
+    /// severed.
+    std::uint32_t due_pos = kUnqueued;
+    bool dirty = false;  // on dirty_lanes_
   };
+
+  /// A due_heap_ entry.  The key is kept here, not read from Lane::due,
+  /// which place() clears while an epoch is still moving members.
+  struct DueEntry {
+    double at;
+    std::uint32_t lane;
+  };
+  static constexpr std::uint32_t kUnqueued =
+      std::numeric_limits<std::uint32_t>::max();
+  /// A member within one unit (about 1e-9 MB) of its finish is done: the
+  /// closed-form completion instant lands within a rounding of it.
+  static constexpr std::int64_t kDoneUnits = 1;
 
   /// Drops a transfer from its lane and the store (not from the network).
   void erase_transfer(FlowId id);
-  /// Writes a member at `pos` of `lane` and points its Transfer there.
+  /// Writes a member at `pos` of `lane` and points its Transfer there; a
+  /// new root marks the lane dirty.
   void place(Lane& lane, std::uint32_t pos, std::int64_t finish, FlowId id);
   /// Restore the lane's heap order for the member at `pos`.
   void sift_up(Lane& lane, std::uint32_t pos);
@@ -110,15 +138,32 @@ class TransferManager {
   /// finish crossed the done line as served rose from `was` to `now`.
   void collect_drained(const Lane& lane, std::uint32_t pos, std::int64_t was,
                        std::int64_t now);
+  /// Moves one non-empty lane's served count to `now`, queueing the
+  /// members that crossed the done line on the way.
+  void settle_lane(Lane& lane, double now);
+  /// Settles the lanes at or below `pos` in due_heap_ keyed at most
+  /// `limit`.
+  void settle_due(std::uint32_t pos, double limit, double now);
+  /// Queues a lane for the next re-plan (its root or rate moved, or it
+  /// emptied).
+  void mark_dirty(std::uint32_t lane);
 
-  /// Moves every lane's served count to `now`, without touching the
-  /// network clock.
+  /// Inserts, re-keys or drops a lane's due_heap_ entry.
+  void set_due(std::uint32_t lane, double at);
+  void clear_due(std::uint32_t lane);
+  void place_due(std::uint32_t pos, DueEntry entry);
+  void sift_due_up(std::uint32_t pos);
+  void sift_due_down(std::uint32_t pos);
+
+  /// Brings every lane whose root may have crossed the done line by `now`
+  /// to `now` (see lanes_), without touching the network clock.
   void settle_bytes(SimTime now);
   /// settle_bytes + advance the network clock.
   void advance_progress(SimTime now);
   /// Completes transfers that have drained; callbacks may start new ones.
   void complete_finished(SimTime now);
-  /// Schedules the next wake-up (earliest completion or traffic change).
+  /// Re-plans the dirty and re-rated lanes and schedules the next wake-up
+  /// (earliest completion or traffic change).
   void reschedule(SimTime now);
   /// reschedule, unless an allocation epoch is still open.
   void replan(SimTime now);
@@ -156,9 +201,9 @@ class TransferManager {
   /// served count measures them all, and a member joining at level s with
   /// z units is done at finish = s + z, fixed for its life.  served is a
   /// closed form of time from the lane's base, which reschedule moves only
-  /// when the bundle's rate really changed (rates are fresh there and
-  /// progress is settled to now).  So served, and every completion instant,
-  /// depend only on the rate history, not on how often a settle reads them.
+  /// when the bundle's rate really changed (after settling the lane to
+  /// now).  So served, and every completion instant, depend only on the
+  /// rate history, not on how often or when a settle reads them.
   ///
   /// Each lane is a min-heap on finish, which never changes, so a settle
   /// leaves the heap alone: it updates the counter and walks from the root
@@ -169,7 +214,23 @@ class TransferManager {
   /// heap layout orders the members a settle appends to drained_, but
   /// complete_finished always picks the lowest flow id, so completions do
   /// not depend on it.
+  ///
+  /// A mutation touches only the lanes that changed.  reschedule visits the
+  /// lanes on dirty_lanes_ (a start or stop gave them a new root, or
+  /// emptied them) and on the fill's rate-change list, and keys each
+  /// moving lane's due instant in due_heap_, whose root is the next
+  /// completion.  A member joining or leaving below the root moves no due
+  /// instant.  A settle reads only the
+  /// lanes keyed within kSettleSlack of now: a root crosses the done line
+  /// up to a unit and a half before its closed-form due instant, and no
+  /// other lane can hold a member that crossed.
   std::vector<Lane> lanes_;
+  /// Lanes to re-plan at the next reschedule.
+  std::vector<std::uint32_t> dirty_lanes_;
+  /// Indexed binary min-heap on due instant of the lanes that are moving
+  /// (non-empty, positive rate); Lane::due_pos points back into it.
+  std::vector<DueEntry> due_heap_;
+  std::uint64_t lane_visits_ = 0;
   /// Completion candidates: transfers whose remaining crossed the done
   /// line during a settle (or were born at/below it).  complete_finished
   /// drains this instead of rescanning every transfer per completion;

@@ -53,6 +53,13 @@ std::optional<SimTime> EventQueue::next_time() const {
   return heap_.front().when;
 }
 
+std::optional<SimTime> EventQueue::scheduled_time(EventHandle handle) const {
+  if (!handle.valid() || handle.slot_ >= slots_.size()) return std::nullopt;
+  const Slot& slot = slots_[handle.slot_];
+  if (slot.generation != handle.generation_) return std::nullopt;
+  return heap_[slot.heap_pos].when;
+}
+
 bool EventQueue::run_next() {
   VOD_PROFILE_SCOPE("sim.run_next");
   if (heap_.empty()) return false;

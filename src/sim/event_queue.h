@@ -59,6 +59,11 @@ class EventQueue {
   /// Time of the earliest pending event, if any.
   [[nodiscard]] std::optional<SimTime> next_time() const;
 
+  /// When a pending event will fire; nullopt once it fired or was
+  /// cancelled, or for an invalid handle.
+  [[nodiscard]] std::optional<SimTime> scheduled_time(
+      EventHandle handle) const;
+
   /// Pops and runs the earliest event; returns false when empty.
   bool run_next();
 

@@ -313,6 +313,21 @@ TEST(EventQueue, StaleHandlesAreRejectedByCancelAndReschedule) {
   EXPECT_TRUE(queue.empty());
 }
 
+TEST(EventQueue, ScheduledTimeFollowsRescheduleUntilFiredOrCancelled) {
+  EventQueue queue;
+  const EventHandle first = queue.schedule(SimTime{2.0}, [](SimTime) {});
+  const EventHandle second = queue.schedule(SimTime{5.0}, [](SimTime) {});
+  EXPECT_EQ(queue.scheduled_time(first), SimTime{2.0});
+  EXPECT_TRUE(queue.reschedule(second, SimTime{1.0}));
+  EXPECT_EQ(queue.scheduled_time(second), SimTime{1.0});
+  EXPECT_EQ(queue.scheduled_time(first), SimTime{2.0});
+  queue.run_next();
+  EXPECT_FALSE(queue.scheduled_time(second).has_value());
+  EXPECT_TRUE(queue.cancel(first));
+  EXPECT_FALSE(queue.scheduled_time(first).has_value());
+  EXPECT_FALSE(queue.scheduled_time(EventHandle{}).has_value());
+}
+
 TEST(EventQueue, HandleOfRunningEventIsStale) {
   EventQueue queue;
   EventHandle self;

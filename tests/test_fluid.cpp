@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -697,6 +699,142 @@ TEST(FluidSkip, LinkFlapInsideOneEpochSolvesAndRestoresRates) {
     EXPECT_EQ(network.flow_rate(flow).value(), rate.value());
   }
   expect_reference_rates(network);
+}
+
+/// Commits `mutate` as one epoch and expects the fill to have listed
+/// exactly the bundles whose rate moved.  The rates are snapshot inside the
+/// epoch after the mutations, so a bundle created there reads its initial
+/// rate.  `live` must hold every live flow once `mutate` has run.
+template <typename Mutate>
+void expect_listed_changes(FluidNetwork& network,
+                           const std::vector<FlowId>& live, Mutate mutate) {
+  network.clear_rate_changes();
+  std::map<std::uint32_t, double> before;
+  {
+    const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+    mutate();
+    for (const FlowId flow : live) {
+      const std::uint32_t bundle = network.flow_bundle(flow);
+      before[bundle] = network.bundle_rate(bundle).value();
+    }
+  }
+  std::set<std::uint32_t> moved;
+  for (const auto& [bundle, rate] : before) {
+    if (network.bundle_rate(bundle).value() != rate) moved.insert(bundle);
+  }
+  const std::vector<std::uint32_t>& listed = network.rate_changes();
+  EXPECT_EQ(std::set<std::uint32_t>(listed.begin(), listed.end()), moved);
+  EXPECT_EQ(moved.size(), listed.size()) << "a bundle listed twice";
+}
+
+TEST(FluidNetwork, RateChangesListExactlyTheMovedBundles) {
+  Line line;
+  const DiurnalTraffic traffic = line_diurnal(line);
+  FluidNetwork network{line.topo, traffic};
+  const FluidReference oracle{network};
+  std::vector<FlowId> live;
+  const auto start = [&](std::vector<LinkId> path, double cap,
+                         std::uint32_t weight = 1) {
+    live.push_back(network.start_flow(std::move(path), Mbps{cap}, weight));
+    return live.back();
+  };
+  const auto stop = [&](FlowId flow) {
+    network.stop_flow(flow);
+    std::erase(live, flow);
+  };
+  const auto listed_none = [&] { return network.rate_changes().empty(); };
+  network.set_time(from_hours(14.0) + Duration{1.0});
+
+  FlowId through, left;
+  expect_listed_changes(network, live, [&] {
+    through = start({line.ab, line.bc}, 50.0);
+    start({line.ab, line.bc}, 50.0);
+    left = start({line.ab}, 50.0, 2);
+  });
+  EXPECT_FALSE(listed_none());
+  // A stop and a start on one bundle: the skipped fill lists nothing.
+  expect_listed_changes(network, live, [&] {
+    stop(through);
+    through = start({line.bc, line.ab}, 50.0);
+  });
+  EXPECT_TRUE(listed_none());
+  // A real count change re-rates the bundles sharing its links.
+  expect_listed_changes(network, live,
+                        [&] { start({line.ab, line.bc}, 50.0); });
+  EXPECT_FALSE(listed_none());
+  // Local flows are no fill input.
+  expect_listed_changes(network, live, [&] {
+    const FlowId hit = start({}, 2.0);
+    start({}, 2.0);
+    stop(hit);
+  });
+  EXPECT_TRUE(listed_none());
+  // A clock move inside a traffic step keeps every rate.
+  expect_listed_changes(network, live, [&] {
+    network.set_time(from_hours(14.0) + Duration{30.0});
+  });
+  EXPECT_TRUE(listed_none());
+  // Crossing a step boundary moves the background under every link.
+  expect_listed_changes(network, live, [&] {
+    network.set_time(network.next_traffic_change(network.time()));
+  });
+  EXPECT_FALSE(listed_none());
+  // A read inside the epoch that refreshed the next step still solves.
+  expect_listed_changes(network, live, [&] {
+    network.set_time(network.next_traffic_change(network.time()) +
+                     Duration{1.0});
+    (void)network.background(line.ab);
+  });
+  EXPECT_FALSE(listed_none());
+  // The emptied slot reused by a new key reads its new rate.
+  expect_listed_changes(network, live, [&] {
+    stop(left);
+    left = start({line.bc}, 3.0);
+  });
+  EXPECT_FALSE(listed_none());
+  // A flap inside one epoch solves, but every rate ends where it began.
+  expect_listed_changes(network, live, [&] {
+    network.set_link_up(line.bc, false);
+    network.set_link_up(line.bc, true);
+  });
+  EXPECT_TRUE(listed_none());
+  // A real flap severs the bundles crossing the link, then restores them.
+  expect_listed_changes(network, live,
+                        [&] { network.set_link_up(line.bc, false); });
+  EXPECT_FALSE(listed_none());
+  expect_listed_changes(network, live,
+                        [&] { network.set_link_up(line.bc, true); });
+  EXPECT_FALSE(listed_none());
+
+  // With nobody clearing it, the list still never outgrows the live
+  // bundles: each is listed once, and a freed one leaves.
+  network.clear_rate_changes();
+  Rng rng{23};
+  std::size_t longest = 0;
+  for (int step = 0; step < 300; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 3);
+    if (op == 0 || live.empty()) {
+      const auto first = rng.uniform_int(0, 1);
+      const auto last = rng.uniform_int(first, 1);
+      std::vector<LinkId> path;
+      for (std::int64_t l = first; l <= last; ++l) {
+        path.push_back(l == 0 ? line.ab : line.bc);
+      }
+      start(path, rng.uniform(1.0, 8.0),
+            static_cast<std::uint32_t>(rng.uniform_int(1, 3)));
+    } else if (op == 1) {
+      stop(live[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(live.size()) - 1))]);
+    } else if (op == 2) {
+      network.set_time(network.time() + Duration{rng.uniform(1.0, 90.0)});
+    } else {
+      const LinkId link = rng.bernoulli(0.5) ? line.ab : line.bc;
+      network.set_link_up(link, !network.link_up(link));
+    }
+    longest = std::max(longest, network.rate_changes().size());
+    EXPECT_LE(network.rate_changes().size(), network.bundle_count());
+  }
+  EXPECT_GT(longest, 3u) << "the list never grew";
 }
 
 TEST(FluidNetwork, ReferenceCheckAcceptsIndexedAllocator) {

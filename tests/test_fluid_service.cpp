@@ -22,6 +22,7 @@
 #include "fault/fault_injector.h"
 #include "service/vod_service.h"
 #include "support/fluid_reference.h"
+#include "support/transfer_audit.h"
 #include "workload/zipf.h"
 
 namespace vod {
@@ -52,6 +53,8 @@ struct StormRun {
   std::size_t checks = 0;
   /// Most flows ever live beyond one per bundle, sampled at arrivals.
   std::size_t max_shared = 0;
+  /// Settles and re-plans the lane audit checked.
+  std::size_t lane_audits = 0;
 };
 
 StormRun run_qos_storm(std::uint64_t seed) {
@@ -83,7 +86,9 @@ StormRun run_qos_storm(std::uint64_t seed) {
   options.failover.retry_limit = 2;
   options.failover.retry_backoff_seconds = 30.0;
   service::VodService service{sim, topo, network, options, kAdmin};
-  // Chained after the service's transfer manager set the network's hooks.
+  // Both chain onto the hooks the service's transfer manager set: the lane
+  // audit wraps the manager's own, the oracle wraps the audit.
+  const net::TransferAudit audit{service.transfers()};
   const net::FluidReference oracle{network};
 
   Rng rng{seed};
@@ -147,17 +152,20 @@ StormRun run_qos_storm(std::uint64_t seed) {
   run.faults = injector.trace().size();
   run.solves = network.reallocation_count();
   run.checks = oracle.check_count();
+  run.lane_audits = audit.settle_checks() + audit.plan_checks();
   return run;
 }
 
 TEST(FluidUnderService, QosStormSolvesMatchReference) {
   StormRun run;
-  // Every commit is re-run through the oracle; a divergence throws.
+  // Every commit is re-run through the oracle, and the transfer lanes are
+  // audited at every hook; a divergence throws.
   ASSERT_NO_THROW(run = run_qos_storm(41));
   EXPECT_GT(run.sessions_done, 1800u);
   EXPECT_GT(run.failed + run.refused, 0u);
   EXPECT_GT(run.faults, 5u);
   EXPECT_GT(run.checks, 10000u);
+  EXPECT_GT(run.lane_audits, 10000u);
   // Most commits leave the fill's inputs as the last solve saw them; the
   // oracle checked those skips as well as the solves.
   EXPECT_EQ(run.solves, 131u);

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "support/fluid_reference.h"
+#include "support/transfer_audit.h"
 
 namespace vod::net {
 namespace {
@@ -568,7 +569,8 @@ DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
   FluidNetwork network{topo, traffic};
   sim::Simulation sim;
   TransferManager manager{sim, network};
-  const FluidReference oracle{network};  // after the manager's hooks
+  const TransferAudit audit{manager};     // wraps the manager's hooks
+  const FluidReference oracle{network};  // after both
   Rng rng{script.seed};
 
   DiurnalScriptResult out;
@@ -647,10 +649,84 @@ DiurnalScriptResult run_diurnal_script(const DiurnalScript& script) {
   if (script.clock_step_s > 0.0) {
     sim.schedule_at(SimTime{script.clock_step_s}, clock_step);
   }
-  EXPECT_NO_THROW(sim.run());  // a diverging solve throws std::logic_error
+  // A diverging solve or a lane the audit catches throws std::logic_error.
+  EXPECT_NO_THROW(sim.run());
   EXPECT_GT(oracle.check_count(), 0u);
+  EXPECT_GT(audit.settle_checks(), 0u);
+  EXPECT_GT(audit.plan_checks(), 0u);
   out.active_after = manager.active_count();
   return out;
+}
+
+// A member is past the done line up to a unit and a half of progress before
+// its closed-form due instant.  A mutation inside that window completes it
+// at once, so the settle must read lanes keyed a little past now, not only
+// those due by now.
+TEST(TransferManager, MemberPastTheDoneLineCompletesAtTheNextMutation) {
+  Fixture f;
+  FluidNetwork network{f.topo, f.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+  const TransferAudit audit{manager};
+  // 8 Mbps moves 2^30 units (1 MB) a second: the transfer is due at t = 1,
+  // and 1.2 units of progress earlier it is within one unit of its finish,
+  // past the line.
+  const double inside = 1.0 - 1.2 / 0x1p30;
+  std::optional<SimTime> done;
+  manager.start_transfer({}, MegaBytes{1.0}, Mbps{8.0},
+                         [&](SimTime t) { done = t; });
+  sim.schedule_at(SimTime{inside}, [&](SimTime t) { network.set_time(t); });
+  EXPECT_NO_THROW(sim.run());
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->seconds(), inside);
+  EXPECT_GT(audit.settle_checks(), 0u);
+}
+
+// A mutation reads only the lanes it changed or that are about to complete.
+// 256 long transfers on one link sit at their distinct caps, so no fill
+// moves their rates, while a chain of local transfers churns one lane and
+// clock steps mutate the network in between.  Walking every lane twice per
+// mutation would read about 512 lanes each time.
+TEST(TransferManager, MutationWorkScalesWithChangedLanes) {
+  Topology topo;
+  const NodeId a = topo.add_node("a");
+  const NodeId b = topo.add_node("b");
+  const LinkId ab = topo.add_link(a, b, Mbps{1e6});
+  const NoTraffic no_traffic;
+  FluidNetwork network{topo, no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+  const TransferAudit audit{manager};
+  for (int i = 0; i < 256; ++i) {
+    manager.start_transfer({ab}, MegaBytes{1e6}, Mbps{1.0 + i / 256.0},
+                           [](SimTime) { FAIL() << "never due"; });
+  }
+  ASSERT_EQ(network.bundle_count(), 256u);
+  const std::uint64_t setup_visits = manager.lane_visit_count();
+
+  int completions = 0;
+  int clock_steps = 0;
+  std::function<void()> next_local = [&] {
+    manager.start_transfer({}, MegaBytes{1.0}, Mbps{8.0}, [&](SimTime) {
+      if (++completions < 100) next_local();
+    });
+  };
+  sim.schedule_at(SimTime{0.25}, [&](SimTime) { next_local(); });
+  std::function<void(SimTime)> clock_step = [&](SimTime now) {
+    ++clock_steps;
+    network.set_time(now);
+    if (completions < 100) sim.schedule_at(now + 0.4, clock_step);
+  };
+  sim.schedule_at(SimTime{0.4}, clock_step);
+  sim.run_until(SimTime{1000.0});
+
+  ASSERT_EQ(completions, 100);
+  const int mutations = completions + clock_steps;
+  const std::uint64_t visits = manager.lane_visit_count() - setup_visits;
+  EXPECT_GT(visits, 0u);
+  EXPECT_LE(visits, 4u * static_cast<std::uint64_t>(mutations))
+      << visits << " lane visits over " << mutations << " mutations";
+  EXPECT_GT(audit.plan_checks(), 0u);
 }
 
 // Continuous caps: one transfer per bundle.  The digest was captured with
