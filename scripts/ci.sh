@@ -163,4 +163,7 @@ print(int(metrics["fluid.reallocations"]["value"]),
 done
 echo "perfbench digest smoke passed"
 
+echo "==== source size ===="
+scripts/src_lines.sh
+
 echo "ci passed"

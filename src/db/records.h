@@ -21,11 +21,6 @@ struct VideoInfo {
   std::string title;
   MegaBytes size;
   Mbps bitrate;  // encoding rate required for real-time playback
-
-  /// Playback duration implied by size and bitrate.
-  [[nodiscard]] double duration_seconds() const {
-    return size.megabits() / bitrate.value();
-  }
 };
 
 /// Limited-access configuration of a video server (entered by the
@@ -34,9 +29,6 @@ struct ServerConfig {
   int disk_count = 0;
   MegaBytes disk_capacity;   // per disk
   Mbps access_bandwidth;     // the server's connection to the network
-  // Future-work extension: server performance factors (paper, "Conclusions").
-  double cpu_load = 0.0;     // 0..1
-  double ram_load = 0.0;     // 0..1
 };
 
 /// One server's database entry.

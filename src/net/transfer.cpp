@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/contract.h"
+#include "common/indexed_heap.h"
 
 namespace vod::net {
 
@@ -19,7 +20,8 @@ constexpr double kUnitsPerMegabit = kUnitsPerMb / 8.0;
 // range, so the sum of two never overflows.
 constexpr std::int64_t kMaxUnits = std::int64_t{1} << 62;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
-constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
+// drained_ is keyed by flow id alone, with no back-pointer to keep.
+constexpr auto kUntracked = [](FlowId, std::size_t) {};
 // How far past now a settle reads the due-heap.  A root crosses the done
 // line when served is within a unit and a half of its finish, so up to that
 // much progress before its closed-form due instant; four units at the
@@ -84,26 +86,24 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
     const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
     advance_progress(now);
     id = network_.start_flow(std::move(path), rate_cap, weight);
-    const std::uint32_t lane = network_.flow_bundle(id);
-    if (lanes_.size() <= lane) lanes_.resize(lane + 1);
-    Lane& members = lanes_[lane];
+    const std::uint32_t index = network_.flow_bundle(id);
+    if (lanes_.size() <= index) lanes_.resize(index + 1);
+    Lane& lane = lanes_[index];
     // The newcomer's finish counts from the lane's level now; settling the
     // lane first also queues any member that crossed the line meanwhile.
-    if (!members.ids.empty()) settle_lane(members, now.seconds());
+    if (!lane.members.empty()) settle_lane(lane, now.seconds());
     // Only a lane that never empties can climb this far; undo the flow
     // inside the epoch and reject once the manager is consistent again.
-    overflow = members.served > kMaxUnits - units;
+    overflow = lane.served > kMaxUnits - units;
     if (overflow) {
       network_.stop_flow(id);
     } else {
-      const auto pos = static_cast<std::uint32_t>(members.ids.size());
-      transfers_.insert(id, Transfer{std::move(on_complete), lane, pos});
-      members.finish.push_back(members.served + units);
-      members.ids.push_back(id);
-      sift_up(members, pos);
+      transfers_.insert(id, Transfer{std::move(on_complete), index, 0});
+      indexed_heap::push<2>(lane.members, Member{lane.served + units, id},
+                            by_finish, track_member());
       // A transfer born within the done line never crosses it during a
       // settle, so it becomes a completion candidate outright.
-      if (units <= kDoneUnits) drained_.push_back(id);
+      if (units <= kDoneUnits) queue_drained(id);
     }
   }
   replan(now);
@@ -131,73 +131,22 @@ void TransferManager::erase_transfer(FlowId id) {
   const Transfer& transfer =
       transfers_.at(id, "TransferManager: unknown transfer");
   const std::uint32_t index = transfer.lane;
-  Lane& lane = lanes_[index];
   const std::uint32_t pos = transfer.pos;
   transfers_.erase(id);
-  // Move the lane's last member into the hole, then sift it whichever way
-  // its value needs.
-  const std::int64_t last_finish = lane.finish.back();
-  const FlowId last_id = lane.ids.back();
-  lane.finish.pop_back();
-  lane.ids.pop_back();
-  if (lane.ids.empty()) {
+  Lane& lane = lanes_[index];
+  // The lane's last member fills the hole; a new root marks the lane dirty.
+  indexed_heap::erase<2>(lane.members, pos, by_finish, track_member());
+  if (lane.members.empty()) {
     // The next bundle to take this index starts from zero, and the re-plan
     // takes the lane off the due-heap.
     mark_dirty(index);
     lane.base_served = lane.served = 0;
     lane.base_time = lane.rate = 0.0;
-    return;
-  }
-  if (pos == lane.ids.size()) return;
-  place(lane, pos, last_finish, last_id);
-  if (pos > 0 && last_finish < lane.finish[(pos - 1) / 2]) {
-    sift_up(lane, pos);
-  } else {
-    sift_down(lane, pos);
   }
 }
 
-void TransferManager::place(Lane& lane, std::uint32_t pos,
-                            std::int64_t finish, FlowId id) {
-  lane.finish[pos] = finish;
-  lane.ids[pos] = id;
-  Transfer& transfer = transfers_.at(id, "TransferManager: lane out of sync");
-  transfer.pos = pos;
-  // A new root moves the lane's due instant: re-plan it.  Members below
-  // the root leave it alone.
-  if (pos == 0) {
-    lane.due = kStale;
-    mark_dirty(transfer.lane);
-  }
-}
-
-void TransferManager::sift_up(Lane& lane, std::uint32_t pos) {
-  const std::int64_t finish = lane.finish[pos];
-  const FlowId id = lane.ids[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 2;
-    if (!(finish < lane.finish[parent])) break;
-    place(lane, pos, lane.finish[parent], lane.ids[parent]);
-    pos = parent;
-  }
-  place(lane, pos, finish, id);
-}
-
-void TransferManager::sift_down(Lane& lane, std::uint32_t pos) {
-  const std::int64_t finish = lane.finish[pos];
-  const FlowId id = lane.ids[pos];
-  const auto size = static_cast<std::uint32_t>(lane.ids.size());
-  for (;;) {
-    std::uint32_t child = 2 * pos + 1;
-    if (child >= size) break;
-    if (child + 1 < size && lane.finish[child + 1] < lane.finish[child]) {
-      ++child;
-    }
-    if (!(lane.finish[child] < finish)) break;
-    place(lane, pos, lane.finish[child], lane.ids[child]);
-    pos = child;
-  }
-  place(lane, pos, finish, id);
+void TransferManager::queue_drained(FlowId id) {
+  indexed_heap::push<2>(drained_, id, std::less<>{}, kUntracked);
 }
 
 MegaBytes TransferManager::remaining(FlowId id) const {
@@ -206,7 +155,8 @@ MegaBytes TransferManager::remaining(FlowId id) const {
   // Report progress as of "now" without mutating state.
   const Lane& lane = lanes_[transfer.lane];
   const std::int64_t left =
-      lane.finish[transfer.pos] - served_at(lane, sim_.now().seconds());
+      lane.members[transfer.pos].finish -
+      served_at(lane, sim_.now().seconds());
   return MegaBytes{static_cast<double>(std::max<std::int64_t>(left, 0)) /
                    kUnitsPerMb};
 }
@@ -225,47 +175,33 @@ std::int64_t TransferManager::served_at(const Lane& lane, double t) {
 }
 
 double TransferManager::due_time(const Lane& lane) {
-  const std::int64_t left = lane.finish.front() - lane.base_served;
+  const std::int64_t root = lane.members.front().finish;
+  const std::int64_t left = root - lane.base_served;
   if (left <= kDoneUnits) return lane.base_time;
   double due = lane.base_time +
                static_cast<double>(left) / (lane.rate * kUnitsPerMegabit);
   // The closed form lands within a rounding of the finish.  Step past an
   // instant at which the root is still short of the done line, so the
   // wake-up always completes it instead of re-arming at the same time.
-  while (lane.finish.front() - served_at(lane, due) > kDoneUnits) {
+  while (root - served_at(lane, due) > kDoneUnits) {
     due = std::nextafter(due, kInfinity);
   }
   return due;
 }
 
-void TransferManager::collect_drained(const Lane& lane, std::uint32_t pos,
-                                      std::int64_t was, std::int64_t now) {
-  if (pos >= lane.finish.size()) return;
-  const std::int64_t finish = lane.finish[pos];
-  // A heap: nothing below a member still short of the line is done.
-  if (finish - now > kDoneUnits) return;
-  // served only rises, so a member enters the candidate list exactly once.
-  if (finish - was > kDoneUnits) drained_.push_back(lane.ids[pos]);
-  collect_drained(lane, 2 * pos + 1, was, now);
-  collect_drained(lane, 2 * pos + 2, was, now);
-}
-
 void TransferManager::settle_lane(Lane& lane, double now) {
+  const std::int64_t was = lane.served;
   const std::int64_t served = served_at(lane, now);
-  // The root holds the lane's smallest finish: most settles stop here.
-  if (lane.finish.front() - served <= kDoneUnits) {
-    collect_drained(lane, 0, lane.served, served);
-  }
+  // Only members within the done line are visited, and the root holds the
+  // lane's smallest finish: most settles stop there.  served only rises,
+  // so a member is queued exactly once, when it first crosses.
+  indexed_heap::visit<2>(
+      lane.members,
+      [served](const Member& m) { return m.finish - served <= kDoneUnits; },
+      [this, was](const Member& m) {
+        if (m.finish - was > kDoneUnits) queue_drained(m.id);
+      });
   lane.served = served;
-}
-
-void TransferManager::settle_due(std::uint32_t pos, double limit,
-                                 double now) {
-  if (pos >= due_heap_.size() || due_heap_[pos].at > limit) return;
-  ++lane_visits_;
-  settle_lane(lanes_[due_heap_[pos].lane], now);
-  settle_due(2 * pos + 1, limit, now);
-  settle_due(2 * pos + 2, limit, now);
 }
 
 void TransferManager::settle_bytes(SimTime now) {
@@ -276,10 +212,17 @@ void TransferManager::settle_bytes(SimTime now) {
   // may be keyed at a stale instant until the next re-plan, which an epoch
   // held across a clock step defers, so it is settled too.
   if (now > last_progress_) {
-    settle_due(0, now.seconds() + kSettleSlack, now.seconds());
+    const double limit = now.seconds() + kSettleSlack;
+    indexed_heap::visit<2>(
+        due_heap_,
+        [limit](const DueEntry& entry) { return !(entry.at > limit); },
+        [this, now](const DueEntry& entry) {
+          ++lane_visits_;
+          settle_lane(lanes_[entry.lane], now.seconds());
+        });
     for (const std::uint32_t b : dirty_lanes_) {
       Lane& lane = lanes_[b];
-      if (lane.ids.empty() || lane.rate == 0.0) continue;
+      if (lane.members.empty() || lane.rate == 0.0) continue;
       ++lane_visits_;
       settle_lane(lane, now.seconds());
     }
@@ -294,60 +237,20 @@ void TransferManager::mark_dirty(std::uint32_t lane) {
 }
 
 void TransferManager::set_due(std::uint32_t lane, double at) {
-  std::uint32_t pos = lanes_[lane].due_pos;
+  const std::uint32_t pos = lanes_[lane].due_pos;
   if (pos == kUnqueued) {
-    pos = static_cast<std::uint32_t>(due_heap_.size());
-    due_heap_.push_back(DueEntry{at, lane});
-  } else if (due_heap_[pos].at == at) {
-    return;
+    indexed_heap::push<2>(due_heap_, DueEntry{at, lane}, by_due, track_due());
+  } else if (due_heap_[pos].at != at) {
+    due_heap_[pos].at = at;
+    indexed_heap::sift<2>(due_heap_, pos, by_due, track_due());
   }
-  place_due(pos, DueEntry{at, lane});
-  sift_due_up(pos);
-  sift_due_down(lanes_[lane].due_pos);
 }
 
 void TransferManager::clear_due(std::uint32_t lane) {
   const std::uint32_t pos = lanes_[lane].due_pos;
   if (pos == kUnqueued) return;
   lanes_[lane].due_pos = kUnqueued;
-  const DueEntry last = due_heap_.back();
-  due_heap_.pop_back();
-  if (pos == due_heap_.size()) return;
-  place_due(pos, last);
-  sift_due_up(pos);
-  sift_due_down(lanes_[last.lane].due_pos);
-}
-
-void TransferManager::place_due(std::uint32_t pos, DueEntry entry) {
-  due_heap_[pos] = entry;
-  lanes_[entry.lane].due_pos = pos;
-}
-
-void TransferManager::sift_due_up(std::uint32_t pos) {
-  const DueEntry entry = due_heap_[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 2;
-    if (!(entry.at < due_heap_[parent].at)) break;
-    place_due(pos, due_heap_[parent]);
-    pos = parent;
-  }
-  place_due(pos, entry);
-}
-
-void TransferManager::sift_due_down(std::uint32_t pos) {
-  const DueEntry entry = due_heap_[pos];
-  const auto size = static_cast<std::uint32_t>(due_heap_.size());
-  for (;;) {
-    std::uint32_t child = 2 * pos + 1;
-    if (child >= size) break;
-    if (child + 1 < size && due_heap_[child + 1].at < due_heap_[child].at) {
-      ++child;
-    }
-    if (!(due_heap_[child].at < entry.at)) break;
-    place_due(pos, due_heap_[child]);
-    pos = child;
-  }
-  place_due(pos, entry);
+  indexed_heap::erase<2>(due_heap_, pos, by_due, track_due());
 }
 
 void TransferManager::advance_progress(SimTime now) {
@@ -366,27 +269,15 @@ void TransferManager::complete_finished(SimTime now) {
   // fair shares once when the guard releases, not once per stop_flow; the
   // caller reschedules after this returns, reading the fresh rates.
   const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
-  for (;;) {
-    // Deterministic pick: lowest flow id among the finished candidates
-    // (entries cancelled since they drained are dead and skipped).
-    FlowId done;
-    std::size_t done_at = 0;
-    for (std::size_t i = 0; i < drained_.size(); ++i) {
-      const FlowId id = drained_[i];
-      if (!transfers_.contains(id)) continue;
-      if (!done.valid() || id < done) {
-        done = id;
-        done_at = i;
-      }
-    }
-    if (!done.valid()) {
-      drained_.clear();
-      break;
-    }
-    drained_.erase(drained_.begin() + static_cast<std::ptrdiff_t>(done_at));
-    CompletionCallback callback =
-        std::move(transfers_.at(done,
-            "TransferManager: drained transfer vanished").on_complete);
+  while (!drained_.empty()) {
+    // Deterministic order: lowest flow id first, also among the candidates
+    // the callbacks queue; entries cancelled since they drained are dead
+    // and skipped.
+    const FlowId done = drained_.front();
+    indexed_heap::erase<2>(drained_, 0, std::less<>{}, kUntracked);
+    Transfer* transfer = transfers_.find(done);
+    if (transfer == nullptr) continue;
+    CompletionCallback callback = std::move(transfer->on_complete);
     erase_transfer(done);
     network_.stop_flow(done);
     // The callback may start/cancel transfers; state is consistent here.
@@ -416,7 +307,7 @@ void TransferManager::reschedule(SimTime now) {
     Lane& lane = lanes_[b];
     lane.dirty = false;
     ++lane_visits_;
-    if (lane.ids.empty()) {
+    if (lane.members.empty()) {
       clear_due(b);
       continue;
     }
@@ -428,14 +319,12 @@ void TransferManager::reschedule(SimTime now) {
       lane.base_served = lane.served;
       lane.base_time = now.seconds();
       lane.rate = rate;
-      lane.due = kStale;
     }
     if (!(lane.rate > 0.0)) {  // severed: nothing moves
       clear_due(b);
       continue;
     }
-    if (std::isnan(lane.due)) lane.due = due_time(lane);
-    set_due(b, lane.due);
+    set_due(b, due_time(lane));
   }
   dirty_lanes_.clear();
 

@@ -12,7 +12,8 @@
 // lane that changed, not per lane: the fill lists the bundles whose rate
 // moved, a start or stop that moves a lane's root marks the lane, and an
 // indexed min-heap of lane due instants gives the next completion and the
-// few lanes a settle must read.
+// few lanes a settle must read.  Every priority structure here is an
+// indexed heap (common/indexed_heap.h).
 #pragma once
 
 #include <cstdint>
@@ -84,31 +85,32 @@ class TransferManager {
   struct Transfer {
     CompletionCallback on_complete;
     std::uint32_t lane;  // the flow's bundle
-    std::uint32_t pos;   // index into the lane's arrays (heap back-pointer)
+    std::uint32_t pos;   // index into the lane's members (heap back-pointer)
   };
 
+  /// A lane member: the served level at which the transfer is done.
+  struct Member {
+    std::int64_t finish;
+    FlowId id;
+  };
   /// The transfers of one fluid bundle, whose members all move at the
-  /// bundle's rate: a binary min-heap on finish, the two arrays moving in
-  /// step.  Every move of a member updates its Transfer::pos.
+  /// bundle's rate: a binary min-heap on finish.  Every move of a member
+  /// updates its Transfer::pos.
   struct Lane {
-    std::vector<std::int64_t> finish;  // served level at which each is done
-    std::vector<FlowId> ids;
+    std::vector<Member> members;
     /// Progress in units: served(t) = base_served +
     /// llround(rate x (t - base_time) x units per megabit).
     std::int64_t base_served = 0;
     double base_time = 0.0;
     double rate = 0.0;  // Mbps, the bundle's rate as of the last rebase
     std::int64_t served = 0;  // served as of the lane's last settle
-    /// The root's completion instant; NaN once the root or rate moved.
-    double due = std::numeric_limits<double>::quiet_NaN();
     /// Index into due_heap_, or kUnqueued while the lane is empty or
     /// severed.
     std::uint32_t due_pos = kUnqueued;
     bool dirty = false;  // on dirty_lanes_
   };
 
-  /// A due_heap_ entry.  The key is kept here, not read from Lane::due,
-  /// which place() clears while an epoch is still moving members.
+  /// A due_heap_ entry: a moving lane keyed at due_time(lane).
   struct DueEntry {
     double at;
     std::uint32_t lane;
@@ -119,31 +121,45 @@ class TransferManager {
   /// closed-form completion instant lands within a rounding of it.
   static constexpr std::int64_t kDoneUnits = 1;
 
+  static constexpr auto by_finish = [](const Member& a, const Member& b) {
+    return a.finish < b.finish;
+  };
+  static constexpr auto by_due = [](const DueEntry& a, const DueEntry& b) {
+    return a.at < b.at;
+  };
+  /// The lane heaps' `moved` callback: points the member's Transfer at its
+  /// position, and a new root (which moves the lane's due instant) marks
+  /// the lane dirty.  Members below the root leave the due instant alone.
+  auto track_member() {
+    return [this](const Member& member, std::size_t pos) {
+      Transfer& transfer =
+          transfers_.at(member.id, "TransferManager: lane out of sync");
+      transfer.pos = static_cast<std::uint32_t>(pos);
+      if (pos == 0) mark_dirty(transfer.lane);
+    };
+  }
+  /// due_heap_'s `moved` callback: keeps Lane::due_pos current.
+  auto track_due() {
+    return [this](const DueEntry& entry, std::size_t pos) {
+      lanes_[entry.lane].due_pos = static_cast<std::uint32_t>(pos);
+    };
+  }
+
   /// Drops a transfer from its lane and the store (not from the network).
   void erase_transfer(FlowId id);
-  /// Writes a member at `pos` of `lane` and points its Transfer there; a
-  /// new root marks the lane dirty.
-  void place(Lane& lane, std::uint32_t pos, std::int64_t finish, FlowId id);
-  /// Restore the lane's heap order for the member at `pos`.
-  void sift_up(Lane& lane, std::uint32_t pos);
-  void sift_down(Lane& lane, std::uint32_t pos);
+  /// Adds a completion candidate to drained_.
+  void queue_drained(FlowId id);
 
   /// A lane's served count at time `t` (>= its base_time); saturates at
   /// the counter ceiling, past which every member is done.
   static std::int64_t served_at(const Lane& lane, double t);
   /// The first instant at which the root of a non-empty lane moving at a
-  /// positive rate is done (before its base_time if already done there).
+  /// positive rate is done (before its base_time if already done there):
+  /// a pure function of the root's finish, base_served, base_time and rate.
   static double due_time(const Lane& lane);
-  /// Queues the members of `lane` at or below `pos` in the heap whose
-  /// finish crossed the done line as served rose from `was` to `now`.
-  void collect_drained(const Lane& lane, std::uint32_t pos, std::int64_t was,
-                       std::int64_t now);
-  /// Moves one non-empty lane's served count to `now`, queueing the
-  /// members that crossed the done line on the way.
+  /// Moves one lane's served count to `now`, queueing the members that
+  /// crossed the done line on the way.
   void settle_lane(Lane& lane, double now);
-  /// Settles the lanes at or below `pos` in due_heap_ keyed at most
-  /// `limit`.
-  void settle_due(std::uint32_t pos, double limit, double now);
   /// Queues a lane for the next re-plan (its root or rate moved, or it
   /// emptied).
   void mark_dirty(std::uint32_t lane);
@@ -151,9 +167,6 @@ class TransferManager {
   /// Inserts, re-keys or drops a lane's due_heap_ entry.
   void set_due(std::uint32_t lane, double at);
   void clear_due(std::uint32_t lane);
-  void place_due(std::uint32_t pos, DueEntry entry);
-  void sift_due_up(std::uint32_t pos);
-  void sift_due_down(std::uint32_t pos);
 
   /// Brings every lane whose root may have crossed the done line by `now`
   /// to `now` (see lanes_), without touching the network clock.
@@ -205,25 +218,24 @@ class TransferManager {
   /// now).  So served, and every completion instant, depend only on the
   /// rate history, not on how often or when a settle reads them.
   ///
-  /// Each lane is a min-heap on finish, which never changes, so a settle
-  /// leaves the heap alone: it updates the counter and walks from the root
-  /// to the members that newly crossed the done line (finish - served at
-  /// most one unit), O(drained).  Members share served, so the lane's next
-  /// completion is its root, due at the instant served reaches the root's
-  /// finish; that instant is cached until the root or the rate moves.  The
-  /// heap layout orders the members a settle appends to drained_, but
-  /// complete_finished always picks the lowest flow id, so completions do
-  /// not depend on it.
+  /// Each lane is a binary min-heap on finish, which never changes, so a
+  /// settle leaves the heap alone: it updates the counter and visits the
+  /// members within the done line (finish - served at most one unit),
+  /// queueing those that newly crossed it, O(drained).  Members share
+  /// served, so the lane's next completion is its root, due at the instant
+  /// served reaches the root's finish.  The heap layout orders the members
+  /// a settle queues, but drained_ hands them out lowest flow id first, so
+  /// completions do not depend on it.
   ///
   /// A mutation touches only the lanes that changed.  reschedule visits the
   /// lanes on dirty_lanes_ (a start or stop gave them a new root, or
   /// emptied them) and on the fill's rate-change list, and keys each
-  /// moving lane's due instant in due_heap_, whose root is the next
+  /// moving lane at due_time(lane) in due_heap_, whose root is the next
   /// completion.  A member joining or leaving below the root moves no due
-  /// instant.  A settle reads only the
-  /// lanes keyed within kSettleSlack of now: a root crosses the done line
-  /// up to a unit and a half before its closed-form due instant, and no
-  /// other lane can hold a member that crossed.
+  /// instant.  A settle reads only the lanes keyed within kSettleSlack of
+  /// now: a root crosses the done line up to a unit and a half before its
+  /// closed-form due instant, and no other lane can hold a member that
+  /// crossed.
   std::vector<Lane> lanes_;
   /// Lanes to re-plan at the next reschedule.
   std::vector<std::uint32_t> dirty_lanes_;
@@ -231,10 +243,11 @@ class TransferManager {
   /// (non-empty, positive rate); Lane::due_pos points back into it.
   std::vector<DueEntry> due_heap_;
   std::uint64_t lane_visits_ = 0;
-  /// Completion candidates: transfers whose remaining crossed the done
-  /// line during a settle (or were born at/below it).  complete_finished
-  /// drains this instead of rescanning every transfer per completion;
-  /// entries cancelled in the meantime are skipped by a liveness check.
+  /// Completion candidates, a binary min-heap on flow id: transfers whose
+  /// remaining crossed the done line during a settle (or were born at or
+  /// below it).  complete_finished pops them lowest id first instead of
+  /// rescanning every transfer per completion; entries cancelled in the
+  /// meantime are skipped by a liveness check.
   std::vector<FlowId> drained_;
   SimTime last_progress_{0.0};
   /// The next wake-up (refresh).  Re-keyed in place while pending; once it

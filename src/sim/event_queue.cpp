@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/contract.h"
+#include "common/indexed_heap.h"
 #include "obs/profile.h"
 
 namespace vod::sim {
@@ -20,8 +21,8 @@ EventHandle EventQueue::schedule(SimTime when, Callback callback) {
     free_slots_.pop_back();
   }
   slots_[slot].callback = std::move(callback);
-  heap_.push_back(Entry{when, next_sequence_++, slot});
-  sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+  indexed_heap::push<kArity>(heap_, Entry{when, next_sequence_++, slot},
+                            earlier, track());
   return EventHandle{slot, slots_[slot].generation};
 }
 
@@ -31,7 +32,7 @@ bool EventQueue::cancel(EventHandle handle) {
   // rejected, leaving the counters untouched.
   Slot* slot = live_slot(handle);
   if (slot == nullptr) return false;
-  remove_at(slot->heap_pos);
+  indexed_heap::erase<kArity>(heap_, slot->heap_pos, earlier, track());
   slot->callback = nullptr;
   release(handle.slot_);
   return true;
@@ -44,7 +45,7 @@ bool EventQueue::reschedule(EventHandle handle, SimTime when) {
   const std::uint32_t pos = slot->heap_pos;
   heap_[pos].when = when;
   heap_[pos].sequence = next_sequence_++;
-  sift(pos);
+  indexed_heap::sift<kArity>(heap_, pos, earlier, track());
   return true;
 }
 
@@ -64,7 +65,7 @@ bool EventQueue::run_next() {
   VOD_PROFILE_SCOPE("sim.run_next");
   if (heap_.empty()) return false;
   const Entry top = heap_.front();
-  remove_at(0);
+  indexed_heap::erase<kArity>(heap_, 0, earlier, track());
   // Move the callback out and free the slot first: the callback may
   // schedule (reallocating slots_), and its own handle is already stale.
   Callback callback = std::move(slots_[top.slot].callback);
@@ -84,56 +85,6 @@ void EventQueue::release(std::uint32_t slot) {
   // Generation 0 marks the default (invalid) handle; skip it on wrap.
   if (++slots_[slot].generation == 0) slots_[slot].generation = 1;
   free_slots_.push_back(slot);
-}
-
-void EventQueue::place(std::uint32_t pos, const Entry& entry) {
-  heap_[pos] = entry;
-  slots_[entry.slot].heap_pos = pos;
-}
-
-void EventQueue::sift_up(std::uint32_t pos) {
-  const Entry entry = heap_[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 4;
-    if (!earlier(entry, heap_[parent])) break;
-    place(pos, heap_[parent]);
-    pos = parent;
-  }
-  place(pos, entry);
-}
-
-void EventQueue::sift_down(std::uint32_t pos) {
-  const Entry entry = heap_[pos];
-  const auto size = static_cast<std::uint32_t>(heap_.size());
-  for (;;) {
-    const std::uint32_t first = 4 * pos + 1;
-    if (first >= size) break;
-    const std::uint32_t last = first + 4 < size ? first + 4 : size;
-    std::uint32_t least = first;
-    for (std::uint32_t child = first + 1; child < last; ++child) {
-      if (earlier(heap_[child], heap_[least])) least = child;
-    }
-    if (!earlier(heap_[least], entry)) break;
-    place(pos, heap_[least]);
-    pos = least;
-  }
-  place(pos, entry);
-}
-
-void EventQueue::sift(std::uint32_t pos) {
-  if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 4])) {
-    sift_up(pos);
-  } else {
-    sift_down(pos);
-  }
-}
-
-void EventQueue::remove_at(std::uint32_t pos) {
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;
-  place(pos, last);
-  sift(pos);
 }
 
 }  // namespace vod::sim

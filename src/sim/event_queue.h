@@ -1,9 +1,10 @@
 // Discrete-event queue.
 //
-// A min-heap of (time, sequence, callback).  The sequence number makes
-// same-time events fire in scheduling order, which keeps the whole simulator
-// deterministic.  Events can be cancelled or moved to a new time through the
-// handle returned at scheduling time.
+// A 4-ary indexed min-heap of (time, sequence) keys over a table of
+// callback slots.  The sequence number makes same-time events fire in
+// scheduling order, which keeps the whole simulator deterministic.  Events
+// can be cancelled or moved to a new time through the handle returned at
+// scheduling time.
 #pragma once
 
 #include <cstdint>
@@ -95,26 +96,26 @@ class EventQueue {
     std::uint32_t generation = 1;
   };
 
-  static bool earlier(const Entry& a, const Entry& b) {
+  static constexpr std::size_t kArity = 4;
+  static constexpr auto earlier = [](const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.sequence < b.sequence;
+  };
+  /// The heap's `moved` callback: keeps each slot's heap_pos current.
+  auto track() {
+    return [this](const Entry& entry, std::size_t pos) {
+      slots_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+    };
   }
 
   /// The slot of a pending event, or nullptr if the handle is stale.
   Slot* live_slot(EventHandle handle);
   void release(std::uint32_t slot);
-  void place(std::uint32_t pos, const Entry& entry);
-  void sift_up(std::uint32_t pos);
-  void sift_down(std::uint32_t pos);
-  /// Restores heap order around `pos` after its key changed either way.
-  void sift(std::uint32_t pos);
-  void remove_at(std::uint32_t pos);
 
-  // A 4-ary min-heap on (when, sequence) with back-pointers in the slots, so
-  // cancel and reschedule reach their entry in O(1) and repair the heap in
-  // O(log n).  (when, sequence) is a total order, so the firing order is
-  // independent of the heap's internal layout.  A 4-ary heap is half as
-  // deep as a binary one, and each node's children sit side by side.
+  // A 4-ary indexed min-heap (common/indexed_heap.h) on (when, sequence)
+  // with back-pointers in the slots, so cancel and reschedule reach their
+  // entry in O(1) and repair the heap in O(log n).  (when, sequence) is a
+  // total order, so the firing order is independent of the heap's layout.
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

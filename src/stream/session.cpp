@@ -65,9 +65,7 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
 
 Session::~Session() {
   cancel_watchdog();
-  if (inflight_ && transfers_.active(*inflight_)) {
-    transfers_.cancel(*inflight_);
-  }
+  drop_inflight();
 }
 
 void Session::start() {
@@ -195,9 +193,7 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
   // One allocation epoch spans the abandon + the retry's replacement flow.
   const net::FluidNetwork::BatchGuard epoch =
       transfers_.network().defer_reallocate();
-  if (transfers_.active(*inflight_)) transfers_.cancel(*inflight_);
-  inflight_.reset();
-  inflight_path_.clear();
+  drop_inflight();
   ++metrics_.stall_retries;
   ++retries_this_cluster_;
   // Forget the abandoned source so a return to it counts as a new choice.
@@ -221,8 +217,7 @@ void Session::on_cluster_done(std::size_t index, SimTime now) {
   ensure(index == metrics_.cluster_completed.size(),
       "Session: clusters completed out of order");
   cancel_watchdog();
-  inflight_.reset();
-  inflight_path_.clear();
+  drop_inflight();
   retries_this_cluster_ = 0;
   metrics_.cluster_completed.push_back(now);
   ++next_cluster_;
@@ -231,6 +226,14 @@ void Session::on_cluster_done(std::size_t index, SimTime now) {
   } else {
     fetch_next_cluster(now);
   }
+}
+
+void Session::drop_inflight() {
+  if (inflight_ && transfers_.active(*inflight_)) {
+    transfers_.cancel(*inflight_);
+  }
+  inflight_.reset();
+  inflight_path_.clear();
 }
 
 void Session::mark_source_fault(SimTime now) {
@@ -245,9 +248,7 @@ void Session::fail_over(const std::string& cause) {
   const net::FluidNetwork::BatchGuard epoch =
       transfers_.network().defer_reallocate();
   cancel_watchdog();
-  if (transfers_.active(*inflight_)) transfers_.cancel(*inflight_);
-  inflight_.reset();
-  inflight_path_.clear();
+  drop_inflight();
   metrics_.cluster_sources.pop_back();
   ++metrics_.proactive_failovers;
   trace_session(sim_.obs(), "session.failover", trace_id_,
@@ -336,11 +337,7 @@ void Session::fail(SimTime now, const std::string& reason) {
   metrics_.failed = true;
   metrics_.failure_reason = reason;
   metrics_.download_completed_at = now;
-  if (inflight_ && transfers_.active(*inflight_)) {
-    transfers_.cancel(*inflight_);
-  }
-  inflight_.reset();
-  inflight_path_.clear();
+  drop_inflight();
   finalize_playback();
   if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     trace_session(sim_.obs(), "session.fail", trace_id_,

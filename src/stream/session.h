@@ -205,7 +205,6 @@ class Session {
   /// per-session instants all carry this id).  Set by the service before
   /// start(); sessions started without one trace as id 0.
   void set_trace_id(std::uint64_t id) { trace_id_ = id; }
-  [[nodiscard]] std::uint64_t trace_id() const { return trace_id_; }
 
   /// Chains another completion callback (after any existing ones) — used
   /// when a coalesced request joins this session.  Throws std::logic_error
@@ -231,6 +230,9 @@ class Session {
   void on_cluster_done(std::size_t index, SimTime now);
   void on_stall_timeout(std::size_t index, SimTime now);
   void cancel_watchdog();
+  /// Ends the in-flight transfer, if any: cancels it while still active
+  /// (a completed or black-holed one is gone already) and forgets it.
+  void drop_inflight();
   /// Derives playback timing (startup, rebuffers) from cluster completion
   /// times; called once the download finishes or fails.
   void finalize_playback();

@@ -37,17 +37,21 @@ TransferAudit::TransferAudit(TransferManager& manager) {
 
 void TransferAudit::check_settled(const TransferManager& m, bool completed) {
   const double now = m.last_progress_.seconds();
+  for (std::size_t pos = 1; pos < m.drained_.size(); ++pos) {
+    ensure(!(m.drained_[pos] < m.drained_[(pos - 1) / 2]),
+        "TransferAudit: the drained candidates are out of order");
+  }
   std::vector<FlowId> queued = m.drained_;
   std::sort(queued.begin(), queued.end());
   for (const TransferManager::Lane& lane : m.lanes_) {
-    if (lane.ids.empty() || !(lane.rate > 0.0)) continue;
+    if (lane.members.empty() || !(lane.rate > 0.0)) continue;
     const std::int64_t served = TransferManager::served_at(lane, now);
-    for (std::size_t i = 0; i < lane.ids.size(); ++i) {
-      if (lane.finish[i] - served > TransferManager::kDoneUnits) continue;
+    for (const TransferManager::Member& member : lane.members) {
+      if (member.finish - served > TransferManager::kDoneUnits) continue;
       ensure(!completed,
           "TransferAudit: a member past the done line outlived the "
           "completion sweep");
-      ensure(std::binary_search(queued.begin(), queued.end(), lane.ids[i]),
+      ensure(std::binary_search(queued.begin(), queued.end(), member.id),
           "TransferAudit: a member past the done line was never queued by "
           "a settle");
     }
@@ -65,23 +69,32 @@ bool TransferAudit::check_plan(const TransferManager& m, bool planned_now) {
   std::size_t moving = 0;
   for (std::uint32_t b = 0; b < m.lanes_.size(); ++b) {
     const TransferManager::Lane& lane = m.lanes_[b];
-    if (!lane.ids.empty()) {
+    for (std::uint32_t pos = 0; pos < lane.members.size(); ++pos) {
+      const TransferManager::Transfer* transfer =
+          m.transfers_.find(lane.members[pos].id);
+      ensure(transfer != nullptr && transfer->lane == b &&
+                 transfer->pos == pos,
+          "TransferAudit: a lane member's back-pointer is not its position");
+      ensure(pos == 0 || !(lane.members[pos].finish <
+                           lane.members[(pos - 1) / 2].finish),
+          "TransferAudit: a lane is out of order");
+    }
+    if (!lane.members.empty()) {
       ensure(lane.rate == m.network_.bundle_rate(b).value(),
           "TransferAudit: a lane's rate is not its bundle's");
     }
-    if (lane.ids.empty() || !(lane.rate > 0.0)) {
+    if (lane.members.empty() || !(lane.rate > 0.0)) {
       ensure(lane.due_pos == TransferManager::kUnqueued,
           "TransferAudit: an empty or severed lane is in the due-heap");
       continue;
     }
-    ensure(lane.due == TransferManager::due_time(lane),
-        "TransferAudit: a lane's cached due instant is stale");
+    const double due = TransferManager::due_time(lane);
     ensure(lane.due_pos < m.due_heap_.size() &&
                m.due_heap_[lane.due_pos].lane == b &&
-               m.due_heap_[lane.due_pos].at == lane.due,
+               m.due_heap_[lane.due_pos].at == due,
         "TransferAudit: a moving lane is not keyed at its due instant");
     ++moving;
-    earliest = std::min(earliest, lane.due);
+    earliest = std::min(earliest, due);
   }
   ensure(moving == m.due_heap_.size(),
       "TransferAudit: the due-heap holds a lane that is not moving");

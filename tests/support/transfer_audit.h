@@ -6,11 +6,14 @@
 // scans over every lane, what the old every-lane walks would have found,
 // and throws std::logic_error from the mutation when the two disagree:
 //  - after a settle, no moving lane (positive rate) holds a member past the
-//    done line that no settle queued for completion;
-//  - after a re-plan, every live lane's rate is its bundle's rate, every
-//    moving lane's cached due instant is keyed in the due-heap, and the
-//    pending wake-up is the full scan's: the earliest due instant, capped
-//    by the next traffic change and floored at the re-plan's instant.
+//    done line that no settle queued for completion, and the queued
+//    candidates are a min-heap on flow id;
+//  - after a re-plan, every lane is a min-heap on finish whose members'
+//    back-pointers name their positions, every live lane's rate is its
+//    bundle's rate, every moving lane is keyed in the due-heap at its
+//    recomputed due instant, and the pending wake-up is the full scan's:
+//    the earliest due instant, capped by the next traffic change and
+//    floored at the re-plan's instant.
 //
 // TransferAudit is a friend of TransferManager.  Like FluidReference, it
 // chains onto the network's change hooks: it replaces them with the
