@@ -165,5 +165,6 @@ echo "perfbench digest smoke passed"
 
 echo "==== source size ===="
 scripts/src_lines.sh
+scripts/option_count.sh
 
 echo "ci passed"

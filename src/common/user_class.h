@@ -14,6 +14,7 @@
 // configuration that is byte-identical to the classless paper behaviour.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,6 +37,36 @@ inline constexpr std::size_t kUserClassCount = 3;
 /// True when `a` strictly outranks `b` (may preempt it, is shed after it).
 [[nodiscard]] constexpr bool outranks(UserClass a, UserClass b) {
   return static_cast<std::uint8_t>(a) < static_cast<std::uint8_t>(b);
+}
+
+/// What a class buys when tiered QoS is on (ServiceOptions::qos).
+struct ClassPolicy {
+  /// Weight of the class's transfers in the fluid network's weighted
+  /// max-min fill.  Borrowing is emergent: a premium flow frozen at its
+  /// cap stops consuming fill increments, so its unused share spills to
+  /// whoever is still filling, lower classes included.
+  std::uint32_t flow_weight;
+  /// Multiplier on the request's admission headroom.  Lower classes demand
+  /// more slack: their streams are shed first, so admitting them right at
+  /// the edge only turns admission into a deferred stall.
+  double admission_headroom;
+  /// Multiplier on the session stall timeout: <1 gives up sooner (sheds
+  /// first under a storm), >1 is more patient.
+  double stall_timeout_scale;
+};
+
+/// The per-class policy, indexed by class_index().
+inline constexpr std::array<ClassPolicy, kUserClassCount> kClassPolicies{{
+    {/*flow_weight=*/4, /*admission_headroom=*/1.0,
+     /*stall_timeout_scale=*/1.5},
+    {/*flow_weight=*/2, /*admission_headroom=*/1.1,
+     /*stall_timeout_scale=*/1.0},
+    {/*flow_weight=*/1, /*admission_headroom=*/1.25,
+     /*stall_timeout_scale=*/0.5},
+}};
+
+[[nodiscard]] constexpr const ClassPolicy& class_policy(UserClass cls) {
+  return kClassPolicies[class_index(cls)];
 }
 
 [[nodiscard]] constexpr const char* to_string(UserClass cls) {

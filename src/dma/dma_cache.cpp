@@ -111,14 +111,12 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
 
   // "IF (Video's points > Least popular on disk Video's points) THEN
   //  delete Least Popular Video; IF tolerable THEN write"
-  for (;;) {
-    const auto victim = least_popular_cached();
-    if (!victim || points(video) <= points(*victim)) break;
+  const auto victim = least_popular_cached();
+  if (victim && points(video) > points(*victim)) {
     evict(*victim);
     if (disks_.can_tolerate(size) && try_store(video, size)) {
       return DmaOutcome::kStored;
     }
-    if (!options_.multi_evict) break;  // Figure 2: one victim per request
   }
   trace("dma.point", video, points(video));
   return DmaOutcome::kPointedOnly;

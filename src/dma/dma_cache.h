@@ -8,16 +8,14 @@
 //     the least-popular cached title's points, delete that title and write
 //     the newcomer if it now fits.
 //
-// Two documented extensions beyond the figure (both default to the paper's
-// behaviour):
-//   * admission_threshold — the body text says a title is cached only after
-//     "over a certain number of requests"; the figure stores on first
-//     request when space is free.  Threshold 0 reproduces the figure;
-//     higher values reproduce the text.
-//   * multi_evict — the figure deletes at most one victim per request, so a
-//     large newcomer can fail to fit even when several unpopular titles
-//     could be evicted.  multi_evict keeps evicting while the newcomer
-//     remains more popular than the current least-popular title.
+// As in the figure, a request deletes at most one victim, so a large
+// newcomer can fail to fit even when several unpopular titles could go.
+//
+// One documented extension beyond the figure (defaulting to the paper's
+// behaviour): admission_threshold — the body text says a title is cached
+// only after "over a certain number of requests"; the figure stores on
+// first request when space is free.  Threshold 0 reproduces the figure;
+// higher values reproduce the text.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +36,6 @@ namespace vod::dma {
 /// Tuning knobs; defaults reproduce Figure 2 exactly.
 struct DmaOptions {
   std::uint64_t admission_threshold = 0;
-  bool multi_evict = false;
 };
 
 /// What the algorithm did with one request.

@@ -85,7 +85,7 @@ std::string FlightRecorder::build_dump(const std::string& reason,
 
 bool FlightRecorder::trigger(const std::string& reason) {
   const SimTime now = ring_.now();
-  if (options_.max_dumps != 0 && dumps_.size() >= options_.max_dumps) {
+  if (dumps_.size() >= kMaxFlightDumps) {
     ++suppressed_;
     return false;
   }

@@ -34,12 +34,13 @@
 
 namespace vod::obs {
 
+/// Hard cap on dump files per recorder; further triggers are counted as
+/// suppressed.
+inline constexpr std::size_t kMaxFlightDumps = 8;
+
 struct FlightOptions {
   /// Ring capacity: how many recent events the black box retains.
   std::size_t ring_capacity = 256;
-  /// Hard cap on dump files per run; further triggers are counted as
-  /// suppressed.  0 = unlimited.
-  std::size_t max_dumps = 8;
   /// Minimum sim time between dumps; triggers inside the gap are
   /// suppressed (a preemption storm produces one black box, not 400).
   Duration min_gap{60.0};
@@ -62,7 +63,7 @@ class FlightRecorder {
   void set_config(const std::string& key, const std::string& value);
 
   /// Fires the black box.  Returns true when a dump was produced, false
-  /// when suppressed (max_dumps reached or inside min_gap).
+  /// when suppressed (kMaxFlightDumps reached or inside min_gap).
   bool trigger(const std::string& reason);
 
   [[nodiscard]] std::size_t dump_count() const { return dumps_.size(); }

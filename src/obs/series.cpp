@@ -2,16 +2,15 @@
 
 #include <cmath>
 #include <sstream>
-#include <utility>
 
 #include "common/contract.h"
 
 namespace vod::obs {
 
 void Series::append(SeriesPoint point) {
-  if (capacity_ != 0 && points_.size() >= capacity_) {
+  if (points_.size() >= kSeriesCapacity) {
     points_[head_] = point;
-    head_ = (head_ + 1) % capacity_;
+    head_ = (head_ + 1) % kSeriesCapacity;
     ++evicted_;
     return;
   }
@@ -25,28 +24,9 @@ const SeriesPoint& Series::back() const {
 }
 
 TimeSeriesRecorder::TimeSeriesRecorder(SeriesOptions options)
-    : options_(std::move(options)) {
+    : options_(options) {
   require(options_.cadence > Duration{0.0},
       "TimeSeriesRecorder: cadence must be positive");
-}
-
-bool TimeSeriesRecorder::selected(const std::string& name) const {
-  if (options_.include.empty()) return true;
-  for (const std::string& prefix : options_.include) {
-    if (name.size() >= prefix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Series& TimeSeriesRecorder::series_slot(const std::string& name) {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    it = series_.emplace(name, Series{options_.capacity}).first;
-  }
-  return it->second;
 }
 
 void TimeSeriesRecorder::record_into(Series& series, SimTime at,
@@ -60,28 +40,19 @@ void TimeSeriesRecorder::record_into(Series& series, SimTime at,
   series.append(SeriesPoint{at, value, rate});
 }
 
-void TimeSeriesRecorder::record(const std::string& name, SimTime at,
-                                double value) {
-  record_into(series_slot(name), at, value);
-}
-
 void TimeSeriesRecorder::rebuild_plan() {
   scalar_plan_.clear();
   hist_plan_.clear();
   for (const auto& [name, scalar] : scratch_.scalars()) {
     (void)scalar;
-    scalar_plan_.push_back(selected(name) ? &series_slot(name) : nullptr);
+    scalar_plan_.push_back(&series_[name]);
   }
   for (const auto& [name, hist] : scratch_.histograms()) {
     (void)hist;
-    if (!selected(name)) {
-      hist_plan_.emplace_back(nullptr, nullptr);
-      continue;
-    }
-    // The slot calls may rebalance the map but nodes are stable, so the
+    // The insertions may rebalance the map but nodes are stable, so the
     // pointers survive later insertions.
-    Series* count_series = &series_slot(name + "[count]");
-    Series* sum_series = &series_slot(name + "[sum]");
+    Series* count_series = &series_[name + "[count]"];
+    Series* sum_series = &series_[name + "[sum]"];
     hist_plan_.emplace_back(count_series, sum_series);
   }
 }
@@ -100,18 +71,14 @@ void TimeSeriesRecorder::sample(SimTime at) {
     std::size_t i = 0;
     for (const auto& [name, scalar] : scratch_.scalars()) {
       (void)name;
-      if (Series* series = scalar_plan_[i++]) {
-        record_into(*series, at, scalar.value);
-      }
+      record_into(*scalar_plan_[i++], at, scalar.value);
     }
     i = 0;
     for (const auto& [name, hist] : scratch_.histograms()) {
       (void)name;
       const auto& [count_series, sum_series] = hist_plan_[i++];
-      if (count_series != nullptr) {
-        record_into(*count_series, at, static_cast<double>(hist.count));
-        record_into(*sum_series, at, hist.sum);
-      }
+      record_into(*count_series, at, static_cast<double>(hist.count));
+      record_into(*sum_series, at, hist.sum);
     }
   }
   if (on_sample_) on_sample_(at, scratch_);

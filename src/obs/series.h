@@ -32,18 +32,15 @@
 
 namespace vod::obs {
 
+/// Per-series point cap; once full the oldest points are overwritten
+/// (ring), keeping the most recent window and counting evictions.
+inline constexpr std::size_t kSeriesCapacity = 4096;
+
 struct SeriesOptions {
   /// Sim-time spacing between samples; ticks land on multiples of the
   /// cadence from t=0 (so runs of different lengths share a grid and
   /// double-runs align trivially).
   Duration cadence = Duration{30.0};
-  /// Per-series point cap; once full the oldest points are overwritten
-  /// (ring), keeping the most recent window and counting evictions.
-  /// 0 = unlimited.
-  std::size_t capacity = 4096;
-  /// Metric-name prefixes to record; empty records everything.  A name is
-  /// kept when it starts with any prefix (exact names work as prefixes).
-  std::vector<std::string> include;
 };
 
 /// One sampled point: the raw value and the per-second rate over the
@@ -55,11 +52,9 @@ struct SeriesPoint {
   double rate = 0.0;
 };
 
-/// A bounded ring of points for one metric.
+/// A ring of at most kSeriesCapacity points for one metric.
 class Series {
  public:
-  explicit Series(std::size_t capacity) : capacity_(capacity) {}
-
   void append(SeriesPoint point);
 
   /// Oldest-to-newest (wrap-aware).
@@ -75,7 +70,6 @@ class Series {
   [[nodiscard]] const SeriesPoint& back() const;
 
  private:
-  std::size_t capacity_ = 0;
   std::size_t head_ = 0;  // oldest element / next overwrite slot
   std::size_t evicted_ = 0;
   std::vector<SeriesPoint> points_;
@@ -133,10 +127,7 @@ class TimeSeriesRecorder {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  [[nodiscard]] bool selected(const std::string& name) const;
-  Series& series_slot(const std::string& name);
   static void record_into(Series& series, SimTime at, double value);
-  void record(const std::string& name, SimTime at, double value);
   void rebuild_plan();
 
   SeriesOptions options_;
@@ -148,8 +139,8 @@ class TimeSeriesRecorder {
   /// Reused across ticks (snapshot_into): after the first sample the maps
   /// are warm and a tick allocates no snapshot nodes.
   MetricsSnapshot scratch_;
-  /// One Series per scratch entry in map-iteration order (nullptr =
-  /// filtered out by `include`); histograms pin their [count]/[sum] pair.
+  /// One Series per scratch entry in map-iteration order; histograms pin
+  /// their [count]/[sum] pair.
   /// Series map nodes are stable, so the pointers survive growth; the
   /// plan is rebuilt whenever the scratch shape (sizes) changes.
   std::vector<Series*> scalar_plan_;

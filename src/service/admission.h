@@ -6,20 +6,17 @@
 //
 // Routing alone cannot guarantee that: if every path to every holder is
 // saturated, the stream will rebuffer no matter which one the VRA picks.
-// The admission controller closes the loop by checking, against the same
-// limited-access statistics the VRA uses, that the chosen path has enough
-// residual bandwidth to sustain the title's bitrate before the session is
-// allowed to start.
+// Admission closes the loop by checking, against the same limited-access
+// statistics the VRA uses, that the chosen path has enough residual
+// bandwidth to sustain the title's bitrate before the session is allowed
+// to start (VodService::request_classed).
 #pragma once
 
-#include <array>
 #include <cmath>
 
 #include "common/units.h"
-#include "common/user_class.h"
 #include "db/database.h"
 #include "routing/path.h"
-#include "vra/vra.h"
 
 namespace vod::service {
 
@@ -29,49 +26,15 @@ namespace vod::service {
   return std::isfinite(headroom) && headroom > 0.0;
 }
 
-/// Admission policy knobs (each must satisfy valid_headroom).
-struct AdmissionOptions {
-  /// Admit iff path residual >= headroom * title bitrate.  1.0 = exactly
-  /// sustainable; >1 keeps slack for SNMP staleness and jitter.
-  double required_headroom = 1.0;
-  /// Per-class multipliers on `required_headroom`, indexed by
-  /// class_index().  Lower classes demand more slack (their streams are
-  /// the first shed, so admitting them right at the edge just converts
-  /// admission into a deferred stall); premium can run closer to the
-  /// line.  All-ones = every class admitted exactly like the classless
-  /// check.
-  std::array<double, kUserClassCount> class_headroom{1.0, 1.0, 1.0};
-};
+/// Free bandwidth of one link per the database's SNMP statistics: total
+/// minus used, floored at 0, and 0 while the link is offline (a severed
+/// link carries nothing, whatever its last counters said).
+[[nodiscard]] Mbps link_residual(const db::LinkRecord& record);
 
-/// Stateless residual-bandwidth check against the limited-access view.
-class AdmissionController {
- public:
-  explicit AdmissionController(db::LimitedAccessView view,
-                               AdmissionOptions options = {});
-
-  /// Smallest (total - used) along the path's links; local (empty) paths
-  /// report the home server's access bandwidth.  Uses the database's SNMP
-  /// statistics — the same slightly stale picture the VRA routes on.
-  [[nodiscard]] Mbps path_residual(const routing::Path& path,
-                                   NodeId home) const;
-
-  /// Should this VRA decision be admitted for a `cls` title of `bitrate`?
-  /// The path must clear this class's headroom (required_rate below); with
-  /// all-ones class_headroom every class is admitted alike.  Locally served
-  /// sessions are always admitted (no network involved).
-  [[nodiscard]] bool admit(const vra::Decision& decision, Mbps bitrate,
-                           UserClass cls) const;
-
-  /// Residual bandwidth the path must show for a `cls` title of `bitrate`:
-  /// required_headroom x class_headroom[cls] x bitrate.  Also the deficit
-  /// target the preemption planner must free on each short link.
-  [[nodiscard]] Mbps required_rate(Mbps bitrate, UserClass cls) const;
-
-  [[nodiscard]] const AdmissionOptions& options() const { return options_; }
-
- private:
-  db::LimitedAccessView view_;
-  AdmissionOptions options_;
-};
+/// Smallest link_residual along the path's links — the slightly stale
+/// picture the VRA routes on.  A path with no links has no bottleneck:
+/// the result is +infinity.
+[[nodiscard]] Mbps path_residual(const db::LimitedAccessView& view,
+                                 const routing::Path& path);
 
 }  // namespace vod::service

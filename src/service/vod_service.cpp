@@ -8,6 +8,7 @@
 #include "common/contract.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
+#include "service/admission.h"
 
 namespace vod::service {
 
@@ -23,10 +24,6 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
       transfers_(sim, network) {
   require(options_.server.disk_count != 0,
       "VodService: servers need at least one disk");
-  for (const ClassPolicy& policy : options_.qos.policies) {
-    require(valid_headroom(policy.admission_headroom),
-        "VodService: class admission headroom must be finite and positive");
-  }
   register_topology();
   snmp_ = std::make_unique<snmp::SnmpModule>(
       sim_, network_, db_.limited_view(admin_),
@@ -308,9 +305,12 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
     retire_session(id, session);
     if (done) done(session);
   };
+  stream::SessionOptions session_options = options_.session;
+  session_options.user_class =
+      options_.qos.enabled ? std::optional{cls} : std::nullopt;
   ObjectPool<stream::Session>::Ptr session =
       session_pool_.make(sim_, transfers_, *policy_, info, home,
-                         options_.cluster_size, session_options_for(cls),
+                         options_.cluster_size, session_options,
                          std::move(observed));
   stream::Session& ref = *session;
   ref.set_trace_id(id.value());
@@ -391,16 +391,16 @@ VodService::AdmissionOutcome VodService::request_classed(
     return AdmissionOutcome{Admission::kNoServer, std::nullopt, {}};
   }
 
-  AdmissionOptions admission_options{.required_headroom = headroom};
-  if (qos) {
-    for (std::size_t c = 0; c < kUserClassCount; ++c) {
-      admission_options.class_headroom[c] =
-          options_.qos.policies[c].admission_headroom;
-    }
-  }
-  const AdmissionController admission{db_.limited_view(admin_),
-                                      admission_options};
-  if (admission.admit(*decision, info->bitrate, cls)) {
+  // Residual bandwidth the path must show: the request's headroom, scaled
+  // by the class's under QoS, times the title's bitrate.  It is also the
+  // deficit target the preemption planner must free on each short link.
+  const Mbps required{
+      headroom * (qos ? class_policy(cls).admission_headroom : 1.0) *
+      info->bitrate.value()};
+  // A locally served session involves no network and is always admitted.
+  if (decision->served_locally ||
+      path_residual(db_.limited_view(admin_), decision->path).value() >=
+          required.value()) {
     ++admitted_;
     if (qos) ++qos_counter(cls, "admitted");
     const SessionId id =
@@ -413,9 +413,7 @@ VodService::AdmissionOutcome VodService::request_classed(
   // deficit is coverable (nobody is aborted for a plan that cannot fit
   // the request anyway).
   if (qos && !decision->served_locally) {
-    const auto victims =
-        plan_preemption(decision->path.links,
-                        admission.required_rate(info->bitrate, cls), cls);
+    const auto victims = plan_preemption(decision->path.links, required, cls);
     if (victims) {
       // One allocation epoch for the whole sacrifice: the fair shares are
       // re-solved once, after every victim's flow is torn down.
@@ -475,8 +473,7 @@ std::optional<std::vector<SessionId>> VodService::plan_preemption(
   for (const LinkId link : path) {
     const db::LinkRecord& record = view.link(link);
     if (!record.online) return std::nullopt;
-    const double free = std::max(
-        0.0, (record.total_bandwidth - record.used_bandwidth).value());
+    const double free = link_residual(record).value();
     if (free < required.value()) {
       short_links.push_back(link);
       deficit.push_back(required.value() - free);
@@ -548,18 +545,8 @@ std::optional<std::vector<SessionId>> VodService::plan_preemption(
 
 int VodService::retry_limit_for(UserClass cls) const {
   if (!options_.qos.enabled) return options_.failover.retry_limit;
-  const int limit = options_.qos.policies[class_index(cls)].retry_limit;
+  const int limit = options_.qos.retry_limit[class_index(cls)];
   return limit < 0 ? options_.failover.retry_limit : limit;
-}
-
-stream::SessionOptions VodService::session_options_for(UserClass cls) const {
-  stream::SessionOptions session_options = options_.session;
-  if (!options_.qos.enabled) return session_options;
-  const ClassPolicy& policy = options_.qos.policies[class_index(cls)];
-  session_options.user_class = cls;
-  session_options.flow_weight = policy.flow_weight;
-  session_options.stall_timeout_scale = policy.stall_timeout_scale;
-  return session_options;
 }
 
 obs::Counter& VodService::qos_counter(UserClass cls, const char* what) {

@@ -31,7 +31,6 @@
 #include "net/topology.h"
 #include "net/transfer.h"
 #include "obs/metrics.h"
-#include "service/admission.h"
 #include "service/audit.h"
 #include "service/ip_directory.h"
 #include "sim/simulation.h"
@@ -74,45 +73,19 @@ struct FailoverOptions {
 /// Ceiling of the exponential service-retry backoff (FailoverOptions).
 inline constexpr double kRetryBackoffMaxSeconds = 480.0;
 
-/// Per-class service policy (see QosOptions::policies, indexed by
-/// class_index()).  The defaults are identity knobs: weight 1, headroom
-/// x1, the global retry budget, unscaled patience.
-struct ClassPolicy {
-  /// Weight of this class's transfers in the fluid network's weighted
-  /// max-min fill.  Borrowing is emergent: a premium flow frozen at its
-  /// cap stops consuming fill increments, so its unused share spills to
-  /// whoever is still filling — lower classes included — each allocation
-  /// epoch.
-  std::uint32_t flow_weight = 1;
-  /// Multiplier on the base admission headroom for this class (lower
-  /// classes demand more slack; see AdmissionOptions::class_headroom).
-  double admission_headroom = 1.0;
-  /// Service-level retry budget for this class; -1 inherits
-  /// FailoverOptions::retry_limit.  0 means a failed (or preempted)
-  /// session of this class is simply absorbed shed.
-  int retry_limit = -1;
-  /// Multiplier on the session stall timeout: <1 gives up sooner (sheds
-  /// first under a storm), >1 is more patient.
-  double stall_timeout_scale = 1.0;
-};
-
 /// Tiered-QoS configuration.  Disabled (the default) keeps the service
 /// byte-identical to the classless paper behaviour: every class-aware
 /// branch collapses to the identity and no per-class metric is created.
+/// Enabled, each class follows its kClassPolicies entry.
 struct QosOptions {
   /// Enabled includes preemption: a request that fails plain admission may
   /// abort enough lower-class sessions (ranked class-descending, then
   /// youngest-first) to fit (VodService::request_classed).
   bool enabled = false;
-  /// Indexed by class_index(): premium, standard, background.
-  std::array<ClassPolicy, kUserClassCount> policies{
-      ClassPolicy{/*flow_weight=*/4, /*admission_headroom=*/1.0,
-                  /*retry_limit=*/-1, /*stall_timeout_scale=*/1.5},
-      ClassPolicy{/*flow_weight=*/2, /*admission_headroom=*/1.1,
-                  /*retry_limit=*/-1, /*stall_timeout_scale=*/1.0},
-      ClassPolicy{/*flow_weight=*/1, /*admission_headroom=*/1.25,
-                  /*retry_limit=*/-1, /*stall_timeout_scale=*/0.5},
-  };
+  /// Service-level retry budget per class, indexed by class_index(); -1
+  /// inherits FailoverOptions::retry_limit.  0 means a failed (or
+  /// preempted) session of that class is simply absorbed shed.
+  std::array<int, kUserClassCount> retry_limit{-1, -1, -1};
 };
 
 /// What the service keeps of a session once it finishes or fails.  Full
@@ -254,11 +227,11 @@ class VodService {
   /// before any state moves).  The default class is the classless request.
   ///
   /// Under ServiceOptions::qos the headroom is scaled by the class's
-  /// multiplier, and when plain admission fails on a path that is merely
-  /// saturated rather than severed, the planner ranks strictly lower-class
-  /// victims (class-descending, youngest-first, deterministic) and aborts
-  /// just enough of them, by their current delivered rates, to cover every
-  /// short link's deficit.  Victims re-enter through the service-retry
+  /// ClassPolicy::admission_headroom, and when plain admission fails on a
+  /// path that is merely saturated rather than severed, the planner ranks
+  /// strictly lower-class victims (class-descending, youngest-first,
+  /// deterministic) and aborts just enough of them, by their current
+  /// delivered rates, to cover every short link's deficit.  Victims re-enter through the service-retry
   /// chain at their own class (their remaining budget permitting).  With
   /// qos.enabled == false the class argument changes nothing.
   AdmissionOutcome request_classed(NodeId home, VideoId video,
@@ -406,8 +379,8 @@ class VodService {
   /// Creates, registers and starts a session; wraps `on_done` with the
   /// service-retry machinery when `retries_left > 0`.  `register_batch`
   /// is false for retry sessions (they joined no coalescing batch and
-  /// already paid their DMA accounting).  `cls` selects the per-class
-  /// session knobs (weight, patience) and rides the retry chain, so a
+  /// already paid their DMA accounting).  `cls` is the session's class
+  /// under QoS (its weight and patience) and rides the retry chain, so a
   /// preempted or failed session re-enters at its own class.
   SessionId spawn_session(NodeId home, const db::VideoInfo& info,
                           UserClass cls,
@@ -426,14 +399,9 @@ class VodService {
                             UserClass cls,
                             stream::Session::DoneCallback on_done);
 
-  /// This class's service-retry budget (ClassPolicy::retry_limit, -1 =
+  /// This class's service-retry budget (QosOptions::retry_limit, -1 =
   /// the global FailoverOptions::retry_limit).
   [[nodiscard]] int retry_limit_for(UserClass cls) const;
-  /// The per-session knobs for `cls`: ServiceOptions::session with the
-  /// class's flow weight, patience scale and label applied (identity when
-  /// qos is disabled).
-  [[nodiscard]] stream::SessionOptions session_options_for(
-      UserClass cls) const;
   /// Lazy per-class instruments (`qos.<class>.<what>`): created on first
   /// touch, so classless runs never grow the registry.
   obs::Counter& qos_counter(UserClass cls, const char* what);

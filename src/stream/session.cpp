@@ -39,9 +39,6 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
       "Session: cluster size must be positive");
   require(options_.prebuffer_clusters != 0,
       "Session: prebuffer must be >= 1 cluster");
-  require(options_.flow_weight >= 1, "Session: flow weight must be >= 1");
-  require(options_.stall_timeout_scale > 0.0,
-      "Session: stall timeout scale must be positive");
   if (options_.stall_timeout_seconds == kAutoStallTimeout) {
     stall_timeout_ = 3.0 * cluster_size.megabits() / kFlowCap.value();
   } else if (options_.stall_timeout_seconds > 0.0) {
@@ -51,10 +48,12 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
         "Session: stall timeout must be positive, infinity, or "
         "kAutoStallTimeout");
   }
-  // Class patience knob; x1.0 is the bit-identical classless default (and
-  // scaling infinity keeps the watchdog disabled).
-  if (options_.stall_timeout_scale != 1.0) {
-    stall_timeout_ *= options_.stall_timeout_scale;
+  // Class weight and patience; a classless session keeps weight 1 and the
+  // unscaled timeout (scaling infinity keeps the watchdog disabled).
+  if (options_.user_class) {
+    const ClassPolicy& policy = class_policy(*options_.user_class);
+    flow_weight_ = policy.flow_weight;
+    stall_timeout_ *= policy.stall_timeout_scale;
   }
   // The striping plan defines the cluster boundaries; the disk count is
   // irrelevant for sizes, so any positive count works here.
@@ -160,7 +159,7 @@ void Session::fetch_next_cluster(SimTime now) {
   inflight_ = transfers_.start_transfer(
       selection->path.links, part_sizes_[index], cap,
       [this, index](SimTime t) { on_cluster_done(index, t); },
-      options_.flow_weight);
+      flow_weight_);
 
   if (std::isfinite(stall_timeout_)) {
     watchdog_ = sim_.schedule_in(
@@ -198,11 +197,11 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
   ++retries_this_cluster_;
   // Forget the abandoned source so a return to it counts as a new choice.
   metrics_.cluster_sources.pop_back();
-  if (retries_this_cluster_ > options_.max_retries) {
+  if (retries_this_cluster_ > kMaxClusterStallRetries) {
     fail(now, "cluster stalled beyond retry budget");
     return;
   }
-  if (metrics_.stall_retries > options_.max_total_retries) {
+  if (metrics_.stall_retries > kMaxSessionStallRetries) {
     fail(now, "session stalled beyond total retry budget");
     return;
   }

@@ -44,6 +44,15 @@ inline constexpr double kAutoStallTimeout = -1.0;
 /// instead of aborting it.  A flow across a dead link reads exactly 0.
 inline constexpr Mbps kStallRateFloor{0.01};
 
+/// Stall retries tolerated per cluster before the session fails — a long
+/// title with several independent transient stalls must not exhaust one
+/// shared budget when every cluster recovered.
+inline constexpr int kMaxClusterStallRetries = 5;
+
+/// Stall retries tolerated across the whole session (genuinely dead titles
+/// must still fail instead of retrying per cluster forever).
+inline constexpr int kMaxSessionStallRetries = 25;
+
 /// Session tuning.
 struct SessionOptions {
   /// Clusters that must be fully downloaded before playback starts.
@@ -54,26 +63,11 @@ struct SessionOptions {
   /// cluster size and kFlowCap; infinity disables the watchdog (the
   /// paper-exact configuration).
   double stall_timeout_seconds = kAutoStallTimeout;
-  /// Stall retries tolerated per cluster before the session fails — a long
-  /// title with several independent transient stalls must not exhaust one
-  /// shared budget when every cluster recovered.
-  int max_retries = 5;
-  /// Stall retries tolerated across the whole session (genuinely dead
-  /// titles must still fail instead of retrying per cluster forever).
-  int max_total_retries = 25;
-  /// Service tier this session streams at.  Purely a label at this layer
-  /// (the service's admission/shedding logic reads it); the knobs below
-  /// carry its bandwidth-share and patience consequences.
-  UserClass user_class = UserClass::kStandard;
-  /// Weight of this session's transfers in the fluid network's weighted
-  /// max-min fill (1 = classless default; premium classes set it higher to
-  /// take a larger share of contended links).
-  std::uint32_t flow_weight = 1;
-  /// Multiplier on the resolved stall timeout: background sessions scale
-  /// it down (give up sooner, shedding load first under a fault storm),
-  /// premium sessions scale it up (more patient).  1.0 leaves the resolved
-  /// timeout bit-identical to the unscaled value.
-  double stall_timeout_scale = 1.0;
+  /// Service tier this session streams at: its class_policy() sets the
+  /// weight of its transfers in the fluid network's weighted max-min fill
+  /// and scales the resolved stall timeout.  nullopt is the classless
+  /// paper session (weight 1, unscaled timeout), reported as kStandard.
+  std::optional<UserClass> user_class;
 };
 
 /// Everything measured about one session.
@@ -218,7 +212,9 @@ class Session {
 
   [[nodiscard]] const SessionMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const db::VideoInfo& video() const { return video_; }
-  [[nodiscard]] UserClass user_class() const { return options_.user_class; }
+  [[nodiscard]] UserClass user_class() const {
+    return options_.user_class.value_or(UserClass::kStandard);
+  }
   [[nodiscard]] NodeId home() const { return home_; }
   [[nodiscard]] std::size_t cluster_count() const {
     return part_sizes_.size();
@@ -261,6 +257,7 @@ class Session {
   std::optional<SimTime> pending_fault_at_;
   sim::EventHandle watchdog_;
   double stall_timeout_ = 0.0;   // resolved from options in the constructor
+  std::uint32_t flow_weight_ = 1;  // the class's, 1 when classless
   int retries_this_cluster_ = 0;
   bool started_ = false;
   bool done_ = false;

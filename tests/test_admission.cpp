@@ -39,150 +39,70 @@ struct Fixture {
   }
 };
 
-TEST(AdmissionController, ValidatesHeadroom) {
-  Fixture fx;
-  EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin),
-                                   {.required_headroom = 0.0}),
-               std::invalid_argument);
-  // NaN would silently reject every request; +inf and negatives are just
-  // as meaningless.  Both the base and the per-class field are checked.
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity(), -1.0}) {
-    EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin),
-                                     {.required_headroom = bad}),
-                 std::invalid_argument);
-    AdmissionOptions options;
-    options.class_headroom[class_index(UserClass::kBackground)] = bad;
-    EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin), options),
-                 std::invalid_argument);
-  }
-}
+// --- The admission functions and the class table ---
 
-TEST(AdmissionController, LocalPathReportsAccessBandwidth) {
-  Fixture fx;
-  const AdmissionController admission{fx.db.limited_view(kAdmin)};
-  const routing::Path local{{fx.g.patra}, {}, 0.0};
-  EXPECT_EQ(admission.path_residual(local, fx.g.patra), Mbps{100.0});
+TEST(AdmissionController, ValidatesHeadroom) {
+  EXPECT_TRUE(valid_headroom(1.0));
+  EXPECT_TRUE(valid_headroom(0.5));
+  // NaN would silently reject every request; +inf, zero and negatives are
+  // just as meaningless.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0}) {
+    EXPECT_FALSE(valid_headroom(bad)) << bad;
+  }
 }
 
 TEST(AdmissionController, ResidualIsBottleneckFreeBandwidth) {
   Fixture fx;  // 8am: Patra-Athens used 0.2/2, Athens-Heraklio 0.5/18
-  const AdmissionController admission{fx.db.limited_view(kAdmin)};
+  const db::LimitedAccessView view = fx.db.limited_view(kAdmin);
   const routing::Path path{
       {fx.g.patra, fx.g.athens, fx.g.heraklio},
       {fx.g.patra_athens, fx.g.athens_heraklio},
       0.2};
-  // Bottleneck: Patra-Athens with 1.8 Mbps free (17.5 free on the other).
-  EXPECT_NEAR(admission.path_residual(path, fx.g.patra).value(), 1.8,
+  EXPECT_NEAR(link_residual(view.link(fx.g.athens_heraklio)).value(), 17.5,
               1e-9);
+  // Bottleneck: Patra-Athens with 1.8 Mbps free (17.5 free on the other).
+  EXPECT_NEAR(path_residual(view, path).value(), 1.8, 1e-9);
 }
 
 TEST(AdmissionController, OfflineLinkZeroesResidual) {
   Fixture fx;
   fx.db.limited_view(kAdmin).set_link_online(fx.g.patra_athens, false);
-  const AdmissionController admission{fx.db.limited_view(kAdmin)};
+  const db::LimitedAccessView view = fx.db.limited_view(kAdmin);
+  EXPECT_EQ(link_residual(view.link(fx.g.patra_athens)), Mbps{0.0});
   const routing::Path path{{fx.g.patra, fx.g.athens}, {fx.g.patra_athens},
                            0.1};
-  EXPECT_EQ(admission.path_residual(path, fx.g.patra), Mbps{0.0});
-}
-
-TEST(AdmissionController, AdmitComparesAgainstBitrateTimesHeadroom) {
-  Fixture fx;
-  const AdmissionController strict{fx.db.limited_view(kAdmin),
-                                   {.required_headroom = 1.0}};
-  vra::Decision decision;
-  decision.served_locally = false;
-  decision.server = fx.g.athens;
-  decision.path = routing::Path{{fx.g.patra, fx.g.athens},
-                                {fx.g.patra_athens}, 0.1};
-  // Residual 1.8: a 1.5 Mbps title fits, a 2.5 Mbps one does not.
-  EXPECT_TRUE(strict.admit(decision, Mbps{1.5}, UserClass::kStandard));
-  EXPECT_FALSE(strict.admit(decision, Mbps{2.5}, UserClass::kStandard));
-  // With 1.5x headroom even 1.5 Mbps is rejected (needs 2.25).
-  const AdmissionController cautious{fx.db.limited_view(kAdmin),
-                                     {.required_headroom = 1.5}};
-  EXPECT_FALSE(cautious.admit(decision, Mbps{1.5}, UserClass::kStandard));
-}
-
-TEST(AdmissionController, ClassedAdmitMatchesPlainAtUnitHeadroom) {
-  Fixture fx;
-  // Default class_headroom is all-ones: every class must get the classless
-  // (kStandard) verdict (the single-class guarantee).
-  const AdmissionController admission{fx.db.limited_view(kAdmin),
-                                      {.required_headroom = 1.0}};
-  vra::Decision decision;
-  decision.served_locally = false;
-  decision.server = fx.g.athens;
-  decision.path = routing::Path{{fx.g.patra, fx.g.athens},
-                                {fx.g.patra_athens}, 0.1};
-  for (const Mbps bitrate : {Mbps{1.5}, Mbps{2.5}}) {
-    const bool plain = admission.admit(decision, bitrate, UserClass::kStandard);
-    EXPECT_EQ(plain, admission.admit(decision, bitrate, UserClass::kPremium));
-    EXPECT_EQ(plain, admission.admit(decision, bitrate, UserClass::kStandard));
-    EXPECT_EQ(plain,
-              admission.admit(decision, bitrate, UserClass::kBackground));
-  }
+  EXPECT_EQ(path_residual(view, path), Mbps{0.0});
 }
 
 TEST(AdmissionController, ClassHeadroomScalesRequiredRate) {
-  Fixture fx;
-  AdmissionOptions options;
-  options.required_headroom = 1.2;
-  options.class_headroom = {1.0, 1.1, 1.25};
-  const AdmissionController admission{fx.db.limited_view(kAdmin), options};
-  EXPECT_NEAR(admission.required_rate(Mbps{2.0}, UserClass::kPremium).value(),
-              2.4, 1e-9);
-  EXPECT_NEAR(admission.required_rate(Mbps{2.0}, UserClass::kStandard).value(),
-              2.64, 1e-9);
-  EXPECT_NEAR(
-      admission.required_rate(Mbps{2.0}, UserClass::kBackground).value(), 3.0,
-      1e-9);
-}
-
-TEST(AdmissionController, BackgroundNeedsMoreSlackThanPremium) {
-  Fixture fx;  // path residual 1.8 Mbps (see ResidualIsBottleneckFreeBandwidth)
-  AdmissionOptions options;
-  options.required_headroom = 1.0;
-  options.class_headroom = {1.0, 1.1, 1.25};
-  const AdmissionController admission{fx.db.limited_view(kAdmin), options};
-  vra::Decision decision;
-  decision.served_locally = false;
-  decision.server = fx.g.athens;
-  decision.path = routing::Path{{fx.g.patra, fx.g.athens},
-                                {fx.g.patra_athens}, 0.1};
-  // 1.5 Mbps title: premium needs 1.5, background needs 1.875 — only the
-  // premium request fits the 1.8 Mbps residual.
-  EXPECT_TRUE(admission.admit(decision, Mbps{1.5}, UserClass::kPremium));
-  EXPECT_TRUE(admission.admit(decision, Mbps{1.5}, UserClass::kStandard));
-  EXPECT_FALSE(admission.admit(decision, Mbps{1.5}, UserClass::kBackground));
+  // The required rate request_classed computes under QoS: request
+  // headroom x class headroom x bitrate.
+  const auto required = [](UserClass cls) {
+    return 1.2 * class_policy(cls).admission_headroom * 2.0;
+  };
+  EXPECT_NEAR(required(UserClass::kPremium), 2.4, 1e-9);
+  EXPECT_NEAR(required(UserClass::kStandard), 2.64, 1e-9);
+  EXPECT_NEAR(required(UserClass::kBackground), 3.0, 1e-9);
 }
 
 TEST(AdmissionController, ValidatesClassHeadroom) {
-  Fixture fx;
-  AdmissionOptions options;
-  options.class_headroom = {1.0, 0.0, 1.0};
-  EXPECT_THROW(AdmissionController(fx.db.limited_view(kAdmin), options),
-               std::invalid_argument);
-}
-
-TEST(AdmissionController, LocalServingAlwaysAdmitted) {
-  Fixture fx;
-  const AdmissionController admission{fx.db.limited_view(kAdmin),
-                                      {.required_headroom = 100.0}};
-  vra::Decision decision;
-  decision.served_locally = true;
-  decision.server = fx.g.patra;
-  decision.path = routing::Path{{fx.g.patra}, {}, 0.0};
-  EXPECT_TRUE(admission.admit(decision, Mbps{50.0}, UserClass::kStandard));
-}
-
-TEST(AdmissionController, RejectsBadBitrate) {
-  Fixture fx;
-  const AdmissionController admission{fx.db.limited_view(kAdmin)};
-  vra::Decision decision;
-  decision.served_locally = true;
-  EXPECT_THROW((void)admission.admit(decision, Mbps{0.0}, UserClass::kStandard),
-               std::invalid_argument);
+  // The class table is the only source of per-class values: every entry
+  // must be usable as is (the service and the session no longer check).
+  for (const ClassPolicy& policy : kClassPolicies) {
+    EXPECT_TRUE(valid_headroom(policy.admission_headroom));
+    EXPECT_GE(policy.flow_weight, 1u);
+    EXPECT_GT(policy.stall_timeout_scale, 0.0);
+  }
+  // Lower classes demand more slack and get less weight and patience.
+  for (std::size_t c = 1; c < kUserClassCount; ++c) {
+    EXPECT_GT(kClassPolicies[c].admission_headroom,
+              kClassPolicies[c - 1].admission_headroom);
+    EXPECT_LT(kClassPolicies[c].flow_weight, kClassPolicies[c - 1].flow_weight);
+    EXPECT_LT(kClassPolicies[c].stall_timeout_scale,
+              kClassPolicies[c - 1].stall_timeout_scale);
+  }
 }
 
 // --- Service-level admission ---
@@ -272,16 +192,72 @@ TEST(ServiceAdmission, NonFiniteHeadroomThrowsBeforeStateMoves) {
   EXPECT_EQ(fx.service->dma_cache(fx.g.patra).request_count(), 0u);
 }
 
-TEST(ServiceAdmission, ClassPolicyHeadroomCheckedAtConstruction) {
-  grnet::CaseStudy g = grnet::build_case_study();
-  net::TraceTraffic trace = grnet::table2_trace(g);
-  sim::Simulation sim;
-  net::FluidNetwork network{g.topology, trace};
-  ServiceOptions options;
-  options.qos.policies[class_index(UserClass::kPremium)].admission_headroom =
-      std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(VodService(sim, g.topology, network, options, kAdmin),
-               std::invalid_argument);
+/// The Table 2 fixture with the 1.5 Mbps movie at Athens only, polled at
+/// 8am: a Patra request crosses Patra-Athens, 1.8 Mbps residual.
+test::GrnetSetup patra_athens_8am(bool qos = false) {
+  test::GrnetSetup setup = table2_unplaced();
+  setup.options.qos.enabled = qos;
+  setup.holders = {&grnet::CaseStudy::athens};
+  return setup;
+}
+
+TEST(AdmissionController, AdmitComparesAgainstBitrateTimesHeadroom) {
+  test::GrnetService fx{patra_athens_8am()};
+  const VideoId fast =
+      fx.service->add_video("fast", MegaBytes{40.0}, Mbps{2.5});
+  fx.service->place_initial_copy(fx.g.athens, fast);
+  // Residual 1.8: a 1.5 Mbps title fits, a 2.5 Mbps one does not.
+  EXPECT_EQ(fx.service->request_classed(fx.g.patra, fx.movie).verdict,
+            VodService::Admission::kAdmitted);
+  EXPECT_EQ(fx.service->request_classed(fx.g.patra, fast).verdict,
+            VodService::Admission::kRejected);
+  // With 1.5x headroom even 1.5 Mbps is rejected (needs 2.25).
+  EXPECT_EQ(fx.service
+                ->request_classed(fx.g.patra, fx.movie, UserClass::kStandard,
+                                  /*headroom=*/1.5)
+                .verdict,
+            VodService::Admission::kRejected);
+}
+
+TEST(AdmissionController, ClassedAdmitMatchesPlainAtUnitHeadroom) {
+  // QoS off: the class argument changes nothing — background is admitted
+  // where QoS would ask it for 1.875 of the 1.8 Mbps residual.
+  test::GrnetService fx{patra_athens_8am()};
+  for (const UserClass cls : {UserClass::kPremium, UserClass::kStandard,
+                              UserClass::kBackground}) {
+    EXPECT_EQ(fx.service->request_classed(fx.g.patra, fx.movie, cls).verdict,
+              VodService::Admission::kAdmitted)
+        << to_string(cls);
+  }
+}
+
+TEST(AdmissionController, LocalServingAlwaysAdmitted) {
+  test::GrnetService fx{patra_athens_8am(/*qos=*/true)};
+  fx.service->place_initial_copy(fx.g.patra, fx.movie);
+  EXPECT_EQ(fx.service
+                ->request_classed(fx.g.patra, fx.movie, UserClass::kBackground,
+                                  /*headroom=*/100.0)
+                .verdict,
+            VodService::Admission::kAdmitted);
+}
+
+TEST(ServiceAdmission, BackgroundNeedsMoreSlackThanPremium) {
+  test::GrnetService fx{patra_athens_8am(/*qos=*/true)};
+  // 1.5 Mbps title: premium needs 1.5, standard 1.65, background 1.875 —
+  // only background misses the 1.8 Mbps residual.  Nobody ranks below it,
+  // so no preemption can rescue it.
+  EXPECT_EQ(
+      fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kBackground)
+          .verdict,
+      VodService::Admission::kRejected);
+  EXPECT_EQ(
+      fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kPremium)
+          .verdict,
+      VodService::Admission::kAdmitted);
+  EXPECT_EQ(
+      fx.service->request_classed(fx.g.patra, fx.movie, UserClass::kStandard)
+          .verdict,
+      VodService::Admission::kAdmitted);
 }
 
 }  // namespace

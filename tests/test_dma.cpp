@@ -128,24 +128,6 @@ TEST(DmaCache, Figure2_SingleEvictionMayNotFreeEnough) {
   EXPECT_EQ(cache.eviction_count(), 1u);
 }
 
-TEST(DmaCache, MultiEvictExtensionKeepsEvicting) {
-  storage::DiskArray disks = small_array();
-  DmaCache cache{disks, DmaOptions{.admission_threshold = 0,
-                                   .multi_evict = true}};
-  cache.on_request(VideoId{1}, MegaBytes{30.0});
-  cache.on_request(VideoId{1}, MegaBytes{30.0});  // 1 point
-  cache.on_request(VideoId{2}, MegaBytes{30.0});
-  cache.on_request(VideoId{2}, MegaBytes{30.0});  // 1 point
-  EXPECT_EQ(cache.on_request(VideoId{3}, MegaBytes{100.0}),
-            DmaOutcome::kPointedOnly);  // 1 point, not > 1
-  // Second request: 2 points > 1 -> evicts video1, still no room, keeps
-  // going (multi_evict) -> evicts video2, stores.
-  EXPECT_EQ(cache.on_request(VideoId{3}, MegaBytes{100.0}),
-            DmaOutcome::kStored);
-  EXPECT_TRUE(cache.cached(VideoId{3}));
-  EXPECT_EQ(cache.eviction_count(), 2u);
-}
-
 TEST(DmaCache, ThresholdVariantDelaysAdmission) {
   storage::DiskArray disks = small_array();
   DmaCache cache{disks, DmaOptions{.admission_threshold = 2}};
@@ -223,7 +205,7 @@ TEST(DmaCache, RejectsBadRequests) {
 
 TEST(DmaCache, OversizedVideoNeverCachedButCacheSurvives) {
   storage::DiskArray disks = small_array();
-  DmaCache cache{disks, DmaOptions{.multi_evict = true}};
+  DmaCache cache{disks};
   cache.on_request(VideoId{1}, MegaBytes{50.0});
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(cache.on_request(VideoId{9}, MegaBytes{500.0}),
@@ -241,8 +223,7 @@ TEST_P(DmaRandomProperty, CapacityNeverExceededAndPointsMonotonic) {
   storage::DiskArray disks{4, profile(100.0), MegaBytes{10.0}};
   DmaCache cache{disks,
                  DmaOptions{.admission_threshold =
-                                static_cast<std::uint64_t>(GetParam() % 3),
-                            .multi_evict = (GetParam() % 2) == 0}};
+                                static_cast<std::uint64_t>(GetParam() % 3)}};
   std::vector<MegaBytes> sizes;
   for (int v = 0; v < 20; ++v) {
     sizes.push_back(MegaBytes{rng.uniform(10.0, 120.0)});
@@ -298,14 +279,13 @@ class DmaIndexDifferential : public ::testing::TestWithParam<int> {};
 TEST_P(DmaIndexDifferential, LeastPopularMatchesScanAfterEveryStep) {
   const int seed = GetParam();
   Rng rng{static_cast<std::uint64_t>(seed) + 1000};
-  // Seeds cross admission_threshold {0,1,2} x multi_evict x striping mode.
-  const auto mode = (seed / 6) % 2 == 1 ? storage::StripingMode::kParity
+  // Seeds cross admission_threshold {0,1,2} x striping mode.
+  const auto mode = (seed / 3) % 2 == 1 ? storage::StripingMode::kParity
                                         : storage::StripingMode::kPlain;
   storage::DiskArray disks{4, profile(100.0), MegaBytes{10.0}, mode};
   DmaCache cache{disks,
                  DmaOptions{.admission_threshold =
-                                static_cast<std::uint64_t>(seed % 3),
-                            .multi_evict = (seed / 3) % 2 == 1}};
+                                static_cast<std::uint64_t>(seed % 3)}};
   std::vector<MegaBytes> sizes;
   for (int v = 0; v < 24; ++v) {
     sizes.push_back(MegaBytes{rng.uniform(10.0, 90.0)});

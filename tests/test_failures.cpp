@@ -259,7 +259,6 @@ TEST(StallWatchdog, ExhaustedRetriesFailTheSession) {
 
   stream::SessionOptions options;
   options.stall_timeout_seconds = 10.0;
-  options.max_retries = 2;
   const db::VideoInfo video{VideoId{0}, "v", MegaBytes{40.0}, Mbps{2.0}};
   stream::Session session{sim,  transfers, policy, video,
                           client, MegaBytes{10.0}, options};
@@ -270,7 +269,11 @@ TEST(StallWatchdog, ExhaustedRetriesFailTheSession) {
   const stream::SessionMetrics& m = session.metrics();
   EXPECT_TRUE(m.failed);
   EXPECT_EQ(m.failure_reason, "cluster stalled beyond retry budget");
-  EXPECT_EQ(m.stall_retries, 3);  // the failing attempt counts
+  // The failing attempt counts.
+  EXPECT_EQ(m.stall_retries, stream::kMaxClusterStallRetries + 1);
+  ASSERT_TRUE(m.download_completed_at.has_value());
+  EXPECT_NEAR(m.download_completed_at->seconds(),
+              10.0 * (stream::kMaxClusterStallRetries + 1), 1e-9);
   EXPECT_EQ(transfers.active_count(), 0u);
 }
 
@@ -341,9 +344,10 @@ TEST(StallWatchdog, AutoTimeoutFailsDeadSourceExplicitly) {
 }
 
 TEST(StallWatchdog, PerClusterBudgetSurvivesRepeatedTransientStalls) {
-  // Two independent transient outages, each recovered after one retry: a
-  // per-cluster budget of 1 tolerates both (a session-wide budget of 1
-  // would have failed on the second).
+  // Two independent transient outages, each costing its cluster three
+  // retries: six stalls in all, more than the per-cluster budget, yet the
+  // session finishes (one shared budget of kMaxClusterStallRetries would
+  // have failed it on the sixth).
   net::Topology topo;
   const NodeId client = topo.add_node("client");
   const NodeId server = topo.add_node("server");
@@ -356,56 +360,95 @@ TEST(StallWatchdog, PerClusterBudgetSurvivesRepeatedTransientStalls) {
 
   stream::SessionOptions options;
   options.stall_timeout_seconds = 10.0;
-  options.max_retries = 1;
   const db::VideoInfo video{VideoId{0}, "v", MegaBytes{40.0}, Mbps{2.0}};
   stream::Session session{sim,  transfers, policy, video,
                           client, MegaBytes{10.0}, options};
   session.start();
-  // Outage 1 hits cluster 0; outage 2 hits cluster 2.
+  // Outage 1 hits cluster 0 (retries at 10, 20, 30; done at 45); outage 2
+  // hits cluster 2, which starts at 55 (retries at 65, 75, 85).
   sim.schedule_at(SimTime{5.0},
                   [&](SimTime) { network.set_link_up(link, false); });
-  sim.schedule_at(SimTime{15.0},
+  sim.schedule_at(SimTime{35.0},
                   [&](SimTime) { network.set_link_up(link, true); });
-  sim.schedule_at(SimTime{38.0},
+  sim.schedule_at(SimTime{58.0},
                   [&](SimTime) { network.set_link_up(link, false); });
-  sim.schedule_at(SimTime{50.0},
+  sim.schedule_at(SimTime{90.0},
                   [&](SimTime) { network.set_link_up(link, true); });
   sim.run_until(SimTime{500.0});
 
   const stream::SessionMetrics& m = session.metrics();
   EXPECT_TRUE(m.finished);
   EXPECT_FALSE(m.failed);
-  EXPECT_EQ(m.stall_retries, 2);
+  EXPECT_EQ(m.stall_retries, 6);
+  EXPECT_GT(m.stall_retries, stream::kMaxClusterStallRetries);
 }
 
 TEST(StallWatchdog, TotalBudgetStillCapsDeadTitles) {
-  // A huge per-cluster budget must not let a genuinely dead title retry
-  // forever: the session-wide cap fails it with its own reason.
+  // Every cluster's first three sources are dead, the fourth delivers: each
+  // cluster recovers well within its own budget, but a long title piles up
+  // more stalls than the session-wide cap allows, and the cap fails it with
+  // its own reason.
   net::Topology topo;
   const NodeId client = topo.add_node("client");
-  const NodeId server = topo.add_node("server");
-  const LinkId link = topo.add_link(client, server, Mbps{8.0});
+  const NodeId dead = topo.add_node("dead");
+  const NodeId live = topo.add_node("live");
+  const LinkId dead_link = topo.add_link(client, dead, Mbps{8.0});
+  const LinkId live_link = topo.add_link(client, live, Mbps{8.0});
   net::NoTraffic traffic;
   net::FluidNetwork network{topo, traffic};
   sim::Simulation sim;
   net::TransferManager transfers{sim, network};
-  SingleRoutePolicy policy{client, server, link};
+  network.set_link_up(dead_link, false);
+
+  constexpr int kDeadAttempts = 3;
+  static_assert(kDeadAttempts <= stream::kMaxClusterStallRetries);
+  class FlakyPolicy final : public stream::ServerSelectionPolicy {
+   public:
+    FlakyPolicy(NodeId client, NodeId dead, NodeId live, LinkId dead_link,
+                LinkId live_link)
+        : client_(client), dead_(dead), live_(live), dead_link_(dead_link),
+          live_link_(live_link) {}
+    std::optional<stream::Selection> select(NodeId, VideoId) override {
+      return std::nullopt;
+    }
+    std::optional<stream::Selection> select_cluster(
+        NodeId, VideoId, std::size_t cluster) override {
+      if (cluster != cluster_) {
+        cluster_ = cluster;
+        attempts_ = 0;
+      }
+      if (++attempts_ <= kDeadAttempts) {
+        return stream::Selection{
+            dead_, routing::Path{{client_, dead_}, {dead_link_}, 1.0}};
+      }
+      return stream::Selection{
+          live_, routing::Path{{client_, live_}, {live_link_}, 1.0}};
+    }
+    const char* name() const override { return "flaky"; }
+
+   private:
+    NodeId client_, dead_, live_;
+    LinkId dead_link_, live_link_;
+    std::size_t cluster_ = 0;
+    int attempts_ = 0;
+  } policy{client, dead, live, dead_link, live_link};
 
   stream::SessionOptions options;
   options.stall_timeout_seconds = 10.0;
-  options.max_retries = 100;
-  options.max_total_retries = 3;
-  const db::VideoInfo video{VideoId{0}, "v", MegaBytes{40.0}, Mbps{2.0}};
+  // 12 clusters x 3 stalls = 36 > 25: the budget runs out in cluster 8.
+  const db::VideoInfo video{VideoId{0}, "v", MegaBytes{120.0}, Mbps{2.0}};
   stream::Session session{sim,  transfers, policy, video,
                           client, MegaBytes{10.0}, options};
-  network.set_link_up(link, false);
   session.start();
-  sim.run_until(SimTime{500.0});
+  sim.run_until(from_hours(1.0));
 
   const stream::SessionMetrics& m = session.metrics();
   EXPECT_TRUE(m.failed);
   EXPECT_EQ(m.failure_reason, "session stalled beyond total retry budget");
-  EXPECT_EQ(m.stall_retries, 4);
+  EXPECT_EQ(m.stall_retries, stream::kMaxSessionStallRetries + 1);
+  EXPECT_EQ(m.cluster_completed.size(),
+            static_cast<std::size_t>(stream::kMaxSessionStallRetries /
+                                     kDeadAttempts));
 }
 
 TEST(StallWatchdog, SlowButAliveTransferIsNotAborted) {

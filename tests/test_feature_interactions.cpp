@@ -118,7 +118,6 @@ TEST(Interactions, CoalescedJoinersShareFailureOutcomes) {
   test::GrnetSetup setup;
   setup.options.coalesce_window_seconds = 600.0;
   setup.options.session.stall_timeout_seconds = 60.0;
-  setup.options.session.max_retries = 1;
   test::GrnetService fx{setup};
   int done_calls = 0;
   bool joiner_saw_failure = false;

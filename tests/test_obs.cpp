@@ -310,37 +310,25 @@ TEST(Series, HistogramsContributeCountAndSumSeries) {
   EXPECT_EQ(recorder.series().count("d"), 0u);
 }
 
-TEST(Series, IncludePrefixesFilterMetrics) {
-  MetricsRegistry registry;
-  registry.counter("keep.a").inc();
-  registry.counter("drop.b").inc();
-  SeriesOptions options;
-  options.include = {"keep."};
-  TimeSeriesRecorder recorder{options};
-  recorder.bind_registry(&registry);
-  recorder.sample(SimTime{0.0});
-  EXPECT_EQ(recorder.series().count("keep.a"), 1u);
-  EXPECT_EQ(recorder.series().count("drop.b"), 0u);
-}
-
 TEST(Series, BoundedRingEvictsOldestPoints) {
   MetricsRegistry registry;
   Counter& c = registry.counter("c");
   SeriesOptions options;
-  options.capacity = 2;
+  options.cadence = Duration{1.0};
   TimeSeriesRecorder recorder{options};
   recorder.bind_registry(&registry);
-  for (int t = 0; t < 3; ++t) {
-    c.inc();
-    recorder.sample(SimTime{30.0 * t});
-  }
+  // Ticks 0..4100 s: 4101 samples, the five oldest evicted.
+  c.inc();
+  recorder.on_instant(SimTime{4100.0});
   const Series& series = recorder.series().at("c");
-  EXPECT_EQ(series.size(), 2u);
-  EXPECT_EQ(series.evicted(), 1u);
+  EXPECT_EQ(series.size(), kSeriesCapacity);
+  EXPECT_EQ(series.evicted(), 4101u - kSeriesCapacity);
   std::vector<double> kept;
   series.for_each_point(
       [&kept](const SeriesPoint& p) { kept.push_back(p.at.seconds()); });
-  EXPECT_EQ(kept, (std::vector<double>{30.0, 60.0}));
+  EXPECT_EQ(kept.front(), 4101.0 - static_cast<double>(kSeriesCapacity));
+  EXPECT_EQ(kept.back(), 4100.0);
+  EXPECT_TRUE(std::is_sorted(kept.begin(), kept.end()));
 }
 
 TEST(Series, PumpFiresEveryTickUpToTheInstant) {
@@ -608,7 +596,6 @@ TEST(FlightSink, InstallWiresRingAsEffectiveTraceSink) {
 TEST(Flight, TriggerDumpsDeterministicBlackBoxes) {
   FlightOptions options;
   options.ring_capacity = 8;
-  options.max_dumps = 2;
   options.min_gap = Duration{60.0};  // memory-only: no dump_path_prefix
   FlightRecorder flight{options};
   MetricsRegistry registry;
@@ -627,12 +614,16 @@ TEST(Flight, TriggerDumpsDeterministicBlackBoxes) {
   EXPECT_FALSE(flight.trigger("too-soon"));  // inside min_gap
   now = 100.0;
   EXPECT_TRUE(flight.trigger("preemption"));
-  now = 200.0;
-  EXPECT_FALSE(flight.trigger("over-budget"));  // max_dumps reached
+  for (std::size_t seq = 2; seq < kMaxFlightDumps; ++seq) {
+    now += 100.0;
+    EXPECT_TRUE(flight.trigger("storm"));
+  }
+  now += 100.0;
+  EXPECT_FALSE(flight.trigger("over-budget"));  // kMaxFlightDumps reached
 
-  EXPECT_EQ(flight.dump_count(), 2u);
+  EXPECT_EQ(flight.dump_count(), kMaxFlightDumps);
   EXPECT_EQ(flight.suppressed_count(), 2u);
-  ASSERT_EQ(flight.dumps().size(), 2u);
+  ASSERT_EQ(flight.dumps().size(), kMaxFlightDumps);
   EXPECT_EQ(flight.dumps()[0].first, "fault.link-cut");
   EXPECT_EQ(flight.dumps()[1].first, "preemption");
 

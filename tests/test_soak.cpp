@@ -56,7 +56,6 @@ std::string run_soak(std::uint64_t seed, int days) {
   options.snmp_interval_seconds = 90.0;
   options.vra_switch_hysteresis = 0.5;
   options.session.stall_timeout_seconds = 600.0;
-  options.session.max_retries = 4;
   options.dma.admission_threshold = 2;
   service::VodService service{sim, scenario.topo, network, options, kAdmin};
 
