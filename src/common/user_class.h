@@ -17,6 +17,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace vod {
 
@@ -68,6 +69,30 @@ inline constexpr std::array<ClassPolicy, kUserClassCount> kClassPolicies{{
 [[nodiscard]] constexpr const ClassPolicy& class_policy(UserClass cls) {
   return kClassPolicies[class_index(cls)];
 }
+
+/// The service and its sessions use the table unchecked, so a bad edit
+/// must not compile: every entry is usable as is (finite positive
+/// headroom, weight >= 1, positive patience), and a lower class demands
+/// more slack and gets less weight and patience than the class above it.
+[[nodiscard]] constexpr bool class_policies_valid() {
+  for (std::size_t c = 0; c < kUserClassCount; ++c) {
+    const ClassPolicy& p = kClassPolicies[c];
+    if (!(p.admission_headroom > 0.0 &&
+          p.admission_headroom <= std::numeric_limits<double>::max()) ||
+        p.flow_weight < 1 || !(p.stall_timeout_scale > 0.0)) {
+      return false;
+    }
+    if (c == 0) continue;
+    const ClassPolicy& above = kClassPolicies[c - 1];
+    if (!(p.admission_headroom > above.admission_headroom) ||
+        !(p.flow_weight < above.flow_weight) ||
+        !(p.stall_timeout_scale < above.stall_timeout_scale)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(class_policies_valid());
 
 [[nodiscard]] constexpr const char* to_string(UserClass cls) {
   switch (cls) {

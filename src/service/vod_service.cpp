@@ -305,13 +305,10 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
     retire_session(id, session);
     if (done) done(session);
   };
-  stream::SessionOptions session_options = options_.session;
-  session_options.user_class =
-      options_.qos.enabled ? std::optional{cls} : std::nullopt;
-  ObjectPool<stream::Session>::Ptr session =
-      session_pool_.make(sim_, transfers_, *policy_, info, home,
-                         options_.cluster_size, session_options,
-                         std::move(observed));
+  ObjectPool<stream::Session>::Ptr session = session_pool_.make(
+      sim_, transfers_, *policy_, info, home, options_.cluster_size,
+      options_.session, std::move(observed),
+      options_.qos.enabled ? std::optional{cls} : std::nullopt);
   stream::Session& ref = *session;
   ref.set_trace_id(id.value());
   sessions_.insert(id, std::move(session));

@@ -231,9 +231,10 @@ class VodService {
   /// path that is merely saturated rather than severed, the planner ranks
   /// strictly lower-class victims (class-descending, youngest-first,
   /// deterministic) and aborts just enough of them, by their current
-  /// delivered rates, to cover every short link's deficit.  Victims re-enter through the service-retry
-  /// chain at their own class (their remaining budget permitting).  With
-  /// qos.enabled == false the class argument changes nothing.
+  /// delivered rates, to cover every short link's deficit.  Victims
+  /// re-enter through the service-retry chain at their own class (their
+  /// remaining budget permitting).  With qos.enabled == false the class
+  /// argument changes nothing.
   AdmissionOutcome request_classed(NodeId home, VideoId video,
                                    UserClass cls = UserClass::kStandard,
                                    double headroom = 1.0,

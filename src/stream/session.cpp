@@ -26,14 +26,15 @@ void trace_session(const obs::Context& context, const char* name,
 Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
                  ServerSelectionPolicy& policy, db::VideoInfo video,
                  NodeId home, MegaBytes cluster_size, SessionOptions options,
-                 DoneCallback on_done)
+                 DoneCallback on_done, std::optional<UserClass> user_class)
     : sim_(sim),
       transfers_(transfers),
       policy_(policy),
       video_(std::move(video)),
       home_(home),
       options_(options),
-      on_done_(std::move(on_done)) {
+      on_done_(std::move(on_done)),
+      user_class_(user_class) {
   require(home.valid(), "Session: invalid home node");
   require(!(cluster_size.value() <= 0.0),
       "Session: cluster size must be positive");
@@ -50,8 +51,8 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
   }
   // Class weight and patience; a classless session keeps weight 1 and the
   // unscaled timeout (scaling infinity keeps the watchdog disabled).
-  if (options_.user_class) {
-    const ClassPolicy& policy = class_policy(*options_.user_class);
+  if (user_class_) {
+    const ClassPolicy& policy = class_policy(*user_class_);
     flow_weight_ = policy.flow_weight;
     stall_timeout_ *= policy.stall_timeout_scale;
   }

@@ -63,11 +63,6 @@ struct SessionOptions {
   /// cluster size and kFlowCap; infinity disables the watchdog (the
   /// paper-exact configuration).
   double stall_timeout_seconds = kAutoStallTimeout;
-  /// Service tier this session streams at: its class_policy() sets the
-  /// weight of its transfers in the fluid network's weighted max-min fill
-  /// and scales the resolved stall timeout.  nullopt is the classless
-  /// paper session (weight 1, unscaled timeout), reported as kStandard.
-  std::optional<UserClass> user_class;
 };
 
 /// Everything measured about one session.
@@ -134,11 +129,16 @@ class Session {
   using DoneCallback = std::function<void(const Session&)>;
 
   /// References must outlive the session.  `cluster_size` is the striping
-  /// unit c; `video` comes from the catalog.
+  /// unit c; `video` comes from the catalog.  `user_class` is the service
+  /// tier the session streams at: its class_policy() sets the weight of its
+  /// transfers in the fluid network's weighted max-min fill and scales the
+  /// resolved stall timeout.  nullopt is the classless paper session
+  /// (weight 1, unscaled timeout), reported as kStandard.
   Session(sim::Simulation& sim, net::TransferManager& transfers,
           ServerSelectionPolicy& policy, db::VideoInfo video, NodeId home,
           MegaBytes cluster_size, SessionOptions options = {},
-          DoneCallback on_done = {});
+          DoneCallback on_done = {},
+          std::optional<UserClass> user_class = std::nullopt);
   ~Session();
 
   Session(const Session&) = delete;
@@ -213,7 +213,7 @@ class Session {
   [[nodiscard]] const SessionMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const db::VideoInfo& video() const { return video_; }
   [[nodiscard]] UserClass user_class() const {
-    return options_.user_class.value_or(UserClass::kStandard);
+    return user_class_.value_or(UserClass::kStandard);
   }
   [[nodiscard]] NodeId home() const { return home_; }
   [[nodiscard]] std::size_t cluster_count() const {
@@ -242,6 +242,7 @@ class Session {
   NodeId home_;
   SessionOptions options_;
   DoneCallback on_done_;
+  std::optional<UserClass> user_class_;
 
   /// Wall time after consuming `content` of video starting at wall time
   /// `from`, accounting for the recorded pause intervals.
