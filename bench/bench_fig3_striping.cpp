@@ -66,7 +66,7 @@ int main() {
       }
       // Sequential read of the whole title from one disk vs all disks
       // reading their strips in parallel (seek per strip).
-      const storage::Disk one{DiskId{0}, profile};
+      const storage::Disk one{profile};
       const double single = one.read_seconds(MegaBytes{video_mb});
       double striped = 0.0;
       for (std::size_t d = 0; d < disks; ++d) {

@@ -74,7 +74,7 @@ RunResult run_case(bool tiered, int request_count, double horizon,
     options.qos.enabled = true;
     // Defaults plus: background failures are absorbed shed (no retries) —
     // its budget is the storm's pressure-relief valve.
-    options.qos.retry_limit[class_index(UserClass::kBackground)] = 0;
+    options.qos.background_retry_limit = 0;
   }
   service::VodService service{sim, g.topology, network, options,
                               bench::kAdmin};

@@ -37,7 +37,7 @@ int main() {
   options.failover.retry_limit = 2;
   options.failover.retry_backoff_seconds = 60.0;
   options.qos.enabled = true;  // the whole point of this demo
-  options.qos.retry_limit[class_index(UserClass::kBackground)] = 0;
+  options.qos.background_retry_limit = 0;
   service::VodService service{sim, g.topology, network, options,
                               db::AdminCredential{"qos-admin"}};
 

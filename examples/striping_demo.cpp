@@ -3,6 +3,7 @@
 //
 // Build & run:  ./build/examples/striping_demo
 #include <iostream>
+#include <vector>
 
 #include "dma/dma_cache.h"
 #include "storage/disk_array.h"
@@ -12,11 +13,19 @@ using namespace vod;
 namespace {
 
 void show_array(const storage::DiskArray& array) {
+  // Strips per disk, counted from the array's placements (data and parity
+  // clusters alike).
+  std::vector<std::size_t> strips(array.disk_count(), 0);
+  for (const VideoId video : array.stored_videos()) {
+    const storage::StripePlacement& placement = array.placement(video);
+    for (const std::size_t slot : placement.part_to_disk) ++strips[slot];
+    for (const std::size_t slot : placement.parity_to_disk) ++strips[slot];
+  }
   for (std::size_t slot = 0; slot < array.disk_count(); ++slot) {
     const storage::Disk& disk = array.disk(slot);
     std::cout << "  disk " << (slot + 1) << ": " << disk.used().value()
               << "/" << disk.capacity().value() << " MB used ("
-              << disk.stored_part_count() << " strips)\n";
+              << strips[slot] << " strips)\n";
   }
 }
 
@@ -55,7 +64,7 @@ int main() {
     cache.on_request(VideoId{v}, MegaBytes{750.0});
   }
   std::cout << "cached now: ";
-  for (const VideoId video : cache.cached_videos()) {
+  for (const VideoId video : array.stored_videos()) {
     std::cout << video << " ";
   }
   std::cout << "\n";

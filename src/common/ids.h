@@ -1,6 +1,6 @@
 // Strong identifier types shared across the library.
 //
-// Every entity in the system (network node, link, video title, disk, ...)
+// Every entity in the system (network node, link, video title, session, ...)
 // is referred to by a small integer handle.  Using a distinct C++ type per
 // entity kind turns "passed a link id where a node id was expected" into a
 // compile error instead of a silent wrong answer.
@@ -46,7 +46,6 @@ class TaggedId {
 struct NodeTag {};
 struct LinkTag {};
 struct VideoTag {};
-struct DiskTag {};
 struct SessionTag {};
 struct ClientTag {};
 struct FlowTag {};
@@ -58,8 +57,6 @@ using NodeId = TaggedId<NodeTag>;
 using LinkId = TaggedId<LinkTag>;
 /// A video title in the catalog.
 using VideoId = TaggedId<VideoTag>;
-/// A physical disk within a server's disk array.
-using DiskId = TaggedId<DiskTag>;
 /// A client streaming session.
 using SessionId = TaggedId<SessionTag>;
 /// A client endpoint (identified to the service by its IP address).

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/id_vector.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/units.h"
@@ -89,18 +89,22 @@ class Database {
     return links_changed_epoch_ = ++change_epoch_;
   }
 
+  /// A title and its holders in ascending node order: the one record of
+  /// which servers hold it.
+  struct Title {
+    VideoInfo info;
+    std::vector<NodeId> holders;
+  };
+
   AdminCredential admin_;
-  std::map<VideoId, VideoInfo> videos_;
-  /// Inverse of ServerRecord::titles: slot v lists the holders of video v
-  /// in ascending node order.  Dense (ids are issued 0, 1, 2, ...); slot v
-  /// is created by register_video and written only by add_title and
-  /// remove_title, in the branch that bumps the epoch.
-  std::vector<std::vector<NodeId>> holders_;
+  /// Slot v is video v (ids are issued 0, 1, 2, ...).  `holders` is
+  /// written only by add_title and remove_title, in the branch that bumps
+  /// the epoch.
+  std::vector<Title> titles_;
   /// What servers_with_title returns for an id the catalog never issued.
   std::vector<NodeId> no_holders_;
-  std::map<NodeId, ServerRecord> servers_;
-  std::map<LinkId, LinkRecord> links_;
-  VideoId::underlying_type next_video_ = 0;
+  IdVector<NodeId, ServerRecord> servers_;
+  IdVector<LinkId, LinkRecord> links_;
   std::uint64_t change_epoch_ = 0;
   std::uint64_t links_changed_epoch_ = 0;
 };
@@ -112,7 +116,7 @@ class FullAccessView {
   [[nodiscard]] std::optional<VideoInfo> video(VideoId id) const;
   /// True when `id` is in the catalog (no VideoInfo copy).
   [[nodiscard]] bool has_video(VideoId id) const {
-    return id.value() < db_->holders_.size();
+    return id.value() < db_->titles_.size();
   }
   [[nodiscard]] std::optional<VideoInfo> find_by_title(
       const std::string& title) const;
@@ -128,7 +132,7 @@ class FullAccessView {
       const std::string& needle) const;
 
   [[nodiscard]] std::size_t video_count() const {
-    return db_->videos_.size();
+    return db_->titles_.size();
   }
 
  private:
@@ -147,12 +151,9 @@ class LimitedAccessView {
   /// poll detects a failure, or by an administrator).
   void set_link_online(LinkId link, bool online);
   [[nodiscard]] const LinkRecord& link(LinkId link) const;
-  [[nodiscard]] std::vector<LinkRecord> links() const;
 
   // --- server configuration and placement ---
   [[nodiscard]] const ServerRecord& server(NodeId node) const;
-  [[nodiscard]] std::vector<ServerRecord> servers() const;
-  void set_server_config(NodeId node, ServerConfig config);
   void set_server_online(NodeId node, bool online);
   /// Records that `node` now holds (or no longer holds) a copy of `video`;
   /// these are the writes the DMA performs when it caches or evicts.

@@ -1,12 +1,11 @@
 // Record types stored in the service database.
 //
-// The paper's database holds one entry per server and per link, each split
-// into a full-access part (what any user may see: the title catalog) and a
-// limited-access part (network/configuration state only administrators and
-// the VRA may read).  These structs are those entries.
+// The paper's database holds one entry per title, per server and per link.
+// Titles are the full-access part (what any user may see: the catalog);
+// server and link entries are the limited-access part (network and
+// configuration state only administrators and the VRA may read).
 #pragma once
 
-#include <set>
 #include <string>
 
 #include "common/ids.h"
@@ -33,16 +32,13 @@ struct ServerConfig {
 
 /// One server's database entry.
 struct ServerRecord {
-  NodeId id;
   std::string name;
-  std::set<VideoId> titles;  // full-access: titles this server can provide
-  ServerConfig config;       // limited-access
-  bool online = true;        // limited-access: can it serve right now?
+  ServerConfig config;  // limited-access
+  bool online = true;   // limited-access: can it serve right now?
 };
 
 /// One link's database entry.
 struct LinkRecord {
-  LinkId id;
   std::string name;
   Mbps total_bandwidth;          // limited-access, admin-entered (eq. 2 LBW)
   Mbps used_bandwidth;           // limited-access, SNMP-entered (eq. 2 UBW)

@@ -73,9 +73,6 @@ class DmaCache {
   [[nodiscard]] bool cached(VideoId video) const {
     return disks_.holds(video);
   }
-  [[nodiscard]] std::vector<VideoId> cached_videos() const {
-    return disks_.stored_videos();
-  }
 
   /// The cached title with the fewest points (ties broken toward the
   /// lowest video id, deterministically); nullopt when nothing is cached.

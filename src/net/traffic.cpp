@@ -12,36 +12,42 @@ namespace vod::net {
 
 namespace {
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+/// The link's entry, default-constructed on first use (an invalid link
+/// throws std::invalid_argument).
+template <typename T>
+T& entry(IdVector<LinkId, T>& table, LinkId link) {
+  T* found = table.find(link);
+  return found != nullptr ? *found : table.insert(link, T{});
 }
+}  // namespace
 
 SimTime TrafficModel::next_change_after(SimTime) const {
   return SimTime{kInfinity};
 }
 
 void ConstantTraffic::set_load(LinkId link, Mbps load) {
-  require(link.valid(), "ConstantTraffic: invalid link");
   require(!(load.value() < 0.0), "ConstantTraffic: negative load");
-  loads_[link] = load;
+  entry(loads_, link) = load;
 }
 
 Mbps ConstantTraffic::background_load(LinkId link, SimTime) const {
-  const auto it = loads_.find(link);
-  return it == loads_.end() ? Mbps{0.0} : it->second;
+  const Mbps* load = loads_.find(link);
+  return load == nullptr ? Mbps{0.0} : *load;
 }
 
 void TraceTraffic::add_sample(LinkId link, SimTime t, Mbps load) {
-  require(link.valid(), "TraceTraffic: invalid link");
   require(!(load.value() < 0.0), "TraceTraffic: negative load");
-  auto& series = samples_[link];
+  auto& series = entry(samples_, link);
   require(!(!series.empty() && !(series.back().first < t)),
       "TraceTraffic: samples must be strictly increasing in time");
   series.emplace_back(t, load);
 }
 
 Mbps TraceTraffic::background_load(LinkId link, SimTime t) const {
-  const auto it = samples_.find(link);
-  if (it == samples_.end() || it->second.empty()) return Mbps{0.0};
-  const auto& series = it->second;
+  const auto* found = samples_.find(link);
+  if (found == nullptr || found->empty()) return Mbps{0.0};
+  const auto& series = *found;
   // Step interpolation: value of the latest sample at or before t; before
   // the first sample the load is the first sample's value (the trace is a
   // day-long snapshot, not a ramp from zero).
@@ -54,14 +60,14 @@ Mbps TraceTraffic::background_load(LinkId link, SimTime t) const {
 
 SimTime TraceTraffic::next_change_after(SimTime t) const {
   double best = kInfinity;
-  for (const auto& [link, series] : samples_) {
+  samples_.for_each([&](LinkId, const auto& series) {
     auto after = std::upper_bound(
         series.begin(), series.end(), t,
         [](SimTime time, const auto& sample) { return time < sample.first; });
     if (after != series.end()) {
       best = std::min(best, after->first.seconds());
     }
-  }
+  });
   return SimTime{best};
 }
 
@@ -95,13 +101,13 @@ DiurnalTraffic::DiurnalTraffic(double peak_hour) : peak_hour_(peak_hour) {
 }
 
 void DiurnalTraffic::set_shape(LinkId link, LinkShape shape) {
-  require(link.valid(), "DiurnalTraffic: invalid link");
   require(!(shape.capacity.value() <= 0.0),
       "DiurnalTraffic: capacity must be positive");
   require(
       !(shape.base_fraction < 0.0 || shape.peak_fraction > 1.0 || shape.base_fraction > shape.peak_fraction),
       "DiurnalTraffic: need 0 <= base <= peak <= 1");
-  shapes_[link] = shape;
+  entry(shapes_, link) = shape;
+  any_shape_ = true;
 }
 
 double DiurnalTraffic::step_start(SimTime t) {
@@ -109,9 +115,9 @@ double DiurnalTraffic::step_start(SimTime t) {
 }
 
 Mbps DiurnalTraffic::background_load(LinkId link, SimTime t) const {
-  const auto it = shapes_.find(link);
-  if (it == shapes_.end()) return Mbps{0.0};
-  const LinkShape& shape = it->second;
+  const LinkShape* found = shapes_.find(link);
+  if (found == nullptr) return Mbps{0.0};
+  const LinkShape& shape = *found;
   // The curve is sampled at the start of t's step and held to its end.
   const double hour = std::fmod(step_start(t) / 3600.0, 24.0);
   // Raised cosine, maximal at peak_hour_.
@@ -125,7 +131,7 @@ Mbps DiurnalTraffic::background_load(LinkId link, SimTime t) const {
 }
 
 SimTime DiurnalTraffic::next_change_after(SimTime t) const {
-  if (shapes_.empty()) return SimTime{kInfinity};
+  if (!any_shape_) return SimTime{kInfinity};
   return SimTime{step_start(t) + kStepSeconds};
 }
 

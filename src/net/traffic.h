@@ -7,9 +7,10 @@
 // paper's testbed could not run.
 #pragma once
 
-#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/id_vector.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/units.h"
@@ -52,7 +53,7 @@ class ConstantTraffic final : public TrafficModel {
   [[nodiscard]] Mbps background_load(LinkId link, SimTime t) const override;
 
  private:
-  std::map<LinkId, Mbps> loads_;
+  IdVector<LinkId, Mbps> loads_;
 };
 
 /// Trace-driven load: per-link (time, load) samples with step interpolation
@@ -68,7 +69,7 @@ class TraceTraffic final : public TrafficModel {
   [[nodiscard]] SimTime next_change_after(SimTime t) const override;
 
  private:
-  std::map<LinkId, std::vector<std::pair<SimTime, Mbps>>> samples_;
+  IdVector<LinkId, std::vector<std::pair<SimTime, Mbps>>> samples_;
 };
 
 /// Repeats another model with a fixed period: time t is mapped to
@@ -117,7 +118,8 @@ class DiurnalTraffic final : public TrafficModel {
   [[nodiscard]] static double step_start(SimTime t);
 
   double peak_hour_;
-  std::map<LinkId, LinkShape> shapes_;
+  IdVector<LinkId, LinkShape> shapes_;
+  bool any_shape_ = false;
 };
 
 }  // namespace vod::net

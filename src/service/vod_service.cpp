@@ -1,8 +1,9 @@
 #include "service/vod_service.h"
 
 #include <algorithm>
-
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/contract.h"
@@ -64,12 +65,12 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
     snap.set_gauge("service.active_sessions",
                    static_cast<double>(active_sessions_));
     std::uint64_t hits = 0, stores = 0, evictions = 0, requests = 0;
-    for (const auto& [node, state] : servers_) {
+    servers_.for_each([&](NodeId, const ServerState& state) {
       hits += state.cache->hit_count();
       stores += state.cache->store_count();
       evictions += state.cache->eviction_count();
       requests += state.cache->request_count();
-    }
+    });
     snap.set_counter("dma.hits", hits);
     snap.set_counter("dma.stores", stores);
     snap.set_counter("dma.evictions", evictions);
@@ -112,8 +113,8 @@ void VodService::register_topology() {
     state.disks = std::make_unique<storage::DiskArray>(
         setup.disk_count, setup.disk_profile, options_.cluster_size,
         setup.striping);
-    // DMA admissions/evictions mirror into the server's title list so the
-    // VRA (which reads the database) sees them.
+    // DMA admissions/evictions mirror into the titles' holder lists so
+    // the VRA (which reads the database) sees them.
     dma::DmaCallbacks callbacks;
     callbacks.on_admit = [node, view_factory](VideoId video) {
       view_factory().add_title(node, video);
@@ -124,7 +125,7 @@ void VodService::register_topology() {
     state.cache = std::make_unique<dma::DmaCache>(
         *state.disks, options_.dma, std::move(callbacks));
     state.cache->set_obs(&sim_.obs(), node.value());
-    servers_.emplace(node, std::move(state));
+    servers_.insert(node, std::move(state));
   }
   for (const net::LinkInfo& info : topology_.links()) {
     db_.register_link(info.id, info.name, info.capacity);
@@ -139,7 +140,7 @@ VideoId VodService::add_video(std::string title, MegaBytes size,
 void VodService::place_initial_copy(NodeId server, VideoId video) {
   const auto info = db_.full_view().video(video);
   require(info, "place_initial_copy: unknown video");
-  dma::DmaCache& cache = *servers_.at(server).cache;
+  dma::DmaCache& cache = dma_cache(server);
   if (cache.cached(video)) return;  // already there
   require(cache.place(video, info->size),
       "place_initial_copy: disks cannot tolerate the video");
@@ -173,9 +174,9 @@ std::vector<std::pair<db::VideoInfo, std::uint64_t>> VodService::top_titles(
   for (const db::VideoInfo& info : infos) {
     // Integer sums, so accumulation order cannot change the ranking.
     std::uint64_t demand = 0;
-    for (const auto& [node, state] : servers_) {
+    servers_.for_each([&](NodeId, const ServerState& state) {
       demand += state.cache->points(info.id);
-    }
+    });
     ranked.emplace_back(info, demand);
   }
   std::sort(ranked.begin(), ranked.end(),
@@ -217,7 +218,7 @@ SessionId VodService::request_at_impl(NodeId home, const db::VideoInfo& info,
 
   // DMA accounting at the home server: the request counts toward the
   // title's popularity there and may admit (or not) a local copy.
-  servers_.at(home).cache->on_request(info.id, info.size);
+  dma_cache(home).on_request(info.id, info.size);
 
   // Coalescing: join a still-active stream of the same title to the same
   // home if it started recently enough (the joiner shares the multicast
@@ -289,12 +290,12 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
     }
     stall_hist_.observe(m.rebuffer_seconds);
     if (options_.qos.enabled) {
-      ++qos_counter(cls, m.failed ? "failed" : "finished");
-      qos_histogram(cls, "stall_seconds", {1, 5, 15, 60, 300, 900})
+      ++qos_counter(cls,
+                    m.failed ? QosCount::kFailed : QosCount::kFinished);
+      qos_histogram(cls, QosHistogram::kStallSeconds)
           .observe(m.rebuffer_seconds);
       for (const double latency : m.failover_latencies) {
-        qos_histogram(cls, "failover_latency_seconds",
-                      {0.1, 0.5, 1, 5, 15, 60})
+        qos_histogram(cls, QosHistogram::kFailoverLatencySeconds)
             .observe(latency);
       }
     }
@@ -378,13 +379,13 @@ VodService::AdmissionOutcome VodService::request_classed(
   require(valid_headroom(headroom),
       "request_classed: headroom must be finite and positive");
   const bool qos = options_.qos.enabled;
-  if (qos) ++qos_counter(cls, "requests");
+  if (qos) ++qos_counter(cls, QosCount::kRequests);
 
   const auto decision = vra_->select_server(home, video);
   if (!decision) {
     // The DMA still counts the demand even when nothing can serve it.
-    servers_.at(home).cache->on_request(video, info->size);
-    if (qos) ++qos_counter(cls, "no_server");
+    dma_cache(home).on_request(video, info->size);
+    if (qos) ++qos_counter(cls, QosCount::kNoServer);
     return AdmissionOutcome{Admission::kNoServer, std::nullopt, {}};
   }
 
@@ -399,7 +400,7 @@ VodService::AdmissionOutcome VodService::request_classed(
       path_residual(db_.limited_view(admin_), decision->path).value() >=
           required.value()) {
     ++admitted_;
-    if (qos) ++qos_counter(cls, "admitted");
+    if (qos) ++qos_counter(cls, QosCount::kAdmitted);
     const SessionId id =
         request_at_impl(home, *info, cls, std::move(on_done));
     return AdmissionOutcome{Admission::kAdmitted, id, {}};
@@ -421,7 +422,7 @@ VodService::AdmissionOutcome VodService::request_classed(
           auto* slot = sessions_.find(victim);
           if (slot == nullptr || !(*slot)->active()) continue;
           ++preemption_victims_;
-          ++qos_counter((*slot)->user_class(), "preempted");
+          ++qos_counter((*slot)->user_class(), QosCount::kPreempted);
           if (obs::TraceRecorder* tr = sim_.obs().trace()) {
             tr->instant(obs::Subsystem::kService, "service.preempt",
                         {{"victim", obs::num(static_cast<std::uint64_t>(
@@ -432,8 +433,8 @@ VodService::AdmissionOutcome VodService::request_classed(
       }
       ++admitted_;
       ++preempted_admits_;
-      ++qos_counter(cls, "admitted");
-      ++qos_counter(cls, "preempted_admits");
+      ++qos_counter(cls, QosCount::kAdmitted);
+      ++qos_counter(cls, QosCount::kPreemptedAdmits);
       // A committed sacrifice is an anomaly worth a black box: victims are
       // aborted, the admission went through over their dead flows.
       if (obs::FlightRecorder* fr = sim_.obs().flight()) {
@@ -446,9 +447,9 @@ VodService::AdmissionOutcome VodService::request_classed(
     }
   }
 
-  servers_.at(home).cache->on_request(video, info->size);
+  dma_cache(home).on_request(video, info->size);
   ++rejected_;
-  if (qos) ++qos_counter(cls, "rejected");
+  if (qos) ++qos_counter(cls, QosCount::kRejected);
   if (obs::TraceRecorder* tr = sim_.obs().trace()) {
     tr->instant(
         obs::Subsystem::kService, "service.reject",
@@ -541,20 +542,41 @@ std::optional<std::vector<SessionId>> VodService::plan_preemption(
 }
 
 int VodService::retry_limit_for(UserClass cls) const {
-  if (!options_.qos.enabled) return options_.failover.retry_limit;
-  const int limit = options_.qos.retry_limit[class_index(cls)];
-  return limit < 0 ? options_.failover.retry_limit : limit;
+  const int background = options_.qos.background_retry_limit;
+  const bool own = options_.qos.enabled && cls == UserClass::kBackground;
+  return own && background >= 0 ? background : options_.failover.retry_limit;
 }
 
-obs::Counter& VodService::qos_counter(UserClass cls, const char* what) {
-  return metrics_.counter(std::string("qos.") + to_string(cls) + "." + what);
+namespace {
+
+std::string qos_name(UserClass cls, const char* what) {
+  return std::string("qos.") + to_string(cls) + "." + what;
 }
 
-obs::Histogram& VodService::qos_histogram(UserClass cls, const char* what,
-                                          std::vector<double> upper_bounds) {
-  return metrics_.histogram(
-      std::string("qos.") + to_string(cls) + "." + what,
-      std::move(upper_bounds));
+}  // namespace
+
+obs::Counter& VodService::qos_counter(UserClass cls, QosCount what) {
+  static constexpr std::array<const char*, 8> kNames{
+      "requests",         "no_server", "admitted", "preempted",
+      "preempted_admits", "rejected",  "finished", "failed"};
+  static_assert(kNames.size() == static_cast<std::size_t>(QosCount::kKinds));
+  const auto kind = static_cast<std::size_t>(what);
+  obs::Counter*& slot = qos_counters_[class_index(cls)][kind];
+  if (slot == nullptr) slot = &metrics_.counter(qos_name(cls, kNames[kind]));
+  return *slot;
+}
+
+obs::Histogram& VodService::qos_histogram(UserClass cls, QosHistogram what) {
+  obs::Histogram*& slot =
+      qos_histograms_[class_index(cls)][static_cast<std::size_t>(what)];
+  if (slot == nullptr) {
+    slot = what == QosHistogram::kStallSeconds
+               ? &metrics_.histogram(qos_name(cls, "stall_seconds"),
+                                     {1, 5, 15, 60, 300, 900})
+               : &metrics_.histogram(qos_name(cls, "failover_latency_seconds"),
+                                     {0.1, 0.5, 1, 5, 15, 60});
+  }
+  return *slot;
 }
 
 UserClass VodService::session_class(SessionId id) const {
@@ -750,11 +772,9 @@ void VodService::set_server_online(NodeId server, bool online) {
 }
 
 std::vector<VideoId> VodService::fail_disk(NodeId server, std::size_t slot) {
-  const auto it = servers_.find(server);
-  require_found(it != servers_.end(), "VodService::fail_disk: unknown server");
   // The DMA reports the casualties through its eviction callback, which
-  // already removes them from the server's database entry.
-  return it->second.cache->handle_disk_failure(slot);
+  // already removes the server from their holder lists.
+  return dma_cache(server).handle_disk_failure(slot);
 }
 
 stream::Session& VodService::session(SessionId id) {
@@ -812,9 +832,7 @@ std::vector<SessionId> VodService::session_ids() const {
 }
 
 dma::DmaCache& VodService::dma_cache(NodeId server) {
-  const auto it = servers_.find(server);
-  require_found(it != servers_.end(), "VodService::dma_cache: unknown server");
-  return *it->second.cache;
+  return *servers_.at(server, "VodService::dma_cache: unknown server").cache;
 }
 
 }  // namespace vod::service

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/id_vector.h"
 #include "common/ids.h"
 #include "common/slot_map.h"
 #include "common/units.h"
@@ -82,10 +83,10 @@ struct QosOptions {
   /// abort enough lower-class sessions (ranked class-descending, then
   /// youngest-first) to fit (VodService::request_classed).
   bool enabled = false;
-  /// Service-level retry budget per class, indexed by class_index(); -1
-  /// inherits FailoverOptions::retry_limit.  0 means a failed (or
-  /// preempted) session of that class is simply absorbed shed.
-  std::array<int, kUserClassCount> retry_limit{-1, -1, -1};
+  /// Service-level retry budget of the background class (-1 inherits
+  /// FailoverOptions::retry_limit, as the other classes always do); 0
+  /// absorbs a failed or preempted background session as shed.
+  int background_retry_limit = -1;
 };
 
 /// What the service keeps of a session once it finishes or fails.  Full
@@ -147,6 +148,7 @@ struct ServiceOptions {
   /// Hardware defaults for every video server...
   ServerSetup server{};
   /// ...with optional per-node overrides (heterogeneous deployments).
+  // vodlint:dense-ok(sparse, read once per node at construction)
   std::map<NodeId, ServerSetup> server_overrides{};
   /// What survives a session's retirement (see SessionRetention).
   SessionRetention retention = SessionRetention::kSummaries;
@@ -400,14 +402,18 @@ class VodService {
                             UserClass cls,
                             stream::Session::DoneCallback on_done);
 
-  /// This class's service-retry budget (QosOptions::retry_limit, -1 =
-  /// the global FailoverOptions::retry_limit).
+  /// This class's service-retry budget (FailoverOptions::retry_limit,
+  /// or QosOptions::background_retry_limit for background under QoS).
   [[nodiscard]] int retry_limit_for(UserClass cls) const;
-  /// Lazy per-class instruments (`qos.<class>.<what>`): created on first
-  /// touch, so classless runs never grow the registry.
-  obs::Counter& qos_counter(UserClass cls, const char* what);
-  obs::Histogram& qos_histogram(UserClass cls, const char* what,
-                                std::vector<double> upper_bounds);
+  /// The per-class instruments `qos.<class>.<what>`: created in the
+  /// registry on first touch (classless runs never grow it), then reached
+  /// by array index.
+  enum class QosCount : std::uint8_t { kRequests, kNoServer, kAdmitted,
+    kPreempted, kPreemptedAdmits, kRejected, kFinished, kFailed, kKinds };
+  enum class QosHistogram : std::uint8_t { kStallSeconds,
+    kFailoverLatencySeconds, kKinds };
+  obs::Counter& qos_counter(UserClass cls, QosCount what);
+  obs::Histogram& qos_histogram(UserClass cls, QosHistogram what);
 
   /// The preemption plan for a failed admission: which strictly-lower-
   /// class sessions to abort so that every link of `path` short of
@@ -445,7 +451,7 @@ class VodService {
   db::Database db_;
   net::TransferManager transfers_;
   IpDirectory ips_;
-  std::map<NodeId, ServerState> servers_;
+  IdVector<NodeId, ServerState> servers_;
   std::unique_ptr<snmp::SnmpModule> snmp_;
   std::unique_ptr<vra::Vra> vra_;
   std::unique_ptr<stream::VraPolicy> vra_policy_;
@@ -500,6 +506,12 @@ class VodService {
   /// snapshots stay untouched, but these must be readable either way).
   std::size_t preemption_victims_ = 0;
   std::size_t preempted_admits_ = 0;
+  /// qos_counter / qos_histogram's instruments, null until first touch.
+  template <typename T, typename Kind>
+  using PerClass = std::array<
+      std::array<T*, static_cast<std::size_t>(Kind::kKinds)>, kUserClassCount>;
+  PerClass<obs::Counter, QosCount> qos_counters_{};
+  PerClass<obs::Histogram, QosHistogram> qos_histograms_{};
 };
 
 }  // namespace vod::service

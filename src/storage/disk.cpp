@@ -6,48 +6,16 @@
 
 namespace vod::storage {
 
-Disk::Disk(DiskId id, DiskProfile profile) : id_(id), profile_(profile) {
-  require(id.valid(), "Disk: invalid id");
+Disk::Disk(DiskProfile profile) : profile_(profile) {
   require(
       !(profile.capacity.value() <= 0.0 || profile.transfer_rate.value() <= 0.0 || profile.seek_seconds < 0.0),
       "Disk: bad profile");
 }
 
-void Disk::store_part(VideoId video, std::size_t part_index, MegaBytes size) {
-  require(!(size.value() <= 0.0), "Disk::store_part: size must be positive");
-  require(can_fit(size), "Disk::store_part: does not fit");
-  auto& video_parts = parts_[video];
-  require(!video_parts.contains(part_index),
-      "Disk::store_part: duplicate part");
-  video_parts.emplace(part_index, size);
+void Disk::reserve(MegaBytes size) {
+  require(!(size.value() <= 0.0), "Disk::reserve: size must be positive");
+  require(can_fit(size), "Disk::reserve: does not fit");
   used_ += size;
-}
-
-MegaBytes Disk::remove_video(VideoId video) {
-  const auto it = parts_.find(video);
-  if (it == parts_.end()) return MegaBytes{0.0};
-  MegaBytes freed{0.0};
-  for (const auto& [index, size] : it->second) freed += size;
-  parts_.erase(it);
-  used_ -= freed;
-  return freed;
-}
-
-std::vector<std::size_t> Disk::parts_of(VideoId video) const {
-  std::vector<std::size_t> out;
-  const auto it = parts_.find(video);
-  if (it == parts_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [index, size] : it->second) out.push_back(index);
-  return out;
-}
-
-std::size_t Disk::stored_part_count() const {
-  std::size_t count = 0;
-  for (const auto& [video, video_parts] : parts_) {
-    count += video_parts.size();
-  }
-  return count;
 }
 
 double Disk::read_seconds(MegaBytes amount) const {

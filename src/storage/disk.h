@@ -1,15 +1,11 @@
 // A single simulated disk.
 //
-// Tracks capacity and the striped video parts stored on it, and models
-// read latency as seek + transfer — enough to study the layout and
-// load-balance properties of the paper's striping scheme (Figure 3).
+// Tracks capacity and models read latency as seek + transfer — enough to
+// study the layout and load-balance properties of the paper's striping
+// scheme (Figure 3).  What is stored where is the array's placement
+// record (DiskArray), not the disk's.
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <vector>
-
-#include "common/ids.h"
 #include "common/units.h"
 
 namespace vod::storage {
@@ -21,14 +17,11 @@ struct DiskProfile {
   double seek_seconds = 0.009;      // average seek + rotational delay
 };
 
-/// One disk: capacity bookkeeping plus the (video, part index, size)
-/// records of every stripe stored on it.
+/// One disk: capacity bookkeeping and read timing.
 class Disk {
  public:
-  Disk(DiskId id, DiskProfile profile);
+  explicit Disk(DiskProfile profile);
 
-  [[nodiscard]] DiskId id() const { return id_; }
-  [[nodiscard]] const DiskProfile& profile() const { return profile_; }
   [[nodiscard]] MegaBytes capacity() const { return profile_.capacity; }
   [[nodiscard]] MegaBytes used() const { return used_; }
   [[nodiscard]] MegaBytes free() const { return capacity() - used_; }
@@ -37,31 +30,18 @@ class Disk {
     return size.value() <= free().value() + 1e-9;
   }
 
-  /// Stores part `part_index` of `video`; throws if it does not fit or the
-  /// same part is already present.
-  void store_part(VideoId video, std::size_t part_index, MegaBytes size);
+  /// Charges `size` (> 0) to the disk; throws if it does not fit.
+  void reserve(MegaBytes size);
 
-  /// Removes every part of `video`; returns the bytes freed.
-  MegaBytes remove_video(VideoId video);
-
-  /// Part indices of `video` held on this disk (sorted ascending).
-  [[nodiscard]] std::vector<std::size_t> parts_of(VideoId video) const;
-
-  [[nodiscard]] bool holds_any_part(VideoId video) const {
-    return parts_.contains(video);
-  }
-
-  [[nodiscard]] std::size_t stored_part_count() const;
+  /// Frees `size` charged earlier.
+  void release(MegaBytes size) { used_ -= size; }
 
   /// Time to read `amount` from this disk: one seek plus transfer.
   [[nodiscard]] double read_seconds(MegaBytes amount) const;
 
  private:
-  DiskId id_;
   DiskProfile profile_;
   MegaBytes used_{0.0};
-  // video -> (part index -> size)
-  std::map<VideoId, std::map<std::size_t, MegaBytes>> parts_;
 };
 
 }  // namespace vod::storage

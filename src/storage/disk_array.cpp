@@ -15,11 +15,7 @@ DiskArray::DiskArray(std::size_t disk_count, DiskProfile profile,
   require(!(mode == StripingMode::kParity && disk_count < 2),
       "DiskArray: parity needs >= 2 disks");
   require(!(cluster.value() <= 0.0), "DiskArray: cluster must be positive");
-  disks_.reserve(disk_count);
-  for (std::size_t slot = 0; slot < disk_count; ++slot) {
-    disks_.emplace_back(DiskId{static_cast<DiskId::underlying_type>(slot)},
-                        profile);
-  }
+  disks_.assign(disk_count, Disk{profile});
 }
 
 std::vector<std::size_t> DiskArray::healthy_slots() const {
@@ -88,52 +84,60 @@ const Disk& DiskArray::disk(std::size_t slot) const {
   return disks_[slot];
 }
 
-bool DiskArray::can_tolerate(MegaBytes size) const {
-  if (size.value() <= 0.0) return false;
+std::optional<StripePlacement> DiskArray::plan(VideoId video,
+                                               MegaBytes size) const {
   const std::vector<std::size_t> healthy = healthy_slots();
-  if (healthy.empty()) return false;
-  if (mode_ == StripingMode::kParity && healthy.size() < 2) return false;
+  const std::size_t min_disks = mode_ == StripingMode::kParity ? 2 : 1;
+  if (size.value() <= 0.0 || healthy.size() < min_disks) return std::nullopt;
   // Plan the layout over the surviving disks and check their free space.
-  const StripePlacement plan =
+  StripePlacement placement =
       mode_ == StripingMode::kParity
-          ? plan_parity_striping(VideoId{0}, size, cluster_, healthy.size())
-          : plan_striping(VideoId{0} /* probe id */, size, cluster_,
-                          healthy.size());
-  const std::vector<MegaBytes> per_disk = plan.per_disk_bytes(healthy.size());
+          ? plan_parity_striping(video, size, cluster_, healthy.size())
+          : plan_striping(video, size, cluster_, healthy.size());
+  const std::vector<MegaBytes> per_disk =
+      placement.per_disk_bytes(healthy.size());
   for (std::size_t i = 0; i < healthy.size(); ++i) {
-    if (!disks_[healthy[i]].can_fit(per_disk[i])) return false;
+    if (!disks_[healthy[i]].can_fit(per_disk[i])) return std::nullopt;
   }
-  return true;
+  // The plan is over logical (healthy) slots; persist physical slots.
+  for (std::size_t& slot : placement.part_to_disk) slot = healthy[slot];
+  for (std::size_t& slot : placement.parity_to_disk) slot = healthy[slot];
+  return placement;
+}
+
+bool DiskArray::can_tolerate(MegaBytes size) const {
+  return plan(VideoId{0} /* probe id */, size).has_value();
 }
 
 std::optional<StripePlacement> DiskArray::store(VideoId video,
                                                 MegaBytes size) {
   require(!holds(video), "DiskArray::store: video already stored");
-  if (!can_tolerate(size)) return std::nullopt;
-  const std::vector<std::size_t> healthy = healthy_slots();
-  StripePlacement placement =
-      mode_ == StripingMode::kParity
-          ? plan_parity_striping(video, size, cluster_, healthy.size())
-          : plan_striping(video, size, cluster_, healthy.size());
-  // The plan is over logical (healthy) slots; persist physical slots.
-  for (std::size_t& slot : placement.part_to_disk) slot = healthy[slot];
-  for (std::size_t& slot : placement.parity_to_disk) slot = healthy[slot];
-  for (std::size_t part = 0; part < placement.part_count(); ++part) {
-    disks_[placement.part_to_disk[part]].store_part(
-        video, part, placement.part_sizes[part]);
+  std::optional<StripePlacement> placement = plan(video, size);
+  if (!placement) return std::nullopt;
+  for (std::size_t part = 0; part < placement->part_count(); ++part) {
+    disks_[placement->part_to_disk[part]].reserve(placement->part_sizes[part]);
   }
-  for (std::size_t row = 0; row < placement.row_count(); ++row) {
-    disks_[placement.parity_to_disk[row]].store_part(
-        video, parity_part_index(row), placement.parity_sizes[row]);
+  for (std::size_t row = 0; row < placement->row_count(); ++row) {
+    disks_[placement->parity_to_disk[row]].reserve(
+        placement->parity_sizes[row]);
   }
-  const auto [it, inserted] = placements_.emplace(video, placement);
-  return it->second;
+  placements_.emplace(video, *placement);
+  return placement;
 }
 
 MegaBytes DiskArray::remove(VideoId video) {
-  if (placements_.erase(video) == 0) return MegaBytes{0.0};
+  const auto it = placements_.find(video);
+  if (it == placements_.end()) return MegaBytes{0.0};
+  // Each disk frees its parts' sum, added in part order and then parity
+  // rows: the order the bytes were charged in.
+  const std::vector<MegaBytes> per_disk =
+      it->second.per_disk_bytes(disks_.size());
+  placements_.erase(it);
   MegaBytes freed{0.0};
-  for (Disk& disk : disks_) freed += disk.remove_video(video);
+  for (std::size_t slot = 0; slot < disks_.size(); ++slot) {
+    disks_[slot].release(per_disk[slot]);
+    freed += per_disk[slot];
+  }
   return freed;
 }
 

@@ -76,9 +76,6 @@ class DiskArray {
 
   [[nodiscard]] MegaBytes total_capacity() const;
   [[nodiscard]] MegaBytes total_used() const;
-  [[nodiscard]] MegaBytes total_free() const {
-    return total_capacity() - total_used();
-  }
 
   /// Seconds to read cluster `part_index` of `video`.  In parity mode a
   /// cluster whose disk failed is reconstructed from its row's survivors
@@ -95,15 +92,13 @@ class DiskArray {
   /// Physical slots of the surviving disks, in order.
   [[nodiscard]] std::vector<std::size_t> healthy_slots() const;
 
+  /// `video`'s layout over the surviving disks, in physical slots, if it
+  /// fits their free space (the one check can_tolerate and store share).
+  [[nodiscard]] std::optional<StripePlacement> plan(VideoId video,
+                                                    MegaBytes size) const;
+
   /// Whether the placement survives the current failure set.
   [[nodiscard]] bool recoverable(const StripePlacement& placement) const;
-
-  /// Disk index used to file row r's parity cluster (offset so it cannot
-  /// clash with data part indices).
-  static std::size_t parity_part_index(std::size_t row) {
-    return kParityIndexBase + row;
-  }
-  static constexpr std::size_t kParityIndexBase = 1u << 20;
 
   StripingMode mode_;
   std::vector<Disk> disks_;

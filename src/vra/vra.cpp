@@ -144,7 +144,7 @@ void Vra::full_rebuild(std::uint64_t epoch) const {
   const LvnCalculator calculator{topology_, stats, options_};
   cached_graph_ = calculator.build_weighted_graph();
   cached_links_epoch_ = epoch;
-  spt_cache_.clear();
+  spt_cache_ = {};
   ++cache_stats_.graph_rebuilds;
 }
 
@@ -211,7 +211,7 @@ void Vra::refresh_dirty_links(std::uint64_t epoch) const {
     }
   }
   cached_links_epoch_ = epoch;
-  spt_cache_.clear();
+  spt_cache_ = {};
   ++cache_stats_.graph_incremental;
 }
 
@@ -279,14 +279,13 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
         graph, home, want_trace ? &decision.trace : nullptr));
     paths = &*fresh;
   } else {
-    auto it = spt_cache_.find(home);
-    if (it == spt_cache_.end()) {
+    paths = spt_cache_.find(home);
+    if (paths == nullptr) {
       ++cache_stats_.spt_misses;
-      it = spt_cache_.emplace(home, routing::dijkstra(graph, home)).first;
+      paths = &spt_cache_.insert(home, routing::dijkstra(graph, home));
     } else {
       ++cache_stats_.spt_hits;
     }
-    paths = &it->second;
   }
 
   // "Select those least expensive paths that end at the servers that can

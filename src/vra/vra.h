@@ -25,10 +25,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "common/id_vector.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "db/database.h"
@@ -187,7 +187,7 @@ class Vra {
   // mutable behind the const query interface.
   mutable std::optional<routing::Graph> cached_graph_;
   mutable std::uint64_t cached_links_epoch_ = 0;
-  mutable std::map<NodeId, routing::ShortestPaths> spt_cache_;
+  mutable IdVector<NodeId, routing::ShortestPaths> spt_cache_;
   mutable VraCacheStats cache_stats_;
 };
 

@@ -23,7 +23,7 @@ TEST(DiskArray, ConstructionValidated) {
 TEST(DiskArray, TotalCapacityIsSumOfDisks) {
   const DiskArray array{4, profile(100.0), MegaBytes{10.0}};
   EXPECT_EQ(array.total_capacity(), MegaBytes{400.0});
-  EXPECT_EQ(array.total_free(), MegaBytes{400.0});
+  EXPECT_EQ(array.total_capacity() - array.total_used(), MegaBytes{400.0});
   EXPECT_EQ(array.disk_count(), 4u);
 }
 
@@ -56,7 +56,7 @@ TEST(DiskArray, CanTolerateChecksPerDiskNotJustTotal) {
   EXPECT_EQ(array.disk(1).used(), MegaBytes{10.0});
   // 70 MB = 7 parts, 4 on disk 0 (40 MB > 30 free) — must be rejected even
   // though 70 MB total free exists.
-  EXPECT_EQ(array.total_free(), MegaBytes{70.0});
+  EXPECT_EQ(array.total_capacity() - array.total_used(), MegaBytes{70.0});
   EXPECT_FALSE(array.can_tolerate(MegaBytes{70.0}));
 }
 

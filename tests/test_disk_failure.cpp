@@ -3,10 +3,15 @@
 // reference [3]).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "dma/dma_cache.h"
 #include "grnet/grnet.h"
 #include "service/vod_service.h"
 #include "storage/disk_array.h"
+#include "support/holdings_audit.h"
 
 namespace vod {
 namespace {
@@ -132,6 +137,57 @@ TEST(ServiceDiskFailure, VraFailsOverToSurvivingReplica) {
   for (const NodeId source : m.cluster_sources) {
     EXPECT_EQ(source, g.xanthi);
   }
+}
+
+TEST(ServiceDiskFailure, HoldingsAgreeAfterFailureUnderDmaChurn) {
+  grnet::CaseStudy g = grnet::build_case_study();
+  net::NoTraffic traffic;
+  sim::Simulation sim;
+  net::FluidNetwork network{g.topology, traffic};
+  service::ServiceOptions options;
+  options.cluster_size = MegaBytes{10.0};
+  // Four 60 MB disks per server: a few titles fill a server, so requests
+  // from every site keep storing and evicting (Figure 2's churn).
+  options.server.disk_count = 4;
+  options.server.disk_profile.capacity = MegaBytes{60.0};
+  service::VodService service{sim, g.topology, network, options, kAdmin};
+  std::vector<VideoId> videos;
+  for (int v = 0; v < 12; ++v) {
+    videos.push_back(service.add_video(
+        "v" + std::to_string(v), MegaBytes{20.0 + 7.0 * (v % 5)}, Mbps{2.0}));
+  }
+  const std::vector<NodeId> homes{g.athens, g.patra, g.ioannina,
+                                  g.thessaloniki, g.xanthi, g.heraklio};
+  for (std::size_t v = 0; v < videos.size(); ++v) {
+    service.place_initial_copy(homes[v % homes.size()], videos[v]);
+  }
+  service.start();
+
+  Rng rng{7};
+  for (int r = 0; r < 240; ++r) {
+    const NodeId home = homes[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(homes.size()) - 1))];
+    const VideoId video = videos[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(videos.size()) - 1))];
+    sim.schedule_at(SimTime{30.0 * r}, [&service, home, video](SimTime) {
+      (void)service.request_at(home, video);
+    });
+  }
+  std::vector<VideoId> lost;
+  sim.schedule_at(SimTime{3600.0}, [&](SimTime) {
+    lost = service.fail_disk(g.thessaloniki, 1);
+    test::check_holdings(service);
+  });
+  sim.run_until(from_hours(6.0));
+
+  EXPECT_FALSE(lost.empty());
+  std::uint64_t evictions = 0;
+  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
+    const NodeId node{static_cast<NodeId::underlying_type>(n)};
+    evictions += service.dma_cache(node).eviction_count();
+  }
+  EXPECT_GT(evictions, 0u);
+  EXPECT_NO_THROW(test::check_holdings(service));
 }
 
 TEST(ServiceDiskFailure, UnknownServerThrows) {

@@ -271,7 +271,7 @@ void expect_index_matches_scan(const DmaCache& cache) {
     indexed.push_back(video);
   }
   std::sort(indexed.begin(), indexed.end());
-  EXPECT_EQ(cache.cached_videos(), indexed);
+  EXPECT_EQ(cache.disks().stored_videos(), indexed);
 }
 
 class DmaIndexDifferential : public ::testing::TestWithParam<int> {};

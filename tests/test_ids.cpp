@@ -41,7 +41,7 @@ TEST(TaggedId, OrderingFollowsValues) {
 
 TEST(TaggedId, DistinctTagsAreDistinctTypes) {
   static_assert(!std::is_same_v<NodeId, LinkId>);
-  static_assert(!std::is_same_v<VideoId, DiskId>);
+  static_assert(!std::is_same_v<VideoId, SessionId>);
   static_assert(!std::is_convertible_v<NodeId, LinkId>);
 }
 

@@ -150,7 +150,7 @@ TEST(Qos, PreemptionIsDeterministicAcrossRuns) {
 
 TEST(Qos, PreemptedBackgroundRetriesAtItsOwnClassThenExhausts) {
   ServiceOptions options = qos_options();
-  options.qos.retry_limit[class_index(UserClass::kBackground)] = 1;
+  options.qos.background_retry_limit = 1;
   test::GrnetService fx{qos_setup(options)};
   const VideoId clip =
       fx.service->add_video("clip", MegaBytes{10.0}, Mbps{0.25});

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "service/report.h"
 #include "service/vod_service.h"
+#include "support/holdings_audit.h"
 #include "workload/catalog_gen.h"
 #include "workload/request_gen.h"
 
@@ -143,18 +144,10 @@ std::string run_soak(std::uint64_t seed, int days) {
   }
   EXPECT_GT(finished, 0);
 
-  // 3. Database/DMA consistency: a server advertises exactly what its
-  // disks hold (initial placements included — both paths write both).
-  auto view = service.admin_view();
-  for (std::size_t n = 0; n < scenario.topo.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    const auto& advertised = view.server(node).titles;
-    auto& cache = service.dma_cache(node);
-    for (const VideoId video : videos) {
-      EXPECT_EQ(advertised.contains(video), cache.cached(video))
-          << "node " << n << " video " << video.value();
-    }
-  }
+  // 3. Database/DMA/disk consistency: a server advertises exactly what its
+  // disks hold (initial placements included — both paths write both), and
+  // each disk is charged exactly its placements.
+  EXPECT_NO_THROW(test::check_holdings(service));
 
   // Digest for determinism comparison.
   const service::ServiceReport report =

@@ -47,18 +47,18 @@ keeps module APIs honest:
                     string literal or a lazy lambda.  Waive with
                     // vodlint:contract-ok(<reason>).
 
-  [dense-store]     No node-based std::map/std::set keyed by SessionId or
-                    FlowId in the hot-path directories (src/service,
-                    src/net, src/stream, src/sim).  Those ids are issued
-                    monotonically and churn by the million, so the per-id
-                    stores must use the dense SlotMap (DESIGN.md §12);
-                    a node-based container there pays pointer chasing and
-                    per-entry allocation on every event.  Also flags
-                    std::set/multiset<NodeId> in src/service (the failover
-                    hot path probes such sets per notification; a sorted
-                    vector is strictly better at these sizes).  Small,
-                    pruned, or compound-keyed maps can be waived with
-                    // vodlint:dense-ok(<reason>).
+  [dense-store]     No node-based std::map/std::set keyed by an entity id
+                    in the directories that hold per-id stores
+                    (src/service, src/net, src/stream, src/sim, src/db,
+                    src/vra).  SessionId and FlowId are issued
+                    monotonically and churn by the million: their stores
+                    use the dense SlotMap (DESIGN.md §12).  NodeId, LinkId
+                    and VideoId are issued densely from 0: their tables use
+                    IdVector (or a sorted std::vector for small sets).  A
+                    node-based container pays pointer chasing and per-entry
+                    allocation on every lookup.  Compound keys (a pair
+                    that starts with an id) pass; sparse maps can be waived
+                    with // vodlint:dense-ok(<reason>).
 
 Shared-state rules.  The simulator is one serial event loop, and its
 replay guarantee holds only while every piece of process-wide mutable state
@@ -596,17 +596,14 @@ def check_eager_messages(
     return out
 
 
-DENSE_STORE_DIRS = ("src/service/", "src/net/", "src/stream/", "src/sim/")
+DENSE_STORE_DIRS = ("src/service/", "src/net/", "src/stream/", "src/sim/",
+                    "src/db/", "src/vra/")
+# Keyed by an id (not a pair or other compound key that merely starts with
+# one): monotonic ids want SlotMap, densely-issued ones IdVector.
 NODE_MAP_BY_ID = re.compile(
     r"std\s*::\s*(?:map|set|multimap|multiset)\s*<\s*"
-    r"(?:\w+\s*::\s*)*(SessionId|FlowId)\b"
+    r"(?:\w+\s*::\s*)*(SessionId|FlowId|NodeId|LinkId|VideoId)\b"
 )
-# std::set<NodeId> on the service's failover hot path: membership probes
-# per fault notification want a sorted vector, not a node-based tree.
-NODE_SET_OF_NODES = re.compile(
-    r"std\s*::\s*(?:set|multiset)\s*<\s*(?:\w+\s*::\s*)*NodeId\b"
-)
-NODE_SET_DIRS = ("src/service/",)
 
 
 def check_dense_store(
@@ -615,26 +612,25 @@ def check_dense_store(
     norm = path.replace(os.sep, "/")
     if not any(fragment in norm for fragment in DENSE_STORE_DIRS):
         return []
-    node_set_applies = any(fragment in norm for fragment in NODE_SET_DIRS)
     out = []
     for i, line in enumerate(stripped):
         m = NODE_MAP_BY_ID.search(line)
-        if m is not None:
+        if m is None:
+            continue
+        if m.group(1) in ("SessionId", "FlowId"):
             message = (
-                f"node-based container keyed by {m.group(1)} in a hot-path "
-                "directory; ids are monotonic and churn at scale — use "
-                "SlotMap (common/slot_map.h) or waive with "
-                "// vodlint:dense-ok(<reason>)"
-            )
-        elif node_set_applies and NODE_SET_OF_NODES.search(line):
-            message = (
-                "std::set<NodeId> in src/service; the failover hot path "
-                "probes it per notification — use a sorted "
-                "std::vector<NodeId> with binary search, or waive with "
+                f"node-based container keyed by {m.group(1)}; ids are "
+                "monotonic and churn at scale — use SlotMap "
+                "(common/slot_map.h) or waive with "
                 "// vodlint:dense-ok(<reason>)"
             )
         else:
-            continue
+            message = (
+                f"node-based container keyed by {m.group(1)}; ids are "
+                "issued densely from 0 — use IdVector "
+                "(common/id_vector.h) or a sorted std::vector, or waive "
+                "with // vodlint:dense-ok(<reason>)"
+            )
         out.append(
             Violation(path, i + 1, "dense-store", message,
                       suppressed=has_waiver(raw, i, WAIVERS["dense-store"])))
@@ -982,9 +978,8 @@ FIXTURES: list[tuple[str, dict[str, str], list[tuple[str, int]]]] = [
         [("eager-message", 1), ("eager-message", 4)],
     ),
     (
-        "node-based per-id stores flagged in hot-path dirs only; compound "
-        "keys pass; NodeId sets flagged in src/service only; waiver "
-        "honoured",
+        "node-based per-id stores flagged in the per-id store dirs only; "
+        "compound keys pass; waiver honoured",
         {
             "src/service/store.h": (
                 "#include <map>\n"
@@ -1001,10 +996,37 @@ FIXTURES: list[tuple[str, dict[str, str], list[tuple[str, int]]]] = [
             ),
             "src/net/peers.h": "struct P { std::set<NodeId> peers_; };\n",
             "src/db/catalog.h": (
-                "struct C { std::map<SessionId, int> offline_ok_; };\n"
+                "struct C { std::map<SessionId, int> offline_; };\n"
+            ),
+            "src/baselines/lru.h": (
+                "struct B { std::map<SessionId, int> sessions_; };\n"
             ),
         },
-        [("dense-store", 4), ("dense-store", 5), ("dense-store", 9)],
+        [("dense-store", 1), ("dense-store", 1), ("dense-store", 4),
+         ("dense-store", 5), ("dense-store", 9), ("dense-store", 10)],
+    ),
+    (
+        "maps and sets keyed by densely-issued ids flagged in src/db and "
+        "src/vra; an id as mapped value passes; waiver honoured",
+        {
+            "src/db/database.h": (
+                "#include <map>\n"
+                "struct D {\n"
+                "  std::map<VideoId, VideoInfo> videos_;\n"
+                "  std::map<vod::LinkId, LinkRecord> links_;\n"
+                "  // vodlint:dense-ok(sparse, read once at construction)\n"
+                "  std::map<NodeId, ServerSetup> overrides_;\n"
+                "  std::map<std::string, VideoId> by_title_;\n"
+                "};\n"
+            ),
+            "src/vra/vra.h": (
+                "struct V { mutable std::map<NodeId, Paths> spt_cache_; };\n"
+            ),
+            "src/workload/seen.h": (
+                "struct W { std::set<VideoId> seen_; };\n"
+            ),
+        },
+        [("dense-store", 3), ("dense-store", 4), ("dense-store", 1)],
     ),
     (
         "violations inside comments and strings are ignored",
