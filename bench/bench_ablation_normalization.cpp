@@ -4,8 +4,9 @@
 // own traffic (LU = LT * LV) counts against the endpoint load term (NV) in
 // the LVN.  The paper only says the constant "approaches 10"; this bench
 // sweeps it and shows how the Experiment C decision and the NV/LU balance
-// respond, plus the server-load extension from the paper's future work.
+// respond.
 #include <iostream>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -20,9 +21,10 @@ double mean_lu_share(const grnet::CaseStudy& g,
                      const vra::LvnCalculator& calc) {
   double total = 0.0;
   int count = 0;
+  const std::vector<double> nv = calc.node_validations();
   for (const LinkId link : g.links_in_paper_order()) {
     const double lu = calc.link_utilization_term(link);
-    const double lvn = calc.link_validation_number(link);
+    const double lvn = calc.link_validation_number(link, nv);
     if (lvn > 0.0) {
       total += lu / lvn;
       ++count;
@@ -52,7 +54,7 @@ int main() {
     const auto stats = grnet::table2_stats(fx.g, grnet::TimeOfDay::k4pm);
     const vra::LvnCalculator calc{fx.g.topology, stats, options};
     const auto decision = vra.select_server(fx.g.athens, fx.movie);
-    const routing::Graph graph = vra.current_weighted_graph();
+    const routing::Graph& graph = vra.routing_graph();
     table.add_row({TextTable::num(constant, 0),
                    TextTable::num(mean_lu_share(fx.g, calc), 3),
                    decision ? fx.g.city(decision->server) : "-",
@@ -64,33 +66,5 @@ int main() {
                "dominate the metric;\nlarge constants reduce the LVN to "
                "pure node load.  The paper's ~10 keeps the\ntwo terms "
                "comparable on 2-18 Mbps links.\n";
-
-  // --- Future-work extension: server CPU/RAM load in eq. (2) ---
-  bench::heading(
-      "Extension: server-load term in node validation (paper future work)");
-  TextTable ext{{"load weight", "Ioannina load", "chosen server", "cost"}};
-  for (const double weight : {0.0, 0.25, 0.5, 1.0}) {
-    bench::CaseDb fx{grnet::TimeOfDay::k4pm};
-    fx.place(fx.g.ioannina);
-    fx.place(fx.g.thessaloniki);
-    fx.place(fx.g.xanthi);
-    vra::ValidationOptions options;
-    options.server_load_weight = weight;
-    // Ioannina's server is pegged; everyone else idle.
-    const NodeId loaded = fx.g.ioannina;
-    options.server_load = [loaded](NodeId node) {
-      return node == loaded ? 0.95 : 0.05;
-    };
-    const vra::Vra vra{fx.g.topology, fx.db.full_view(),
-                       fx.db.limited_view(bench::kAdmin), options};
-    const auto decision = vra.select_server(fx.g.athens, fx.movie);
-    ext.add_row({TextTable::num(weight, 2), "0.95",
-                 decision ? fx.g.city(decision->server) : "-",
-                 decision ? TextTable::num(decision->path.cost, 3) : "-"});
-  }
-  std::cout << ext.render();
-  std::cout << "\nWith the machine-load term enabled, an overloaded "
-               "Ioannina stops winning\nExperiment C even though its "
-               "network path is cheapest.\n";
   return 0;
 }

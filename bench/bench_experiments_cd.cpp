@@ -33,7 +33,7 @@ void run_experiment(const char* name, grnet::TimeOfDay t,
     std::cerr << "unexpected: no decision\n";
     std::exit(1);
   }
-  const routing::Graph graph = vra.current_weighted_graph();
+  const routing::Graph& graph = vra.routing_graph();
 
   bench::heading(std::string("Experiment ") + name + " (" +
                  grnet::time_label(t) + ", client at U1)");

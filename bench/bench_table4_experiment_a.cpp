@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     std::cerr << "unexpected: no decision\n";
     return 1;
   }
-  const routing::Graph graph = vra.current_weighted_graph();
+  const routing::Graph& graph = vra.routing_graph();
   std::cout << routing::format_dijkstra_trace(graph, fx.g.patra,
                                               decision->trace);
 

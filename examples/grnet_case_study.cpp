@@ -64,7 +64,7 @@ int main() {
     const vra::Vra vra{g.topology, db.full_view(), db.limited_view(kAdmin),
                        {}};
     const auto decision = vra.select_server(experiment.client, movie);
-    const routing::Graph graph = vra.current_weighted_graph();
+    const routing::Graph& graph = vra.routing_graph();
 
     std::cout << "Experiment " << experiment.name << " ("
               << grnet::time_label(experiment.at) << ", client at "

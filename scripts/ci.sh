@@ -88,6 +88,11 @@ echo "==== perf gate (fluid allocator) ===="
 # to the reference filler; emits the machine-readable BENCH_fluid.json.
 build/bench/bench_fluid_alloc --out build/BENCH_fluid.json
 
+echo "==== perf gate (VRA cache) ===="
+# The long-lived VRA must return bit-for-bit the decisions of a fresh Vra
+# per request, and be >=5x faster in steady state on a 132-link backbone.
+build/bench/bench_vra_incremental
+
 echo "==== perf gate (session store) ===="
 # >=5x ns/event over the pre-PR never-erased std::map store at 100k
 # concurrent sessions and flat resident memory across real-service churn

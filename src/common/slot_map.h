@@ -67,8 +67,8 @@ class SlotMap {
 
   /// Inserts a new entry.  `id` must be valid and strictly above every id
   /// ever inserted (the monotonic-issue contract).  Returns the stored
-  /// value; the reference stays valid until the entry is erased (slots
-  /// never move — only the id window does).
+  /// value; the reference is valid until the next insert or erase (a new
+  /// slot may reallocate the slot vector).
   T& insert(Id id, T value) {
     require(id.valid(), "SlotMap::insert: invalid id");
     if (size_ == 0 && window_.empty()) {

@@ -92,13 +92,13 @@ void LimitedAccessView::update_link_stats(LinkId link, Mbps used,
       "update_link_stats: bad statistics");
   LinkRecord& record = db_->links_.at(link, "update_link_stats: unknown link");
   // SNMP re-reporting identical counters refreshes the staleness clock but
-  // is not a change: the epoch (and the link's dirty stamp) move only when
-  // a VRA-relevant value actually differs.
+  // is not a change: the epoch moves only when a VRA-relevant value
+  // actually differs.
   if (record.used_bandwidth.value() != used.value() ||
       record.utilization != utilization) {
     record.used_bandwidth = used;
     record.utilization = utilization;
-    record.last_changed_epoch = db_->bump_link_epoch();
+    ++db_->links_changed_epoch_;
   }
   record.last_snmp_update = when;
 }
@@ -107,7 +107,7 @@ void LimitedAccessView::set_link_online(LinkId link, bool online) {
   LinkRecord& record = db_->links_.at(link, "set_link_online: unknown link");
   if (record.online == online) return;
   record.online = online;
-  record.last_changed_epoch = db_->bump_link_epoch();
+  ++db_->links_changed_epoch_;
 }
 
 const LinkRecord& LimitedAccessView::link(LinkId link) const {
@@ -119,11 +119,7 @@ const ServerRecord& LimitedAccessView::server(NodeId node) const {
 }
 
 void LimitedAccessView::set_server_online(NodeId node, bool online) {
-  ServerRecord& record =
-      db_->servers_.at(node, "set_server_online: unknown server");
-  if (record.online == online) return;
-  record.online = online;
-  db_->bump_epoch();
+  db_->servers_.at(node, "set_server_online: unknown server").online = online;
 }
 
 void LimitedAccessView::add_title(NodeId node, VideoId video) {
@@ -133,7 +129,6 @@ void LimitedAccessView::add_title(NodeId node, VideoId video) {
   const auto pos = std::lower_bound(holders.begin(), holders.end(), node);
   if (pos != holders.end() && *pos == node) return;  // already held
   holders.insert(pos, node);
-  db_->bump_epoch();
 }
 
 void LimitedAccessView::remove_title(NodeId node, VideoId video) {
@@ -143,7 +138,6 @@ void LimitedAccessView::remove_title(NodeId node, VideoId video) {
   const auto pos = std::lower_bound(holders.begin(), holders.end(), node);
   if (pos == holders.end() || *pos != node) return;  // not held
   holders.erase(pos);
-  db_->bump_epoch();
 }
 
 double LimitedAccessView::stats_age(LinkId link, SimTime now) const {

@@ -58,22 +58,16 @@ class Database {
   /// mismatch.
   LimitedAccessView limited_view(const AdminCredential& credential);
 
-  // --- change epochs (the incremental VRA's invalidation signal) ---
+  // --- the links epoch (the VRA's cache invalidation signal) ---
   //
-  // Every limited-access mutation advances change_epoch(); mutations that
-  // change a link's VRA-relevant state (statistics or online flag) also
-  // advance links_changed_epoch() and stamp the link's record.  A reader
-  // that cached derived state at epoch E knows:
-  //   * links_changed_epoch() <= E  -> its weighted graph is still valid;
-  //   * otherwise the dirty links are exactly those with
-  //     last_changed_epoch > E.
-  // Writes that do not change any stored value (e.g. SNMP re-reporting
-  // identical counters) bump nothing, so "dirty" means "actually changed".
+  // links_changed_epoch() advances on every write that changes a link's
+  // VRA-relevant state (statistics or online flag); a reader that cached
+  // its weighted graph at epoch E knows it is still valid while the epoch
+  // reads E.  Writes that do not change any stored value (e.g. SNMP
+  // re-reporting identical counters) and catalog or server writes leave it
+  // alone.
 
-  /// Monotonic counter of effective limited-access writes.
-  [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
-
-  /// change_epoch() value of the last effective link-state write.
+  /// Number of effective link-state writes so far.
   [[nodiscard]] std::uint64_t links_changed_epoch() const {
     return links_changed_epoch_;
   }
@@ -81,13 +75,6 @@ class Database {
  private:
   friend class FullAccessView;
   friend class LimitedAccessView;
-
-  /// Bumps and returns the global epoch (an effective non-link write).
-  std::uint64_t bump_epoch() { return ++change_epoch_; }
-  /// Bumps the global epoch and marks it as a link-state change.
-  std::uint64_t bump_link_epoch() {
-    return links_changed_epoch_ = ++change_epoch_;
-  }
 
   /// A title and its holders in ascending node order: the one record of
   /// which servers hold it.
@@ -98,14 +85,12 @@ class Database {
 
   AdminCredential admin_;
   /// Slot v is video v (ids are issued 0, 1, 2, ...).  `holders` is
-  /// written only by add_title and remove_title, in the branch that bumps
-  /// the epoch.
+  /// written only by add_title and remove_title.
   std::vector<Title> titles_;
   /// What servers_with_title returns for an id the catalog never issued.
   std::vector<NodeId> no_holders_;
   IdVector<NodeId, ServerRecord> servers_;
   IdVector<LinkId, LinkRecord> links_;
-  std::uint64_t change_epoch_ = 0;
   std::uint64_t links_changed_epoch_ = 0;
 };
 
@@ -163,10 +148,7 @@ class LimitedAccessView {
   /// Staleness of a link's statistics relative to `now`.
   [[nodiscard]] double stats_age(LinkId link, SimTime now) const;
 
-  // --- change epochs (see Database) ---
-  [[nodiscard]] std::uint64_t change_epoch() const {
-    return db_->change_epoch();
-  }
+  // --- the links epoch (see Database) ---
   [[nodiscard]] std::uint64_t links_changed_epoch() const {
     return db_->links_changed_epoch();
   }

@@ -45,10 +45,6 @@ struct LinkRecord {
   double utilization = 0.0;      // limited-access, SNMP-entered (eq. 3 LT)
   bool online = true;            // limited-access: false after a link failure
   SimTime last_snmp_update{0.0};
-  /// Database::change_epoch() value of the last write that actually changed
-  /// this link's VRA-relevant state (used/utilization/online).  Lets the
-  /// VRA's incremental engine find the dirty links since its cached build.
-  std::uint64_t last_changed_epoch = 0;
 };
 
 }  // namespace vod::db

@@ -55,13 +55,6 @@ void FaultInjector::snmp_restore_at(SimTime at) {
   schedule(at, FaultRecord{at, FaultKind::kSnmpRestore, 0, 0});
 }
 
-std::size_t FaultInjector::disk_count_of(NodeId server) const {
-  const service::ServiceOptions& options = service_.options();
-  const auto it = options.server_overrides.find(server);
-  return it != options.server_overrides.end() ? it->second.disk_count
-                                              : options.server.disk_count;
-}
-
 void FaultInjector::schedule_random(const FaultScheduleOptions& options,
                                     std::uint64_t seed) {
   Rng rng{seed};
@@ -103,7 +96,8 @@ void FaultInjector::schedule_random(const FaultScheduleOptions& options,
     for (std::size_t n = 0; n < service_.topology().node_count(); ++n) {
       const NodeId node{static_cast<NodeId::underlying_type>(n)};
       const double t = rng.exponential(1.0 / options.disk_mtbf_seconds);
-      const std::size_t disks = disk_count_of(node);
+      const std::size_t disks =
+          service_.dma_cache(node).disks().disk_count();
       if (t >= horizon || disks == 0) continue;
       const auto slot = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(disks) - 1));

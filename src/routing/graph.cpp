@@ -37,20 +37,6 @@ void Graph::add_undirected_edge(NodeId a, NodeId b, LinkId link,
   edge_index_[link.value()] = EdgeLocation{a, b};
 }
 
-void Graph::set_edge_weight(LinkId link, double weight) {
-  require(!(weight < 0.0), "Graph: negative edge weight");
-  require_found(
-      !(!link.valid() || link.value() >= edge_index_.size() || !edge_index_[link.value()]),
-      "Graph::set_edge_weight: unknown link");
-  const auto [a, b] = *edge_index_[link.value()];
-  for (Edge& e : adjacency_[a.value()]) {
-    if (e.link == link) e.weight = weight;
-  }
-  for (Edge& e : adjacency_[b.value()]) {
-    if (e.link == link) e.weight = weight;
-  }
-}
-
 const std::vector<Edge>& Graph::neighbors(NodeId node) const {
   check_node(node, "query");
   return adjacency_[node.value()];

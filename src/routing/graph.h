@@ -2,7 +2,8 @@
 //
 // The routing layer is deliberately independent of the network simulator:
 // the VRA builds a Graph snapshot from the database's link entries (weights
-// are Link Validation Numbers), runs Dijkstra on it, and throws it away.
+// are Link Validation Numbers), runs Dijkstra on it, and builds a new one
+// when the link statistics change.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +37,6 @@ class Graph {
   /// not a signed weight — see DESIGN.md), and `link` must not repeat.
   void add_undirected_edge(NodeId a, NodeId b, LinkId link, double weight);
 
-  /// Updates the weight of an existing edge (both directions).
-  /// Throws std::out_of_range for unknown links.
-  void set_edge_weight(LinkId link, double weight);
-
   [[nodiscard]] std::size_t node_count() const { return adjacency_.size(); }
   [[nodiscard]] const std::vector<Edge>& neighbors(NodeId node) const;
   [[nodiscard]] const std::string& node_name(NodeId node) const;
@@ -67,7 +64,7 @@ class Graph {
 
   std::vector<std::vector<Edge>> adjacency_;
   std::vector<std::string> names_;
-  // LinkId -> endpoints, for weight updates and lookups.
+  // LinkId -> endpoints, for lookups.
   std::vector<std::optional<EdgeLocation>> edge_index_;
 };
 

@@ -64,8 +64,7 @@ std::optional<stream::Selection> StripedSelectionPolicy::select_cluster(
   if (holder == home) {
     return stream::Selection{home, routing::Path{{home}, {}, 0.0}};
   }
-  const routing::Graph graph = vra_.current_weighted_graph();
-  auto path = routing::shortest_path(graph, home, holder);
+  auto path = routing::shortest_path(vra_.routing_graph(), home, holder);
   if (!path) return std::nullopt;
   return stream::Selection{holder, std::move(*path)};
 }

@@ -27,9 +27,7 @@ ServiceReport build_report(const VodService& service, Mbps qos_floor) {
   // metrics consumer read one source of truth.
   const obs::MetricsSnapshot snap = service.metrics_snapshot();
   report.vra_cache.graph_hits = snap.value_u64("vra.graph_hits");
-  report.vra_cache.graph_incremental = snap.value_u64("vra.graph_incremental");
   report.vra_cache.graph_rebuilds = snap.value_u64("vra.graph_rebuilds");
-  report.vra_cache.edges_rewritten = snap.value_u64("vra.edges_rewritten");
   report.vra_cache.spt_hits = snap.value_u64("vra.spt_hits");
   report.vra_cache.spt_misses = snap.value_u64("vra.spt_misses");
   for (const SessionId id : service.session_ids()) {
@@ -91,12 +89,8 @@ std::string format_report(const ServiceReport& report) {
                      "%)"});
   table.add_row({"VRA graph hits",
                  std::to_string(report.vra_cache.graph_hits)});
-  table.add_row({"VRA graph incremental",
-                 std::to_string(report.vra_cache.graph_incremental)});
   table.add_row({"VRA graph rebuilds",
                  std::to_string(report.vra_cache.graph_rebuilds)});
-  table.add_row({"VRA edges rewritten",
-                 std::to_string(report.vra_cache.edges_rewritten)});
   table.add_row({"VRA SPT hits",
                  std::to_string(report.vra_cache.spt_hits)});
   table.add_row({"VRA SPT misses",

@@ -32,7 +32,7 @@ struct ServiceReport {
   int total_switches = 0;
   int total_stall_retries = 0;
 
-  /// Incremental LVN engine counters (graph/SPT cache effectiveness).
+  /// Cached LVN engine counters (graph/SPT cache effectiveness).
   vra::VraCacheStats vra_cache;
 
   [[nodiscard]] double qos_ok_share() const {

@@ -49,9 +49,10 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
   metrics_.add_collector([this](obs::MetricsSnapshot& snap) {
     const vra::VraCacheStats& cs = vra_->cache_stats();
     snap.set_counter("vra.graph_hits", cs.graph_hits);
-    snap.set_counter("vra.graph_incremental", cs.graph_incremental);
     snap.set_counter("vra.graph_rebuilds", cs.graph_rebuilds);
-    snap.set_counter("vra.edges_rewritten", cs.edges_rewritten);
+    // Always 0 (the graph is rebuilt whole); perfbench still reads both.
+    snap.set_counter("vra.graph_incremental", 0);
+    snap.set_counter("vra.edges_rewritten", 0);
     snap.set_counter("vra.spt_hits", cs.spt_hits);
     snap.set_counter("vra.spt_misses", cs.spt_misses);
     snap.set_counter("vra.degraded_selections",
@@ -89,6 +90,10 @@ const DecisionAudit& VodService::audit() const {
 }
 
 void VodService::register_topology() {
+  for (const auto& [node, setup] : options_.server_overrides) {
+    require(topology_.has_node(node),
+        "VodService: server override for a node the topology lacks");
+  }
   auto view_factory = [this]() { return db_.limited_view(admin_); };
   for (std::size_t n = 0; n < topology_.node_count(); ++n) {
     const NodeId node{static_cast<NodeId::underlying_type>(n)};

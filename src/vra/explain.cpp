@@ -1,5 +1,7 @@
 #include "vra/explain.h"
 
+#include <vector>
+
 #include "common/table.h"
 
 namespace vod::vra {
@@ -8,9 +10,10 @@ std::string format_validation_table(const net::Topology& topology,
                                     const LvnCalculator& calculator) {
   TextTable table{{"Link", "NV(a)", "NV(b)", "LT", "LV", "LU = LT*LV",
                    "LVN"}};
+  const std::vector<double> nv = calculator.node_validations();
   for (const net::LinkInfo& info : topology.links()) {
-    const double nv_a = calculator.node_validation(info.a);
-    const double nv_b = calculator.node_validation(info.b);
+    const double nv_a = nv[info.a.value()];
+    const double nv_b = nv[info.b.value()];
     const double lv = calculator.link_value(info.id);
     const double lu = calculator.link_utilization_term(info.id);
     const double lt = lv > 0.0 ? lu / lv : 0.0;
@@ -18,7 +21,7 @@ std::string format_validation_table(const net::Topology& topology,
                    TextTable::num(nv_b, 4), TextTable::num(lt, 4),
                    TextTable::num(lv, 4), TextTable::num(lu, 4),
                    TextTable::num(
-                       calculator.link_validation_number(info.id), 4)});
+                       calculator.link_validation_number(info.id, nv), 4)});
   }
   return table.render();
 }

@@ -34,26 +34,6 @@ LvnCalculator::LvnCalculator(const net::Topology& topology,
     : topology_(topology), stats_(stats), options_(std::move(options)) {
   require(!(options_.normalization_constant <= 0.0),
       "LvnCalculator: normalization constant must be positive");
-  require(!(options_.server_load_weight < 0.0),
-      "LvnCalculator: server load weight must be >= 0");
-  require(!(options_.server_load_weight > 0.0 && !options_.server_load),
-      "LvnCalculator: server_load callback required when weighted");
-}
-
-double LvnCalculator::node_validation(NodeId node) const {
-  double used_sum = 0.0;
-  double total_sum = 0.0;
-  for (const LinkId link : topology_.links_adjacent_to(node)) {
-    const LinkStats s = stats_.stats(link);
-    used_sum += s.used.value();
-    total_sum += s.total.value();
-  }
-  // An isolated node imposes no network burden.
-  double nv = total_sum > 0.0 ? used_sum / total_sum : 0.0;
-  if (options_.server_load_weight > 0.0) {
-    nv += options_.server_load_weight * options_.server_load(node);
-  }
-  return nv;
 }
 
 std::vector<double> LvnCalculator::node_validations() const {
@@ -67,14 +47,10 @@ std::vector<double> LvnCalculator::node_validations() const {
     used_sum[info.b.value()] += s.used.value();
     total_sum[info.b.value()] += s.total.value();
   }
+  // An isolated node imposes no network burden.
   std::vector<double> nv(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     if (total_sum[i] > 0.0) nv[i] = used_sum[i] / total_sum[i];
-    if (options_.server_load_weight > 0.0) {
-      nv[i] += options_.server_load_weight *
-               options_.server_load(NodeId{
-                   static_cast<NodeId::underlying_type>(i)});
-    }
   }
   return nv;
 }
@@ -93,13 +69,6 @@ double LvnCalculator::link_value(LinkId link) const {
 
 double LvnCalculator::link_utilization_term(LinkId link) const {
   return stats_.stats(link).traffic_fraction * link_value(link);
-}
-
-double LvnCalculator::link_validation_number(LinkId link) const {
-  const net::LinkInfo& info = topology_.link(link);
-  const double nv = std::max(node_validation(info.a),
-                             node_validation(info.b));
-  return nv + link_utilization_term(link);
 }
 
 routing::Graph LvnCalculator::build_weighted_graph() const {

@@ -10,7 +10,6 @@
 // Dijkstra weight.  The NormalizationConstant "approaches 10" in the paper.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -65,11 +64,6 @@ class MapLinkStatsProvider final : public LinkStatsProvider {
 struct ValidationOptions {
   /// Eq. 4 denominator; the paper suggests "an integer approaching 10".
   double normalization_constant = 10.0;
-  /// Future-work extension (paper, Conclusions): weight of the server's own
-  /// CPU/RAM load added to its node validation.  0 = paper behaviour.
-  double server_load_weight = 0.0;
-  /// Supplies a node's machine load in [0,1] when server_load_weight > 0.
-  std::function<double(NodeId)> server_load;
 };
 
 /// Computes NV / LU / LVN over a topology from a stats provider.
@@ -80,16 +74,12 @@ class LvnCalculator {
                 const LinkStatsProvider& stats,
                 ValidationOptions options = {});
 
-  /// Eq. 2 (+ optional server-load extension).
-  [[nodiscard]] double node_validation(NodeId node) const;
-
-  /// Eq. 2 for every node at once.  A single pass over the links
-  /// accumulates each node's used/total sums, so the whole vector costs
-  /// O(V + E) where per-node queries would cost O(E · deg) across a build.
+  /// Eq. 2 for every node, indexed by node id.  A single pass over the
+  /// links in id order accumulates each node's used/total sums.
   [[nodiscard]] std::vector<double> node_validations() const;
 
-  /// Eq. 1 with both endpoint validations already known (from
-  /// node_validations()); avoids the per-link O(deg) recomputation.
+  /// Eq. 1 — the Dijkstra weight of `link`, from the endpoint validations
+  /// node_validations() returned.
   [[nodiscard]] double link_validation_number(
       LinkId link, const std::vector<double>& node_validations) const;
 
@@ -98,9 +88,6 @@ class LvnCalculator {
 
   /// Eq. 3.
   [[nodiscard]] double link_utilization_term(LinkId link) const;
-
-  /// Eq. 1 — the Dijkstra weight of `link`.
-  [[nodiscard]] double link_validation_number(LinkId link) const;
 
   /// Builds the weighted routing graph: one graph node per topology node
   /// (names preserved), one edge per online link, weight = LVN.  Links

@@ -59,13 +59,11 @@ void trace_no_source(const obs::Context* context,
 }  // namespace
 
 Vra::Vra(const net::Topology& topology, db::FullAccessView catalog,
-         db::LimitedAccessView network_state, ValidationOptions options,
-         bool enable_cache)
+         db::LimitedAccessView network_state, ValidationOptions options)
     : topology_(topology),
       catalog_(catalog),
       network_state_(network_state),
-      options_(std::move(options)),
-      cache_enabled_(enable_cache) {}
+      options_(std::move(options)) {}
 
 bool Vra::can_provide(NodeId server, VideoId video) const {
   const std::vector<NodeId>& holders = catalog_.servers_with_title(video);
@@ -133,97 +131,18 @@ std::optional<Decision> Vra::select_degraded(
   return decision;
 }
 
-routing::Graph Vra::current_weighted_graph() const {
-  const DbLinkStatsProvider stats{network_state_};
-  const LvnCalculator calculator{topology_, stats, options_};
-  return calculator.build_weighted_graph();
-}
-
-void Vra::full_rebuild(std::uint64_t epoch) const {
+const routing::Graph& Vra::routing_graph() const {
+  const std::uint64_t epoch = network_state_.links_changed_epoch();
+  if (cached_graph_ && epoch == cached_links_epoch_) {
+    ++cache_stats_.graph_hits;
+    return *cached_graph_;
+  }
   const DbLinkStatsProvider stats{network_state_};
   const LvnCalculator calculator{topology_, stats, options_};
   cached_graph_ = calculator.build_weighted_graph();
   cached_links_epoch_ = epoch;
   spt_cache_ = {};
   ++cache_stats_.graph_rebuilds;
-}
-
-void Vra::refresh_dirty_links(std::uint64_t epoch) const {
-  // The links stamped after our build are the only ones whose statistics
-  // moved.  A stats move changes (a) the link's own LU term and (b) the
-  // node validation of its two endpoints — and through (b) the LVN of every
-  // link adjacent to those endpoints.  Rewriting those weights in place
-  // reproduces build_weighted_graph() bit for bit, as long as no link
-  // entered or left the graph (online flips force a rebuild).
-  std::vector<LinkId> dirty;
-  for (const net::LinkInfo& info : topology_.links()) {
-    const db::LinkRecord& record = network_state_.link(info.id);
-    if (record.last_changed_epoch <= cached_links_epoch_) continue;
-    if (record.online != cached_graph_->edge_weight(info.id).has_value()) {
-      full_rebuild(epoch);
-      return;
-    }
-    dirty.push_back(info.id);
-  }
-  if (dirty.empty()) {  // defensive: epoch moved but no stamped link found
-    full_rebuild(epoch);
-    return;
-  }
-
-  const DbLinkStatsProvider stats{network_state_};
-  const LvnCalculator calculator{topology_, stats, options_};
-
-  std::vector<char> node_affected(topology_.node_count(), 0);
-  for (const LinkId link : dirty) {
-    const net::LinkInfo& info = topology_.link(link);
-    node_affected[info.a.value()] = 1;
-    node_affected[info.b.value()] = 1;
-  }
-
-  // Node validations on demand, memoized: an affected edge can end at an
-  // unaffected node whose (unchanged) validation we still need.
-  std::vector<double> nv(topology_.node_count(), 0.0);
-  std::vector<char> nv_known(topology_.node_count(), 0);
-  const auto nv_of = [&](NodeId node) {
-    if (!nv_known[node.value()]) {
-      nv[node.value()] = calculator.node_validation(node);
-      nv_known[node.value()] = 1;
-    }
-    return nv[node.value()];
-  };
-
-  std::vector<char> rewritten(topology_.link_count(), 0);
-  for (std::size_t n = 0; n < node_affected.size(); ++n) {
-    if (!node_affected[n]) continue;
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    for (const LinkId link : topology_.links_adjacent_to(node)) {
-      if (rewritten[link.value()]) continue;
-      rewritten[link.value()] = 1;
-      // Offline links are absent from the graph; their stats still feed
-      // their endpoints' validations (handled by nv_of), but they carry no
-      // weight to rewrite.
-      if (!cached_graph_->edge_weight(link)) continue;
-      const net::LinkInfo& info = topology_.link(link);
-      const double weight = std::max(nv_of(info.a), nv_of(info.b)) +
-                            calculator.link_utilization_term(link);
-      cached_graph_->set_edge_weight(link, weight);
-      ++cache_stats_.edges_rewritten;
-    }
-  }
-  cached_links_epoch_ = epoch;
-  spt_cache_ = {};
-  ++cache_stats_.graph_incremental;
-}
-
-const routing::Graph& Vra::weighted_graph() const {
-  const std::uint64_t epoch = network_state_.links_changed_epoch();
-  if (!cache_usable() || !cached_graph_) {
-    full_rebuild(epoch);
-  } else if (epoch == cached_links_epoch_) {
-    ++cache_stats_.graph_hits;
-  } else {
-    refresh_dirty_links(epoch);
-  }
   return *cached_graph_;
 }
 
@@ -268,15 +187,14 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
 
   // "Calculate the Link Validation Number for each network link; run the
   //  Dijkstra's routing algorithm from the client's adjacent server."
-  const routing::Graph& graph = weighted_graph();
+  const routing::Graph& graph = routing_graph();
 
   Decision decision;
   const routing::ShortestPaths* paths = nullptr;
   std::optional<routing::ShortestPaths> fresh;
-  if (want_trace || !cache_usable()) {
+  if (want_trace) {
     // Trace requests need the step table recorded, so they always run live.
-    fresh.emplace(routing::dijkstra(
-        graph, home, want_trace ? &decision.trace : nullptr));
+    fresh.emplace(routing::dijkstra(graph, home, &decision.trace));
     paths = &*fresh;
   } else {
     paths = spt_cache_.find(home);

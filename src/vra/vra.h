@@ -11,15 +11,13 @@
 // The VRA keeps running during playback: the streaming layer calls
 // select_server() again before each cluster, enabling mid-stream switching.
 //
-// Incremental engine: the LVNs are a pure function of the limited-access
-// link statistics, which only change when SNMP polls (or an administrator)
-// writes them — every 1–2 minutes — while select_server() runs per cluster
-// fetch.  The VRA therefore caches the weighted graph and the per-home
-// shortest-path trees, keyed on the database's links_changed_epoch(); when
-// the epoch advances it rewrites just the edges whose weights could have
-// moved (the dirty links' endpoints' neighborhoods) and falls back to a
-// full rebuild only when a link's online flag flipped (graph membership
-// change).  Selections are bit-for-bit identical to uncached operation.
+// Cached engine: the LVNs are a pure function of the limited-access link
+// statistics, which only change when SNMP polls (or an administrator)
+// writes them — every 1–2 minutes, and a poll rewrites every link — while
+// select_server() runs per cluster fetch.  The VRA therefore keeps one
+// weighted graph and the per-home shortest-path trees, keyed on the
+// database's links_changed_epoch(), and rebuilds the graph whole when the
+// epoch moves.  Selections are bit-for-bit those of a freshly built Vra.
 #pragma once
 
 #include <cstdint>
@@ -67,17 +65,13 @@ struct Decision {
   [[nodiscard]] double cost() const { return path.cost; }
 };
 
-/// Effectiveness counters of the incremental engine (reported through
+/// Effectiveness counters of the cached engine (reported through
 /// service::ServiceReport so benches can assert cache behaviour).
 struct VraCacheStats {
   /// Graph served unchanged (links epoch did not advance).
   std::uint64_t graph_hits = 0;
-  /// Graph refreshed by rewriting only the dirty links' neighborhoods.
-  std::uint64_t graph_incremental = 0;
-  /// Full cold builds (first use, online flips, cache disabled).
+  /// Whole-graph builds (first use, then one per links-epoch move).
   std::uint64_t graph_rebuilds = 0;
-  /// Edge weights rewritten across all incremental refreshes.
-  std::uint64_t edges_rewritten = 0;
   /// Dijkstra trees served from / inserted into the per-home cache.
   std::uint64_t spt_hits = 0;
   std::uint64_t spt_misses = 0;
@@ -89,21 +83,14 @@ struct VraCacheStats {
 class Vra {
  public:
   /// `topology` must outlive the Vra; the views are value facades.
-  /// `enable_cache = false` recomputes everything per call (the seed
-  /// behaviour — kept for A/B benches and as a paranoia switch).
   Vra(const net::Topology& topology, db::FullAccessView catalog,
-      db::LimitedAccessView network_state, ValidationOptions options = {},
-      bool enable_cache = true);
+      db::LimitedAccessView network_state, ValidationOptions options = {});
 
   /// Runs Figure 5 for a client homed at `home` requesting `video`.
   /// Returns nullopt when no online server holds the title.
   /// `want_trace` additionally records the Dijkstra step table.
   [[nodiscard]] std::optional<Decision> select_server(
       NodeId home, VideoId video, bool want_trace = false) const;
-
-  /// The weighted graph the VRA would route on right now (for inspection
-  /// and the table benches).  Always built fresh; does not touch the cache.
-  [[nodiscard]] routing::Graph current_weighted_graph() const;
 
   [[nodiscard]] const ValidationOptions& options() const { return options_; }
 
@@ -129,14 +116,12 @@ class Vra {
   /// (the default) traces nothing.  Must outlive the Vra or be reset.
   void set_obs(const obs::Context* context) { obs_ = context; }
 
-  // --- incremental engine ---
+  // --- cached engine ---
 
-  /// The graph the engine routes on, refreshed to the database's current
-  /// links epoch (counts a hit/incremental/rebuild like a request would).
-  /// The reference is valid until the next database change.
-  [[nodiscard]] const routing::Graph& routing_graph() const {
-    return weighted_graph();
-  }
+  /// The weighted graph the VRA routes on, rebuilt if the database's links
+  /// epoch moved (counts a hit or rebuild like a request would).  The
+  /// reference is valid until the next link-state write.
+  [[nodiscard]] const routing::Graph& routing_graph() const;
 
   [[nodiscard]] const VraCacheStats& cache_stats() const {
     return cache_stats_;
@@ -152,32 +137,16 @@ class Vra {
   /// The server is online and the catalog lists it as a holder.
   [[nodiscard]] bool can_provide(NodeId server, VideoId video) const;
 
-  /// Returns the cached weighted graph, refreshed to the database's current
-  /// links epoch (full rebuild / dirty-links rewrite / as-is).
-  [[nodiscard]] const routing::Graph& weighted_graph() const;
-
   /// The degraded fallback: min-hop paths from `home` to the online
   /// servers among `holders` over the links whose records still say
   /// online, ignoring the (stale) LVN weights.
   [[nodiscard]] std::optional<Decision> select_degraded(
       NodeId home, const std::vector<NodeId>& holders) const;
 
-  void full_rebuild(std::uint64_t epoch) const;
-  /// Rewrites the weights reachable from the dirty links; falls back to
-  /// full_rebuild() when a dirty link's online flag flipped.
-  void refresh_dirty_links(std::uint64_t epoch) const;
-
-  /// The machine-load extension reads an arbitrary callback the database
-  /// epoch knows nothing about, so caching would be unsound with it on.
-  [[nodiscard]] bool cache_usable() const {
-    return cache_enabled_ && options_.server_load_weight == 0.0;
-  }
-
   const net::Topology& topology_;
   db::FullAccessView catalog_;
   db::LimitedAccessView network_state_;
   ValidationOptions options_;
-  bool cache_enabled_ = true;
   const obs::Context* obs_ = nullptr;
   double degraded_max_age_ = std::numeric_limits<double>::infinity();
   std::function<SimTime()> clock_;

@@ -138,13 +138,13 @@ TEST(LinkFailure, VraRoutesAroundOfflineLink) {
   // Baseline: Patra reaches Thessaloniki via Ioannina at 8am.
   auto before = vra.select_server(g.patra, movie);
   ASSERT_TRUE(before.has_value());
-  EXPECT_EQ(before->path.to_string(vra.current_weighted_graph()),
+  EXPECT_EQ(before->path.to_string(vra.routing_graph()),
             "U2,U3,U4");
   // Kill the Patra-Ioannina link: must fall back through Athens.
   view.set_link_online(g.patra_ioannina, false);
   auto after = vra.select_server(g.patra, movie);
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->path.to_string(vra.current_weighted_graph()),
+  EXPECT_EQ(after->path.to_string(vra.routing_graph()),
             "U2,U1,U4");
 }
 

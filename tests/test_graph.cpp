@@ -82,31 +82,6 @@ TEST(Graph, RejectsDuplicateLinkId) {
                std::invalid_argument);
 }
 
-TEST(Graph, SetEdgeWeightUpdatesBothDirections) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  const NodeId b = graph.add_node();
-  graph.add_undirected_edge(a, b, LinkId{0}, 1.0);
-  graph.set_edge_weight(LinkId{0}, 9.0);
-  EXPECT_DOUBLE_EQ(graph.neighbors(a)[0].weight, 9.0);
-  EXPECT_DOUBLE_EQ(graph.neighbors(b)[0].weight, 9.0);
-  EXPECT_DOUBLE_EQ(*graph.edge_weight(LinkId{0}), 9.0);
-}
-
-TEST(Graph, SetEdgeWeightUnknownLinkThrows) {
-  Graph graph;
-  EXPECT_THROW(graph.set_edge_weight(LinkId{7}, 1.0), std::out_of_range);
-}
-
-TEST(Graph, SetEdgeWeightRejectsNegative) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  const NodeId b = graph.add_node();
-  graph.add_undirected_edge(a, b, LinkId{0}, 1.0);
-  EXPECT_THROW(graph.set_edge_weight(LinkId{0}, -1.0),
-               std::invalid_argument);
-}
-
 TEST(Graph, EdgeWeightUnknownReturnsNullopt) {
   Graph graph;
   EXPECT_FALSE(graph.edge_weight(LinkId{0}).has_value());

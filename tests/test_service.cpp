@@ -261,5 +261,16 @@ TEST(VodService, RejectsZeroDiskConfiguration) {
                std::invalid_argument);
 }
 
+TEST(VodService, RejectsOverrideForUnknownNode) {
+  grnet::CaseStudy g = grnet::build_case_study();
+  net::NoTraffic traffic;
+  sim::Simulation sim;
+  net::FluidNetwork network{g.topology, traffic};
+  ServiceOptions options;
+  options.server_overrides[NodeId{99}].disk_count = 0;
+  EXPECT_THROW(VodService(sim, g.topology, network, options, kAdmin),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace vod::service

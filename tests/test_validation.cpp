@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "grnet/grnet.h"
 
@@ -28,8 +29,9 @@ TEST(LvnCalculator, NodeValidationIsUsedOverTotal) {
   TwoNode fx;
   LvnCalculator calc{fx.topo, fx.stats};
   // Eq. 2: both endpoints see the single link: 1/2.
-  EXPECT_DOUBLE_EQ(calc.node_validation(fx.a), 0.5);
-  EXPECT_DOUBLE_EQ(calc.node_validation(fx.b), 0.5);
+  const std::vector<double> nv = calc.node_validations();
+  EXPECT_DOUBLE_EQ(nv[fx.a.value()], 0.5);
+  EXPECT_DOUBLE_EQ(nv[fx.b.value()], 0.5);
 }
 
 TEST(LvnCalculator, NodeValidationSumsAdjacentLinks) {
@@ -44,9 +46,10 @@ TEST(LvnCalculator, NodeValidationSumsAdjacentLinks) {
   stats.set(ac, LinkStats{Mbps{9.0}, Mbps{18.0}, 0.5});
   LvnCalculator calc{topo, stats};
   // a: (1+9)/(2+18) = 0.5; b: 1/2; c: 9/18.
-  EXPECT_DOUBLE_EQ(calc.node_validation(a), 0.5);
-  EXPECT_DOUBLE_EQ(calc.node_validation(b), 0.5);
-  EXPECT_DOUBLE_EQ(calc.node_validation(c), 0.5);
+  const std::vector<double> nv = calc.node_validations();
+  EXPECT_DOUBLE_EQ(nv[a.value()], 0.5);
+  EXPECT_DOUBLE_EQ(nv[b.value()], 0.5);
+  EXPECT_DOUBLE_EQ(nv[c.value()], 0.5);
 }
 
 TEST(LvnCalculator, IsolatedNodeHasZeroValidation) {
@@ -54,7 +57,7 @@ TEST(LvnCalculator, IsolatedNodeHasZeroValidation) {
   const NodeId a = topo.add_node("a");
   MapLinkStatsProvider stats;
   LvnCalculator calc{topo, stats};
-  EXPECT_DOUBLE_EQ(calc.node_validation(a), 0.0);
+  EXPECT_DOUBLE_EQ(calc.node_validations()[a.value()], 0.0);
 }
 
 TEST(LvnCalculator, LinkValueIsBandwidthOverNormalization) {
@@ -66,8 +69,7 @@ TEST(LvnCalculator, LinkValueIsBandwidthOverNormalization) {
 TEST(LvnCalculator, NormalizationConstantConfigurable) {
   TwoNode fx;
   LvnCalculator calc{fx.topo, fx.stats,
-                     ValidationOptions{.normalization_constant = 4.0,
-                                       .server_load = {}}};
+                     ValidationOptions{.normalization_constant = 4.0}};
   EXPECT_DOUBLE_EQ(calc.link_value(fx.ab), 0.5);  // 2 / 4
 }
 
@@ -80,7 +82,8 @@ TEST(LvnCalculator, LinkUtilizationTermIsTrafficTimesValue) {
 TEST(LvnCalculator, LvnIsMaxNodeValidationPlusUtilizationTerm) {
   TwoNode fx;
   LvnCalculator calc{fx.topo, fx.stats};
-  EXPECT_DOUBLE_EQ(calc.link_validation_number(fx.ab), 0.5 + 0.1);
+  EXPECT_DOUBLE_EQ(
+      calc.link_validation_number(fx.ab, calc.node_validations()), 0.5 + 0.1);
 }
 
 TEST(LvnCalculator, LvnTakesWorseEndpoint) {
@@ -96,32 +99,16 @@ TEST(LvnCalculator, LvnTakesWorseEndpoint) {
   stats.set(bc, LinkStats{Mbps{1.8}, Mbps{2.0}, 0.9});
   LvnCalculator calc{topo, stats};
   // NV(a) = 0.1, NV(b) = 2.0/4 = 0.5; LVN(ab) = 0.5 + 0.1*0.2.
-  EXPECT_DOUBLE_EQ(calc.link_validation_number(ab), 0.5 + 0.02);
-}
-
-TEST(LvnCalculator, ServerLoadExtensionAddsWeightedTerm) {
-  TwoNode fx;
-  ValidationOptions options;
-  options.server_load_weight = 0.5;
-  options.server_load = [&](NodeId node) {
-    return node == fx.a ? 0.8 : 0.0;
-  };
-  LvnCalculator calc{fx.topo, fx.stats, options};
-  EXPECT_DOUBLE_EQ(calc.node_validation(fx.a), 0.5 + 0.5 * 0.8);
-  EXPECT_DOUBLE_EQ(calc.node_validation(fx.b), 0.5);
+  EXPECT_DOUBLE_EQ(calc.link_validation_number(ab, calc.node_validations()),
+                   0.5 + 0.02);
 }
 
 TEST(LvnCalculator, ValidatesOptions) {
   TwoNode fx;
   EXPECT_THROW(
       LvnCalculator(fx.topo, fx.stats,
-                    ValidationOptions{.normalization_constant = 0.0,
-                                      .server_load = {}}),
+                    ValidationOptions{.normalization_constant = 0.0}),
       std::invalid_argument);
-  ValidationOptions missing_callback;
-  missing_callback.server_load_weight = 1.0;
-  EXPECT_THROW(LvnCalculator(fx.topo, fx.stats, missing_callback),
-               std::invalid_argument);
 }
 
 TEST(LvnCalculator, BuildWeightedGraphMirrorsTopology) {
@@ -167,8 +154,9 @@ TEST_P(Table3Reproduction, ComputedLvnsMatchPaperWithinRounding) {
   const grnet::CaseStudy grnet = grnet::build_case_study();
   const auto stats = grnet::table2_stats(grnet, GetParam());
   const LvnCalculator calc{grnet.topology, stats};
+  const std::vector<double> nv = calc.node_validations();
   for (const LinkId link : grnet.links_in_paper_order()) {
-    const double computed = calc.link_validation_number(link);
+    const double computed = calc.link_validation_number(link, nv);
     const double published =
         grnet::table3_expected_lvn(grnet, link, GetParam());
     // The paper rounds intermediate values; 0.01 absolute covers every
@@ -185,9 +173,10 @@ TEST_P(Table3Reproduction, MostCellsMatchToFourDecimals) {
   const grnet::CaseStudy grnet = grnet::build_case_study();
   const auto stats = grnet::table2_stats(grnet, GetParam());
   const LvnCalculator calc{grnet.topology, stats};
+  const std::vector<double> nv = calc.node_validations();
   int tight = 0;
   for (const LinkId link : grnet.links_in_paper_order()) {
-    const double computed = calc.link_validation_number(link);
+    const double computed = calc.link_validation_number(link, nv);
     const double published =
         grnet::table3_expected_lvn(grnet, link, GetParam());
     if (std::abs(computed - published) < 5e-4) ++tight;

@@ -121,7 +121,7 @@ TEST(Vra, TraceRecordedOnRequest) {
 
 TEST(Vra, WeightedGraphUsesLvnWeights) {
   CaseFixture fx{grnet::TimeOfDay::k8am};
-  const routing::Graph graph = fx.make_vra().current_weighted_graph();
+  const routing::Graph graph = fx.make_vra().routing_graph();
   EXPECT_EQ(graph.node_count(), 6u);
   EXPECT_EQ(graph.edge_count(), 7u);
   // Patra-Athens at 8am: published LVN 0.083.
@@ -143,7 +143,7 @@ TEST(VraExperiments, ExperimentA_CorrectedDecision) {
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.thessaloniki);
   EXPECT_EQ(decision->path.to_string(
-                fx.make_vra().current_weighted_graph()),
+                fx.make_vra().routing_graph()),
             "U2,U3,U4");
   EXPECT_NEAR(decision->path.cost, 0.2178, 0.002);
   // The paper's intended Xanthi alternative is the other candidate, with
@@ -152,7 +152,7 @@ TEST(VraExperiments, ExperimentA_CorrectedDecision) {
   EXPECT_EQ(decision->candidates[1].server, fx.g.xanthi);
   EXPECT_NEAR(decision->candidates[1].path.cost, 0.315, 0.002);
   EXPECT_EQ(decision->candidates[1].path.to_string(
-                fx.make_vra().current_weighted_graph()),
+                fx.make_vra().routing_graph()),
             "U2,U1,U6,U5");
 }
 
@@ -165,7 +165,7 @@ TEST(VraExperiments, ExperimentB_MatchesPaper) {
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.thessaloniki);
   EXPECT_EQ(decision->path.to_string(
-                fx.make_vra().current_weighted_graph()),
+                fx.make_vra().routing_graph()),
             "U2,U3,U4");
   EXPECT_NEAR(decision->path.cost, 1.007, 0.01);
   // Alternative: Xanthi via U2,U1,U6,U5 at ~1.308.
@@ -183,7 +183,7 @@ TEST(VraExperiments, ExperimentC_MatchesPaper) {
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.ioannina);
   EXPECT_EQ(decision->path.to_string(
-                fx.make_vra().current_weighted_graph()),
+                fx.make_vra().routing_graph()),
             "U1,U2,U3");
   EXPECT_NEAR(decision->path.cost, 1.222, 0.01);
 
@@ -208,7 +208,7 @@ TEST(VraExperiments, ExperimentD_MatchesPaper) {
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.ioannina);
   EXPECT_EQ(decision->path.to_string(
-                fx.make_vra().current_weighted_graph()),
+                fx.make_vra().routing_graph()),
             "U1,U2,U3");
   EXPECT_NEAR(decision->path.cost, 1.236, 0.01);
   for (const Candidate& candidate : decision->candidates) {
@@ -218,33 +218,6 @@ TEST(VraExperiments, ExperimentD_MatchesPaper) {
       EXPECT_NEAR(candidate.path.cost, 1.3574, 0.01);
     }
   }
-}
-
-TEST(Vra, ServerLoadExtensionShiftsDecisions) {
-  // Experiment C scenario at 4pm: Ioannina normally wins; pegging its
-  // server's CPU makes the VRA route elsewhere once the machine-load
-  // weight is enabled (the paper's future-work factor).
-  CaseFixture fx{grnet::TimeOfDay::k4pm};
-  fx.place(fx.g.ioannina);
-  fx.place(fx.g.thessaloniki);
-  fx.place(fx.g.xanthi);
-  ValidationOptions options;
-  options.server_load_weight = 0.5;
-  const NodeId pegged = fx.g.ioannina;
-  options.server_load = [pegged](NodeId node) {
-    return node == pegged ? 0.95 : 0.0;
-  };
-  const Vra loaded{fx.g.topology, fx.db.full_view(),
-                   fx.db.limited_view(kAdmin), options};
-  const auto with_load = loaded.select_server(fx.g.athens, fx.movie);
-  ASSERT_TRUE(with_load.has_value());
-  EXPECT_NE(with_load->server, fx.g.ioannina);
-
-  const Vra plain{fx.g.topology, fx.db.full_view(),
-                  fx.db.limited_view(kAdmin), {}};
-  const auto without_load = plain.select_server(fx.g.athens, fx.movie);
-  ASSERT_TRUE(without_load.has_value());
-  EXPECT_EQ(without_load->server, fx.g.ioannina);
 }
 
 TEST(Vra, TieBreaksTowardLowerNodeId) {
