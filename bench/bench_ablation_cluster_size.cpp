@@ -36,14 +36,7 @@ Outcome run_with_cluster(MegaBytes cluster) {
   net::FluidNetwork network{g.topology, trace};
   net::TransferManager transfers{sim, network};
 
-  db::Database db{bench::kAdmin};
-  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    db.register_server(node, g.topology.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{bench::kAdmin, g.topology};
   snmp::SnmpModule snmp{sim, network, db.limited_view(bench::kAdmin), Duration{90.0}};
   snmp.poll_now(SimTime{0.0});
   snmp.start();

@@ -59,14 +59,7 @@ RunResult run_policy(PolicyKind kind) {
   net::FluidNetwork network{g.topology, trace};
   net::TransferManager transfers{sim, network};
 
-  db::Database db{bench::kAdmin};
-  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    db.register_server(node, g.topology.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{bench::kAdmin, g.topology};
   snmp::SnmpModule snmp{sim, network, db.limited_view(bench::kAdmin), Duration{90.0}};
   // The self-accounting variant reports only background traffic, removing
   // the own-flow feedback that makes the plain per-cluster VRA oscillate.

@@ -103,10 +103,7 @@ int main() {
     const net::TraceTraffic trace = grnet::table2_trace(g);
     net::FluidNetwork network{g.topology, trace};
     sim::Simulation sim;
-    db::Database db{bench::kAdmin};
-    for (const net::LinkInfo& info : g.topology.links()) {
-      db.register_link(info.id, info.name, info.capacity);
-    }
+    db::Database db{bench::kAdmin, g.topology};
     snmp::SnmpModule snmp{sim, network, db.limited_view(bench::kAdmin)};
     double worst = 0.0;
     for (const grnet::TimeOfDay t : grnet::kAllTimes) {

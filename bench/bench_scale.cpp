@@ -109,14 +109,7 @@ RunResult run(Policy which, bench::ObsScope& obs) {
   net::FluidNetwork network{n.topo, traffic};
   net::TransferManager transfers{sim, network};
 
-  db::Database db{bench::kAdmin};
-  for (std::size_t i = 0; i < n.topo.node_count(); ++i) {
-    const NodeId node{static_cast<NodeId::underlying_type>(i)};
-    db.register_server(node, n.topo.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : n.topo.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{bench::kAdmin, n.topo};
   snmp::SnmpModule snmp{sim, network, db.limited_view(bench::kAdmin), Duration{90.0}};
   snmp.poll_now(SimTime{0.0});
   snmp.start();

@@ -25,10 +25,7 @@ int main() {
   net::FluidNetwork network{g.topology, trace};
   sim::Simulation sim;
 
-  db::Database db{bench::kAdmin};
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{bench::kAdmin, g.topology};
   snmp::SnmpModule snmp{sim, network, db.limited_view(bench::kAdmin), Duration{90.0}};
   snmp.poll_now(SimTime{0.0});
   snmp.start();

@@ -25,14 +25,15 @@ int main(int argc, char** argv) {
                fx.db.limited_view(bench::kAdmin), {}};
   vra.set_obs(&obs.context());
 
-  const auto decision = vra.select_server(fx.g.patra, fx.movie, true);
+  const auto decision = vra.select_server(fx.g.patra, fx.movie);
   if (!decision) {
     std::cerr << "unexpected: no decision\n";
     return 1;
   }
   const routing::Graph& graph = vra.routing_graph();
-  std::cout << routing::format_dijkstra_trace(graph, fx.g.patra,
-                                              decision->trace);
+  routing::DijkstraTrace trace;
+  routing::dijkstra(graph, fx.g.patra, &trace);
+  std::cout << routing::format_dijkstra_trace(graph, fx.g.patra, trace);
 
   std::cout << "\nLeast-cost paths to the candidate servers:\n";
   for (const vra::Candidate& candidate : decision->candidates) {

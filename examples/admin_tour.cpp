@@ -49,8 +49,9 @@ int main() {
             << std::setprecision(2);
   for (const LinkId link : g.links_in_paper_order()) {
     const db::LinkRecord& record = admin.link(link);
-    std::cout << "  " << std::left << std::setw(22) << record.name
-              << record.used_bandwidth.value() << "/"
+    std::cout << "  " << std::left << std::setw(22)
+              << g.topology.link(link).name << record.used_bandwidth.value()
+              << "/"
               << record.total_bandwidth.value() << " Mbps ("
               << record.utilization * 100.0 << "%)"
               << (record.online ? "" : "  OFFLINE") << "\n";

@@ -26,14 +26,7 @@ int main() {
   net::FluidNetwork network{g.topology, trace};
   net::TransferManager transfers{sim, network};
 
-  db::Database db{admin};
-  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    db.register_server(node, g.topology.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{admin, g.topology};
   snmp::SnmpModule snmp{sim, network, db.limited_view(admin), Duration{90.0}};
   // Account VoD streams separately so the VRA reacts to the *background*
   // congestion shift rather than to its own flow (without this the stream

@@ -41,22 +41,11 @@ int main() {
   for (const Experiment& experiment : experiments) {
     // A fresh database snapshot per instant, as the limited-access module
     // would hold after the SNMP refresh at that time of day.
-    db::Database db{kAdmin};
-    for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-      const NodeId node{static_cast<NodeId::underlying_type>(n)};
-      db.register_server(node, g.topology.node_name(node), {});
-    }
-    for (const net::LinkInfo& info : g.topology.links()) {
-      db.register_link(info.id, info.name, info.capacity);
-    }
+    db::Database db{kAdmin, g.topology};
     const VideoId movie =
         db.register_video("case-study title", MegaBytes{900.0}, Mbps{2.0});
     auto view = db.limited_view(kAdmin);
-    for (const LinkId link : g.links_in_paper_order()) {
-      const auto sample = grnet::table2_sample(g, link, experiment.at);
-      view.update_link_stats(link, sample.used, sample.utilization,
-                             grnet::time_of(experiment.at));
-    }
+    grnet::write_table2(view, g, experiment.at);
     for (const NodeId holder : experiment.holders) {
       view.add_title(holder, movie);
     }

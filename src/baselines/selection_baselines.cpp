@@ -13,9 +13,8 @@ std::vector<NodeId> online_holders(const db::FullAccessView& catalog,
                                    const db::LimitedAccessView& state,
                                    VideoId video) {
   std::vector<NodeId> holders = catalog.servers_with_title(video);
-  std::erase_if(holders, [&](NodeId server) {
-    return !state.server(server).online;
-  });
+  std::erase_if(holders,
+                [&](NodeId server) { return !state.server_online(server); });
   return holders;
 }
 

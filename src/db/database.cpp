@@ -8,8 +8,15 @@
 
 namespace vod::db {
 
-Database::Database(AdminCredential admin) : admin_(std::move(admin)) {
+Database::Database(AdminCredential admin, const net::Topology& topology)
+    : admin_(std::move(admin)), servers_online_(topology.node_count(), true) {
   require(!admin_.secret.empty(), "Database: admin secret must be non-empty");
+  links_.reserve(topology.link_count());
+  for (const net::LinkInfo& info : topology.links()) {
+    LinkRecord record;
+    record.total_bandwidth = info.capacity;
+    links_.push_back(record);
+  }
 }
 
 VideoId Database::register_video(std::string title, MegaBytes size,
@@ -21,21 +28,6 @@ VideoId Database::register_video(std::string title, MegaBytes size,
   const VideoId id{static_cast<VideoId::underlying_type>(titles_.size())};
   titles_.push_back({VideoInfo{id, std::move(title), size, bitrate}, {}});
   return id;
-}
-
-void Database::register_server(NodeId node, std::string name,
-                               ServerConfig config) {
-  servers_.insert(node, ServerRecord{std::move(name), config});
-}
-
-void Database::register_link(LinkId link, std::string name,
-                             Mbps total_bandwidth) {
-  require(!(total_bandwidth.value() <= 0.0),
-      "register_link: bandwidth must be positive");
-  LinkRecord record;
-  record.name = std::move(name);
-  record.total_bandwidth = total_bandwidth;
-  links_.insert(link, std::move(record));
 }
 
 FullAccessView Database::full_view() const { return FullAccessView{this}; }
@@ -86,11 +78,20 @@ std::vector<VideoInfo> FullAccessView::search(
 
 // --- LimitedAccessView ---
 
+LinkRecord& LimitedAccessView::entry(LinkId link, const char* what) const {
+  require_found(link.value() < db_->links_.size(), what);
+  return db_->links_[link.value()];
+}
+
+void LimitedAccessView::check_server(NodeId node, const char* what) const {
+  require_found(node.value() < db_->servers_online_.size(), what);
+}
+
 void LimitedAccessView::update_link_stats(LinkId link, Mbps used,
                                           double utilization, SimTime when) {
   require(!(used.value() < 0.0 || utilization < 0.0 || utilization > 1.0),
       "update_link_stats: bad statistics");
-  LinkRecord& record = db_->links_.at(link, "update_link_stats: unknown link");
+  LinkRecord& record = entry(link, "update_link_stats: unknown link");
   // SNMP re-reporting identical counters refreshes the staleness clock but
   // is not a change: the epoch moves only when a VRA-relevant value
   // actually differs.
@@ -104,27 +105,29 @@ void LimitedAccessView::update_link_stats(LinkId link, Mbps used,
 }
 
 void LimitedAccessView::set_link_online(LinkId link, bool online) {
-  LinkRecord& record = db_->links_.at(link, "set_link_online: unknown link");
+  LinkRecord& record = entry(link, "set_link_online: unknown link");
   if (record.online == online) return;
   record.online = online;
   ++db_->links_changed_epoch_;
 }
 
 const LinkRecord& LimitedAccessView::link(LinkId link) const {
-  return db_->links_.at(link, "link: unknown link");
+  return entry(link, "link: unknown link");
 }
 
-const ServerRecord& LimitedAccessView::server(NodeId node) const {
-  return db_->servers_.at(node, "server: unknown server");
+bool LimitedAccessView::server_online(NodeId node) const {
+  check_server(node, "server_online: unknown server");
+  return db_->servers_online_[node.value()];
 }
 
 void LimitedAccessView::set_server_online(NodeId node, bool online) {
-  db_->servers_.at(node, "set_server_online: unknown server").online = online;
+  check_server(node, "set_server_online: unknown server");
+  db_->servers_online_[node.value()] = online;
 }
 
 void LimitedAccessView::add_title(NodeId node, VideoId video) {
   require(db_->full_view().has_video(video), "add_title: unknown video");
-  require_found(db_->servers_.contains(node), "add_title: unknown server");
+  check_server(node, "add_title: unknown server");
   std::vector<NodeId>& holders = db_->titles_[video.value()].holders;
   const auto pos = std::lower_bound(holders.begin(), holders.end(), node);
   if (pos != holders.end() && *pos == node) return;  // already held
@@ -132,7 +135,7 @@ void LimitedAccessView::add_title(NodeId node, VideoId video) {
 }
 
 void LimitedAccessView::remove_title(NodeId node, VideoId video) {
-  require_found(db_->servers_.contains(node), "remove_title: unknown server");
+  check_server(node, "remove_title: unknown server");
   if (!db_->full_view().has_video(video)) return;
   std::vector<NodeId>& holders = db_->titles_[video.value()].holders;
   const auto pos = std::lower_bound(holders.begin(), holders.end(), node);
@@ -141,7 +144,7 @@ void LimitedAccessView::remove_title(NodeId node, VideoId video) {
 }
 
 double LimitedAccessView::stats_age(LinkId link, SimTime now) const {
-  return now - db_->links_.at(link, "stats_age: unknown link").last_snmp_update;
+  return now - entry(link, "stats_age: unknown link").last_snmp_update;
 }
 
 }  // namespace vod::db

@@ -5,9 +5,14 @@
 //                        catalog and which servers offer which title.
 //   * LimitedAccessView — what administrators, the SNMP module and the VRA
 //                        may read and write: link bandwidth statistics and
-//                        server configuration.
+//                        which servers are online.
 // A LimitedAccessView can only be obtained with the AdminCredential the
 // database was created with, mirroring the paper's access restriction.
+//
+// The server and link entries come from the topology: the constructor makes
+// one per node and one per link, so the database cannot disagree with the
+// network about which exist.  The catalog is not part of the topology and
+// is filled with register_video.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "common/id_vector.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/units.h"
 #include "db/records.h"
+#include "net/topology.h"
 
 namespace vod::db {
 
@@ -39,17 +44,14 @@ class LimitedAccessView;
 /// deterministic).
 class Database {
  public:
-  explicit Database(AdminCredential admin);
+  /// One online server entry per node of `topology` and one online link
+  /// entry per link, in id order, each link's total bandwidth its capacity
+  /// and its statistics zero.  Nodes or links added to the topology later
+  /// get no entry: pass the complete network.  The topology is not kept.
+  Database(AdminCredential admin, const net::Topology& topology);
 
   /// Registers a title in the global catalog.
   VideoId register_video(std::string title, MegaBytes size, Mbps bitrate);
-
-  /// Registers a server entry (one per network node hosting a video
-  /// server).  Duplicate ids throw.
-  void register_server(NodeId node, std::string name, ServerConfig config);
-
-  /// Registers a link entry with its admin-provided total bandwidth.
-  void register_link(LinkId link, std::string name, Mbps total_bandwidth);
 
   /// Read-only catalog access for the user-facing web module.
   [[nodiscard]] FullAccessView full_view() const;
@@ -89,8 +91,9 @@ class Database {
   std::vector<Title> titles_;
   /// What servers_with_title returns for an id the catalog never issued.
   std::vector<NodeId> no_holders_;
-  IdVector<NodeId, ServerRecord> servers_;
-  IdVector<LinkId, LinkRecord> links_;
+  /// Slot n is node n's online flag; slot l is link l's entry.
+  std::vector<bool> servers_online_;
+  std::vector<LinkRecord> links_;
   std::uint64_t links_changed_epoch_ = 0;
 };
 
@@ -126,7 +129,7 @@ class FullAccessView {
   const Database* db_;
 };
 
-/// Administrator/VRA/SNMP access: network statistics and configuration.
+/// Administrator/VRA/SNMP access: network statistics and server state.
 class LimitedAccessView {
  public:
   // --- link statistics (written by the SNMP module, read by the VRA) ---
@@ -137,8 +140,9 @@ class LimitedAccessView {
   void set_link_online(LinkId link, bool online);
   [[nodiscard]] const LinkRecord& link(LinkId link) const;
 
-  // --- server configuration and placement ---
-  [[nodiscard]] const ServerRecord& server(NodeId node) const;
+  // --- server state and placement ---
+  /// Whether `node`'s server can serve right now.
+  [[nodiscard]] bool server_online(NodeId node) const;
   void set_server_online(NodeId node, bool online);
   /// Records that `node` now holds (or no longer holds) a copy of `video`;
   /// these are the writes the DMA performs when it caches or evicts.
@@ -156,6 +160,10 @@ class LimitedAccessView {
  private:
   friend class Database;
   explicit LimitedAccessView(Database* db) : db_(db) {}
+  /// The entry of `link`; throws std::out_of_range with `what` if unknown.
+  [[nodiscard]] LinkRecord& entry(LinkId link, const char* what) const;
+  /// Throws std::out_of_range with `what` unless `node` has an entry.
+  void check_server(NodeId node, const char* what) const;
   Database* db_;
 };
 

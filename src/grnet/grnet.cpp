@@ -145,6 +145,14 @@ vra::MapLinkStatsProvider table2_stats(const CaseStudy& grnet, TimeOfDay t) {
   return provider;
 }
 
+void write_table2(db::LimitedAccessView view, const CaseStudy& grnet,
+                  TimeOfDay t) {
+  for (const LinkId link : grnet.links_in_paper_order()) {
+    const LinkSample sample = table2_sample(grnet, link, t);
+    view.update_link_stats(link, sample.used, sample.utilization, time_of(t));
+  }
+}
+
 double table3_expected_lvn(const CaseStudy& grnet, LinkId link,
                            TimeOfDay t) {
   return kTable3[row_of(grnet, link)][static_cast<std::size_t>(t)];

@@ -17,6 +17,7 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/units.h"
+#include "db/database.h"
 #include "net/topology.h"
 #include "net/traffic.h"
 #include "vra/validation.h"
@@ -78,6 +79,11 @@ LinkSample table2_sample(const CaseStudy& grnet, LinkId link, TimeOfDay t);
 /// exactly what the limited-access database held when the paper ran its
 /// four experiments.
 vra::MapLinkStatsProvider table2_stats(const CaseStudy& grnet, TimeOfDay t);
+
+/// Writes the Table 2 column for instant `t` into a database built from
+/// grnet.topology, stamped at time_of(t), in the tables' row order.
+void write_table2(db::LimitedAccessView view, const CaseStudy& grnet,
+                  TimeOfDay t);
 
 /// The paper's published Table 3 LVN for `link` at `t` (expected values for
 /// verification; our computed LVNs must match within rounding).

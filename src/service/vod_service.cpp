@@ -20,17 +20,15 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
       topology_(topology),
       network_(network),
       options_(options),
-      admin_(std::move(admin)),
-      db_(admin_),
+      db_(admin, topology),
+      admin_view_(db_.limited_view(admin)),
       transfers_(sim, network) {
   require(options_.server.disk_count != 0,
       "VodService: servers need at least one disk");
-  register_topology();
+  build_servers();
   snmp_ = std::make_unique<snmp::SnmpModule>(
-      sim_, network_, db_.limited_view(admin_),
-      Duration{options_.snmp_interval_seconds});
-  vra_ = std::make_unique<vra::Vra>(topology_, db_.full_view(),
-                                    db_.limited_view(admin_),
+      sim_, network_, admin_view_, Duration{options_.snmp_interval_seconds});
+  vra_ = std::make_unique<vra::Vra>(topology_, db_.full_view(), admin_view_,
                                     options_.validation);
   vra_->set_obs(&sim_.obs());
   vra_->configure_degraded_mode(Duration{options_.degraded_stats_age_seconds},
@@ -89,12 +87,11 @@ const DecisionAudit& VodService::audit() const {
   return *audit_;
 }
 
-void VodService::register_topology() {
+void VodService::build_servers() {
   for (const auto& [node, setup] : options_.server_overrides) {
     require(topology_.has_node(node),
         "VodService: server override for a node the topology lacks");
   }
-  auto view_factory = [this]() { return db_.limited_view(admin_); };
   for (std::size_t n = 0; n < topology_.node_count(); ++n) {
     const NodeId node{static_cast<NodeId::underlying_type>(n)};
     const auto override_it = options_.server_overrides.find(node);
@@ -103,17 +100,6 @@ void VodService::register_topology() {
                                    : options_.server;
     require(setup.disk_count != 0,
         "VodService: server override needs at least one disk");
-    db::ServerConfig config;
-    config.disk_count = static_cast<int>(setup.disk_count);
-    config.disk_capacity = setup.disk_profile.capacity;
-    // The server's access bandwidth: sum of its adjacent links.
-    Mbps access{0.0};
-    for (const LinkId link : topology_.links_adjacent_to(node)) {
-      access += topology_.link(link).capacity;
-    }
-    config.access_bandwidth = access;
-    db_.register_server(node, topology_.node_name(node), config);
-
     ServerState state;
     state.disks = std::make_unique<storage::DiskArray>(
         setup.disk_count, setup.disk_profile, options_.cluster_size,
@@ -121,19 +107,16 @@ void VodService::register_topology() {
     // DMA admissions/evictions mirror into the titles' holder lists so
     // the VRA (which reads the database) sees them.
     dma::DmaCallbacks callbacks;
-    callbacks.on_admit = [node, view_factory](VideoId video) {
-      view_factory().add_title(node, video);
+    callbacks.on_admit = [node, view = admin_view_](VideoId video) mutable {
+      view.add_title(node, video);
     };
-    callbacks.on_evict = [node, view_factory](VideoId video) {
-      view_factory().remove_title(node, video);
+    callbacks.on_evict = [node, view = admin_view_](VideoId video) mutable {
+      view.remove_title(node, video);
     };
     state.cache = std::make_unique<dma::DmaCache>(
         *state.disks, options_.dma, std::move(callbacks));
     state.cache->set_obs(&sim_.obs(), node.value());
     servers_.insert(node, std::move(state));
-  }
-  for (const net::LinkInfo& info : topology_.links()) {
-    db_.register_link(info.id, info.name, info.capacity);
   }
 }
 
@@ -149,7 +132,7 @@ void VodService::place_initial_copy(NodeId server, VideoId video) {
   if (cache.cached(video)) return;  // already there
   require(cache.place(video, info->size),
       "place_initial_copy: disks cannot tolerate the video");
-  db_.limited_view(admin_).add_title(server, video);
+  admin_view_.add_title(server, video);
 }
 
 void VodService::start() {
@@ -402,8 +385,7 @@ VodService::AdmissionOutcome VodService::request_classed(
       info->bitrate.value()};
   // A locally served session involves no network and is always admitted.
   if (decision->served_locally ||
-      path_residual(db_.limited_view(admin_), decision->path).value() >=
-          required.value()) {
+      path_residual(admin_view_, decision->path).value() >= required.value()) {
     ++admitted_;
     if (qos) ++qos_counter(cls, QosCount::kAdmitted);
     const SessionId id =
@@ -470,11 +452,10 @@ std::optional<std::vector<SessionId>> VodService::plan_preemption(
   // Per-link deficits against the same slightly-stale limited-access
   // statistics the admission check read.  A severed (offline) link cannot
   // be mended by shedding load, so no plan exists for it.
-  const db::LimitedAccessView view = db_.limited_view(admin_);
   std::vector<LinkId> short_links;
   std::vector<double> deficit;
   for (const LinkId link : path) {
-    const db::LinkRecord& record = view.link(link);
+    const db::LinkRecord& record = admin_view_.link(link);
     if (!record.online) return std::nullopt;
     const double free = link_residual(record).value();
     if (free < required.value()) {
@@ -592,9 +573,7 @@ UserClass VodService::session_class(SessionId id) const {
   return record->user_class;
 }
 
-db::LimitedAccessView VodService::admin_view() {
-  return db_.limited_view(admin_);
-}
+db::LimitedAccessView VodService::admin_view() { return admin_view_; }
 
 template <typename Predicate>
 void VodService::notify_sessions(const Predicate& predicate,
@@ -639,7 +618,7 @@ void VodService::fail_link(LinkId link) {
   if (options_.failover.proactive) {
     // The connection reset travels faster than the next SNMP poll: tell
     // the database (and through it the VRA) right away.
-    admin_view().set_link_online(link, false);
+    admin_view_.set_link_online(link, false);
   }
   notify_sessions(
       [link](const stream::Session& session) {
@@ -656,7 +635,7 @@ void VodService::restore_link(LinkId link) {
   if (network_.link_up(link)) return;
   network_.set_link_up(link, true);
   if (options_.failover.proactive) {
-    admin_view().set_link_online(link, true);
+    admin_view_.set_link_online(link, true);
   }
 }
 
@@ -773,7 +752,7 @@ void VodService::schedule_batch_expiry() {
 }
 
 void VodService::set_server_online(NodeId server, bool online) {
-  admin_view().set_server_online(server, online);
+  admin_view_.set_server_online(server, online);
 }
 
 std::vector<VideoId> VodService::fail_disk(NodeId server, std::size_t slot) {

@@ -267,7 +267,7 @@ class VodService {
 
   // ---- the administration module (limited access) ----
 
-  /// Privileged database view (stats + config).
+  /// Privileged database view (link statistics, server state).
   [[nodiscard]] db::LimitedAccessView admin_view();
   void set_server_online(NodeId server, bool online);
 
@@ -377,7 +377,8 @@ class VodService {
     std::unique_ptr<dma::DmaCache> cache;
   };
 
-  void register_topology();
+  /// One disk array and DMA per topology node, under its ServerSetup.
+  void build_servers();
 
   /// Creates, registers and starts a session; wraps `on_done` with the
   /// service-retry machinery when `retries_left > 0`.  `register_batch`
@@ -447,8 +448,11 @@ class VodService {
   const net::Topology& topology_;
   net::FluidNetwork& network_;
   ServiceOptions options_;
-  db::AdminCredential admin_;
   db::Database db_;
+  /// The one limited-access view, taken with the credential at
+  /// construction (the SNMP module, the VRA and the DMA callbacks hold
+  /// copies).
+  db::LimitedAccessView admin_view_;
   net::TransferManager transfers_;
   IpDirectory ips_;
   IdVector<NodeId, ServerState> servers_;

@@ -146,8 +146,8 @@ const routing::Graph& Vra::routing_graph() const {
   return *cached_graph_;
 }
 
-std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
-                                           bool want_trace) const {
+std::optional<Decision> Vra::select_server(NodeId home,
+                                           VideoId video) const {
   require(topology_.has_node(home), "Vra::select_server: unknown home node");
   require(catalog_.has_video(video), "Vra::select_server: unknown video");
   VOD_PROFILE_SCOPE("vra.select_server");
@@ -189,22 +189,15 @@ std::optional<Decision> Vra::select_server(NodeId home, VideoId video,
   //  Dijkstra's routing algorithm from the client's adjacent server."
   const routing::Graph& graph = routing_graph();
 
-  Decision decision;
-  const routing::ShortestPaths* paths = nullptr;
-  std::optional<routing::ShortestPaths> fresh;
-  if (want_trace) {
-    // Trace requests need the step table recorded, so they always run live.
-    fresh.emplace(routing::dijkstra(graph, home, &decision.trace));
-    paths = &*fresh;
+  const routing::ShortestPaths* paths = spt_cache_.find(home);
+  if (paths == nullptr) {
+    ++cache_stats_.spt_misses;
+    paths = &spt_cache_.insert(home, routing::dijkstra(graph, home));
   } else {
-    paths = spt_cache_.find(home);
-    if (paths == nullptr) {
-      ++cache_stats_.spt_misses;
-      paths = &spt_cache_.insert(home, routing::dijkstra(graph, home));
-    } else {
-      ++cache_stats_.spt_hits;
-    }
+    ++cache_stats_.spt_hits;
   }
+
+  Decision decision;
 
   // "Select those least expensive paths that end at the servers that can
   //  provide the video."

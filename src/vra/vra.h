@@ -55,8 +55,6 @@ struct Decision {
   /// Every candidate with its least-cost path, sorted by ascending cost
   /// (the chosen one first); empty when served locally.
   std::vector<Candidate> candidates;
-  /// Step-by-step Dijkstra table (filled only when requested).
-  routing::DijkstraTrace trace;
   /// True when the decision came from the degraded-mode fallback (min-hop
   /// over links still believed up) because the SNMP statistics were staler
   /// than the configured threshold.
@@ -87,10 +85,11 @@ class Vra {
       db::LimitedAccessView network_state, ValidationOptions options = {});
 
   /// Runs Figure 5 for a client homed at `home` requesting `video`.
-  /// Returns nullopt when no online server holds the title.
-  /// `want_trace` additionally records the Dijkstra step table.
-  [[nodiscard]] std::optional<Decision> select_server(
-      NodeId home, VideoId video, bool want_trace = false) const;
+  /// Returns nullopt when no online server holds the title.  (The
+  /// Tables 4/5 step table is routing::dijkstra's trace over
+  /// routing_graph().)
+  [[nodiscard]] std::optional<Decision> select_server(NodeId home,
+                                                      VideoId video) const;
 
   [[nodiscard]] const ValidationOptions& options() const { return options_; }
 
@@ -131,7 +130,7 @@ class Vra {
   /// "Poll all of those servers to find out which ones can provide the
   /// video": here, an online check against the limited-access view.
   [[nodiscard]] bool online(NodeId server) const {
-    return network_state_.server(server).online;
+    return network_state_.server_online(server);
   }
 
   /// The server is online and the catalog lists it as a holder.

@@ -6,22 +6,64 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "net/topology.h"
 
 namespace vod::db {
 namespace {
 
 const AdminCredential kAdmin{"secret"};
 
-Database make_db() {
-  Database db{kAdmin};
-  return db;
+/// `nodes` servers "s0", "s1", ... in a line of 10 Mbps links.
+net::Topology line(std::size_t nodes) {
+  net::Topology topology;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const NodeId node = topology.add_node("s" + std::to_string(n));
+    if (n > 0) topology.add_link(NodeId{node.value() - 1}, node, Mbps{10.0});
+  }
+  return topology;
+}
+
+Database make_db(std::size_t nodes = 0) {
+  return Database{kAdmin, line(nodes)};
 }
 
 TEST(Database, RejectsEmptyAdminSecret) {
-  EXPECT_THROW(Database{AdminCredential{""}}, std::invalid_argument);
+  EXPECT_THROW((Database{AdminCredential{""}, net::Topology{}}),
+               std::invalid_argument);
+}
+
+TEST(Database, EntriesComeFromTopology) {
+  net::Topology topology;
+  const NodeId a = topology.add_node("a");
+  const NodeId b = topology.add_node("b");
+  const NodeId c = topology.add_node("c");
+  topology.add_link(a, b, Mbps{2.0});
+  topology.add_link(b, c, Mbps{18.0});
+  Database db{kAdmin, topology};
+  auto limited = db.limited_view(kAdmin);
+  for (const NodeId node : {a, b, c}) {
+    EXPECT_TRUE(limited.server_online(node));
+  }
+  for (const net::LinkInfo& info : topology.links()) {
+    const LinkRecord& record = limited.link(info.id);
+    EXPECT_EQ(record.total_bandwidth, info.capacity);
+    EXPECT_EQ(record.used_bandwidth, Mbps{0.0});
+    EXPECT_EQ(record.utilization, 0.0);
+    EXPECT_EQ(record.last_snmp_update, SimTime{0.0});
+    EXPECT_TRUE(record.online);
+  }
+  // One past the topology, also after it grows: the database never saw it.
+  const NodeId d = topology.add_node("d");
+  const LinkId cd = topology.add_link(c, d, Mbps{2.0});
+  EXPECT_THROW((void)limited.server_online(d), std::out_of_range);
+  EXPECT_THROW(limited.set_server_online(d, false), std::out_of_range);
+  EXPECT_THROW((void)limited.link(cd), std::out_of_range);
+  EXPECT_THROW(limited.set_link_online(cd, false), std::out_of_range);
+  EXPECT_THROW((void)limited.stats_age(cd, SimTime{0.0}), std::out_of_range);
 }
 
 TEST(Database, RegisterVideoAssignsSequentialIds) {
@@ -46,26 +88,6 @@ TEST(Database, LimitedViewRequiresCredential) {
   Database db = make_db();
   EXPECT_NO_THROW(db.limited_view(kAdmin));
   EXPECT_THROW(db.limited_view(AdminCredential{"wrong"}),
-               std::invalid_argument);
-}
-
-TEST(Database, DuplicateServerRejected) {
-  Database db = make_db();
-  db.register_server(NodeId{0}, "a", {});
-  EXPECT_THROW(db.register_server(NodeId{0}, "a", {}),
-               std::invalid_argument);
-}
-
-TEST(Database, DuplicateLinkRejected) {
-  Database db = make_db();
-  db.register_link(LinkId{0}, "l", Mbps{2.0});
-  EXPECT_THROW(db.register_link(LinkId{0}, "l", Mbps{2.0}),
-               std::invalid_argument);
-}
-
-TEST(Database, LinkNeedsPositiveBandwidth) {
-  Database db = make_db();
-  EXPECT_THROW(db.register_link(LinkId{0}, "l", Mbps{0.0}),
                std::invalid_argument);
 }
 
@@ -100,10 +122,8 @@ TEST(FullAccess, SubstringSearch) {
 }
 
 TEST(FullAccess, ServersWithTitleFollowsPlacement) {
-  Database db = make_db();
+  Database db = make_db(2);
   const VideoId video = db.register_video("v", MegaBytes{100.0}, Mbps{2.0});
-  db.register_server(NodeId{0}, "a", {});
-  db.register_server(NodeId{1}, "b", {});
   auto limited = db.limited_view(kAdmin);
   limited.add_title(NodeId{1}, video);
   EXPECT_EQ(db.full_view().servers_with_title(video),
@@ -116,8 +136,7 @@ TEST(FullAccess, ServersWithTitleFollowsPlacement) {
 }
 
 TEST(LimitedAccess, AddTitleValidatesVideoAndServer) {
-  Database db = make_db();
-  db.register_server(NodeId{0}, "a", {});
+  Database db = make_db(1);
   auto limited = db.limited_view(kAdmin);
   EXPECT_THROW(limited.add_title(NodeId{0}, VideoId{9}),
                std::invalid_argument);
@@ -126,20 +145,18 @@ TEST(LimitedAccess, AddTitleValidatesVideoAndServer) {
 }
 
 TEST(LimitedAccess, LinkStatsRoundTrip) {
-  Database db = make_db();
-  db.register_link(LinkId{0}, "Patra-Athens", Mbps{2.0});
+  Database db = make_db(2);
   auto limited = db.limited_view(kAdmin);
   limited.update_link_stats(LinkId{0}, Mbps{1.82}, 0.91, SimTime{100.0});
   const LinkRecord& record = limited.link(LinkId{0});
   EXPECT_EQ(record.used_bandwidth, Mbps{1.82});
   EXPECT_DOUBLE_EQ(record.utilization, 0.91);
   EXPECT_EQ(record.last_snmp_update, SimTime{100.0});
-  EXPECT_EQ(record.total_bandwidth, Mbps{2.0});
+  EXPECT_EQ(record.total_bandwidth, Mbps{10.0});
 }
 
 TEST(LimitedAccess, LinkStatsValidated) {
-  Database db = make_db();
-  db.register_link(LinkId{0}, "l", Mbps{2.0});
+  Database db = make_db(2);
   auto limited = db.limited_view(kAdmin);
   EXPECT_THROW(
       limited.update_link_stats(LinkId{0}, Mbps{-1.0}, 0.5, SimTime{0.0}),
@@ -153,52 +170,31 @@ TEST(LimitedAccess, LinkStatsValidated) {
 }
 
 TEST(LimitedAccess, StatsAge) {
-  Database db = make_db();
-  db.register_link(LinkId{0}, "l", Mbps{2.0});
+  Database db = make_db(2);
   auto limited = db.limited_view(kAdmin);
   limited.update_link_stats(LinkId{0}, Mbps{1.0}, 0.5, SimTime{100.0});
   EXPECT_DOUBLE_EQ(limited.stats_age(LinkId{0}, SimTime{190.0}), 90.0);
 }
 
-TEST(LimitedAccess, ServerConfigAndOnlineFlag) {
-  Database db = make_db();
-  ServerConfig config;
-  config.disk_count = 4;
-  config.disk_capacity = MegaBytes{9000.0};
-  db.register_server(NodeId{0}, "athens", config);
+TEST(LimitedAccess, ServerOnlineFlag) {
+  Database db = make_db(1);
   auto limited = db.limited_view(kAdmin);
-  EXPECT_EQ(limited.server(NodeId{0}).config.disk_count, 4);
-  EXPECT_TRUE(limited.server(NodeId{0}).online);
+  EXPECT_TRUE(limited.server_online(NodeId{0}));
   limited.set_server_online(NodeId{0}, false);
-  EXPECT_FALSE(limited.server(NodeId{0}).online);
-}
-
-TEST(LimitedAccess, RecordsResolveByIdWithGaps) {
-  Database db = make_db();
-  db.register_server(NodeId{4}, "e", {});
-  db.register_server(NodeId{0}, "a", {});
-  db.register_link(LinkId{2}, "l2", Mbps{2.0});
-  auto limited = db.limited_view(kAdmin);
-  EXPECT_EQ(limited.server(NodeId{4}).name, "e");
-  EXPECT_EQ(limited.server(NodeId{0}).name, "a");
-  EXPECT_EQ(limited.link(LinkId{2}).name, "l2");
-  EXPECT_THROW((void)limited.server(NodeId{2}), std::out_of_range);
-  EXPECT_THROW((void)limited.link(LinkId{0}), std::out_of_range);
+  EXPECT_FALSE(limited.server_online(NodeId{0}));
 }
 
 TEST(LimitedAccess, UnknownLookupsThrow) {
   Database db = make_db();
   auto limited = db.limited_view(kAdmin);
-  EXPECT_THROW((void)limited.server(NodeId{0}), std::out_of_range);
+  EXPECT_THROW((void)limited.server_online(NodeId{0}), std::out_of_range);
   EXPECT_THROW((void)limited.link(LinkId{0}), std::out_of_range);
   EXPECT_THROW((void)limited.stats_age(LinkId{0}, SimTime{0.0}),
                std::out_of_range);
 }
 
 TEST(ChangeEpoch, LinkWritesBumpLinkEpochAndStampRecord) {
-  Database db = make_db();
-  db.register_link(LinkId{0}, "l0", Mbps{10.0});
-  db.register_link(LinkId{1}, "l1", Mbps{10.0});
+  Database db = make_db(3);
   auto view = db.limited_view(kAdmin);
   EXPECT_EQ(view.links_changed_epoch(), 0u);
 
@@ -214,8 +210,7 @@ TEST(ChangeEpoch, LinkWritesBumpLinkEpochAndStampRecord) {
 }
 
 TEST(ChangeEpoch, IdenticalSnmpSampleIsNotAChange) {
-  Database db = make_db();
-  db.register_link(LinkId{0}, "l0", Mbps{10.0});
+  Database db = make_db(2);
   auto view = db.limited_view(kAdmin);
   view.update_link_stats(LinkId{0}, Mbps{3.0}, 0.3, SimTime{1.0});
   const std::uint64_t epoch = view.links_changed_epoch();
@@ -229,14 +224,13 @@ TEST(ChangeEpoch, IdenticalSnmpSampleIsNotAChange) {
 }
 
 TEST(ChangeEpoch, CatalogAndServerWritesLeaveLinkEpoch) {
-  Database db = make_db();
-  db.register_server(NodeId{0}, "a", {});
+  Database db = make_db(1);
   const VideoId movie = db.register_video("m", MegaBytes{10.0}, Mbps{2.0});
   auto view = db.limited_view(kAdmin);
   view.add_title(NodeId{0}, movie);
   view.remove_title(NodeId{0}, movie);
   view.set_server_online(NodeId{0}, false);
-  EXPECT_FALSE(view.server(NodeId{0}).online);
+  EXPECT_FALSE(view.server_online(NodeId{0}));
   EXPECT_EQ(view.links_changed_epoch(), 0u);
 }
 
@@ -260,11 +254,8 @@ class HolderIndexDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(HolderIndexDifferential, ServersWithTitleMatchesScan) {
   Rng rng{static_cast<std::uint64_t>(GetParam())};
-  Database db = make_db();
-  // Servers registered out of id order: the index must still be ascending.
-  for (const std::uint32_t node : {4u, 0u, 7u, 2u, 5u, 1u}) {
-    db.register_server(NodeId{node}, "s" + std::to_string(node), {});
-  }
+  Database db = make_db(8);
+  // Holders touched out of id order: the index must still be ascending.
   const std::vector<NodeId> nodes{NodeId{0}, NodeId{1}, NodeId{2},
                                   NodeId{4}, NodeId{5}, NodeId{7}};
   std::vector<VideoId> videos;

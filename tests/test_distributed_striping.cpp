@@ -39,28 +39,16 @@ TEST(DistributedStripePlacer, RotatesStartServerByPopularityRank) {
 
 struct PolicyFixture {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
+  db::Database db{kAdmin, g.topology};
   VideoId striped_movie;
   VideoId plain_movie;
 
   PolicyFixture() {
-    for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-      const NodeId node{static_cast<NodeId::underlying_type>(n)};
-      db.register_server(node, g.topology.node_name(node), {});
-    }
-    for (const net::LinkInfo& info : g.topology.links()) {
-      db.register_link(info.id, info.name, info.capacity);
-    }
     striped_movie =
         db.register_video("striped", MegaBytes{900.0}, Mbps{2.0});
     plain_movie = db.register_video("plain", MegaBytes{900.0}, Mbps{2.0});
     auto view = db.limited_view(kAdmin);
-    for (const LinkId link : g.links_in_paper_order()) {
-      const auto sample =
-          grnet::table2_sample(g, link, grnet::TimeOfDay::k8am);
-      view.update_link_stats(link, sample.used, sample.utilization,
-                             SimTime{0.0});
-    }
+    grnet::write_table2(view, g, grnet::TimeOfDay::k8am);
     view.add_title(g.thessaloniki, plain_movie);
   }
 };

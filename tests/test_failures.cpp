@@ -100,10 +100,7 @@ TEST(LinkFailure, SnmpMarksLinkOffline) {
   net::NoTraffic traffic;
   net::FluidNetwork network{g.topology, traffic};
   sim::Simulation sim;
-  db::Database db{kAdmin};
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{kAdmin, g.topology};
   snmp::SnmpModule snmp{sim, network, db.limited_view(kAdmin), Duration{90.0}};
   snmp.poll_now(SimTime{0.0});
   EXPECT_TRUE(db.limited_view(kAdmin).link(g.patra_athens).online);
@@ -116,21 +113,10 @@ TEST(LinkFailure, SnmpMarksLinkOffline) {
 
 TEST(LinkFailure, VraRoutesAroundOfflineLink) {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
-  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    db.register_server(node, g.topology.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{kAdmin, g.topology};
   const VideoId movie = db.register_video("m", MegaBytes{900.0}, Mbps{2.0});
   auto view = db.limited_view(kAdmin);
-  for (const LinkId link : g.links_in_paper_order()) {
-    const auto sample = grnet::table2_sample(g, link, grnet::TimeOfDay::k8am);
-    view.update_link_stats(link, sample.used, sample.utilization,
-                           SimTime{0.0});
-  }
+  grnet::write_table2(view, g, grnet::TimeOfDay::k8am);
   view.add_title(g.thessaloniki, movie);
 
   const vra::Vra vra{g.topology, db.full_view(), db.limited_view(kAdmin),
@@ -150,14 +136,7 @@ TEST(LinkFailure, VraRoutesAroundOfflineLink) {
 
 TEST(LinkFailure, VraReportsNoRouteWhenHomeIsolated) {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
-  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    db.register_server(node, g.topology.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{kAdmin, g.topology};
   const VideoId movie = db.register_video("m", MegaBytes{900.0}, Mbps{2.0});
   auto view = db.limited_view(kAdmin);
   for (const LinkId link : g.links_in_paper_order()) {

@@ -260,14 +260,7 @@ TEST(ServiceRetry, FailedSessionIsResubmittedWithBackoff) {
 
 TEST(DegradedMode, StaleStatsFallBackToMinHop) {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
-  for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    db.register_server(node, g.topology.node_name(node), {});
-  }
-  for (const net::LinkInfo& info : g.topology.links()) {
-    db.register_link(info.id, info.name, info.capacity);
-  }
+  db::Database db{kAdmin, g.topology};
   const VideoId movie = db.register_video("m", MegaBytes{900.0}, Mbps{2.0});
   auto view = db.limited_view(kAdmin);
   // Direct Patra-Athens hop saturated; everything else nearly idle.

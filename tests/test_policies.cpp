@@ -14,25 +14,12 @@ const db::AdminCredential kAdmin{"secret"};
 
 struct Fixture {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
+  db::Database db{kAdmin, g.topology};
   VideoId movie;
 
   Fixture() {
-    for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-      const NodeId node{static_cast<NodeId::underlying_type>(n)};
-      db.register_server(node, g.topology.node_name(node), {});
-    }
-    for (const net::LinkInfo& info : g.topology.links()) {
-      db.register_link(info.id, info.name, info.capacity);
-    }
     movie = db.register_video("movie", MegaBytes{900.0}, Mbps{2.0});
-    auto view = db.limited_view(kAdmin);
-    for (const LinkId link : g.links_in_paper_order()) {
-      const auto sample =
-          grnet::table2_sample(g, link, grnet::TimeOfDay::k8am);
-      view.update_link_stats(link, sample.used, sample.utilization,
-                             SimTime{0.0});
-    }
+    grnet::write_table2(db.limited_view(kAdmin), g, grnet::TimeOfDay::k8am);
   }
 
   void place(NodeId server) {

@@ -11,18 +11,13 @@ const db::AdminCredential kAdmin{"secret"};
 
 struct Fixture {
   net::Topology topo;
-  NodeId a, b;
-  LinkId ab;
+  NodeId a = topo.add_node("a");
+  NodeId b = topo.add_node("b");
+  LinkId ab = topo.add_link(a, b, Mbps{2.0});
   net::ConstantTraffic traffic;
-  db::Database db{kAdmin};
+  db::Database db{kAdmin, topo};
 
-  Fixture() {
-    a = topo.add_node("a");
-    b = topo.add_node("b");
-    ab = topo.add_link(a, b, Mbps{2.0});
-    traffic.set_load(ab, Mbps{1.0});
-    db.register_link(ab, "a-b", Mbps{2.0});
-  }
+  Fixture() { traffic.set_load(ab, Mbps{1.0}); }
 };
 
 TEST(SnmpModule, PollNowWritesStatsImmediately) {

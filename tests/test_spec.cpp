@@ -81,7 +81,6 @@ TEST(SpecEndToEnd, OverriddenServerHasSmallerArray) {
   const auto small = *spec.topology.find_node("small");
   EXPECT_EQ(service.dma_cache(big).disks().disk_count(), 8u);
   EXPECT_EQ(service.dma_cache(small).disks().disk_count(), 2u);
-  EXPECT_EQ(service.admin_view().server(small).config.disk_count, 2);
 }
 
 TEST(SpecParser, ParsesParityToggle) {

@@ -134,8 +134,10 @@ TEST(MapLinkStatsProvider, RejectsNonPositiveTotal) {
 }
 
 TEST(DbLinkStatsProvider, ReadsFromLimitedView) {
-  db::Database database{db::AdminCredential{"s"}};
-  database.register_link(LinkId{0}, "l", Mbps{2.0});
+  net::Topology topology;
+  const NodeId a = topology.add_node("a");
+  topology.add_link(a, topology.add_node("b"), Mbps{2.0});
+  db::Database database{db::AdminCredential{"s"}, topology};
   auto view = database.limited_view(db::AdminCredential{"s"});
   view.update_link_stats(LinkId{0}, Mbps{1.82}, 0.91, SimTime{0.0});
   DbLinkStatsProvider provider{view};

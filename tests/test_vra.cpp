@@ -14,24 +14,12 @@ const db::AdminCredential kAdmin{"secret"};
 /// The paper's case-study database at one instant of Table 2.
 struct CaseFixture {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
+  db::Database db{kAdmin, g.topology};
   VideoId movie;
 
   explicit CaseFixture(grnet::TimeOfDay t) {
-    for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-      const NodeId node{static_cast<NodeId::underlying_type>(n)};
-      db.register_server(node, g.topology.node_name(node), {});
-    }
-    for (const net::LinkInfo& info : g.topology.links()) {
-      db.register_link(info.id, info.name, info.capacity);
-    }
     movie = db.register_video("movie", MegaBytes{900.0}, Mbps{2.0});
-    auto view = db.limited_view(kAdmin);
-    for (const LinkId link : g.links_in_paper_order()) {
-      const grnet::LinkSample sample = grnet::table2_sample(g, link, t);
-      view.update_link_stats(link, sample.used, sample.utilization,
-                             grnet::time_of(t));
-    }
+    grnet::write_table2(db.limited_view(kAdmin), g, t);
   }
 
   void place(NodeId server) {
@@ -107,16 +95,19 @@ TEST(Vra, CandidatesSortedByAscendingCost) {
 }
 
 TEST(Vra, TraceRecordedOnRequest) {
+  // The Tables 4/5 step table: Dijkstra traced over the VRA's own graph
+  // finds the path the (cached) decision took.
   CaseFixture fx{grnet::TimeOfDay::k8am};
   fx.place(fx.g.xanthi);
-  const auto with_trace =
-      fx.make_vra().select_server(fx.g.patra, fx.movie, true);
-  ASSERT_TRUE(with_trace.has_value());
-  EXPECT_EQ(with_trace->trace.size(), 6u);  // all six nodes reachable
-  const auto without_trace =
-      fx.make_vra().select_server(fx.g.patra, fx.movie, false);
-  ASSERT_TRUE(without_trace.has_value());
-  EXPECT_TRUE(without_trace->trace.empty());
+  const Vra vra = fx.make_vra();
+  const auto decision = vra.select_server(fx.g.patra, fx.movie);
+  ASSERT_TRUE(decision.has_value());
+  routing::DijkstraTrace trace;
+  const routing::ShortestPaths traced =
+      routing::dijkstra(vra.routing_graph(), fx.g.patra, &trace);
+  EXPECT_EQ(trace.size(), 6u);  // all six nodes reachable
+  EXPECT_EQ(traced.distance_to(fx.g.xanthi), decision->cost());
+  EXPECT_EQ(traced.path_to(fx.g.xanthi)->nodes, decision->path.nodes);
 }
 
 TEST(Vra, WeightedGraphUsesLvnWeights) {

@@ -22,24 +22,12 @@ const db::AdminCredential kAdmin{"secret"};
 /// The paper's case-study database at one instant of Table 2.
 struct CaseFixture {
   grnet::CaseStudy g = grnet::build_case_study();
-  db::Database db{kAdmin};
+  db::Database db{kAdmin, g.topology};
   VideoId movie;
 
   explicit CaseFixture(grnet::TimeOfDay t = grnet::TimeOfDay::k8am) {
-    for (std::size_t n = 0; n < g.topology.node_count(); ++n) {
-      const NodeId node{static_cast<NodeId::underlying_type>(n)};
-      db.register_server(node, g.topology.node_name(node), {});
-    }
-    for (const net::LinkInfo& info : g.topology.links()) {
-      db.register_link(info.id, info.name, info.capacity);
-    }
     movie = db.register_video("movie", MegaBytes{900.0}, Mbps{2.0});
-    auto view = db.limited_view(kAdmin);
-    for (const LinkId link : g.links_in_paper_order()) {
-      const grnet::LinkSample sample = grnet::table2_sample(g, link, t);
-      view.update_link_stats(link, sample.used, sample.utilization,
-                             grnet::time_of(t));
-    }
+    grnet::write_table2(db.limited_view(kAdmin), g, t);
   }
 
   void place(NodeId server) {
@@ -216,17 +204,6 @@ TEST(VraCache, SptCacheServesRepeatedHomesAndInvalidates) {
                               SimTime{300.0});
   ASSERT_TRUE(vra.select_server(fx.g.patra, fx.movie).has_value());
   EXPECT_EQ(vra.cache_stats().spt_misses, 3u);  // tree recomputed
-}
-
-TEST(VraCache, TraceRequestsBypassTheSptCache) {
-  CaseFixture fx;
-  fx.place(fx.g.thessaloniki);
-  const Vra vra = fx.make_vra();
-  const auto traced = vra.select_server(fx.g.patra, fx.movie, true);
-  ASSERT_TRUE(traced.has_value());
-  EXPECT_FALSE(traced->trace.empty());
-  EXPECT_EQ(vra.cache_stats().spt_misses, 0u);
-  EXPECT_EQ(vra.cache_stats().spt_hits, 0u);
 }
 
 TEST(VraCache, CachedAndUncachedDecisionsAreIdenticalUnderChurn) {

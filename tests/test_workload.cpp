@@ -68,7 +68,7 @@ TEST(Zipf, ProbabilityOutOfRangeThrows) {
 }
 
 TEST(CatalogGen, RegistersRequestedCount) {
-  db::Database db{db::AdminCredential{"s"}};
+  db::Database db{db::AdminCredential{"s"}, net::Topology{}};
   Rng rng{1};
   const auto ids = populate_catalog(db, CatalogSpec{.title_count = 25}, rng);
   EXPECT_EQ(ids.size(), 25u);
@@ -76,7 +76,7 @@ TEST(CatalogGen, RegistersRequestedCount) {
 }
 
 TEST(CatalogGen, RespectsRanges) {
-  db::Database db{db::AdminCredential{"s"}};
+  db::Database db{db::AdminCredential{"s"}, net::Topology{}};
   Rng rng{1};
   CatalogSpec spec;
   spec.title_count = 50;
@@ -95,7 +95,7 @@ TEST(CatalogGen, RespectsRanges) {
 }
 
 TEST(CatalogGen, DegenerateRangesAllowed) {
-  db::Database db{db::AdminCredential{"s"}};
+  db::Database db{db::AdminCredential{"s"}, net::Topology{}};
   Rng rng{1};
   CatalogSpec spec;
   spec.title_count = 3;
@@ -107,7 +107,7 @@ TEST(CatalogGen, DegenerateRangesAllowed) {
 }
 
 TEST(CatalogGen, Validation) {
-  db::Database db{db::AdminCredential{"s"}};
+  db::Database db{db::AdminCredential{"s"}, net::Topology{}};
   Rng rng{1};
   EXPECT_THROW(populate_catalog(db, CatalogSpec{.title_count = 0}, rng),
                std::invalid_argument);
