@@ -58,8 +58,8 @@ int main() {
     table.add_row({TextTable::num(constant, 0),
                    TextTable::num(mean_lu_share(fx.g, calc), 3),
                    decision ? fx.g.city(decision->server) : "-",
-                   decision ? decision->path.to_string(graph) : "-",
-                   decision ? TextTable::num(decision->path.cost, 3) : "-"});
+                   decision ? decision->path().to_string(graph) : "-",
+                   decision ? TextTable::num(decision->path().cost, 3) : "-"});
   }
   std::cout << table.render();
   std::cout << "\nSmall constants let high-bandwidth links' raw traffic "

@@ -42,16 +42,16 @@ void run_experiment(const char* name, grnet::TimeOfDay t,
   for (const vra::Candidate& candidate : decision->candidates) {
     for (const PaperRow& row : paper) {
       if (fx.g.city(candidate.server) == row.server) {
-        table.add_row({row.server, candidate.path.to_string(graph),
-                       TextTable::num(candidate.path.cost, 4), row.path,
+        table.add_row({row.server, candidate.path().to_string(graph),
+                       TextTable::num(candidate.path().cost, 4), row.path,
                        TextTable::num(row.cost, 4)});
       }
     }
   }
   std::cout << table.render();
   std::cout << "\nVRA decision: " << fx.g.city(decision->server) << " via "
-            << decision->path.to_string(graph) << " (cost "
-            << TextTable::num(decision->path.cost, 4) << ")"
+            << decision->path().to_string(graph) << " (cost "
+            << TextTable::num(decision->path().cost, 4) << ")"
             << "   [paper: " << paper_choice << "]\n";
 }
 

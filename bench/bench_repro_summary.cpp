@@ -60,13 +60,13 @@ void run_experiment(Checks& checks, const ExperimentSpec& spec) {
   const bool winner_ok =
       fx.g.city(decision->server) == spec.expected_city;
   const bool cost_ok =
-      std::abs(decision->path.cost - spec.expected_cost) < spec.tolerance;
+      std::abs(decision->path().cost - spec.expected_cost) < spec.tolerance;
   checks.check(winner_ok && cost_ok,
                std::string("experiment ") + spec.name + ": " +
                    spec.expected_city + " @ " +
                    TextTable::num(spec.expected_cost, 4) + " (got " +
                    fx.g.city(decision->server) + " @ " +
-                   TextTable::num(decision->path.cost, 4) + ")");
+                   TextTable::num(decision->path().cost, 4) + ")");
 }
 
 }  // namespace
@@ -136,14 +136,14 @@ int main() {
     bool xanthi_cost_ok = false;
     for (const vra::Candidate& candidate : decision->candidates) {
       if (candidate.server == fx.g.xanthi) {
-        xanthi_cost_ok = std::abs(candidate.path.cost - 0.315) < 0.005;
+        xanthi_cost_ok = std::abs(candidate.path().cost - 0.315) < 0.005;
       }
     }
     checks.check(
         xanthi_cost_ok,
         "experiment A: paper's Xanthi candidate cost 0.315 reproduced");
     checks.check(decision->server == fx.g.thessaloniki &&
-                     std::abs(decision->path.cost - 0.218) < 0.005,
+                     std::abs(decision->path().cost - 0.218) < 0.005,
                  "experiment A: corrected Dijkstra picks Thessaloniki @ "
                  "~0.218 (documented paper defect)");
   }

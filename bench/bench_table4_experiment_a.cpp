@@ -45,12 +45,12 @@ int main(int argc, char** argv) {
   for (const vra::Candidate& candidate : decision->candidates) {
     std::cout << "  " << fx.g.city(candidate.server) << " ("
               << graph.node_name(candidate.server)
-              << "): " << candidate.path.to_string(graph) << "  cost "
-              << TextTable::num(candidate.path.cost, 4) << "\n";
+              << "): " << candidate.path().to_string(graph) << "  cost "
+              << TextTable::num(candidate.path().cost, 4) << "\n";
   }
   std::cout << "\nVRA decision: download from " << fx.g.city(decision->server)
-            << " via " << decision->path.to_string(graph) << " (cost "
-            << TextTable::num(decision->path.cost, 4) << ")\n";
+            << " via " << decision->path().to_string(graph) << " (cost "
+            << TextTable::num(decision->path().cost, 4) << ")\n";
   std::cout
       << "\nPaper's published decision: Xanthi via U5,U6,U1,U2 at 0.315 —\n"
          "its Table 4 reports D4 = 0.365 via U2,U1,U4, missing the cheaper\n"

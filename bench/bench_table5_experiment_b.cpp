@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
   for (const vra::Candidate& candidate : decision->candidates) {
     std::cout << "  " << fx.g.city(candidate.server) << " ("
               << graph.node_name(candidate.server)
-              << "): " << candidate.path.to_string(graph) << "  cost "
-              << TextTable::num(candidate.path.cost, 4) << "\n";
+              << "): " << candidate.path().to_string(graph) << "  cost "
+              << TextTable::num(candidate.path().cost, 4) << "\n";
   }
   std::cout << "\nVRA decision: download from " << fx.g.city(decision->server)
-            << " via " << decision->path.to_string(graph) << " (cost "
-            << TextTable::num(decision->path.cost, 4) << ")\n";
+            << " via " << decision->path().to_string(graph) << " (cost "
+            << TextTable::num(decision->path().cost, 4) << ")\n";
   std::cout << "\nPaper's published decision: Thessaloniki via U2,U3,U4 at "
                "1.007 (ours matches within rounding).\n";
   return 0;

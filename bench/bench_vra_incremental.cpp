@@ -8,17 +8,19 @@
 //      4, 8am) and B (Table 5, 10am) replayed under SNMP polls (all seven
 //      links rewritten at one instant every 10 request rounds, each round
 //      asking from the four homes that lack the title), asserting the
-//      long-lived engine returns bit-for-bit the same server and cost
-//      sequence as a fresh Vra per request, and that it served graphs and
-//      shortest-path trees from its cache between polls.
+//      long-lived engine returns bit-for-bit the same server and route
+//      (nodes, links, cost) sequence as a fresh Vra per request, and that
+//      it served graphs, shortest-path trees and routes from its cache
+//      between polls.
 //   2. A scaled backbone (24-core ring + chords, 4 access spurs per core,
 //      132 links) where fewer than 10% of links change per monitoring
 //      interval.  Measures steady-state select_server latency of the
 //      long-lived engine vs. a fresh Vra per request; the engine must be at
 //      least 5x faster with identical selections.
 //
-// Exits non-zero when parity, a part-1 cache that never hits, or the 5x
-// floor fails, so the harness can use it as a regression gate.
+// Exits non-zero when parity, a part-1 cache that never hits or never
+// shares a route, or the 5x floor fails, so the harness can use it as a
+// regression gate.
 //
 // Usage: bench_vra_incremental
 #include <chrono>
@@ -45,10 +47,21 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// One request's outcome, for the bit-for-bit comparison.
+/// One request's outcome, for the bit-for-bit comparison: the server and
+/// the route by value.
 struct Outcome {
   NodeId server;
-  double cost;
+  std::vector<NodeId> nodes;
+  std::vector<LinkId> links;
+  double cost = -1.0;
+
+  explicit Outcome(const std::optional<vra::Decision>& decision) {
+    if (!decision) return;
+    server = decision->server;
+    nodes = decision->path().nodes;
+    links = decision->path().links;
+    cost = decision->cost();
+  }
 
   friend bool operator==(const Outcome&, const Outcome&) = default;
 };
@@ -82,10 +95,8 @@ bool replay_case_study(grnet::TimeOfDay t, const char* label) {
     for (const NodeId home : homes) {
       const vra::Vra fresh{fx.g.topology, fx.db.full_view(),
                            fx.db.limited_view(bench::kAdmin)};
-      const auto a = cached.select_server(home, fx.movie);
-      const auto b = fresh.select_server(home, fx.movie);
-      if (a.has_value() != b.has_value() ||
-          (a && (a->server != b->server || a->path.cost != b->path.cost))) {
+      if (Outcome{cached.select_server(home, fx.movie)} !=
+          Outcome{fresh.select_server(home, fx.movie)}) {
         identical = false;
       }
     }
@@ -96,17 +107,24 @@ bool replay_case_study(grnet::TimeOfDay t, const char* label) {
             << " homes over " << kRounds / kRoundsPerPoll
             << " polls, decisions " << (identical ? "identical" : "DIVERGED")
             << "; cached engine: " << stats.graph_hits << " graph hits, "
-            << stats.graph_rebuilds << " rebuilds, " << stats.spt_hits
+            << stats.graph_rebuilds << " rebuilds, " << stats.routes_built
+            << " routes built, " << stats.spt_hits
             << " SPT hits (a fresh Vra per request: " << requests
             << " rebuilds)\n";
   if (!identical) {
     std::cerr << "FAIL: " << label
               << ": cached and fresh decisions diverged\n";
   }
+  // Each route is built once per tree: fewer builds than remote requests
+  // shows selections shared them.
+  const bool shared = stats.routes_built < requests;
   if (stats.graph_hits == 0 || stats.spt_hits == 0) {
     std::cerr << "FAIL: " << label << ": the cache never hit\n";
   }
-  return identical && stats.graph_hits > 0 && stats.spt_hits > 0;
+  if (!shared) {
+    std::cerr << "FAIL: " << label << ": no route served two requests\n";
+  }
+  return identical && stats.graph_hits > 0 && stats.spt_hits > 0 && shared;
 }
 
 // --- part 2: scaled steady state ---
@@ -166,7 +184,7 @@ int run_scaled() {
 
   std::vector<Outcome> cached_outcomes, fresh_outcomes;
   double cached_s = 0.0, fresh_s = 0.0, cold_build_s = 0.0;
-  std::uint64_t fresh_rebuilds = 0, fresh_spt_misses = 0;
+  std::uint64_t fresh_rebuilds = 0, fresh_spt_misses = 0, fresh_routes = 0;
 
   // Cold build cost, for the headline.
   {
@@ -198,25 +216,31 @@ int run_scaled() {
           homes.uniform_int(0, static_cast<std::int64_t>(n.edges.size()) -
                                    1))]);
     }
-    const auto record = [](const std::optional<vra::Decision>& decision,
-                           std::vector<Outcome>& out) {
-      out.push_back(decision ? Outcome{decision->server, decision->path.cost}
-                             : Outcome{NodeId{}, -1.0});
-    };
+    // Routes are copied out for the comparison after the clock stops.
+    std::vector<std::optional<vra::Decision>> decisions;
+    decisions.reserve(round_homes.size());
     auto start = Clock::now();
     for (const NodeId home : round_homes) {
-      record(cached.select_server(home, movie), cached_outcomes);
+      decisions.push_back(cached.select_server(home, movie));
     }
     cached_s += seconds_since(start);
+    for (const auto& decision : decisions) {
+      cached_outcomes.emplace_back(decision);
+    }
+    decisions.clear();
     start = Clock::now();
     for (const NodeId home : round_homes) {
       const vra::Vra fresh{n.topo, db.full_view(),
                            db.limited_view(bench::kAdmin)};
-      record(fresh.select_server(home, movie), fresh_outcomes);
+      decisions.push_back(fresh.select_server(home, movie));
       fresh_rebuilds += fresh.cache_stats().graph_rebuilds;
       fresh_spt_misses += fresh.cache_stats().spt_misses;
+      fresh_routes += fresh.cache_stats().routes_built;
     }
     fresh_s += seconds_since(start);
+    for (const auto& decision : decisions) {
+      fresh_outcomes.emplace_back(decision);
+    }
   }
 
   const bool identical = cached_outcomes == fresh_outcomes;
@@ -231,6 +255,8 @@ int run_scaled() {
   table.add_row({"graph rebuilds", std::to_string(fresh_rebuilds),
                  std::to_string(stats.graph_rebuilds)});
   table.add_row({"graph hits", "0", std::to_string(stats.graph_hits)});
+  table.add_row({"routes built", std::to_string(fresh_routes),
+                 std::to_string(stats.routes_built)});
   table.add_row({"SPT hits / misses",
                  "0 / " + std::to_string(fresh_spt_misses),
                  std::to_string(stats.spt_hits) + " / " +

@@ -64,11 +64,11 @@ int main() {
     }
     for (const vra::Candidate& candidate : decision->candidates) {
       std::cout << "  candidate " << g.city(candidate.server) << ": "
-                << candidate.path.to_string(graph) << "  cost "
-                << TextTable::num(candidate.path.cost, 4) << "\n";
+                << candidate.path().to_string(graph) << "  cost "
+                << TextTable::num(candidate.path().cost, 4) << "\n";
     }
     std::cout << "  => download from " << g.city(decision->server)
-              << " (cost " << TextTable::num(decision->path.cost, 4)
+              << " (cost " << TextTable::num(decision->path().cost, 4)
               << ")\n\n";
   }
 

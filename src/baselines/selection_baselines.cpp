@@ -49,12 +49,12 @@ std::optional<stream::Selection> RandomHolderPolicy::select(NodeId home,
   const NodeId server = holders[static_cast<std::size_t>(rng_.uniform_int(
       0, static_cast<std::int64_t>(holders.size()) - 1))];
   if (server == home) {
-    return stream::Selection{server, routing::Path{{home}, {}, 0.0}};
+    return stream::Selection{server, routing::local_route(home)};
   }
   const routing::Graph graph = hop_graph(topology_);
   auto path = routing::min_hop_path(graph, home, server);
   if (!path) return std::nullopt;
-  return stream::Selection{server, std::move(*path)};
+  return stream::Selection{server, routing::make_route(std::move(*path))};
 }
 
 NearestByHopsPolicy::NearestByHopsPolicy(const net::Topology& topology,
@@ -70,18 +70,21 @@ std::optional<stream::Selection> NearestByHopsPolicy::select(NodeId home,
   if (holders.empty()) return std::nullopt;
   const routing::Graph graph = hop_graph(topology_);
 
-  std::optional<stream::Selection> best;
+  NodeId best_server;
+  std::optional<routing::Path> best;
   for (const NodeId server : holders) {
     if (server == home) {
-      return stream::Selection{server, routing::Path{{home}, {}, 0.0}};
+      return stream::Selection{server, routing::local_route(home)};
     }
     auto path = routing::min_hop_path(graph, home, server);
     if (!path) continue;
-    if (!best || path->cost < best->path.cost) {
-      best = stream::Selection{server, std::move(*path)};
+    if (!best || path->cost < best->cost) {
+      best = std::move(path);
+      best_server = server;
     }
   }
-  return best;
+  if (!best) return std::nullopt;
+  return stream::Selection{best_server, routing::make_route(std::move(*best))};
 }
 
 std::optional<stream::Selection> StaticOncePolicy::select(NodeId home,

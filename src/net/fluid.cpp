@@ -92,8 +92,8 @@ void FluidNetwork::ensure_index_size() {
   if (link_down_.size() < link_count) link_down_.resize(link_count, false);
 }
 
-std::uint32_t FluidNetwork::join_bundle(std::vector<LinkId> links, Mbps cap,
-                                        std::uint32_t weight) {
+std::uint32_t FluidNetwork::join_bundle(const std::vector<LinkId>& links,
+                                        Mbps cap, std::uint32_t weight) {
   // A matching bundle crosses the flow's first link (or is local).
   const std::vector<std::uint32_t>& candidates =
       links.empty() ? local_bundles_ : link_bundles_[links.front().value()];
@@ -114,7 +114,7 @@ std::uint32_t FluidNetwork::join_bundle(std::vector<LinkId> links, Mbps cap,
     free_bundles_.pop_back();
   }
   Bundle& bundle = bundles_[index];
-  bundle.links = std::move(links);
+  bundle.links = links;  // a freed slot's vector keeps its capacity
   bundle.cap = cap;
   bundle.weight = weight;
   bundle.members = 1;
@@ -156,8 +156,8 @@ void FluidNetwork::clear_rate_changes() {
   rate_changes_.clear();
 }
 
-FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
-                                std::uint32_t weight) {
+FlowId FluidNetwork::start_flow(const std::vector<LinkId>& path,
+                                Mbps rate_cap, std::uint32_t weight) {
   require(rate_cap.value() > 0.0,  // false for NaN too
       "FluidNetwork::start_flow: cap must be positive");
   require(weight >= 1, "FluidNetwork::start_flow: weight must be >= 1");
@@ -167,12 +167,14 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
   }
   const bool deferred = pre_mutation();
   ensure_index_size();
-  std::vector<LinkId> links = path;
-  std::sort(links.begin(), links.end());
-  links.erase(std::unique(links.begin(), links.end()), links.end());
+  scratch_links_.assign(path.begin(), path.end());
+  std::sort(scratch_links_.begin(), scratch_links_.end());
+  scratch_links_.erase(
+      std::unique(scratch_links_.begin(), scratch_links_.end()),
+      scratch_links_.end());
   const FlowId id{next_flow_++};
-  const std::uint32_t bundle = join_bundle(std::move(links), rate_cap, weight);
-  flows_.insert(id, Flow{std::move(path), bundle});
+  const std::uint32_t bundle = join_bundle(scratch_links_, rate_cap, weight);
+  flows_.insert(id, Flow{bundle});
   for (const LinkId link : bundles_[bundle].links) {
     // Flow ids are handed out monotonically, so appending keeps each
     // per-link list sorted ascending by id.
@@ -229,7 +231,7 @@ std::uint32_t FluidNetwork::flow_weight(FlowId flow) const {
 const std::vector<LinkId>& FluidNetwork::flow_path(FlowId flow) const {
   const Flow* entry = flows_.find(flow);
   require_found(entry != nullptr, "FluidNetwork::flow_path: unknown flow");
-  return entry->path;
+  return bundles_[entry->bundle].links;
 }
 
 void FluidNetwork::set_link_up(LinkId link, bool up) {

@@ -99,7 +99,7 @@ class FluidNetwork {
   /// `rate_cap` must be positive (not NaN).  `weight` (>= 1) is the flow's
   /// share of each filling increment — the class-weighted max-min knob; 1 is
   /// the classless paper behaviour.
-  FlowId start_flow(std::vector<LinkId> path, Mbps rate_cap,
+  FlowId start_flow(const std::vector<LinkId>& path, Mbps rate_cap,
                     std::uint32_t weight = 1);
 
   /// The share weight a flow was started with.
@@ -114,6 +114,8 @@ class FluidNetwork {
   /// flows started within the epoch read 0 until it closes.
   [[nodiscard]] Mbps flow_rate(FlowId flow) const;
 
+  /// The distinct links a flow crosses, ascending: its bundle's key (a
+  /// path given with a repeated link lists it once).
   [[nodiscard]] const std::vector<LinkId>& flow_path(FlowId flow) const;
 
   /// The bundle a flow belongs to: an index shared by every live flow with
@@ -254,7 +256,6 @@ class FluidNetwork {
   friend class FluidReference;  // the test-only oracle (tests/support)
 
   struct Flow {
-    std::vector<LinkId> path;  // as given by the caller (may repeat links)
     std::uint32_t bundle;
   };
 
@@ -306,8 +307,9 @@ class FluidNetwork {
   void end_batch();
   void ensure_index_size();
   /// Adds a member to the bundle matching (links, cap, weight), creating
-  /// it if none is live; returns its index.
-  std::uint32_t join_bundle(std::vector<LinkId> links, Mbps cap,
+  /// it if none is live (the only case that copies `links`); returns its
+  /// index.  `links` is sorted and unique.
+  std::uint32_t join_bundle(const std::vector<LinkId>& links, Mbps cap,
                             std::uint32_t weight);
   /// Drops a member; an emptied bundle leaves the indexes and frees its slot.
   void leave_bundle(std::uint32_t bundle);
@@ -391,6 +393,8 @@ class FluidNetwork {
   /// Per-link sum of unfrozen-flow weights during a solve.
   std::vector<std::uint64_t> scratch_weight_on_;
   std::vector<std::uint32_t> scratch_unfrozen_;
+  /// start_flow's sorted unique copy of the caller's path.
+  std::vector<LinkId> scratch_links_;
 };
 
 }  // namespace vod::net

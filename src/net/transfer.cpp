@@ -62,7 +62,7 @@ void TransferManager::on_network_post_change() {
   reschedule(sim_.now());
 }
 
-FlowId TransferManager::start_transfer(std::vector<LinkId> path,
+FlowId TransferManager::start_transfer(const std::vector<LinkId>& path,
                                        MegaBytes size, Mbps rate_cap,
                                        CompletionCallback on_complete,
                                        std::uint32_t weight) {
@@ -85,7 +85,7 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
     // fair-share solve for the instant, not one per mutation.
     const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
     advance_progress(now);
-    id = network_.start_flow(std::move(path), rate_cap, weight);
+    id = network_.start_flow(path, rate_cap, weight);
     const std::uint32_t index = network_.flow_bundle(id);
     if (lanes_.size() <= index) lanes_.resize(index + 1);
     Lane& lane = lanes_[index];

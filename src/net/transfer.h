@@ -52,7 +52,7 @@ class TransferManager {
   /// `on_complete` fires exactly once unless the transfer is cancelled.
   /// `weight` is the flow's share multiplier in the fluid network's
   /// weighted max-min fill (1 = the classless default).
-  FlowId start_transfer(std::vector<LinkId> path, MegaBytes size,
+  FlowId start_transfer(const std::vector<LinkId>& path, MegaBytes size,
                         Mbps rate_cap, CompletionCallback on_complete,
                         std::uint32_t weight = 1);
 

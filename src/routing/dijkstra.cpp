@@ -17,15 +17,20 @@ double ShortestPaths::distance_to(NodeId node) const {
 
 std::optional<Path> ShortestPaths::path_to(NodeId node) const {
   if (!reachable(node)) return std::nullopt;
+  // Count the hops first so both vectors are sized once, then fill them
+  // from the back while walking the predecessors.
+  std::size_t hops = 0;
+  for (NodeId at = node; at != source_; at = predecessor_[at.value()]) ++hops;
   Path path;
   path.cost = distance_[node.value()];
+  path.nodes.resize(hops + 1);
+  path.links.resize(hops);
+  path.nodes.front() = source_;
+  std::size_t i = hops;
   for (NodeId at = node; at != source_; at = predecessor_[at.value()]) {
-    path.nodes.push_back(at);
-    path.links.push_back(via_link_[at.value()]);
+    path.nodes[i] = at;
+    path.links[--i] = via_link_[at.value()];
   }
-  path.nodes.push_back(source_);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.links.begin(), path.links.end());
   return path;
 }
 

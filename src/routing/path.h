@@ -1,7 +1,9 @@
 // Route representation shared by all routing algorithms.
 #pragma once
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -24,5 +26,21 @@ struct Path {
   /// "U2,U1,U4" using the graph's node names (the paper's notation).
   [[nodiscard]] std::string to_string(const Graph& graph) const;
 };
+
+/// A path shared by every layer that streams over it.  The VRA builds one
+/// per (home, server) per links epoch and hands the same object to the
+/// policy, the session and the transfer; whoever still holds it keeps it
+/// alive after the VRA has moved on to a newer graph.
+using Route = std::shared_ptr<const Path>;
+
+[[nodiscard]] inline Route make_route(Path path) {
+  return std::make_shared<const Path>(std::move(path));
+}
+
+/// The route of a title served at the client's home server: {home}, no
+/// links, cost 0.
+[[nodiscard]] inline Route local_route(NodeId home) {
+  return make_route(Path{{home}, {}, 0.0});
+}
 
 }  // namespace vod::routing

@@ -50,8 +50,8 @@ std::optional<stream::Selection> AuditingPolicy::select_cluster(
   entry.satisfied = selection.has_value();
   if (selection) {
     entry.server = selection->server;
-    entry.path_cost = selection->path.cost;
-    entry.hop_count = selection->path.hop_count();
+    entry.path_cost = selection->path().cost;
+    entry.hop_count = selection->path().hop_count();
   }
   audit_.record(entry);
   return selection;

@@ -54,19 +54,19 @@ std::optional<stream::Selection> StripedSelectionPolicy::select_cluster(
   const auto it = assignments_.find(video);
   if (it == assignments_.end()) {
     // Not strip-placed: the regular VRA handles it.
-    const auto decision = vra_.select_server(home, video);
+    auto decision = vra_.select_server(home, video);
     if (!decision) return std::nullopt;
-    return stream::Selection{decision->server, decision->path};
+    return stream::Selection{decision->server, std::move(decision->route)};
   }
   const StripeAssignment& assignment = it->second;
   const NodeId holder =
       assignment.servers[cluster_index % assignment.servers.size()];
   if (holder == home) {
-    return stream::Selection{home, routing::Path{{home}, {}, 0.0}};
+    return stream::Selection{home, routing::local_route(home)};
   }
   auto path = routing::shortest_path(vra_.routing_graph(), home, holder);
   if (!path) return std::nullopt;
-  return stream::Selection{holder, std::move(*path)};
+  return stream::Selection{holder, routing::make_route(std::move(*path))};
 }
 
 }  // namespace vod::service

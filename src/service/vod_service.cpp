@@ -385,7 +385,8 @@ VodService::AdmissionOutcome VodService::request_classed(
       info->bitrate.value()};
   // A locally served session involves no network and is always admitted.
   if (decision->served_locally ||
-      path_residual(admin_view_, decision->path).value() >= required.value()) {
+      path_residual(admin_view_, decision->path()).value() >=
+          required.value()) {
     ++admitted_;
     if (qos) ++qos_counter(cls, QosCount::kAdmitted);
     const SessionId id =
@@ -398,7 +399,7 @@ VodService::AdmissionOutcome VodService::request_classed(
   // deficit is coverable (nobody is aborted for a plan that cannot fit
   // the request anyway).
   if (qos && !decision->served_locally) {
-    const auto victims = plan_preemption(decision->path.links, required, cls);
+    const auto victims = plan_preemption(decision->path().links, required, cls);
     if (victims) {
       // One allocation epoch for the whole sacrifice: the fair shares are
       // re-solved once, after every victim's flow is torn down.

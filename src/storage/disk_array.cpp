@@ -1,8 +1,8 @@
 #include "storage/disk_array.h"
 
 #include <algorithm>
-
 #include <stdexcept>
+#include <utility>
 
 #include "common/contract.h"
 
@@ -18,21 +18,14 @@ DiskArray::DiskArray(std::size_t disk_count, DiskProfile profile,
   disks_.assign(disk_count, Disk{profile});
 }
 
-std::vector<std::size_t> DiskArray::healthy_slots() const {
-  std::vector<std::size_t> out;
-  for (std::size_t slot = 0; slot < disks_.size(); ++slot) {
-    if (!failed_[slot]) out.push_back(slot);
-  }
-  return out;
-}
-
 bool DiskArray::disk_failed(std::size_t slot) const {
   require_found(!(slot >= disks_.size()), "DiskArray::disk_failed: bad slot");
   return failed_[slot];
 }
 
 std::size_t DiskArray::healthy_disk_count() const {
-  return healthy_slots().size();
+  return static_cast<std::size_t>(
+      std::count(failed_.begin(), failed_.end(), false));
 }
 
 bool DiskArray::recoverable(const StripePlacement& placement) const {
@@ -84,45 +77,62 @@ const Disk& DiskArray::disk(std::size_t slot) const {
   return disks_[slot];
 }
 
-std::optional<StripePlacement> DiskArray::plan(VideoId video,
-                                               MegaBytes size) const {
-  const std::vector<std::size_t> healthy = healthy_slots();
-  const std::size_t min_disks = mode_ == StripingMode::kParity ? 2 : 1;
-  if (size.value() <= 0.0 || healthy.size() < min_disks) return std::nullopt;
-  // Plan the layout over the surviving disks and check their free space.
-  StripePlacement placement =
-      mode_ == StripingMode::kParity
-          ? plan_parity_striping(video, size, cluster_, healthy.size())
-          : plan_striping(video, size, cluster_, healthy.size());
-  const std::vector<MegaBytes> per_disk =
-      placement.per_disk_bytes(healthy.size());
-  for (std::size_t i = 0; i < healthy.size(); ++i) {
-    if (!disks_[healthy[i]].can_fit(per_disk[i])) return std::nullopt;
-  }
-  // The plan is over logical (healthy) slots; persist physical slots.
-  for (std::size_t& slot : placement.part_to_disk) slot = healthy[slot];
-  for (std::size_t& slot : placement.parity_to_disk) slot = healthy[slot];
-  return placement;
-}
-
 bool DiskArray::can_tolerate(MegaBytes size) const {
-  return plan(VideoId{0} /* probe id */, size).has_value();
+  const std::size_t healthy = healthy_disk_count();
+  const bool parity = mode_ == StripingMode::kParity;
+  if (size.value() <= 0.0 || healthy < (parity ? 2u : 1u)) return false;
+  // Bytes per surviving disk, by logical slot, in per_disk_bytes' order.
+  fit_bytes_.assign(healthy, MegaBytes{0.0});
+  for_each_part(size, cluster_, [&](std::size_t part, MegaBytes bytes) {
+    fit_bytes_[parity ? parity_data_slot(part, healthy) : part % healthy] +=
+        bytes;
+  });
+  if (parity) {
+    // Each row's parity is as large as its largest data cluster.
+    const std::size_t parts = part_count(size, cluster_);
+    const std::size_t row_width = healthy - 1;
+    MegaBytes largest{0.0};
+    for_each_part(size, cluster_, [&](std::size_t part, MegaBytes bytes) {
+      largest = std::max(largest, bytes);
+      if ((part + 1) % row_width == 0 || part + 1 == parts) {
+        fit_bytes_[parity_slot(part / row_width, healthy)] += largest;
+        largest = MegaBytes{0.0};
+      }
+    });
+  }
+  std::size_t logical = 0;
+  for (std::size_t slot = 0; slot < disks_.size(); ++slot) {
+    if (failed_[slot]) continue;
+    if (!disks_[slot].can_fit(fit_bytes_[logical++])) return false;
+  }
+  return true;
 }
 
 std::optional<StripePlacement> DiskArray::store(VideoId video,
                                                 MegaBytes size) {
   require(!holds(video), "DiskArray::store: video already stored");
-  std::optional<StripePlacement> placement = plan(video, size);
-  if (!placement) return std::nullopt;
-  for (std::size_t part = 0; part < placement->part_count(); ++part) {
-    disks_[placement->part_to_disk[part]].reserve(placement->part_sizes[part]);
+  if (!can_tolerate(size)) return std::nullopt;
+  // Plan the layout over the surviving disks, then persist physical slots.
+  const std::size_t healthy = healthy_disk_count();
+  StripePlacement placement =
+      mode_ == StripingMode::kParity
+          ? plan_parity_striping(video, size, cluster_, healthy)
+          : plan_striping(video, size, cluster_, healthy);
+  if (healthy < disks_.size()) {
+    std::vector<std::size_t> physical;
+    for (std::size_t slot = 0; slot < disks_.size(); ++slot) {
+      if (!failed_[slot]) physical.push_back(slot);
+    }
+    for (std::size_t& slot : placement.part_to_disk) slot = physical[slot];
+    for (std::size_t& slot : placement.parity_to_disk) slot = physical[slot];
   }
-  for (std::size_t row = 0; row < placement->row_count(); ++row) {
-    disks_[placement->parity_to_disk[row]].reserve(
-        placement->parity_sizes[row]);
+  for (std::size_t part = 0; part < placement.part_count(); ++part) {
+    disks_[placement.part_to_disk[part]].reserve(placement.part_sizes[part]);
   }
-  placements_.emplace(video, *placement);
-  return placement;
+  for (std::size_t row = 0; row < placement.row_count(); ++row) {
+    disks_[placement.parity_to_disk[row]].reserve(placement.parity_sizes[row]);
+  }
+  return placements_.emplace(video, std::move(placement)).first->second;
 }
 
 MegaBytes DiskArray::remove(VideoId video) {

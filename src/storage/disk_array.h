@@ -57,8 +57,11 @@ class DiskArray {
   [[nodiscard]] bool disk_failed(std::size_t slot) const;
   [[nodiscard]] std::size_t healthy_disk_count() const;
 
-  /// True if the cyclic layout of a `size` video fits in the current free
-  /// space of every disk it would touch (Figure 2's "Disks can tolerate").
+  /// True if the cyclic layout of a `size` video over the surviving disks
+  /// fits in the current free space of every disk it would touch (Figure
+  /// 2's "Disks can tolerate"); store() asks the same.  It sums each disk's
+  /// bytes as StripePlacement::per_disk_bytes does (data parts in part
+  /// order, then parity rows) without building the layout.
   [[nodiscard]] bool can_tolerate(MegaBytes size) const;
 
   /// Stores `video`, returning its placement; std::nullopt if it does not
@@ -89,14 +92,6 @@ class DiskArray {
   [[nodiscard]] bool readable(VideoId video) const;
 
  private:
-  /// Physical slots of the surviving disks, in order.
-  [[nodiscard]] std::vector<std::size_t> healthy_slots() const;
-
-  /// `video`'s layout over the surviving disks, in physical slots, if it
-  /// fits their free space (the one check can_tolerate and store share).
-  [[nodiscard]] std::optional<StripePlacement> plan(VideoId video,
-                                                    MegaBytes size) const;
-
   /// Whether the placement survives the current failure set.
   [[nodiscard]] bool recoverable(const StripePlacement& placement) const;
 
@@ -105,6 +100,8 @@ class DiskArray {
   std::vector<bool> failed_;
   MegaBytes cluster_;
   std::map<VideoId, StripePlacement> placements_;
+  /// can_tolerate()'s per-surviving-disk byte sums, kept to reuse storage.
+  mutable std::vector<MegaBytes> fit_bytes_;
 };
 
 }  // namespace vod::storage

@@ -32,33 +32,45 @@ std::vector<MegaBytes> StripePlacement::per_disk_bytes(
   return out;
 }
 
+std::size_t part_count(MegaBytes video_size, MegaBytes cluster) {
+  require(!(video_size.value() <= 0.0), "part_count: size must be positive");
+  require(!(cluster.value() <= 0.0), "part_count: cluster must be positive");
+  return static_cast<std::size_t>(
+      std::ceil(video_size.value() / cluster.value() - 1e-12));
+}
+
+std::vector<MegaBytes> part_sizes(MegaBytes video_size, MegaBytes cluster) {
+  std::vector<MegaBytes> sizes(part_count(video_size, cluster));
+  for_each_part(video_size, cluster, [&](std::size_t part, MegaBytes bytes) {
+    sizes[part] = bytes;
+  });
+  return sizes;
+}
+
 StripePlacement plan_striping(VideoId video, MegaBytes video_size,
                               MegaBytes cluster, std::size_t disk_count) {
   require(video.valid(), "plan_striping: invalid video");
-  require(!(video_size.value() <= 0.0), "plan_striping: size must be positive");
-  require(!(cluster.value() <= 0.0), "plan_striping: cluster must be positive");
-  require(disk_count != 0, "plan_striping: need at least one disk");
-
-  // p = ceil(size / c); the paper's p = size/c with the remainder forming a
-  // short final part.
-  const auto p = static_cast<std::size_t>(
-      std::ceil(video_size.value() / cluster.value() - 1e-12));
-
   StripePlacement placement;
+  placement.part_sizes = part_sizes(video_size, cluster);
+  require(disk_count != 0, "plan_striping: need at least one disk");
   placement.video = video;
   placement.cluster_size = cluster;
-  placement.part_to_disk.reserve(p);
-  placement.part_sizes.reserve(p);
-
-  MegaBytes left = video_size;
-  for (std::size_t part = 0; part < p; ++part) {
-    placement.part_to_disk.push_back(part % disk_count);
-    const MegaBytes this_part =
-        left.value() >= cluster.value() ? cluster : left;
-    placement.part_sizes.push_back(this_part);
-    left -= this_part;
+  placement.part_to_disk.resize(placement.part_sizes.size());
+  for (std::size_t part = 0; part < placement.part_sizes.size(); ++part) {
+    placement.part_to_disk[part] = part % disk_count;
   }
   return placement;
+}
+
+std::size_t parity_slot(std::size_t row, std::size_t disk_count) {
+  return disk_count - 1 - (row % disk_count);
+}
+
+std::size_t parity_data_slot(std::size_t part, std::size_t disk_count) {
+  const std::size_t row_width = disk_count - 1;
+  const std::size_t position = part % row_width;
+  return position < parity_slot(part / row_width, disk_count) ? position
+                                                             : position + 1;
 }
 
 StripePlacement plan_parity_striping(VideoId video, MegaBytes video_size,
@@ -76,20 +88,12 @@ StripePlacement plan_parity_striping(VideoId video, MegaBytes video_size,
       (placement.part_count() + row_width - 1) / row_width;
 
   for (std::size_t part = 0; part < placement.part_count(); ++part) {
-    const std::size_t row = part / row_width;
-    const std::size_t position = part % row_width;
-    const std::size_t parity_slot =
-        disk_count - 1 - (row % disk_count);
-    // Data slots are every slot except the parity one, ascending.
-    const std::size_t slot =
-        position < parity_slot ? position : position + 1;
-    placement.part_to_disk[part] = slot;
-    (void)rows;
+    placement.part_to_disk[part] = parity_data_slot(part, disk_count);
   }
   placement.parity_to_disk.reserve(rows);
   placement.parity_sizes.reserve(rows);
   for (std::size_t row = 0; row < rows; ++row) {
-    placement.parity_to_disk.push_back(disk_count - 1 - (row % disk_count));
+    placement.parity_to_disk.push_back(parity_slot(row, disk_count));
     // Parity is as large as the row's largest data cluster.
     MegaBytes largest{0.0};
     for (std::size_t j = 0; j < row_width; ++j) {

@@ -50,10 +50,33 @@ struct StripePlacement {
       std::size_t disk_count) const;
 };
 
+/// Calls `visit(part, bytes)` for each of the p = ceil(size / c) parts of a
+/// `video_size` video cut at `cluster`, in order: cluster-sized except
+/// possibly the last.  The one rule for the cluster boundaries: the plans,
+/// the disk array's fit check and the streaming session all cut with it.
+/// Both sizes must be positive (checked by part_count()).
+template <typename Visit>
+void for_each_part(MegaBytes video_size, MegaBytes cluster, Visit&& visit);
+
+/// p = ceil(size / c); the paper's p = size/c with the remainder forming a
+/// short final part.  Throws std::invalid_argument unless both are positive.
+[[nodiscard]] std::size_t part_count(MegaBytes video_size, MegaBytes cluster);
+
+/// The sizes for_each_part() visits, in part order.
+[[nodiscard]] std::vector<MegaBytes> part_sizes(MegaBytes video_size,
+                                                MegaBytes cluster);
+
 /// Computes the cyclic layout for a video of `video_size` on `disk_count`
 /// disks with cluster size `cluster`.  All arguments must be positive.
 StripePlacement plan_striping(VideoId video, MegaBytes video_size,
                               MegaBytes cluster, std::size_t disk_count);
+
+/// The RAID-5-style layout's slots on `disk_count` disks: the slot holding
+/// row `row`'s parity, and the slot of data part `part` (every slot except
+/// its row's parity one, ascending).
+[[nodiscard]] std::size_t parity_slot(std::size_t row, std::size_t disk_count);
+[[nodiscard]] std::size_t parity_data_slot(std::size_t part,
+                                           std::size_t disk_count);
 
 /// RAID-5-style layout: data parts fill rows of (disk_count - 1) clusters;
 /// each row gets one parity cluster on a rotating disk (row r's parity on
@@ -65,5 +88,16 @@ StripePlacement plan_striping(VideoId video, MegaBytes video_size,
 StripePlacement plan_parity_striping(VideoId video, MegaBytes video_size,
                                      MegaBytes cluster,
                                      std::size_t disk_count);
+
+template <typename Visit>
+void for_each_part(MegaBytes video_size, MegaBytes cluster, Visit&& visit) {
+  const std::size_t parts = part_count(video_size, cluster);
+  MegaBytes left = video_size;
+  for (std::size_t part = 0; part < parts; ++part) {
+    const MegaBytes bytes = left.value() >= cluster.value() ? cluster : left;
+    visit(part, bytes);
+    left -= bytes;
+  }
+}
 
 }  // namespace vod::storage

@@ -1,6 +1,7 @@
 #include "stream/policy.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/contract.h"
 
@@ -13,13 +14,15 @@ VraPolicy::VraPolicy(const vra::Vra& vra, double switch_hysteresis)
 }
 
 std::optional<Selection> VraPolicy::select(NodeId home, VideoId video) {
-  const auto decision = vra_.select_server(home, video);
+  auto decision = vra_.select_server(home, video);
   if (!decision) return std::nullopt;
   // With no hysteresis the sticky map is never read, so skip writing it.
-  if (hysteresis_ == 0.0) return Selection{decision->server, decision->path};
+  if (hysteresis_ == 0.0) {
+    return Selection{decision->server, std::move(decision->route)};
+  }
   if (decision->served_locally) {
     last_choice_[{home, video}] = decision->server;
-    return Selection{decision->server, decision->path};
+    return Selection{decision->server, std::move(decision->route)};
   }
 
   // Sticky choice: switch away from the previous source only when the new
@@ -29,15 +32,14 @@ std::optional<Selection> VraPolicy::select(NodeId home, VideoId video) {
   if (it != last_choice_.end() && it->second != decision->server) {
     for (const vra::Candidate& candidate : decision->candidates) {
       if (candidate.server != it->second) continue;
-      const double stay_cost = candidate.path.cost;
-      if (decision->path.cost >= (1.0 - hysteresis_) * stay_cost) {
-        return Selection{candidate.server, candidate.path};
+      if (decision->cost() >= (1.0 - hysteresis_) * candidate.cost()) {
+        return Selection{candidate.server, candidate.route};
       }
       break;
     }
   }
   last_choice_[key] = decision->server;
-  return Selection{decision->server, decision->path};
+  return Selection{decision->server, std::move(decision->route)};
 }
 
 }  // namespace vod::stream

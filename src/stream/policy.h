@@ -16,11 +16,14 @@
 
 namespace vod::stream {
 
-/// A policy's answer: the source server and the route to it (empty path =
-/// the client's home server serves locally).
+/// A policy's answer: the source server and the route to it (a route with
+/// no links = the client's home server serves locally).  The route is
+/// shared, not copied: the VRA's answer is the object its cache holds.
 struct Selection {
   NodeId server;
-  routing::Path path;
+  routing::Route route;
+
+  [[nodiscard]] const routing::Path& path() const { return *route; }
 };
 
 class ServerSelectionPolicy {

@@ -56,11 +56,11 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
     flow_weight_ = policy.flow_weight;
     stall_timeout_ *= policy.stall_timeout_scale;
   }
-  // The striping plan defines the cluster boundaries; the disk count is
-  // irrelevant for sizes, so any positive count works here.
-  const storage::StripePlacement plan =
-      storage::plan_striping(video_.id, video_.size, cluster_size, 1);
-  part_sizes_ = plan.part_sizes;
+  // The striping rule defines the cluster boundaries.  A retry replaces
+  // its cluster's source entry, so neither record outgrows the count.
+  part_sizes_ = storage::part_sizes(video_.size, cluster_size);
+  metrics_.cluster_sources.reserve(part_sizes_.size());
+  metrics_.cluster_completed.reserve(part_sizes_.size());
 }
 
 Session::~Session() {
@@ -130,7 +130,7 @@ double Session::advance_playhead(double from, Duration content) const {
 
 void Session::fetch_next_cluster(SimTime now) {
   const std::size_t index = next_cluster_;
-  const auto selection = policy_.select_cluster(home_, video_.id, index);
+  auto selection = policy_.select_cluster(home_, video_.id, index);
   if (!selection) {
     fail(now, "no server can provide the title");
     return;
@@ -154,11 +154,11 @@ void Session::fetch_next_cluster(SimTime now) {
     pending_fault_at_.reset();
   }
 
-  const bool local = selection->path.links.empty();
-  const Mbps cap = local ? kLocalRate : kFlowCap;
-  inflight_path_ = selection->path.links;
+  inflight_route_ = std::move(selection->route);
+  const std::vector<LinkId>& links = inflight_route_->links;
+  const Mbps cap = links.empty() ? kLocalRate : kFlowCap;
   inflight_ = transfers_.start_transfer(
-      selection->path.links, part_sizes_[index], cap,
+      links, part_sizes_[index], cap,
       [this, index](SimTime t) { on_cluster_done(index, t); },
       flow_weight_);
 
@@ -233,7 +233,7 @@ void Session::drop_inflight() {
     transfers_.cancel(*inflight_);
   }
   inflight_.reset();
-  inflight_path_.clear();
+  inflight_route_.reset();
 }
 
 void Session::mark_source_fault(SimTime now) {
@@ -268,6 +268,11 @@ Mbps Session::inflight_rate() const {
     return Mbps{0.0};
   }
   return transfers_.current_rate(*inflight_);
+}
+
+const std::vector<LinkId>& Session::inflight_links() const {
+  static const std::vector<LinkId> kNoLinks;
+  return inflight_route_ ? inflight_route_->links : kNoLinks;
 }
 
 std::optional<NodeId> Session::streaming_source() const {

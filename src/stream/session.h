@@ -185,9 +185,7 @@ class Session {
   [[nodiscard]] std::optional<NodeId> streaming_source() const;
 
   /// Links of the in-flight transfer's path (empty when idle or local).
-  [[nodiscard]] const std::vector<LinkId>& inflight_links() const {
-    return inflight_path_;
-  }
+  [[nodiscard]] const std::vector<LinkId>& inflight_links() const;
 
   /// The resolved watchdog timeout (finite when kAutoStallTimeout was
   /// passed; infinity when disabled).
@@ -251,7 +249,9 @@ class Session {
   std::vector<MegaBytes> part_sizes_;
   std::size_t next_cluster_ = 0;
   std::optional<FlowId> inflight_;
-  std::vector<LinkId> inflight_path_;
+  /// The in-flight transfer's route, shared with the policy that chose it
+  /// (null when idle).
+  routing::Route inflight_route_;
   std::optional<SimTime> pause_started_;
   /// When a fault notification hit the in-flight transfer: the instant, for
   /// the failover-latency measurement closed by the next successful fetch.

@@ -32,7 +32,7 @@ void trace_decision(const obs::Context* context,
   args.push_back(
       {"video", obs::num(static_cast<std::uint64_t>(video.value()))});
   args.push_back({"server", topology.node_name(decision.server)});
-  args.push_back({"cost", obs::num(decision.path.cost)});
+  args.push_back({"cost", obs::num(decision.cost())});
   args.push_back({"local", decision.served_locally ? "1" : "0"});
   args.push_back({"degraded", decision.degraded ? "1" : "0"});
   args.push_back({"candidates", obs::num(static_cast<std::uint64_t>(
@@ -41,7 +41,7 @@ void trace_decision(const obs::Context* context,
     const Candidate& cand = decision.candidates[i];
     args.push_back({"alt" + std::to_string(i),
                     topology.node_name(cand.server) + ":" +
-                        obs::num(cand.path.cost)});
+                        obs::num(cand.cost())});
   }
   tr->instant(obs::Subsystem::kVra, "vra.select", std::move(args));
 }
@@ -115,18 +115,19 @@ std::optional<Decision> Vra::select_degraded(
   for (const NodeId holder : holders) {
     if (!online(holder)) continue;
     if (auto path = routing::min_hop_path(graph, home, holder)) {
-      decision.candidates.push_back(Candidate{holder, std::move(*path)});
+      decision.candidates.push_back(
+          Candidate{holder, routing::make_route(std::move(*path))});
     }
   }
   if (decision.candidates.empty()) return std::nullopt;
   std::sort(decision.candidates.begin(), decision.candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              if (a.path.cost != b.path.cost) return a.path.cost < b.path.cost;
+              if (a.cost() != b.cost()) return a.cost() < b.cost();
               return a.server < b.server;
             });
   decision.served_locally = false;
   decision.server = decision.candidates.front().server;
-  decision.path = decision.candidates.front().path;
+  decision.route = decision.candidates.front().route;
   ++degraded_selections_;
   return decision;
 }
@@ -155,11 +156,15 @@ std::optional<Decision> Vra::select_server(NodeId home,
   // "IF the adjacent to the client video server can provide the requested
   //  video THEN authorize the server to start transferring and QUIT."
   if (can_provide(home, video)) {
+    routing::Route* local = local_routes_.find(home);
+    if (local == nullptr) {
+      ++cache_stats_.routes_built;
+      local = &local_routes_.insert(home, routing::local_route(home));
+    }
     Decision decision;
     decision.served_locally = true;
     decision.server = home;
-    decision.path.nodes = {home};
-    decision.path.cost = 0.0;
+    decision.route = *local;
     trace_decision(obs_, topology_, home, video, decision);
     return decision;
   }
@@ -189,23 +194,30 @@ std::optional<Decision> Vra::select_server(NodeId home,
   //  Dijkstra's routing algorithm from the client's adjacent server."
   const routing::Graph& graph = routing_graph();
 
-  const routing::ShortestPaths* paths = spt_cache_.find(home);
-  if (paths == nullptr) {
+  SptEntry* entry = spt_cache_.find(home);
+  if (entry == nullptr) {
     ++cache_stats_.spt_misses;
-    paths = &spt_cache_.insert(home, routing::dijkstra(graph, home));
+    entry = &spt_cache_.insert(
+        home, SptEntry{routing::dijkstra(graph, home),
+                       std::vector<routing::Route>(graph.node_count())});
   } else {
     ++cache_stats_.spt_hits;
   }
 
   Decision decision;
+  decision.candidates.reserve(holders.size());
 
   // "Select those least expensive paths that end at the servers that can
-  //  provide the video."
+  //  provide the video."  A route is built the first time a selection
+  //  needs it and shared by every later one until the graph moves.
   for (const NodeId holder : holders) {
-    if (!online(holder)) continue;
-    if (auto path = paths->path_to(holder)) {
-      decision.candidates.push_back(Candidate{holder, std::move(*path)});
+    if (!online(holder) || !entry->tree.reachable(holder)) continue;
+    routing::Route& route = entry->routes[holder.value()];
+    if (!route) {
+      ++cache_stats_.routes_built;
+      route = routing::make_route(*entry->tree.path_to(holder));
     }
+    decision.candidates.push_back(Candidate{holder, route});
   }
   if (decision.candidates.empty()) {  // all disconnected
     trace_no_source(obs_, topology_, home, video);
@@ -217,7 +229,7 @@ std::optional<Decision> Vra::select_server(NodeId home,
   //  deterministic.
   std::sort(decision.candidates.begin(), decision.candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              if (a.path.cost != b.path.cost) return a.path.cost < b.path.cost;
+              if (a.cost() != b.cost()) return a.cost() < b.cost();
               return a.server < b.server;
             });
   // The sort's exact comparison keeps the listing stable, but the *choice*
@@ -225,8 +237,8 @@ std::optional<Decision> Vra::select_server(NodeId home,
   // kCostEpsilon of the cheapest, take the lowest node id.
   std::size_t chosen = 0;
   for (std::size_t i = 1; i < decision.candidates.size(); ++i) {
-    if (decision.candidates[i].path.cost >
-        decision.candidates[0].path.cost + kCostEpsilon) {
+    if (decision.candidates[i].cost() >
+        decision.candidates[0].cost() + kCostEpsilon) {
       break;
     }
     if (decision.candidates[i].server < decision.candidates[chosen].server) {
@@ -241,7 +253,7 @@ std::optional<Decision> Vra::select_server(NodeId home,
 
   decision.served_locally = false;
   decision.server = decision.candidates.front().server;
-  decision.path = decision.candidates.front().path;
+  decision.route = decision.candidates.front().route;
   trace_decision(obs_, topology_, home, video, decision);
   return decision;
 }

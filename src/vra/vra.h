@@ -18,6 +18,9 @@
 // weighted graph and the per-home shortest-path trees, keyed on the
 // database's links_changed_epoch(), and rebuilds the graph whole when the
 // epoch moves.  Selections are bit-for-bit those of a freshly built Vra.
+// Each tree builds its routes lazily, one shared routing::Route per server
+// a selection asks for, so every cluster of every session between two
+// epoch moves streams over the same immutable path object.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +44,10 @@ namespace vod::vra {
 /// One candidate source considered by the VRA.
 struct Candidate {
   NodeId server;
-  routing::Path path;  // least-cost path home -> server
+  routing::Route route;  // least-cost path home -> server
+
+  [[nodiscard]] const routing::Path& path() const { return *route; }
+  [[nodiscard]] double cost() const { return route->cost; }
 };
 
 /// The VRA's answer for one request.
@@ -50,8 +56,9 @@ struct Decision {
   bool served_locally = false;
   /// The chosen source server (the home server when served_locally).
   NodeId server;
-  /// Least-cost path from the home server to `server` (empty when local).
-  routing::Path path;
+  /// Least-cost path from the home server to `server` (just {home} when
+  /// local): the same object as the first candidate's route.
+  routing::Route route;
   /// Every candidate with its least-cost path, sorted by ascending cost
   /// (the chosen one first); empty when served locally.
   std::vector<Candidate> candidates;
@@ -60,7 +67,8 @@ struct Decision {
   /// than the configured threshold.
   bool degraded = false;
 
-  [[nodiscard]] double cost() const { return path.cost; }
+  [[nodiscard]] const routing::Path& path() const { return *route; }
+  [[nodiscard]] double cost() const { return route->cost; }
 };
 
 /// Effectiveness counters of the cached engine (reported through
@@ -73,6 +81,9 @@ struct VraCacheStats {
   /// Dijkstra trees served from / inserted into the per-home cache.
   std::uint64_t spt_hits = 0;
   std::uint64_t spt_misses = 0;
+  /// Routes built: one per (home, server) a selection asked for in each
+  /// tree's lifetime, plus one local route per home.
+  std::uint64_t routes_built = 0;
 };
 
 /// The algorithm object.  Decisions depend only on the database views, so
@@ -142,6 +153,14 @@ class Vra {
   [[nodiscard]] std::optional<Decision> select_degraded(
       NodeId home, const std::vector<NodeId>& holders) const;
 
+  /// A home's shortest-path tree and the routes built from it so far,
+  /// indexed by server node (null until a selection first needs one).
+  /// Both are dropped together when the graph is rebuilt.
+  struct SptEntry {
+    routing::ShortestPaths tree;
+    std::vector<routing::Route> routes;
+  };
+
   const net::Topology& topology_;
   db::FullAccessView catalog_;
   db::LimitedAccessView network_state_;
@@ -155,7 +174,10 @@ class Vra {
   // mutable behind the const query interface.
   mutable std::optional<routing::Graph> cached_graph_;
   mutable std::uint64_t cached_links_epoch_ = 0;
-  mutable IdVector<NodeId, routing::ShortestPaths> spt_cache_;
+  mutable IdVector<NodeId, SptEntry> spt_cache_;
+  /// The local route {home} of each home, built on its first local serve;
+  /// it does not depend on the graph, so it outlives links epochs.
+  mutable IdVector<NodeId, routing::Route> local_routes_;
   mutable VraCacheStats cache_stats_;
 };
 

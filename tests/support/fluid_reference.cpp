@@ -74,7 +74,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidReference::allocate(
   network.flows_.for_each_ordered(
       [&](FlowId id, const FluidNetwork::Flow& flow) {
         const FluidNetwork::Bundle& bundle = network.bundles_[flow.bundle];
-        active.push_back(Active{&flow.path, id, bundle.cap, bundle.weight});
+        active.push_back(Active{&bundle.links, id, bundle.cap, bundle.weight});
       });
 
   // Flows with empty paths are purely local: they get their cap outright.

@@ -9,7 +9,7 @@
 // service never runs the filler, so it lives with the tests, not in src/.
 //
 // FluidReference is the one friend FluidNetwork grants.  It reads the live
-// flows (id, path, cap, weight) and chains onto the network's post-change
+// flows (id, links, cap, weight) and chains onto the network's post-change
 // hook, so a test can compare every commit with the oracle — including the
 // commits under a live VodService, whose TransferManager owns the hooks.
 #pragma once

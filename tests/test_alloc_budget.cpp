@@ -1,0 +1,90 @@
+// Allocation budget of the per-cluster step.
+//
+// The paper re-runs the VRA before every cluster, so a remote cluster
+// fetch is the service's hottest path: a selection, a policy answer, a
+// session hand-off, a transfer and a fluid flow.  The route the VRA builds
+// is shared by all of them, so the step itself should allocate next to
+// nothing.  This binary replaces the global operator new with a counting
+// one and measures a seeded service in steady state: sessions mid-stream,
+// no request arriving, SNMP polls moving the links epoch as they do in a
+// real run (the graph, tree and route rebuilds they cause are part of the
+// bill).
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "support/grnet_service.h"
+
+namespace {
+
+// Plain counter: the simulation is single-threaded.
+std::size_t allocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++allocations;
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc{};
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+
+namespace vod {
+namespace {
+
+/// Cluster fetches the sessions have made so far (every selection a
+/// session streamed from, re-selections after a stall included).
+std::size_t fetches(const service::VodService& service,
+                    const std::vector<SessionId>& sessions) {
+  std::size_t total = 0;
+  for (const SessionId id : sessions) {
+    total += service.session_metrics(id).cluster_sources.size();
+  }
+  return total;
+}
+
+TEST(AllocBudget, RemoteClusterFetchAllocatesAtMostThreeTimes) {
+  // 1 MB clusters of a 200 MB title held only at Thessaloniki: every
+  // fetch from Patra and Heraklio is remote, and each 90 s SNMP poll is
+  // followed by over a hundred fetches.
+  test::GrnetSetup setup;
+  setup.options.cluster_size = MegaBytes{1.0};
+  setup.movie_size = MegaBytes{200.0};
+  test::GrnetService fx{setup};
+  service::VodService& service = *fx.service;
+
+  std::vector<SessionId> sessions;
+  for (int i = 0; i < 16; ++i) {
+    const NodeId home = i % 2 == 0 ? fx.g.patra : fx.g.heraklio;
+    fx.sim.schedule_at(SimTime{0.5 * i}, [&, home](SimTime) {
+      sessions.push_back(service.request_at(home, fx.movie));
+    });
+  }
+  // Warm up past the arrivals and the first polls, then measure a window
+  // in which every session is still mid-stream.
+  fx.sim.run_until(SimTime{200.0});
+  const std::size_t fetched_before = fetches(service, sessions);
+  const std::size_t allocations_before = allocations;
+  fx.sim.run_until(SimTime{500.0});
+  const std::size_t window_allocations = allocations - allocations_before;
+  const std::size_t window_fetches =
+      fetches(service, sessions) - fetched_before;
+
+  for (const SessionId id : sessions) {
+    ASSERT_TRUE(service.session(id).active()) << "session " << id.value();
+  }
+  ASSERT_GT(window_fetches, 300u);
+  const double per_fetch = static_cast<double>(window_allocations) /
+                           static_cast<double>(window_fetches);
+  RecordProperty("allocations_per_fetch", std::to_string(per_fetch));
+  EXPECT_LE(per_fetch, 3.0) << window_allocations << " allocations over "
+                            << window_fetches << " remote cluster fetches";
+}
+
+}  // namespace
+}  // namespace vod

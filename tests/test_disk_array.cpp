@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace vod::storage {
 namespace {
@@ -107,6 +110,86 @@ TEST(DiskArray, ClusterReadSeconds) {
   EXPECT_NEAR(array.cluster_read_seconds(VideoId{1}, 2), 0.51, 1e-12);
   EXPECT_THROW((void)array.cluster_read_seconds(VideoId{1}, 3),
                std::out_of_range);
+}
+
+/// The fit check as the layout states it: plan the title over the
+/// surviving disks, sum each disk's bytes with per_disk_bytes, and ask
+/// every surviving disk whether its share fits.
+bool planned_layout_fits(const DiskArray& array, MegaBytes size) {
+  std::vector<std::size_t> healthy;
+  for (std::size_t slot = 0; slot < array.disk_count(); ++slot) {
+    if (!array.disk_failed(slot)) healthy.push_back(slot);
+  }
+  const bool parity = array.mode() == StripingMode::kParity;
+  if (size.value() <= 0.0 || healthy.size() < (parity ? 2u : 1u)) {
+    return false;
+  }
+  const StripePlacement placement =
+      parity ? plan_parity_striping(VideoId{0}, size, array.cluster_size(),
+                                    healthy.size())
+             : plan_striping(VideoId{0}, size, array.cluster_size(),
+                             healthy.size());
+  const std::vector<MegaBytes> per_disk =
+      placement.per_disk_bytes(healthy.size());
+  for (std::size_t i = 0; i < healthy.size(); ++i) {
+    if (!array.disk(healthy[i]).can_fit(per_disk[i])) return false;
+  }
+  return true;
+}
+
+TEST(DiskArray, CanTolerateMatchesPlannedLayoutUnderFailures) {
+  // Random arrays in both modes go through stores, removals, disk failures
+  // and repairs; at every step can_tolerate must answer what planning the
+  // layout answers, and what a store on a copy of the array does.
+  Rng rng{29};
+  int tolerated = 0;
+  int refused = 0;
+  for (const StripingMode mode :
+       {StripingMode::kPlain, StripingMode::kParity}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const auto disks = static_cast<std::size_t>(rng.uniform_int(2, 7));
+      const MegaBytes cluster{rng.uniform_int(0, 3) == 0
+                                  ? 10.0
+                                  : rng.uniform(2.0, 25.0)};
+      DiskArray array{disks, profile(rng.uniform(40.0, 200.0)), cluster,
+                      mode};
+      std::vector<VideoId> stored;
+      std::uint32_t next = 1;
+      for (int step = 0; step < 40; ++step) {
+        // Every fourth size is a whole number of clusters.
+        const MegaBytes size =
+            step % 4 == 0
+                ? cluster * static_cast<double>(rng.uniform_int(1, 30))
+                : MegaBytes{rng.uniform(0.5, 300.0)};
+        const bool fits = array.can_tolerate(size);
+        ASSERT_EQ(fits, planned_layout_fits(array, size))
+            << "trial " << trial << " step " << step;
+        DiskArray copy = array;
+        ASSERT_EQ(copy.store(VideoId{100000}, size).has_value(), fits);
+        fits ? ++tolerated : ++refused;
+
+        const auto action = rng.uniform_int(0, 9);
+        const auto slot = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(disks) - 1));
+        if (action < 5 && fits) {
+          ASSERT_TRUE(array.store(VideoId{next}, size).has_value());
+          stored.push_back(VideoId{next++});
+        } else if (action < 7 && !stored.empty()) {
+          (void)array.remove(stored.back());
+          stored.pop_back();
+        } else if (action == 7) {
+          for (const VideoId lost : array.fail_disk(slot)) {
+            std::erase(stored, lost);
+          }
+        } else if (action == 8) {
+          array.repair_disk(slot);
+        }
+      }
+    }
+  }
+  // Both answers occurred often.
+  EXPECT_GT(tolerated, 300);
+  EXPECT_GT(refused, 300);
 }
 
 TEST(DiskArray, DiskAccessorBoundsChecked) {

@@ -81,8 +81,8 @@ TEST(StripedSelectionPolicy, PathsFollowCurrentLvnWeights) {
       policy.select_cluster(fx.g.patra, fx.striped_movie, 0);
   ASSERT_TRUE(selection.has_value());
   // At 8am the least-LVN Patra->Thessaloniki route is U2,U3,U4 (~0.218).
-  EXPECT_NEAR(selection->path.cost, 0.218, 0.002);
-  EXPECT_EQ(selection->path.hop_count(), 2u);
+  EXPECT_NEAR(selection->path().cost, 0.218, 0.002);
+  EXPECT_EQ(selection->path().hop_count(), 2u);
 }
 
 TEST(StripedSelectionPolicy, HomeStripServedLocally) {
@@ -95,7 +95,7 @@ TEST(StripedSelectionPolicy, HomeStripServedLocally) {
       policy.select_cluster(fx.g.patra, fx.striped_movie, 0);
   ASSERT_TRUE(selection.has_value());
   EXPECT_EQ(selection->server, fx.g.patra);
-  EXPECT_TRUE(selection->path.links.empty());
+  EXPECT_TRUE(selection->path().links.empty());
 }
 
 TEST(StripedSelectionPolicy, UnassignedVideoFallsBackToVra) {

@@ -23,7 +23,7 @@ class SingleRoutePolicy final : public stream::ServerSelectionPolicy {
       : client_(client), server_(server), link_(link) {}
   std::optional<stream::Selection> select(NodeId, VideoId) override {
     return stream::Selection{
-        server_, routing::Path{{client_, server_}, {link_}, 1.0}};
+        server_, routing::make_route({{client_, server_}, {link_}, 1.0})};
   }
   const char* name() const override { return "single-route"; }
 
@@ -124,13 +124,13 @@ TEST(LinkFailure, VraRoutesAroundOfflineLink) {
   // Baseline: Patra reaches Thessaloniki via Ioannina at 8am.
   auto before = vra.select_server(g.patra, movie);
   ASSERT_TRUE(before.has_value());
-  EXPECT_EQ(before->path.to_string(vra.routing_graph()),
+  EXPECT_EQ(before->path().to_string(vra.routing_graph()),
             "U2,U3,U4");
   // Kill the Patra-Ioannina link: must fall back through Athens.
   view.set_link_online(g.patra_ioannina, false);
   auto after = vra.select_server(g.patra, movie);
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->path.to_string(vra.routing_graph()),
+  EXPECT_EQ(after->path().to_string(vra.routing_graph()),
             "U2,U1,U4");
 }
 
@@ -173,10 +173,10 @@ TEST(StallWatchdog, RetriesAndRecovers) {
     std::optional<stream::Selection> select(NodeId, VideoId) override {
       if (network_.link_up(l1_)) {
         return stream::Selection{
-            s1_, routing::Path{{client_, s1_}, {l1_}, 1.0}};
+            s1_, routing::make_route({{client_, s1_}, {l1_}, 1.0})};
       }
-      return stream::Selection{s2_,
-                               routing::Path{{client_, s2_}, {l2_}, 1.0}};
+      return stream::Selection{
+          s2_, routing::make_route({{client_, s2_}, {l2_}, 1.0})};
     }
     const char* name() const override { return "failover"; }
 
@@ -227,7 +227,7 @@ TEST(StallWatchdog, ExhaustedRetriesFailTheSession) {
         : client_(client), server_(server), link_(link) {}
     std::optional<stream::Selection> select(NodeId, VideoId) override {
       return stream::Selection{
-          server_, routing::Path{{client_, server_}, {link_}, 1.0}};
+          server_, routing::make_route({{client_, server_}, {link_}, 1.0})};
     }
     const char* name() const override { return "dead-end"; }
 
@@ -398,10 +398,10 @@ TEST(StallWatchdog, TotalBudgetStillCapsDeadTitles) {
       }
       if (++attempts_ <= kDeadAttempts) {
         return stream::Selection{
-            dead_, routing::Path{{client_, dead_}, {dead_link_}, 1.0}};
+            dead_, routing::make_route({{client_, dead_}, {dead_link_}, 1.0})};
       }
       return stream::Selection{
-          live_, routing::Path{{client_, live_}, {live_link_}, 1.0}};
+          live_, routing::make_route({{client_, live_}, {live_link_}, 1.0})};
     }
     const char* name() const override { return "flaky"; }
 

@@ -290,16 +290,16 @@ TEST(DegradedMode, StaleStatsFallBackToMinHop) {
   ASSERT_TRUE(stale.has_value());
   EXPECT_TRUE(stale->degraded);
   EXPECT_EQ(stale->server, g.athens);
-  ASSERT_EQ(stale->path.links.size(), 1u);
-  EXPECT_EQ(stale->path.links.front(), g.patra_athens);
-  EXPECT_DOUBLE_EQ(stale->path.cost, 1.0);
+  ASSERT_EQ(stale->path().links.size(), 1u);
+  EXPECT_EQ(stale->path().links.front(), g.patra_athens);
+  EXPECT_DOUBLE_EQ(stale->path().cost, 1.0);
 
   // A link known to be down is excluded even in degraded mode.
   view.set_link_online(g.patra_athens, false);
   const auto rerouted = vra.select_server(g.patra, movie);
   ASSERT_TRUE(rerouted.has_value());
   EXPECT_TRUE(rerouted->degraded);
-  EXPECT_EQ(rerouted->path.links.size(), 3u);
+  EXPECT_EQ(rerouted->path().links.size(), 3u);
   EXPECT_EQ(vra.degraded_selection_count(), 2u);
 }
 

@@ -214,6 +214,11 @@ TEST(FluidNetwork, FlowPathAccessor) {
   const FlowId flow = network.start_flow({line.ab, line.bc}, Mbps{5.0});
   EXPECT_EQ(network.flow_path(flow),
             (std::vector<LinkId>{line.ab, line.bc}));
+  // The distinct links, ascending, whatever order and repeats were given.
+  const FlowId mixed =
+      network.start_flow({line.bc, line.ab, line.bc}, Mbps{5.0});
+  EXPECT_EQ(network.flow_path(mixed),
+            (std::vector<LinkId>{line.ab, line.bc}));
   EXPECT_THROW((void)network.flow_path(FlowId{99}), std::out_of_range);
 }
 

@@ -159,7 +159,7 @@ ScriptStats run_script(int seed, const FlowDraws& draws) {
     const std::size_t count = ++members[key];
     stats.max_members = std::max(stats.max_members, count);
     if (count == 1 && emptied.erase(key) > 0) ++stats.bundles_recreated;
-    const FlowId id = network.start_flow(std::move(path), cap, weight);
+    const FlowId id = network.start_flow(path, cap, weight);
     key_of.emplace(id, std::move(key));
     live.push_back(id);
   };
@@ -247,6 +247,10 @@ ScriptStats run_script(int seed, const FlowDraws& draws) {
     std::map<std::uint32_t, const BundleKey*> key_in;
     for (const FlowId flow : live) {
       const BundleKey* key = &key_of.at(flow);
+      // The oracle reads each flow's links from its bundle; the script's
+      // own record of the path keeps that input honest.
+      EXPECT_EQ(network.flow_path(flow), std::get<0>(*key))
+          << "flow " << flow.value();
       const auto [it, fresh] = key_in.emplace(network.flow_bundle(flow), key);
       EXPECT_TRUE(fresh || *it->second == *key)
           << "flows with different keys share bundle " << it->first;

@@ -40,8 +40,8 @@ TEST(RandomHolderPolicy, PicksOnlyHolders) {
     seen.insert(selection->server);
     EXPECT_TRUE(selection->server == fx.g.thessaloniki ||
                 selection->server == fx.g.xanthi);
-    EXPECT_EQ(selection->path.source(), fx.g.patra);
-    EXPECT_EQ(selection->path.destination(), selection->server);
+    EXPECT_EQ(selection->path().source(), fx.g.patra);
+    EXPECT_EQ(selection->path().destination(), selection->server);
   }
   EXPECT_EQ(seen.size(), 2u);  // both holders eventually chosen
 }
@@ -54,7 +54,7 @@ TEST(RandomHolderPolicy, HomeHolderServedLocally) {
   const auto selection = policy.select(fx.g.patra, fx.movie);
   ASSERT_TRUE(selection.has_value());
   EXPECT_EQ(selection->server, fx.g.patra);
-  EXPECT_TRUE(selection->path.links.empty());
+  EXPECT_TRUE(selection->path().links.empty());
 }
 
 TEST(RandomHolderPolicy, SkipsOfflineServers) {
@@ -88,7 +88,7 @@ TEST(NearestByHopsPolicy, PrefersFewestHops) {
   const auto selection = policy.select(fx.g.patra, fx.movie);
   ASSERT_TRUE(selection.has_value());
   EXPECT_EQ(selection->server, fx.g.thessaloniki);
-  EXPECT_EQ(selection->path.hop_count(), 2u);
+  EXPECT_EQ(selection->path().hop_count(), 2u);
 }
 
 TEST(NearestByHopsPolicy, HomeHolderWins) {
@@ -100,7 +100,7 @@ TEST(NearestByHopsPolicy, HomeHolderWins) {
   const auto selection = policy.select(fx.g.patra, fx.movie);
   ASSERT_TRUE(selection.has_value());
   EXPECT_EQ(selection->server, fx.g.patra);
-  EXPECT_EQ(selection->path.hop_count(), 0u);
+  EXPECT_EQ(selection->path().hop_count(), 0u);
 }
 
 TEST(NearestByHopsPolicy, IgnoresCongestionEntirely) {
@@ -158,7 +158,7 @@ TEST(StaticOncePolicy, DistinctRequestsDecidedIndependently) {
   const auto from_patra = policy.select(fx.g.patra, fx.movie);
   const auto from_heraklio = policy.select(fx.g.heraklio, fx.movie);
   ASSERT_TRUE(from_patra && from_heraklio);
-  EXPECT_NE(from_patra->path.nodes, from_heraklio->path.nodes);
+  EXPECT_NE(from_patra->path().nodes, from_heraklio->path().nodes);
 }
 
 TEST(VraPolicy, ValidatesHysteresisRange) {

@@ -47,7 +47,7 @@ struct Fixture {
 
   Selection remote() {
     return Selection{server,
-                     routing::Path{{client, server}, {link}, 1.0}};
+                     routing::make_route({{client, server}, {link}, 1.0})};
   }
 
   db::VideoInfo video(double size_mb, double bitrate) {
@@ -160,7 +160,7 @@ TEST(Session, ServerSwitchesCounted) {
   session.start();
   fx.sim.schedule_at(SimTime{15.0}, [&](SimTime) {
     policy.set_answer(Selection{
-        server2, routing::Path{{fx.client, server2}, {link2}, 1.0}});
+        server2, routing::make_route({{fx.client, server2}, {link2}, 1.0})});
   });
   fx.sim.run();
   const SessionMetrics& m = session.metrics();
@@ -222,7 +222,7 @@ TEST(Session, AbortCancelsInflightTransfer) {
 TEST(Session, LocalServingUsesLocalRate) {
   Fixture fx;
   ScriptedPolicy policy{
-      Selection{fx.client, routing::Path{{fx.client}, {}, 0.0}}};
+      Selection{fx.client, routing::local_route(fx.client)}};
   Session session{fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
                   fx.client, MegaBytes{10.0}};
   session.start();

@@ -16,7 +16,7 @@ class FixedPolicy final : public ServerSelectionPolicy {
       : client_(client), server_(server), link_(link) {}
   std::optional<Selection> select(NodeId, VideoId) override {
     return Selection{server_,
-                     routing::Path{{client_, server_}, {link_}, 1.0}};
+                     routing::make_route({{client_, server_}, {link_}, 1.0})};
   }
   const char* name() const override { return "fixed"; }
 

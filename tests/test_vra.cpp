@@ -87,10 +87,10 @@ TEST(Vra, CandidatesSortedByAscendingCost) {
   const auto decision = fx.make_vra().select_server(fx.g.athens, fx.movie);
   ASSERT_TRUE(decision.has_value());
   ASSERT_EQ(decision->candidates.size(), 3u);
-  EXPECT_LE(decision->candidates[0].path.cost,
-            decision->candidates[1].path.cost);
-  EXPECT_LE(decision->candidates[1].path.cost,
-            decision->candidates[2].path.cost);
+  EXPECT_LE(decision->candidates[0].path().cost,
+            decision->candidates[1].path().cost);
+  EXPECT_LE(decision->candidates[1].path().cost,
+            decision->candidates[2].path().cost);
   EXPECT_EQ(decision->candidates[0].server, decision->server);
 }
 
@@ -107,7 +107,7 @@ TEST(Vra, TraceRecordedOnRequest) {
       routing::dijkstra(vra.routing_graph(), fx.g.patra, &trace);
   EXPECT_EQ(trace.size(), 6u);  // all six nodes reachable
   EXPECT_EQ(traced.distance_to(fx.g.xanthi), decision->cost());
-  EXPECT_EQ(traced.path_to(fx.g.xanthi)->nodes, decision->path.nodes);
+  EXPECT_EQ(traced.path_to(fx.g.xanthi)->nodes, decision->path().nodes);
 }
 
 TEST(Vra, WeightedGraphUsesLvnWeights) {
@@ -133,16 +133,16 @@ TEST(VraExperiments, ExperimentA_CorrectedDecision) {
   const auto decision = fx.make_vra().select_server(fx.g.patra, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.thessaloniki);
-  EXPECT_EQ(decision->path.to_string(
+  EXPECT_EQ(decision->path().to_string(
                 fx.make_vra().routing_graph()),
             "U2,U3,U4");
-  EXPECT_NEAR(decision->path.cost, 0.2178, 0.002);
+  EXPECT_NEAR(decision->path().cost, 0.2178, 0.002);
   // The paper's intended Xanthi alternative is the other candidate, with
   // the cost the paper reports (0.315).
   ASSERT_EQ(decision->candidates.size(), 2u);
   EXPECT_EQ(decision->candidates[1].server, fx.g.xanthi);
-  EXPECT_NEAR(decision->candidates[1].path.cost, 0.315, 0.002);
-  EXPECT_EQ(decision->candidates[1].path.to_string(
+  EXPECT_NEAR(decision->candidates[1].path().cost, 0.315, 0.002);
+  EXPECT_EQ(decision->candidates[1].path().to_string(
                 fx.make_vra().routing_graph()),
             "U2,U1,U6,U5");
 }
@@ -155,13 +155,13 @@ TEST(VraExperiments, ExperimentB_MatchesPaper) {
   const auto decision = fx.make_vra().select_server(fx.g.patra, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.thessaloniki);
-  EXPECT_EQ(decision->path.to_string(
+  EXPECT_EQ(decision->path().to_string(
                 fx.make_vra().routing_graph()),
             "U2,U3,U4");
-  EXPECT_NEAR(decision->path.cost, 1.007, 0.01);
+  EXPECT_NEAR(decision->path().cost, 1.007, 0.01);
   // Alternative: Xanthi via U2,U1,U6,U5 at ~1.308.
   ASSERT_EQ(decision->candidates.size(), 2u);
-  EXPECT_NEAR(decision->candidates[1].path.cost, 1.308, 0.01);
+  EXPECT_NEAR(decision->candidates[1].path().cost, 1.308, 0.01);
 }
 
 // --- Experiment C (4pm, client at Athens, title at U3/U4/U5) ---
@@ -173,18 +173,18 @@ TEST(VraExperiments, ExperimentC_MatchesPaper) {
   const auto decision = fx.make_vra().select_server(fx.g.athens, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.ioannina);
-  EXPECT_EQ(decision->path.to_string(
+  EXPECT_EQ(decision->path().to_string(
                 fx.make_vra().routing_graph()),
             "U1,U2,U3");
-  EXPECT_NEAR(decision->path.cost, 1.222, 0.01);
+  EXPECT_NEAR(decision->path().cost, 1.222, 0.01);
 
   // Paper's per-candidate costs: U4 direct 1.5433, U5 via U6 1.274.
   ASSERT_EQ(decision->candidates.size(), 3u);
   for (const Candidate& candidate : decision->candidates) {
     if (candidate.server == fx.g.thessaloniki) {
-      EXPECT_NEAR(candidate.path.cost, 1.5433, 0.01);
+      EXPECT_NEAR(candidate.path().cost, 1.5433, 0.01);
     } else if (candidate.server == fx.g.xanthi) {
-      EXPECT_NEAR(candidate.path.cost, 1.274, 0.01);
+      EXPECT_NEAR(candidate.path().cost, 1.274, 0.01);
     }
   }
 }
@@ -198,15 +198,15 @@ TEST(VraExperiments, ExperimentD_MatchesPaper) {
   const auto decision = fx.make_vra().select_server(fx.g.athens, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.ioannina);
-  EXPECT_EQ(decision->path.to_string(
+  EXPECT_EQ(decision->path().to_string(
                 fx.make_vra().routing_graph()),
             "U1,U2,U3");
-  EXPECT_NEAR(decision->path.cost, 1.236, 0.01);
+  EXPECT_NEAR(decision->path().cost, 1.236, 0.01);
   for (const Candidate& candidate : decision->candidates) {
     if (candidate.server == fx.g.thessaloniki) {
-      EXPECT_NEAR(candidate.path.cost, 1.4824, 0.01);
+      EXPECT_NEAR(candidate.path().cost, 1.4824, 0.01);
     } else if (candidate.server == fx.g.xanthi) {
-      EXPECT_NEAR(candidate.path.cost, 1.3574, 0.01);
+      EXPECT_NEAR(candidate.path().cost, 1.3574, 0.01);
     }
   }
 }
@@ -242,7 +242,7 @@ TEST(VraExperiments, CostsRiseWithCongestionAcrossTheDay) {
   const auto at10 = midmorning.make_vra().select_server(
       midmorning.g.patra, midmorning.movie);
   ASSERT_TRUE(at8 && at10);
-  EXPECT_LT(at8->path.cost, at10->path.cost);
+  EXPECT_LT(at8->path().cost, at10->path().cost);
 }
 
 }  // namespace

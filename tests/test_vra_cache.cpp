@@ -42,22 +42,26 @@ struct CaseFixture {
 };
 
 /// The two decisions must agree bit for bit (hence EXPECT_EQ on doubles):
-/// server, path, cost and the whole candidate list.
+/// server, mode, and every route by value (nodes, links, cost), the
+/// chosen one and the whole candidate list.
 void expect_same_decision(const std::optional<Decision>& a,
                           const std::optional<Decision>& b,
                           const std::string& where) {
   ASSERT_EQ(a.has_value(), b.has_value()) << where;
   if (!a) return;
   EXPECT_EQ(a->server, b->server) << where;
-  EXPECT_EQ(a->path.nodes, b->path.nodes) << where;
-  EXPECT_EQ(a->path.cost, b->path.cost) << where;
+  EXPECT_EQ(a->served_locally, b->served_locally) << where;
+  EXPECT_EQ(a->degraded, b->degraded) << where;
+  const auto same_route = [&](const routing::Path& x, const routing::Path& y) {
+    EXPECT_EQ(x.nodes, y.nodes) << where;
+    EXPECT_EQ(x.links, y.links) << where;
+    EXPECT_EQ(x.cost, y.cost) << where;
+  };
+  same_route(a->path(), b->path());
   ASSERT_EQ(a->candidates.size(), b->candidates.size()) << where;
   for (std::size_t i = 0; i < a->candidates.size(); ++i) {
     EXPECT_EQ(a->candidates[i].server, b->candidates[i].server) << where;
-    EXPECT_EQ(a->candidates[i].path.nodes, b->candidates[i].path.nodes)
-        << where;
-    EXPECT_EQ(a->candidates[i].path.cost, b->candidates[i].path.cost)
-        << where;
+    same_route(a->candidates[i].path(), b->candidates[i].path());
   }
 }
 
@@ -137,11 +141,11 @@ TEST(VraCache, OfflineLinkIsExcludedAndFlipRebuildsGraph) {
   EXPECT_EQ(vra.cache_stats().graph_rebuilds, 2u);
   EXPECT_FALSE(vra.routing_graph().edge_weight(fx.g.patra_ioannina));
   // The decision must route around the dead link.
-  for (std::size_t i = 0; i + 1 < rerouted->path.nodes.size(); ++i) {
-    EXPECT_FALSE((rerouted->path.nodes[i] == fx.g.patra &&
-                  rerouted->path.nodes[i + 1] == fx.g.ioannina) ||
-                 (rerouted->path.nodes[i] == fx.g.ioannina &&
-                  rerouted->path.nodes[i + 1] == fx.g.patra));
+  for (std::size_t i = 0; i + 1 < rerouted->path().nodes.size(); ++i) {
+    EXPECT_FALSE((rerouted->path().nodes[i] == fx.g.patra &&
+                  rerouted->path().nodes[i + 1] == fx.g.ioannina) ||
+                 (rerouted->path().nodes[i] == fx.g.ioannina &&
+                  rerouted->path().nodes[i + 1] == fx.g.patra));
   }
   expect_graph_matches_fresh_build(fx, vra);
 
@@ -206,6 +210,75 @@ TEST(VraCache, SptCacheServesRepeatedHomesAndInvalidates) {
   EXPECT_EQ(vra.cache_stats().spt_misses, 3u);  // tree recomputed
 }
 
+TEST(VraCache, RoutesAreSharedWithinAnEpochAndRebuiltAfterIt) {
+  CaseFixture fx;
+  fx.place(fx.g.thessaloniki);
+  fx.place(fx.g.xanthi);
+  const Vra vra = fx.make_vra();
+  const auto first = vra.select_server(fx.g.patra, fx.movie);
+  const auto second = vra.select_server(fx.g.patra, fx.movie);
+  ASSERT_TRUE(first && second);
+  // One epoch: the same immutable object every time, and the chosen route
+  // is the first candidate's.
+  EXPECT_EQ(first->route, second->route);
+  EXPECT_EQ(first->route, first->candidates.front().route);
+  ASSERT_EQ(first->candidates.size(), 2u);
+  EXPECT_EQ(first->candidates[1].route, second->candidates[1].route);
+  EXPECT_EQ(vra.cache_stats().routes_built, 2u);  // one per holder
+
+  // The local route is built once per home, and survives epoch moves.
+  const auto local = vra.select_server(fx.g.xanthi, fx.movie);
+  ASSERT_TRUE(local && local->served_locally);
+  EXPECT_EQ(local->path().nodes, std::vector<NodeId>{fx.g.xanthi});
+  EXPECT_TRUE(local->path().links.empty());
+  EXPECT_EQ(vra.cache_stats().routes_built, 3u);
+
+  // An epoch move drops the tree and its routes: the next selection builds
+  // fresh objects, while the old ones stay intact for whoever holds them.
+  const routing::Path before = first->path();
+  fx.view().update_link_stats(fx.g.patra_athens, Mbps{1.5}, 0.75,
+                              SimTime{300.0});
+  const auto moved = vra.select_server(fx.g.patra, fx.movie);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_NE(moved->route, first->route);
+  EXPECT_EQ(vra.cache_stats().routes_built, 5u);
+  // Only the two decisions (route and first candidate each) hold it now.
+  EXPECT_EQ(first->route.use_count(), 4);
+  EXPECT_EQ(first->path().nodes, before.nodes);
+  EXPECT_EQ(first->path().links, before.links);
+  EXPECT_EQ(first->path().cost, before.cost);
+  EXPECT_EQ(vra.select_server(fx.g.xanthi, fx.movie)->route, local->route);
+}
+
+TEST(VraCache, InflightSessionKeepsItsRouteAcrossAnEpochMove) {
+  test::GrnetService fx;
+  service::VodService& service = *fx.service;
+  // Past the start-up poll, so no links-epoch move until the test's own.
+  SessionId id;
+  fx.sim.schedule_at(SimTime{1.0}, [&](SimTime) {
+    id = service.request_at(fx.g.patra, fx.movie);
+  });
+  fx.sim.run_until(SimTime{5.0});
+  const stream::Session& session = service.session(id);
+  const auto chosen = service.vra().select_server(fx.g.patra, fx.movie);
+  ASSERT_TRUE(chosen.has_value());
+  // The session streams over the very object the VRA's cache holds.
+  const std::vector<LinkId>& inflight = session.inflight_links();
+  ASSERT_FALSE(inflight.empty());
+  EXPECT_EQ(&inflight, &chosen->path().links);
+  const std::vector<LinkId> links = inflight;
+
+  // Move the links epoch: the VRA builds a new route, and the session's
+  // transfer keeps the old one, unchanged, at the same address.
+  service.admin_view().update_link_stats(fx.g.patra_athens, Mbps{1.5}, 0.75,
+                                         fx.sim.now());
+  const auto rebuilt = service.vra().select_server(fx.g.patra, fx.movie);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_NE(rebuilt->route, chosen->route);
+  EXPECT_EQ(&session.inflight_links(), &inflight);
+  EXPECT_EQ(session.inflight_links(), links);
+}
+
 TEST(VraCache, CachedAndUncachedDecisionsAreIdenticalUnderChurn) {
   CaseFixture fx;
   fx.place(fx.g.thessaloniki);
@@ -257,12 +330,15 @@ TEST(VraCache, TitleAddIsVisibleWithoutGraphRebuild) {
 TEST(VraCache, LiveServiceMatchesFreshVraUnderChurn) {
   // A service whose links move under SNMP polls of the measured day's
   // background traffic, whose DMA stores and evicts titles (four 60 MB
-  // disks per server), and which loses and regains a link.
+  // disks per server), which loses and regains a link, whose SNMP monitor
+  // goes dark long enough for degraded mode, and whose server crashes and
+  // comes back.
   test::GrnetSetup setup;
   setup.options = service::ServiceOptions{};
   setup.options.cluster_size = MegaBytes{10.0};
   setup.options.server.disk_count = 4;
   setup.options.server.disk_profile.capacity = MegaBytes{60.0};
+  setup.options.degraded_stats_age_seconds = 300.0;
   setup.background = test::Background::kTable2;
   setup.start = false;
   test::GrnetService fx{setup};
@@ -296,12 +372,24 @@ TEST(VraCache, LiveServiceMatchesFreshVraUnderChurn) {
   fx.sim.schedule_at(SimTime{2.0 * 3600.0}, [&](SimTime) {
     service.restore_link(g.patra_ioannina);
   });
+  // The monitor is dark from 4000 s to 4800 s: past 300 s without fresh
+  // statistics the VRA routes min-hop.
+  fx.sim.schedule_at(SimTime{4000.0}, [&](SimTime) { service.snmp().stop(); });
+  fx.sim.schedule_at(SimTime{4800.0},
+                     [&](SimTime) { service.snmp().start(); });
+  fx.sim.schedule_at(SimTime{8000.0},
+                     [&](SimTime) { service.crash_server(g.thessaloniki); });
+  fx.sim.schedule_at(SimTime{9500.0},
+                     [&](SimTime) { service.restore_server(g.thessaloniki); });
 
   int checks = 0;
   int routed = 0;
+  int degraded = 0;
   const auto check_all = [&](SimTime now) {
-    const Vra fresh{service.topology(), service.database().full_view(),
-                    service.admin_view(), service.vra().options()};
+    Vra fresh{service.topology(), service.database().full_view(),
+              service.admin_view(), service.vra().options()};
+    fresh.configure_degraded_mode(Duration{300.0},
+                                  [&fx] { return fx.sim.now(); });
     for (const NodeId home : homes) {
       for (const VideoId video : videos) {
         const auto cached = service.vra().select_server(home, video);
@@ -310,18 +398,21 @@ TEST(VraCache, LiveServiceMatchesFreshVraUnderChurn) {
                                  " home " + std::to_string(home.value()) +
                                  " video " + std::to_string(video.value()));
         if (cached && !cached->served_locally) ++routed;
+        if (cached && cached->degraded) ++degraded;
       }
     }
     ++checks;
   };
-  for (const double at : {600.0, 1800.0, 3601.0, 5400.0, 7201.0, 9000.0,
-                          10800.0}) {
+  for (const double at : {600.0, 1800.0, 3601.0, 4600.0, 5400.0, 7201.0,
+                          8500.0, 9000.0, 10800.0}) {
     fx.sim.schedule_at(SimTime{at}, check_all);
   }
   fx.sim.run_until(from_hours(4.0));
 
-  EXPECT_EQ(checks, 7);
+  EXPECT_EQ(checks, 9);
   EXPECT_GT(routed, 0);
+  EXPECT_GT(degraded, 0);
+  EXPECT_EQ(service.vra().degraded_active(), false);
   const VraCacheStats& stats = service.vra().cache_stats();
   EXPECT_GT(stats.graph_rebuilds, 2u);
   EXPECT_GT(stats.graph_hits, 0u);
