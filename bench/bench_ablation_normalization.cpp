@@ -51,14 +51,13 @@ int main() {
     options.normalization_constant = constant;
     const vra::Vra vra{fx.g.topology, fx.db.full_view(),
                        fx.db.limited_view(bench::kAdmin), options};
-    const auto stats = grnet::table2_stats(fx.g, grnet::TimeOfDay::k4pm);
-    const vra::LvnCalculator calc{fx.g.topology, stats, options};
+    const vra::LvnCalculator calc{fx.g.topology,
+                                  fx.db.limited_view(bench::kAdmin), options};
     const auto decision = vra.select_server(fx.g.athens, fx.movie);
-    const routing::Graph& graph = vra.routing_graph();
     table.add_row({TextTable::num(constant, 0),
                    TextTable::num(mean_lu_share(fx.g, calc), 3),
                    decision ? fx.g.city(decision->server) : "-",
-                   decision ? decision->path().to_string(graph) : "-",
+                   decision ? decision->path().to_string(fx.g.topology) : "-",
                    decision ? TextTable::num(decision->path().cost, 3) : "-"});
   }
   std::cout << table.render();

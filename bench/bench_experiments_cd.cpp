@@ -33,7 +33,7 @@ void run_experiment(const char* name, grnet::TimeOfDay t,
     std::cerr << "unexpected: no decision\n";
     std::exit(1);
   }
-  const routing::Graph& graph = vra.routing_graph();
+  const net::Topology& topology = fx.g.topology;
 
   bench::heading(std::string("Experiment ") + name + " (" +
                  grnet::time_label(t) + ", client at U1)");
@@ -42,7 +42,7 @@ void run_experiment(const char* name, grnet::TimeOfDay t,
   for (const vra::Candidate& candidate : decision->candidates) {
     for (const PaperRow& row : paper) {
       if (fx.g.city(candidate.server) == row.server) {
-        table.add_row({row.server, candidate.path().to_string(graph),
+        table.add_row({row.server, candidate.path().to_string(topology),
                        TextTable::num(candidate.path().cost, 4), row.path,
                        TextTable::num(row.cost, 4)});
       }
@@ -50,7 +50,7 @@ void run_experiment(const char* name, grnet::TimeOfDay t,
   }
   std::cout << table.render();
   std::cout << "\nVRA decision: " << fx.g.city(decision->server) << " via "
-            << decision->path().to_string(graph) << " (cost "
+            << decision->path().to_string(topology) << " (cost "
             << TextTable::num(decision->path().cost, 4) << ")"
             << "   [paper: " << paper_choice << "]\n";
 }

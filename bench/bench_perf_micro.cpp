@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot algorithmic paths:
-// Dijkstra scaling, LVN graph construction, DMA request processing, the
+// Dijkstra scaling, the LVN weight fill, DMA request processing, the
 // event queue (schedule/run and in-place re-keying), and fluid
 // re-allocation.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "dma/dma_cache.h"
 #include "grnet/grnet.h"
@@ -19,18 +20,27 @@ using namespace vod;
 
 namespace {
 
-routing::Graph random_graph(std::size_t nodes, std::size_t degree,
-                            std::uint64_t seed) {
+/// A random network and one Dijkstra weight per link.
+struct WeightedTopology {
+  net::Topology topology;
+  std::vector<double> weights;
+};
+
+WeightedTopology random_topology(std::size_t nodes, std::size_t degree,
+                                 std::uint64_t seed) {
   Rng rng{seed};
-  routing::Graph graph;
-  for (std::size_t i = 0; i < nodes; ++i) graph.add_node();
-  LinkId::underlying_type next = 0;
+  WeightedTopology out;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    out.topology.add_node("n" + std::to_string(i));
+  }
+  const auto link = [&](NodeId a, NodeId b) {
+    out.topology.add_link(a, b, Mbps{1.0});
+    out.weights.push_back(rng.uniform(0.1, 2.0));
+  };
   // Ring + random chords: connected, average degree ~2 + degree.
   for (std::size_t i = 0; i < nodes; ++i) {
-    graph.add_undirected_edge(
-        NodeId{static_cast<NodeId::underlying_type>(i)},
-        NodeId{static_cast<NodeId::underlying_type>((i + 1) % nodes)},
-        LinkId{next++}, rng.uniform(0.1, 2.0));
+    link(NodeId{static_cast<NodeId::underlying_type>(i)},
+         NodeId{static_cast<NodeId::underlying_type>((i + 1) % nodes)});
   }
   for (std::size_t i = 0; i < nodes * degree / 2; ++i) {
     const auto a = static_cast<NodeId::underlying_type>(
@@ -38,40 +48,43 @@ routing::Graph random_graph(std::size_t nodes, std::size_t degree,
     const auto b = static_cast<NodeId::underlying_type>(
         rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
     if (a == b) continue;
-    graph.add_undirected_edge(NodeId{a}, NodeId{b}, LinkId{next++},
-                              rng.uniform(0.1, 2.0));
+    link(NodeId{a}, NodeId{b});
   }
-  return graph;
+  return out;
 }
 
 void BM_Dijkstra(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const routing::Graph graph = random_graph(nodes, 4, 42);
+  const WeightedTopology net = random_topology(nodes, 4, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(routing::dijkstra(graph, NodeId{0}));
+    benchmark::DoNotOptimize(
+        routing::dijkstra(net.topology, net.weights, NodeId{0}));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Dijkstra)->Range(8, 2048)->Complexity();
 
 void BM_DijkstraWithTrace(benchmark::State& state) {
-  const routing::Graph graph = random_graph(64, 4, 42);
+  const WeightedTopology net = random_topology(64, 4, 42);
   for (auto _ : state) {
     routing::DijkstraTrace trace;
-    benchmark::DoNotOptimize(routing::dijkstra(graph, NodeId{0}, &trace));
+    benchmark::DoNotOptimize(
+        routing::dijkstra(net.topology, net.weights, NodeId{0}, &trace));
   }
 }
 BENCHMARK(BM_DijkstraWithTrace);
 
-void BM_LvnGraphBuild(benchmark::State& state) {
-  const grnet::CaseStudy g = grnet::build_case_study();
-  const auto stats = grnet::table2_stats(g, grnet::TimeOfDay::k4pm);
-  const vra::LvnCalculator calc{g.topology, stats};
+void BM_LvnWeightFill(benchmark::State& state) {
+  bench::CaseDb fx{grnet::TimeOfDay::k4pm};
+  const vra::LvnCalculator calc{fx.g.topology,
+                                fx.db.limited_view(bench::kAdmin)};
+  std::vector<double> weights;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(calc.build_weighted_graph());
+    calc.fill_link_weights(weights);
+    benchmark::DoNotOptimize(weights.data());
   }
 }
-BENCHMARK(BM_LvnGraphBuild);
+BENCHMARK(BM_LvnWeightFill);
 
 void BM_DmaOnRequest(benchmark::State& state) {
   storage::DiskArray disks{8, storage::DiskProfile{}, MegaBytes{50.0}};

@@ -77,17 +77,17 @@ int main() {
 
   // --- Table 3: all 28 cells ---
   {
-    const grnet::CaseStudy g = grnet::build_case_study();
     int within = 0;
     double worst = 0.0;
     for (const grnet::TimeOfDay t : grnet::kAllTimes) {
-      const auto stats = grnet::table2_stats(g, t);
-      const vra::LvnCalculator calc{g.topology, stats};
+      bench::CaseDb fx{t};
+      const vra::LvnCalculator calc{fx.g.topology,
+                                    fx.db.limited_view(bench::kAdmin)};
       const std::vector<double> nv = calc.node_validations();
-      for (const LinkId link : g.links_in_paper_order()) {
+      for (const LinkId link : fx.g.links_in_paper_order()) {
         const double err =
             std::abs(calc.link_validation_number(link, nv) -
-                     grnet::table3_expected_lvn(g, link, t));
+                     grnet::table3_expected_lvn(fx.g, link, t));
         worst = std::max(worst, err);
         if (err < 0.01) ++within;
       }

@@ -32,8 +32,9 @@ int main() {
   }
 
   for (const grnet::TimeOfDay t : grnet::kAllTimes) {
-    const auto stats = grnet::table2_stats(g, t);
-    const vra::LvnCalculator calc{g.topology, stats};
+    bench::CaseDb fx{t};
+    const vra::LvnCalculator calc{fx.g.topology,
+                                  fx.db.limited_view(bench::kAdmin)};
     const std::vector<double> nv = calc.node_validations();
     for (std::size_t row = 0; row < links.size(); ++row) {
       const double lvn = calc.link_validation_number(links[row], nv);

@@ -30,20 +30,20 @@ int main(int argc, char** argv) {
     std::cerr << "unexpected: no decision\n";
     return 1;
   }
-  const routing::Graph& graph = vra.routing_graph();
+  const net::Topology& topology = fx.g.topology;
   routing::DijkstraTrace trace;
-  routing::dijkstra(graph, fx.g.patra, &trace);
-  std::cout << routing::format_dijkstra_trace(graph, fx.g.patra, trace);
+  routing::dijkstra(topology, vra.link_weights(), fx.g.patra, &trace);
+  std::cout << routing::format_dijkstra_trace(topology, fx.g.patra, trace);
 
   std::cout << "\nLeast-cost paths to the candidate servers:\n";
   for (const vra::Candidate& candidate : decision->candidates) {
     std::cout << "  " << fx.g.city(candidate.server) << " ("
-              << graph.node_name(candidate.server)
-              << "): " << candidate.path().to_string(graph) << "  cost "
+              << topology.node_name(candidate.server)
+              << "): " << candidate.path().to_string(topology) << "  cost "
               << TextTable::num(candidate.path().cost, 4) << "\n";
   }
   std::cout << "\nVRA decision: download from " << fx.g.city(decision->server)
-            << " via " << decision->path().to_string(graph) << " (cost "
+            << " via " << decision->path().to_string(topology) << " (cost "
             << TextTable::num(decision->path().cost, 4) << ")\n";
   std::cout << "\nPaper's published decision: Thessaloniki via U2,U3,U4 at "
                "1.007 (ours matches within rounding).\n";

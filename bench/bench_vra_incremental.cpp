@@ -1,7 +1,7 @@
 // Cached LVN engine: cold rebuild vs. epoch-cached steady state.
 //
 // The oracle is a freshly constructed Vra per request: its cold cache
-// builds the graph and the shortest-path tree from scratch.
+// fills the link weights and builds the shortest-path tree from scratch.
 //
 // Two parts:
 //   1. Decision parity on the paper's own workloads — Experiments A (Table
@@ -10,7 +10,7 @@
 //      asking from the four homes that lack the title), asserting the
 //      long-lived engine returns bit-for-bit the same server and route
 //      (nodes, links, cost) sequence as a fresh Vra per request, and that
-//      it served graphs, shortest-path trees and routes from its cache
+//      it served link weights, shortest-path trees and routes from its cache
 //      between polls.
 //   2. A scaled backbone (24-core ring + chords, 4 access spurs per core,
 //      132 links) where fewer than 10% of links change per monitoring
@@ -189,7 +189,7 @@ int run_scaled() {
   // Cold build cost, for the headline.
   {
     const auto start = Clock::now();
-    (void)cached.routing_graph();
+    (void)cached.link_weights();
     cold_build_s = seconds_since(start);
   }
 

@@ -53,7 +53,6 @@ int main() {
     const vra::Vra vra{g.topology, db.full_view(), db.limited_view(kAdmin),
                        {}};
     const auto decision = vra.select_server(experiment.client, movie);
-    const routing::Graph& graph = vra.routing_graph();
 
     std::cout << "Experiment " << experiment.name << " ("
               << grnet::time_label(experiment.at) << ", client at "
@@ -64,7 +63,7 @@ int main() {
     }
     for (const vra::Candidate& candidate : decision->candidates) {
       std::cout << "  candidate " << g.city(candidate.server) << ": "
-                << candidate.path().to_string(graph) << "  cost "
+                << candidate.path().to_string(g.topology) << "  cost "
                 << TextTable::num(candidate.path().cost, 4) << "\n";
     }
     std::cout << "  => download from " << g.city(decision->server)
@@ -77,8 +76,9 @@ int main() {
                "EXPERIMENTS.md.\n";
 
   // The arithmetic behind the 8am weights, spelled out (eqs. 1-4).
-  const auto stats = grnet::table2_stats(g, grnet::TimeOfDay::k8am);
-  const vra::LvnCalculator calc{g.topology, stats};
+  db::Database db{kAdmin, g.topology};
+  grnet::write_table2(db.limited_view(kAdmin), g, grnet::TimeOfDay::k8am);
+  const vra::LvnCalculator calc{g.topology, db.limited_view(kAdmin)};
   std::cout << "\n8am link validation, term by term:\n"
             << vra::format_validation_table(g.topology, calc);
   return 0;

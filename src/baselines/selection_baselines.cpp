@@ -1,5 +1,6 @@
 #include "baselines/selection_baselines.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "routing/min_hop.h"
@@ -18,17 +19,10 @@ std::vector<NodeId> online_holders(const db::FullAccessView& catalog,
   return holders;
 }
 
-/// The topology as an unweighted routing graph.
-routing::Graph hop_graph(const net::Topology& topology) {
-  routing::Graph graph;
-  for (std::size_t n = 0; n < topology.node_count(); ++n) {
-    graph.add_node(
-        topology.node_name(NodeId{static_cast<NodeId::underlying_type>(n)}));
-  }
-  for (const net::LinkInfo& info : topology.links()) {
-    graph.add_undirected_edge(info.a, info.b, info.id, 1.0);
-  }
-  return graph;
+/// The fewest-hops tree from `home` over every link of the topology.
+routing::ShortestPaths hop_tree(const net::Topology& topology, NodeId home) {
+  const std::vector<double> one_hop(topology.link_count(), 1.0);
+  return routing::min_hop(topology, one_hop, home);
 }
 
 }  // namespace
@@ -51,8 +45,7 @@ std::optional<stream::Selection> RandomHolderPolicy::select(NodeId home,
   if (server == home) {
     return stream::Selection{server, routing::local_route(home)};
   }
-  const routing::Graph graph = hop_graph(topology_);
-  auto path = routing::min_hop_path(graph, home, server);
+  auto path = hop_tree(topology_, home).path_to(server);
   if (!path) return std::nullopt;
   return stream::Selection{server, routing::make_route(std::move(*path))};
 }
@@ -68,23 +61,21 @@ std::optional<stream::Selection> NearestByHopsPolicy::select(NodeId home,
                                                              VideoId video) {
   const auto holders = online_holders(catalog_, network_state_, video);
   if (holders.empty()) return std::nullopt;
-  const routing::Graph graph = hop_graph(topology_);
+  if (std::binary_search(holders.begin(), holders.end(), home)) {
+    return stream::Selection{home, routing::local_route(home)};
+  }
+  const routing::ShortestPaths tree = hop_tree(topology_, home);
 
-  NodeId best_server;
-  std::optional<routing::Path> best;
+  // Holders ascend, so a strict improvement keeps the lowest id on a tie.
+  std::optional<NodeId> best;
   for (const NodeId server : holders) {
-    if (server == home) {
-      return stream::Selection{server, routing::local_route(home)};
-    }
-    auto path = routing::min_hop_path(graph, home, server);
-    if (!path) continue;
-    if (!best || path->cost < best->cost) {
-      best = std::move(path);
-      best_server = server;
+    if (!tree.reachable(server)) continue;
+    if (!best || tree.distance_to(server) < tree.distance_to(*best)) {
+      best = server;
     }
   }
   if (!best) return std::nullopt;
-  return stream::Selection{best_server, routing::make_route(std::move(*best))};
+  return stream::Selection{*best, routing::make_route(*tree.path_to(*best))};
 }
 
 std::optional<stream::Selection> StaticOncePolicy::select(NodeId home,

@@ -133,18 +133,6 @@ LinkSample table2_sample(const CaseStudy& grnet, LinkId link, TimeOfDay t) {
                     kTable2[row].util[column]};
 }
 
-vra::MapLinkStatsProvider table2_stats(const CaseStudy& grnet, TimeOfDay t) {
-  vra::MapLinkStatsProvider provider;
-  for (const LinkId link : grnet.links_in_paper_order()) {
-    const LinkSample sample = table2_sample(grnet, link, t);
-    provider.set(link,
-                 vra::LinkStats{sample.used,
-                                grnet.topology.link(link).capacity,
-                                sample.utilization});
-  }
-  return provider;
-}
-
 void write_table2(db::LimitedAccessView view, const CaseStudy& grnet,
                   TimeOfDay t) {
   for (const LinkId link : grnet.links_in_paper_order()) {

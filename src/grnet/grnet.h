@@ -20,7 +20,6 @@
 #include "db/database.h"
 #include "net/topology.h"
 #include "net/traffic.h"
-#include "vra/validation.h"
 
 namespace vod::grnet {
 
@@ -75,13 +74,10 @@ struct LinkSample {
 /// The Table 2 measurement for `link` at `t`.
 LinkSample table2_sample(const CaseStudy& grnet, LinkId link, TimeOfDay t);
 
-/// A stats provider loaded with the full Table 2 column for instant `t` —
+/// Writes the Table 2 column for instant `t` into a database built from
+/// grnet.topology, stamped at time_of(t), in the tables' row order —
 /// exactly what the limited-access database held when the paper ran its
 /// four experiments.
-vra::MapLinkStatsProvider table2_stats(const CaseStudy& grnet, TimeOfDay t);
-
-/// Writes the Table 2 column for instant `t` into a database built from
-/// grnet.topology, stamped at time_of(t), in the tables' row order.
 void write_table2(db::LimitedAccessView view, const CaseStudy& grnet,
                   TimeOfDay t);
 

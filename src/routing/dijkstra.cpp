@@ -1,6 +1,7 @@
 #include "routing/dijkstra.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -49,10 +50,17 @@ std::vector<NodeId> reconstruct(const std::vector<NodeId>& predecessor,
 
 }  // namespace
 
-ShortestPaths dijkstra(const Graph& graph, NodeId source,
+ShortestPaths dijkstra(const net::Topology& topology,
+                       std::span<const double> weights, NodeId source,
                        DijkstraTrace* trace) {
-  require(graph.has_node(source), "dijkstra: source not in graph");
-  const std::size_t n = graph.node_count();
+  require(topology.has_node(source), "dijkstra: source not in topology");
+  require(weights.size() == topology.link_count(),
+      "dijkstra: need one weight per link");
+  for (const double weight : weights) {
+    require(!std::isnan(weight), "dijkstra: NaN link weight");
+    require(!(weight < 0.0), "dijkstra: negative link weight");
+  }
+  const std::size_t n = topology.node_count();
   std::vector<double> dist(n, kUnreached);
   std::vector<NodeId> pred(n);
   std::vector<LinkId> via(n);
@@ -60,12 +68,16 @@ ShortestPaths dijkstra(const Graph& graph, NodeId source,
   dist[source.value()] = 0.0;
 
   using QueueEntry = std::pair<double, NodeId::underlying_type>;
+  std::vector<QueueEntry> queue_storage;
+  queue_storage.reserve(n);
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      frontier;
+      frontier{std::greater<>{}, std::move(queue_storage)};
   frontier.emplace(0.0, source.value());
 
+  // The permanent set, in order, for the trace alone.
   std::vector<NodeId> permanent;
-  permanent.reserve(n);
+  if (trace != nullptr) permanent.reserve(n);
+  const std::vector<net::LinkInfo>& links = topology.links();
 
   while (!frontier.empty()) {
     const auto [d, u_raw] = frontier.top();
@@ -73,20 +85,24 @@ ShortestPaths dijkstra(const Graph& graph, NodeId source,
     const NodeId u{u_raw};
     if (done[u_raw]) continue;  // stale entry
     done[u_raw] = true;
-    permanent.push_back(u);
 
-    for (const Edge& edge : graph.neighbors(u)) {
-      const auto v = edge.to.value();
-      const double candidate = d + edge.weight;
+    // Adjacent links in ascending id order.
+    for (const LinkId link : topology.links_adjacent_to(u)) {
+      const double weight = weights[link.value()];
+      if (weight == kNotRoutable) continue;
+      const net::LinkInfo& info = links[link.value()];
+      const auto v = (info.a == u ? info.b : info.a).value();
+      const double candidate = d + weight;
       if (candidate < dist[v]) {
         dist[v] = candidate;
         pred[v] = u;
-        via[v] = edge.link;
+        via[v] = link;
         frontier.emplace(candidate, v);
       }
     }
 
     if (trace != nullptr) {
+      permanent.push_back(u);
       DijkstraStep step;
       step.finalized = u;
       step.permanent_set = permanent;
@@ -104,12 +120,6 @@ ShortestPaths dijkstra(const Graph& graph, NodeId source,
 
   return ShortestPaths{source, std::move(dist), std::move(pred),
                        std::move(via)};
-}
-
-std::optional<Path> shortest_path(const Graph& graph, NodeId from,
-                                  NodeId to) {
-  require(graph.has_node(to), "shortest_path: destination not in graph");
-  return dijkstra(graph, from).path_to(to);
 }
 
 }  // namespace vod::routing

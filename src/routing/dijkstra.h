@@ -1,6 +1,11 @@
 // Dijkstra single-source shortest paths, with the optional step-by-step
 // trace the paper prints as Tables 4 and 5.
 //
+// Routing runs on the one network there is, net::Topology, with a weight
+// per link supplied by the caller (the VRA's LVNs, indexed by link id).
+// A link of weight kNotRoutable (+∞) is never relaxed: that is how a link
+// the database reports down is taken out of the graph.
+//
 // The trace records, after each node is moved into the finalized set, the
 // tentative distance and current best path to every other node — exactly the
 // row format of the paper's tables (R = unreachable-so-far).
@@ -8,16 +13,20 @@
 
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
-#include "routing/graph.h"
+#include "net/topology.h"
 #include "routing/path.h"
 
 namespace vod::routing {
 
 /// Distance value used for "not yet reached" (the paper's `R`).
 inline constexpr double kUnreached = std::numeric_limits<double>::infinity();
+
+/// The weight of a link routing must not use.
+inline constexpr double kNotRoutable = std::numeric_limits<double>::infinity();
 
 /// The shortest-path tree from one source.
 class ShortestPaths {
@@ -63,13 +72,14 @@ struct DijkstraStep {
 
 using DijkstraTrace = std::vector<DijkstraStep>;
 
-/// Runs Dijkstra from `source`.  If `trace` is non-null it receives one
-/// DijkstraStep per finalized node.  Throws std::invalid_argument if the
-/// source is not in the graph.
-ShortestPaths dijkstra(const Graph& graph, NodeId source,
+/// Runs Dijkstra from `source` over `topology`, link l weighing
+/// `weights[l]`.  If `trace` is non-null it receives one DijkstraStep per
+/// finalized node.  Throws std::invalid_argument if the source is not in
+/// the topology, or unless `weights` holds one weight per link, none of
+/// them negative or NaN (the paper's "negative validation" is a penalty
+/// magnitude, not a signed weight — see DESIGN.md).
+ShortestPaths dijkstra(const net::Topology& topology,
+                       std::span<const double> weights, NodeId source,
                        DijkstraTrace* trace = nullptr);
-
-/// Shortest path between two nodes; nullopt if disconnected.
-std::optional<Path> shortest_path(const Graph& graph, NodeId from, NodeId to);
 
 }  // namespace vod::routing

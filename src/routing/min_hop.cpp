@@ -3,51 +3,47 @@
 #include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/contract.h"
-#include "routing/dijkstra.h"
 
 namespace vod::routing {
 
-std::optional<Path> min_hop_path(const Graph& graph, NodeId from, NodeId to) {
-  require(!(!graph.has_node(from) || !graph.has_node(to)),
-      "min_hop_path: node not in graph");
-  const std::size_t n = graph.node_count();
-  std::vector<int> depth(n, -1);
+ShortestPaths min_hop(const net::Topology& topology,
+                      std::span<const double> weights, NodeId source) {
+  require(topology.has_node(source), "min_hop: source not in topology");
+  require(weights.size() == topology.link_count(),
+      "min_hop: need one weight per link");
+  const std::size_t n = topology.node_count();
+  std::vector<double> depth(n, kUnreached);
   std::vector<NodeId> pred(n);
   std::vector<LinkId> via(n);
-  std::deque<NodeId> frontier{from};
-  depth[from.value()] = 0;
+  std::deque<NodeId> frontier{source};
+  depth[source.value()] = 0.0;
 
+  // (neighbour, link) pairs of the node being expanded, reused per node.
+  std::vector<std::pair<NodeId, LinkId>> next;
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop_front();
-    // Visit neighbors in ascending node order for deterministic tie-breaks.
-    std::vector<Edge> edges = graph.neighbors(u);
-    std::sort(edges.begin(), edges.end(),
-              [](const Edge& a, const Edge& b) { return a.to < b.to; });
-    for (const Edge& e : edges) {
-      if (depth[e.to.value()] == -1) {
-        depth[e.to.value()] = depth[u.value()] + 1;
-        pred[e.to.value()] = u;
-        via[e.to.value()] = e.link;
-        frontier.push_back(e.to);
+    next.clear();
+    for (const LinkId link : topology.links_adjacent_to(u)) {
+      if (weights[link.value()] == kNotRoutable) continue;
+      next.emplace_back(topology.link(link).other_end(u), link);
+    }
+    std::sort(next.begin(), next.end());
+    for (const auto& [v, link] : next) {
+      if (depth[v.value()] == kUnreached) {
+        depth[v.value()] = depth[u.value()] + 1.0;
+        pred[v.value()] = u;
+        via[v.value()] = link;
+        frontier.push_back(v);
       }
     }
   }
-
-  if (depth[to.value()] == -1) return std::nullopt;
-  Path path;
-  path.cost = depth[to.value()];
-  for (NodeId at = to; at != from; at = pred[at.value()]) {
-    path.nodes.push_back(at);
-    path.links.push_back(via[at.value()]);
-  }
-  path.nodes.push_back(from);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.links.begin(), path.links.end());
-  return path;
+  return ShortestPaths{source, std::move(depth), std::move(pred),
+                       std::move(via)};
 }
 
 }  // namespace vod::routing

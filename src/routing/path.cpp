@@ -1,14 +1,14 @@
 #include "routing/path.h"
 
-#include "routing/graph.h"
+#include "net/topology.h"
 
 namespace vod::routing {
 
-std::string Path::to_string(const Graph& graph) const {
+std::string Path::to_string(const net::Topology& topology) const {
   std::string out;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (i > 0) out += ',';
-    out += graph.node_name(nodes[i]);
+    out += topology.node_name(nodes[i]);
   }
   return out;
 }

@@ -8,10 +8,13 @@
 
 #include "common/ids.h"
 
-namespace vod::routing {
-class Graph;
+namespace vod::net {
+class Topology;
+}
 
-/// A simple path through the graph: the node sequence (source first), the
+namespace vod::routing {
+
+/// A simple path through the topology: the node sequence (source first), the
 /// links traversed (one fewer than nodes), and the total weight.
 struct Path {
   std::vector<NodeId> nodes;
@@ -23,14 +26,14 @@ struct Path {
   [[nodiscard]] NodeId source() const { return nodes.front(); }
   [[nodiscard]] NodeId destination() const { return nodes.back(); }
 
-  /// "U2,U1,U4" using the graph's node names (the paper's notation).
-  [[nodiscard]] std::string to_string(const Graph& graph) const;
+  /// "U2,U1,U4" using the topology's node names (the paper's notation).
+  [[nodiscard]] std::string to_string(const net::Topology& topology) const;
 };
 
 /// A path shared by every layer that streams over it.  The VRA builds one
 /// per (home, server) per links epoch and hands the same object to the
 /// policy, the session and the transfer; whoever still holds it keeps it
-/// alive after the VRA has moved on to a newer graph.
+/// alive after the VRA has moved on to newer link weights.
 using Route = std::shared_ptr<const Path>;
 
 [[nodiscard]] inline Route make_route(Path path) {

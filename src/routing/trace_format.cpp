@@ -6,18 +6,19 @@
 
 namespace vod::routing {
 
-std::string format_dijkstra_trace(const Graph& graph, NodeId source,
+std::string format_dijkstra_trace(const net::Topology& topology,
+                                  NodeId source,
                                   const DijkstraTrace& trace) {
   // Column set: Step | Nodes | for each non-source node: D<name> | Path
   std::vector<NodeId> columns;
-  for (std::size_t v = 0; v < graph.node_count(); ++v) {
+  for (std::size_t v = 0; v < topology.node_count(); ++v) {
     const NodeId node{static_cast<NodeId::underlying_type>(v)};
     if (node != source) columns.push_back(node);
   }
 
   std::vector<std::string> headers{"Step", "Nodes"};
   for (NodeId node : columns) {
-    headers.push_back("D" + graph.node_name(node));
+    headers.push_back("D" + topology.node_name(node));
     headers.push_back("Path");
   }
   TextTable table{std::move(headers)};
@@ -28,7 +29,7 @@ std::string format_dijkstra_trace(const Graph& graph, NodeId source,
     set << '{';
     for (std::size_t i = 0; i < step.permanent_set.size(); ++i) {
       if (i > 0) set << ',';
-      set << graph.node_name(step.permanent_set[i]);
+      set << topology.node_name(step.permanent_set[i]);
     }
     set << '}';
 
@@ -44,7 +45,7 @@ std::string format_dijkstra_trace(const Graph& graph, NodeId source,
         for (std::size_t i = 0; i < step.best_path[node.value()].size();
              ++i) {
           if (i > 0) path += ',';
-          path += graph.node_name(step.best_path[node.value()][i]);
+          path += topology.node_name(step.best_path[node.value()][i]);
         }
         row.push_back(std::move(path));
       }

@@ -11,15 +11,16 @@
 
 #include "common/ids.h"
 #include "routing/dijkstra.h"
-#include "routing/graph.h"
+#include "net/topology.h"
 
 namespace vod::routing {
 
-/// Renders `trace` (from dijkstra() run on `graph` from `source`) as an
+/// Renders `trace` (from dijkstra() run on `topology` from `source`) as an
 /// aligned text table with one row per step and, for every node except the
 /// source, a "D<name>" distance column and a "Path" column.  Unreached
 /// entries print as "R" / "-" exactly like the paper.
-std::string format_dijkstra_trace(const Graph& graph, NodeId source,
+std::string format_dijkstra_trace(const net::Topology& topology,
+                                  NodeId source,
                                   const DijkstraTrace& trace);
 
 }  // namespace vod::routing

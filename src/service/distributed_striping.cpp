@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/contract.h"
-#include "routing/dijkstra.h"
 
 namespace vod::service {
 
@@ -52,21 +51,24 @@ std::optional<stream::Selection> StripedSelectionPolicy::select(
 std::optional<stream::Selection> StripedSelectionPolicy::select_cluster(
     NodeId home, VideoId video, std::size_t cluster_index) {
   const auto it = assignments_.find(video);
-  if (it == assignments_.end()) {
-    // Not strip-placed: the regular VRA handles it.
+  NodeId holder;
+  if (it != assignments_.end()) {
+    const std::vector<NodeId>& servers = it->second.servers;
+    holder = servers[cluster_index % servers.size()];
+  }
+  if (!holder.valid() || !vra_.online(holder)) {
+    // Not strip-placed, or the strip's holder is down: the regular VRA
+    // picks an online copy.
     auto decision = vra_.select_server(home, video);
     if (!decision) return std::nullopt;
     return stream::Selection{decision->server, std::move(decision->route)};
   }
-  const StripeAssignment& assignment = it->second;
-  const NodeId holder =
-      assignment.servers[cluster_index % assignment.servers.size()];
   if (holder == home) {
     return stream::Selection{home, routing::local_route(home)};
   }
-  auto path = routing::shortest_path(vra_.routing_graph(), home, holder);
-  if (!path) return std::nullopt;
-  return stream::Selection{holder, routing::make_route(std::move(*path))};
+  routing::Route route = vra_.route(home, holder);
+  if (!route) return std::nullopt;
+  return stream::Selection{holder, std::move(route)};
 }
 
 }  // namespace vod::service

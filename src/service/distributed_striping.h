@@ -50,7 +50,8 @@ class DistributedStripePlacer {
 };
 
 /// Routes each cluster to the server assigned to that strip, over the
-/// current least-LVN path; unknown videos fall back to the inner VRA.
+/// VRA's cached least-LVN route (Vra::route); unknown videos, and strips
+/// whose holder is offline, fall back to the VRA's own selection.
 class StripedSelectionPolicy final : public stream::ServerSelectionPolicy {
  public:
   /// `vra` must outlive the policy.

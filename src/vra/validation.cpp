@@ -4,32 +4,12 @@
 #include <stdexcept>
 
 #include "common/contract.h"
+#include "routing/dijkstra.h"
 
 namespace vod::vra {
 
-LinkStats DbLinkStatsProvider::stats(LinkId link) const {
-  const db::LinkRecord& record = view_.link(link);
-  return LinkStats{record.used_bandwidth, record.total_bandwidth,
-                   record.utilization, record.online};
-}
-
-void MapLinkStatsProvider::set(LinkId link, LinkStats stats) {
-  require(link.valid(), "MapLinkStatsProvider::set: invalid link");
-  require(!(stats.total.value() <= 0.0),
-      "MapLinkStatsProvider::set: total bandwidth must be positive");
-  if (stats_.size() <= link.value()) stats_.resize(link.value() + 1);
-  stats_[link.value()] = stats;
-}
-
-LinkStats MapLinkStatsProvider::stats(LinkId link) const {
-  require_found(
-      !(!link.valid() || link.value() >= stats_.size() || !stats_[link.value()]),
-      "MapLinkStatsProvider::stats: unknown link");
-  return *stats_[link.value()];
-}
-
 LvnCalculator::LvnCalculator(const net::Topology& topology,
-                             const LinkStatsProvider& stats,
+                             db::LimitedAccessView stats,
                              ValidationOptions options)
     : topology_(topology), stats_(stats), options_(std::move(options)) {
   require(!(options_.normalization_constant <= 0.0),
@@ -41,11 +21,11 @@ std::vector<double> LvnCalculator::node_validations() const {
   std::vector<double> used_sum(n, 0.0);
   std::vector<double> total_sum(n, 0.0);
   for (const net::LinkInfo& info : topology_.links()) {
-    const LinkStats s = stats_.stats(info.id);
-    used_sum[info.a.value()] += s.used.value();
-    total_sum[info.a.value()] += s.total.value();
-    used_sum[info.b.value()] += s.used.value();
-    total_sum[info.b.value()] += s.total.value();
+    const db::LinkRecord& s = stats_.link(info.id);
+    used_sum[info.a.value()] += s.used_bandwidth.value();
+    total_sum[info.a.value()] += s.total_bandwidth.value();
+    used_sum[info.b.value()] += s.used_bandwidth.value();
+    total_sum[info.b.value()] += s.total_bandwidth.value();
   }
   // An isolated node imposes no network burden.
   std::vector<double> nv(n, 0.0);
@@ -64,26 +44,22 @@ double LvnCalculator::link_validation_number(
 }
 
 double LvnCalculator::link_value(LinkId link) const {
-  return stats_.stats(link).total.value() / options_.normalization_constant;
+  return stats_.link(link).total_bandwidth.value() /
+         options_.normalization_constant;
 }
 
 double LvnCalculator::link_utilization_term(LinkId link) const {
-  return stats_.stats(link).traffic_fraction * link_value(link);
+  return stats_.link(link).utilization * link_value(link);
 }
 
-routing::Graph LvnCalculator::build_weighted_graph() const {
-  routing::Graph graph;
-  for (std::size_t n = 0; n < topology_.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    graph.add_node(topology_.node_name(node));
-  }
+void LvnCalculator::fill_link_weights(std::vector<double>& weights) const {
   const std::vector<double> nv = node_validations();
+  weights.resize(topology_.link_count());
   for (const net::LinkInfo& info : topology_.links()) {
-    if (!stats_.stats(info.id).online) continue;  // route around failures
-    graph.add_undirected_edge(info.a, info.b, info.id,
-                              link_validation_number(info.id, nv));
+    weights[info.id.value()] = stats_.link(info.id).online
+                                   ? link_validation_number(info.id, nv)
+                                   : routing::kNotRoutable;
   }
-  return graph;
 }
 
 }  // namespace vod::vra

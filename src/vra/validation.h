@@ -10,55 +10,14 @@
 // Dijkstra weight.  The NormalizationConstant "approaches 10" in the paper.
 #pragma once
 
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/units.h"
 #include "db/database.h"
 #include "net/topology.h"
-#include "routing/graph.h"
 
 namespace vod::vra {
-
-/// Snapshot of one link's statistics as the VRA consumes them.
-struct LinkStats {
-  Mbps used;                     // UBW — used bandwidth
-  Mbps total;                    // LBW — total bandwidth
-  double traffic_fraction = 0.0; // LT — used/total as reported by SNMP
-  bool online = true;            // false: the link is down, do not route on it
-};
-
-/// Where the VRA reads link statistics from.  Production use reads the
-/// database's limited-access view; tests and the table benches feed raw
-/// numbers.
-class LinkStatsProvider {
- public:
-  virtual ~LinkStatsProvider() = default;
-  [[nodiscard]] virtual LinkStats stats(LinkId link) const = 0;
-};
-
-/// Stats straight out of the limited-access database sub-module (the
-/// paper's arrangement: SNMP writes them, the VRA reads them).
-class DbLinkStatsProvider final : public LinkStatsProvider {
- public:
-  explicit DbLinkStatsProvider(db::LimitedAccessView view) : view_(view) {}
-  [[nodiscard]] LinkStats stats(LinkId link) const override;
-
- private:
-  db::LimitedAccessView view_;
-};
-
-/// Fixed stats from a table — used to replay the paper's Table 2 exactly.
-class MapLinkStatsProvider final : public LinkStatsProvider {
- public:
-  void set(LinkId link, LinkStats stats);
-  [[nodiscard]] LinkStats stats(LinkId link) const override;
-
- private:
-  std::vector<std::optional<LinkStats>> stats_;
-};
 
 /// Tuning of the validation equations.
 struct ValidationOptions {
@@ -66,12 +25,15 @@ struct ValidationOptions {
   double normalization_constant = 10.0;
 };
 
-/// Computes NV / LU / LVN over a topology from a stats provider.
+/// Computes NV / LU / LVN over a topology from the link statistics in the
+/// limited-access database (the paper's arrangement: SNMP writes them, the
+/// VRA reads them).  Each link's total bandwidth (LBW) is its database
+/// entry's, which is the topology's capacity.
 class LvnCalculator {
  public:
-  /// References must outlive the calculator.
-  LvnCalculator(const net::Topology& topology,
-                const LinkStatsProvider& stats,
+  /// `topology` must outlive the calculator; `stats` is a view of a
+  /// database built from it.
+  LvnCalculator(const net::Topology& topology, db::LimitedAccessView stats,
                 ValidationOptions options = {});
 
   /// Eq. 2 for every node, indexed by node id.  A single pass over the
@@ -89,15 +51,15 @@ class LvnCalculator {
   /// Eq. 3.
   [[nodiscard]] double link_utilization_term(LinkId link) const;
 
-  /// Builds the weighted routing graph: one graph node per topology node
-  /// (names preserved), one edge per online link, weight = LVN.  Links
-  /// whose statistics report them down are omitted, so Dijkstra routes
-  /// around failures.
-  [[nodiscard]] routing::Graph build_weighted_graph() const;
+  /// Fills `weights` with the Dijkstra weight of every link, indexed by
+  /// link id: its LVN, or routing::kNotRoutable for a link whose entry
+  /// reports it down, so Dijkstra routes around failures.  The vector's
+  /// storage is reused.
+  void fill_link_weights(std::vector<double>& weights) const;
 
  private:
   const net::Topology& topology_;
-  const LinkStatsProvider& stats_;
+  db::LimitedAccessView stats_;
   ValidationOptions options_;
 };
 

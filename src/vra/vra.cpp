@@ -97,27 +97,23 @@ bool Vra::degraded_active() const {
 
 std::optional<Decision> Vra::select_degraded(
     NodeId home, const std::vector<NodeId>& holders) const {
-  // Unit-weight graph of the links still believed up.  The online flag may
-  // itself be stale, but it is the only belief left; links the service
-  // marked down via the proactive (connection-reset) path are excluded.
-  routing::Graph graph;
-  for (std::size_t n = 0; n < topology_.node_count(); ++n) {
-    const NodeId node{static_cast<NodeId::underlying_type>(n)};
-    graph.add_node(topology_.node_name(node));
-  }
+  // One hop per link still believed up.  The online flag may itself be
+  // stale, but it is the only belief left; links the service marked down
+  // via the proactive (connection-reset) path are excluded.
+  std::vector<double> hops(topology_.link_count());
   for (const net::LinkInfo& info : topology_.links()) {
-    if (!network_state_.link(info.id).online) continue;
-    graph.add_undirected_edge(info.a, info.b, info.id, 1.0);
+    hops[info.id.value()] = network_state_.link(info.id).online
+                                ? 1.0
+                                : routing::kNotRoutable;
   }
+  const routing::ShortestPaths tree = routing::min_hop(topology_, hops, home);
 
   Decision decision;
   decision.degraded = true;
   for (const NodeId holder : holders) {
-    if (!online(holder)) continue;
-    if (auto path = routing::min_hop_path(graph, home, holder)) {
-      decision.candidates.push_back(
-          Candidate{holder, routing::make_route(std::move(*path))});
-    }
+    if (!online(holder) || !tree.reachable(holder)) continue;
+    decision.candidates.push_back(
+        Candidate{holder, routing::make_route(*tree.path_to(holder))});
   }
   if (decision.candidates.empty()) return std::nullopt;
   std::sort(decision.candidates.begin(), decision.candidates.end(),
@@ -132,19 +128,47 @@ std::optional<Decision> Vra::select_degraded(
   return decision;
 }
 
-const routing::Graph& Vra::routing_graph() const {
+const std::vector<double>& Vra::link_weights() const {
   const std::uint64_t epoch = network_state_.links_changed_epoch();
-  if (cached_graph_ && epoch == cached_links_epoch_) {
+  if (weights_filled_ && epoch == cached_links_epoch_) {
     ++cache_stats_.graph_hits;
-    return *cached_graph_;
+    return link_weights_;
   }
-  const DbLinkStatsProvider stats{network_state_};
-  const LvnCalculator calculator{topology_, stats, options_};
-  cached_graph_ = calculator.build_weighted_graph();
+  LvnCalculator{topology_, network_state_, options_}.fill_link_weights(
+      link_weights_);
+  weights_filled_ = true;
   cached_links_epoch_ = epoch;
   spt_cache_ = {};
   ++cache_stats_.graph_rebuilds;
-  return *cached_graph_;
+  return link_weights_;
+}
+
+Vra::SptEntry& Vra::tree_from(NodeId home) const {
+  const std::vector<double>& weights = link_weights();
+  SptEntry* entry = spt_cache_.find(home);
+  if (entry != nullptr) {
+    ++cache_stats_.spt_hits;
+    return *entry;
+  }
+  ++cache_stats_.spt_misses;
+  return spt_cache_.insert(
+      home, SptEntry{routing::dijkstra(topology_, weights, home),
+                     std::vector<routing::Route>(topology_.node_count())});
+}
+
+const routing::Route& Vra::route_in(SptEntry& entry, NodeId server) const {
+  routing::Route& route = entry.routes[server.value()];
+  if (!route && entry.tree.reachable(server)) {
+    ++cache_stats_.routes_built;
+    route = routing::make_route(*entry.tree.path_to(server));
+  }
+  return route;
+}
+
+routing::Route Vra::route(NodeId home, NodeId server) const {
+  require(topology_.has_node(home) && topology_.has_node(server),
+      "Vra::route: unknown node");
+  return route_in(tree_from(home), server);
 }
 
 std::optional<Decision> Vra::select_server(NodeId home,
@@ -192,32 +216,18 @@ std::optional<Decision> Vra::select_server(NodeId home,
 
   // "Calculate the Link Validation Number for each network link; run the
   //  Dijkstra's routing algorithm from the client's adjacent server."
-  const routing::Graph& graph = routing_graph();
-
-  SptEntry* entry = spt_cache_.find(home);
-  if (entry == nullptr) {
-    ++cache_stats_.spt_misses;
-    entry = &spt_cache_.insert(
-        home, SptEntry{routing::dijkstra(graph, home),
-                       std::vector<routing::Route>(graph.node_count())});
-  } else {
-    ++cache_stats_.spt_hits;
-  }
+  SptEntry& entry = tree_from(home);
 
   Decision decision;
   decision.candidates.reserve(holders.size());
 
   // "Select those least expensive paths that end at the servers that can
-  //  provide the video."  A route is built the first time a selection
-  //  needs it and shared by every later one until the graph moves.
+  //  provide the video."  A route is built the first time a lookup needs
+  //  it and shared by every later one until the links epoch moves.
   for (const NodeId holder : holders) {
-    if (!online(holder) || !entry->tree.reachable(holder)) continue;
-    routing::Route& route = entry->routes[holder.value()];
-    if (!route) {
-      ++cache_stats_.routes_built;
-      route = routing::make_route(*entry->tree.path_to(holder));
-    }
-    decision.candidates.push_back(Candidate{holder, route});
+    if (!online(holder)) continue;
+    const routing::Route& route = route_in(entry, holder);
+    if (route) decision.candidates.push_back(Candidate{holder, route});
   }
   if (decision.candidates.empty()) {  // all disconnected
     trace_no_source(obs_, topology_, home, video);

@@ -14,13 +14,15 @@
 // Cached engine: the LVNs are a pure function of the limited-access link
 // statistics, which only change when SNMP polls (or an administrator)
 // writes them — every 1–2 minutes, and a poll rewrites every link — while
-// select_server() runs per cluster fetch.  The VRA therefore keeps one
-// weighted graph and the per-home shortest-path trees, keyed on the
-// database's links_changed_epoch(), and rebuilds the graph whole when the
-// epoch moves.  Selections are bit-for-bit those of a freshly built Vra.
-// Each tree builds its routes lazily, one shared routing::Route per server
-// a selection asks for, so every cluster of every session between two
-// epoch moves streams over the same immutable path object.
+// select_server() runs per cluster fetch.  The VRA routes on the topology
+// itself and keeps one vector of link weights (the LVN of each link, +∞
+// for a link reported down) and the per-home shortest-path trees, keyed
+// on the database's links_changed_epoch(); it refills the weights in
+// place and drops the trees when the epoch moves.  Selections are
+// bit-for-bit those of a freshly built Vra.  Each tree builds its routes
+// lazily, one shared routing::Route per server a lookup asks for, so every
+// cluster of every session between two epoch moves streams over the same
+// immutable path object.
 #pragma once
 
 #include <cstdint>
@@ -74,9 +76,9 @@ struct Decision {
 /// Effectiveness counters of the cached engine (reported through
 /// service::ServiceReport so benches can assert cache behaviour).
 struct VraCacheStats {
-  /// Graph served unchanged (links epoch did not advance).
+  /// Link weights served unchanged (links epoch did not advance).
   std::uint64_t graph_hits = 0;
-  /// Whole-graph builds (first use, then one per links-epoch move).
+  /// Link-weight fills (first use, then one per links-epoch move).
   std::uint64_t graph_rebuilds = 0;
   /// Dijkstra trees served from / inserted into the per-home cache.
   std::uint64_t spt_hits = 0;
@@ -97,12 +99,25 @@ class Vra {
 
   /// Runs Figure 5 for a client homed at `home` requesting `video`.
   /// Returns nullopt when no online server holds the title.  (The
-  /// Tables 4/5 step table is routing::dijkstra's trace over
-  /// routing_graph().)
+  /// Tables 4/5 step table is routing::dijkstra's trace over the topology
+  /// and link_weights().)
   [[nodiscard]] std::optional<Decision> select_server(NodeId home,
                                                       VideoId video) const;
 
   [[nodiscard]] const ValidationOptions& options() const { return options_; }
+
+  /// "Poll all of those servers to find out which ones can provide the
+  /// video": here, an online check against the limited-access view.
+  [[nodiscard]] bool online(NodeId server) const {
+    return network_state_.server_online(server);
+  }
+
+  /// The least-LVN route from `home` to `server` over the current link
+  /// weights; null when `server` is unreachable.  Built once per
+  /// (home, server) per links epoch from the home's cached tree and shared
+  /// by every lookup, select_server()'s candidates included.  Counts a
+  /// weight hit or fill and a tree hit or miss like a selection would.
+  [[nodiscard]] routing::Route route(NodeId home, NodeId server) const;
 
   // --- degraded mode (SNMP monitor outage fallback) ---
 
@@ -128,22 +143,18 @@ class Vra {
 
   // --- cached engine ---
 
-  /// The weighted graph the VRA routes on, rebuilt if the database's links
-  /// epoch moved (counts a hit or rebuild like a request would).  The
-  /// reference is valid until the next link-state write.
-  [[nodiscard]] const routing::Graph& routing_graph() const;
+  /// The Dijkstra weight of every link, indexed by link id: its LVN, or
+  /// routing::kNotRoutable for a link the database reports down.  Refilled
+  /// in place if the database's links epoch moved (counts a hit or fill
+  /// like a request would); the reference is valid until the next
+  /// link-state write.
+  [[nodiscard]] const std::vector<double>& link_weights() const;
 
   [[nodiscard]] const VraCacheStats& cache_stats() const {
     return cache_stats_;
   }
 
  private:
-  /// "Poll all of those servers to find out which ones can provide the
-  /// video": here, an online check against the limited-access view.
-  [[nodiscard]] bool online(NodeId server) const {
-    return network_state_.server_online(server);
-  }
-
   /// The server is online and the catalog lists it as a holder.
   [[nodiscard]] bool can_provide(NodeId server, VideoId video) const;
 
@@ -154,12 +165,20 @@ class Vra {
       NodeId home, const std::vector<NodeId>& holders) const;
 
   /// A home's shortest-path tree and the routes built from it so far,
-  /// indexed by server node (null until a selection first needs one).
-  /// Both are dropped together when the graph is rebuilt.
+  /// indexed by server node (null until a lookup first needs one).  Both
+  /// are dropped together when the link weights are refilled.
   struct SptEntry {
     routing::ShortestPaths tree;
     std::vector<routing::Route> routes;
   };
+
+  /// The cached tree from `home` over the current link weights.
+  [[nodiscard]] SptEntry& tree_from(NodeId home) const;
+
+  /// The route to `server` in `entry`'s tree, built on first use; null
+  /// when `server` is unreachable.
+  [[nodiscard]] const routing::Route& route_in(SptEntry& entry,
+                                               NodeId server) const;
 
   const net::Topology& topology_;
   db::FullAccessView catalog_;
@@ -172,11 +191,12 @@ class Vra {
 
   // Cache state: logically a memo of pure functions of the database, hence
   // mutable behind the const query interface.
-  mutable std::optional<routing::Graph> cached_graph_;
+  mutable std::vector<double> link_weights_;
+  mutable bool weights_filled_ = false;
   mutable std::uint64_t cached_links_epoch_ = 0;
   mutable IdVector<NodeId, SptEntry> spt_cache_;
   /// The local route {home} of each home, built on its first local serve;
-  /// it does not depend on the graph, so it outlives links epochs.
+  /// it does not depend on the link weights, so it outlives links epochs.
   mutable IdVector<NodeId, routing::Route> local_routes_;
   mutable VraCacheStats cache_stats_;
 };

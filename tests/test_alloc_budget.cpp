@@ -7,8 +7,9 @@
 // nothing.  This binary replaces the global operator new with a counting
 // one and measures a seeded service in steady state: sessions mid-stream,
 // no request arriving, SNMP polls moving the links epoch as they do in a
-// real run (the graph, tree and route rebuilds they cause are part of the
-// bill).
+// real run (the weight, tree and route rebuilds they cause are part of the
+// bill).  A links-epoch move on its own has a budget too: the VRA refills
+// its link weights in place.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,7 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "db/database.h"
+#include "grnet/grnet.h"
 #include "support/grnet_service.h"
+#include "vra/vra.h"
 
 namespace {
 
@@ -84,6 +88,30 @@ TEST(AllocBudget, RemoteClusterFetchAllocatesAtMostThreeTimes) {
   RecordProperty("allocations_per_fetch", std::to_string(per_fetch));
   EXPECT_LE(per_fetch, 3.0) << window_allocations << " allocations over "
                             << window_fetches << " remote cluster fetches";
+}
+
+TEST(AllocBudget, LinksEpochMoveRefillsWeightsInAtMostFourAllocations) {
+  // An SNMP poll's worth of new statistics on GRNET: the next weight read
+  // refills the LVN of every link in place.
+  const grnet::CaseStudy g = grnet::build_case_study();
+  const db::AdminCredential admin{"admin"};
+  db::Database database{admin, g.topology};
+  grnet::write_table2(database.limited_view(admin), g,
+                      grnet::TimeOfDay::k8am);
+  const vra::Vra vra{g.topology, database.full_view(),
+                     database.limited_view(admin)};
+  (void)vra.link_weights();
+  grnet::write_table2(database.limited_view(admin), g,
+                      grnet::TimeOfDay::k10am);
+
+  const std::size_t allocations_before = allocations;
+  const std::vector<double>& weights = vra.link_weights();
+  const std::size_t refill = allocations - allocations_before;
+
+  ASSERT_EQ(vra.cache_stats().graph_rebuilds, 2u);
+  ASSERT_EQ(weights.size(), g.topology.link_count());
+  RecordProperty("allocations_per_refill", std::to_string(refill));
+  EXPECT_LE(refill, 4u);
 }
 
 }  // namespace

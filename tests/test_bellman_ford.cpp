@@ -5,40 +5,49 @@
 #include <stdexcept>
 
 #include "routing/dijkstra.h"
+#include "support/weighted_topology.h"
 
 namespace vod::routing {
 namespace {
 
-Graph line_graph() {
-  Graph graph;
-  const NodeId a = graph.add_node("a");
-  const NodeId b = graph.add_node("b");
-  const NodeId c = graph.add_node("c");
-  graph.add_undirected_edge(a, b, LinkId{0}, 1.5);
-  graph.add_undirected_edge(b, c, LinkId{1}, 2.5);
-  return graph;
+using test::WeightedTopology;
+
+WeightedTopology line() {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  const NodeId c = net.node("c");
+  net.link(a, b, 1.5);
+  net.link(b, c, 2.5);
+  return net;
+}
+
+/// Two nodes, no link.
+WeightedTopology pair() {
+  WeightedTopology net;
+  net.node("a");
+  net.node("b");
+  return net;
 }
 
 TEST(BellmanFord, ComputesLineDistances) {
-  const Graph graph = line_graph();
-  const auto result = bellman_ford(graph, NodeId{0});
+  const WeightedTopology net = line();
+  const auto result = bellman_ford(net.topology, net.weights, NodeId{0});
   EXPECT_DOUBLE_EQ(result.distance[0], 0.0);
   EXPECT_DOUBLE_EQ(result.distance[1], 1.5);
   EXPECT_DOUBLE_EQ(result.distance[2], 4.0);
 }
 
 TEST(BellmanFord, UnreachableIsInfinite) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  graph.add_node();
-  const auto result = bellman_ford(graph, a);
+  const WeightedTopology net = pair();
+  const auto result = bellman_ford(net.topology, net.weights, NodeId{0});
   EXPECT_EQ(result.distance[1], kUnreached);
 }
 
 TEST(BellmanFord, PathReconstruction) {
-  const Graph graph = line_graph();
-  const auto result = bellman_ford(graph, NodeId{0});
-  const auto path = result.path_to(NodeId{2}, graph);
+  const WeightedTopology net = line();
+  const auto result = bellman_ford(net.topology, net.weights, NodeId{0});
+  const auto path = result.path_to(NodeId{2}, net.topology, net.weights);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->nodes,
             (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
@@ -47,36 +56,44 @@ TEST(BellmanFord, PathReconstruction) {
 }
 
 TEST(BellmanFord, PathToUnreachableIsNullopt) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  graph.add_node();
-  const auto result = bellman_ford(graph, a);
-  EXPECT_FALSE(result.path_to(NodeId{1}, graph).has_value());
+  const WeightedTopology net = pair();
+  const auto result = bellman_ford(net.topology, net.weights, NodeId{0});
+  EXPECT_FALSE(
+      result.path_to(NodeId{1}, net.topology, net.weights).has_value());
 }
 
 TEST(BellmanFord, UnknownSourceThrows) {
-  Graph graph;
-  EXPECT_THROW(bellman_ford(graph, NodeId{0}), std::invalid_argument);
+  const WeightedTopology net;
+  EXPECT_THROW(bellman_ford(net.topology, net.weights, NodeId{0}),
+               std::invalid_argument);
 }
 
 TEST(BellmanFord, SingleNodeGraph) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  const auto result = bellman_ford(graph, a);
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const auto result = bellman_ford(net.topology, net.weights, a);
   EXPECT_DOUBLE_EQ(result.distance[0], 0.0);
 }
 
 TEST(BellmanFord, PicksCheapestParallelEdge) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  const NodeId b = graph.add_node();
-  graph.add_undirected_edge(a, b, LinkId{0}, 5.0);
-  graph.add_undirected_edge(a, b, LinkId{1}, 2.0);
-  const auto result = bellman_ford(graph, a);
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  net.link(a, b, 5.0);
+  net.link(a, b, 2.0);
+  const auto result = bellman_ford(net.topology, net.weights, a);
   EXPECT_DOUBLE_EQ(result.distance[1], 2.0);
-  const auto path = result.path_to(b, graph);
+  const auto path = result.path_to(b, net.topology, net.weights);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->links, std::vector<LinkId>{LinkId{1}});
+}
+
+TEST(BellmanFord, SkipsUnroutableLinks) {
+  WeightedTopology net = line();
+  net.weights[1] = kNotRoutable;
+  const auto result = bellman_ford(net.topology, net.weights, NodeId{0});
+  EXPECT_DOUBLE_EQ(result.distance[1], 1.5);
+  EXPECT_EQ(result.distance[2], kUnreached);
 }
 
 }  // namespace

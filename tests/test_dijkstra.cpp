@@ -3,35 +3,50 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.h"
 #include "support/bellman_ford.h"
+#include "support/weighted_topology.h"
 
 namespace vod::routing {
 namespace {
 
-/// a -1- b -1- c, plus a direct a-c edge of weight 3 (not shortest).
-Graph triangle() {
-  Graph graph;
-  const NodeId a = graph.add_node("a");
-  const NodeId b = graph.add_node("b");
-  const NodeId c = graph.add_node("c");
-  graph.add_undirected_edge(a, b, LinkId{0}, 1.0);
-  graph.add_undirected_edge(b, c, LinkId{1}, 1.0);
-  graph.add_undirected_edge(a, c, LinkId{2}, 3.0);
-  return graph;
+using test::WeightedTopology;
+
+/// a -1- b -1- c, plus a direct a-c link of weight 3 (not shortest).
+WeightedTopology triangle() {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  const NodeId c = net.node("c");
+  net.link(a, b, 1.0);
+  net.link(b, c, 1.0);
+  net.link(a, c, 3.0);
+  return net;
+}
+
+/// Two nodes, no link.
+WeightedTopology pair() {
+  WeightedTopology net;
+  net.node("a");
+  net.node("b");
+  return net;
+}
+
+ShortestPaths run(const WeightedTopology& net, NodeId source,
+                  DijkstraTrace* trace = nullptr) {
+  return dijkstra(net.topology, net.weights, source, trace);
 }
 
 TEST(Dijkstra, SourceDistanceIsZero) {
-  const Graph graph = triangle();
-  const auto paths = dijkstra(graph, NodeId{0});
+  const auto paths = run(triangle(), NodeId{0});
   EXPECT_DOUBLE_EQ(paths.distance_to(NodeId{0}), 0.0);
 }
 
 TEST(Dijkstra, PrefersCheaperMultiHopPath) {
-  const Graph graph = triangle();
-  const auto paths = dijkstra(graph, NodeId{0});
+  const auto paths = run(triangle(), NodeId{0});
   EXPECT_DOUBLE_EQ(paths.distance_to(NodeId{2}), 2.0);
   const auto path = paths.path_to(NodeId{2});
   ASSERT_TRUE(path.has_value());
@@ -40,8 +55,7 @@ TEST(Dijkstra, PrefersCheaperMultiHopPath) {
 }
 
 TEST(Dijkstra, PathLinksMatchNodes) {
-  const Graph graph = triangle();
-  const auto path = dijkstra(graph, NodeId{0}).path_to(NodeId{2});
+  const auto path = run(triangle(), NodeId{0}).path_to(NodeId{2});
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->links, (std::vector<LinkId>{LinkId{0}, LinkId{1}}));
   EXPECT_EQ(path->hop_count(), 2u);
@@ -50,8 +64,7 @@ TEST(Dijkstra, PathLinksMatchNodes) {
 }
 
 TEST(Dijkstra, PathToSourceIsTrivial) {
-  const Graph graph = triangle();
-  const auto path = dijkstra(graph, NodeId{0}).path_to(NodeId{0});
+  const auto path = run(triangle(), NodeId{0}).path_to(NodeId{0});
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->nodes, std::vector<NodeId>{NodeId{0}});
   EXPECT_TRUE(path->links.empty());
@@ -59,142 +72,260 @@ TEST(Dijkstra, PathToSourceIsTrivial) {
 }
 
 TEST(Dijkstra, DisconnectedNodeUnreachable) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  graph.add_node();  // isolated b
-  const auto paths = dijkstra(graph, a);
+  const auto paths = run(pair(), NodeId{0});
   EXPECT_FALSE(paths.reachable(NodeId{1}));
   EXPECT_EQ(paths.distance_to(NodeId{1}), kUnreached);
   EXPECT_FALSE(paths.path_to(NodeId{1}).has_value());
 }
 
 TEST(Dijkstra, UnknownSourceThrows) {
-  Graph graph;
-  EXPECT_THROW(dijkstra(graph, NodeId{0}), std::invalid_argument);
+  EXPECT_THROW(run(WeightedTopology{}, NodeId{0}), std::invalid_argument);
 }
 
 TEST(Dijkstra, DistanceToUnknownNodeThrows) {
-  const Graph graph = triangle();
-  const auto paths = dijkstra(graph, NodeId{0});
+  const auto paths = run(triangle(), NodeId{0});
   EXPECT_THROW((void)paths.distance_to(NodeId{99}), std::invalid_argument);
 }
 
 TEST(Dijkstra, ZeroWeightEdgesSupported) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  const NodeId b = graph.add_node();
-  graph.add_undirected_edge(a, b, LinkId{0}, 0.0);
-  const auto paths = dijkstra(graph, a);
-  EXPECT_DOUBLE_EQ(paths.distance_to(b), 0.0);
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  net.link(a, b, 0.0);
+  EXPECT_DOUBLE_EQ(run(net, a).distance_to(b), 0.0);
+}
+
+TEST(Dijkstra, UnroutableLinkIsNeverRelaxed) {
+  // The a-c link is down: c is reached over b, and once b's link is down
+  // too, not at all.
+  WeightedTopology net = triangle();
+  net.weights[2] = kNotRoutable;
+  EXPECT_DOUBLE_EQ(run(net, NodeId{0}).distance_to(NodeId{2}), 2.0);
+  net.weights[1] = kNotRoutable;
+  const auto paths = run(net, NodeId{0});
+  EXPECT_FALSE(paths.reachable(NodeId{2}));
+  EXPECT_DOUBLE_EQ(paths.distance_to(NodeId{1}), 1.0);
+}
+
+TEST(Dijkstra, RejectsNaNWeight) {
+  WeightedTopology net = triangle();
+  net.weights[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
+}
+
+TEST(Dijkstra, RejectsWrongSizeWeights) {
+  WeightedTopology net = triangle();
+  net.weights.pop_back();
+  EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
+  net.weights.assign(4, 1.0);
+  EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
 }
 
 TEST(Dijkstra, TraceHasOneStepPerReachableNode) {
-  const Graph graph = triangle();
   DijkstraTrace trace;
-  dijkstra(graph, NodeId{0}, &trace);
+  run(triangle(), NodeId{0}, &trace);
   EXPECT_EQ(trace.size(), 3u);
 }
 
 TEST(Dijkstra, TraceFirstStepFinalizesSource) {
-  const Graph graph = triangle();
   DijkstraTrace trace;
-  dijkstra(graph, NodeId{0}, &trace);
+  run(triangle(), NodeId{0}, &trace);
   ASSERT_FALSE(trace.empty());
   EXPECT_EQ(trace[0].finalized, NodeId{0});
   EXPECT_EQ(trace[0].permanent_set, std::vector<NodeId>{NodeId{0}});
 }
 
 TEST(Dijkstra, TraceTentativeDistancesImprove) {
-  const Graph graph = triangle();
   DijkstraTrace trace;
-  dijkstra(graph, NodeId{0}, &trace);
-  // After step 1, c is tentatively reached at 3.0 via the direct edge;
+  run(triangle(), NodeId{0}, &trace);
+  // After step 1, c is tentatively reached at 3.0 via the direct link;
   // after step 2 (b finalized) it improves to 2.0.
   EXPECT_DOUBLE_EQ(trace[0].tentative[2], 3.0);
   EXPECT_DOUBLE_EQ(trace[1].tentative[2], 2.0);
 }
 
 TEST(Dijkstra, TraceBestPathsMatchDistances) {
-  const Graph graph = triangle();
   DijkstraTrace trace;
-  dijkstra(graph, NodeId{0}, &trace);
+  run(triangle(), NodeId{0}, &trace);
   const DijkstraStep& last = trace.back();
   EXPECT_EQ(last.best_path[2],
             (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
 }
 
 TEST(Dijkstra, TraceUnreachedMarked) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  graph.add_node();  // isolated
   DijkstraTrace trace;
-  dijkstra(graph, a, &trace);
+  run(pair(), NodeId{0}, &trace);
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].tentative[1], kUnreached);
   EXPECT_TRUE(trace[0].best_path[1].empty());
 }
 
 TEST(Dijkstra, ParallelEdgesUseTheCheaper) {
-  Graph graph;
-  const NodeId a = graph.add_node();
-  const NodeId b = graph.add_node();
-  graph.add_undirected_edge(a, b, LinkId{0}, 5.0);
-  graph.add_undirected_edge(a, b, LinkId{1}, 2.0);
-  const auto paths = dijkstra(graph, a);
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  net.link(a, b, 5.0);
+  net.link(a, b, 2.0);
+  const auto paths = run(net, a);
   EXPECT_DOUBLE_EQ(paths.distance_to(b), 2.0);
   const auto path = paths.path_to(b);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->links, std::vector<LinkId>{LinkId{1}});
 }
 
-TEST(ShortestPath, ConvenienceWrapper) {
-  const Graph graph = triangle();
-  const auto path = shortest_path(graph, NodeId{0}, NodeId{2});
-  ASSERT_TRUE(path.has_value());
-  EXPECT_DOUBLE_EQ(path->cost, 2.0);
-}
-
 TEST(ShortestPath, UnknownDestinationThrows) {
-  const Graph graph = triangle();
-  EXPECT_THROW(shortest_path(graph, NodeId{0}, NodeId{9}),
-               std::invalid_argument);
+  const auto paths = run(triangle(), NodeId{0});
+  EXPECT_THROW((void)paths.path_to(NodeId{9}), std::invalid_argument);
 }
 
 TEST(PathToString, UsesNodeNames) {
-  const Graph graph = triangle();
-  const auto path = shortest_path(graph, NodeId{0}, NodeId{2});
+  const WeightedTopology net = triangle();
+  const auto path = run(net, NodeId{0}).path_to(NodeId{2});
   ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->to_string(graph), "a,b,c");
+  EXPECT_EQ(path->to_string(net.topology), "a,b,c");
+}
+
+// --- The graph routing reads: net::Topology plus one weight per link ---
+//
+// There is no separate graph type: these are the contract cases of one,
+// held by the topology (structure) and by dijkstra (the weights).
+
+TEST(Graph, AddNodeAssignsDenseIds) {
+  WeightedTopology net;
+  EXPECT_EQ(net.node("a").value(), 0u);
+  EXPECT_EQ(net.node("b").value(), 1u);
+  EXPECT_EQ(net.topology.node_count(), 2u);
+  // The tree has a slot for every id.
+  const auto paths = run(net, NodeId{0});
+  EXPECT_FALSE(paths.reachable(NodeId{1}));
+}
+
+TEST(Graph, NodeNamesPreserved) {
+  WeightedTopology net;
+  const NodeId a = net.node("U1");
+  const NodeId b = net.node("U2");
+  net.link(a, b, 1.0);
+  EXPECT_EQ(net.topology.node_name(a), "U1");
+  EXPECT_EQ(run(net, a).path_to(b)->to_string(net.topology), "U1,U2");
+}
+
+TEST(Graph, EmptyNameGetsDefault) {
+  // Nodes must be named (routes print them); an unnamed link is named
+  // after its endpoints.
+  WeightedTopology net;
+  EXPECT_THROW(net.node(""), std::invalid_argument);
+  const NodeId a = net.node("a");
+  const LinkId ab = net.link(a, net.node("b"), 1.0);
+  EXPECT_EQ(net.topology.link(ab).name, "a-b");
+}
+
+TEST(Graph, HasNode) {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  EXPECT_TRUE(net.topology.has_node(a));
+  EXPECT_FALSE(net.topology.has_node(NodeId{5}));
+  EXPECT_FALSE(net.topology.has_node(NodeId{}));
+}
+
+TEST(Graph, UndirectedEdgeVisibleFromBothEnds) {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  const LinkId ab = net.link(a, b, 2.5);
+  EXPECT_DOUBLE_EQ(run(net, a).distance_to(b), 2.5);
+  EXPECT_DOUBLE_EQ(run(net, b).distance_to(a), 2.5);
+  EXPECT_EQ(run(net, b).path_to(a)->links, std::vector<LinkId>{ab});
+}
+
+TEST(Graph, EdgeCountTracksUndirectedEdges) {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  const NodeId c = net.node("c");
+  net.link(a, b, 1.0);
+  net.link(b, c, 1.0);
+  EXPECT_EQ(net.topology.link_count(), 2u);
+  EXPECT_EQ(net.topology.links_adjacent_to(b).size(), 2u);
+}
+
+TEST(Graph, EdgeEndpointsLookup) {
+  // Every hop of a route maps back onto the link joining its two nodes.
+  const WeightedTopology net = triangle();
+  const auto path = run(net, NodeId{0}).path_to(NodeId{2});
+  ASSERT_TRUE(path.has_value());
+  for (std::size_t i = 0; i < path->links.size(); ++i) {
+    const net::LinkInfo& info = net.topology.link(path->links[i]);
+    EXPECT_EQ(info.other_end(path->nodes[i]), path->nodes[i + 1]);
+  }
+}
+
+TEST(Graph, EdgeWeightUnknownReturnsNullopt) {
+  const WeightedTopology net;
+  EXPECT_FALSE(net.topology.has_link(LinkId{0}));
+  EXPECT_FALSE(net.topology.has_link(LinkId{}));
+  EXPECT_THROW((void)net.topology.link(LinkId{0}), std::out_of_range);
+}
+
+TEST(Graph, NeighborsOfUnknownNodeThrows) {
+  const WeightedTopology net = triangle();
+  EXPECT_THROW((void)net.topology.links_adjacent_to(NodeId{9}),
+               std::invalid_argument);
+}
+
+TEST(Graph, ParallelEdgesAllowedWithDistinctLinks) {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  const LinkId first = net.link(a, b, 1.0);
+  const LinkId second = net.link(a, b, 1.0);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(net.topology.links_adjacent_to(a),
+            (std::vector<LinkId>{first, second}));
+}
+
+TEST(Graph, RejectsDuplicateLinkId) {
+  // The topology issues link ids densely, so no two links share one and
+  // weights[id] belongs to exactly one link.
+  const WeightedTopology net = triangle();
+  for (std::size_t i = 0; i < net.topology.link_count(); ++i) {
+    EXPECT_EQ(net.topology.links()[i].id.value(), i);
+  }
+}
+
+TEST(Graph, RejectsNegativeWeight) {
+  WeightedTopology net = triangle();
+  net.weights[0] = -1.0;
+  EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
+}
+
+TEST(Graph, RejectsSelfLoop) {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  EXPECT_THROW(net.link(a, a, 1.0), std::invalid_argument);
+}
+
+TEST(Graph, RejectsUnknownEndpoint) {
+  WeightedTopology net;
+  const NodeId a = net.node("a");
+  EXPECT_THROW(net.link(a, NodeId{7}, 1.0), std::invalid_argument);
 }
 
 // --- Property: Dijkstra agrees with Bellman–Ford on random graphs ---
 
 class DijkstraRandomAgreement : public ::testing::TestWithParam<int> {};
 
-Graph random_graph(Rng& rng, std::size_t nodes, double edge_probability) {
-  Graph graph;
-  for (std::size_t i = 0; i < nodes; ++i) graph.add_node();
-  LinkId::underlying_type next_link = 0;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    for (std::size_t j = i + 1; j < nodes; ++j) {
-      if (rng.bernoulli(edge_probability)) {
-        graph.add_undirected_edge(
-            NodeId{static_cast<NodeId::underlying_type>(i)},
-            NodeId{static_cast<NodeId::underlying_type>(j)},
-            LinkId{next_link++}, rng.uniform(0.0, 10.0));
-      }
-    }
-  }
-  return graph;
-}
-
 TEST_P(DijkstraRandomAgreement, MatchesBellmanFordEverywhere) {
   Rng rng{static_cast<std::uint64_t>(GetParam())};
   const std::size_t nodes = 3 + static_cast<std::size_t>(GetParam()) % 15;
-  const Graph graph = random_graph(rng, nodes, 0.4);
+  WeightedTopology net =
+      test::random_weighted_topology(rng, nodes, 0.4, 0.0, 10.0);
+  // Take every fifth link down: both must route around it.
+  for (std::size_t l = 0; l < net.weights.size(); l += 5) {
+    net.weights[l] = kNotRoutable;
+  }
   const NodeId source{0};
-  const auto dj = dijkstra(graph, source);
-  const auto bf = bellman_ford(graph, source);
+  const auto dj = run(net, source);
+  const auto bf = bellman_ford(net.topology, net.weights, source);
   for (std::size_t v = 0; v < nodes; ++v) {
     const NodeId node{static_cast<NodeId::underlying_type>(v)};
     if (dj.reachable(node)) {
@@ -208,15 +339,16 @@ TEST_P(DijkstraRandomAgreement, MatchesBellmanFordEverywhere) {
 
 TEST_P(DijkstraRandomAgreement, PathCostsEqualSumOfEdgeWeights) {
   Rng rng{static_cast<std::uint64_t>(GetParam()) + 1000};
-  const Graph graph = random_graph(rng, 10, 0.5);
-  const auto paths = dijkstra(graph, NodeId{0});
-  for (std::size_t v = 0; v < graph.node_count(); ++v) {
+  const WeightedTopology net =
+      test::random_weighted_topology(rng, 10, 0.5, 0.0, 10.0);
+  const auto paths = run(net, NodeId{0});
+  for (std::size_t v = 0; v < net.topology.node_count(); ++v) {
     const auto path = paths.path_to(NodeId{
         static_cast<NodeId::underlying_type>(v)});
     if (!path) continue;
     double sum = 0.0;
     for (const LinkId link : path->links) {
-      sum += *graph.edge_weight(link);
+      sum += net.weights[link.value()];
     }
     EXPECT_NEAR(sum, path->cost, 1e-9);
     EXPECT_EQ(path->nodes.size(), path->links.size() + 1);

@@ -85,6 +85,51 @@ TEST(StripedSelectionPolicy, PathsFollowCurrentLvnWeights) {
   EXPECT_EQ(selection->path().hop_count(), 2u);
 }
 
+TEST(StripedSelectionPolicy, RoutesAreTheVrasCachedRoutes) {
+  // Every cluster of a strip streams over the route object the VRA's
+  // per-home tree built, the one its own selection hands out: no Dijkstra
+  // per cluster fetch.
+  PolicyFixture fx;
+  fx.db.limited_view(kAdmin).add_title(fx.g.thessaloniki, fx.striped_movie);
+  vra::Vra vra{fx.g.topology, fx.db.full_view(),
+               fx.db.limited_view(kAdmin), {}};
+  StripedSelectionPolicy policy{
+      vra, {StripeAssignment{fx.striped_movie, {fx.g.thessaloniki}}}};
+  const auto first = policy.select_cluster(fx.g.patra, fx.striped_movie, 0);
+  const auto again = policy.select_cluster(fx.g.patra, fx.striped_movie, 1);
+  const auto decision = vra.select_server(fx.g.patra, fx.striped_movie);
+  ASSERT_TRUE(first && again && decision);
+  EXPECT_EQ(first->route.get(), again->route.get());
+  EXPECT_EQ(first->route.get(), decision->route.get());
+  EXPECT_EQ(vra.cache_stats().spt_misses, 1u);
+  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 1u);
+}
+
+TEST(StripedSelectionPolicy, OfflineStripHolderFallsBackToVra) {
+  // Strip 0 lives on Thessaloniki, which is down: the cluster must come
+  // from an online copy, never from the offline holder.
+  PolicyFixture fx;
+  auto view = fx.db.limited_view(kAdmin);
+  view.add_title(fx.g.thessaloniki, fx.striped_movie);
+  view.add_title(fx.g.xanthi, fx.striped_movie);
+  vra::Vra vra{fx.g.topology, fx.db.full_view(),
+               fx.db.limited_view(kAdmin), {}};
+  StripedSelectionPolicy policy{
+      vra,
+      {StripeAssignment{fx.striped_movie,
+                        {fx.g.thessaloniki, fx.g.xanthi}}}};
+  view.set_server_online(fx.g.thessaloniki, false);
+  const auto selection =
+      policy.select_cluster(fx.g.patra, fx.striped_movie, 0);
+  ASSERT_TRUE(selection.has_value());
+  EXPECT_EQ(selection->server, fx.g.xanthi);
+  EXPECT_EQ(selection->path().destination(), fx.g.xanthi);
+  // With no online copy left, there is no source at all.
+  view.set_server_online(fx.g.xanthi, false);
+  EXPECT_FALSE(
+      policy.select_cluster(fx.g.patra, fx.striped_movie, 0).has_value());
+}
+
 TEST(StripedSelectionPolicy, HomeStripServedLocally) {
   PolicyFixture fx;
   vra::Vra vra{fx.g.topology, fx.db.full_view(),

@@ -118,12 +118,18 @@ TEST(Table2, UnknownLinkThrows) {
 }
 
 TEST(Table2Stats, ProviderCarriesCapacityAsTotal) {
+  // The database written with a Table 2 column holds the link's capacity
+  // as its total bandwidth beside the column's counters.
   const CaseStudy grnet = build_case_study();
-  const auto stats = table2_stats(grnet, TimeOfDay::k10am);
-  const vra::LinkStats ta = stats.stats(grnet.thess_athens);
-  EXPECT_EQ(ta.total, Mbps{18.0});
-  EXPECT_NEAR(ta.used.value(), 7.0, 1e-12);
-  EXPECT_NEAR(ta.traffic_fraction, 0.388, 1e-12);
+  const db::AdminCredential admin{"admin"};
+  db::Database database{admin, grnet.topology};
+  write_table2(database.limited_view(admin), grnet, TimeOfDay::k10am);
+  const db::LinkRecord& ta =
+      database.limited_view(admin).link(grnet.thess_athens);
+  EXPECT_EQ(ta.total_bandwidth, Mbps{18.0});
+  EXPECT_NEAR(ta.used_bandwidth.value(), 7.0, 1e-12);
+  EXPECT_NEAR(ta.utilization, 0.388, 1e-12);
+  EXPECT_EQ(ta.last_snmp_update, time_of(TimeOfDay::k10am));
 }
 
 TEST(Table2Trace, StepsThroughTheDay) {

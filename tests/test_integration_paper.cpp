@@ -158,8 +158,11 @@ TEST(PaperWalkthrough, StripedSessionAlternatesSources) {
 
 TEST(ExplainTable, BreaksDownTable3Arithmetic) {
   const grnet::CaseStudy g = grnet::build_case_study();
-  const auto stats = grnet::table2_stats(g, grnet::TimeOfDay::k8am);
-  const vra::LvnCalculator calc{g.topology, stats};
+  const db::AdminCredential admin{"admin"};
+  db::Database database{admin, g.topology};
+  grnet::write_table2(database.limited_view(admin), g,
+                      grnet::TimeOfDay::k8am);
+  const vra::LvnCalculator calc{g.topology, database.limited_view(admin)};
   const std::string out =
       vra::format_validation_table(g.topology, calc);
   EXPECT_NE(out.find("Patra-Athens"), std::string::npos);

@@ -6,28 +6,35 @@
 #include <vector>
 
 #include "grnet/grnet.h"
+#include "routing/dijkstra.h"
 
 namespace vod::vra {
 namespace {
 
+const db::AdminCredential kAdmin{"admin"};
+
+/// Writes SNMP-style statistics for `link`: `used` Mbps at `utilization`.
+void write(db::LimitedAccessView stats, LinkId link, double used,
+           double utilization) {
+  stats.update_link_stats(link, Mbps{used}, utilization, SimTime{0.0});
+}
+
 /// Hand-checkable two-node fixture: one 2 Mbps link at 50% (1 Mbps used).
 struct TwoNode {
   net::Topology topo;
-  NodeId a, b;
-  LinkId ab;
-  MapLinkStatsProvider stats;
+  NodeId a = topo.add_node("a");
+  NodeId b = topo.add_node("b");
+  LinkId ab = topo.add_link(a, b, Mbps{2.0});
+  db::Database database{kAdmin, topo};
 
-  TwoNode() {
-    a = topo.add_node("a");
-    b = topo.add_node("b");
-    ab = topo.add_link(a, b, Mbps{2.0});
-    stats.set(ab, LinkStats{Mbps{1.0}, Mbps{2.0}, 0.5});
-  }
+  TwoNode() { write(stats(), ab, 1.0, 0.5); }
+
+  db::LimitedAccessView stats() { return database.limited_view(kAdmin); }
 };
 
 TEST(LvnCalculator, NodeValidationIsUsedOverTotal) {
   TwoNode fx;
-  LvnCalculator calc{fx.topo, fx.stats};
+  LvnCalculator calc{fx.topo, fx.stats()};
   // Eq. 2: both endpoints see the single link: 1/2.
   const std::vector<double> nv = calc.node_validations();
   EXPECT_DOUBLE_EQ(nv[fx.a.value()], 0.5);
@@ -41,10 +48,10 @@ TEST(LvnCalculator, NodeValidationSumsAdjacentLinks) {
   const NodeId c = topo.add_node("c");
   const LinkId ab = topo.add_link(a, b, Mbps{2.0});
   const LinkId ac = topo.add_link(a, c, Mbps{18.0});
-  MapLinkStatsProvider stats;
-  stats.set(ab, LinkStats{Mbps{1.0}, Mbps{2.0}, 0.5});
-  stats.set(ac, LinkStats{Mbps{9.0}, Mbps{18.0}, 0.5});
-  LvnCalculator calc{topo, stats};
+  db::Database database{kAdmin, topo};
+  write(database.limited_view(kAdmin), ab, 1.0, 0.5);
+  write(database.limited_view(kAdmin), ac, 9.0, 0.5);
+  LvnCalculator calc{topo, database.limited_view(kAdmin)};
   // a: (1+9)/(2+18) = 0.5; b: 1/2; c: 9/18.
   const std::vector<double> nv = calc.node_validations();
   EXPECT_DOUBLE_EQ(nv[a.value()], 0.5);
@@ -55,33 +62,33 @@ TEST(LvnCalculator, NodeValidationSumsAdjacentLinks) {
 TEST(LvnCalculator, IsolatedNodeHasZeroValidation) {
   net::Topology topo;
   const NodeId a = topo.add_node("a");
-  MapLinkStatsProvider stats;
-  LvnCalculator calc{topo, stats};
+  db::Database database{kAdmin, topo};
+  LvnCalculator calc{topo, database.limited_view(kAdmin)};
   EXPECT_DOUBLE_EQ(calc.node_validations()[a.value()], 0.0);
 }
 
 TEST(LvnCalculator, LinkValueIsBandwidthOverNormalization) {
   TwoNode fx;
-  LvnCalculator calc{fx.topo, fx.stats};
+  LvnCalculator calc{fx.topo, fx.stats()};
   EXPECT_DOUBLE_EQ(calc.link_value(fx.ab), 0.2);  // 2 / 10
 }
 
 TEST(LvnCalculator, NormalizationConstantConfigurable) {
   TwoNode fx;
-  LvnCalculator calc{fx.topo, fx.stats,
+  LvnCalculator calc{fx.topo, fx.stats(),
                      ValidationOptions{.normalization_constant = 4.0}};
   EXPECT_DOUBLE_EQ(calc.link_value(fx.ab), 0.5);  // 2 / 4
 }
 
 TEST(LvnCalculator, LinkUtilizationTermIsTrafficTimesValue) {
   TwoNode fx;
-  LvnCalculator calc{fx.topo, fx.stats};
+  LvnCalculator calc{fx.topo, fx.stats()};
   EXPECT_DOUBLE_EQ(calc.link_utilization_term(fx.ab), 0.5 * 0.2);
 }
 
 TEST(LvnCalculator, LvnIsMaxNodeValidationPlusUtilizationTerm) {
   TwoNode fx;
-  LvnCalculator calc{fx.topo, fx.stats};
+  LvnCalculator calc{fx.topo, fx.stats()};
   EXPECT_DOUBLE_EQ(
       calc.link_validation_number(fx.ab, calc.node_validations()), 0.5 + 0.1);
 }
@@ -94,10 +101,10 @@ TEST(LvnCalculator, LvnTakesWorseEndpoint) {
   const NodeId c = topo.add_node("c");
   const LinkId ab = topo.add_link(a, b, Mbps{2.0});
   const LinkId bc = topo.add_link(b, c, Mbps{2.0});
-  MapLinkStatsProvider stats;
-  stats.set(ab, LinkStats{Mbps{0.2}, Mbps{2.0}, 0.1});
-  stats.set(bc, LinkStats{Mbps{1.8}, Mbps{2.0}, 0.9});
-  LvnCalculator calc{topo, stats};
+  db::Database database{kAdmin, topo};
+  write(database.limited_view(kAdmin), ab, 0.2, 0.1);
+  write(database.limited_view(kAdmin), bc, 1.8, 0.9);
+  LvnCalculator calc{topo, database.limited_view(kAdmin)};
   // NV(a) = 0.1, NV(b) = 2.0/4 = 0.5; LVN(ab) = 0.5 + 0.1*0.2.
   EXPECT_DOUBLE_EQ(calc.link_validation_number(ab, calc.node_validations()),
                    0.5 + 0.02);
@@ -106,45 +113,37 @@ TEST(LvnCalculator, LvnTakesWorseEndpoint) {
 TEST(LvnCalculator, ValidatesOptions) {
   TwoNode fx;
   EXPECT_THROW(
-      LvnCalculator(fx.topo, fx.stats,
+      LvnCalculator(fx.topo, fx.stats(),
                     ValidationOptions{.normalization_constant = 0.0}),
       std::invalid_argument);
 }
 
-TEST(LvnCalculator, BuildWeightedGraphMirrorsTopology) {
+TEST(LvnCalculator, LinkWeightsMirrorTopology) {
   TwoNode fx;
-  LvnCalculator calc{fx.topo, fx.stats};
-  const routing::Graph graph = calc.build_weighted_graph();
-  EXPECT_EQ(graph.node_count(), 2u);
-  EXPECT_EQ(graph.edge_count(), 1u);
-  EXPECT_EQ(graph.node_name(fx.a), "a");
-  EXPECT_DOUBLE_EQ(*graph.edge_weight(fx.ab), 0.6);
+  const LvnCalculator calc{fx.topo, fx.stats()};
+  std::vector<double> weights{7.0, 7.0, 7.0};  // refilled, not appended
+  calc.fill_link_weights(weights);
+  EXPECT_EQ(weights, std::vector<double>{0.6});
+  // A link the database reports down is not routable.
+  fx.stats().set_link_online(fx.ab, false);
+  calc.fill_link_weights(weights);
+  EXPECT_EQ(weights, std::vector<double>{routing::kNotRoutable});
 }
 
-TEST(MapLinkStatsProvider, UnknownLinkThrows) {
-  MapLinkStatsProvider provider;
-  EXPECT_THROW((void)provider.stats(LinkId{0}), std::out_of_range);
-}
-
-TEST(MapLinkStatsProvider, RejectsNonPositiveTotal) {
-  MapLinkStatsProvider provider;
-  EXPECT_THROW(
-      provider.set(LinkId{0}, LinkStats{Mbps{0.0}, Mbps{0.0}, 0.0}),
-      std::invalid_argument);
-}
-
-TEST(DbLinkStatsProvider, ReadsFromLimitedView) {
+TEST(LvnCalculator, ReadsLimitedAccessView) {
   net::Topology topology;
   const NodeId a = topology.add_node("a");
   topology.add_link(a, topology.add_node("b"), Mbps{2.0});
-  db::Database database{db::AdminCredential{"s"}, topology};
-  auto view = database.limited_view(db::AdminCredential{"s"});
-  view.update_link_stats(LinkId{0}, Mbps{1.82}, 0.91, SimTime{0.0});
-  DbLinkStatsProvider provider{view};
-  const LinkStats stats = provider.stats(LinkId{0});
-  EXPECT_EQ(stats.used, Mbps{1.82});
-  EXPECT_EQ(stats.total, Mbps{2.0});
-  EXPECT_DOUBLE_EQ(stats.traffic_fraction, 0.91);
+  db::Database database{kAdmin, topology};
+  write(database.limited_view(kAdmin), LinkId{0}, 1.82, 0.91);
+  const LvnCalculator calc{topology, database.limited_view(kAdmin)};
+  // UBW / LBW with LBW the topology's capacity; LT the SNMP utilization.
+  EXPECT_DOUBLE_EQ(calc.node_validations()[a.value()], 1.82 / 2.0);
+  EXPECT_DOUBLE_EQ(calc.link_value(LinkId{0}), 0.2);
+  EXPECT_DOUBLE_EQ(calc.link_utilization_term(LinkId{0}), 0.91 * 0.2);
+  // A later write is what the next read sees.
+  write(database.limited_view(kAdmin), LinkId{0}, 0.2, 0.1);
+  EXPECT_DOUBLE_EQ(calc.link_utilization_term(LinkId{0}), 0.1 * 0.2);
 }
 
 // --- Table 3 reproduction: all 7 links x 4 instants ---
@@ -154,8 +153,9 @@ class Table3Reproduction
 
 TEST_P(Table3Reproduction, ComputedLvnsMatchPaperWithinRounding) {
   const grnet::CaseStudy grnet = grnet::build_case_study();
-  const auto stats = grnet::table2_stats(grnet, GetParam());
-  const LvnCalculator calc{grnet.topology, stats};
+  db::Database database{kAdmin, grnet.topology};
+  grnet::write_table2(database.limited_view(kAdmin), grnet, GetParam());
+  const LvnCalculator calc{grnet.topology, database.limited_view(kAdmin)};
   const std::vector<double> nv = calc.node_validations();
   for (const LinkId link : grnet.links_in_paper_order()) {
     const double computed = calc.link_validation_number(link, nv);
@@ -173,8 +173,9 @@ TEST_P(Table3Reproduction, MostCellsMatchToFourDecimals) {
   // The majority of Table 3 cells reproduce to 5e-4; count them to catch
   // regressions that stay inside the loose tolerance above.
   const grnet::CaseStudy grnet = grnet::build_case_study();
-  const auto stats = grnet::table2_stats(grnet, GetParam());
-  const LvnCalculator calc{grnet.topology, stats};
+  db::Database database{kAdmin, grnet.topology};
+  grnet::write_table2(database.limited_view(kAdmin), grnet, GetParam());
+  const LvnCalculator calc{grnet.topology, database.limited_view(kAdmin)};
   const std::vector<double> nv = calc.node_validations();
   int tight = 0;
   for (const LinkId link : grnet.links_in_paper_order()) {

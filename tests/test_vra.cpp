@@ -103,8 +103,8 @@ TEST(Vra, TraceRecordedOnRequest) {
   const auto decision = vra.select_server(fx.g.patra, fx.movie);
   ASSERT_TRUE(decision.has_value());
   routing::DijkstraTrace trace;
-  const routing::ShortestPaths traced =
-      routing::dijkstra(vra.routing_graph(), fx.g.patra, &trace);
+  const routing::ShortestPaths traced = routing::dijkstra(
+      fx.g.topology, vra.link_weights(), fx.g.patra, &trace);
   EXPECT_EQ(trace.size(), 6u);  // all six nodes reachable
   EXPECT_EQ(traced.distance_to(fx.g.xanthi), decision->cost());
   EXPECT_EQ(traced.path_to(fx.g.xanthi)->nodes, decision->path().nodes);
@@ -112,11 +112,10 @@ TEST(Vra, TraceRecordedOnRequest) {
 
 TEST(Vra, WeightedGraphUsesLvnWeights) {
   CaseFixture fx{grnet::TimeOfDay::k8am};
-  const routing::Graph graph = fx.make_vra().routing_graph();
-  EXPECT_EQ(graph.node_count(), 6u);
-  EXPECT_EQ(graph.edge_count(), 7u);
+  const std::vector<double> weights = fx.make_vra().link_weights();
+  EXPECT_EQ(weights.size(), 7u);
   // Patra-Athens at 8am: published LVN 0.083.
-  EXPECT_NEAR(*graph.edge_weight(fx.g.patra_athens), 0.083, 0.001);
+  EXPECT_NEAR(weights[fx.g.patra_athens.value()], 0.083, 0.001);
 }
 
 // --- Experiment A (8am, client at Patra, title at Thessaloniki+Xanthi) ---
@@ -133,8 +132,7 @@ TEST(VraExperiments, ExperimentA_CorrectedDecision) {
   const auto decision = fx.make_vra().select_server(fx.g.patra, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.thessaloniki);
-  EXPECT_EQ(decision->path().to_string(
-                fx.make_vra().routing_graph()),
+  EXPECT_EQ(decision->path().to_string(fx.g.topology),
             "U2,U3,U4");
   EXPECT_NEAR(decision->path().cost, 0.2178, 0.002);
   // The paper's intended Xanthi alternative is the other candidate, with
@@ -142,8 +140,7 @@ TEST(VraExperiments, ExperimentA_CorrectedDecision) {
   ASSERT_EQ(decision->candidates.size(), 2u);
   EXPECT_EQ(decision->candidates[1].server, fx.g.xanthi);
   EXPECT_NEAR(decision->candidates[1].path().cost, 0.315, 0.002);
-  EXPECT_EQ(decision->candidates[1].path().to_string(
-                fx.make_vra().routing_graph()),
+  EXPECT_EQ(decision->candidates[1].path().to_string(fx.g.topology),
             "U2,U1,U6,U5");
 }
 
@@ -155,8 +152,7 @@ TEST(VraExperiments, ExperimentB_MatchesPaper) {
   const auto decision = fx.make_vra().select_server(fx.g.patra, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.thessaloniki);
-  EXPECT_EQ(decision->path().to_string(
-                fx.make_vra().routing_graph()),
+  EXPECT_EQ(decision->path().to_string(fx.g.topology),
             "U2,U3,U4");
   EXPECT_NEAR(decision->path().cost, 1.007, 0.01);
   // Alternative: Xanthi via U2,U1,U6,U5 at ~1.308.
@@ -173,8 +169,7 @@ TEST(VraExperiments, ExperimentC_MatchesPaper) {
   const auto decision = fx.make_vra().select_server(fx.g.athens, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.ioannina);
-  EXPECT_EQ(decision->path().to_string(
-                fx.make_vra().routing_graph()),
+  EXPECT_EQ(decision->path().to_string(fx.g.topology),
             "U1,U2,U3");
   EXPECT_NEAR(decision->path().cost, 1.222, 0.01);
 
@@ -198,8 +193,7 @@ TEST(VraExperiments, ExperimentD_MatchesPaper) {
   const auto decision = fx.make_vra().select_server(fx.g.athens, fx.movie);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->server, fx.g.ioannina);
-  EXPECT_EQ(decision->path().to_string(
-                fx.make_vra().routing_graph()),
+  EXPECT_EQ(decision->path().to_string(fx.g.topology),
             "U1,U2,U3");
   EXPECT_NEAR(decision->path().cost, 1.236, 0.01);
   for (const Candidate& candidate : decision->candidates) {
