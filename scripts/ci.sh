@@ -90,9 +90,10 @@ build/bench/bench_fluid_alloc --out build/BENCH_fluid.json
 
 echo "==== perf gate (VRA cache) ===="
 # The long-lived VRA must return bit-for-bit the decisions of a fresh Vra
-# per request, serve graph and shortest-path-tree hits between the case
-# study's SNMP polls, and be >=5x faster in steady state on a 132-link
-# backbone.
+# per request, serve weight and shortest-path-tree hits between the case
+# study's SNMP polls, and on a 132-link backbone fill the weights once per
+# poll, run Dijkstra once per (poll, home) and answer from a cached tree
+# >=5x faster than a fresh Vra.
 build/bench/bench_vra_incremental
 
 echo "==== perf gate (session store) ===="

