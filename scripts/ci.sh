@@ -146,9 +146,9 @@ declare -A expected_fills=(
   [storm_qos]=17479
 )
 declare -A expected_events=(
-  [backbone]=96168
-  [home_local]=144008
-  [storm_qos]=87950
+  [backbone]=80168
+  [home_local]=96008
+  [storm_qos]=73865
 )
 for workload in backbone home_local storm_qos; do
   counts=$(python3 perfbench/run.py --workload "$workload" --seed 1 \

@@ -689,24 +689,18 @@ void VodService::retire_session(SessionId id,
                                          session.video(),
                                          session.user_class()};
   }
-  // Destruction is deferred to a same-instant sweep event: this runs
-  // inside the session's own done-callback stack, where `delete this`
-  // territory begins.  Same-time events fire in scheduling order, so the
-  // sweep runs after the current event finishes, before time advances.
+  // This runs inside the session's own done-callback stack, so the
+  // destruction is deferred: the event loop sweeps the queue once the
+  // current event's callback returns, before the next event fires.
+  if (retire_queue_.empty()) sim_.queue().defer([this] { sweep_retired(); });
   retire_queue_.push_back(id);
-  if (!retire_sweep_scheduled_) {
-    retire_sweep_scheduled_ = true;
-    sim_.schedule_at(sim_.now(), [this](SimTime) { sweep_retired(); });
-  }
 }
 
 void VodService::sweep_retired() {
-  retire_sweep_scheduled_ = false;
-  // The queue is drained into a local: a destructor must not invalidate
-  // the iteration if some future session type ever completes others.
-  std::vector<SessionId> queue = std::move(retire_queue_);
-  retire_queue_.clear();
-  for (const SessionId id : queue) {
+  // Walked by index and cleared after (keeping its capacity): a destructor
+  // that completed another session would append to the queue mid-walk.
+  for (std::size_t i = 0; i < retire_queue_.size(); ++i) {
+    const SessionId id = retire_queue_[i];
     auto* slot = sessions_.find(id);
     if (slot == nullptr) continue;
     // A batch led by this session can never absorb another request; drop
@@ -718,6 +712,7 @@ void VodService::sweep_retired() {
     }
     sessions_.erase(id);
   }
+  retire_queue_.clear();
 }
 
 SessionRecord* VodService::record_of(SessionId id) {

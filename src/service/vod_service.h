@@ -333,8 +333,8 @@ class VodService {
     return active_sessions_;
   }
   /// Live Session objects resident in the store.  Finished/failed sessions
-  /// are retired (destroyed) by a same-instant sweep, so between events
-  /// this equals active_session_count() — the O(active) memory invariant
+  /// are retired (destroyed) by a sweep the event loop runs right after the
+  /// event that ended them, so between events this equals active_session_count() — the O(active) memory invariant
   /// the leak regression test pins down.
   [[nodiscard]] std::size_t resident_session_count() const {
     return sessions_.size();
@@ -433,8 +433,9 @@ class VodService {
 
   /// Called from the done observer (before user callbacks): snapshots the
   /// session into a SessionRecord (kSummaries) and queues the Session
-  /// object for destruction by a same-instant sweep — a session cannot be
-  /// destroyed while its own completion callback stack is still running.
+  /// object for destruction by a sweep deferred to the end of the current
+  /// event (EventQueue::defer) — a session cannot be destroyed while its
+  /// own completion callback stack is still running.
   void retire_session(SessionId id, const stream::Session& session);
   void sweep_retired();
   /// Record of a retired session, nullptr when unknown or not retained.
@@ -474,7 +475,6 @@ class VodService {
   std::vector<std::optional<SessionRecord>> retired_;
   /// Sessions completed this instant, awaiting the retirement sweep.
   std::vector<SessionId> retire_queue_;
-  bool retire_sweep_scheduled_ = false;
   bool batch_expiry_scheduled_ = false;
   /// Open batches: (home, video) -> (leader session, batch started at).
   /// Keyed by (node, video) — small and pruned (lookup, leader retirement,

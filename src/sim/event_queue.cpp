@@ -9,7 +9,8 @@
 
 namespace vod::sim {
 
-EventHandle EventQueue::schedule(SimTime when, Callback callback) {
+EventHandle EventQueue::schedule(SimTime when, std::uint64_t sequence,
+                                 Callback callback) {
   require(!(when < now_), "EventQueue::schedule: time is in the past");
   require(callback, "EventQueue::schedule: empty callback");
   std::uint32_t slot;
@@ -21,8 +22,8 @@ EventHandle EventQueue::schedule(SimTime when, Callback callback) {
     free_slots_.pop_back();
   }
   slots_[slot].callback = std::move(callback);
-  indexed_heap::push<kArity>(heap_, Entry{when, next_sequence_++, slot},
-                            earlier, track());
+  indexed_heap::push<kArity>(heap_, Entry{when, sequence, slot}, earlier,
+                            track());
   return EventHandle{slot, slots_[slot].generation};
 }
 
@@ -38,13 +39,14 @@ bool EventQueue::cancel(EventHandle handle) {
   return true;
 }
 
-bool EventQueue::reschedule(EventHandle handle, SimTime when) {
-  require(!(when < now_), "EventQueue::reschedule: time is in the past");
+bool EventQueue::rekey(EventHandle handle, SimTime when,
+                       std::uint64_t sequence) {
+  require(!(when < now_), "EventQueue::rekey: time is in the past");
   Slot* slot = live_slot(handle);
   if (slot == nullptr) return false;
   const std::uint32_t pos = slot->heap_pos;
   heap_[pos].when = when;
-  heap_[pos].sequence = next_sequence_++;
+  heap_[pos].sequence = sequence;
   indexed_heap::sift<kArity>(heap_, pos, earlier, track());
   return true;
 }
@@ -63,6 +65,7 @@ std::optional<SimTime> EventQueue::scheduled_time(EventHandle handle) const {
 
 bool EventQueue::run_next() {
   VOD_PROFILE_SCOPE("sim.run_next");
+  run_deferred();
   if (heap_.empty()) return false;
   const Entry top = heap_.front();
   indexed_heap::erase<kArity>(heap_, 0, earlier, track());
@@ -72,7 +75,18 @@ bool EventQueue::run_next() {
   release(top.slot);
   now_ = top.when;
   callback(now_);
+  run_deferred();
   return true;
+}
+
+void EventQueue::drain_deferred() {
+  // An action may defer more (growing deferred_), so each one is moved out
+  // before it runs and the list is walked by index.
+  for (std::size_t i = 0; i < deferred_.size(); ++i) {
+    const Action action = std::move(deferred_[i]);
+    action();
+  }
+  deferred_.clear();
 }
 
 EventQueue::Slot* EventQueue::live_slot(EventHandle handle) {

@@ -4,7 +4,12 @@
 // callback slots.  The sequence number makes same-time events fire in
 // scheduling order, which keeps the whole simulator deterministic.  Events
 // can be cancelled or moved to a new time through the handle returned at
-// scheduling time.
+// scheduling time.  A caller that keeps its own ordered timers (TimerLane,
+// sim/timer_lane.h) reserves each timer's sequence number when it arms it
+// and keys one event at its earliest timer, so the heap pops exactly what
+// it would pop with one event per timer.  Actions deferred from inside an
+// event run after that event's callback returns, before the next event,
+// without an event of their own.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +45,22 @@ class EventHandle {
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
+  using Action = std::function<void()>;
 
   /// Schedules `callback` to fire at `when`.  Scheduling in the past (before
   /// the last popped event) throws std::invalid_argument.
-  EventHandle schedule(SimTime when, Callback callback);
+  EventHandle schedule(SimTime when, Callback callback) {
+    return schedule(when, reserve_sequence(), std::move(callback));
+  }
+
+  /// Schedules `callback` at the key (`when`, `sequence`), where `sequence`
+  /// came from reserve_sequence(): the event fires where an event scheduled
+  /// at the moment of the reservation would have fired.
+  EventHandle schedule(SimTime when, std::uint64_t sequence,
+                       Callback callback);
+
+  /// Takes the sequence number the next schedule() would have taken.
+  std::uint64_t reserve_sequence() { return next_sequence_++; }
 
   /// Cancels a pending event; returns false if it already fired, was
   /// already cancelled, or the handle is invalid.
@@ -55,7 +72,25 @@ class EventQueue {
   /// scheduled for `when`.  Returns false (and changes nothing) if the event
   /// already fired, was cancelled, or the handle is invalid; a `when` in the
   /// past throws std::invalid_argument.
-  bool reschedule(EventHandle handle, SimTime when);
+  bool reschedule(EventHandle handle, SimTime when) {
+    return rekey(handle, when, reserve_sequence());
+  }
+
+  /// Moves a pending event to the key (`when`, `sequence`), keeping its
+  /// callback and handle; returns false (and changes nothing) for a stale
+  /// or invalid handle.  A `when` in the past throws std::invalid_argument.
+  bool rekey(EventHandle handle, SimTime when, std::uint64_t sequence);
+
+  /// Runs `action` once the current event's callback returns, before the
+  /// next event fires.  Deferred outside any event, it runs at the start of
+  /// the next run_next() (or run_deferred()).  Deferred actions are not
+  /// events: they take no sequence number and no heap entry.
+  void defer(Action action) { deferred_.push_back(std::move(action)); }
+
+  /// Runs every deferred action, including ones deferred meanwhile.
+  void run_deferred() {
+    if (!deferred_.empty()) drain_deferred();
+  }
 
   /// Time of the earliest pending event, if any.
   [[nodiscard]] std::optional<SimTime> next_time() const;
@@ -65,7 +100,8 @@ class EventQueue {
   [[nodiscard]] std::optional<SimTime> scheduled_time(
       EventHandle handle) const;
 
-  /// Pops and runs the earliest event; returns false when empty.
+  /// Runs the deferred actions, then pops and runs the earliest event and
+  /// the actions it deferred; returns false when no event was pending.
   bool run_next();
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -111,6 +147,7 @@ class EventQueue {
   /// The slot of a pending event, or nullptr if the handle is stale.
   Slot* live_slot(EventHandle handle);
   void release(std::uint32_t slot);
+  void drain_deferred();
 
   // A 4-ary indexed min-heap (common/indexed_heap.h) on (when, sequence)
   // with back-pointers in the slots, so cancel and reschedule reach their
@@ -119,6 +156,7 @@ class EventQueue {
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<Action> deferred_;
   std::uint64_t next_sequence_ = 1;
   SimTime now_{0.0};
 };

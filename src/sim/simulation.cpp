@@ -22,6 +22,13 @@ inline void pump_series(const obs::Context& context, const EventQueue& queue) {
 
 }  // namespace
 
+TimerLane& Simulation::timer_lane(Duration delay, TimerLane::Fire fire) {
+  for (const std::unique_ptr<TimerLane>& lane : lanes_) {
+    if (lane->delay() == delay && lane->fire() == fire) return *lane;
+  }
+  return *lanes_.emplace_back(std::make_unique<TimerLane>(queue_, delay, fire));
+}
+
 std::size_t Simulation::run(std::size_t max_events) {
   std::size_t executed = 0;
   while (executed < max_events) {
@@ -47,6 +54,8 @@ std::size_t Simulation::run_until(SimTime until) {
     queue_.schedule(until, [](SimTime) {});
     pump_series(obs_, queue_);
     queue_.run_next();
+  } else {
+    queue_.run_deferred();
   }
   return executed;
 }

@@ -1,7 +1,7 @@
 // Simulation driver.
 //
-// Owns the event queue, the simulated clock and the run's observability
-// context, and provides the run-loop variants the benches and tests need
+// Owns the event queue, the simulated clock, the run's timer lanes and its
+// observability context, and provides the run-loop variants the benches and tests need
 // (run to exhaustion, run until a time, run a bounded number of events).
 // Also provides PeriodicTask, the building block for the SNMP poller and
 // the VRA's continuous re-evaluation.
@@ -10,10 +10,13 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/sim_time.h"
 #include "obs/context.h"
 #include "sim/event_queue.h"
+#include "sim/timer_lane.h"
 
 namespace vod::sim {
 
@@ -43,6 +46,10 @@ class Simulation {
     return queue_.schedule(when, std::move(callback));
   }
 
+  /// The lane of timers with this `delay` and `fire` callback, created on
+  /// first use; it lives as long as the simulation.
+  TimerLane& timer_lane(Duration delay, TimerLane::Fire fire);
+
   /// Runs every pending event (including ones scheduled while running).
   /// Returns the number of events executed.  `max_events` guards against
   /// runaway self-rescheduling loops.
@@ -56,6 +63,8 @@ class Simulation {
  private:
   EventQueue queue_;
   obs::Context obs_{[this] { return now(); }};
+  /// Few lanes (one per stall timeout in use), searched linearly.
+  std::vector<std::unique_ptr<TimerLane>> lanes_;
 };
 
 /// A task that re-fires at a fixed period until stopped.  The callback runs

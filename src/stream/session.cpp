@@ -31,19 +31,20 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
       transfers_(transfers),
       policy_(policy),
       video_(std::move(video)),
-      home_(home),
-      options_(options),
       on_done_(std::move(on_done)),
+      prebuffer_clusters_(options.prebuffer_clusters),
+      home_(home),
       user_class_(user_class) {
   require(home.valid(), "Session: invalid home node");
   require(!(cluster_size.value() <= 0.0),
       "Session: cluster size must be positive");
-  require(options_.prebuffer_clusters != 0,
+  require(prebuffer_clusters_ != 0,
       "Session: prebuffer must be >= 1 cluster");
-  if (options_.stall_timeout_seconds == kAutoStallTimeout) {
-    stall_timeout_ = 3.0 * cluster_size.megabits() / kFlowCap.value();
-  } else if (options_.stall_timeout_seconds > 0.0) {
-    stall_timeout_ = options_.stall_timeout_seconds;  // infinity disables
+  double stall_timeout = 0.0;
+  if (options.stall_timeout_seconds == kAutoStallTimeout) {
+    stall_timeout = 3.0 * cluster_size.megabits() / kFlowCap.value();
+  } else if (options.stall_timeout_seconds > 0.0) {
+    stall_timeout = options.stall_timeout_seconds;  // infinity disables
   } else {
     fail_require(
         "Session: stall timeout must be positive, infinity, or "
@@ -54,7 +55,10 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
   if (user_class_) {
     const ClassPolicy& policy = class_policy(*user_class_);
     flow_weight_ = policy.flow_weight;
-    stall_timeout_ *= policy.stall_timeout_scale;
+    stall_timeout *= policy.stall_timeout_scale;
+  }
+  if (std::isfinite(stall_timeout)) {
+    watchdog_ = &sim_.timer_lane(Duration{stall_timeout}, &on_watchdog);
   }
   // The striping rule defines the cluster boundaries.  A retry replaces
   // its cluster's source entry, so neither record outgrows the count.
@@ -162,30 +166,26 @@ void Session::fetch_next_cluster(SimTime now) {
       [this, index](SimTime t) { on_cluster_done(index, t); },
       flow_weight_);
 
-  if (std::isfinite(stall_timeout_)) {
-    watchdog_ = sim_.schedule_in(
-        Duration{stall_timeout_},
-        [this, index](SimTime t) { on_stall_timeout(index, t); });
-  }
+  if (watchdog_ != nullptr) watchdog_->arm(*this);
 }
 
 void Session::cancel_watchdog() {
-  if (watchdog_.valid()) {
-    sim_.queue().cancel(watchdog_);
-    watchdog_ = sim::EventHandle{};
-  }
+  if (watchdog_ != nullptr) watchdog_->disarm(*this);
 }
 
-void Session::on_stall_timeout(std::size_t index, SimTime now) {
-  watchdog_ = sim::EventHandle{};
-  if (done_ || index != next_cluster_ || !inflight_) return;
+void Session::on_watchdog(sim::TimerLane::Hook& hook, SimTime now) {
+  static_cast<Session&>(hook).on_stall_timeout(now);
+}
+
+void Session::on_stall_timeout(SimTime now) {
+  // Every path that ends a fetch disarms its watchdog, so a firing one
+  // belongs to the cluster still in flight.
+  ensure(inflight_.has_value(), "Session: watchdog fired with no fetch");
   // A transfer still delivering is congested, not dead: let it run and
   // check again one timeout from now.
   if (transfers_.active(*inflight_) &&
       transfers_.current_rate(*inflight_) >= kStallRateFloor) {
-    watchdog_ = sim_.schedule_in(
-        Duration{stall_timeout_},
-        [this, index](SimTime t) { on_stall_timeout(index, t); });
+    watchdog_->arm(*this);
     return;
   }
   // The cluster is overdue: abandon the transfer and re-select a source.
@@ -207,7 +207,8 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
     return;
   }
   trace_session(sim_.obs(), "session.stall", trace_id_,
-                {{"cluster", obs::num(static_cast<std::uint64_t>(index))},
+                {{"cluster", obs::num(static_cast<std::uint64_t>(
+                      next_cluster_))},
                  {"retries", obs::num(static_cast<std::uint64_t>(
                       metrics_.stall_retries))}});
   fetch_next_cluster(now);
@@ -289,7 +290,7 @@ void Session::finalize_playback() {
   if (done == 0) return;
 
   const std::size_t prebuffer =
-      std::min(options_.prebuffer_clusters, part_sizes_.size());
+      std::min(prebuffer_clusters_, part_sizes_.size());
   if (done < prebuffer) return;  // never started playing
 
   // Playback begins once the prebuffer is in — or once the user unpauses,

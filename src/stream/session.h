@@ -22,6 +22,7 @@
 #include "common/user_class.h"
 #include "db/records.h"
 #include "net/transfer.h"
+#include "sim/timer_lane.h"
 #include "stream/policy.h"
 
 namespace vod::stream {
@@ -123,8 +124,11 @@ struct SessionMetrics {
   }
 };
 
-/// Drives one video download + playback inside the simulation.
-class Session {
+/// Drives one video download + playback inside the simulation.  The stall
+/// watchdog of the cluster in flight is the session's own timer on the
+/// simulation's lane for its timeout (the private base), so armed
+/// watchdogs cost the event heap one entry per distinct timeout.
+class Session : private sim::TimerLane::Hook {
  public:
   using DoneCallback = std::function<void(const Session&)>;
 
@@ -190,7 +194,8 @@ class Session {
   /// The resolved watchdog timeout (finite when kAutoStallTimeout was
   /// passed; infinity when disabled).
   [[nodiscard]] double stall_timeout_seconds() const {
-    return stall_timeout_;
+    return watchdog_ != nullptr ? watchdog_->delay().seconds()
+                                : std::numeric_limits<double>::infinity();
   }
 
   /// Labels this session's trace events (the async begin/end pair and the
@@ -222,7 +227,10 @@ class Session {
  private:
   void fetch_next_cluster(SimTime now);
   void on_cluster_done(std::size_t index, SimTime now);
-  void on_stall_timeout(std::size_t index, SimTime now);
+  /// The watchdog lane's fire callback: the armed cluster is always
+  /// next_cluster_, the one in flight.
+  static void on_watchdog(sim::TimerLane::Hook& hook, SimTime now);
+  void on_stall_timeout(SimTime now);
   void cancel_watchdog();
   /// Ends the in-flight transfer, if any: cancels it while still active
   /// (a completed or black-holed one is gone already) and forgets it.
@@ -237,16 +245,14 @@ class Session {
   net::TransferManager& transfers_;
   ServerSelectionPolicy& policy_;
   db::VideoInfo video_;
-  NodeId home_;
-  SessionOptions options_;
   DoneCallback on_done_;
-  std::optional<UserClass> user_class_;
 
   /// Wall time after consuming `content` of video starting at wall time
   /// `from`, accounting for the recorded pause intervals.
   [[nodiscard]] double advance_playhead(double from, Duration content) const;
 
   std::vector<MegaBytes> part_sizes_;
+  std::size_t prebuffer_clusters_;
   std::size_t next_cluster_ = 0;
   std::optional<FlowId> inflight_;
   /// The in-flight transfer's route, shared with the policy that chose it
@@ -256,13 +262,17 @@ class Session {
   /// When a fault notification hit the in-flight transfer: the instant, for
   /// the failover-latency measurement closed by the next successful fetch.
   std::optional<SimTime> pending_fault_at_;
-  sim::EventHandle watchdog_;
-  double stall_timeout_ = 0.0;   // resolved from options in the constructor
+  /// The lane of the stall timeout resolved in the constructor; null when
+  /// the watchdog is disabled.
+  sim::TimerLane* watchdog_ = nullptr;
+  std::uint64_t trace_id_ = 0;
+  // The small fields share one 16-byte run (no padding between them).
+  NodeId home_;
   std::uint32_t flow_weight_ = 1;  // the class's, 1 when classless
   int retries_this_cluster_ = 0;
+  std::optional<UserClass> user_class_;
   bool started_ = false;
   bool done_ = false;
-  std::uint64_t trace_id_ = 0;
   SessionMetrics metrics_;
 };
 

@@ -1,13 +1,19 @@
 #include "sim/event_queue.h"
 
+#include "sim/timer_lane.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/simulation.h"
 
 namespace vod::sim {
 namespace {
@@ -452,6 +458,150 @@ TEST(EventQueue, CompactionPreservesSameTimeScheduleOrder) {
   while (queue.run_next()) {
   }
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+
+// A timer owned by a test script: the lane's fire callback logs its id and
+// may run a follow-up (arming from inside a firing callback).
+struct ScriptTimer : TimerLane::Hook {
+  int id = 0;
+  std::vector<int>* log = nullptr;
+  std::function<void()> on_fire;
+};
+
+void fire_script_timer(TimerLane::Hook& hook, SimTime) {
+  auto& timer = static_cast<ScriptTimer&>(hook);
+  timer.log->push_back(timer.id);
+  if (timer.on_fire) timer.on_fire();
+}
+
+// The lane must fire in exactly the order one event per timer would: the
+// same random script (plain events plus lane timers on three delays, with
+// cancels, reschedules, disarms and re-arms from inside a firing timer)
+// runs once with lanes and once with plain schedule/cancel.
+TEST(TimerLane, FiresInTheOrderOfOneEventPerTimer) {
+  constexpr int kTimers = 40;
+  const double delays[] = {0.0, 1.0, 2.0};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const auto run_script = [&](bool use_lanes) {
+      Rng rng{seed};
+      EventQueue queue;
+      std::vector<int> log;
+      std::vector<EventHandle> events;
+      std::vector<std::unique_ptr<TimerLane>> lanes;
+      for (const double delay : delays) {
+        lanes.push_back(std::make_unique<TimerLane>(
+            queue, Duration{delay}, &fire_script_timer));
+      }
+      std::vector<ScriptTimer> timers(kTimers);
+      std::vector<EventHandle> plain(kTimers);  // the plain-event twin
+      const auto lane_of = [&](int t) { return t % 3; };
+      std::function<void(int)> arm = [&](int t) {
+        ScriptTimer& timer = timers[static_cast<std::size_t>(t)];
+        if (use_lanes) {
+          if (!timer.armed()) lanes[lane_of(t)]->arm(timer);
+          return;
+        }
+        if (queue.scheduled_time(plain[t])) return;
+        plain[t] = queue.schedule(
+            queue.now() + Duration{delays[lane_of(t)]},
+            [&, t](SimTime now) {
+              fire_script_timer(timers[static_cast<std::size_t>(t)], now);
+            });
+      };
+      const auto disarm = [&](int t) {
+        if (use_lanes) {
+          lanes[lane_of(t)]->disarm(timers[static_cast<std::size_t>(t)]);
+        } else {
+          queue.cancel(plain[t]);
+        }
+      };
+      for (int t = 0; t < kTimers; ++t) {
+        timers[static_cast<std::size_t>(t)].id = 1000 + t;
+        timers[static_cast<std::size_t>(t)].log = &log;
+        // Every fifth timer re-arms the next timer when it fires.
+        if (t % 5 == 0) {
+          timers[static_cast<std::size_t>(t)].on_fire = [&, t] {
+            arm((t + 1) % kTimers);
+          };
+        }
+      }
+      for (int op = 0; op < 3000; ++op) {
+        const std::int64_t kind = rng.uniform_int(0, 9);
+        const int t = static_cast<int>(rng.uniform_int(0, kTimers - 1));
+        if (kind <= 1) {
+          const int id = static_cast<int>(events.size());
+          events.push_back(queue.schedule(
+              queue.now() + Duration{static_cast<double>(
+                                rng.uniform_int(0, 2))},
+              [&log, id](SimTime) { log.push_back(id); }));
+        } else if (kind == 2 && !events.empty()) {
+          queue.cancel(events[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(events.size()) - 1))]);
+        } else if (kind == 3 && !events.empty()) {
+          queue.reschedule(
+              events[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(events.size()) - 1))],
+              queue.now() + Duration{1.0});
+        } else if (kind <= 5) {
+          arm(t);
+        } else if (kind == 6) {
+          disarm(t);
+        } else {
+          queue.run_next();
+        }
+      }
+      while (queue.run_next()) {
+      }
+      return log;
+    };
+    const std::vector<int> with_lanes = run_script(true);
+    EXPECT_FALSE(with_lanes.empty());
+    EXPECT_EQ(with_lanes, run_script(false)) << "seed " << seed;
+  }
+}
+
+TEST(TimerLane, HoldsOneHeapEntryPerLane) {
+  EventQueue queue;
+  TimerLane lane{queue, Duration{5.0}, &fire_script_timer};
+  std::vector<int> log;
+  std::vector<ScriptTimer> timers(100);
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    timers[i].id = static_cast<int>(i);
+    timers[i].log = &log;
+    lane.arm(timers[i]);
+  }
+  EXPECT_EQ(queue.pending_count(), 1u);
+  lane.disarm(timers[0]);  // the head: the event moves to the next timer
+  EXPECT_EQ(queue.next_time(), SimTime{5.0});
+  for (std::size_t i = 1; i < timers.size(); ++i) lane.disarm(timers[i]);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(log.empty());
+}
+
+TEST(EventQueue, DeferredActionRunsBeforeTheNextSameInstantEvent) {
+  EventQueue queue;
+  std::vector<std::string> log;
+  queue.schedule(SimTime{1.0}, [&](SimTime) {
+    queue.defer([&] { log.push_back("deferred"); });
+    log.push_back("first");
+  });
+  queue.schedule(SimTime{1.0}, [&](SimTime) { log.push_back("second"); });
+  while (queue.run_next()) {
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"first", "deferred", "second"}));
+}
+
+TEST(EventQueue, DeferredOutsideAnEventRunsOnTheNextRun) {
+  Simulation sim;
+  int ran = 0;
+  sim.queue().defer([&] { ++ran; });
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.run(), 0u);  // the queue is empty, the action still runs
+  EXPECT_EQ(ran, 1);
+  sim.queue().defer([&] { ++ran; });
+  sim.run_until(sim.now());
+  EXPECT_EQ(ran, 2);
 }
 
 }  // namespace
