@@ -209,14 +209,6 @@ TEST(Graph, NodeNamesPreserved) {
   EXPECT_EQ(run(net, a).path_to(b)->to_string(net.topology), "U1,U2");
 }
 
-TEST(Graph, EmptyNameGetsDefault) {
-  // A link added without a name is named after its endpoints.
-  WeightedTopology net;
-  const NodeId a = net.node("a");
-  const LinkId ab = net.link(a, net.node("b"), 1.0);
-  EXPECT_EQ(net.topology.link(ab).name, "a-b");
-}
-
 TEST(Graph, HasNode) {
   WeightedTopology net;
   const NodeId a = net.node("a");
@@ -293,22 +285,10 @@ TEST(Graph, RejectsDuplicateLinkId) {
   EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
 }
 
-TEST(Graph, RejectsNegativeWeight) {
+TEST(Dijkstra, RejectsNegativeWeight) {
   WeightedTopology net = triangle();
   net.weights[0] = -1.0;
   EXPECT_THROW(run(net, NodeId{0}), std::invalid_argument);
-}
-
-TEST(Graph, RejectsSelfLoop) {
-  WeightedTopology net;
-  const NodeId a = net.node("a");
-  EXPECT_THROW(net.link(a, a, 1.0), std::invalid_argument);
-}
-
-TEST(Graph, RejectsUnknownEndpoint) {
-  WeightedTopology net;
-  const NodeId a = net.node("a");
-  EXPECT_THROW(net.link(a, NodeId{7}, 1.0), std::invalid_argument);
 }
 
 // --- Property: Dijkstra agrees with Bellman–Ford on random graphs ---

@@ -43,6 +43,24 @@ TEST(SessionRetirement, LeakRegressionManyLifecycles) {
   }
 }
 
+TEST(SessionRetirement, EventHeapDoesNotGrowWithStreamingSessions) {
+  // Every streaming session has a stall watchdog armed, but watchdogs of
+  // one timeout share one timer lane and one queue event: the pending
+  // events are the transfer wake-up, the lane and the service's own
+  // periodic events, whatever the number of sessions in flight.
+  const auto pending_with = [](int sessions) {
+    test::GrnetService fx;
+    for (int i = 0; i < sessions; ++i) {
+      fx.service->request_at(fx.g.patra, fx.movie);
+    }
+    fx.sim.run_until(SimTime{1.0});
+    EXPECT_EQ(fx.service->active_session_count(),
+              static_cast<std::size_t>(sessions));
+    return fx.sim.queue().pending_count();
+  };
+  EXPECT_EQ(pending_with(10), pending_with(200));
+}
+
 TEST(SessionRetirement, SessionStaysResidentWhileActive) {
   test::GrnetService fx{{.movie_size = kOneCluster}};
   const SessionId id = fx.service->request_at(fx.g.patra, fx.movie);
