@@ -334,8 +334,9 @@ class VodService {
   }
   /// Live Session objects resident in the store.  Finished/failed sessions
   /// are retired (destroyed) by a sweep the event loop runs right after the
-  /// event that ended them, so between events this equals active_session_count() — the O(active) memory invariant
-  /// the leak regression test pins down.
+  /// event that ended them, so between events this equals
+  /// active_session_count() — the O(active) memory invariant the leak
+  /// regression test pins down.
   [[nodiscard]] std::size_t resident_session_count() const {
     return sessions_.size();
   }

@@ -81,10 +81,11 @@ bool EventQueue::run_next() {
 
 void EventQueue::drain_deferred() {
   // An action may defer more (growing deferred_), so each one is moved out
-  // before it runs and the list is walked by index.
+  // before it runs and the list is walked by index.  If one throws, the
+  // ones already run stay behind empty and the next drain skips them.
   for (std::size_t i = 0; i < deferred_.size(); ++i) {
     const Action action = std::move(deferred_[i]);
-    action();
+    if (action) action();
   }
   deferred_.clear();
 }

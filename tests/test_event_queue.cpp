@@ -604,5 +604,16 @@ TEST(EventQueue, DeferredOutsideAnEventRunsOnTheNextRun) {
   EXPECT_EQ(ran, 2);
 }
 
+TEST(EventQueue, DeferredActionsAfterAThrowRunOnTheNextDrain) {
+  EventQueue queue;
+  int ran = 0;
+  queue.defer([] { throw std::runtime_error("boom"); });
+  queue.defer([&] { ++ran; });
+  EXPECT_THROW(queue.run_next(), std::runtime_error);
+  EXPECT_EQ(ran, 0);
+  EXPECT_FALSE(queue.run_next());
+  EXPECT_EQ(ran, 1);
+}
+
 }  // namespace
 }  // namespace vod::sim
