@@ -209,14 +209,6 @@ TEST(Graph, NodeNamesPreserved) {
   EXPECT_EQ(run(net, a).path_to(b)->to_string(net.topology), "U1,U2");
 }
 
-TEST(Graph, HasNode) {
-  WeightedTopology net;
-  const NodeId a = net.node("a");
-  EXPECT_TRUE(net.topology.has_node(a));
-  EXPECT_FALSE(net.topology.has_node(NodeId{5}));
-  EXPECT_FALSE(net.topology.has_node(NodeId{}));
-}
-
 TEST(Graph, UndirectedEdgeVisibleFromBothEnds) {
   WeightedTopology net;
   const NodeId a = net.node("a");
@@ -225,17 +217,6 @@ TEST(Graph, UndirectedEdgeVisibleFromBothEnds) {
   EXPECT_DOUBLE_EQ(run(net, a).distance_to(b), 2.5);
   EXPECT_DOUBLE_EQ(run(net, b).distance_to(a), 2.5);
   EXPECT_EQ(run(net, b).path_to(a)->links, std::vector<LinkId>{ab});
-}
-
-TEST(Graph, EdgeCountTracksUndirectedEdges) {
-  WeightedTopology net;
-  const NodeId a = net.node("a");
-  const NodeId b = net.node("b");
-  const NodeId c = net.node("c");
-  net.link(a, b, 1.0);
-  net.link(b, c, 1.0);
-  EXPECT_EQ(net.topology.link_count(), 2u);
-  EXPECT_EQ(net.topology.links_adjacent_to(b).size(), 2u);
 }
 
 TEST(Graph, EdgeEndpointsLookup) {
@@ -249,28 +230,10 @@ TEST(Graph, EdgeEndpointsLookup) {
   }
 }
 
-TEST(Graph, EdgeWeightUnknownReturnsNullopt) {
-  const WeightedTopology net;
-  EXPECT_FALSE(net.topology.has_link(LinkId{0}));
-  EXPECT_FALSE(net.topology.has_link(LinkId{}));
-  EXPECT_THROW((void)net.topology.link(LinkId{0}), std::out_of_range);
-}
-
 TEST(Graph, NeighborsOfUnknownNodeThrows) {
   const WeightedTopology net = triangle();
   EXPECT_THROW((void)net.topology.links_adjacent_to(NodeId{9}),
                std::invalid_argument);
-}
-
-TEST(Graph, ParallelEdgesAllowedWithDistinctLinks) {
-  WeightedTopology net;
-  const NodeId a = net.node("a");
-  const NodeId b = net.node("b");
-  const LinkId first = net.link(a, b, 1.0);
-  const LinkId second = net.link(a, b, 1.0);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(net.topology.links_adjacent_to(a),
-            (std::vector<LinkId>{first, second}));
 }
 
 TEST(Graph, RejectsDuplicateLinkId) {

@@ -22,6 +22,14 @@ TEST(Topology, AddNodeAssignsDenseIds) {
   EXPECT_EQ(topo.node_count(), 2u);
 }
 
+TEST(Topology, HasNode) {
+  Topology topo;
+  const NodeId a = topo.add_node("a");
+  EXPECT_TRUE(topo.has_node(a));
+  EXPECT_FALSE(topo.has_node(NodeId{5}));
+  EXPECT_FALSE(topo.has_node(NodeId{}));
+}
+
 TEST(Topology, RejectsEmptyNodeName) {
   Topology topo;
   EXPECT_THROW(topo.add_node(""), std::invalid_argument);
@@ -84,6 +92,7 @@ TEST(Topology, AdjacencyListsBothDirections) {
   const NodeId c = topo.add_node("c");
   const LinkId ab = topo.add_link(a, b, Mbps{1.0});
   const LinkId bc = topo.add_link(b, c, Mbps{1.0});
+  EXPECT_EQ(topo.link_count(), 2u);
   EXPECT_EQ(topo.links_adjacent_to(a), std::vector<LinkId>{ab});
   EXPECT_EQ(topo.links_adjacent_to(b), (std::vector<LinkId>{ab, bc}));
   EXPECT_EQ(topo.links_adjacent_to(c), std::vector<LinkId>{bc});
@@ -110,18 +119,24 @@ TEST(Topology, FindNodeByName) {
 
 TEST(Topology, UnknownLinkThrows) {
   const Topology topo = two_nodes_one_link();
+  EXPECT_TRUE(topo.has_link(LinkId{0}));
+  EXPECT_FALSE(topo.has_link(LinkId{9}));
+  EXPECT_FALSE(topo.has_link(LinkId{}));
   EXPECT_THROW((void)topo.link(LinkId{9}), std::out_of_range);
   EXPECT_THROW((void)topo.link(LinkId{}), std::out_of_range);
+  EXPECT_THROW((void)Topology{}.link(LinkId{0}), std::out_of_range);
 }
 
 TEST(Topology, ParallelLinksAllowed) {
   Topology topo;
   const NodeId a = topo.add_node("a");
   const NodeId b = topo.add_node("b");
-  topo.add_link(a, b, Mbps{1.0});
-  topo.add_link(a, b, Mbps{2.0});
+  const LinkId first = topo.add_link(a, b, Mbps{1.0});
+  const LinkId second = topo.add_link(a, b, Mbps{2.0});
+  EXPECT_NE(first, second);
   EXPECT_EQ(topo.link_count(), 2u);
-  EXPECT_EQ(topo.links_adjacent_to(a).size(), 2u);
+  EXPECT_EQ(topo.links_adjacent_to(a), (std::vector<LinkId>{first, second}));
+  EXPECT_EQ(topo.links_adjacent_to(b), (std::vector<LinkId>{first, second}));
 }
 
 }  // namespace
