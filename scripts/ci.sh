@@ -140,6 +140,8 @@ done
 # skip shows up as more progressive fillings on the traced seed-1 runs.
 # Every transfer completes at its first wake-up (integer lane progress,
 # DESIGN.md §10): a missed one shows up as more simulation events.
+# A change in the DMA's victim order (DESIGN.md §17) moves its store and
+# eviction counts on backbone and storm_qos (home_local never evicts).
 declare -A expected_fills=(
   [backbone]=17530
   [home_local]=0
@@ -150,14 +152,21 @@ declare -A expected_events=(
   [home_local]=96008
   [storm_qos]=73865
 )
+declare -A expected_dma=(
+  [backbone]=1351/991
+  [home_local]=0/0
+  [storm_qos]=1298/938
+)
 for workload in backbone home_local storm_qos; do
   counts=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
     --seconds 2 --trace 1 | tail -n 1 | python3 -c \
     'import json, sys
 metrics = json.load(sys.stdin)["metrics"]
 print(int(metrics["fluid.reallocations"]["value"]),
-      int(metrics["sim.events"]["value"]))')
-  read -r fills events <<<"$counts"
+      int(metrics["sim.events"]["value"]),
+      "%d/%d" % (metrics["dma.stores"]["value"],
+                 metrics["dma.evictions"]["value"]))')
+  read -r fills events dma <<<"$counts"
   if [[ "$fills" != "${expected_fills[$workload]}" ]]; then
     echo "perfbench $workload: fluid.reallocations ${fills}," \
       "expected ${expected_fills[$workload]}" >&2
@@ -166,6 +175,11 @@ print(int(metrics["fluid.reallocations"]["value"]),
   if [[ "$events" != "${expected_events[$workload]}" ]]; then
     echo "perfbench $workload: sim.events ${events}," \
       "expected ${expected_events[$workload]}" >&2
+    exit 1
+  fi
+  if [[ "$dma" != "${expected_dma[$workload]}" ]]; then
+    echo "perfbench $workload: dma.stores/dma.evictions ${dma}," \
+      "expected ${expected_dma[$workload]}" >&2
     exit 1
   fi
 done

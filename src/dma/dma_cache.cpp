@@ -1,9 +1,11 @@
 #include "dma/dma_cache.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "common/contract.h"
+#include "common/indexed_heap.h"
 #include "obs/trace.h"
 
 namespace vod::dma {
@@ -11,9 +13,7 @@ namespace vod::dma {
 DmaCache::DmaCache(storage::DiskArray& disks, DmaOptions options,
                    DmaCallbacks callbacks)
     : disks_(disks), options_(options), callbacks_(std::move(callbacks)) {
-  for (const VideoId video : disks_.stored_videos()) {
-    ranked_.emplace(0, video);
-  }
+  for (const VideoId video : disks_.stored_videos()) enter(video);
 }
 
 void DmaCache::trace(const char* name, VideoId video,
@@ -30,22 +30,45 @@ std::uint64_t DmaCache::points(VideoId video) const {
   return video.value() < points_.size() ? points_[video.value()] : 0;
 }
 
+std::vector<std::pair<std::uint64_t, VideoId>> DmaCache::ranked() const {
+  std::vector<std::pair<std::uint64_t, VideoId>> ranked;
+  ranked.reserve(heap_.size());
+  for (const Entry& entry : heap_) {
+    ranked.emplace_back(entry.points, entry.video);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  return ranked;
+}
+
 std::uint64_t DmaCache::add_point(VideoId video) {
   if (video.value() >= points_.size()) points_.resize(video.value() + 1, 0);
-  std::uint64_t& count = points_[video.value()];
-  // A cached title's node is re-keyed in place: no allocation.
-  auto node = ranked_.extract({count, video});
-  ++count;
-  if (node) {
-    node.value().first = count;
-    ranked_.insert(std::move(node));
+  const std::uint64_t count = ++points_[video.value()];
+  // A cached title's entry is re-keyed in place: no allocation.
+  if (cached(video)) {
+    const std::uint32_t pos = heap_pos_[video.value()];
+    heap_[pos].points = count;
+    indexed_heap::sift<kArity>(heap_, pos, fewer, track());
   }
   return count;
 }
 
+void DmaCache::enter(VideoId video) {
+  if (video.value() >= heap_pos_.size()) {
+    heap_pos_.resize(video.value() + 1, kAbsent);
+  }
+  indexed_heap::push<kArity>(heap_, Entry{points(video), video}, fewer,
+                             track());
+}
+
+void DmaCache::forget(VideoId video) {
+  std::uint32_t& pos = heap_pos_[video.value()];
+  indexed_heap::erase<kArity>(heap_, std::exchange(pos, kAbsent), fewer,
+                              track());
+}
+
 bool DmaCache::place(VideoId video, MegaBytes size) {
   if (!disks_.store(video, size)) return false;
-  ranked_.emplace(points(video), video);
+  enter(video);
   return true;
 }
 
@@ -59,7 +82,7 @@ bool DmaCache::try_store(VideoId video, MegaBytes size) {
 
 void DmaCache::evict(VideoId victim) {
   disks_.remove(victim);
-  ranked_.erase({points(victim), victim});
+  forget(victim);
   ++evictions_;
   trace("dma.evict", victim, points(victim));
   if (callbacks_.on_evict) callbacks_.on_evict(victim);
@@ -68,7 +91,7 @@ void DmaCache::evict(VideoId victim) {
 std::vector<VideoId> DmaCache::handle_disk_failure(std::size_t slot) {
   std::vector<VideoId> lost = disks_.fail_disk(slot);
   for (const VideoId video : lost) {
-    ranked_.erase({points(video), video});
+    forget(video);
     ++evictions_;
     trace("dma.lost", video, points(video));
     if (callbacks_.on_evict) callbacks_.on_evict(video);

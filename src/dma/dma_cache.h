@@ -21,8 +21,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -56,8 +56,8 @@ struct DmaCallbacks {
 class DmaCache {
  public:
   /// `disks` must outlive the cache, and from here on only the cache may
-  /// store or remove titles on it (titles already there enter with 0
-  /// points).
+  /// store or remove titles on it: cached() answers from the cache's own
+  /// index.  Titles already there enter with 0 points.
   DmaCache(storage::DiskArray& disks, DmaOptions options = {},
            DmaCallbacks callbacks = {});
 
@@ -70,23 +70,23 @@ class DmaCache {
   [[nodiscard]] bool place(VideoId video, MegaBytes size);
 
   [[nodiscard]] std::uint64_t points(VideoId video) const;
+  /// Whether `video` is on the disks.
   [[nodiscard]] bool cached(VideoId video) const {
-    return disks_.holds(video);
+    return video.value() < heap_pos_.size() &&
+           heap_pos_[video.value()] != kAbsent;
   }
 
   /// The cached title with the fewest points (ties broken toward the
   /// lowest video id, deterministically); nullopt when nothing is cached.
   [[nodiscard]] std::optional<VideoId> least_popular_cached() const {
-    if (ranked_.empty()) return std::nullopt;
-    return ranked_.begin()->second;
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().video;
   }
 
-  /// The cached titles as (points, id), in eviction order: the first entry
-  /// is least_popular_cached().
-  [[nodiscard]] const std::set<std::pair<std::uint64_t, VideoId>>& ranked()
-      const {
-    return ranked_;
-  }
+  /// The cached titles as (points, id), sorted in eviction order: the
+  /// first entry is least_popular_cached().  A copy, for tests.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, VideoId>> ranked()
+      const;
 
   /// Propagates a disk failure: titles lost from the array are reported
   /// through on_evict (so the database stops advertising them) and
@@ -112,10 +112,35 @@ class DmaCache {
   [[nodiscard]] std::uint64_t request_count() const { return requests_; }
 
  private:
+  /// A heap entry: the key itself, so a comparison reads no other table.
+  struct Entry {
+    std::uint64_t points;
+    VideoId video;
+  };
+
+  static constexpr std::size_t kArity = 4;
+  static constexpr std::uint32_t kAbsent =
+      std::numeric_limits<std::uint32_t>::max();
+  /// The eviction order: fewest points first, ties to the lowest id.
+  static constexpr auto fewer = [](const Entry& a, const Entry& b) {
+    if (a.points != b.points) return a.points < b.points;
+    return a.video < b.video;
+  };
+  /// The heap's `moved` callback: keeps each title's heap_pos_ current.
+  auto track() {
+    return [this](const Entry& entry, std::size_t pos) {
+      heap_pos_[entry.video.value()] = static_cast<std::uint32_t>(pos);
+    };
+  }
+
   /// One cache-churn instant on the attached run's trace, if any.
   void trace(const char* name, VideoId video, std::uint64_t points) const;
   bool try_store(VideoId video, MegaBytes size);
   void evict(VideoId victim);
+  /// Puts a title just stored on the disks into the heap.
+  void enter(VideoId video);
+  /// Takes a title that left the disks out of the heap.
+  void forget(VideoId video);
   /// Grants `video` one point and returns its new count.
   std::uint64_t add_point(VideoId video);
 
@@ -126,11 +151,14 @@ class DmaCache {
   std::uint32_t trace_node_ = 0;
   /// Popularity points, indexed by video id (grown on the first point).
   std::vector<std::uint64_t> points_;
-  /// (points, id) of every title on the disks.  Set order is the old
-  /// ascending-id scan's answer: fewest points first, ties to the lowest
-  /// id.  Kept in step by add_point, try_store, place, evict and
-  /// handle_disk_failure, the only paths that change points or contents.
-  std::set<std::pair<std::uint64_t, VideoId>> ranked_;
+  /// Each title's position in heap_, indexed by video id (grown on the
+  /// first store); kAbsent when the title is not on the disks.
+  std::vector<std::uint32_t> heap_pos_;
+  /// A 4-ary indexed min-heap (common/indexed_heap.h) of (points, id) over
+  /// the titles on the disks, in `fewer` order: the front is the old
+  /// ascending-id scan's answer.  Kept in step by add_point, enter and
+  /// forget, the only paths that change points or contents.
+  std::vector<Entry> heap_;
   std::uint64_t hits_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t evictions_ = 0;

@@ -9,7 +9,8 @@
 // no request arriving, SNMP polls moving the links epoch as they do in a
 // real run (the weight, tree and route rebuilds they cause are part of the
 // bill).  A links-epoch move on its own has a budget too: the VRA refills
-// its link weights in place.
+// its link weights in place.  The DMA, which runs on every request at the
+// home server, re-keys its popularity heap in place and allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,7 +20,9 @@
 #include <vector>
 
 #include "db/database.h"
+#include "dma/dma_cache.h"
 #include "grnet/grnet.h"
+#include "storage/disk_array.h"
 #include "support/grnet_service.h"
 #include "vra/vra.h"
 
@@ -112,6 +115,57 @@ TEST(AllocBudget, LinksEpochMoveRefillsWeightsInAtMostFourAllocations) {
   ASSERT_EQ(weights.size(), g.topology.link_count());
   RecordProperty("allocations_per_refill", std::to_string(refill));
   EXPECT_LE(refill, 4u);
+}
+
+TEST(AllocBudget, HomeDmaHitAllocatesNothing) {
+  // Two 200 MB disks hold ten 40 MB titles.  After a warm-up that stores
+  // them, grants them points and gives five more titles their first point,
+  // a steady mix of hits and points for those five (never enough to evict)
+  // must not allocate: a hit re-keys its heap entry and a point writes a
+  // slot the points table already has.
+  storage::DiskArray disks{
+      2,
+      storage::DiskProfile{.capacity = MegaBytes{200.0},
+                           .transfer_rate = Mbps{80.0},
+                           .seek_seconds = 0.01},
+      MegaBytes{10.0}};
+  dma::DmaCache cache{disks};
+  const MegaBytes size{40.0};
+  for (VideoId::underlying_type v = 0; v < 10; ++v) {
+    ASSERT_EQ(cache.on_request(VideoId{v}, size), dma::DmaOutcome::kStored);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (VideoId::underlying_type v = 0; v < 10; ++v) {
+      (void)cache.on_request(VideoId{v}, size);
+    }
+  }
+  for (VideoId::underlying_type v = 10; v < 15; ++v) {
+    ASSERT_EQ(cache.on_request(VideoId{v}, size),
+              dma::DmaOutcome::kPointedOnly);
+  }
+
+  constexpr int kRounds = 200;
+  const std::size_t allocations_before = allocations;
+  for (int round = 0; round < kRounds; ++round) {
+    // Hits in a rotating order so the heap keeps re-sorting.
+    for (VideoId::underlying_type i = 0; i < 10; ++i) {
+      const VideoId::underlying_type v = (i * 3 + round) % 10;
+      (void)cache.on_request(VideoId{v}, size);
+      (void)cache.on_request(VideoId{v}, size);
+    }
+    for (VideoId::underlying_type v = 10; v < 15; ++v) {
+      (void)cache.on_request(VideoId{v}, size);
+    }
+  }
+  const std::size_t window_allocations = allocations - allocations_before;
+
+  ASSERT_EQ(cache.hit_count(), 30u + 20u * kRounds);
+  ASSERT_EQ(cache.store_count(), 10u);
+  ASSERT_EQ(cache.eviction_count(), 0u);
+  RecordProperty("allocations_per_dma_request",
+                 std::to_string(static_cast<double>(window_allocations) /
+                                (25.0 * kRounds)));
+  EXPECT_EQ(window_allocations, 0u);
 }
 
 }  // namespace

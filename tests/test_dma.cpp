@@ -262,16 +262,26 @@ std::optional<VideoId> scan_least_popular(const DmaCache& cache) {
 }
 
 /// The index answers like the scan, holds exactly the cached titles, and
-/// keys each with its current points.
-void expect_index_matches_scan(const DmaCache& cache) {
+/// keys each with its current points; for every id below `ids`, the
+/// cache's own membership agrees with the disk array's placements.
+void expect_index_matches_scan(const DmaCache& cache,
+                               VideoId::underlying_type ids) {
   EXPECT_EQ(cache.least_popular_cached(), scan_least_popular(cache));
+  const auto ranked = cache.ranked();
+  if (!ranked.empty()) {
+    EXPECT_EQ(ranked.front().second, cache.least_popular_cached());
+  }
   std::vector<VideoId> indexed;
-  for (const auto& [points, video] : cache.ranked()) {
+  for (const auto& [points, video] : ranked) {
     EXPECT_EQ(points, cache.points(video)) << "video " << video;
     indexed.push_back(video);
   }
   std::sort(indexed.begin(), indexed.end());
   EXPECT_EQ(cache.disks().stored_videos(), indexed);
+  for (VideoId::underlying_type v = 0; v < ids; ++v) {
+    EXPECT_EQ(cache.cached(VideoId{v}), cache.disks().holds(VideoId{v}))
+        << "video " << v;
+  }
 }
 
 class DmaIndexDifferential : public ::testing::TestWithParam<int> {};
@@ -316,7 +326,7 @@ TEST_P(DmaIndexDifferential, LeastPopularMatchesScanAfterEveryStep) {
       cache.on_request(VideoId{static_cast<VideoId::underlying_type>(v)},
                        sizes[v]);
     }
-    expect_index_matches_scan(cache);
+    expect_index_matches_scan(cache, 24);
     if (HasFailure()) {
       FAIL() << "seed " << seed << " diverged at step " << step;
     }
@@ -337,8 +347,41 @@ TEST(DmaCache, TitlesAlreadyOnTheDisksEnterTheIndexWithZeroPoints) {
   EXPECT_EQ(cache.least_popular_cached(), VideoId{6});
   cache.on_request(VideoId{2}, MegaBytes{50.0});  // stored, 0 points
   cache.on_request(VideoId{2}, MegaBytes{50.0});  // hit -> 1 point
-  expect_index_matches_scan(cache);
+  expect_index_matches_scan(cache, 8);
   EXPECT_EQ(cache.least_popular_cached(), VideoId{6});
+}
+
+TEST(DmaCache, TiedVictimsLeaveLowestIdFirstAcrossEvictions) {
+  // One 120 MB disk holds twelve 10 MB titles, stored in a scrambled id
+  // order and then each hit once, in another order, so all tie on 1 point
+  // while their heap positions are shuffled.  Each newcomer's second
+  // request (2 points > 1) evicts one of them: always the lowest id left.
+  storage::DiskArray disks{1, profile(120.0), MegaBytes{10.0}};
+  std::vector<VideoId> evicted;
+  DmaCallbacks callbacks;
+  callbacks.on_evict = [&](VideoId v) { evicted.push_back(v); };
+  DmaCache cache{disks, {}, callbacks};
+  const std::vector<VideoId::underlying_type> tied{13, 4, 9, 1,  11, 6,
+                                                   2,  8, 15, 3, 12, 7};
+  for (const auto v : tied) {
+    ASSERT_EQ(cache.on_request(VideoId{v}, MegaBytes{10.0}),
+              DmaOutcome::kStored);
+  }
+  for (std::size_t i = 0; i < tied.size(); ++i) {
+    const VideoId video{tied[(i * 5) % tied.size()]};
+    ASSERT_EQ(cache.on_request(video, MegaBytes{10.0}), DmaOutcome::kHit);
+  }
+  for (VideoId::underlying_type newcomer = 20; newcomer < 26; ++newcomer) {
+    EXPECT_EQ(cache.on_request(VideoId{newcomer}, MegaBytes{10.0}),
+              DmaOutcome::kPointedOnly);
+    EXPECT_EQ(cache.on_request(VideoId{newcomer}, MegaBytes{10.0}),
+              DmaOutcome::kStored);
+    expect_index_matches_scan(cache, 26);
+  }
+  EXPECT_EQ(evicted, (std::vector<VideoId>{VideoId{1}, VideoId{2},
+                                           VideoId{3}, VideoId{4},
+                                           VideoId{6}, VideoId{7}}));
+  EXPECT_EQ(cache.least_popular_cached(), VideoId{8});
 }
 
 TEST(DmaCache, PlaceStoresWithoutPointsCountsOrCallbacks) {
